@@ -3,7 +3,7 @@
 // isolates the speedup of each scan-level mechanism (shared-prefix caching
 // and early-exit scheduling), with bit-identity checks throughout.
 //
-// Section "threads" is the ClassScanScheduler's contract made measurable:
+// Section "threads" is the scan engine's contract made measurable:
 // per-class reverse engineering fans out over the pool, so a K-class scan
 // should approach a num_threads-fold speedup while producing the same
 // DetectionReport bit for bit.

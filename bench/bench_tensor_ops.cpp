@@ -278,9 +278,9 @@ BenchResult bench_refine_step_alloc_pressure() {
   config.batch_size = 16;
   const NeuralCleanse detector(config);
   const ScanPlan plan = detector.plan();
-  const ClassScanScheduler scheduler(plan.options);
-  const ProbeBatchCache cache = scheduler.make_cache(probe);
-  const ClassScanJob job = scheduler.make_job(0, cache, nullptr);
+  ProbeBatchCache local;
+  const ProbeBatchCache* cache = select_scan_probe_cache(plan.options, probe, local);
+  const ClassScanJob job = make_class_job(plan.options, 0, *cache);
   Network clone = clone_network(model);
   const auto task = plan.make_task(clone, probe, job);
   (void)task->run_steps(8);  // warm-up: arena slots, loader batch, caches

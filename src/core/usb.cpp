@@ -123,16 +123,6 @@ class UsbRefineTask final : public ClassRefineTask {
 
 }  // namespace
 
-ClassScanScheduler UsbDetector::make_scheduler() const {
-  ClassScanOptions options;
-  options.mad_threshold = config_.mad_threshold;
-  options.base_seed = config_.seed;
-  options.pool = config_.scan_pool;
-  options.external_probe_cache = config_.shared_probe_cache;
-  options.early_exit = config_.early_exit;
-  return ClassScanScheduler(options);
-}
-
 ScanSharedBuilder UsbDetector::make_shared_builder() const {
   // The shared prefix only exists when Alg. 1 actually runs per class.
   if (!config_.share_prefix || config_.random_init) return nullptr;
@@ -185,16 +175,11 @@ UsbDetector::Decomposition UsbDetector::decompose_uap(const Tensor& uap) const {
 TriggerEstimate UsbDetector::reverse_engineer_class(
     Network& model, const Dataset& probe, std::int64_t target_class,
     const std::optional<Tensor>& precomputed_uap) {
-  const ClassScanScheduler scheduler = make_scheduler();
-  const ProbeBatchCache cache = scheduler.make_cache(probe);
-  return reverse_engineer_class(model, probe, scheduler.make_job(target_class, cache),
-                                precomputed_uap);
-}
-
-TriggerEstimate UsbDetector::reverse_engineer_class(
-    Network& model, const Dataset& probe, const ClassScanJob& job,
-    const std::optional<Tensor>& precomputed_uap) {
-  UsbRefineTask task(*this, model, probe, job, precomputed_uap);
+  const ClassScanOptions options = plan().options;
+  ProbeBatchCache local;
+  const ProbeBatchCache* cache = select_scan_probe_cache(options, probe, local);
+  UsbRefineTask task(*this, model, probe, make_class_job(options, target_class, *cache),
+                     precomputed_uap);
   (void)task.run_steps(config_.refine_steps);
   return task.finalize();
 }
@@ -202,7 +187,11 @@ TriggerEstimate UsbDetector::reverse_engineer_class(
 ScanPlan UsbDetector::plan() const {
   ScanPlan scan;
   scan.method = name();
-  scan.options = make_scheduler().options();
+  scan.options.mad_threshold = config_.mad_threshold;
+  scan.options.base_seed = config_.seed;
+  scan.options.pool = config_.scan_pool;
+  scan.options.external_probe_cache = config_.shared_probe_cache;
+  scan.options.early_exit = config_.early_exit;
   scan.total_steps = config_.refine_steps;
   scan.make_task = [this](Network& clone, const Dataset& data,
                           const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {

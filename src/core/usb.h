@@ -82,11 +82,6 @@ class UsbDetector final : public Detector {
       Network& model, const Dataset& probe, std::int64_t target_class,
       const std::optional<Tensor>& precomputed_uap = std::nullopt);
 
-  /// Scheduler job body: same pipeline against a shared probe cache.
-  [[nodiscard]] TriggerEstimate reverse_engineer_class(
-      Network& model, const Dataset& probe, const ClassScanJob& job,
-      const std::optional<Tensor>& precomputed_uap = std::nullopt);
-
   /// Decomposes a UAP (1,C,H,W) into the Alg. 2 starting point.
   struct Decomposition {
     Tensor mask;     // (H,W) in [0,1]
@@ -97,7 +92,6 @@ class UsbDetector final : public Detector {
   [[nodiscard]] const UsbConfig& config() const noexcept { return config_; }
 
  private:
-  [[nodiscard]] ClassScanScheduler make_scheduler() const;
   [[nodiscard]] ScanSharedBuilder make_shared_builder() const;
 
   UsbConfig config_;

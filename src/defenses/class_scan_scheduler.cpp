@@ -1,16 +1,12 @@
 #include "defenses/class_scan_scheduler.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "defenses/masked_trigger.h"
-#include "nn/checkpoint.h"
 #include "tensor/arena.h"
 #include "tensor/tensor_ops.h"
-#include "utils/fault_injection.h"
 #include "utils/rng.h"
-#include "utils/timer.h"
 
 namespace usb {
 
@@ -38,402 +34,18 @@ const ProbeBatchCache* select_scan_probe_cache(const ClassScanOptions& options,
   return &local;
 }
 
-std::uint64_t ClassScanScheduler::class_stream_seed(std::uint64_t base_seed,
-                                                    std::int64_t target_class) noexcept {
+std::uint64_t class_stream_seed(std::uint64_t base_seed, std::int64_t target_class) noexcept {
   return hash_combine(base_seed, 0xc1a55'57e4ULL, static_cast<std::uint64_t>(target_class));
 }
 
-ProbeBatchCache ClassScanScheduler::make_cache(const Dataset& probe) const {
-  return ProbeBatchCache(probe, options_.eval_batch_size);
-}
-
-ClassScanJob ClassScanScheduler::make_job(std::int64_t target_class,
-                                          const ProbeBatchCache& cache,
-                                          const ScanSharedState* shared) const noexcept {
+ClassScanJob make_class_job(const ClassScanOptions& options, std::int64_t target_class,
+                            const ProbeBatchCache& cache, const ScanSharedState* shared) noexcept {
   ClassScanJob job;
   job.target_class = target_class;
-  job.rng_seed = class_stream_seed(options_.base_seed, target_class);
+  job.rng_seed = class_stream_seed(options.base_seed, target_class);
   job.probe_cache = &cache;
   job.shared = shared;
   return job;
-}
-
-DetectionReport ClassScanScheduler::finish(DetectionReport report, double wall_seconds) const {
-  const std::size_t num_classes = report.per_class.size();
-  // Normalize the completion-state vector (paths that predate it, like the
-  // monolithic run(), leave it empty = every class finalized), then
-  // re-grade finalized classes whose statistics diverged: a non-finite
-  // mask-L1 or fooling rate is the quarantine condition everywhere.
-  if (report.per_class_state.size() != num_classes) {
-    report.per_class_state.assign(num_classes, ClassScanState::kFinalized);
-  }
-  // Ordered reduction: norms enter the MAD stage in class order. A class
-  // that did not finalize feeds a NaN, which decide_backdoor_peeled peels
-  // out of the median/MAD population; with every class finalized and finite
-  // this is decide_backdoor verbatim.
-  std::vector<double> norms(num_classes);
-  for (std::size_t t = 0; t < num_classes; ++t) {
-    if (report.per_class_state[t] == ClassScanState::kFinalized &&
-        !(std::isfinite(report.per_class[t].mask_l1) &&
-          std::isfinite(report.per_class[t].fooling_rate))) {
-      report.per_class_state[t] = ClassScanState::kNumericallyUnstable;
-    }
-    norms[t] = report.per_class_state[t] == ClassScanState::kFinalized
-                   ? report.per_class[t].mask_l1
-                   : std::numeric_limits<double>::quiet_NaN();
-  }
-  report.verdict = decide_backdoor_peeled(norms, options_.mad_threshold);
-  report.wall_seconds = wall_seconds;
-  return report;
-}
-
-void ClassScanScheduler::throw_if_interrupted() const {
-  if (options_.cancel != nullptr && options_.cancel->load(std::memory_order_relaxed)) {
-    throw ScanCancelled();
-  }
-  if (options_.deadline.has_value() && std::chrono::steady_clock::now() >= *options_.deadline) {
-    throw ScanTimedOut();
-  }
-}
-
-void ClassScanScheduler::notify_progress(std::int64_t target_class, ClassScanEvent event,
-                                         double mask_l1) const {
-  if (options_.progress) options_.progress(target_class, event, mask_l1);
-}
-
-DetectionReport ClassScanScheduler::run(const std::string& method, Network& model,
-                                        const Dataset& probe, const ReverseFn& reverse_one,
-                                        const ScanSharedBuilder& shared_builder) const {
-  const Timer wall;
-  const std::int64_t num_classes = probe.spec().num_classes;
-  DetectionReport report;
-  report.method = method;
-  report.per_class.resize(static_cast<std::size_t>(num_classes));
-  report.per_class_seconds.resize(static_cast<std::size_t>(num_classes));
-
-  // Materialized (or adopted) once, shared read-only by all K jobs.
-  ProbeBatchCache local_cache;
-  const ProbeBatchCache* eval_cache = select_scan_probe_cache(options_, probe, local_cache);
-
-  // Detector-specific shared prefix, built sequentially on the reference
-  // model before any clone exists.
-  std::shared_ptr<const ScanSharedState> shared;
-  if (shared_builder) shared = shared_builder(model, probe);
-
-  // One model clone per class. The inner tensor kernels submit fixed,
-  // size-derived tile lists to THIS pool via parallel_for_deterministic:
-  // when the fan-out under-subscribes it (K < pool size), idle workers soak
-  // up GEMM tiles; when it is saturated, tiles run inline on the submitting
-  // worker. Each job writes only its own slot, its stream root depends only
-  // on (base_seed, class), and the tile decomposition depends only on
-  // operand sizes — never on the schedule — so the estimates are
-  // bit-identical for any pool size.
-  ThreadPool& pool = options_.pool != nullptr ? *options_.pool : ThreadPool::global();
-  pool.parallel_for(num_classes, [&](std::int64_t begin, std::int64_t end, int /*worker*/) {
-    for (std::int64_t t = begin; t < end; ++t) {
-      throw_if_interrupted();
-      Network clone = clone_network(model);
-      const Timer timer;
-      report.per_class[static_cast<std::size_t>(t)] =
-          reverse_one(clone, probe, make_job(t, *eval_cache, shared.get()));
-      report.per_class_seconds[static_cast<std::size_t>(t)] = timer.seconds();
-      notify_progress(t, ClassScanEvent::kFinalized,
-                      report.per_class[static_cast<std::size_t>(t)].mask_l1);
-    }
-  });
-
-  return finish(std::move(report), wall.seconds());
-}
-
-DetectionReport ClassScanScheduler::run_early_exit(const std::string& method, Network& model,
-                                                   const Dataset& probe,
-                                                   std::int64_t total_steps,
-                                                   const RefineTaskFn& make_task,
-                                                   const ScanSharedBuilder& shared_builder) const {
-  if (options_.early_exit.async) {
-    return run_async_retire(method, model, probe, total_steps, make_task, shared_builder);
-  }
-  const Timer wall;
-  const std::int64_t num_classes = probe.spec().num_classes;
-  DetectionReport report;
-  report.method = method;
-  report.per_class.resize(static_cast<std::size_t>(num_classes));
-  report.per_class_seconds.assign(static_cast<std::size_t>(num_classes), 0.0);
-  report.per_class_state.assign(static_cast<std::size_t>(num_classes),
-                                ClassScanState::kFinalized);
-
-  ProbeBatchCache local_cache;
-  const ProbeBatchCache* eval_cache = select_scan_probe_cache(options_, probe, local_cache);
-  std::shared_ptr<const ScanSharedState> shared;
-  if (shared_builder) shared = shared_builder(model, probe);
-
-  ThreadPool& pool = options_.pool != nullptr ? *options_.pool : ThreadPool::global();
-
-  // Phase 1 — parallel task construction: everything before the refinement
-  // loop (for USB that is all of Alg. 1) runs here, one private clone per
-  // class. Clones live alongside the tasks so run_steps/finalize can keep
-  // borrowing them.
-  std::vector<std::unique_ptr<Network>> clones(static_cast<std::size_t>(num_classes));
-  std::vector<std::unique_ptr<ClassRefineTask>> tasks(static_cast<std::size_t>(num_classes));
-  pool.parallel_for(num_classes, [&](std::int64_t begin, std::int64_t end, int /*worker*/) {
-    for (std::int64_t t = begin; t < end; ++t) {
-      throw_if_interrupted();
-      const auto slot = static_cast<std::size_t>(t);
-      clones[slot] = std::make_unique<Network>(clone_network(model));
-      // Timer starts after the clone, matching run(): per_class_seconds
-      // stays comparable between the two scan paths.
-      const Timer timer;
-      tasks[slot] = make_task(*clones[slot], probe, make_job(t, *eval_cache, shared.get()));
-      report.per_class_seconds[slot] += timer.seconds();
-    }
-  });
-
-  // Phase 2 — round-scheduled refinement over the shrinking active set.
-  // Every decision is taken at a barrier from statistics that are
-  // bit-deterministic for any thread count, so the schedule never leaks
-  // into the results.
-  const std::int64_t round_steps = options_.early_exit.round_steps > 0
-                                       ? options_.early_exit.round_steps
-                                       : std::max<std::int64_t>(1, (total_steps + 5) / 6);
-  std::vector<std::int64_t> remaining(static_cast<std::size_t>(num_classes),
-                                      std::max<std::int64_t>(0, total_steps));
-  std::vector<std::int64_t> active;
-  for (std::int64_t t = 0; t < num_classes; ++t) {
-    if (remaining[static_cast<std::size_t>(t)] > 0) active.push_back(t);
-  }
-  std::int64_t rounds_done = 0;
-  while (!active.empty()) {
-    throw_if_interrupted();
-    pool.parallel_for(static_cast<std::int64_t>(active.size()),
-                      [&](std::int64_t begin, std::int64_t end, int /*worker*/) {
-                        for (std::int64_t i = begin; i < end; ++i) {
-                          const std::int64_t t = active[static_cast<std::size_t>(i)];
-                          const auto slot = static_cast<std::size_t>(t);
-                          const Timer timer;
-                          const std::int64_t steps = std::min(round_steps, remaining[slot]);
-                          const std::int64_t ran = tasks[slot]->run_steps(steps);
-                          // Fewer than requested means the loop's own exit
-                          // condition fired; the class is done either way.
-                          remaining[slot] = ran < steps ? 0 : remaining[slot] - ran;
-                          report.per_class_seconds[slot] += timer.seconds();
-                          // Numerical quarantine at the round boundary: a
-                          // diverged statistic stops the class here and
-                          // keeps it out of every later cutoff population.
-                          double stat = tasks[slot]->current_mask_l1();
-                          if (USB_FAULT_NAN("scan.round_stat")) {
-                            stat = std::numeric_limits<double>::quiet_NaN();
-                          }
-                          if (!std::isfinite(stat)) {
-                            report.per_class_state[slot] = ClassScanState::kNumericallyUnstable;
-                            remaining[slot] = 0;
-                            notify_progress(t, ClassScanEvent::kQuarantined, stat);
-                          }
-                        }
-                      });
-    ++rounds_done;
-
-    std::vector<std::int64_t> next;
-    for (const std::int64_t t : active) {
-      if (remaining[static_cast<std::size_t>(t)] > 0) next.push_back(t);
-    }
-    if (options_.early_exit.enabled && !next.empty() &&
-        rounds_done >= options_.early_exit.min_rounds) {
-      // Current statistics of ALL classes (stopped ones hold their frozen
-      // value), in class order — the same population the final MAD rule
-      // sees. Quarantined classes feed a NaN so early_exit_cutoff peels
-      // them, exactly as decide_backdoor_peeled will at the reduction.
-      std::vector<double> norms(static_cast<std::size_t>(num_classes));
-      for (std::int64_t t = 0; t < num_classes; ++t) {
-        const auto slot = static_cast<std::size_t>(t);
-        norms[slot] = report.per_class_state[slot] == ClassScanState::kNumericallyUnstable
-                          ? std::numeric_limits<double>::quiet_NaN()
-                          : tasks[slot]->current_mask_l1();
-      }
-      const double cutoff = early_exit_cutoff(norms, options_.early_exit.margin);
-      // Heuristic retirement: a statistic above the cutoff sits above the
-      // running median by the MAD-outlier margin, and the decision rule
-      // only flags LOW-side outliers — so we bet that a class this far
-      // above the pack will not out-descend it if refined further, stop
-      // it, and hand its worker slot to the remaining candidates. This is
-      // a budget/accuracy trade, not a proof: mask-L1 is not monotone
-      // under refinement, and a slow-converging backdoored class retired
-      // at an early barrier is a possible false negative. margin and
-      // min_rounds tune that risk (tests pin the verdict on a seeded
-      // BadNet victim), and disabling early exit restores the exact scan.
-      std::vector<std::int64_t> survivors;
-      for (const std::int64_t t : next) {
-        if (norms[static_cast<std::size_t>(t)] <= cutoff) {
-          survivors.push_back(t);
-        } else {
-          notify_progress(t, ClassScanEvent::kRetired, norms[static_cast<std::size_t>(t)]);
-        }
-      }
-      next = std::move(survivors);
-    }
-    active = std::move(next);
-  }
-
-  // Phase 3 — parallel finalize, slotted in class order. Quarantined
-  // classes skip the fooling-rate evaluation (a forward pass over a
-  // non-finite trigger buys nothing) and report a NaN statistic; their
-  // slot is excluded from the verdict either way.
-  pool.parallel_for(num_classes, [&](std::int64_t begin, std::int64_t end, int /*worker*/) {
-    for (std::int64_t t = begin; t < end; ++t) {
-      throw_if_interrupted();
-      const auto slot = static_cast<std::size_t>(t);
-      if (report.per_class_state[slot] == ClassScanState::kNumericallyUnstable) {
-        report.per_class[slot].target_class = t;
-        report.per_class[slot].mask_l1 = std::numeric_limits<double>::quiet_NaN();
-        continue;
-      }
-      const Timer timer;
-      report.per_class[slot] = tasks[slot]->finalize();
-      report.per_class_seconds[slot] += timer.seconds();
-      notify_progress(t, ClassScanEvent::kFinalized, report.per_class[slot].mask_l1);
-    }
-  });
-
-  return finish(std::move(report), wall.seconds());
-}
-
-DetectionReport ClassScanScheduler::run_async_retire(
-    const std::string& method, Network& model, const Dataset& probe, std::int64_t total_steps,
-    const RefineTaskFn& make_task, const ScanSharedBuilder& shared_builder) const {
-  const Timer wall;
-  const std::int64_t num_classes = probe.spec().num_classes;
-  DetectionReport report;
-  report.method = method;
-  report.per_class.resize(static_cast<std::size_t>(num_classes));
-  report.per_class_seconds.assign(static_cast<std::size_t>(num_classes), 0.0);
-  report.per_class_state.assign(static_cast<std::size_t>(num_classes),
-                                ClassScanState::kFinalized);
-
-  ProbeBatchCache local_cache;
-  const ProbeBatchCache* eval_cache = select_scan_probe_cache(options_, probe, local_cache);
-  std::shared_ptr<const ScanSharedState> shared;
-  if (shared_builder) shared = shared_builder(model, probe);
-
-  ThreadPool& pool = options_.pool != nullptr ? *options_.pool : ThreadPool::global();
-
-  // Phase 1 — parallel task construction, exactly as run_early_exit.
-  std::vector<std::unique_ptr<Network>> clones(static_cast<std::size_t>(num_classes));
-  std::vector<std::unique_ptr<ClassRefineTask>> tasks(static_cast<std::size_t>(num_classes));
-  pool.parallel_for(num_classes, [&](std::int64_t begin, std::int64_t end, int /*worker*/) {
-    for (std::int64_t t = begin; t < end; ++t) {
-      throw_if_interrupted();
-      const auto slot = static_cast<std::size_t>(t);
-      clones[slot] = std::make_unique<Network>(clone_network(model));
-      const Timer timer;
-      tasks[slot] = make_task(*clones[slot], probe, make_job(t, *eval_cache, shared.get()));
-      report.per_class_seconds[slot] += timer.seconds();
-    }
-  });
-
-  const std::int64_t round_steps = options_.early_exit.round_steps > 0
-                                       ? options_.early_exit.round_steps
-                                       : std::max<std::int64_t>(1, (total_steps + 5) / 6);
-  std::vector<std::int64_t> remaining(static_cast<std::size_t>(num_classes),
-                                      std::max<std::int64_t>(0, total_steps));
-
-  // Phase 2a — the single rendezvous: every class advances min_rounds
-  // rounds (or to exhaustion), so the cutoff below is computed at one
-  // deterministic logical point of every trajectory.
-  const std::int64_t rendezvous_steps =
-      round_steps * std::max<std::int64_t>(1, options_.early_exit.min_rounds);
-  pool.parallel_for(num_classes, [&](std::int64_t begin, std::int64_t end, int /*worker*/) {
-    for (std::int64_t t = begin; t < end; ++t) {
-      throw_if_interrupted();
-      const auto slot = static_cast<std::size_t>(t);
-      const Timer timer;
-      const std::int64_t steps = std::min(rendezvous_steps, remaining[slot]);
-      const std::int64_t ran = tasks[slot]->run_steps(steps);
-      remaining[slot] = ran < steps ? 0 : remaining[slot] - ran;
-      report.per_class_seconds[slot] += timer.seconds();
-      double stat = tasks[slot]->current_mask_l1();
-      if (USB_FAULT_NAN("scan.round_stat")) stat = std::numeric_limits<double>::quiet_NaN();
-      if (!std::isfinite(stat)) {
-        report.per_class_state[slot] = ClassScanState::kNumericallyUnstable;
-        remaining[slot] = 0;
-        notify_progress(t, ClassScanEvent::kQuarantined, stat);
-      }
-    }
-  });
-
-  // The cutoff is fixed here, from the class-ordered statistics — the only
-  // cross-class data flow of the whole schedule. Every later decision is a
-  // pure function of (a class's own deterministic trajectory, this
-  // constant), which is the entire determinism argument: nothing a worker
-  // does from now on can influence another class's result.
-  double cutoff = std::numeric_limits<double>::infinity();
-  if (options_.early_exit.enabled) {
-    std::vector<double> norms(static_cast<std::size_t>(num_classes));
-    for (std::int64_t t = 0; t < num_classes; ++t) {
-      const auto slot = static_cast<std::size_t>(t);
-      norms[slot] = report.per_class_state[slot] == ClassScanState::kNumericallyUnstable
-                        ? std::numeric_limits<double>::quiet_NaN()
-                        : tasks[slot]->current_mask_l1();
-    }
-    cutoff = early_exit_cutoff(norms, options_.early_exit.margin);
-  }
-
-  // Phase 2b — untethered refinement: still-active classes are claimed
-  // dynamically (parallel_for_deterministic), each running its remaining
-  // rounds back-to-back and retiring the moment its own mask-L1 crosses the
-  // fixed cutoff. No further barriers: a retired or finished class's worker
-  // immediately claims the next unstarted class.
-  std::vector<std::int64_t> active;
-  for (std::int64_t t = 0; t < num_classes; ++t) {
-    if (remaining[static_cast<std::size_t>(t)] > 0) active.push_back(t);
-  }
-  pool.parallel_for_deterministic(
-      static_cast<std::int64_t>(active.size()), [&](std::int64_t index) {
-        const std::int64_t t = active[static_cast<std::size_t>(index)];
-        const auto slot = static_cast<std::size_t>(t);
-        const Timer timer;
-        while (remaining[slot] > 0) {
-          throw_if_interrupted();
-          // Cutoff first: a class already above it (including right at the
-          // rendezvous — the common case for obvious non-targets) retires
-          // without spending another round.
-          if (tasks[slot]->current_mask_l1() > cutoff) {
-            notify_progress(t, ClassScanEvent::kRetired, tasks[slot]->current_mask_l1());
-            break;
-          }
-          const std::int64_t steps = std::min(round_steps, remaining[slot]);
-          const std::int64_t ran = tasks[slot]->run_steps(steps);
-          remaining[slot] = ran < steps ? 0 : remaining[slot] - ran;
-          double stat = tasks[slot]->current_mask_l1();
-          if (USB_FAULT_NAN("scan.round_stat")) stat = std::numeric_limits<double>::quiet_NaN();
-          if (!std::isfinite(stat)) {
-            report.per_class_state[slot] = ClassScanState::kNumericallyUnstable;
-            remaining[slot] = 0;
-            notify_progress(t, ClassScanEvent::kQuarantined, stat);
-          }
-        }
-        report.per_class_seconds[slot] += timer.seconds();
-      });
-
-  // Phase 3 — parallel finalize, slotted in class order. Quarantined
-  // classes skip the fooling-rate evaluation (a forward pass over a
-  // non-finite trigger buys nothing) and report a NaN statistic; their
-  // slot is excluded from the verdict either way.
-  pool.parallel_for(num_classes, [&](std::int64_t begin, std::int64_t end, int /*worker*/) {
-    for (std::int64_t t = begin; t < end; ++t) {
-      throw_if_interrupted();
-      const auto slot = static_cast<std::size_t>(t);
-      if (report.per_class_state[slot] == ClassScanState::kNumericallyUnstable) {
-        report.per_class[slot].target_class = t;
-        report.per_class[slot].mask_l1 = std::numeric_limits<double>::quiet_NaN();
-        continue;
-      }
-      const Timer timer;
-      report.per_class[slot] = tasks[slot]->finalize();
-      report.per_class_seconds[slot] += timer.seconds();
-      notify_progress(t, ClassScanEvent::kFinalized, report.per_class[slot].mask_l1);
-    }
-  });
-
-  return finish(std::move(report), wall.seconds());
 }
 
 TriggerEstimate finalize_estimate(Network& model, const ClassScanJob& job,

@@ -1,26 +1,21 @@
-// Parallel multi-class scan scheduler shared by USB, NC, and TABOR.
+// The per-class job contract shared by USB, NC, and TABOR.
 //
 // Every detector in this repository pays the same cost structure: K
 // independent per-class reverse-engineering jobs (Alg. 1 + Alg. 2 for USB,
 // the NC/TABOR optimization otherwise) followed by one MAD outlier
-// reduction. The scheduler owns that structure so detectors only supply the
-// per-class job body:
+// reduction. Detectors supply only the per-class job, as a resumable
+// ClassRefineTask; the scan engine (StagedScan in scan_plan.h) owns
+// everything around it:
 //
-//  - fan-out: every candidate class runs as its own job on
-//    ThreadPool::global() (or an injected pool), each on a private deep copy
-//    of the victim model — forward caches are per-instance, so clones make
-//    the classes embarrassingly parallel. The scan's pool is also what the
-//    nested tensor kernels see: GEMM tiles spill onto the SAME pool's idle
-//    workers whenever the class fan-out under-subscribes it (K < pool size,
-//    or a sequential single-class call), and run inline when it is
-//    saturated, so every core stays busy in both regimes;
+//  - fan-out: every candidate class runs on a private deep copy of the
+//    victim model — forward caches are per-instance, so clones make the
+//    classes embarrassingly parallel;
 //  - per-class RNG streams: each job receives a stream root derived only
 //    from (base_seed, class), never from thread ids or schedule order;
 //  - shared probe batches: the fooling-rate evaluation batches over the full
-//    probe set are materialized once and shared read-only by all K jobs,
-//    instead of K DataLoader passes re-gathering the same rows. Callers that
-//    scan the same probe repeatedly (the experiment harness runs three
-//    detectors per model) can inject a prebuilt cache via
+//    probe set are materialized once and shared read-only by all K jobs.
+//    Callers that scan the same probe repeatedly (the experiment harness
+//    runs three detectors per model) can inject a prebuilt cache via
 //    ClassScanOptions::external_probe_cache;
 //  - shared scan prefix: detectors may attach arbitrary class-independent
 //    state (USB: the Alg. 1 craft batches and the v = 0 DeepFool warm
@@ -28,56 +23,14 @@
 //    read-only by every job — see ScanSharedState;
 //  - ordered reduction: estimates land in class order before the MAD rule.
 //
-// Early-exit scheduling (run_early_exit) additionally splits each class's
-// refinement budget into rounds with a barrier after every round: a class
-// whose mask-L1 statistic already exceeds the running median by the
-// MAD-outlier margin stops refining (the decision rule only flags LOW-side
-// outliers, so a class far above the pack is very unlikely to matter) and
-// its worker slot is reclaimed for the remaining candidate classes. This
-// is a heuristic budget/accuracy trade — mask-L1 is not monotone under
-// refinement, so a retired class could in principle have descended below
-// the median given its full budget; EarlyExitOptions::margin/min_rounds
-// tune that risk. Decisions are taken only at round barriers from
-// bit-deterministic statistics, so reports stay bit-identical for any
-// thread count; with early exit disabled detectors take the run() path,
-// which is byte-for-byte the pre-existing behavior.
-//
-// The async-retirement variant (EarlyExitOptions::async, meant to be
-// driven through DetectionService options) trades the per-round barrier for a
-// single rendezvous that fixes the cutoff, after which classes retire the
-// moment their own statistic crosses it — see EarlyExitOptions::async for
-// the determinism argument.
-//
-// Consequence: a DetectionReport is bit-identical regardless of USB_THREADS
-// (wall-clock timings aside), which tests/test_scan_scheduler.cpp and
-// tests/test_detection_service.cpp lock in.
-//
-// The same argument generalizes beyond one scan's pool to CROSS-REQUEST
-// scheduling (DetectionService's global class-job scheduler drives these
-// stages through StagedScan in scan_plan.h): a class's trajectory is a
-// schedule-free function of (base_seed, class) — run_steps slices
-// concatenate bit-identically, the tensor kernels are schedule-free — so it
-// cannot observe WHEN its rounds run, only HOW MANY steps they total. The
-// only cross-class data flows are the MAD cutoffs, and each is taken at a
-// logical point fixed by the schedule's structure, not by timing: the sync
-// barrier after round r sees every class at exactly r rounds, and the async
-// rendezvous sees every class at exactly min_rounds rounds, regardless of
-// which threads ran them, in what order, or what OTHER requests' rounds were
-// interleaved between them. Hence every report stays bit-identical to
-// detect() for any dispatcher count, pool size, priority assignment, and
-// interleaving with other requests.
+// Why reports are bit-identical for any schedule is argued once, in
+// scan_plan.h.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
-#include <stdexcept>
-#include <string>
-#include <vector>
 
 #include "data/dataloader.h"
 #include "data/probe_cache.h"
@@ -90,7 +43,7 @@ class MaskedTrigger;
 class TensorArena;
 
 /// Base for detector-specific class-independent scan state (built once per
-/// detect() on the reference model, shared read-only by all K jobs). USB
+/// scan on the reference model, shared read-only by all K jobs). USB
 /// attaches the Alg. 1 shared prefix; NC/TABOR need nothing beyond the
 /// probe cache.
 struct ScanSharedState {
@@ -116,13 +69,12 @@ struct ClassScanJob {
   const ScanSharedState* shared = nullptr;
 };
 
-/// One per-class reverse-engineering job in resumable form, for early-exit
-/// round scheduling. Construction performs everything before the refinement
-/// loop (USB: all of Alg. 1 plus the trigger decomposition); run_steps
-/// advances the loop in slices whose concatenation is bit-identical to one
-/// uninterrupted run (all loop state — data loader cursor, optimizer
-/// moments, schedules — lives in the task); finalize performs the
-/// post-loop evaluation.
+/// One per-class reverse-engineering job in resumable form. Construction
+/// performs everything before the refinement loop (USB: all of Alg. 1 plus
+/// the trigger decomposition); run_steps advances the loop in slices whose
+/// concatenation is bit-identical to one uninterrupted run (all loop state —
+/// data loader cursor, optimizer moments, schedules — lives in the task);
+/// finalize performs the post-loop evaluation.
 class ClassRefineTask {
  public:
   virtual ~ClassRefineTask() = default;
@@ -144,8 +96,21 @@ class ClassRefineTask {
   [[nodiscard]] virtual TriggerEstimate finalize() = 0;
 };
 
+/// Builds the resumable form of one class's job against its private clone.
+/// The clone reference stays valid for the task's lifetime.
+using RefineTaskFn = std::function<std::unique_ptr<ClassRefineTask>(
+    Network&, const Dataset&, const ClassScanJob&)>;
+
 /// Early-exit configuration. Disabled by default; when disabled the scan is
-/// bit-identical to the monolithic per-class path.
+/// bit-identical to running every class through its full budget.
+///
+/// Enabled, each class's refinement budget is split into rounds, and a
+/// class whose mask-L1 statistic exceeds the running median by the
+/// MAD-outlier margin stops refining: the decision rule only flags LOW-side
+/// outliers, so a class far above the pack is very unlikely to matter. This
+/// is a heuristic budget/accuracy trade — mask-L1 is not monotone under
+/// refinement, so a retired class could in principle have descended below
+/// the median given its full budget; margin/min_rounds tune that risk.
 struct EarlyExitOptions {
   bool enabled = false;
   /// Steps per round; <= 0 derives ceil(total_steps / 6).
@@ -156,24 +121,13 @@ struct EarlyExitOptions {
   /// than `margin` consistency-scaled MADs (the same 1.4826 scaling the
   /// decision rule uses). 0 stops everything strictly above the median.
   double margin = 1.0;
-  /// Async retirement. Intended to be driven through
-  /// DetectionService::ScanOptions — no detector config documents it or
-  /// sets it by default, though the flag is technically reachable through
-  /// any config embedding EarlyExitOptions (the scheduler tests use that
-  /// route). Instead of a barrier after every
-  /// round, the scan synchronizes ONCE — after every class has run
-  /// `min_rounds` rounds — to fix the MAD cutoff from the class-ordered
-  /// statistics, then lets each class run its remaining rounds untethered,
-  /// retiring the moment its own mask-L1 crosses that fixed cutoff. A slow
-  /// class no longer gates the others' rounds and a retired class frees its
-  /// worker slot immediately. Determinism argument: each class's statistic
-  /// trajectory is a schedule-free function of (base_seed, class) —
-  /// run_steps slices concatenate bit-identically and the tensor kernels
-  /// are schedule-free — the cutoff is computed at one deterministic
-  /// logical point, and every retirement decision is a pure function of
-  /// (own trajectory, fixed cutoff); no decision ever reads another class's
-  /// concurrent progress, so reports stay bit-identical for any thread
-  /// count. Ignored when `enabled` is false.
+  /// Async retirement instead of a barrier after every round: the scan
+  /// synchronizes ONCE — after every class has run max(1, min_rounds)
+  /// rounds — to fix the MAD cutoff, then lets each class run its remaining
+  /// rounds untethered, retiring the moment its own mask-L1 crosses that
+  /// fixed cutoff. A slow class no longer gates the others' rounds. Intended
+  /// to be driven through DetectionService::ScanOptions; no detector config
+  /// sets it by default. Ignored when `enabled` is false.
   bool async = false;
 };
 
@@ -190,24 +144,6 @@ enum class ClassScanEvent {
 using ClassProgressFn =
     std::function<void(std::int64_t target_class, ClassScanEvent event, double mask_l1)>;
 
-/// Thrown out of run()/run_early_exit() when ClassScanOptions::cancel
-/// becomes true mid-scan (checked at class and round boundaries). Unwinding
-/// discards the partial scan; the scheduler, pool, and any injected caches
-/// stay valid for the next scan.
-struct ScanCancelled : std::runtime_error {
-  ScanCancelled() : std::runtime_error("scan cancelled") {}
-};
-
-/// Thrown out of the blocking scan paths when ClassScanOptions::deadline
-/// passes mid-scan — checked at the same class/round boundaries as cancel,
-/// with the same unwinding contract: the partial scan is discarded and the
-/// scheduler, pool, and injected caches stay valid. (The service path does
-/// not use this seam; it resolves deadlines at stage boundaries and keeps
-/// the partial report — see DetectionService.)
-struct ScanTimedOut : std::runtime_error {
-  ScanTimedOut() : std::runtime_error("scan deadline exceeded") {}
-};
-
 struct ClassScanOptions {
   double mad_threshold = 2.0;
   /// Root seed for the per-class RNG streams (typically the detector seed).
@@ -223,108 +159,37 @@ struct ClassScanOptions {
   /// built from the SAME probe set and outlive the scan.
   const ProbeBatchCache* external_probe_cache = nullptr;
   EarlyExitOptions early_exit;
-  /// Cooperative cancellation flag (owned by the caller, e.g. a ScanHandle).
-  /// Checked at class and round boundaries; when it reads true the scan
-  /// throws ScanCancelled. Null disables the checks.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Absolute deadline, checked at the same class/round boundaries as
-  /// `cancel`; past it the scan throws ScanTimedOut. Unset disables the
-  /// checks (and their steady_clock reads).
-  std::optional<std::chrono::steady_clock::time_point> deadline;
   /// Per-class progress notifications; null disables them. Carries no
   /// numeric effect on the report.
   ClassProgressFn progress;
 };
 
-class ClassScanScheduler {
- public:
-  using ReverseFn =
-      std::function<TriggerEstimate(Network&, const Dataset&, const ClassScanJob&)>;
-  /// Builds the resumable form of one class's job against its private clone.
-  /// The clone reference stays valid for the task's lifetime.
-  using RefineTaskFn = std::function<std::unique_ptr<ClassRefineTask>(
-      Network&, const Dataset&, const ClassScanJob&)>;
+/// The per-class stream root: hash of the base seed and the class only.
+[[nodiscard]] std::uint64_t class_stream_seed(std::uint64_t base_seed,
+                                              std::int64_t target_class) noexcept;
 
-  explicit ClassScanScheduler(ClassScanOptions options) : options_(options) {}
-
-  /// The per-class stream root: hash of the base seed and the class only.
-  [[nodiscard]] static std::uint64_t class_stream_seed(std::uint64_t base_seed,
-                                                       std::int64_t target_class) noexcept;
-
-  /// Builds the evaluation cache exactly as run() does (same batch size).
-  /// The cache holds a transient copy of the probe set — cheap at this
-  /// repo's probe scale (<=500 small images), shared across all K jobs
-  /// inside run(); sequential single-class callers pay it per call.
-  [[nodiscard]] ProbeBatchCache make_cache(const Dataset& probe) const;
-
-  /// Builds the job for one class against an existing cache (the sequential
-  /// single-class entry points use this to match the parallel scan exactly).
-  [[nodiscard]] ClassScanJob make_job(std::int64_t target_class,
-                                      const ProbeBatchCache& cache,
-                                      const ScanSharedState* shared = nullptr) const noexcept;
-
-  /// Fans `reverse_one` out over all probe.spec().num_classes classes, each
-  /// on a private clone of `model`, then applies the MAD outlier rule to the
-  /// mask-L1 statistics in class order.
-  [[nodiscard]] DetectionReport run(const std::string& method, Network& model,
-                                    const Dataset& probe, const ReverseFn& reverse_one,
-                                    const ScanSharedBuilder& shared_builder = nullptr) const;
-
-  /// Round-scheduled variant: constructs all K tasks in parallel (their
-  /// ctors run the pre-refinement pipeline), then advances the active set
-  /// in rounds of options().early_exit.round_steps, retiring classes the
-  /// early-exit rule proves can no longer become low-side outliers, and
-  /// finally finalizes every task in class order. `total_steps` is each
-  /// class's full refinement budget. With options().early_exit.async set,
-  /// dispatches to the async-retirement schedule instead (one rendezvous,
-  /// then untethered per-class rounds against a fixed cutoff — see
-  /// EarlyExitOptions::async).
-  [[nodiscard]] DetectionReport run_early_exit(
-      const std::string& method, Network& model, const Dataset& probe,
-      std::int64_t total_steps, const RefineTaskFn& make_task,
-      const ScanSharedBuilder& shared_builder = nullptr) const;
-
-  [[nodiscard]] const ClassScanOptions& options() const noexcept { return options_; }
-
-  /// The ordered MAD reduction every scan path ends with: reads the
-  /// per-class mask-L1 statistics in class order, applies the MAD rule with
-  /// options().mad_threshold, and stamps the wall time. Public so StagedScan
-  /// (scan_plan.h) finishes a stage-driven scan exactly as the blocking
-  /// paths do. Fault-tolerant refinements, all no-ops on a healthy complete
-  /// scan: the per-class completion-state vector is normalized (absent ->
-  /// all kFinalized), a finalized class whose mask-L1 or fooling rate came
-  /// out non-finite is re-graded kNumericallyUnstable, and every
-  /// non-kFinalized class is peeled out of the MAD population
-  /// (decide_backdoor_peeled) so quarantined or unfinished classes cannot
-  /// shift the verdict for the rest.
-  [[nodiscard]] DetectionReport finish(DetectionReport report, double wall_seconds) const;
-
- private:
-  [[nodiscard]] DetectionReport run_async_retire(const std::string& method, Network& model,
-                                                 const Dataset& probe, std::int64_t total_steps,
-                                                 const RefineTaskFn& make_task,
-                                                 const ScanSharedBuilder& shared_builder) const;
-  void throw_if_interrupted() const;
-  void notify_progress(std::int64_t target_class, ClassScanEvent event, double mask_l1) const;
-
-  ClassScanOptions options_;
-};
+/// The job for one class against an existing cache. Single-class entry
+/// points (reverse_engineer_class) build theirs the same way, so they
+/// match the class's estimate inside a full scan exactly.
+[[nodiscard]] ClassScanJob make_class_job(const ClassScanOptions& options,
+                                          std::int64_t target_class,
+                                          const ProbeBatchCache& cache,
+                                          const ScanSharedState* shared = nullptr) noexcept;
 
 /// The early-exit retirement cutoff: median + margin * 1.4826 * MAD over
 /// the FINITE entries of `norms` (quarantined classes feed a NaN and must
 /// not shift the statistic; no finite entries -> +infinity, nothing
-/// retires). Shared by the blocking barriers, the async rendezvous, and
-/// StagedScan::mad_cutoff so their populations can never diverge — and with
-/// every entry finite it is exactly the historical inline computation.
+/// retires). With every entry finite it is exactly the historical inline
+/// computation.
 [[nodiscard]] double early_exit_cutoff(std::span<const double> norms, double margin);
 
 /// The probe cache a scan actually uses: the injected
 /// options.external_probe_cache when its batching AND sample count match
 /// this probe (the bit-identity preconditions — a cache built from a
 /// different probe set of the same size is still the caller's
-/// responsibility), else a scan-local build into `local`. Shared by every
-/// scan path (run/run_early_exit/StagedScan) so cache adoption can never
-/// diverge between them.
+/// responsibility), else a build into `local`. The cache holds a transient
+/// copy of the probe set — cheap at this repo's probe scale (<=500 small
+/// images).
 [[nodiscard]] const ProbeBatchCache* select_scan_probe_cache(const ClassScanOptions& options,
                                                              const Dataset& probe,
                                                              ProbeBatchCache& local);

@@ -98,15 +98,10 @@ class Detector {
   /// Runs detection synchronously. `probe` is the defender's clean data
   /// (the paper uses 300 samples for 32x32 datasets, 500 for the ImageNet
   /// subset). The default implementation is a thin adapter:
-  /// run_scan_plan(plan(), model, probe) — byte-for-byte the historical
-  /// per-detector detect() bodies.
+  /// run_scan_plan(plan(), model, probe).
   [[nodiscard]] virtual DetectionReport detect(Network& model, const Dataset& probe);
 };
 
 using DetectorPtr = std::unique_ptr<Detector>;
-
-// The shared per-class fan-out / MAD-reduction driver lives in
-// defenses/class_scan_scheduler.h (ClassScanScheduler); every detector's
-// detect() is a thin adapter onto it.
 
 }  // namespace usb

@@ -102,26 +102,12 @@ class NcRefineTask final : public ClassRefineTask {
 
 }  // namespace
 
-ClassScanScheduler NeuralCleanse::make_scheduler() const {
-  ClassScanOptions options;
-  options.mad_threshold = config_.mad_threshold;
-  options.base_seed = config_.seed;
-  options.pool = config_.scan_pool;
-  options.external_probe_cache = config_.shared_probe_cache;
-  options.early_exit = config_.early_exit;
-  return ClassScanScheduler(options);
-}
-
 TriggerEstimate NeuralCleanse::reverse_engineer_class(Network& model, const Dataset& probe,
                                                       std::int64_t target_class) {
-  const ClassScanScheduler scheduler = make_scheduler();
-  const ProbeBatchCache cache = scheduler.make_cache(probe);
-  return reverse_engineer_class(model, probe, scheduler.make_job(target_class, cache));
-}
-
-TriggerEstimate NeuralCleanse::reverse_engineer_class(Network& model, const Dataset& probe,
-                                                      const ClassScanJob& job) {
-  NcRefineTask task(config_, model, probe, job);
+  const ClassScanOptions options = plan().options;
+  ProbeBatchCache local;
+  const ProbeBatchCache* cache = select_scan_probe_cache(options, probe, local);
+  NcRefineTask task(config_, model, probe, make_class_job(options, target_class, *cache));
   (void)task.run_steps(config_.steps);
   return task.finalize();
 }
@@ -129,7 +115,11 @@ TriggerEstimate NeuralCleanse::reverse_engineer_class(Network& model, const Data
 ScanPlan NeuralCleanse::plan() const {
   ScanPlan scan;
   scan.method = name();
-  scan.options = make_scheduler().options();
+  scan.options.mad_threshold = config_.mad_threshold;
+  scan.options.base_seed = config_.seed;
+  scan.options.pool = config_.scan_pool;
+  scan.options.external_probe_cache = config_.shared_probe_cache;
+  scan.options.early_exit = config_.early_exit;
   scan.total_steps = config_.steps;
   scan.make_task = [this](Network& clone, const Dataset& data,
                           const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {

@@ -50,13 +50,7 @@ class NeuralCleanse final : public Detector {
   [[nodiscard]] TriggerEstimate reverse_engineer_class(Network& model, const Dataset& probe,
                                                        std::int64_t target_class);
 
-  /// Scheduler job body: same as above, but against a shared probe cache.
-  [[nodiscard]] TriggerEstimate reverse_engineer_class(Network& model, const Dataset& probe,
-                                                       const ClassScanJob& job);
-
  private:
-  [[nodiscard]] ClassScanScheduler make_scheduler() const;
-
   ReverseOptConfig config_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <limits>
 
 #include "nn/checkpoint.h"
@@ -9,6 +11,103 @@
 #include "utils/memory_budget.h"
 
 namespace usb {
+namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// The ordered MAD reduction every scan ends with. A finalized class whose
+/// mask-L1 or fooling rate came out non-finite is re-graded
+/// kNumericallyUnstable, and every non-kFinalized class feeds a NaN that
+/// decide_backdoor_peeled peels out of the median/MAD population, so
+/// quarantined or unfinished classes cannot shift the verdict for the rest.
+/// With every class finalized and finite this is decide_backdoor verbatim.
+DetectionReport finish_report(DetectionReport report, double mad_threshold,
+                              double wall_seconds) {
+  std::vector<double> norms(report.per_class.size());
+  for (std::size_t t = 0; t < norms.size(); ++t) {
+    if (report.per_class_state[t] == ClassScanState::kFinalized &&
+        !(std::isfinite(report.per_class[t].mask_l1) &&
+          std::isfinite(report.per_class[t].fooling_rate))) {
+      report.per_class_state[t] = ClassScanState::kNumericallyUnstable;
+    }
+    norms[t] = report.per_class_state[t] == ClassScanState::kFinalized
+                   ? report.per_class[t].mask_l1
+                   : kNaN;
+  }
+  report.verdict = decide_backdoor_peeled(norms, mad_threshold);
+  report.wall_seconds = wall_seconds;
+  return report;
+}
+
+/// The blocking runner's shared state: one LIFO stack of claimable steps,
+/// drained by every worker that calls drain().
+class StepStack {
+ public:
+  explicit StepStack(const std::vector<ScanStep>& roots) { push_locked(roots); }
+
+  /// One worker's loop: claim the most recently posted step and run it,
+  /// then carry on with the first step it enables (the class it just
+  /// advanced stays on this worker) and post the rest. With nothing to
+  /// claim it waits while steps running elsewhere may still post more, and
+  /// leaves once the graph is exhausted or any step threw.
+  void drain(StagedScan& scan) {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      posted_.wait(lock, [this] { return error_ != nullptr || !stack_.empty() || running_ == 0; });
+      if (error_ != nullptr || stack_.empty()) return;
+      ScanStep step = stack_.back();
+      stack_.pop_back();
+      ++running_;
+      for (;;) {
+        lock.unlock();
+        std::vector<ScanStep> next;
+        std::exception_ptr error;
+        try {
+          next = scan.run(step);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        lock.lock();
+        if (error != nullptr && error_ == nullptr) error_ = error;
+        if (error_ != nullptr || next.empty()) break;
+        step = next.front();
+        push_locked({next.begin() + 1, next.end()});
+        if (next.size() > 1) posted_.notify_all();
+      }
+      --running_;
+      posted_.notify_all();
+    }
+  }
+
+  void rethrow_if_failed() const {
+    if (error_ != nullptr) std::rethrow_exception(error_);
+  }
+
+ private:
+  /// Reversed, so the first enabled step is the next one claimed.
+  void push_locked(const std::vector<ScanStep>& steps) {
+    stack_.insert(stack_.end(), steps.rbegin(), steps.rend());
+  }
+
+  std::mutex mu_;
+  std::condition_variable posted_;
+  std::vector<ScanStep> stack_;
+  std::int64_t running_ = 0;
+  std::exception_ptr error_;
+};
+
+}  // namespace
+
+const char* ScanStep::label() const noexcept {
+  switch (kind) {
+    case Kind::kConstruct: return "scan.construct";
+    case Kind::kRound: return "scan.round";
+    case Kind::kCutoff: return "scan.cutoff";
+    case Kind::kRetire: return "scan.retire";
+    case Kind::kFinalize: return "scan.finalize";
+  }
+  return "scan.step";
+}
 
 StagedScan::StagedScan(ScanPlan plan, Network& model, const Dataset& probe)
     : StagedScan(std::move(plan), &model, nullptr, probe) {}
@@ -19,34 +118,36 @@ StagedScan::StagedScan(ScanPlan plan, std::shared_ptr<const Network> model, cons
 StagedScan::StagedScan(ScanPlan plan, Network* model, std::shared_ptr<const Network> shared,
                        const Dataset& probe)
     : plan_(std::move(plan)),
-      scheduler_(plan_.options),
       model_(model),
       shared_model_(std::move(shared)),
       probe_(&probe),
       num_classes_(probe.spec().num_classes),
       round_steps_(plan_.options.early_exit.round_steps > 0
                        ? plan_.options.early_exit.round_steps
-                       : std::max<std::int64_t>(1, (plan_.total_steps + 5) / 6)) {
+                       : std::max<std::int64_t>(1, (plan_.total_steps + 5) / 6)),
+      mode_(!plan_.options.early_exit.enabled ? Mode::kMonolithic
+            : plan_.options.early_exit.async  ? Mode::kRendezvous
+                                              : Mode::kBarrier) {
   const auto slots = static_cast<std::size_t>(num_classes_);
   clones_.resize(slots);
   tasks_.resize(slots);
   remaining_.assign(slots, std::max<std::int64_t>(0, plan_.total_steps));
+  clone_budget_bytes_.assign(slots, 0);
   report_.method = plan_.method;
   report_.per_class.resize(slots);
   report_.per_class_seconds.assign(slots, 0.0);
   // kPending until construct_class: a deadline or fault can end the scan at
-  // any stage boundary, and the partial report must say how far each class
+  // any step boundary, and the partial report must say how far each class
   // got (take_report handles every state).
   report_.per_class_state.assign(slots, ClassScanState::kPending);
-  clone_budget_bytes_.assign(slots, 0);
+  stats_.assign(slots, kNaN);
+  rendezvous_left_.assign(slots, std::max<std::int64_t>(1, plan_.options.early_exit.min_rounds));
 }
 
 StagedScan::~StagedScan() {
   std::int64_t registered = 0;
   for (const std::int64_t bytes : clone_budget_bytes_) registered += bytes;
-  if (registered > 0) {
-    MemoryBudget::process().release(MemoryBudget::Category::kModelClones, registered);
-  }
+  MemoryBudget::process().release(MemoryBudget::Category::kModelClones, registered);
 }
 
 void StagedScan::prepare() {
@@ -69,22 +170,177 @@ void StagedScan::prepare() {
   }
 }
 
+std::vector<ScanStep> StagedScan::start() const {
+  std::vector<ScanStep> steps;
+  for (std::int64_t t = 0; t < num_classes_; ++t) {
+    steps.push_back({ScanStep::Kind::kConstruct, t});
+  }
+  return steps;
+}
+
+std::vector<ScanStep> StagedScan::run(const ScanStep& step) {
+  const std::int64_t t = step.target_class;
+  const auto slot = static_cast<std::size_t>(t);
+  switch (step.kind) {
+    case ScanStep::Kind::kConstruct: {
+      construct_class(t);
+      const double stat = class_stat(t);
+      const std::lock_guard<std::mutex> lock(mu_);
+      stats_[slot] = stat;
+      ++constructed_;
+      return after_construct_locked(t, remaining_[slot] > 0);
+    }
+    case ScanStep::Kind::kRound: {
+      const bool more = run_round(t);
+      const double stat = class_stat(t);
+      const std::lock_guard<std::mutex> lock(mu_);
+      stats_[slot] = stat;
+      return after_round_locked(t, more);
+    }
+    case ScanStep::Kind::kCutoff:
+      return run_cutoff();
+    case ScanStep::Kind::kRetire:
+      USB_FAULT_POINT("scan.retire");
+      remaining_[slot] = 0;
+      notify(t, ClassScanEvent::kRetired, tasks_[slot]->current_mask_l1());
+      return {{ScanStep::Kind::kFinalize, t}};
+    case ScanStep::Kind::kFinalize: {
+      finalize_class(t);
+      const std::lock_guard<std::mutex> lock(mu_);
+      ++finalized_;
+      return {};
+    }
+  }
+  return {};
+}
+
+bool StagedScan::finished() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return finalized_ == num_classes_;
+}
+
+std::vector<ScanStep> StagedScan::after_construct_locked(std::int64_t target_class, bool more) {
+  std::vector<ScanStep> out;
+  switch (mode_) {
+    case Mode::kMonolithic:
+      out.push_back({more ? ScanStep::Kind::kRound : ScanStep::Kind::kFinalize, target_class});
+      break;
+    case Mode::kBarrier:
+      // Lockstep rounds start once every class exists: the first cutoff's
+      // population is all K classes.
+      park_locked(target_class, more, out);
+      if (constructed_ == num_classes_) launch_round_locked(out);
+      break;
+    case Mode::kRendezvous:
+      // A class's rendezvous rounds need no other class.
+      if (more) {
+        out.push_back({ScanStep::Kind::kRound, target_class});
+      } else {
+        arrive_locked(target_class, more, out);
+      }
+      break;
+  }
+  return out;
+}
+
+std::vector<ScanStep> StagedScan::after_round_locked(std::int64_t target_class, bool more) {
+  const auto slot = static_cast<std::size_t>(target_class);
+  std::vector<ScanStep> out;
+  switch (mode_) {
+    case Mode::kMonolithic:
+      out.push_back({more ? ScanStep::Kind::kRound : ScanStep::Kind::kFinalize, target_class});
+      break;
+    case Mode::kBarrier:
+      park_locked(target_class, more, out);
+      if (--in_round_ == 0) {
+        ++rounds_done_;
+        if (!parked_.empty() && rounds_done_ >= plan_.options.early_exit.min_rounds) {
+          out.push_back({ScanStep::Kind::kCutoff, 0});
+        } else {
+          launch_round_locked(out);
+        }
+      }
+      break;
+    case Mode::kRendezvous:
+      if (cutoff_fixed_) {
+        // Untethered: check the fixed cutoff before spending another round.
+        if (!more) {
+          out.push_back({ScanStep::Kind::kFinalize, target_class});
+        } else {
+          out.push_back({stats_[slot] > cutoff_ ? ScanStep::Kind::kRetire : ScanStep::Kind::kRound,
+                         target_class});
+        }
+      } else if (more && --rendezvous_left_[slot] > 0) {
+        out.push_back({ScanStep::Kind::kRound, target_class});
+      } else {
+        arrive_locked(target_class, more, out);
+      }
+      break;
+  }
+  return out;
+}
+
+std::vector<ScanStep> StagedScan::run_cutoff() {
+  USB_FAULT_POINT("scan.cutoff");
+  std::vector<ScanStep> out;
+  const std::lock_guard<std::mutex> lock(mu_);
+  // The recorded statistics of ALL classes in class order — stopped ones at
+  // their frozen value, quarantined ones NaN (peeled by early_exit_cutoff)
+  // — the same population the final MAD rule sees. No task is read: a
+  // class retired at an earlier cutoff may be finalizing (and freeing its
+  // task) right now.
+  const double cutoff = early_exit_cutoff(stats_, plan_.options.early_exit.margin);
+  std::vector<std::int64_t> survivors;
+  for (const std::int64_t t : parked_) {
+    if (stats_[static_cast<std::size_t>(t)] <= cutoff) {
+      survivors.push_back(t);
+    } else {
+      out.push_back({ScanStep::Kind::kRetire, t});
+    }
+  }
+  parked_ = std::move(survivors);
+  if (mode_ == Mode::kRendezvous) {
+    cutoff_ = cutoff;
+    cutoff_fixed_ = true;
+  }
+  launch_round_locked(out);
+  return out;
+}
+
+void StagedScan::park_locked(std::int64_t target_class, bool more, std::vector<ScanStep>& out) {
+  if (more) {
+    parked_.push_back(target_class);
+  } else {
+    out.push_back({ScanStep::Kind::kFinalize, target_class});
+  }
+}
+
+void StagedScan::arrive_locked(std::int64_t target_class, bool more, std::vector<ScanStep>& out) {
+  park_locked(target_class, more, out);
+  if (++arrived_ == num_classes_) out.push_back({ScanStep::Kind::kCutoff, 0});
+}
+
+void StagedScan::launch_round_locked(std::vector<ScanStep>& out) {
+  in_round_ = static_cast<std::int64_t>(parked_.size());
+  for (const std::int64_t t : parked_) out.push_back({ScanStep::Kind::kRound, t});
+  parked_.clear();
+}
+
 void StagedScan::construct_class(std::int64_t target_class) {
   const auto slot = static_cast<std::size_t>(target_class);
   USB_FAULT_POINT("scan.clone");
   clones_[slot] = std::make_unique<Network>(clone_network(reference()));
   // Budget the clone. A retried construct re-clones into the same slot:
   // release the stale registration first so the slot counts once.
-  if (clone_budget_bytes_[slot] > 0) {
-    MemoryBudget::process().release(MemoryBudget::Category::kModelClones,
-                                    clone_budget_bytes_[slot]);
-  }
+  MemoryBudget::process().release(MemoryBudget::Category::kModelClones,
+                                  clone_budget_bytes_[slot]);
   clone_budget_bytes_[slot] = network_resident_bytes(*clones_[slot]);
   MemoryBudget::process().add(MemoryBudget::Category::kModelClones, clone_budget_bytes_[slot]);
   const Timer timer;
   USB_FAULT_POINT("scan.construct");
   tasks_[slot] = plan_.make_task(*clones_[slot], *probe_,
-                                 scheduler_.make_job(target_class, *eval_cache_, shared_.get()));
+                                 make_class_job(plan_.options, target_class, *eval_cache_,
+                                                shared_.get()));
   report_.per_class_seconds[slot] += timer.seconds();
   report_.per_class_state[slot] = ClassScanState::kRefining;
 }
@@ -99,11 +355,11 @@ bool StagedScan::run_round(std::int64_t target_class) {
   // class is done either way.
   remaining_[slot] = ran < steps ? 0 : remaining_[slot] - ran;
   report_.per_class_seconds[slot] += timer.seconds();
-  // Numerical quarantine at the round boundary, same condition as the
-  // blocking paths: a diverged statistic zeroes the budget and excludes
-  // the class from every later cutoff and from the verdict.
+  // Numerical quarantine at the round boundary: a diverged statistic zeroes
+  // the budget and excludes the class from every later cutoff and from the
+  // verdict.
   double stat_now = tasks_[slot]->current_mask_l1();
-  if (USB_FAULT_NAN("scan.round_stat")) stat_now = std::numeric_limits<double>::quiet_NaN();
+  if (USB_FAULT_NAN("scan.round_stat")) stat_now = kNaN;
   if (!std::isfinite(stat_now)) {
     report_.per_class_state[slot] = ClassScanState::kNumericallyUnstable;
     remaining_[slot] = 0;
@@ -112,40 +368,11 @@ bool StagedScan::run_round(std::int64_t target_class) {
   return remaining_[slot] > 0;
 }
 
-bool StagedScan::has_budget(std::int64_t target_class) const {
-  return remaining_[static_cast<std::size_t>(target_class)] > 0;
-}
-
-double StagedScan::stat(std::int64_t target_class) const {
+double StagedScan::class_stat(std::int64_t target_class) const {
   const auto slot = static_cast<std::size_t>(target_class);
-  if (report_.per_class_state[slot] == ClassScanState::kNumericallyUnstable) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  return tasks_[slot]->current_mask_l1();
-}
-
-bool StagedScan::quarantined(std::int64_t target_class) const {
-  return report_.per_class_state[static_cast<std::size_t>(target_class)] ==
-         ClassScanState::kNumericallyUnstable;
-}
-
-double StagedScan::mad_cutoff() const {
-  USB_FAULT_POINT("scan.cutoff");
-  // Current statistics of ALL classes (stopped ones hold their frozen
-  // value), in class order — the same population the final MAD rule sees.
-  // Quarantined classes read NaN (stat()) and are peeled by the shared
-  // cutoff helper, matching the blocking barriers.
-  std::vector<double> norms(static_cast<std::size_t>(num_classes_));
-  for (std::int64_t t = 0; t < num_classes_; ++t) {
-    norms[static_cast<std::size_t>(t)] = stat(t);
-  }
-  return early_exit_cutoff(norms, plan_.options.early_exit.margin);
-}
-
-void StagedScan::retire_class(std::int64_t target_class) {
-  USB_FAULT_POINT("scan.retire");
-  remaining_[static_cast<std::size_t>(target_class)] = 0;
-  notify(target_class, ClassScanEvent::kRetired, stat(target_class));
+  return report_.per_class_state[slot] == ClassScanState::kNumericallyUnstable
+             ? kNaN
+             : tasks_[slot]->current_mask_l1();
 }
 
 void StagedScan::finalize_class(std::int64_t target_class) {
@@ -154,7 +381,8 @@ void StagedScan::finalize_class(std::int64_t target_class) {
     // Quarantined: no fooling-rate evaluation, no kFinalized event — the
     // class ends with a NaN statistic, peeled from the verdict.
     report_.per_class[slot].target_class = target_class;
-    report_.per_class[slot].mask_l1 = std::numeric_limits<double>::quiet_NaN();
+    report_.per_class[slot].mask_l1 = kNaN;
+    free_class(slot);
     return;
   }
   USB_FAULT_POINT("scan.finalize");
@@ -162,7 +390,16 @@ void StagedScan::finalize_class(std::int64_t target_class) {
   report_.per_class[slot] = tasks_[slot]->finalize();
   report_.per_class_seconds[slot] += timer.seconds();
   report_.per_class_state[slot] = ClassScanState::kFinalized;
+  free_class(slot);
   notify(target_class, ClassScanEvent::kFinalized, report_.per_class[slot].mask_l1);
+}
+
+void StagedScan::free_class(std::size_t slot) {
+  tasks_[slot].reset();  // borrows the clone, so it goes first
+  clones_[slot].reset();
+  MemoryBudget::process().release(MemoryBudget::Category::kModelClones,
+                                  clone_budget_bytes_[slot]);
+  clone_budget_bytes_[slot] = 0;
 }
 
 DetectionReport StagedScan::take_report() {
@@ -175,7 +412,7 @@ DetectionReport StagedScan::take_report() {
       report_.per_class[slot].target_class = t;
     }
   }
-  return scheduler_.finish(std::move(report_), wall_.seconds());
+  return finish_report(std::move(report_), plan_.options.mad_threshold, wall_.seconds());
 }
 
 void StagedScan::notify(std::int64_t target_class, ClassScanEvent event, double mask_l1) const {
@@ -183,19 +420,16 @@ void StagedScan::notify(std::int64_t target_class, ClassScanEvent event, double 
 }
 
 DetectionReport run_scan_plan(const ScanPlan& plan, Network& model, const Dataset& probe) {
-  const ClassScanScheduler scheduler(plan.options);
-  if (plan.options.early_exit.enabled) {
-    return scheduler.run_early_exit(plan.method, model, probe, plan.total_steps, plan.make_task,
-                                    plan.shared_builder);
-  }
-  return scheduler.run(
-      plan.method, model, probe,
-      [&plan](Network& clone, const Dataset& data, const ClassScanJob& job) {
-        const std::unique_ptr<ClassRefineTask> task = plan.make_task(clone, data, job);
-        (void)task->run_steps(plan.total_steps);
-        return task->finalize();
-      },
-      plan.shared_builder);
+  StagedScan scan(plan, model, probe);
+  scan.prepare();
+  StepStack steps(scan.start());
+  // No more than K steps are ever claimable at once, so a wider pool keeps
+  // its spare workers for the tensor kernels' tiles.
+  ThreadPool& pool = plan.options.pool != nullptr ? *plan.options.pool : ThreadPool::global();
+  pool.parallel_for(std::min<std::int64_t>(pool.size(), scan.num_classes()),
+                    [&](std::int64_t, std::int64_t, int) { steps.drain(scan); });
+  steps.rethrow_if_failed();
+  return scan.take_report();
 }
 
 }  // namespace usb

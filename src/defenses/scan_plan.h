@@ -1,20 +1,50 @@
-// A detector's scan, reified.
+// A detector's scan, reified, and the one engine that schedules it.
 //
-// Detector::plan() packages everything ClassScanScheduler needs to execute
-// the K-class fan-out — the per-class resumable-task factory, the optional
-// shared-prefix builder, and the scheduler options derived from the
-// detector's config — without binding a model, a probe set, a pool, or a
-// schedule. Two consumers run plans:
+// Detector::plan() packages everything a scan needs — the per-class
+// resumable-task factory, the optional shared-prefix factory, and the
+// options derived from the detector's config — without binding a model, a
+// probe set, a pool, or a schedule. StagedScan binds them and expresses the
+// scan as a STEP GRAPH: per-class construct, refinement round, retire and
+// finalize steps, plus the class-free cutoff step of early exit. Running a
+// step returns the steps it enables, and the graph encodes all three
+// schedules:
 //
-//  - Detector::detect(): run_scan_plan(plan(), model, probe) on the calling
-//    thread — the legacy blocking API, byte-for-byte the historical
-//    per-detector detect() bodies;
-//  - DetectionService: copies the plan, overrides options (ProbeStore-shared
-//    probe cache, progress callback, request-level early-exit /
-//    async-retirement settings) and drives it STAGE BY STAGE through a
-//    StagedScan: every task construction, refinement round, and finalize
-//    becomes one item on the service's global cross-request class-job
-//    scheduler (service/round_scheduler.h).
+//  - monolithic (early exit disabled): construct -> rounds until the budget
+//    is spent -> finalize, per class, with no cross-class flow;
+//  - round barrier (early exit): every class is constructed, then rounds
+//    run in lockstep; after the last class of round r arrives (from round
+//    min_rounds on) a cutoff step fixes median + margin * 1.4826 * MAD over
+//    ALL classes' statistics, retires the classes above it and relaunches
+//    the rest;
+//  - async rendezvous (early exit + EarlyExitOptions::async): each class
+//    runs max(1, min_rounds) rounds and arrives; once all K arrived one
+//    cutoff step fixes the cutoff, and each class then runs untethered,
+//    checking it before every further round.
+//
+// Two runners decide only WHERE a step runs:
+//
+//  - run_scan_plan, behind every Detector::detect(), drains the steps on
+//    the scan pool (depth-first, blocking);
+//  - DetectionService posts each step as one item on its global
+//    cross-request class-job scheduler (service/round_scheduler.h).
+//
+// Determinism. A report is bit-identical for either runner, any pool size,
+// dispatcher count, priority assignment, and interleaving with other scans
+// (wall-clock timings aside). A class's trajectory is a schedule-free
+// function of (base_seed, class): its RNG streams derive from nothing else,
+// run_steps slices concatenate bit-identically, and the tensor kernels'
+// tile decompositions depend only on operand sizes. So a class cannot
+// observe WHEN its rounds run, only HOW MANY steps they total. The only
+// cross-class data flow is the early-exit cutoff, and every cutoff reads
+// statistics recorded at a logical point fixed by the graph, not by timing:
+// the barrier after round r sees every class at exactly r rounds (stopped
+// classes at their frozen value), and the rendezvous sees every class at
+// exactly max(1, min_rounds) rounds. After the rendezvous, every retirement
+// is a pure function of (own trajectory, fixed cutoff). The MAD reduction
+// reads the estimates in class order. Hence scheduling decides only when
+// those points are reached, never what is computed at them;
+// tests/test_scan_scheduler.cpp and tests/test_detection_service.cpp pin
+// it across thread counts, runners, and mixed-request load.
 //
 // The plan's closures borrow the detector that built them; the detector
 // must outlive every run of the plan.
@@ -22,6 +52,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "defenses/class_scan_scheduler.h"
@@ -35,37 +66,31 @@ struct ScanPlan {
   ClassScanOptions options;
   /// Full refinement budget per class (total run_steps of one task).
   std::int64_t total_steps = 0;
-  ClassScanScheduler::RefineTaskFn make_task;
+  RefineTaskFn make_task;
   ScanSharedBuilder shared_builder;  // null when the detector shares nothing
 };
 
-/// One scan decomposed into schedulable stages, for callers that own the
-/// schedule (DetectionService's global class-job scheduler) instead of
-/// blocking in run_scan_plan. The stages mirror the blocking paths exactly:
+/// One node of a scan's step graph.
+struct ScanStep {
+  enum class Kind : std::uint8_t { kConstruct, kRound, kCutoff, kRetire, kFinalize };
+  Kind kind = Kind::kConstruct;
+  std::int64_t target_class = 0;  // unused by kCutoff
+
+  /// "scan.construct", "scan.round", ...: a static string naming the step
+  /// in heartbeats and retries.
+  [[nodiscard]] const char* label() const noexcept;
+};
+
+/// One scan as a step graph over resumable per-class tasks (see the file
+/// comment). Usage: prepare(), then run(step) for every step of start() and
+/// every step a run() returns, then take_report().
 ///
-///   prepare()                          once; probe-cache adoption + shared
-///                                      prefix on the reference model
-///   construct_class(t)                 per class; clone + task ctor
-///   run_round(t) / retire_class(t)     the round loop, sliced
-///   mad_cutoff()                       the barrier/rendezvous statistic
-///   finalize_class(t)                  per class; fooling rate + estimate
-///   take_report()                      once; ordered MAD reduce
-///
-/// Because run_steps slices concatenate bit-identically and every cutoff is
-/// taken at a logical point fixed by the caller's schedule structure (see
-/// class_scan_scheduler.h), a driver that replays one of the three blocking
-/// schedules — monolithic, per-round barrier, async rendezvous — produces a
-/// report bit-identical to run_scan_plan for ANY executor count, pool size,
-/// priority assignment, or interleaving with other scans.
-///
-/// Thread-safety: stages for DISTINCT classes may run concurrently (each
-/// touches only its class's clone/task/report slots). prepare(),
-/// mad_cutoff(), and take_report() require quiescence (no class stage in
-/// flight); cross-stage ordering and visibility are the caller's (the
-/// service sequences items through its per-scan mutex). The model and probe
-/// must outlive the StagedScan; tasks — and their clones — stay alive until
-/// destruction so mad_cutoff can keep reading finalized classes' frozen
-/// statistics, exactly like the blocking early-exit path.
+/// Thread-safety: run() may be called concurrently for any steps the graph
+/// has handed out — it never hands out two steps of one class at once, and
+/// the cross-class schedule state (recorded statistics, arrivals, cutoff)
+/// lives under an internal lock. prepare() and take_report() require
+/// quiescence (no step in flight). The model and probe must outlive the
+/// StagedScan.
 class StagedScan {
  public:
   /// Exclusive-model mode: `model` is this scan's private instance (the
@@ -80,76 +105,81 @@ class StagedScan {
   /// temporary clone instead. Bit-identical to exclusive mode: forward is a
   /// pure function of (weights, input) and clones copy every state tensor.
   StagedScan(ScanPlan plan, std::shared_ptr<const Network> model, const Dataset& probe);
-  /// Releases the per-class clone bytes registered with MemoryBudget.
+  /// Releases the per-class clone bytes still registered with MemoryBudget.
   ~StagedScan();
 
   StagedScan(const StagedScan&) = delete;
   StagedScan& operator=(const StagedScan&) = delete;
 
   [[nodiscard]] std::int64_t num_classes() const noexcept { return num_classes_; }
-  [[nodiscard]] bool early_exit_enabled() const noexcept {
-    return plan_.options.early_exit.enabled;
-  }
-  [[nodiscard]] bool async_retirement() const noexcept { return plan_.options.early_exit.async; }
-  [[nodiscard]] std::int64_t min_rounds() const noexcept {
-    return plan_.options.early_exit.min_rounds;
-  }
-  /// Steps per round, derived exactly as the blocking paths derive it.
-  [[nodiscard]] std::int64_t round_steps() const noexcept { return round_steps_; }
 
   /// Adopts or builds the probe cache and runs the detector's shared-prefix
   /// builder on the reference model. Call once, before any other stage.
   void prepare();
 
+  /// The graph's roots: one construct step per class, in class order.
+  [[nodiscard]] std::vector<ScanStep> start() const;
+
+  /// Executes one step and returns the steps it enables (possibly none).
+  /// Every step faults at its entry point (scan.clone / scan.round /
+  /// scan.cutoff / scan.retire / scan.finalize) before mutating anything
+  /// shared, so a step that threw there may simply be run again.
+  [[nodiscard]] std::vector<ScanStep> run(const ScanStep& step);
+
+  /// True once every class is finalized — the graph is exhausted.
+  [[nodiscard]] bool finished() const;
+
+  // The stages one step executes, for callers that replay the monolithic
+  // schedule by hand (perfbench's traced replay). run() is built on them.
+
   /// Clones the model and constructs class t's resumable task (the whole
-  /// pre-refinement pipeline). Timer parity with the blocking paths: the
-  /// per-class clock starts after the clone.
+  /// pre-refinement pipeline). The per-class clock starts after the clone.
   void construct_class(std::int64_t target_class);
 
   /// Advances class t by one round (min(round_steps, its remaining
   /// budget)); returns true while budget remains afterwards. A task whose
-  /// own exit condition fires mid-round zeroes its budget, same as the
-  /// blocking paths.
+  /// own exit condition fires mid-round zeroes its budget. A non-finite
+  /// statistic at the round boundary quarantines the class: budget zeroed,
+  /// state kNumericallyUnstable, excluded from cutoffs and the verdict.
   bool run_round(std::int64_t target_class);
 
-  [[nodiscard]] bool has_budget(std::int64_t target_class) const;
-
-  /// Current mask-L1 statistic of a constructed class (frozen once the
-  /// class stops running rounds). Cheap, non-mutating. A quarantined class
-  /// reads NaN so every cutoff population it feeds peels it out.
-  [[nodiscard]] double stat(std::int64_t target_class) const;
-
-  /// True once run_round observed a non-finite statistic for class t and
-  /// quarantined it (budget zeroed, per-class state kNumericallyUnstable,
-  /// excluded from cutoffs and the verdict).
-  [[nodiscard]] bool quarantined(std::int64_t target_class) const;
-
-  /// The early-exit cutoff over ALL classes' current statistics in class
-  /// order — median + margin * 1.4826 * MAD, the same population and
-  /// formula as the blocking barriers. Requires every class constructed and
-  /// no class stage in flight.
-  [[nodiscard]] double mad_cutoff() const;
-
-  /// Drops class t's remaining budget and emits the kRetired progress
-  /// event with its current statistic.
-  void retire_class(std::int64_t target_class);
-
-  /// Evaluates class t's fooling rate, assembles its estimate, and emits
-  /// kFinalized. Exactly once per class, after its last round.
+  /// Evaluates class t's fooling rate, assembles its estimate, emits
+  /// kFinalized, then frees the class's task and clone (and their
+  /// MemoryBudget bytes). Exactly once per class, after its last round.
   void finalize_class(std::int64_t target_class);
 
-  /// Ordered MAD reduction + wall time. Call once, with no class stage in
-  /// flight — normally after every class finalized, but also legal on a
-  /// PARTIAL scan (deadline expiry): classes that never finalized keep
-  /// their kPending/kRefining state, are peeled out of the verdict, and the
+  /// Ordered MAD reduction + wall time. Call once, with no step in flight —
+  /// normally after every class finalized, but also legal on a PARTIAL scan
+  /// (deadline expiry): classes that never finalized keep their
+  /// kPending/kRefining state, are peeled out of the verdict, and the
   /// report says so via per_class_state.
   [[nodiscard]] DetectionReport take_report();
 
  private:
+  enum class Mode { kMonolithic, kBarrier, kRendezvous };
+
   StagedScan(ScanPlan plan, Network* model, std::shared_ptr<const Network> shared,
              const Dataset& probe);
 
   void notify(std::int64_t target_class, ClassScanEvent event, double mask_l1) const;
+  /// Class t's statistic as its own step sees it: NaN once quarantined.
+  [[nodiscard]] double class_stat(std::int64_t target_class) const;
+  /// The cutoff step: retires the parked classes above the cutoff and
+  /// relaunches the rest. Takes mu_ itself.
+  [[nodiscard]] std::vector<ScanStep> run_cutoff();
+  /// Schedule transitions after a class's step; these and the helpers
+  /// below require mu_.
+  [[nodiscard]] std::vector<ScanStep> after_construct_locked(std::int64_t target_class,
+                                                             bool more);
+  [[nodiscard]] std::vector<ScanStep> after_round_locked(std::int64_t target_class, bool more);
+  /// Parks a class with budget left for the next cutoff, else finalizes it.
+  void park_locked(std::int64_t target_class, bool more, std::vector<ScanStep>& out);
+  /// Rendezvous arrival; the K-th one enables the cutoff.
+  void arrive_locked(std::int64_t target_class, bool more, std::vector<ScanStep>& out);
+  /// Starts the next lockstep round for every parked class.
+  void launch_round_locked(std::vector<ScanStep>& out);
+  /// Drops a finalized class's task and clone and their budget bytes.
+  void free_class(std::size_t slot);
 
   /// The read-only reference model: the exclusive instance or the shared
   /// one. Only clone_network() and the (exclusive-mode) prefix build touch
@@ -159,31 +189,48 @@ class StagedScan {
   }
 
   ScanPlan plan_;
-  ClassScanScheduler scheduler_;
   Network* model_ = nullptr;                     // exclusive mode
   std::shared_ptr<const Network> shared_model_;  // shared mode (pins the owner)
   const Dataset* probe_;
   std::int64_t num_classes_;
   std::int64_t round_steps_;
+  Mode mode_;
   Timer wall_;
 
   ProbeBatchCache local_cache_;
   const ProbeBatchCache* eval_cache_ = nullptr;
   std::shared_ptr<const ScanSharedState> shared_;
+
+  // Per-class slots: touched only by the class's own steps, which the
+  // graph runs one at a time.
   std::vector<std::unique_ptr<Network>> clones_;
   std::vector<std::unique_ptr<ClassRefineTask>> tasks_;
   std::vector<std::int64_t> remaining_;
   std::vector<std::int64_t> clone_budget_bytes_;  // registered with MemoryBudget
   DetectionReport report_;
+
+  // Cross-class schedule state.
+  mutable std::mutex mu_;
+  std::vector<double> stats_;  // each class's mask-L1 at its last construct/round end
+  std::vector<std::int64_t> parked_;  // classes with budget left, waiting on a cutoff
+  std::int64_t constructed_ = 0;
+  std::int64_t finalized_ = 0;
+  std::int64_t in_round_ = 0;     // barrier: classes still running the current round
+  std::int64_t rounds_done_ = 0;  // barrier: completed lockstep rounds
+  std::int64_t arrived_ = 0;      // rendezvous: classes past their rendezvous rounds
+  std::vector<std::int64_t> rendezvous_left_;  // rendezvous: rounds before arrival
+  bool cutoff_fixed_ = false;                   // rendezvous: untethered phase began
+  double cutoff_ = 0.0;                         // rendezvous: the fixed cutoff
 };
 
-/// Runs a plan to completion on the calling thread — the single scan
-/// execution path behind both detect() and the service. Early exit disabled
-/// takes the monolithic run() path (each class's task constructed, advanced
-/// through its whole budget in one slice, finalized — exactly the historical
-/// reverse_engineer_class body); enabled takes run_early_exit(), which
-/// itself dispatches to the async-retirement schedule when
-/// options.early_exit.async is set.
+/// Runs a plan to completion on the calling thread — the blocking runner
+/// behind every Detector::detect(). Pool workers (options.pool, else
+/// ThreadPool::global()) claim steps depth-first from one LIFO stack, so a
+/// worker carries its class through to finalize before it claims a new
+/// construct: in the monolithic schedule at most pool-size classes are live
+/// at once. An idle worker waits for the next step; the first exception
+/// stops new claims and is rethrown once the steps already running have
+/// finished. Called from inside a pool worker, it drains every step inline.
 [[nodiscard]] DetectionReport run_scan_plan(const ScanPlan& plan, Network& model,
                                             const Dataset& probe);
 

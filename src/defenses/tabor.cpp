@@ -199,26 +199,12 @@ class TaborRefineTask final : public ClassRefineTask {
 
 }  // namespace
 
-ClassScanScheduler Tabor::make_scheduler() const {
-  ClassScanOptions options;
-  options.mad_threshold = config_.base.mad_threshold;
-  options.base_seed = config_.base.seed;
-  options.pool = config_.base.scan_pool;
-  options.external_probe_cache = config_.base.shared_probe_cache;
-  options.early_exit = config_.base.early_exit;
-  return ClassScanScheduler(options);
-}
-
 TriggerEstimate Tabor::reverse_engineer_class(Network& model, const Dataset& probe,
                                               std::int64_t target_class) {
-  const ClassScanScheduler scheduler = make_scheduler();
-  const ProbeBatchCache cache = scheduler.make_cache(probe);
-  return reverse_engineer_class(model, probe, scheduler.make_job(target_class, cache));
-}
-
-TriggerEstimate Tabor::reverse_engineer_class(Network& model, const Dataset& probe,
-                                              const ClassScanJob& job) {
-  TaborRefineTask task(config_, model, probe, job);
+  const ClassScanOptions options = plan().options;
+  ProbeBatchCache local;
+  const ProbeBatchCache* cache = select_scan_probe_cache(options, probe, local);
+  TaborRefineTask task(config_, model, probe, make_class_job(options, target_class, *cache));
   (void)task.run_steps(config_.base.steps);
   return task.finalize();
 }
@@ -226,7 +212,11 @@ TriggerEstimate Tabor::reverse_engineer_class(Network& model, const Dataset& pro
 ScanPlan Tabor::plan() const {
   ScanPlan scan;
   scan.method = name();
-  scan.options = make_scheduler().options();
+  scan.options.mad_threshold = config_.base.mad_threshold;
+  scan.options.base_seed = config_.base.seed;
+  scan.options.pool = config_.base.scan_pool;
+  scan.options.external_probe_cache = config_.base.shared_probe_cache;
+  scan.options.early_exit = config_.base.early_exit;
   scan.total_steps = config_.base.steps;
   scan.make_task = [this](Network& clone, const Dataset& data,
                           const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {

@@ -40,13 +40,7 @@ class Tabor final : public Detector {
   [[nodiscard]] TriggerEstimate reverse_engineer_class(Network& model, const Dataset& probe,
                                                        std::int64_t target_class);
 
-  /// Scheduler job body: same as above, but against a shared probe cache.
-  [[nodiscard]] TriggerEstimate reverse_engineer_class(Network& model, const Dataset& probe,
-                                                       const ClassScanJob& job);
-
  private:
-  [[nodiscard]] ClassScanScheduler make_scheduler() const;
-
   TaborConfig config_;
 };
 

@@ -120,29 +120,13 @@ struct ScanState {
   }
 };
 
-/// One admitted scan's replay of a blocking schedule as discrete items on
-/// the service's global RoundScheduler. Message-driven: every stage's
-/// completion decides (under mu_) which stages to post next; nothing ever
-/// blocks waiting for another stage, so a single dispatcher can interleave
-/// any number of scans and cancellation simply stops posting.
-///
-/// The three modes replicate class_scan_scheduler.cpp's three schedules
-/// stage for stage:
-///  - kMonolithic (early exit disabled): construct -> rounds until budget
-///    exhausted -> finalize, per class, no cross-class flow. Identical to
-///    run() by the run_steps slicing contract.
-///  - kSyncBarrier: all classes constructed, then lockstep rounds; the
-///    LAST arriver of each round recomputes the MAD cutoff (from round
-///    min_rounds on) over ALL classes and retires the outliers — the same
-///    population, formula, and logical point as run_early_exit.
-///  - kAsyncRendezvous: each class runs max(1, min_rounds) rounds (or to
-///    exhaustion) and "arrives"; the K-th arrival fixes the single cutoff;
-///    untethered classes then check it BEFORE every further round, exactly
-///    like run_async_retire.
-///
-/// Which dispatcher runs a stage, and how stages of different scans
-/// interleave, is explicitly schedule-only — every cutoff is a pure
-/// function of class-deterministic statistics read at those fixed points.
+/// One admitted scan as discrete items on the service's global
+/// RoundScheduler: an init item prepares the scan's StagedScan, then every
+/// step of its step graph (scan_plan.h) runs as one item and posts the
+/// steps it enables. Nothing ever blocks waiting for another item, so a
+/// single dispatcher can interleave any number of scans. This class owns
+/// only the request lifecycle: skipping items on deadline, cancel, or
+/// failure; retries; fault scoping; the terminal status.
 class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
  public:
   ScanExecution(DetectionService& service, std::shared_ptr<ScanState> state)
@@ -161,9 +145,9 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       if (phase_ != Phase::kQueued) return;
       if (state_->deadline_expired()) {
         phase_ = Phase::kTerminal;
-        state_->finish(ScanOutcome{ScanStatus::kTimedOut, {}, {}});
         service_->timed_out_.fetch_add(1);
-        service_->retire_scan(state_, this, launches);
+        service_->retire_scan(state_, this, ScanOutcome{ScanStatus::kTimedOut, {}, {}},
+                              launches);
       } else {
         phase_ = Phase::kLaunched;
         {
@@ -230,9 +214,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       ScanOutcome outcome;
       outcome.status = ScanStatus::kShed;
       outcome.error = "shed under overload (queue/memory watermark)";
-      state_->finish(std::move(outcome));
       service_->shed_.fetch_add(1);
-      service_->retire_scan(state_, this, launches);
+      service_->retire_scan(state_, this, std::move(outcome), launches);
     }
     for (const auto& exec : launches) exec->launch();
   }
@@ -256,7 +239,6 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
 
  private:
   enum class Phase { kQueued, kLaunched, kTerminal };
-  enum class Mode { kMonolithic, kSyncBarrier, kAsyncRendezvous };
 
   /// The common immediate-resolution path behind request_cancel (timeout =
   /// false) and request_timeout (true). See request_cancel for semantics.
@@ -280,14 +262,15 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
         outstanding_ -= dropped;  // the init item, dropped unrun
       }
       phase_ = Phase::kTerminal;
+      ScanOutcome outcome;
       if (timeout || state_->deadline_expired()) {
-        state_->finish(ScanOutcome{ScanStatus::kTimedOut, {}, {}});
+        outcome.status = ScanStatus::kTimedOut;
         service_->timed_out_.fetch_add(1);
       } else {
-        state_->finish(ScanOutcome{ScanStatus::kCancelled, {}, {}});
+        outcome.status = ScanStatus::kCancelled;
         service_->cancelled_.fetch_add(1);
       }
-      service_->retire_scan(state_, this, launches);
+      service_->retire_scan(state_, this, std::move(outcome), launches);
     }
     for (const auto& exec : launches) exec->launch();
   }
@@ -315,11 +298,6 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     if (!skip) {
       try {
         stage();
-      } catch (const ScanCancelled&) {
-        state_->cancel.store(true, std::memory_order_relaxed);
-      } catch (const ScanTimedOut&) {
-        const std::lock_guard<std::mutex> lock(mu_);
-        timed_out_ = true;
       } catch (const std::exception& error) {
         if (!maybe_retry(label, stage, attempt, error)) mark_failed(error.what());
       } catch (...) {
@@ -377,11 +355,6 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   void on_item_error(const std::exception_ptr& error) {
     try {
       std::rethrow_exception(error);
-    } catch (const ScanCancelled&) {
-      state_->cancel.store(true, std::memory_order_relaxed);
-    } catch (const ScanTimedOut&) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      timed_out_ = true;
     } catch (const std::exception& e) {
       mark_failed(e.what());
     } catch (...) {
@@ -447,11 +420,10 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     // The detector's own plan, with the service's session state wired in.
     // None of the overrides has a numeric effect (cache adoption is
     // schedule-only; progress carries no data into the scan), so a
-    // default-options run matches detect() byte for byte. options.pool and
-    // options.cancel stay as the detector left them: the staged path never
-    // enters the blocking scheduler — tensor kernels adopt scan_pool_
-    // through the dispatchers' WorkerContext, and cancellation is checked
-    // at every item boundary by run_stage.
+    // default-options run matches detect() byte for byte. options.pool
+    // stays as the detector left it: the service never calls run_scan_plan
+    // — tensor kernels adopt scan_pool_ through the dispatchers'
+    // WorkerContext.
     ScanPlan plan = state_->detector->plan();
     if (state_->options.progress) plan.options.progress = state_->options.progress;
     if (state_->options.early_exit.has_value()) {
@@ -473,181 +445,22 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       staged_.emplace(std::move(plan), *state_->model, probe);
     }
     staged_->prepare();
-
+    const std::vector<ScanStep> roots = staged_->start();
     const std::lock_guard<std::mutex> lock(mu_);
-    num_classes_ = staged_->num_classes();
-    mode_ = !staged_->early_exit_enabled() ? Mode::kMonolithic
-            : staged_->async_retirement()  ? Mode::kAsyncRendezvous
-                                           : Mode::kSyncBarrier;
-    if (mode_ == Mode::kAsyncRendezvous) {
-      // rendezvous = max(1, min_rounds) rounds, matching run_async_retire's
-      // rendezvous_steps = round_steps * max(1, min_rounds).
-      rendezvous_left_.assign(static_cast<std::size_t>(num_classes_),
-                              std::max<std::int64_t>(1, staged_->min_rounds()));
-    }
-    for (std::int64_t t = 0; t < num_classes_; ++t) {
-      post_locked("scan.construct", [this, t] { stage_construct(t); });
-    }
+    post_steps_locked(roots);
   }
 
-  void stage_construct(std::int64_t t) {
-    staged_->construct_class(t);
+  /// One step of the scan's graph; the steps it enables post as new items.
+  void run_step(const ScanStep& step) {
+    const std::vector<ScanStep> next = staged_->run(step);
     const std::lock_guard<std::mutex> lock(mu_);
-    ++constructed_;
-    switch (mode_) {
-      case Mode::kMonolithic:
-        // No cross-class flow: each class marches to exhaustion on its own.
-        if (staged_->has_budget(t)) {
-          post_locked("scan.round", [this, t] { stage_round_mono(t); });
-        } else {
-          post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-        }
-        break;
-      case Mode::kSyncBarrier:
-        // Lockstep rounds need the full active set; round 1 starts once
-        // every class is constructed (the blocking path's phase boundary).
-        if (constructed_ == num_classes_) {
-          for (std::int64_t u = 0; u < num_classes_; ++u) {
-            if (staged_->has_budget(u)) {
-              active_.push_back(u);
-            } else {
-              post_locked("scan.finalize", [this, u] { stage_finalize(u); });
-            }
-          }
-          for (const std::int64_t u : active_) {
-            post_locked("scan.round", [this, u] { stage_round_sync(u); });
-          }
-        }
-        break;
-      case Mode::kAsyncRendezvous:
-        // A class's rendezvous rounds need no other class: start rolling
-        // immediately. The cutoff still waits for all K arrivals.
-        if (staged_->has_budget(t)) {
-          post_locked("scan.round", [this, t] { stage_rendezvous_round(t); });
-        } else {
-          note_arrival_locked(t, /*more=*/false);
-        }
-        break;
-    }
+    post_steps_locked(next);
   }
 
-  void stage_round_mono(std::int64_t t) {
-    const bool more = staged_->run_round(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (more) {
-      post_locked("scan.round", [this, t] { stage_round_mono(t); });
-    } else {
-      post_locked("scan.finalize", [this, t] { stage_finalize(t); });
+  void post_steps_locked(const std::vector<ScanStep>& steps) {
+    for (const ScanStep& step : steps) {
+      post_locked(step.label(), [this, step] { run_step(step); });
     }
-  }
-
-  void stage_round_sync(std::int64_t t) {
-    staged_->run_round(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (++barrier_arrived_ == static_cast<std::int64_t>(active_.size())) barrier_locked();
-  }
-
-  /// The per-round barrier, run by the round's last arriver under mu_.
-  /// Mirrors run_early_exit's loop tail: drop exhausted classes to
-  /// finalize, recompute the cutoff from round min_rounds on, retire
-  /// outliers, relaunch the survivors. mad_cutoff() is safe here: every
-  /// active class's round completed (we are the last arrival, ordered
-  /// through mu_) and stopped classes hold frozen statistics.
-  void barrier_locked() {
-    barrier_arrived_ = 0;
-    ++rounds_done_;
-    std::vector<std::int64_t> next;
-    for (const std::int64_t t : active_) {
-      if (staged_->has_budget(t)) {
-        next.push_back(t);
-      } else {
-        post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-      }
-    }
-    if (!next.empty() && rounds_done_ >= staged_->min_rounds()) {
-      const double cutoff = staged_->mad_cutoff();
-      std::vector<std::int64_t> survivors;
-      for (const std::int64_t t : next) {
-        if (staged_->stat(t) <= cutoff) {
-          survivors.push_back(t);
-        } else {
-          // kRetired notifies user code — post an item rather than calling
-          // under mu_ (a callback may legally call handle->cancel()).
-          post_locked("scan.retire", [this, t] { stage_retire(t); });
-        }
-      }
-      next = std::move(survivors);
-    }
-    active_ = std::move(next);
-    for (const std::int64_t t : active_) {
-      post_locked("scan.round", [this, t] { stage_round_sync(t); });
-    }
-  }
-
-  void stage_retire(std::int64_t t) {
-    staged_->retire_class(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-  }
-
-  void stage_rendezvous_round(std::int64_t t) {
-    const bool more = staged_->run_round(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    auto& left = rendezvous_left_[static_cast<std::size_t>(t)];
-    --left;
-    if (more && left > 0) {
-      post_locked("scan.round", [this, t] { stage_rendezvous_round(t); });
-    } else {
-      note_arrival_locked(t, more);
-    }
-  }
-
-  /// Class t reached the rendezvous (ran its min rounds, or exhausted its
-  /// budget / own exit first). The K-th arrival fixes the one cutoff — the
-  /// only cross-class data flow of the async schedule.
-  void note_arrival_locked(std::int64_t t, bool more) {
-    ++arrived_;
-    if (more) {
-      waiting_.push_back(t);
-    } else {
-      post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-    }
-    if (arrived_ == num_classes_) {
-      cutoff_ = staged_->mad_cutoff();
-      for (const std::int64_t u : waiting_) {
-        post_locked("scan.round", [this, u] { stage_untethered_round(u); });
-      }
-      waiting_.clear();
-    }
-  }
-
-  void stage_untethered_round(std::int64_t t) {
-    double cutoff;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      cutoff = cutoff_;
-    }
-    // Cutoff first, before spending another round — run_async_retire's
-    // phase 2b loop head.
-    if (staged_->stat(t) > cutoff) {
-      staged_->retire_class(t);
-      const std::lock_guard<std::mutex> lock(mu_);
-      post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-      return;
-    }
-    const bool more = staged_->run_round(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (more) {
-      post_locked("scan.round", [this, t] { stage_untethered_round(t); });
-    } else {
-      post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-    }
-  }
-
-  void stage_finalize(std::int64_t t) {
-    staged_->finalize_class(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++finalized_;
   }
 
   /// Item-completion accounting. The scan is terminal when its last
@@ -669,7 +482,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
                             ? error_ + " (after " + std::to_string(retries_) + " retries)"
                             : error_;
         service_->failed_.fetch_add(1);
-      } else if (staged_.has_value() && finalized_ == num_classes_) {
+      } else if (staged_.has_value() && staged_->finished()) {
         try {
           outcome.report = staged_->take_report();
           outcome.status = ScanStatus::kDone;
@@ -704,9 +517,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       // Release tasks, clones, and the borrowed probe-cache pointer BEFORE
       // finish() drops the detector and the stored probe they point into.
       staged_.reset();
-      state_->finish(std::move(outcome));
       service_->scheduler_.retire_job(job_);
-      service_->retire_scan(state_, this, launches);
+      service_->retire_scan(state_, this, std::move(outcome), launches);
     }
     // Newly admitted scans launch outside mu_ (their launch() takes their
     // own lock and the scheduler's).
@@ -719,27 +531,12 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
 
   std::mutex mu_;
   Phase phase_ = Phase::kQueued;
-  Mode mode_ = Mode::kMonolithic;
   std::optional<StagedScan> staged_;
   std::int64_t outstanding_ = 0;  // items posted, not yet completed
-  std::int64_t num_classes_ = -1;
-  std::int64_t constructed_ = 0;
-  std::int64_t finalized_ = 0;
   bool failed_ = false;
   bool timed_out_ = false;
   std::int64_t retries_ = 0;  // stage items re-enqueued after transient failures
   std::string error_;
-
-  // kSyncBarrier bookkeeping.
-  std::vector<std::int64_t> active_;
-  std::int64_t barrier_arrived_ = 0;
-  std::int64_t rounds_done_ = 0;
-
-  // kAsyncRendezvous bookkeeping.
-  std::vector<std::int64_t> rendezvous_left_;
-  std::vector<std::int64_t> waiting_;
-  std::int64_t arrived_ = 0;
-  double cutoff_ = 0.0;
 };
 
 }  // namespace detail
@@ -1030,11 +827,10 @@ void DetectionService::drain() {
 }
 
 void DetectionService::retire_scan(const std::shared_ptr<detail::ScanState>& state,
-                                   const detail::ScanExecution* exec,
+                                   const detail::ScanExecution* exec, ScanOutcome outcome,
                                    std::vector<std::shared_ptr<detail::ScanExecution>>& launches) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    live_.erase(std::find(live_.begin(), live_.end(), state));
     const auto queued = std::find_if(queue_.begin(), queue_.end(),
                                      [exec](const auto& entry) { return entry.get() == exec; });
     if (queued != queue_.end()) {
@@ -1052,6 +848,11 @@ void DetectionService::retire_scan(const std::shared_ptr<detail::ScanState>& sta
         ++admitted_;
       }
     }
+  }
+  state->finish(std::move(outcome));
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    live_.erase(std::find(live_.begin(), live_.end(), state));
     if (live_.empty()) idle_.notify_all();
   }
   queue_space_.notify_all();  // pending depth shrank (or shutdown progressed)

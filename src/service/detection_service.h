@@ -14,42 +14,29 @@
 //    same key shares one immutable Dataset + ProbeBatchCache across
 //    methods, models, cases, and scales;
 //  - a GLOBAL CLASS-JOB SCHEDULER (service/round_scheduler.h): every
-//    admitted scan is decomposed into schedulable stages — per-class task
-//    construction, individual refinement rounds, retirements, finalizes —
-//    and all admitted scans' stages flatten into one weighted fair-share
-//    queue drained by a small dispatcher crew. Requests carry a strict
-//    priority and a fair-share weight (ScanOptions), so a K=4 scan
-//    submitted behind a K=43 scan on a saturated service interleaves with
-//    it round-for-round and finishes first instead of waiting for the
-//    whole backlog; dispatchers have no per-request affinity, so capacity
-//    freed by one scan is stolen by whichever request is most deserving.
+//    admitted scan is decomposed into schedulable steps — per-class task
+//    construction, individual refinement rounds, early-exit cutoffs,
+//    retirements, finalizes — and all admitted scans' steps flatten into
+//    one weighted fair-share queue drained by a small dispatcher crew.
+//    Requests carry a strict priority and a fair-share weight
+//    (ScanOptions), so a K=4 scan submitted behind a K=43 scan on a
+//    saturated service interleaves with it round-for-round and finishes
+//    first instead of waiting for the whole backlog; dispatchers have no
+//    per-request affinity, so capacity freed by one scan is stolen by
+//    whichever request is most deserving.
 //
-// Determinism carries over unchanged: a report produced through the service
-// is bit-identical to Detector::detect() on the same (model, probe, config)
-// for any pool size, any dispatcher count, any priority/weight assignment,
-// and any interleaving with other requests. The argument (spelled out in
-// class_scan_scheduler.h, restated here because the service is the
-// cross-request case): every class trajectory is a schedule-free function
-// of (base_seed, class) — run_steps slices concatenate bit-identically —
-// and the only cross-class data flows are MAD cutoffs taken at logical
-// points fixed by the schedule STRUCTURE, not by timing. The service
-// replays exactly one of the three blocking schedules per scan: monolithic
-// (no early exit), per-round barrier (early exit: the cutoff item runs
-// only after every active class's round r completed), or async rendezvous
-// (each class arrives after min_rounds rounds; the single cutoff is taken
-// once all K arrived, and untethered classes check it BEFORE each further
-// round). Scheduling decides only WHEN those fixed points are reached,
-// never WHAT is computed at them — so fairness, priorities, and
-// cross-request work-stealing have zero numeric effect
-// (tests/test_detection_service.cpp pins submit() == detect()
-// byte-for-byte, including with async retirement enabled and under
-// mixed-request load).
+// Each item is one step of the scan's StagedScan step graph — the same
+// engine detect() drains on its pool — so a report produced through the
+// service is bit-identical to Detector::detect() on the same (model, probe,
+// config) for any pool size, dispatcher count, priority/weight assignment,
+// and interleaving with other requests (the argument is in
+// defenses/scan_plan.h; tests/test_detection_service.cpp pins it).
 //
 // FAILURE SEMANTICS (the robustness layer; see also README "Failure
 // semantics" and tests/test_fault_injection.cpp + tests/test_overload.cpp):
-//  - deadlines: checked at every stage boundary (and by the scheduler's
-//    blocking paths at round boundaries). Expiry resolves kTimedOut with a
-//    partial report whose per_class_state says how far each class got.
+//  - deadlines: checked at every item boundary. Expiry resolves kTimedOut
+//    with a partial report whose per_class_state says how far each class
+//    got.
 //  - fault isolation: an exception escaping any stage item is routed to
 //    the owning scan (kFailed + error); the dispatcher crew and every
 //    other scan's queue keep draining — one faulty request fails only
@@ -160,9 +147,9 @@ struct ScanOptions {
   /// byte-identical to detect()).
   double deadline_seconds = 0.0;
   /// Transient-failure retries PER STAGE ITEM (probe materialization, a
-  /// class construct, one refinement round, a finalize): a stage that
-  /// throws TransientError / ScanError{transient} / fault::InjectedFault /
-  /// std::bad_alloc is re-enqueued with exponential backoff until its
+  /// class construct, one refinement round, a cutoff, a finalize): a stage
+  /// that throws TransientError / ScanError{transient} /
+  /// fault::InjectedFault / std::bad_alloc is re-enqueued with exponential backoff until its
   /// per-item budget runs out, then the scan resolves kFailed with the
   /// count in ScanOutcome::retries. Safe because every retryable stage
   /// re-derives its work from pristine inputs (construct re-clones the
@@ -441,12 +428,15 @@ class DetectionService {
     return static_cast<std::int64_t>(queue_.size()) + reserved_slots_;
   }
 
-  /// Called by a ScanExecution reaching a terminal state: removes it from
-  /// live_, frees its admission slot, and COLLECTS (not launches — the
-  /// caller holds the execution's lock) queued executions that now fit
-  /// under max_concurrent_scans into `launches`.
+  /// Called by a ScanExecution reaching a terminal state: frees its
+  /// admission slot, COLLECTS (not launches — the caller holds the
+  /// execution's lock) queued executions that now fit under
+  /// max_concurrent_scans into `launches`, publishes `outcome`, then removes
+  /// the scan from live_. A waiter that observes the terminal status can
+  /// therefore submit into the freed slot, and drain() never misses a scan
+  /// that is not yet terminal.
   void retire_scan(const std::shared_ptr<detail::ScanState>& state,
-                   const detail::ScanExecution* exec,
+                   const detail::ScanExecution* exec, ScanOutcome outcome,
                    std::vector<std::shared_ptr<detail::ScanExecution>>& launches);
 
   /// Picks queued scans to shed until both watermarks (queue depth, memory

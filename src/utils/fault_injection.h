@@ -20,8 +20,12 @@
 //
 // Point catalog (grep for USB_FAULT_POINT / USB_FAULT_NAN to verify):
 //   scan.prepare / scan.clone / scan.construct / scan.round / scan.cutoff /
-//   scan.retire / scan.finalize   stage boundaries of a running scan
+//   scan.retire / scan.finalize   stage boundaries of a running scan, for
+//                                 detect() and the service alike
 //                                 (src/defenses/scan_plan.cpp)
+//   scan.round_stat               USB_FAULT_NAN: the mask-L1 statistic at a
+//                                 round boundary reads NaN, so the class is
+//                                 quarantined (src/defenses/scan_plan.cpp)
 //   probe_store.materialize       probe dataset generation
 //   model_store.load              checkpoint/zoo model resolution
 //   fleet.spawn                   WorkerFleet: one fork/exec attempt; a

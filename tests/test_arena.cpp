@@ -316,11 +316,11 @@ TEST(ArenaPath, DetectReportsBitIdenticalAcrossDispatchVariants) {
 /// warm-up slice.
 std::uint64_t steady_state_allocations(const ScanPlan& plan, Network& model,
                                        const Dataset& probe, std::int64_t steps) {
-  const ClassScanScheduler scheduler(plan.options);
-  const ProbeBatchCache cache = scheduler.make_cache(probe);
+  ProbeBatchCache local;
+  const ProbeBatchCache* cache = select_scan_probe_cache(plan.options, probe, local);
   std::shared_ptr<const ScanSharedState> shared;
   if (plan.shared_builder) shared = plan.shared_builder(model, probe);
-  const ClassScanJob job = scheduler.make_job(0, cache, shared.get());
+  const ClassScanJob job = make_class_job(plan.options, 0, *cache, shared.get());
   Network clone = clone_network(model);
   const auto task = plan.make_task(clone, probe, job);
   (void)task->run_steps(5);  // warm-up: arena slots, loader batch, caches

@@ -19,6 +19,7 @@
 #include <future>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "core/usb.h"
 #include "data/synthetic.h"
@@ -120,36 +121,74 @@ TEST(DetectionService, DefaultSubmitMatchesDetectByteForByte) {
   }
 }
 
-// Same pin with async retirement switched on through request options (the
-// intended switch for it): submit must match a detect() whose config
-// carries the identical early-exit settings, at 1 and 4 scan threads.
+// Same pin with early exit switched on through request options (the
+// intended switch for async retirement), in both early-exit schedules:
+// submit must match a detect() whose config carries the identical
+// early-exit settings, at 1 and 4 scan threads.
 TEST(DetectionService, AsyncRetirementSubmitMatchesDetectAcrossThreadCounts) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 83};
   const Dataset probe = generate_dataset(spec, 48, 83);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 84);
 
-  EarlyExitOptions early;
-  early.enabled = true;
-  early.async = true;
-  early.round_steps = 2;
-  early.margin = 0.25;
+  for (const bool async : {true, false}) {
+    EarlyExitOptions early;
+    early.enabled = true;
+    early.async = async;
+    early.round_steps = 2;
+    early.margin = 0.25;
 
-  UsbConfig reference_config = tiny_usb_config();
-  reference_config.refine_steps = 8;
-  reference_config.early_exit = early;
-  const DetectionReport direct = UsbDetector(reference_config).detect(victim, probe);
+    UsbConfig reference_config = tiny_usb_config();
+    reference_config.refine_steps = 8;
+    reference_config.early_exit = early;
+    const DetectionReport direct = UsbDetector(reference_config).detect(victim, probe);
 
-  for (const int threads : {1, 4}) {
-    DetectionService service(service_config(threads));
+    for (const int threads : {1, 4}) {
+      DetectionService service(service_config(threads));
+      ScanRequest request;
+      request.model = &victim;
+      UsbConfig config = tiny_usb_config();
+      config.refine_steps = 8;  // early-exit settings come from the request
+      request.detector = std::make_unique<UsbDetector>(config);
+      request.probe_key = key;
+      request.options.early_exit = early;
+      const ScanHandle handle = service.submit(std::move(request));
+      const ScanOutcome& outcome = handle.wait();
+      ASSERT_EQ(outcome.status, ScanStatus::kDone) << "async " << async << ": " << outcome.error;
+      expect_reports_identical(direct, outcome.report);
+    }
+  }
+}
+
+// Round-barrier stress: with margin 0 classes retire at nearly every
+// barrier, so the finalize steps of classes retired at one barrier run on
+// four dispatchers while the next barrier's cutoff is taken. The cutoff
+// reads only recorded statistics, never a task being finalized; every
+// report must stay byte-identical to detect(). The sanitizer jobs race
+// exactly this load.
+TEST(DetectionService, RoundBarrierCutoffStressMatchesDetect) {
+  const DatasetSpec spec = tiny_spec(10);
+  const Dataset probe = generate_dataset(spec, 48, 87);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 88);
+
+  ReverseOptConfig config = tiny_nc_config(12);
+  config.early_exit.enabled = true;
+  config.early_exit.round_steps = 1;
+  config.early_exit.margin = 0.0;
+  const DetectionReport direct = NeuralCleanse(config).detect(victim, probe);
+
+  DetectionServiceConfig service_cfg = service_config(/*scan_threads=*/4, /*executors=*/1);
+  service_cfg.round_dispatchers = 4;
+  DetectionService service(service_cfg);
+  std::vector<ScanHandle> handles;
+  for (int i = 0; i < 20; ++i) {
     ScanRequest request;
     request.model = &victim;
-    UsbConfig config = tiny_usb_config();
-    config.refine_steps = 8;  // early-exit settings come from the request
-    request.detector = std::make_unique<UsbDetector>(config);
-    request.probe_key = key;
-    request.options.early_exit = early;
-    const ScanHandle handle = service.submit(std::move(request));
+    request.probe = &probe;
+    request.detector = std::make_unique<NeuralCleanse>(config);
+    handles.push_back(service.submit(std::move(request)));
+  }
+  for (const ScanHandle& handle : handles) {
     const ScanOutcome& outcome = handle.wait();
     ASSERT_EQ(outcome.status, ScanStatus::kDone) << outcome.error;
     expect_reports_identical(direct, outcome.report);

@@ -11,7 +11,9 @@
 //    (kNumericallyUnstable, peeled from the verdict) while a CONCURRENT
 //    healthy scan on the same dispatchers stays byte-identical to
 //    Detector::detect() — per-scan fault scoping is what isolates them;
-//  - the blocking early-exit path applies the same quarantine rule;
+//  - detect() runs the same steps: it quarantines at round boundaries in
+//    every schedule, and an injected throw propagates out of it and leaves
+//    the next detect() byte-identical to a clean run;
 //  - an injected delay that pushes a scan past its deadline resolves
 //    kTimedOut with a well-formed partial report;
 //  - a probe materialization that throws leaves the store empty and
@@ -35,6 +37,7 @@
 #include "nn/models.h"
 #include "service/detection_service.h"
 #include "utils/fault_injection.h"
+#include "utils/memory_budget.h"
 
 namespace usb {
 namespace {
@@ -292,29 +295,57 @@ TEST_F(FaultInjectionTest, NanQuarantinesOneClassWithoutTouchingConcurrentHealth
   }
 }
 
-// The blocking early-exit path applies the identical quarantine rule at its
-// round boundaries: detect() still returns, the diverged class is excluded.
+// detect() applies the identical quarantine rule at its round boundaries,
+// with early exit off as well as on: detect() still returns, the diverged
+// class is excluded.
 TEST_F(FaultInjectionTest, BlockingEarlyExitPathQuarantinesAtRoundBoundary) {
   const DatasetSpec spec = tiny_spec();
   const Dataset probe = generate_dataset(spec, 48, 95);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 96);
 
-  ReverseOptConfig config = tiny_nc_config();
-  config.early_exit.enabled = true;
-  config.early_exit.round_steps = 2;
+  for (const bool early_exit : {false, true}) {
+    ReverseOptConfig config = tiny_nc_config();
+    config.early_exit.enabled = early_exit;
+    config.early_exit.round_steps = 2;
+
+    fault::FaultSpec fault_spec;
+    fault_spec.kind = fault::FaultSpec::Kind::kNan;
+    fault_spec.count = 1;
+    fault::FaultRegistry::instance().arm("scan.round_stat", fault_spec);
+
+    const DetectionReport report = NeuralCleanse(config).detect(victim, probe);
+    EXPECT_TRUE(report.complete()) << "early exit " << early_exit;
+    const std::vector<std::int64_t> quarantined = report.quarantined_classes();
+    ASSERT_EQ(quarantined.size(), 1u) << "early exit " << early_exit;
+    const auto slot = static_cast<std::size_t>(quarantined[0]);
+    EXPECT_TRUE(std::isnan(report.per_class[slot].mask_l1));
+    EXPECT_TRUE(std::isnan(report.verdict.anomaly[slot]));
+  }
+}
+
+// detect() runs through the same fault points as the service: a one-shot
+// throw at a round propagates out of it as InjectedFault, the unwound scan
+// returns its clone bytes, and the next detect() is byte-identical to a
+// clean run.
+TEST_F(FaultInjectionTest, DetectPropagatesInjectedRoundFaultAndStaysReusable) {
+  const DatasetSpec spec = tiny_spec();
+  const Dataset probe = generate_dataset(spec, 48, 103);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 104);
+  const DetectionReport clean = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
+  const std::int64_t clone_bytes =
+      MemoryBudget::process().bytes(MemoryBudget::Category::kModelClones);
 
   fault::FaultSpec fault_spec;
-  fault_spec.kind = fault::FaultSpec::Kind::kNan;
+  fault_spec.kind = fault::FaultSpec::Kind::kThrow;
   fault_spec.count = 1;
-  fault::FaultRegistry::instance().arm("scan.round_stat", fault_spec);
+  fault::FaultRegistry::instance().arm("scan.round", fault_spec);
+  EXPECT_THROW((void)NeuralCleanse(tiny_nc_config()).detect(victim, probe),
+               fault::InjectedFault);
+  EXPECT_GE(fault::FaultRegistry::instance().hits("scan.round"), 1);
+  EXPECT_EQ(MemoryBudget::process().bytes(MemoryBudget::Category::kModelClones), clone_bytes);
 
-  const DetectionReport report = NeuralCleanse(config).detect(victim, probe);
-  EXPECT_TRUE(report.complete());
-  const std::vector<std::int64_t> quarantined = report.quarantined_classes();
-  ASSERT_EQ(quarantined.size(), 1u);
-  const auto slot = static_cast<std::size_t>(quarantined[0]);
-  EXPECT_TRUE(std::isnan(report.per_class[slot].mask_l1));
-  EXPECT_TRUE(std::isnan(report.verdict.anomaly[slot]));
+  const DetectionReport again = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
+  expect_reports_identical(clean, again);
 }
 
 // An injected per-round delay pushes a scan past its deadline: the handle

@@ -102,7 +102,9 @@ class OverloadTest : public ::testing::Test {
 // The tentpole pin: two injected transient faults at round stages are
 // retried with backoff, the scan resolves kDone, the retry count is
 // reported, and the report is byte-identical to the blocking detector —
-// retrying re-runs the same stage against un-mutated inputs.
+// retrying re-runs the same stage against un-mutated inputs. The same holds
+// for a fault at the early-exit cutoff, in both early-exit schedules: the
+// retry re-runs only the cutoff step.
 TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
   const DatasetSpec spec = tiny_spec();
   const Dataset probe = generate_dataset(spec, 48, 141);
@@ -124,6 +126,33 @@ TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
   EXPECT_EQ(outcome.retries, 2);
   EXPECT_EQ(service.items_retried(), 2);
   expect_reports_identical(direct, outcome.report);
+
+  for (const bool async : {false, true}) {
+    EarlyExitOptions early;
+    early.enabled = true;
+    early.async = async;
+    early.round_steps = 2;
+    early.margin = 1e18;
+    ReverseOptConfig config = tiny_nc_config();
+    config.early_exit = early;
+    fault::FaultRegistry::instance().disarm_all();
+    const DetectionReport early_direct = NeuralCleanse(config).detect(victim, probe);
+
+    fault::FaultSpec cutoff_fault;
+    cutoff_fault.kind = fault::FaultSpec::Kind::kThrow;
+    cutoff_fault.count = 1;
+    fault::FaultRegistry::instance().arm("scan.cutoff", cutoff_fault);
+    ScanRequest cutoff_request = nc_request(victim, probe);
+    cutoff_request.options.early_exit = early;
+    cutoff_request.options.max_retries = 3;
+    cutoff_request.options.retry_backoff_seconds = 0.002;
+    const ScanHandle cutoff_handle = service.submit(std::move(cutoff_request));
+    const ScanOutcome& cutoff_outcome = cutoff_handle.wait();
+    ASSERT_EQ(cutoff_outcome.status, ScanStatus::kDone) << "async " << async << ": "
+                                                        << cutoff_outcome.error;
+    EXPECT_EQ(cutoff_outcome.retries, 1) << "async " << async;
+    expect_reports_identical(early_direct, cutoff_outcome.report);
+  }
 }
 
 // Simulated ENOMEM inside probe materialization: the store's failure is

@@ -1,4 +1,5 @@
-// ClassScanScheduler: the parallel multi-class detection driver.
+// The scan engine (StagedScan + run_scan_plan): the parallel multi-class
+// detection engine behind every Detector::detect().
 //
 // The load-bearing guarantee is determinism: a DetectionReport's scientific
 // payload (per-class estimates and verdict) must be bit-identical for any
@@ -9,8 +10,6 @@
 // in-process, so these tests cover USB_THREADS=1 vs USB_THREADS=4.
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 #include "core/usb.h"
 #include "data/dataloader.h"
 #include "data/synthetic.h"
@@ -19,7 +18,9 @@
 #include "defenses/neural_cleanse.h"
 #include "defenses/scan_plan.h"
 #include "defenses/tabor.h"
+#include "nn/checkpoint.h"
 #include "nn/models.h"
+#include "utils/memory_budget.h"
 
 namespace usb {
 namespace {
@@ -67,6 +68,38 @@ void expect_reports_identical(const DetectionReport& a, const DetectionReport& b
   EXPECT_EQ(a.per_class_state, b.per_class_state);
 }
 
+/// A per-class task that never touches the model: its statistic is
+/// 10 + class and its refinement only counts steps.
+class StubTask final : public ClassRefineTask {
+ public:
+  explicit StubTask(const ClassScanJob& job) : job_(job) {}
+
+  std::int64_t run_steps(std::int64_t steps) override { return steps; }
+  [[nodiscard]] double current_mask_l1() const override {
+    return 10.0 + static_cast<double>(job_.target_class);
+  }
+  [[nodiscard]] TriggerEstimate finalize() override {
+    TriggerEstimate estimate;
+    estimate.target_class = job_.target_class;
+    estimate.pattern = Tensor(Shape{1, 16, 16});
+    estimate.mask = Tensor(Shape{16, 16});
+    estimate.mask_l1 = current_mask_l1();
+    return estimate;
+  }
+
+ private:
+  ClassScanJob job_;
+};
+
+ScanPlan stub_plan(std::uint64_t base_seed, RefineTaskFn make_task) {
+  ScanPlan plan;
+  plan.method = "stub";
+  plan.options.base_seed = base_seed;
+  plan.total_steps = 3;
+  plan.make_task = std::move(make_task);
+  return plan;
+}
+
 TEST(ProbeBatchCache, MatchesFreshDataLoaderPass) {
   const Dataset probe = generate_dataset(tiny_spec(), 70, 41);
   const ProbeBatchCache cache(probe, 32);
@@ -98,29 +131,23 @@ TEST(ProbeBatchCache, EmptyProbeSet) {
 }
 
 TEST(ClassScanScheduler, ClassStreamSeedsAreStableAndDistinct) {
-  const std::uint64_t a0 = ClassScanScheduler::class_stream_seed(7, 0);
-  EXPECT_EQ(a0, ClassScanScheduler::class_stream_seed(7, 0));  // pure function
+  const std::uint64_t a0 = class_stream_seed(7, 0);
+  EXPECT_EQ(a0, class_stream_seed(7, 0));  // pure function
   // Distinct across classes and across base seeds.
-  EXPECT_NE(a0, ClassScanScheduler::class_stream_seed(7, 1));
-  EXPECT_NE(a0, ClassScanScheduler::class_stream_seed(8, 0));
+  EXPECT_NE(a0, class_stream_seed(7, 1));
+  EXPECT_NE(a0, class_stream_seed(8, 0));
 }
 
 TEST(ClassScanScheduler, OrderedReductionFeedsMadInClassOrder) {
   const Dataset probe = generate_dataset(tiny_spec(4), 24, 45);
   Network model = make_network(Architecture::kBasicCnn, 1, 16, 4, 46);
 
-  ClassScanOptions options;
-  options.base_seed = 5;
-  const ClassScanScheduler scheduler(options);
-  const DetectionReport report = scheduler.run(
-      "stub", model, probe, [](Network&, const Dataset&, const ClassScanJob& job) {
-        TriggerEstimate estimate;
-        estimate.target_class = job.target_class;
-        estimate.pattern = Tensor(Shape{1, 16, 16});
-        estimate.mask = Tensor(Shape{16, 16});
-        estimate.mask_l1 = 10.0 + static_cast<double>(job.target_class);
-        return estimate;
-      });
+  const DetectionReport report = run_scan_plan(
+      stub_plan(5,
+                [](Network&, const Dataset&, const ClassScanJob& job) {
+                  return std::make_unique<StubTask>(job);
+                }),
+      model, probe);
   ASSERT_EQ(report.per_class.size(), 4U);
   ASSERT_EQ(report.verdict.norms.size(), 4U);
   for (std::int64_t t = 0; t < 4; ++t) {
@@ -134,29 +161,22 @@ TEST(ClassScanScheduler, JobsReceiveSharedCacheAndPerClassSeeds) {
   const Dataset probe = generate_dataset(tiny_spec(3), 18, 47);
   Network model = make_network(Architecture::kBasicCnn, 1, 16, 3, 48);
 
-  ClassScanOptions options;
-  options.base_seed = 11;
-  const ClassScanScheduler scheduler(options);
   std::vector<std::uint64_t> seeds(3, 0);
   std::vector<const ProbeBatchCache*> caches(3, nullptr);
   std::vector<std::int64_t> cache_samples(3, 0);
-  // The cache lives in run()'s frame, so it must be read inside the job
-  // callback; only the pointer VALUES survive for the shared-identity check.
-  (void)scheduler.run("stub", model, probe,
-                      [&](Network&, const Dataset&, const ClassScanJob& job) {
-                        const auto index = static_cast<std::size_t>(job.target_class);
-                        seeds[index] = job.rng_seed;
-                        caches[index] = job.probe_cache;
-                        cache_samples[index] = job.probe_cache->total_samples();
-                        TriggerEstimate estimate;
-                        estimate.target_class = job.target_class;
-                        estimate.pattern = Tensor(Shape{1, 16, 16});
-                        estimate.mask = Tensor(Shape{16, 16});
-                        return estimate;
-                      });
+  // The cache lives in the scan's frame, so it must be read inside the task
+  // factory; only the pointer VALUES survive for the shared-identity check.
+  (void)run_scan_plan(stub_plan(11,
+                                [&](Network&, const Dataset&, const ClassScanJob& job) {
+                                  const auto index = static_cast<std::size_t>(job.target_class);
+                                  seeds[index] = job.rng_seed;
+                                  caches[index] = job.probe_cache;
+                                  cache_samples[index] = job.probe_cache->total_samples();
+                                  return std::make_unique<StubTask>(job);
+                                }),
+                      model, probe);
   for (std::int64_t t = 0; t < 3; ++t) {
-    EXPECT_EQ(seeds[static_cast<std::size_t>(t)],
-              ClassScanScheduler::class_stream_seed(11, t));
+    EXPECT_EQ(seeds[static_cast<std::size_t>(t)], class_stream_seed(11, t));
     ASSERT_NE(caches[static_cast<std::size_t>(t)], nullptr);
     EXPECT_EQ(cache_samples[static_cast<std::size_t>(t)], 18);
   }
@@ -435,55 +455,40 @@ TEST(ClassScanScheduler, DetectOnEmptyProbeIsWellDefined) {
   EXPECT_FALSE(report.verdict.backdoored);
 }
 
-// The blocking paths check ClassScanOptions::deadline at the same class and
-// round boundaries as the cancel flag: a deadline already in the past
-// throws ScanTimedOut out of every schedule, the partial scan unwinds, and
-// the plan stays runnable once the deadline is cleared.
-TEST(ClassScanScheduler, BlockingPathsThrowScanTimedOutPastDeadline) {
-  const DatasetSpec spec = tiny_spec(4);
-  const Dataset probe = generate_dataset(spec, 32, 77);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 78);
+// Finalizing a class frees its task and clone at once: the clone bytes the
+// class registered with the process MemoryBudget drop by exactly one clone,
+// and the scan still reduces to the report detect() produces.
+TEST(StagedScan, FinalizeReleasesExactlyOneClone) {
+  const DatasetSpec spec = tiny_spec(3);
+  const Dataset probe = generate_dataset(spec, 24, 77);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 3, 78);
 
   ReverseOptConfig config;
   config.steps = 4;
-  NeuralCleanse nc(config);
-  ScanPlan plan = nc.plan();
-  plan.options.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  EXPECT_THROW((void)run_scan_plan(plan, victim, probe), ScanTimedOut);
+  const NeuralCleanse nc(config);
+  const DetectionReport direct = NeuralCleanse(config).detect(victim, probe);
 
-  plan.options.early_exit.enabled = true;
-  plan.options.early_exit.round_steps = 2;
-  EXPECT_THROW((void)run_scan_plan(plan, victim, probe), ScanTimedOut);
-
-  plan.options.early_exit.async = true;
-  EXPECT_THROW((void)run_scan_plan(plan, victim, probe), ScanTimedOut);
-
-  plan.options.deadline.reset();
-  plan.options.early_exit = EarlyExitOptions{};
-  const DetectionReport report = run_scan_plan(plan, victim, probe);
-  ASSERT_EQ(report.per_class.size(), 4U);
-  EXPECT_TRUE(report.complete());
-}
-
-// A deadline that is set but never hit is pure overhead (two steady_clock
-// reads per boundary) with zero numeric effect: the report stays
-// bit-identical to the no-deadline run.
-TEST(ClassScanScheduler, GenerousDeadlineIsBitIdenticalToNoDeadline) {
-  const DatasetSpec spec = tiny_spec(4);
-  const Dataset probe = generate_dataset(spec, 32, 79);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 80);
-
-  ReverseOptConfig config;
-  config.steps = 4;
-  NeuralCleanse nc(config);
-  const DetectionReport plain = run_scan_plan(nc.plan(), victim, probe);
-
-  ScanPlan deadlined = nc.plan();
-  deadlined.options.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
-  const DetectionReport report = run_scan_plan(deadlined, victim, probe);
-  expect_reports_identical(plain, report);
-  EXPECT_TRUE(report.complete());
-  EXPECT_TRUE(report.quarantined_classes().empty());
+  const MemoryBudget& budget = MemoryBudget::process();
+  const auto clone_bytes = [&budget] {
+    return budget.bytes(MemoryBudget::Category::kModelClones);
+  };
+  const std::int64_t one_clone = network_resident_bytes(victim);
+  ASSERT_GT(one_clone, 0);
+  const std::int64_t baseline = clone_bytes();
+  {
+    StagedScan scan(nc.plan(), victim, probe);
+    scan.prepare();
+    for (std::int64_t t = 0; t < 3; ++t) scan.construct_class(t);
+    EXPECT_EQ(clone_bytes(), baseline + 3 * one_clone);
+    for (std::int64_t t = 0; t < 3; ++t) {
+      while (scan.run_round(t)) {
+      }
+      scan.finalize_class(t);
+      EXPECT_EQ(clone_bytes(), baseline + (2 - t) * one_clone);
+    }
+    expect_reports_identical(direct, scan.take_report());
+  }
+  EXPECT_EQ(clone_bytes(), baseline);
 }
 
 }  // namespace
