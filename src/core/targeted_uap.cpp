@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "data/dataloader.h"
-#include "nn/prefix_cache.h"
 #include "tensor/tensor_ops.h"
 
 namespace usb {
@@ -82,15 +81,11 @@ UapScanPrefix build_uap_scan_prefix(Network& model, const Dataset& probe,
 
   // The exact input of every class's first DeepFool call: x + v with v = 0
   // (the clamp matters only if probe images stray outside [0,1]).
+  // Pixel-space perturbations depend on the input itself, so the whole
+  // clean forward is the shareable prefix.
   const Tensor zero(Shape{1, spec.channels, spec.image_size, spec.image_size});
-  std::vector<Batch> warm_batches(1);
-  warm_batches[0].images = add_uap(first.images, zero);
-
-  // Full-depth boundary: pixel-space perturbations depend on the input
-  // itself, so the whole clean forward is the shareable prefix.
-  const PrefixActivationCache clean(model, warm_batches);
-  prefix.clean_logits = clean.activation(0);
-  prefix.clean_preds = clean.predictions(0);
+  prefix.clean_logits = model.forward(add_uap(first.images, zero));
+  prefix.clean_preds = argmax_rows(prefix.clean_logits);
 
   // The class-independent backward (one-hot current predictions) and the K
   // class backwards, all over the one cached forward (backward is

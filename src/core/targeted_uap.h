@@ -47,11 +47,10 @@ struct TargetedUapResult {
 ///  - the v = 0 warm start for the FIRST craft batch: at (pass 0, batch 0)
 ///    the perturbation is still exactly zero for every class, so DeepFool's
 ///    first forward, its argmax predictions, the current-prediction backward
-///    and the per-class target backwards are computed once here (via the
-///    full-depth PrefixActivationCache boundary — for pixel-space
-///    perturbations the first perturbation-dependent point is the input
-///    itself, so the perturbation-independent prefix is the whole clean
-///    forward) instead of once per class.
+///    and the per-class target backwards are computed once here (for
+///    pixel-space perturbations the first perturbation-dependent point is
+///    the input itself, so the perturbation-independent prefix is the whole
+///    clean forward) instead of once per class.
 ///
 /// Bit-identical to the unshared path: clones share the reference weights,
 /// and eval-mode forward/backward are pure row-wise functions of

@@ -176,9 +176,8 @@ TriggerEstimate UsbDetector::reverse_engineer_class(
     Network& model, const Dataset& probe, std::int64_t target_class,
     const std::optional<Tensor>& precomputed_uap) {
   const ClassScanOptions options = plan().options;
-  ProbeBatchCache local;
-  const ProbeBatchCache* cache = select_scan_probe_cache(options, probe, local);
-  UsbRefineTask task(*this, model, probe, make_class_job(options, target_class, *cache),
+  const ProbeBatchCache cache(probe);
+  UsbRefineTask task(*this, model, probe, make_class_job(options, target_class, cache),
                      precomputed_uap);
   (void)task.run_steps(config_.refine_steps);
   return task.finalize();
@@ -190,7 +189,6 @@ ScanPlan UsbDetector::plan() const {
   scan.options.mad_threshold = config_.mad_threshold;
   scan.options.base_seed = config_.seed;
   scan.options.pool = config_.scan_pool;
-  scan.options.external_probe_cache = config_.shared_probe_cache;
   scan.options.early_exit = config_.early_exit;
   scan.total_steps = config_.refine_steps;
   scan.make_task = [this](Network& clone, const Dataset& data,

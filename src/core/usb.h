@@ -50,9 +50,6 @@ struct UsbConfig {
   /// DeepFool warm start) across the K class jobs of detect(). Reports are
   /// bit-identical on or off; off recomputes the prefix per class.
   bool share_prefix = true;
-  /// Prebuilt full-probe evaluation cache to reuse across detect() calls on
-  /// the same probe set (see ClassScanOptions::external_probe_cache).
-  const ProbeBatchCache* shared_probe_cache = nullptr;
   /// Early-exit round scheduling of the Alg. 2 refinement; bit-identical to
   /// the monolithic scan when disabled.
   EarlyExitOptions early_exit;

@@ -2,19 +2,11 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <utility>
 
 #include "data/synthetic.h"
 #include "utils/fault_injection.h"
-#include "utils/memory_budget.h"
 
 namespace usb {
-
-ProbeStore::~ProbeStore() {
-  if (resident_bytes_ > 0) {
-    MemoryBudget::process().release(MemoryBudget::Category::kProbeData, resident_bytes_);
-  }
-}
 
 std::string ProbeKey::address() const {
   // String concatenation, not a fixed buffer: the address is the store's
@@ -42,179 +34,17 @@ std::int64_t ProbeData::bytes() const noexcept {
   return total;
 }
 
-void ProbeStore::touch_locked(Entry& entry) {
-  lru_.splice(lru_.begin(), lru_, entry.lru_position);
-  entry.lru_position = lru_.begin();
-}
-
-void ProbeStore::evict_over_cap_locked() {
-  if (options_.max_bytes <= 0) return;
-  // Walk from the LRU tail, skipping pinned entries (use_count > 1 means a
-  // consumer outside the store still holds the materialization). If every
-  // resident entry is pinned the cap is transiently exceeded — correctness
-  // over strictness: evicting a pinned entry would only hide the memory,
-  // not reclaim it.
-  auto it = lru_.end();
-  while (resident_bytes_ > options_.max_bytes && it != lru_.begin()) {
-    --it;
-    const auto found = entries_.find(*it);
-    if (found == entries_.end()) continue;  // defensive; lru_ and map stay in sync
-    if (found->second.data.use_count() > 1) continue;  // pinned by a consumer
-    resident_bytes_ -= found->second.bytes;
-    MemoryBudget::process().release(MemoryBudget::Category::kProbeData, found->second.bytes);
-    ++evictions_;
-    it = lru_.erase(it);
-    entries_.erase(found);
-  }
-}
-
-std::shared_ptr<const ProbeData> ProbeStore::resolve_pending(
-    const std::string& address, const std::shared_ptr<Materialization>& cell,
-    std::shared_ptr<const ProbeData> data) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(address);
-    if (it != entries_.end() && it->second.pending == cell) {
-      it->second.pending.reset();
-      it->second.data = data;
-      it->second.bytes = data->bytes();
-      lru_.push_front(address);
-      it->second.lru_position = lru_.begin();
-      resident_bytes_ += it->second.bytes;
-      MemoryBudget::process().add(MemoryBudget::Category::kProbeData, it->second.bytes);
-      evict_over_cap_locked();
-    }
-    // else: clear() dropped the pending entry mid-build — hand the data to
-    // the waiters without re-inserting it.
-  }
-  cell->promise.set_value(data);
-  return data;
-}
-
-void ProbeStore::abandon_pending(const std::string& address,
-                                 const std::shared_ptr<Materialization>& cell) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(address);
-    if (it != entries_.end() && it->second.pending == cell) entries_.erase(it);
-  }
-  cell->promise.set_exception(std::current_exception());
-}
-
 std::shared_ptr<const ProbeData> ProbeStore::get_or_create(const ProbeKey& key) {
-  const std::string address = key.address();
-  std::shared_ptr<Materialization> cell;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const auto it = entries_.find(address);
-    if (it != entries_.end()) {
-      ++hits_;  // the map resolved the key — no second generation happens
-      if (it->second.data != nullptr) {
-        touch_locked(it->second);
-        return it->second.data;
-      }
-      // Another thread is materializing this key right now: wait on its
-      // cell OUTSIDE the lock so unrelated keys keep flowing.
-      const auto pending = it->second.pending;
-      lock.unlock();
-      return pending->future.get();  // rethrows the builder's failure
-    }
-    ++misses_;
-    cell = std::make_shared<Materialization>();
-    cell->future = cell->promise.get_future().share();
-    Entry entry;
-    entry.pending = cell;
-    entries_.emplace(address, std::move(entry));
-  }
-
-  // Generation runs unlocked: one cold key no longer convoys every
-  // concurrent lookup (and stat getter) behind dataset materialization.
-  try {
+  return KeyedStore::get_or_create(key.address(), [&key] {
     USB_FAULT_POINT("probe_store.materialize");
     auto data = std::make_shared<ProbeData>();
     data->key = key;
     // Identical to exp/model_zoo's make_probe(spec, probe_size, seed), which
     // data/ cannot call (layering); both are generate_dataset verbatim.
     data->probe = generate_dataset(key.spec, key.probe_size, key.seed);
-    data->cache = ProbeBatchCache(data->probe, options_.eval_batch_size);
-    return resolve_pending(address, cell, std::move(data));
-  } catch (...) {
-    abandon_pending(address, cell);
-    throw;
-  }
-}
-
-std::shared_ptr<const ProbeData> ProbeStore::put(const ProbeKey& key, Dataset probe) {
-  const std::string address = key.address();
-  std::shared_ptr<Materialization> cell;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const auto it = entries_.find(address);
-    if (it != entries_.end()) {
-      if (it->second.data != nullptr) {
-        touch_locked(it->second);
-        return it->second.data;
-      }
-      // First writer wins — and a concurrent get_or_create of the same key
-      // counts as that writer (equal keys mean equal data).
-      const auto pending = it->second.pending;
-      lock.unlock();
-      return pending->future.get();
-    }
-    cell = std::make_shared<Materialization>();
-    cell->future = cell->promise.get_future().share();
-    Entry entry;
-    entry.pending = cell;
-    entries_.emplace(address, std::move(entry));
-  }
-
-  // Batch-cache construction (the copy-heavy part) runs unlocked, same as
-  // get_or_create's generation.
-  try {
-    auto data = std::make_shared<ProbeData>();
-    data->key = key;
-    data->probe = std::move(probe);
-    data->cache = ProbeBatchCache(data->probe, options_.eval_batch_size);
-    return resolve_pending(address, cell, std::move(data));
-  } catch (...) {
-    abandon_pending(address, cell);
-    throw;
-  }
-}
-
-void ProbeStore::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  lru_.clear();
-  if (resident_bytes_ > 0) {
-    MemoryBudget::process().release(MemoryBudget::Category::kProbeData, resident_bytes_);
-  }
-  resident_bytes_ = 0;
-}
-
-std::int64_t ProbeStore::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<std::int64_t>(entries_.size());
-}
-
-std::int64_t ProbeStore::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::int64_t ProbeStore::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::int64_t ProbeStore::evictions() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
-}
-
-std::int64_t ProbeStore::bytes_resident() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return resident_bytes_;
+    data->cache = ProbeBatchCache(data->probe);
+    return data;
+  });
 }
 
 }  // namespace usb

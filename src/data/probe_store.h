@@ -11,29 +11,19 @@
 // shared it across the three detectors, but rebuilt the probe for every
 // (case, model) pair even when the coordinates matched.
 //
-// Entries are shared_ptr<const ProbeData>; consumers hold the pointer for
-// as long as they need the batches (a scan in flight keeps its probe alive
-// even if the store is cleared concurrently). All methods are thread-safe.
-//
-// Eviction: long-lived services accumulate probe materializations forever
-// by default. ProbeStoreOptions::max_bytes caps the RESIDENT bytes
-// (dataset + batch cache) with least-recently-used eviction; an entry whose
-// shared_ptr is still held outside the store (a scan in flight) is pinned
-// and skipped, so the cap can be transiently exceeded while every resident
-// entry is in use. Evicted keys regenerate on their next get_or_create
-// (counted as a miss).
+// The sharing, pinning, LRU-by-bytes eviction and MemoryBudget accounting
+// (category kProbeData) are KeyedStore's (utils/keyed_store.h); this
+// adapter supplies the key (ProbeKey::address()), the value (ProbeData) and
+// the loader (generate_dataset + ProbeBatchCache).
 #pragma once
 
 #include <cstdint>
-#include <future>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "data/dataset.h"
 #include "data/probe_cache.h"
+#include "utils/keyed_store.h"
 
 namespace usb {
 
@@ -69,98 +59,28 @@ struct ProbeData {
 };
 
 struct ProbeStoreOptions {
-  /// Batching of every entry's ProbeBatchCache; matches
-  /// ClassScanOptions::eval_batch_size (128) by default so the scheduler
-  /// adopts the shared cache instead of rebuilding its own.
-  std::int64_t eval_batch_size = 128;
   /// LRU-by-bytes cap on resident materializations; 0 (default) disables
   /// eviction. Entries held by in-flight consumers are pinned.
   std::int64_t max_bytes = 0;
 };
 
-class ProbeStore {
+class ProbeStore : private KeyedStore<ProbeData> {
  public:
-  explicit ProbeStore(ProbeStoreOptions options) : options_(options) {}
-  explicit ProbeStore(std::int64_t eval_batch_size = 128)
-      : ProbeStore(ProbeStoreOptions{eval_batch_size, 0}) {}
-  /// Releases the store's resident bytes from the process MemoryBudget
-  /// (resident entries register there as MemoryBudget::Category::kProbeData
-  /// — see utils/memory_budget.h).
-  ~ProbeStore();
-
-  ProbeStore(const ProbeStore&) = delete;
-  ProbeStore& operator=(const ProbeStore&) = delete;
+  explicit ProbeStore(ProbeStoreOptions options = {})
+      : KeyedStore(MemoryBudget::Category::kProbeData, options.max_bytes) {}
 
   /// Returns the shared materialization for `key`, generating it on first
   /// use; the result is identical to make_probe(spec, probe_size, seed) +
-  /// ProbeBatchCache(probe). Generation happens OUTSIDE the store lock: a
-  /// cold-key miss publishes a per-entry pending cell under the lock, then
-  /// materializes unlocked, so concurrent lookups of other keys (and the
-  /// stat getters) never convoy behind dataset generation. Concurrent
-  /// requests for the same cold key still share one materialization — the
-  /// first caller generates (one miss), later ones wait on the cell's
-  /// future (each a hit: the map already resolved their key).
+  /// ProbeBatchCache(probe).
   [[nodiscard]] std::shared_ptr<const ProbeData> get_or_create(const ProbeKey& key);
 
-  /// Registers an externally built probe under its key (e.g. a real-data
-  /// probe the synthetic generator cannot reproduce). Returns the stored
-  /// entry; a prior entry for the key wins (first writer, matching the
-  /// content-addressing contract — equal keys must mean equal data).
-  [[nodiscard]] std::shared_ptr<const ProbeData> put(const ProbeKey& key, Dataset probe);
-
-  /// Drops the store's references. In-flight consumers keep their entries
-  /// alive through their own shared_ptrs.
-  void clear();
-
-  [[nodiscard]] std::int64_t size() const;
-  [[nodiscard]] std::int64_t hits() const;       // lookups served from the map
-  [[nodiscard]] std::int64_t misses() const;     // lookups that generated
-  [[nodiscard]] std::int64_t evictions() const;  // entries dropped by the cap
-  [[nodiscard]] std::int64_t bytes_resident() const;
-  [[nodiscard]] std::int64_t eval_batch_size() const noexcept {
-    return options_.eval_batch_size;
-  }
-  [[nodiscard]] std::int64_t max_bytes() const noexcept { return options_.max_bytes; }
-
- private:
-  /// One in-flight materialization: the building thread fulfills the
-  /// promise (value or exception) after releasing the store lock; every
-  /// concurrent same-key caller waits on a copy of the shared_future.
-  struct Materialization {
-    std::promise<std::shared_ptr<const ProbeData>> promise;
-    std::shared_future<std::shared_ptr<const ProbeData>> future;
-  };
-
-  struct Entry {
-    std::shared_ptr<const ProbeData> data;  // null while materializing
-    std::int64_t bytes = 0;
-    /// Valid only once `data` is set; pending entries are not in lru_ (and
-    /// contribute no resident bytes), so eviction never sees them.
-    std::list<std::string>::iterator lru_position;
-    std::shared_ptr<Materialization> pending;  // non-null while materializing
-  };
-
-  /// Publishes a finished materialization: if the entry still holds `cell`
-  /// (clear() may have dropped it mid-build) the entry becomes resident
-  /// (LRU front, bytes accounted, over-cap tails evicted); either way every
-  /// waiter on the cell receives `data`.
-  std::shared_ptr<const ProbeData> resolve_pending(const std::string& address,
-                                                   const std::shared_ptr<Materialization>& cell,
-                                                   std::shared_ptr<const ProbeData> data);
-  /// Drops a pending entry whose build threw and forwards the exception to
-  /// the waiters.
-  void abandon_pending(const std::string& address, const std::shared_ptr<Materialization>& cell);
-  void evict_over_cap_locked();
-  void touch_locked(Entry& entry);
-
-  ProbeStoreOptions options_;
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  // front = most recently used
-  std::int64_t resident_bytes_ = 0;
-  std::int64_t hits_ = 0;
-  std::int64_t misses_ = 0;
-  std::int64_t evictions_ = 0;
+  using KeyedStore::bytes_resident;
+  using KeyedStore::clear;
+  using KeyedStore::evictions;
+  using KeyedStore::hits;
+  using KeyedStore::max_bytes;
+  using KeyedStore::misses;
+  using KeyedStore::size;
 };
 
 }  // namespace usb

@@ -26,11 +26,11 @@ double early_exit_cutoff(std::span<const double> norms, double margin) {
 const ProbeBatchCache* select_scan_probe_cache(const ClassScanOptions& options,
                                                const Dataset& probe, ProbeBatchCache& local) {
   if (options.external_probe_cache != nullptr &&
-      options.external_probe_cache->batch_size() == options.eval_batch_size &&
+      options.external_probe_cache->batch_size() == kEvalBatchSize &&
       options.external_probe_cache->total_samples() == probe.size()) {
     return options.external_probe_cache;
   }
-  local = ProbeBatchCache(probe, options.eval_batch_size);
+  local = ProbeBatchCache(probe);
   return &local;
 }
 

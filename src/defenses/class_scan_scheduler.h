@@ -14,9 +14,9 @@
 //    from (base_seed, class), never from thread ids or schedule order;
 //  - shared probe batches: the fooling-rate evaluation batches over the full
 //    probe set are materialized once and shared read-only by all K jobs.
-//    Callers that scan the same probe repeatedly (the experiment harness
-//    runs three detectors per model) can inject a prebuilt cache via
-//    ClassScanOptions::external_probe_cache;
+//    DetectionService injects its ProbeStore entry's batches via
+//    ClassScanOptions::external_probe_cache, so every scan naming the same
+//    probe key shares one materialization;
 //  - shared scan prefix: detectors may attach arbitrary class-independent
 //    state (USB: the Alg. 1 craft batches and the v = 0 DeepFool warm
 //    start) built once on the reference model before the fan-out, shared
@@ -148,15 +148,13 @@ struct ClassScanOptions {
   double mad_threshold = 2.0;
   /// Root seed for the per-class RNG streams (typically the detector seed).
   std::uint64_t base_seed = 0;
-  /// Batch size of the shared fooling-rate evaluation batches.
-  std::int64_t eval_batch_size = 128;
   /// Pool override for tests/benches; nullptr means ThreadPool::global().
   ThreadPool* pool = nullptr;
   /// Prebuilt probe cache to reuse across scans of the same probe set (the
-  /// experiment harness shares one per model across detectors). Used only
-  /// when its batch size matches eval_batch_size and its sample count
-  /// matches the probe (else the scan silently builds its own); it must be
-  /// built from the SAME probe set and outlive the scan.
+  /// service sets its ProbeStore entry's). Used only when it is batched at
+  /// kEvalBatchSize and its sample count matches the probe (else the scan
+  /// silently builds its own); it must be built from the SAME probe set and
+  /// outlive the scan.
   const ProbeBatchCache* external_probe_cache = nullptr;
   EarlyExitOptions early_exit;
   /// Per-class progress notifications; null disables them. Carries no
@@ -184,9 +182,9 @@ struct ClassScanOptions {
 [[nodiscard]] double early_exit_cutoff(std::span<const double> norms, double margin);
 
 /// The probe cache a scan actually uses: the injected
-/// options.external_probe_cache when its batching AND sample count match
-/// this probe (the bit-identity preconditions — a cache built from a
-/// different probe set of the same size is still the caller's
+/// options.external_probe_cache when its batching (kEvalBatchSize) AND
+/// sample count match this probe (the bit-identity preconditions — a cache
+/// built from a different probe set of the same size is still the caller's
 /// responsibility), else a build into `local`. The cache holds a transient
 /// copy of the probe set — cheap at this repo's probe scale (<=500 small
 /// images).

@@ -105,9 +105,8 @@ class NcRefineTask final : public ClassRefineTask {
 TriggerEstimate NeuralCleanse::reverse_engineer_class(Network& model, const Dataset& probe,
                                                       std::int64_t target_class) {
   const ClassScanOptions options = plan().options;
-  ProbeBatchCache local;
-  const ProbeBatchCache* cache = select_scan_probe_cache(options, probe, local);
-  NcRefineTask task(config_, model, probe, make_class_job(options, target_class, *cache));
+  const ProbeBatchCache cache(probe);
+  NcRefineTask task(config_, model, probe, make_class_job(options, target_class, cache));
   (void)task.run_steps(config_.steps);
   return task.finalize();
 }
@@ -118,7 +117,6 @@ ScanPlan NeuralCleanse::plan() const {
   scan.options.mad_threshold = config_.mad_threshold;
   scan.options.base_seed = config_.seed;
   scan.options.pool = config_.scan_pool;
-  scan.options.external_probe_cache = config_.shared_probe_cache;
   scan.options.early_exit = config_.early_exit;
   scan.total_steps = config_.steps;
   scan.make_task = [this](Network& clone, const Dataset& data,

@@ -27,9 +27,6 @@ struct ReverseOptConfig {
   /// Scan-pool override for tests/benches; nullptr means the global pool
   /// (sized from USB_THREADS).
   ThreadPool* scan_pool = nullptr;
-  /// Prebuilt full-probe evaluation cache to reuse across detect() calls on
-  /// the same probe set (see ClassScanOptions::external_probe_cache).
-  const ProbeBatchCache* shared_probe_cache = nullptr;
   /// Early-exit round scheduling of the optimization loop; bit-identical to
   /// the monolithic scan when disabled.
   EarlyExitOptions early_exit;

@@ -202,9 +202,8 @@ class TaborRefineTask final : public ClassRefineTask {
 TriggerEstimate Tabor::reverse_engineer_class(Network& model, const Dataset& probe,
                                               std::int64_t target_class) {
   const ClassScanOptions options = plan().options;
-  ProbeBatchCache local;
-  const ProbeBatchCache* cache = select_scan_probe_cache(options, probe, local);
-  TaborRefineTask task(config_, model, probe, make_class_job(options, target_class, *cache));
+  const ProbeBatchCache cache(probe);
+  TaborRefineTask task(config_, model, probe, make_class_job(options, target_class, cache));
   (void)task.run_steps(config_.base.steps);
   return task.finalize();
 }
@@ -215,7 +214,6 @@ ScanPlan Tabor::plan() const {
   scan.options.mad_threshold = config_.base.mad_threshold;
   scan.options.base_seed = config_.base.seed;
   scan.options.pool = config_.base.scan_pool;
-  scan.options.external_probe_cache = config_.base.shared_probe_cache;
   scan.options.early_exit = config_.base.early_exit;
   scan.total_steps = config_.base.steps;
   scan.make_task = [this](Network& clone, const Dataset& data,

@@ -37,26 +37,22 @@ MethodBudget MethodBudget::from_scale(const ExperimentScale& scale) {
   return budget;
 }
 
-DetectorPtr make_detector(MethodKind method, const MethodBudget& budget,
-                          const ProbeBatchCache* shared_probe) {
+DetectorPtr make_detector(MethodKind method, const MethodBudget& budget) {
   switch (method) {
     case MethodKind::kNc: {
       ReverseOptConfig config;
       config.steps = budget.nc_steps;
-      config.shared_probe_cache = shared_probe;
       return std::make_unique<NeuralCleanse>(config);
     }
     case MethodKind::kTabor: {
       TaborConfig config;
       config.base.steps = budget.tabor_steps;
-      config.base.shared_probe_cache = shared_probe;
       return std::make_unique<Tabor>(config);
     }
     case MethodKind::kUsb: {
       UsbConfig config;
       config.refine_steps = budget.usb_refine_steps;
       config.uap.max_passes = budget.uap_max_passes;
-      config.shared_probe_cache = shared_probe;
       return std::make_unique<UsbDetector>(config);
     }
   }

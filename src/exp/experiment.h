@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "data/probe_cache.h"
 #include "defenses/detector.h"
 #include "exp/model_zoo.h"
 #include "metrics/detection.h"
@@ -58,15 +57,8 @@ struct DetectionCaseResult {
   std::vector<MethodRow> methods;
 };
 
-/// Builds a detector of the given kind under the given budget. When
-/// `shared_probe` is given it is injected as the detector's prebuilt
-/// full-probe evaluation cache (ClassScanOptions::external_probe_cache); it
-/// must outlive the detector and be batched at the scan's eval batch size
-/// (128). The harness itself no longer passes one — scans submitted through
-/// DetectionService get their cache from the service's ProbeStore — but
-/// direct detect() callers still can.
-[[nodiscard]] DetectorPtr make_detector(MethodKind method, const MethodBudget& budget,
-                                        const ProbeBatchCache* shared_probe = nullptr);
+/// Builds a detector of the given kind under the given budget.
+[[nodiscard]] DetectorPtr make_detector(MethodKind method, const MethodBudget& budget);
 
 /// Trains/loads `scale.models_per_case` models for the case, then submits
 /// every (model x method) scan to a DetectionService at once — scans of one

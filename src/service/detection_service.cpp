@@ -382,40 +382,35 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     failed_ = true;
   }
 
-  void stage_init() {
-    // Resolve a content-addressed probe NOW, not at submit(): a scan shed
-    // or cancelled while queued never materializes anything, and a
-    // materialization failure is a retryable stage fault like any other.
-    // Unrecognized failures are wrapped TRANSIENT — regeneration from the
-    // deterministic key is exactly the retry the store supports.
-    if (state_->probe_key.has_value() && state_->stored_probe == nullptr) {
-      try {
-        state_->stored_probe = service_->probe_store_.get_or_create(*state_->probe_key);
-      } catch (const ScanError&) {
-        throw;  // explicit classification wins (TransientError included)
-      } catch (const fault::InjectedFault&) {
-        throw;  // already classified transient by run_stage
-      } catch (const std::exception& error) {
-        throw TransientError(std::string("probe materialization failed: ") + error.what());
-      }
+  /// Resolves a store entry (a content-addressed probe or a ref-named
+  /// model) NOW, not at submit(): a scan shed or cancelled while queued
+  /// never materializes anything, and the returned shared_ptr pins the
+  /// entry until finish(). Unrecognized failures are wrapped TRANSIENT —
+  /// regenerating from a deterministic key, or re-reading after a flaky
+  /// filesystem read or an allocation failure under load, is exactly what
+  /// the retry layer exists for; a truly corrupt checkpoint exhausts the
+  /// budget and fails the scan with the loader's path-carrying message.
+  template <typename Store, typename Key>
+  static auto resolve(Store& store, const Key& key, const char* failure) {
+    try {
+      return store.get_or_create(key);
+    } catch (const ScanError&) {
+      throw;  // explicit classification wins (TransientError included)
+    } catch (const fault::InjectedFault&) {
+      throw;  // already classified transient by run_stage
+    } catch (const std::exception& error) {
+      throw TransientError(std::string(failure) + error.what());
     }
-    // Same deferred discipline for a ref-named model: the resident instance
-    // is resolved (loaded on a cold key, shared on a warm one) here, never
-    // at submit(), and the shared_ptr pins the store entry until finish().
-    // Load failures are wrapped TRANSIENT — a flaky filesystem read or an
-    // allocation failure under load is exactly what the retry layer exists
-    // for; a truly corrupt checkpoint exhausts the budget and fails the scan
-    // with the loader's path-carrying message.
+  }
+
+  void stage_init() {
+    if (state_->probe_key.has_value() && state_->stored_probe == nullptr) {
+      state_->stored_probe = resolve(service_->probe_store_, *state_->probe_key,
+                                     "probe materialization failed: ");
+    }
     if (state_->model_ref.has_value() && state_->stored_model == nullptr) {
-      try {
-        state_->stored_model = service_->model_store_.get_or_create(*state_->model_ref);
-      } catch (const ScanError&) {
-        throw;
-      } catch (const fault::InjectedFault&) {
-        throw;
-      } catch (const std::exception& error) {
-        throw TransientError(std::string("model load failed: ") + error.what());
-      }
+      state_->stored_model =
+          resolve(service_->model_store_, *state_->model_ref, "model load failed: ");
     }
     // The detector's own plan, with the service's session state wired in.
     // None of the overrides has a numeric effect (cache adoption is
@@ -641,7 +636,7 @@ bool ScanHandle::cancel() const {
 DetectionService::DetectionService(DetectionServiceConfig config)
     : config_(config),
       scan_pool_(resolve_scan_threads(config.scan_threads)),
-      probe_store_(ProbeStoreOptions{config.eval_batch_size, config.probe_store_max_bytes}),
+      probe_store_(ProbeStoreOptions{config.probe_store_max_bytes}),
       model_store_(ModelStoreOptions{config.model_store_max_bytes}),
       scheduler_(RoundScheduler::Config{resolve_dispatchers(config), &scan_pool_}) {
   if (config_.stuck_item_seconds > 0) {

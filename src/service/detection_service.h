@@ -276,9 +276,6 @@ struct DetectionServiceConfig {
   /// A single dispatcher still interleaves rounds of every admitted scan
   /// fairly — that is the point of the global queue.
   int round_dispatchers = 0;
-  /// Batching of ProbeStore entries; 128 matches the scheduler default so
-  /// shared caches are adopted instead of rebuilt.
-  std::int64_t eval_batch_size = 128;
   /// Admission control: maximum requests pending (submitted, not yet
   /// admitted to the scheduler). Every queued request holds a model clone,
   /// so a deep backlog holds one clone per request unboundedly — the cap

@@ -5,7 +5,6 @@
 
 #include "nn/checkpoint.h"
 #include "utils/fault_injection.h"
-#include "utils/memory_budget.h"
 
 namespace usb {
 
@@ -14,95 +13,7 @@ std::string ModelRef::key() const {
   return "ckpt:" + checkpoint_path;
 }
 
-ModelStore::~ModelStore() {
-  if (resident_bytes_ > 0) {
-    MemoryBudget::process().release(MemoryBudget::Category::kResidentModels, resident_bytes_);
-  }
-}
-
-void ModelStore::touch_locked(Entry& entry) {
-  lru_.splice(lru_.begin(), lru_, entry.lru_position);
-  entry.lru_position = lru_.begin();
-}
-
-void ModelStore::evict_over_cap_locked() {
-  if (options_.max_bytes <= 0) return;
-  // Walk from the LRU tail, skipping pinned entries (use_count > 1 means a
-  // scan outside the store still holds the model). If every resident entry
-  // is pinned the cap is transiently exceeded — evicting a pinned model
-  // would only hide the memory, not reclaim it, and would strand the next
-  // same-key request on a reload while the bytes are still live.
-  auto it = lru_.end();
-  while (resident_bytes_ > options_.max_bytes && it != lru_.begin()) {
-    --it;
-    const auto found = entries_.find(*it);
-    if (found == entries_.end()) continue;  // defensive; lru_ and map stay in sync
-    if (found->second.data.use_count() > 1) continue;  // pinned by a scan
-    resident_bytes_ -= found->second.bytes;
-    MemoryBudget::process().release(MemoryBudget::Category::kResidentModels, found->second.bytes);
-    ++evictions_;
-    it = lru_.erase(it);
-    entries_.erase(found);
-  }
-}
-
-std::shared_ptr<const ModelData> ModelStore::lookup_or_claim(
-    const std::string& key, std::shared_ptr<Materialization>& cell) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    ++hits_;  // the map resolved the key — no second load happens
-    if (it->second.data != nullptr) {
-      touch_locked(it->second);
-      return it->second.data;
-    }
-    // Another thread is loading this key right now: wait on its cell
-    // OUTSIDE the lock so unrelated keys keep flowing.
-    const auto pending = it->second.pending;
-    lock.unlock();
-    return pending->future.get();  // rethrows the loader's failure
-  }
-  ++misses_;
-  cell = std::make_shared<Materialization>();
-  cell->future = cell->promise.get_future().share();
-  Entry entry;
-  entry.pending = cell;
-  entries_.emplace(key, std::move(entry));
-  return nullptr;
-}
-
-std::shared_ptr<const ModelData> ModelStore::resolve_pending(
-    const std::string& key, const std::shared_ptr<Materialization>& cell,
-    std::shared_ptr<const ModelData> data) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.pending == cell) {
-      it->second.pending.reset();
-      it->second.data = data;
-      it->second.bytes = data->bytes;
-      lru_.push_front(key);
-      it->second.lru_position = lru_.begin();
-      resident_bytes_ += it->second.bytes;
-      MemoryBudget::process().add(MemoryBudget::Category::kResidentModels, it->second.bytes);
-      evict_over_cap_locked();
-    }
-    // else: clear() dropped the pending entry mid-load — hand the model to
-    // the waiters without re-inserting it.
-  }
-  cell->promise.set_value(data);
-  return data;
-}
-
-void ModelStore::abandon_pending(const std::string& key,
-                                 const std::shared_ptr<Materialization>& cell) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.pending == cell) entries_.erase(it);
-  }
-  cell->promise.set_exception(std::current_exception());
-}
+std::int64_t ModelData::bytes() const { return network_resident_bytes(network); }
 
 std::shared_ptr<const ModelData> ModelStore::get_or_create(const ModelRef& ref) {
   if (!ref.valid()) {
@@ -110,12 +21,7 @@ std::shared_ptr<const ModelData> ModelStore::get_or_create(const ModelRef& ref) 
         "ModelRef: exactly one of checkpoint_path / zoo spec must be set");
   }
   const std::string key = ref.key();
-  std::shared_ptr<Materialization> cell;
-  if (auto existing = lookup_or_claim(key, cell)) return existing;
-
-  // The load runs unlocked: checkpoint I/O (or zoo training, which can take
-  // seconds) must not convoy every concurrent lookup behind it.
-  try {
+  return KeyedStore::get_or_create(key, [&ref, &key] {
     USB_FAULT_POINT("model_store.load");
     Network network = ref.zoo.has_value() ? std::move(train_or_load(*ref.zoo).network)
                                           : load_checkpoint(ref.checkpoint_path);
@@ -123,68 +29,8 @@ std::shared_ptr<const ModelData> ModelStore::get_or_create(const ModelRef& ref) 
     // mode + no parameter grads is the honest frozen-model state and what
     // every clone inherits anyway.
     network.set_training(false);
-    auto data = std::make_shared<ModelData>(key, std::move(network));
-    data->bytes = network_resident_bytes(data->network);
-    return resolve_pending(key, cell, std::move(data));
-  } catch (...) {
-    abandon_pending(key, cell);
-    throw;
-  }
-}
-
-std::shared_ptr<const ModelData> ModelStore::put(const ModelRef& ref, Network network) {
-  if (!ref.valid()) {
-    throw std::invalid_argument(
-        "ModelRef: exactly one of checkpoint_path / zoo spec must be set");
-  }
-  const std::string key = ref.key();
-  std::shared_ptr<Materialization> cell;
-  if (auto existing = lookup_or_claim(key, cell)) return existing;
-
-  try {
-    network.set_training(false);
-    auto data = std::make_shared<ModelData>(key, std::move(network));
-    data->bytes = network_resident_bytes(data->network);
-    return resolve_pending(key, cell, std::move(data));
-  } catch (...) {
-    abandon_pending(key, cell);
-    throw;
-  }
-}
-
-void ModelStore::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  lru_.clear();
-  if (resident_bytes_ > 0) {
-    MemoryBudget::process().release(MemoryBudget::Category::kResidentModels, resident_bytes_);
-  }
-  resident_bytes_ = 0;
-}
-
-std::int64_t ModelStore::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<std::int64_t>(entries_.size());
-}
-
-std::int64_t ModelStore::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::int64_t ModelStore::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::int64_t ModelStore::evictions() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
-}
-
-std::int64_t ModelStore::bytes_resident() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return resident_bytes_;
+    return std::make_shared<ModelData>(key, std::move(network));
+  });
 }
 
 }  // namespace usb

@@ -15,30 +15,21 @@
 // pointer: forward is a pure function of (weights, input) and clones copy
 // every state tensor.
 //
-// The store mirrors ProbeStore's design decisions one for one:
-//  - per-key materialization cells: N cold-key racers do ONE load; loading
-//    (checkpoint I/O or zoo training) happens OUTSIDE the store lock;
-//  - entries are shared_ptr<const ModelData>; a consumer holding the
-//    pointer (a scan in flight) PINS the entry — LRU-by-bytes eviction
-//    (ModelStoreOptions::max_bytes) skips pinned entries, so the cap can be
-//    transiently exceeded but an in-scan model is never dropped;
-//  - resident bytes register with MemoryBudget::Category::kResidentModels
-//    and return to baseline when entries are evicted/cleared/destroyed;
-//  - hit/miss/eviction counters with the same semantics (a racer waiting on
-//    a cell counts as a hit: the map resolved its key).
+// The sharing, pinning, LRU-by-bytes eviction and MemoryBudget accounting
+// (category kResidentModels) are KeyedStore's (utils/keyed_store.h), the
+// same implementation ProbeStore adapts; this adapter supplies the key
+// (ModelRef::key()), the value (ModelData) and the loader (load_checkpoint
+// or train_or_load).
 #pragma once
 
 #include <cstdint>
-#include <future>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "exp/model_zoo.h"
 #include "nn/models.h"
+#include "utils/keyed_store.h"
 
 namespace usb {
 
@@ -77,11 +68,12 @@ struct ModelRef {
 struct ModelData {
   std::string key;
   Network network;
-  /// network_resident_bytes at load; the unit of max_bytes accounting.
-  std::int64_t bytes = 0;
 
   ModelData(std::string store_key, Network net)
       : key(std::move(store_key)), network(std::move(net)) {}
+
+  /// network_resident_bytes; the unit of max_bytes accounting.
+  [[nodiscard]] std::int64_t bytes() const;
 };
 
 struct ModelStoreOptions {
@@ -90,75 +82,24 @@ struct ModelStoreOptions {
   std::int64_t max_bytes = 0;
 };
 
-class ModelStore {
+class ModelStore : private KeyedStore<ModelData> {
  public:
-  explicit ModelStore(ModelStoreOptions options = {}) : options_(options) {}
-  /// Releases the store's resident bytes from the process MemoryBudget.
-  ~ModelStore();
-
-  ModelStore(const ModelStore&) = delete;
-  ModelStore& operator=(const ModelStore&) = delete;
+  explicit ModelStore(ModelStoreOptions options = {})
+      : KeyedStore(MemoryBudget::Category::kResidentModels, options.max_bytes) {}
 
   /// Returns the shared resident model for `ref`, loading it on first use
   /// (load_checkpoint for the checkpoint form, train_or_load for the zoo
-  /// form). Loading happens OUTSIDE the store lock behind a per-key
-  /// materialization cell: concurrent requests for the same cold key share
-  /// one load (first caller loads and counts the miss; later ones wait on
-  /// the cell's future and count hits), and lookups of other keys never
-  /// convoy behind a load. Throws std::invalid_argument on an invalid ref;
-  /// load failures propagate (and reach every waiter on the cell).
+  /// form). Throws std::invalid_argument on an invalid ref; load failures
+  /// propagate (and reach every waiter on the key).
   [[nodiscard]] std::shared_ptr<const ModelData> get_or_create(const ModelRef& ref);
 
-  /// Registers an externally held network under `ref`'s key (e.g. a model
-  /// the caller just trained and wants served without a checkpoint round
-  /// trip). First writer wins, matching the key-addressing contract.
-  [[nodiscard]] std::shared_ptr<const ModelData> put(const ModelRef& ref, Network network);
-
-  /// Drops the store's references; in-flight consumers keep their entries
-  /// alive (and their bytes budgeted against kResidentModels is released
-  /// here — the consumer's pin is not the store's accounting).
-  void clear();
-
-  [[nodiscard]] std::int64_t size() const;
-  [[nodiscard]] std::int64_t hits() const;       // lookups served from the map
-  [[nodiscard]] std::int64_t misses() const;     // lookups that loaded
-  [[nodiscard]] std::int64_t evictions() const;  // entries dropped by the cap
-  [[nodiscard]] std::int64_t bytes_resident() const;
-  [[nodiscard]] std::int64_t max_bytes() const noexcept { return options_.max_bytes; }
-
- private:
-  /// One in-flight load; same shape as ProbeStore::Materialization.
-  struct Materialization {
-    std::promise<std::shared_ptr<const ModelData>> promise;
-    std::shared_future<std::shared_ptr<const ModelData>> future;
-  };
-
-  struct Entry {
-    std::shared_ptr<const ModelData> data;  // null while loading
-    std::int64_t bytes = 0;
-    std::list<std::string>::iterator lru_position;  // valid once data is set
-    std::shared_ptr<Materialization> pending;       // non-null while loading
-  };
-
-  /// Claims the key's cell (or returns the existing data / pending future's
-  /// result). Returns nullptr in `out` when the caller must load.
-  std::shared_ptr<const ModelData> lookup_or_claim(const std::string& key,
-                                                   std::shared_ptr<Materialization>& cell);
-  std::shared_ptr<const ModelData> resolve_pending(const std::string& key,
-                                                   const std::shared_ptr<Materialization>& cell,
-                                                   std::shared_ptr<const ModelData> data);
-  void abandon_pending(const std::string& key, const std::shared_ptr<Materialization>& cell);
-  void evict_over_cap_locked();
-  void touch_locked(Entry& entry);
-
-  ModelStoreOptions options_;
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  // front = most recently used
-  std::int64_t resident_bytes_ = 0;
-  std::int64_t hits_ = 0;
-  std::int64_t misses_ = 0;
-  std::int64_t evictions_ = 0;
+  using KeyedStore::bytes_resident;
+  using KeyedStore::clear;
+  using KeyedStore::evictions;
+  using KeyedStore::hits;
+  using KeyedStore::max_bytes;
+  using KeyedStore::misses;
+  using KeyedStore::size;
 };
 
 }  // namespace usb

@@ -1,11 +1,11 @@
 // Process-wide accounting of the large allocations the serving stack holds.
 //
 // Every subsystem that pins multi-megabyte buffers registers them here:
-// ProbeStore resident datasets, the per-request model clones made at
-// submit() and per class by StagedScan, ModelStore's shared resident
-// networks, and TensorArena slot storage. The
-// budget is pure bookkeeping — it never allocates, frees, or refuses
-// anything itself. DetectionService reads it to drive policy:
+// the resident entries of both keyed stores (ProbeStore datasets and
+// ModelStore networks, through utils/keyed_store.h), the per-request model
+// clones made at submit() and per class by StagedScan, and TensorArena slot
+// storage. The budget is pure bookkeeping — it never allocates, frees, or
+// refuses anything itself. DetectionService reads it to drive policy:
 // DetectionServiceConfig::max_resident_bytes turns the total into a shed
 // watermark for queued scans and into byte backpressure for kBlock
 // admission.

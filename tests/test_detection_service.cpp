@@ -26,6 +26,8 @@
 #include "defenses/neural_cleanse.h"
 #include "nn/models.h"
 #include "service/detection_service.h"
+#include "utils/fault_injection.h"
+#include "utils/memory_budget.h"
 
 namespace usb {
 namespace {
@@ -421,8 +423,8 @@ TEST(ProbeStore, EvictsLeastRecentlyUsedWhenOverByteCap) {
   const ProbeKey key_c{spec, 32, 203};
 
   // Size the cap from a real entry: room for two, not three.
-  const std::int64_t entry_bytes = ProbeStore(128).get_or_create(key_a)->bytes();
-  ProbeStore store(ProbeStoreOptions{128, 2 * entry_bytes});
+  const std::int64_t entry_bytes = ProbeStore().get_or_create(key_a)->bytes();
+  ProbeStore store(ProbeStoreOptions{2 * entry_bytes});
 
   (void)store.get_or_create(key_a);
   (void)store.get_or_create(key_b);
@@ -452,8 +454,8 @@ TEST(ProbeStore, PinnedEntriesSurviveEviction) {
   const ProbeKey key_b{spec, 32, 212};
   const ProbeKey key_c{spec, 32, 213};
 
-  const std::int64_t entry_bytes = ProbeStore(128).get_or_create(key_a)->bytes();
-  ProbeStore store(ProbeStoreOptions{128, 2 * entry_bytes});
+  const std::int64_t entry_bytes = ProbeStore().get_or_create(key_a)->bytes();
+  ProbeStore store(ProbeStoreOptions{2 * entry_bytes});
 
   // Hold A (the would-be LRU victim) like an in-flight scan would.
   const std::shared_ptr<const ProbeData> pinned_a = store.get_or_create(key_a);
@@ -471,6 +473,61 @@ TEST(ProbeStore, PinnedEntriesSurviveEviction) {
   const std::int64_t misses_before = store.misses();
   (void)store.get_or_create(key_a);  // pinned entry still resident
   EXPECT_EQ(store.misses(), misses_before);
+}
+
+// Pins only defer eviction: once they drop, the next lookup — a hit
+// included — trims the store back under its cap, and the kProbeData budget
+// (the shed watermark and byte backpressure read it) follows. The entry
+// being handed out counts as pinned, so the hit evicts the other one.
+TEST(ProbeStore, OverCapStoreTrimsOnceUnpinned) {
+  const DatasetSpec spec = tiny_spec(4);
+  const ProbeKey key_a{spec, 32, 215};
+  const ProbeKey key_b{spec, 32, 216};
+  const std::int64_t entry_bytes = ProbeStore().get_or_create(key_a)->bytes();
+  const MemoryBudget& budget = MemoryBudget::process();
+  const std::int64_t baseline = budget.bytes(MemoryBudget::Category::kProbeData);
+
+  ProbeStore store(ProbeStoreOptions{entry_bytes});  // room for one entry
+  {
+    const std::shared_ptr<const ProbeData> pinned_a = store.get_or_create(key_a);
+    const std::shared_ptr<const ProbeData> pinned_b = store.get_or_create(key_b);
+    EXPECT_EQ(store.size(), 2);  // both pinned: over cap, nothing evictable
+  }
+  for (int i = 0; i < 3; ++i) (void)store.get_or_create(key_a);
+  EXPECT_EQ(store.size(), 1);
+  EXPECT_EQ(store.bytes_resident(), entry_bytes);
+  EXPECT_EQ(store.evictions(), 1);
+  EXPECT_EQ(budget.bytes(MemoryBudget::Category::kProbeData) - baseline, entry_bytes);
+  EXPECT_EQ(store.misses(), 2);  // A stayed resident throughout
+}
+
+// clear() while a cold key is still materializing drops its pending cell:
+// the loader's caller gets the data, but the store never publishes it — no
+// resident entry, no budgeted bytes — so the next lookup is a second miss.
+TEST(ProbeStore, ClearDuringMaterializationDropsTheCell) {
+  const MemoryBudget& budget = MemoryBudget::process();
+  const std::int64_t baseline = budget.bytes(MemoryBudget::Category::kProbeData);
+  fault::FaultSpec delay;
+  delay.kind = fault::FaultSpec::Kind::kDelay;
+  delay.delay_seconds = 0.3;
+  fault::FaultRegistry::instance().arm("probe_store.materialize", delay);
+
+  ProbeStore store;
+  const ProbeKey key{tiny_spec(4), 32, 217};
+  std::shared_ptr<const ProbeData> loaded;
+  std::thread loader([&store, &key, &loaded] { loaded = store.get_or_create(key); });
+  while (store.size() == 0) std::this_thread::yield();  // the cell is claimed
+  store.clear();
+  loader.join();
+  fault::FaultRegistry::instance().disarm_all();
+
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->probe.size(), 32);
+  EXPECT_EQ(store.size(), 0);
+  EXPECT_EQ(store.bytes_resident(), 0);
+  EXPECT_EQ(budget.bytes(MemoryBudget::Category::kProbeData), baseline);
+  (void)store.get_or_create(key);
+  EXPECT_EQ(store.misses(), 2);
 }
 
 // ---- Admission control (bounded pending depth) --------------------------
@@ -707,7 +764,7 @@ TEST(DetectionService, FairShareAndPrioritySmallScanFinishesUnderLargeLoad) {
 TEST(ProbeStore, ColdKeyRaceMaterializesOnce) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 271};
-  ProbeStore store(128);
+  ProbeStore store;
 
   constexpr int kThreads = 8;
   std::vector<std::shared_ptr<const ProbeData>> results(kThreads);

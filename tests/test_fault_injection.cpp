@@ -395,7 +395,7 @@ TEST_F(FaultInjectionTest, ProbeStoreSurvivesGeneratorFailureAndRetries) {
   fault_spec.count = 1;
   fault::FaultRegistry::instance().arm("probe_store.materialize", fault_spec);
 
-  ProbeStore store(/*eval_batch_size=*/16);
+  ProbeStore store;
   const ProbeKey key{tiny_spec(), 48, 99};
   EXPECT_THROW(store.get_or_create(key), fault::InjectedFault);
   EXPECT_EQ(store.size(), 0);

@@ -283,21 +283,6 @@ TEST(ModelStore, BytesLedgerReturnsToBaselineAfterDrain) {
   EXPECT_EQ(MemoryBudget::process().bytes(MemoryBudget::Category::kResidentModels), baseline);
 }
 
-TEST(ModelStore, PutFirstWriterWins) {
-  const DatasetSpec spec = tiny_spec();
-  ModelStore store;
-  const ModelRef ref = ModelRef::from_checkpoint("served-without-a-file.ckpt");
-  const auto first = store.put(ref, make_network(Architecture::kBasicCnn, spec.channels,
-                                                 spec.image_size, spec.num_classes, /*seed=*/81));
-  const auto second = store.put(ref, make_network(Architecture::kBasicCnn, spec.channels,
-                                                  spec.image_size, spec.num_classes, /*seed=*/82));
-  EXPECT_EQ(first.get(), second.get()) << "put is first-writer-wins";
-  EXPECT_EQ(store.size(), 1);
-  // And get_or_create serves the registered network without touching disk.
-  const auto looked_up = store.get_or_create(ref);
-  EXPECT_EQ(looked_up.get(), first.get());
-}
-
 // The acceptance-criteria pin: a ref-based scan is byte-identical to
 // Detector::detect() on the live network, for CONCURRENT scans sharing one
 // resident model, across service pool sizes.
@@ -341,8 +326,7 @@ TEST(ModelStore, ConcurrentRefScansMatchDetectByteForByte) {
 }
 
 // Mixed plumbing in one service: the same victim scanned live (clone-on-
-// submit), by checkpoint ref, and by a put() zoo-style registration all
-// produce byte-identical reports.
+// submit) and by checkpoint ref produces byte-identical reports.
 TEST(ModelStore, RefAndLiveSubmissionsAgree) {
   const DatasetSpec spec = tiny_spec(6);
   const ProbeKey key{spec, 48, /*seed=*/87};

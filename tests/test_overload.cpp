@@ -372,17 +372,12 @@ TEST(MemoryBudgetTest, ProbeStoreRegistersEvictsAndReleases) {
   const ProbeKey key_b{tiny_spec(), 48, 162};
   std::int64_t bytes_a = 0;
   {
-    ProbeStoreOptions options;
-    options.eval_batch_size = 16;
-    ProbeStore sized(options);
+    ProbeStore sized;
     bytes_a = sized.get_or_create(key_a)->bytes();
     sized.clear();
     EXPECT_EQ(budget.bytes(MemoryBudget::Category::kProbeData), before);
 
-    ProbeStoreOptions capped_options;
-    capped_options.eval_batch_size = 16;
-    capped_options.max_bytes = bytes_a;  // exactly one resident entry
-    ProbeStore capped(capped_options);
+    ProbeStore capped(ProbeStoreOptions{bytes_a});  // exactly one resident entry
     {
       const auto a = capped.get_or_create(key_a);
       EXPECT_EQ(budget.bytes(MemoryBudget::Category::kProbeData) - before, a->bytes());

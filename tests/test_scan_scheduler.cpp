@@ -279,8 +279,8 @@ TEST(ClassScanScheduler, UsbSharedPrefixOnOffBitIdentical) {
   expect_reports_identical(shared_single, recomputed_parallel);
 }
 
-// An externally injected probe cache (the experiment harness shares one per
-// model across detectors) must not change any bit of the report either.
+// An externally injected probe cache (the service sets its ProbeStore
+// entry's) must not change any bit of the report either.
 TEST(ClassScanScheduler, ExternalProbeCacheBitIdentical) {
   const DatasetSpec spec = tiny_spec(4);
   const Dataset probe = generate_dataset(spec, 36, 63);
@@ -288,13 +288,15 @@ TEST(ClassScanScheduler, ExternalProbeCacheBitIdentical) {
 
   ReverseOptConfig config;
   config.steps = 6;
-  const DetectionReport fresh = NeuralCleanse(config).detect(victim, probe);
+  NeuralCleanse detector(config);
+  const DetectionReport fresh = detector.detect(victim, probe);
 
-  // Must match the scan's eval_batch_size (128) or the scheduler ignores it.
-  const ProbeBatchCache shared(probe, 128);
-  config.shared_probe_cache = &shared;
-  const DetectionReport cached = NeuralCleanse(config).detect(victim, probe);
-  const DetectionReport cached_again = NeuralCleanse(config).detect(victim, probe);
+  // Batched at kEvalBatchSize, so the scan adopts it instead of its own.
+  const ProbeBatchCache shared(probe);
+  ScanPlan plan = detector.plan();
+  plan.options.external_probe_cache = &shared;
+  const DetectionReport cached = run_scan_plan(plan, victim, probe);
+  const DetectionReport cached_again = run_scan_plan(plan, victim, probe);
 
   expect_reports_identical(fresh, cached);
   expect_reports_identical(fresh, cached_again);
