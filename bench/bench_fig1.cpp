@@ -52,7 +52,10 @@ int main(int argc, char** argv) {
   const TriggerEstimate nc_estimate =
       nc.reverse_engineer_class(backdoored.network, probe, target);
 
-  // Panel 3+4: targeted UAPs of the backdoored and the clean model.
+  // Panel 3+4: targeted UAPs of the backdoored and the clean model (Alg. 1
+  // runs on frozen networks).
+  backdoored.network.freeze();
+  clean.network.freeze();
   TargetedUapConfig uap_config;
   const TargetedUapResult uap_backdoored =
       targeted_uap(backdoored.network, probe, target, uap_config);

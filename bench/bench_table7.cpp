@@ -86,6 +86,7 @@ int main(int argc, char** argv) {
 
   std::vector<Tensor> uaps;
   double uap_total = 0.0;
+  model.network.freeze();  // Alg. 1 runs on frozen networks
   for (std::int64_t t = 0; t < spec.num_classes; ++t) {
     const Timer timer;
     uaps.push_back(targeted_uap(model.network, probe, t, usb_config.uap).perturbation);

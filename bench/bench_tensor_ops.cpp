@@ -28,7 +28,6 @@
 #include "defenses/scan_plan.h"
 #include "fig_common.h"
 #include "metrics/ssim.h"
-#include "nn/checkpoint.h"
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "tensor/elementwise.h"
@@ -281,8 +280,8 @@ BenchResult bench_refine_step_alloc_pressure() {
   ProbeBatchCache local;
   const ProbeBatchCache* cache = select_scan_probe_cache(plan.options, probe, local);
   const ClassScanJob job = make_class_job(plan.options, 0, *cache);
-  Network clone = clone_network(model);
-  const auto task = plan.make_task(clone, probe, job);
+  model.freeze();  // a scan's tasks all run on the one frozen model
+  const auto task = plan.make_task(model, probe, job);
   (void)task->run_steps(8);  // warm-up: arena slots, loader batch, caches
 
   const std::uint64_t allocs_before = tensor_heap_allocations();

@@ -68,7 +68,9 @@ int main(int argc, char** argv) {
       to_image(poisoned.reshaped(Shape{spec.channels, spec.image_size, spec.image_size}));
   write_image(poisoned_image, out_dir + "/poisoned_sample.ppm");
 
-  // Panel 3: the targeted UAP toward the backdoor class (normalized).
+  // Panel 3: the targeted UAP toward the backdoor class (normalized). Alg. 1
+  // runs on frozen networks.
+  model.freeze();
   const TargetedUapResult uap = targeted_uap(model, probe, badnet_config.target_class);
   const Image uap_image = normalize_to_image(uap.perturbation.data(), spec.channels,
                                              spec.image_size, spec.image_size);

@@ -54,6 +54,8 @@ int main() {
               static_cast<long long>(target), 100.0F * asr_a, 100.0F * asr_b);
 
   UsbDetector usb{UsbConfig{}};
+  model_a.freeze();  // Alg. 1 and the detectors run on frozen networks
+  model_b.freeze();
 
   // Craft the UAP once, on model A.
   Timer timer;

@@ -1,23 +1,16 @@
 #include "core/deepfool.h"
-#include <algorithm>
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/tensor_ops.h"
 
 namespace usb {
 
-Tensor input_gradient(Network& model, const Tensor& x, const Tensor& selector) {
-  model.set_training(false);
-  (void)model.forward(x);
-  return model.backward(selector);
-}
-
-DeepFoolResult targeted_deepfool(Network& model, const Tensor& x, std::int64_t target,
+DeepFoolResult targeted_deepfool(const Network& model, const Tensor& x, std::int64_t target,
                                  const DeepFoolConfig& config, const DeepFoolWarmStart* warm,
                                  TensorArena* arena) {
-  model.set_training(false);
-  model.set_param_grads_enabled(false);
+  require_frozen(model, "targeted_deepfool");
   const std::int64_t batch = x.dim(0);
   const std::int64_t numel = x.numel() / batch;
   const std::int64_t classes = model.num_classes();

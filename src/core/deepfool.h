@@ -23,11 +23,6 @@ struct DeepFoolConfig {
   float clip_hi = 1.0F;
 };
 
-/// Gradient of sum_n <logits_n, selector_n> with respect to the input batch;
-/// `selector` is (N,num_classes). The model must already be in eval mode and
-/// must have run forward(x) — this helper reruns forward itself for safety.
-[[nodiscard]] Tensor input_gradient(Network& model, const Tensor& x, const Tensor& selector);
-
 struct DeepFoolResult {
   Tensor perturbation;       // same shape as the input batch
   std::int64_t flipped = 0;  // rows that reached the target class
@@ -61,8 +56,9 @@ struct DeepFoolWarmStart {
 /// `arena` (optional) hosts every per-iteration temporary — forwards,
 /// selectors, backwards — under a Scope, so repeated calls recycle the same
 /// slots; without one the call uses a private arena (still allocation-free
-/// across its own iterations).
-[[nodiscard]] DeepFoolResult targeted_deepfool(Network& model, const Tensor& x,
+/// across its own iterations). `model` must be frozen (std::invalid_argument
+/// otherwise).
+[[nodiscard]] DeepFoolResult targeted_deepfool(const Network& model, const Tensor& x,
                                                std::int64_t target,
                                                const DeepFoolConfig& config = {},
                                                const DeepFoolWarmStart* warm = nullptr,

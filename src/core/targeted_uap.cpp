@@ -23,12 +23,6 @@ void add_uap_into(const Tensor& images, const Tensor& v, Tensor& out) {
   }
 }
 
-Tensor add_uap(const Tensor& images, const Tensor& v) {
-  Tensor out;
-  add_uap_into(images, v, out);
-  return out;
-}
-
 void project_l2(Tensor& v, float radius) {
   const float norm = v.l2_norm();
   if (norm > radius && norm > 0.0F) v *= radius / norm;
@@ -40,14 +34,14 @@ Dataset make_craft_set(const Dataset& probe, const TargetedUapConfig& config) {
 
 }  // namespace
 
-double uap_fooling_rate(Network& model, const Dataset& probe, const Tensor& v,
+double uap_fooling_rate(const Network& model, const Dataset& probe, const Tensor& v,
                         std::int64_t target) {
-  return uap_fooling_rate(model, ProbeBatchCache(probe, 128), v, target);
+  return uap_fooling_rate(model, ProbeBatchCache(probe), v, target);
 }
 
-double uap_fooling_rate(Network& model, const ProbeBatchCache& batches, const Tensor& v,
+double uap_fooling_rate(const Network& model, const ProbeBatchCache& batches, const Tensor& v,
                         std::int64_t target, TensorArena* arena) {
-  model.set_training(false);
+  require_frozen(model, "uap_fooling_rate");
   TensorArena private_arena;
   TensorArena& slots = arena != nullptr ? *arena : private_arena;
   std::int64_t hits = 0;
@@ -65,8 +59,9 @@ double uap_fooling_rate(Network& model, const ProbeBatchCache& batches, const Te
              : static_cast<double>(hits) / static_cast<double>(batches.total_samples());
 }
 
-UapScanPrefix build_uap_scan_prefix(Network& model, const Dataset& probe,
+UapScanPrefix build_uap_scan_prefix(const Network& model, const Dataset& probe,
                                     const TargetedUapConfig& config, std::int64_t num_classes) {
+  require_frozen(model, "build_uap_scan_prefix");
   UapScanPrefix prefix;
   prefix.craft = ProbeBatchCache(make_craft_set(probe, config), config.batch_size);
   if (prefix.craft.batches().empty() || num_classes <= 0 || config.max_passes <= 0 ||
@@ -74,8 +69,6 @@ UapScanPrefix build_uap_scan_prefix(Network& model, const Dataset& probe,
     return prefix;  // nothing to warm-start; the craft cache alone is shared
   }
 
-  model.set_training(false);
-  model.set_param_grads_enabled(false);
   const DatasetSpec& spec = probe.spec();
   const Batch& first = prefix.craft.batches().front();
 
@@ -83,36 +76,43 @@ UapScanPrefix build_uap_scan_prefix(Network& model, const Dataset& probe,
   // (the clamp matters only if probe images stray outside [0,1]).
   // Pixel-space perturbations depend on the input itself, so the whole
   // clean forward is the shareable prefix.
+  TensorArena arena;
   const Tensor zero(Shape{1, spec.channels, spec.image_size, spec.image_size});
-  prefix.clean_logits = model.forward(add_uap(first.images, zero));
+  Tensor& clean = arena.alloc(first.images.shape());
+  add_uap_into(first.images, zero, clean);
+  prefix.clean_logits = model.forward_into(clean, arena);
   prefix.clean_preds = argmax_rows(prefix.clean_logits);
 
   // The class-independent backward (one-hot current predictions) and the K
   // class backwards, all over the one cached forward (backward is
   // repeatable). All-rows selectors: rows already at a target are skipped by
-  // DeepFool's update rule, so their gradient values are never read.
+  // DeepFool's update rule, so their gradient values are never read. Each
+  // backward's slots are recycled once its gradient is copied out.
   const std::int64_t rows = first.images.dim(0);
   const std::int64_t classes = model.num_classes();
   Tensor selector(Shape{rows, classes});
   for (std::int64_t n = 0; n < rows; ++n) {
     selector[n * classes + prefix.clean_preds[static_cast<std::size_t>(n)]] = 1.0F;
   }
-  prefix.grad_current = model.backward(selector);
+  const auto input_gradient = [&] {
+    const TensorArena::Scope scope(arena);
+    return Tensor(model.backward_into(selector, arena));
+  };
+  prefix.grad_current = input_gradient();
 
   prefix.grad_target.resize(static_cast<std::size_t>(num_classes));
   for (std::int64_t t = 0; t < num_classes; ++t) {
     selector.fill(0.0F);
     for (std::int64_t n = 0; n < rows; ++n) selector[n * classes + t] = 1.0F;
-    prefix.grad_target[static_cast<std::size_t>(t)] = model.backward(selector);
+    prefix.grad_target[static_cast<std::size_t>(t)] = input_gradient();
   }
   return prefix;
 }
 
-TargetedUapResult targeted_uap(Network& model, const Dataset& probe, std::int64_t target,
+TargetedUapResult targeted_uap(const Network& model, const Dataset& probe, std::int64_t target,
                                const TargetedUapConfig& config, const UapScanPrefix* prefix,
                                TensorArena* arena) {
-  model.set_training(false);
-  model.set_param_grads_enabled(false);
+  require_frozen(model, "targeted_uap");
   TensorArena private_arena;
   TensorArena& slots = arena != nullptr ? *arena : private_arena;
   const TensorArena::Scope call_scope(slots);

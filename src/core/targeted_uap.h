@@ -38,7 +38,7 @@ struct TargetedUapResult {
 };
 
 /// Class-independent prefix of Alg. 1, built ONCE per multi-class scan on
-/// the reference model and shared read-only by all K per-class jobs:
+/// the frozen model and shared read-only by all K per-class jobs:
 ///
 ///  - `craft`: the craft-set batches. Alg. 1 iterates the same sequential,
 ///    unshuffled batches for every class and every pass; the cache replaces
@@ -52,8 +52,8 @@ struct TargetedUapResult {
 ///    the input itself, so the perturbation-independent prefix is the whole
 ///    clean forward) instead of once per class.
 ///
-/// Bit-identical to the unshared path: clones share the reference weights,
-/// and eval-mode forward/backward are pure row-wise functions of
+/// Bit-identical to the unshared path: every class runs on the same frozen
+/// network, and eval-mode forward/backward are pure row-wise functions of
 /// (weights, input) with a schedule-free accumulation order.
 struct UapScanPrefix {
   ProbeBatchCache craft;                  // craft batches, config.batch_size
@@ -66,9 +66,10 @@ struct UapScanPrefix {
 };
 
 /// Builds the shared Alg. 1 prefix for a scan over `num_classes` candidate
-/// classes. Runs the clean forward and num_classes + 1 backwards on `model`
-/// (sequentially, before any per-class fan-out).
-[[nodiscard]] UapScanPrefix build_uap_scan_prefix(Network& model, const Dataset& probe,
+/// classes. Runs the clean forward and num_classes + 1 backwards on the
+/// frozen `model`, on a private arena (sequentially, before any per-class
+/// fan-out).
+[[nodiscard]] UapScanPrefix build_uap_scan_prefix(const Network& model, const Dataset& probe,
                                                   const TargetedUapConfig& config,
                                                   std::int64_t num_classes);
 
@@ -79,7 +80,9 @@ struct UapScanPrefix {
 /// all per-batch temporaries — the shifted batches, every DeepFool
 /// iteration, the per-batch aggregation — under Scopes, so the whole Alg. 1
 /// loop recycles a bounded slot set; without one a private arena is used.
-[[nodiscard]] TargetedUapResult targeted_uap(Network& model, const Dataset& probe,
+/// Like every entry point here, it requires a frozen `model`
+/// (std::invalid_argument otherwise).
+[[nodiscard]] TargetedUapResult targeted_uap(const Network& model, const Dataset& probe,
                                              std::int64_t target,
                                              const TargetedUapConfig& config = {},
                                              const UapScanPrefix* prefix = nullptr,
@@ -87,15 +90,15 @@ struct UapScanPrefix {
 
 /// Fraction of probe images classified as `target` after adding v (clipped
 /// to the valid range).
-[[nodiscard]] double uap_fooling_rate(Network& model, const Dataset& probe, const Tensor& v,
-                                      std::int64_t target);
+[[nodiscard]] double uap_fooling_rate(const Network& model, const Dataset& probe,
+                                      const Tensor& v, std::int64_t target);
 
 /// Same, over pre-materialized batches. Bit-identical to the Dataset
 /// overload for any batch size: eval-mode predictions are row-wise and the
 /// GEMM core's per-element accumulation order is independent of the batch
 /// partition. `arena` (optional) recycles the per-batch shifted inputs and
 /// forwards.
-[[nodiscard]] double uap_fooling_rate(Network& model, const ProbeBatchCache& batches,
+[[nodiscard]] double uap_fooling_rate(const Network& model, const ProbeBatchCache& batches,
                                       const Tensor& v, std::int64_t target,
                                       TensorArena* arena = nullptr);
 

@@ -32,15 +32,13 @@ constexpr std::uint64_t kLoaderSalt = 0x05b;
 /// (asserted by tests/test_arena.cpp and the bench alloc-pressure entry).
 class UsbRefineTask final : public ClassRefineTask {
  public:
-  UsbRefineTask(const UsbDetector& detector, Network& model, const Dataset& probe,
+  UsbRefineTask(const UsbDetector& detector, const Network& model, const Dataset& probe,
                 const ClassScanJob& job, const std::optional<Tensor>& precomputed_uap)
       : config_(detector.config()),
         model_(model),
         job_(job),
         loader_(probe, config_.batch_size, /*shuffle=*/true,
                 hash_combine(job.rng_seed, kLoaderSalt)) {
-    model_.set_training(false);
-    model_.set_param_grads_enabled(false);
     const std::int64_t target_class = job_.target_class;
 
     // ---- Alg. 1: targeted UAP (or the transferred one). ----
@@ -110,7 +108,7 @@ class UsbRefineTask final : public ClassRefineTask {
 
  private:
   const UsbConfig& config_;
-  Network& model_;
+  const Network& model_;
   const ClassScanJob job_;
   DataLoader loader_;
   TensorArena arena_;  // per-task slots, reset at step boundaries
@@ -126,10 +124,10 @@ class UsbRefineTask final : public ClassRefineTask {
 ScanSharedBuilder UsbDetector::make_shared_builder() const {
   // The shared prefix only exists when Alg. 1 actually runs per class.
   if (!config_.share_prefix || config_.random_init) return nullptr;
-  return [this](Network& reference, const Dataset& probe) {
+  return [this](const Network& model, const Dataset& probe) {
     auto shared = std::make_shared<UsbScanShared>();
     shared->prefix =
-        build_uap_scan_prefix(reference, probe, config_.uap, probe.spec().num_classes);
+        build_uap_scan_prefix(model, probe, config_.uap, probe.spec().num_classes);
     return std::shared_ptr<const ScanSharedState>(std::move(shared));
   };
 }
@@ -175,6 +173,7 @@ UsbDetector::Decomposition UsbDetector::decompose_uap(const Tensor& uap) const {
 TriggerEstimate UsbDetector::reverse_engineer_class(
     Network& model, const Dataset& probe, std::int64_t target_class,
     const std::optional<Tensor>& precomputed_uap) {
+  model.freeze();
   const ClassScanOptions options = plan().options;
   const ProbeBatchCache cache(probe);
   UsbRefineTask task(*this, model, probe, make_class_job(options, target_class, cache),
@@ -191,9 +190,9 @@ ScanPlan UsbDetector::plan() const {
   scan.options.pool = config_.scan_pool;
   scan.options.early_exit = config_.early_exit;
   scan.total_steps = config_.refine_steps;
-  scan.make_task = [this](Network& clone, const Dataset& data,
+  scan.make_task = [this](const Network& model, const Dataset& data,
                           const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {
-    return std::make_unique<UsbRefineTask>(*this, clone, data, job, std::nullopt);
+    return std::make_unique<UsbRefineTask>(*this, model, data, job, std::nullopt);
   };
   scan.shared_builder = make_shared_builder();
   return scan;

@@ -74,7 +74,8 @@ class UsbDetector final : public Detector {
   /// Full per-class pipeline. If `precomputed_uap` is given, Alg. 1 is
   /// skipped — the paper's Section 4.4 transfer setting, where one UAP is
   /// reused across models of the same architecture. Seeds exactly as the
-  /// parallel scan does, so results match detect() bit for bit.
+  /// parallel scan does, so results match detect() bit for bit. Leaves
+  /// `model` frozen, as detect() does.
   [[nodiscard]] TriggerEstimate reverse_engineer_class(
       Network& model, const Dataset& probe, std::int64_t target_class,
       const std::optional<Tensor>& precomputed_uap = std::nullopt);

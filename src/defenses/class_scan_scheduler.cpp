@@ -48,7 +48,7 @@ ClassScanJob make_class_job(const ClassScanOptions& options, std::int64_t target
   return job;
 }
 
-TriggerEstimate finalize_estimate(Network& model, const ClassScanJob& job,
+TriggerEstimate finalize_estimate(const Network& model, const ClassScanJob& job,
                                   const MaskedTrigger& trigger, float last_loss,
                                   TensorArena* arena) {
   TriggerEstimate estimate;
@@ -61,24 +61,20 @@ TriggerEstimate finalize_estimate(Network& model, const ClassScanJob& job,
   return estimate;
 }
 
-double fooling_rate(Network& model, const ProbeBatchCache& cache, const MaskedTrigger& trigger,
-                    std::int64_t target_class, TensorArena* arena) {
+double fooling_rate(const Network& model, const ProbeBatchCache& cache,
+                    const MaskedTrigger& trigger, std::int64_t target_class, TensorArena* arena) {
+  require_frozen(model, "fooling_rate");
+  // Eval batches are usually a different size than refine batches, so the
+  // first evaluation on a task's arena still grows slots; every later one
+  // reuses them.
+  TensorArena private_arena;
+  TensorArena& slots = arena != nullptr ? *arena : private_arena;
   std::int64_t hits = 0;
   for (const Batch& batch : cache.batches()) {
-    // Both branches compute the same blend and forward pass; the arena
-    // branch merely recycles the storage (eval batches are usually a
-    // different size than refine batches, so the first evaluation on a
-    // fresh arena still grows slots — every later one reuses them).
-    const auto count_batch = [&](const Tensor& logits) {
-      for (const std::int64_t pred : argmax_rows(logits)) {
-        if (pred == target_class) ++hits;
-      }
-    };
-    if (arena != nullptr) {
-      const TensorArena::Scope scope(*arena);
-      count_batch(model.forward_into(trigger.apply_into(batch.images, *arena), *arena));
-    } else {
-      count_batch(model.forward(trigger.apply(batch.images)));
+    const TensorArena::Scope scope(slots);
+    const Tensor& logits = model.forward_into(trigger.apply_into(batch.images, slots), slots);
+    for (const std::int64_t pred : argmax_rows(logits)) {
+      if (pred == target_class) ++hits;
     }
   }
   return cache.total_samples() == 0

@@ -7,9 +7,10 @@
 // ClassRefineTask; the scan engine (StagedScan in scan_plan.h) owns
 // everything around it:
 //
-//  - fan-out: every candidate class runs on a private deep copy of the
-//    victim model — forward caches are per-instance, so clones make the
-//    classes embarrassingly parallel;
+//  - fan-out: every candidate class runs on the one frozen victim model —
+//    layers keep their forward caches in the task's TensorArena, not in
+//    themselves, so the classes are embarrassingly parallel with no copy
+//    of the weights;
 //  - per-class RNG streams: each job receives a stream root derived only
 //    from (base_seed, class), never from thread ids or schedule order;
 //  - shared probe batches: the fooling-rate evaluation batches over the full
@@ -19,8 +20,8 @@
 //    probe key shares one materialization;
 //  - shared scan prefix: detectors may attach arbitrary class-independent
 //    state (USB: the Alg. 1 craft batches and the v = 0 DeepFool warm
-//    start) built once on the reference model before the fan-out, shared
-//    read-only by every job — see ScanSharedState;
+//    start) built once on the model before the fan-out, shared read-only by
+//    every job — see ScanSharedState;
 //  - ordered reduction: estimates land in class order before the MAD rule.
 //
 // Why reports are bit-identical for any schedule is argued once, in
@@ -43,17 +44,18 @@ class MaskedTrigger;
 class TensorArena;
 
 /// Base for detector-specific class-independent scan state (built once per
-/// scan on the reference model, shared read-only by all K jobs). USB
+/// scan on the frozen model, shared read-only by all K jobs). USB
 /// attaches the Alg. 1 shared prefix; NC/TABOR need nothing beyond the
 /// probe cache.
 struct ScanSharedState {
   virtual ~ScanSharedState() = default;
 };
 
-/// Builds the detector's shared state against the reference model; invoked
-/// once per scan, before any clone is made. May be empty (no shared state).
-using ScanSharedBuilder =
-    std::function<std::shared_ptr<const ScanSharedState>(Network& model, const Dataset& probe)>;
+/// Builds the detector's shared state against the frozen model; invoked
+/// once per scan, before any class task is constructed. May be empty (no
+/// shared state).
+using ScanSharedBuilder = std::function<std::shared_ptr<const ScanSharedState>(
+    const Network& model, const Dataset& probe)>;
 
 /// Context handed to one per-class reverse-engineering job.
 struct ClassScanJob {
@@ -96,10 +98,11 @@ class ClassRefineTask {
   [[nodiscard]] virtual TriggerEstimate finalize() = 0;
 };
 
-/// Builds the resumable form of one class's job against its private clone.
-/// The clone reference stays valid for the task's lifetime.
+/// Builds the resumable form of one class's job against the scan's frozen
+/// model, which every class shares; the reference stays valid for the
+/// task's lifetime. Tasks run passes on their own arenas only.
 using RefineTaskFn = std::function<std::unique_ptr<ClassRefineTask>(
-    Network&, const Dataset&, const ClassScanJob&)>;
+    const Network&, const Dataset&, const ClassScanJob&)>;
 
 /// Early-exit configuration. Disabled by default; when disabled the scan is
 /// bit-identical to running every class through its full budget.
@@ -192,15 +195,14 @@ struct ClassScanOptions {
                                                              const Dataset& probe,
                                                              ProbeBatchCache& local);
 
-/// Fraction of cached probe samples that `trigger` sends to `target_class`.
-/// The shared replacement for the per-detector final_fooling_rate loops.
-/// With `arena` set the trigger-applied batch and the forward pass route
-/// through apply_into/forward_into on that arena (one Scope per batch), so
-/// a warmed arena evaluates with zero Tensor heap allocations — the same
-/// contract the refinement step holds (tests/test_arena.cpp). Null falls
-/// back to heap-allocating apply/forward; the results are bit-identical
-/// either way.
-[[nodiscard]] double fooling_rate(Network& model, const ProbeBatchCache& cache,
+/// Fraction of cached probe samples that `trigger` sends to `target_class`
+/// on the frozen `model`. The shared replacement for the per-detector
+/// final_fooling_rate loops. The trigger-applied batch and the forward pass
+/// live in `arena` (one Scope per batch), so a warmed arena evaluates with
+/// zero Tensor heap allocations — the same contract the refinement step
+/// holds (tests/test_arena.cpp). Null uses a private arena; the results are
+/// bit-identical either way.
+[[nodiscard]] double fooling_rate(const Network& model, const ProbeBatchCache& cache,
                                   const MaskedTrigger& trigger, std::int64_t target_class,
                                   TensorArena* arena = nullptr);
 
@@ -208,7 +210,7 @@ struct ClassScanOptions {
 /// ClassRefineTask::finalize(): the trigger's decomposition plus its fooling
 /// rate over the job's shared probe cache. Tasks pass their step arena so
 /// finalize stays on the zero-allocation path (see fooling_rate).
-[[nodiscard]] TriggerEstimate finalize_estimate(Network& model, const ClassScanJob& job,
+[[nodiscard]] TriggerEstimate finalize_estimate(const Network& model, const ClassScanJob& job,
                                                 const MaskedTrigger& trigger, float last_loss,
                                                 TensorArena* arena = nullptr);
 

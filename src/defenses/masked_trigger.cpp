@@ -93,11 +93,11 @@ double MaskedTrigger::mask_l1() const {
   return total;
 }
 
-void MaskedTrigger::apply_core(const Tensor& x, Tensor& out) const {
+const Tensor& MaskedTrigger::apply_into(const Tensor& x, TensorArena& arena) const {
   refresh_values();
   const std::int64_t batch = x.dim(0);
   const std::int64_t spatial = size_ * size_;
-  out.ensure_shape(x.shape());
+  Tensor& out = arena.alloc(x.shape());
   for (std::int64_t n = 0; n < batch; ++n) {
     for (std::int64_t c = 0; c < channels_; ++c) {
       const std::int64_t offset = (n * channels_ + c) * spatial;
@@ -105,17 +105,6 @@ void MaskedTrigger::apply_core(const Tensor& x, Tensor& out) const {
                 out.raw() + offset, spatial);
     }
   }
-}
-
-Tensor MaskedTrigger::apply(const Tensor& x) const {
-  Tensor out;
-  apply_core(x, out);
-  return out;
-}
-
-const Tensor& MaskedTrigger::apply_into(const Tensor& x, TensorArena& arena) const {
-  Tensor& out = arena.alloc(x.shape());
-  apply_core(x, out);
   return out;
 }
 

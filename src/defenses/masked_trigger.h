@@ -10,8 +10,8 @@
 // Hot-path design: the sigmoid'd mask/pattern values are computed once per
 // Adam step into recycled members (mask_values()/pattern_values()) and every
 // gradient accumulator reuses member scratch, so a steady-state refinement
-// step performs zero heap allocations; the value-returning mask()/pattern()/
-// apply() remain as copying adapters. The per-element loops run on the
+// step performs zero heap allocations; the value-returning mask()/pattern()
+// remain as copying adapters. The per-element loops run on the
 // dispatched elementwise kernels (tensor/elementwise.h) and are
 // bit-identical to the historical scalar code.
 #pragma once
@@ -47,16 +47,15 @@ class MaskedTrigger {
 
   [[nodiscard]] double mask_l1() const;
 
-  /// Blends the trigger into a batch: x' = x(1-m) + p*m.
-  [[nodiscard]] Tensor apply(const Tensor& x) const;
-  /// Arena-backed apply; the result lives until the arena resets.
+  /// Blends the trigger into a batch, x' = x(1-m) + p*m, in an arena slot
+  /// that lives until the arena resets.
   [[nodiscard]] const Tensor& apply_into(const Tensor& x, TensorArena& arena) const;
 
   /// Clears accumulated gradients (call once per optimization step).
   void zero_grad();
 
   /// Chain rule from dL/dx' (same shape as the batch x) into the logit
-  /// gradients. `x` must be the batch passed to apply().
+  /// gradients. `x` must be the batch passed to apply_into().
   void accumulate_from_output_grad(const Tensor& dxprime, const Tensor& x);
 
   /// d(weight * |mask|_1)/dtheta_m.
@@ -78,7 +77,6 @@ class MaskedTrigger {
   void step();
 
  private:
-  void apply_core(const Tensor& x, Tensor& out) const;
   void refresh_values() const;
 
   std::int64_t channels_;

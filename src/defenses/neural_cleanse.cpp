@@ -24,7 +24,7 @@ constexpr std::uint64_t kLoaderSalt = 0x2c;
 /// moments, dynamic lambda and last loss all live here.
 class NcRefineTask final : public ClassRefineTask {
  public:
-  NcRefineTask(const ReverseOptConfig& config, Network& model, const Dataset& probe,
+  NcRefineTask(const ReverseOptConfig& config, const Network& model, const Dataset& probe,
                const ClassScanJob& job)
       : config_(config),
         model_(model),
@@ -32,8 +32,6 @@ class NcRefineTask final : public ClassRefineTask {
         loader_(probe, config.batch_size, /*shuffle=*/true,
                 hash_combine(job.rng_seed, kLoaderSalt)),
         lambda_(config.lambda_init) {
-    model_.set_training(false);
-    model_.set_param_grads_enabled(false);
     Rng rng(hash_combine(job_.rng_seed, kInitSalt));
     trigger_.emplace(probe.spec().channels, probe.spec().image_size, rng, config_.lr);
   }
@@ -88,7 +86,7 @@ class NcRefineTask final : public ClassRefineTask {
 
  private:
   const ReverseOptConfig& config_;
-  Network& model_;
+  const Network& model_;
   const ClassScanJob job_;
   DataLoader loader_;
   TensorArena arena_;
@@ -104,6 +102,7 @@ class NcRefineTask final : public ClassRefineTask {
 
 TriggerEstimate NeuralCleanse::reverse_engineer_class(Network& model, const Dataset& probe,
                                                       std::int64_t target_class) {
+  model.freeze();
   const ClassScanOptions options = plan().options;
   const ProbeBatchCache cache(probe);
   NcRefineTask task(config_, model, probe, make_class_job(options, target_class, cache));
@@ -119,9 +118,9 @@ ScanPlan NeuralCleanse::plan() const {
   scan.options.pool = config_.scan_pool;
   scan.options.early_exit = config_.early_exit;
   scan.total_steps = config_.steps;
-  scan.make_task = [this](Network& clone, const Dataset& data,
+  scan.make_task = [this](const Network& model, const Dataset& data,
                           const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {
-    return std::make_unique<NcRefineTask>(config_, clone, data, job);
+    return std::make_unique<NcRefineTask>(config_, model, data, job);
   };
   return scan;
 }

@@ -43,7 +43,8 @@ class NeuralCleanse final : public Detector {
 
   /// Reverse engineers the trigger for a single class (used by the figure
   /// benches to visualize per-class results). Seeds exactly as the parallel
-  /// scan does, so results match detect() bit for bit.
+  /// scan does, so results match detect() bit for bit. Leaves `model`
+  /// frozen.
   [[nodiscard]] TriggerEstimate reverse_engineer_class(Network& model, const Dataset& probe,
                                                        std::int64_t target_class);
 

@@ -6,9 +6,7 @@
 #include <exception>
 #include <limits>
 
-#include "nn/checkpoint.h"
 #include "utils/fault_injection.h"
-#include "utils/memory_budget.h"
 
 namespace usb {
 namespace {
@@ -109,17 +107,9 @@ const char* ScanStep::label() const noexcept {
   return "scan.step";
 }
 
-StagedScan::StagedScan(ScanPlan plan, Network& model, const Dataset& probe)
-    : StagedScan(std::move(plan), &model, nullptr, probe) {}
-
-StagedScan::StagedScan(ScanPlan plan, std::shared_ptr<const Network> model, const Dataset& probe)
-    : StagedScan(std::move(plan), nullptr, std::move(model), probe) {}
-
-StagedScan::StagedScan(ScanPlan plan, Network* model, std::shared_ptr<const Network> shared,
-                       const Dataset& probe)
+StagedScan::StagedScan(ScanPlan plan, const Network& model, const Dataset& probe)
     : plan_(std::move(plan)),
-      model_(model),
-      shared_model_(std::move(shared)),
+      model_(&model),
       probe_(&probe),
       num_classes_(probe.spec().num_classes),
       round_steps_(plan_.options.early_exit.round_steps > 0
@@ -128,11 +118,10 @@ StagedScan::StagedScan(ScanPlan plan, Network* model, std::shared_ptr<const Netw
       mode_(!plan_.options.early_exit.enabled ? Mode::kMonolithic
             : plan_.options.early_exit.async  ? Mode::kRendezvous
                                               : Mode::kBarrier) {
+  require_frozen(model, "StagedScan");
   const auto slots = static_cast<std::size_t>(num_classes_);
-  clones_.resize(slots);
   tasks_.resize(slots);
   remaining_.assign(slots, std::max<std::int64_t>(0, plan_.total_steps));
-  clone_budget_bytes_.assign(slots, 0);
   report_.method = plan_.method;
   report_.per_class.resize(slots);
   report_.per_class_seconds.assign(slots, 0.0);
@@ -144,30 +133,10 @@ StagedScan::StagedScan(ScanPlan plan, Network* model, std::shared_ptr<const Netw
   rendezvous_left_.assign(slots, std::max<std::int64_t>(1, plan_.options.early_exit.min_rounds));
 }
 
-StagedScan::~StagedScan() {
-  std::int64_t registered = 0;
-  for (const std::int64_t bytes : clone_budget_bytes_) registered += bytes;
-  MemoryBudget::process().release(MemoryBudget::Category::kModelClones, registered);
-}
-
 void StagedScan::prepare() {
   USB_FAULT_POINT("scan.prepare");
   eval_cache_ = select_scan_probe_cache(plan_.options, *probe_, local_cache_);
-  if (plan_.shared_builder) {
-    if (model_ != nullptr) {
-      shared_ = plan_.shared_builder(*model_, *probe_);
-    } else {
-      // Shared-model mode: the builder runs forward/backward on its model
-      // argument, which mutates per-instance forward caches — illegal on an
-      // immutable instance other scans read concurrently. Build on a private
-      // clone instead; the prefix (tensors only, no model references)
-      // outlives it. Bit-identical: eval-mode forward/backward are pure
-      // functions of (weights, input) and the clone copies every state
-      // tensor.
-      Network scratch = clone_network(*shared_model_);
-      shared_ = plan_.shared_builder(scratch, *probe_);
-    }
-  }
+  if (plan_.shared_builder) shared_ = plan_.shared_builder(*model_, *probe_);
 }
 
 std::vector<ScanStep> StagedScan::start() const {
@@ -328,17 +297,9 @@ void StagedScan::launch_round_locked(std::vector<ScanStep>& out) {
 
 void StagedScan::construct_class(std::int64_t target_class) {
   const auto slot = static_cast<std::size_t>(target_class);
-  USB_FAULT_POINT("scan.clone");
-  clones_[slot] = std::make_unique<Network>(clone_network(reference()));
-  // Budget the clone. A retried construct re-clones into the same slot:
-  // release the stale registration first so the slot counts once.
-  MemoryBudget::process().release(MemoryBudget::Category::kModelClones,
-                                  clone_budget_bytes_[slot]);
-  clone_budget_bytes_[slot] = network_resident_bytes(*clones_[slot]);
-  MemoryBudget::process().add(MemoryBudget::Category::kModelClones, clone_budget_bytes_[slot]);
   const Timer timer;
   USB_FAULT_POINT("scan.construct");
-  tasks_[slot] = plan_.make_task(*clones_[slot], *probe_,
+  tasks_[slot] = plan_.make_task(*model_, *probe_,
                                  make_class_job(plan_.options, target_class, *eval_cache_,
                                                 shared_.get()));
   report_.per_class_seconds[slot] += timer.seconds();
@@ -382,7 +343,7 @@ void StagedScan::finalize_class(std::int64_t target_class) {
     // class ends with a NaN statistic, peeled from the verdict.
     report_.per_class[slot].target_class = target_class;
     report_.per_class[slot].mask_l1 = kNaN;
-    free_class(slot);
+    tasks_[slot].reset();
     return;
   }
   USB_FAULT_POINT("scan.finalize");
@@ -390,16 +351,8 @@ void StagedScan::finalize_class(std::int64_t target_class) {
   report_.per_class[slot] = tasks_[slot]->finalize();
   report_.per_class_seconds[slot] += timer.seconds();
   report_.per_class_state[slot] = ClassScanState::kFinalized;
-  free_class(slot);
+  tasks_[slot].reset();
   notify(target_class, ClassScanEvent::kFinalized, report_.per_class[slot].mask_l1);
-}
-
-void StagedScan::free_class(std::size_t slot) {
-  tasks_[slot].reset();  // borrows the clone, so it goes first
-  clones_[slot].reset();
-  MemoryBudget::process().release(MemoryBudget::Category::kModelClones,
-                                  clone_budget_bytes_[slot]);
-  clone_budget_bytes_[slot] = 0;
 }
 
 DetectionReport StagedScan::take_report() {
@@ -420,6 +373,7 @@ void StagedScan::notify(std::int64_t target_class, ClassScanEvent event, double 
 }
 
 DetectionReport run_scan_plan(const ScanPlan& plan, Network& model, const Dataset& probe) {
+  model.freeze();
   StagedScan scan(plan, model, probe);
   scan.prepare();
   StepStack steps(scan.start());

@@ -93,20 +93,11 @@ struct ScanStep {
 /// StagedScan.
 class StagedScan {
  public:
-  /// Exclusive-model mode: `model` is this scan's private instance (the
-  /// service's submit-time clone, or detect()'s caller-owned model); the
-  /// shared-prefix builder may run forward passes directly on it.
-  StagedScan(ScanPlan plan, Network& model, const Dataset& probe);
-  /// Shared-model mode: `model` is an IMMUTABLE instance shared with other
-  /// concurrent scans (a ModelStore resident, pinned by the shared_ptr for
-  /// this scan's lifetime). Per-class clones read it race-free
-  /// (clone_network takes const&); the shared-prefix builder — whose forward
-  /// passes would mutate per-instance forward caches — runs on a private
-  /// temporary clone instead. Bit-identical to exclusive mode: forward is a
-  /// pure function of (weights, input) and clones copy every state tensor.
-  StagedScan(ScanPlan plan, std::shared_ptr<const Network> model, const Dataset& probe);
-  /// Releases the per-class clone bytes still registered with MemoryBudget.
-  ~StagedScan();
+  /// `model` must be frozen (std::invalid_argument otherwise). Every class
+  /// task and the shared-prefix builder run their passes on it, each on its
+  /// own arena, so the scan never writes to it: one instance may serve any
+  /// number of concurrent scans (a ModelStore resident does).
+  StagedScan(ScanPlan plan, const Network& model, const Dataset& probe);
 
   StagedScan(const StagedScan&) = delete;
   StagedScan& operator=(const StagedScan&) = delete;
@@ -114,14 +105,14 @@ class StagedScan {
   [[nodiscard]] std::int64_t num_classes() const noexcept { return num_classes_; }
 
   /// Adopts or builds the probe cache and runs the detector's shared-prefix
-  /// builder on the reference model. Call once, before any other stage.
+  /// builder on the model. Call once, before any other stage.
   void prepare();
 
   /// The graph's roots: one construct step per class, in class order.
   [[nodiscard]] std::vector<ScanStep> start() const;
 
   /// Executes one step and returns the steps it enables (possibly none).
-  /// Every step faults at its entry point (scan.clone / scan.round /
+  /// Every step faults at its entry point (scan.construct / scan.round /
   /// scan.cutoff / scan.retire / scan.finalize) before mutating anything
   /// shared, so a step that threw there may simply be run again.
   [[nodiscard]] std::vector<ScanStep> run(const ScanStep& step);
@@ -132,8 +123,8 @@ class StagedScan {
   // The stages one step executes, for callers that replay the monolithic
   // schedule by hand (perfbench's traced replay). run() is built on them.
 
-  /// Clones the model and constructs class t's resumable task (the whole
-  /// pre-refinement pipeline). The per-class clock starts after the clone.
+  /// Constructs class t's resumable task (the whole pre-refinement
+  /// pipeline) on the shared model.
   void construct_class(std::int64_t target_class);
 
   /// Advances class t by one round (min(round_steps, its remaining
@@ -144,8 +135,8 @@ class StagedScan {
   bool run_round(std::int64_t target_class);
 
   /// Evaluates class t's fooling rate, assembles its estimate, emits
-  /// kFinalized, then frees the class's task and clone (and their
-  /// MemoryBudget bytes). Exactly once per class, after its last round.
+  /// kFinalized, then frees the class's task (and its arena). Exactly once
+  /// per class, after its last round.
   void finalize_class(std::int64_t target_class);
 
   /// Ordered MAD reduction + wall time. Call once, with no step in flight —
@@ -157,9 +148,6 @@ class StagedScan {
 
  private:
   enum class Mode { kMonolithic, kBarrier, kRendezvous };
-
-  StagedScan(ScanPlan plan, Network* model, std::shared_ptr<const Network> shared,
-             const Dataset& probe);
 
   void notify(std::int64_t target_class, ClassScanEvent event, double mask_l1) const;
   /// Class t's statistic as its own step sees it: NaN once quarantined.
@@ -178,19 +166,9 @@ class StagedScan {
   void arrive_locked(std::int64_t target_class, bool more, std::vector<ScanStep>& out);
   /// Starts the next lockstep round for every parked class.
   void launch_round_locked(std::vector<ScanStep>& out);
-  /// Drops a finalized class's task and clone and their budget bytes.
-  void free_class(std::size_t slot);
-
-  /// The read-only reference model: the exclusive instance or the shared
-  /// one. Only clone_network() and the (exclusive-mode) prefix build touch
-  /// the model; every other stage works on per-class clones.
-  [[nodiscard]] const Network& reference() const noexcept {
-    return shared_model_ != nullptr ? *shared_model_ : *model_;
-  }
 
   ScanPlan plan_;
-  Network* model_ = nullptr;                     // exclusive mode
-  std::shared_ptr<const Network> shared_model_;  // shared mode (pins the owner)
+  const Network* model_;
   const Dataset* probe_;
   std::int64_t num_classes_;
   std::int64_t round_steps_;
@@ -203,10 +181,8 @@ class StagedScan {
 
   // Per-class slots: touched only by the class's own steps, which the
   // graph runs one at a time.
-  std::vector<std::unique_ptr<Network>> clones_;
   std::vector<std::unique_ptr<ClassRefineTask>> tasks_;
   std::vector<std::int64_t> remaining_;
-  std::vector<std::int64_t> clone_budget_bytes_;  // registered with MemoryBudget
   DetectionReport report_;
 
   // Cross-class schedule state.
@@ -231,6 +207,7 @@ class StagedScan {
 /// at once. An idle worker waits for the next step; the first exception
 /// stops new claims and is rethrown once the steps already running have
 /// finished. Called from inside a pool worker, it drains every step inline.
+/// Freezes `model` first, so detect() leaves the caller's model frozen.
 [[nodiscard]] DetectionReport run_scan_plan(const ScanPlan& plan, Network& model,
                                             const Dataset& probe);
 

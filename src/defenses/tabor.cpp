@@ -37,7 +37,7 @@ constexpr std::uint64_t kLoaderSalt = 0x7ab1;
 /// forwards) budget.
 class TaborRefineTask final : public ClassRefineTask {
  public:
-  TaborRefineTask(const TaborConfig& config, Network& model, const Dataset& probe,
+  TaborRefineTask(const TaborConfig& config, const Network& model, const Dataset& probe,
                   const ClassScanJob& job)
       : config_(config),
         model_(model),
@@ -47,8 +47,6 @@ class TaborRefineTask final : public ClassRefineTask {
         channels_(probe.spec().channels),
         size_(probe.spec().image_size),
         lambda_(config.base.lambda_init) {
-    model_.set_training(false);
-    model_.set_param_grads_enabled(false);
     Rng rng(hash_combine(job_.rng_seed, kInitSalt));
     trigger_.emplace(channels_, size_, rng, config_.base.lr);
   }
@@ -181,7 +179,7 @@ class TaborRefineTask final : public ClassRefineTask {
 
  private:
   const TaborConfig& config_;
-  Network& model_;
+  const Network& model_;
   const ClassScanJob job_;
   DataLoader loader_;
   TensorArena arena_;
@@ -201,6 +199,7 @@ class TaborRefineTask final : public ClassRefineTask {
 
 TriggerEstimate Tabor::reverse_engineer_class(Network& model, const Dataset& probe,
                                               std::int64_t target_class) {
+  model.freeze();
   const ClassScanOptions options = plan().options;
   const ProbeBatchCache cache(probe);
   TaborRefineTask task(config_, model, probe, make_class_job(options, target_class, cache));
@@ -216,9 +215,9 @@ ScanPlan Tabor::plan() const {
   scan.options.pool = config_.base.scan_pool;
   scan.options.early_exit = config_.base.early_exit;
   scan.total_steps = config_.base.steps;
-  scan.make_task = [this](Network& clone, const Dataset& data,
+  scan.make_task = [this](const Network& model, const Dataset& data,
                           const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {
-    return std::make_unique<TaborRefineTask>(config_, clone, data, job);
+    return std::make_unique<TaborRefineTask>(config_, model, data, job);
   };
   return scan;
 }

@@ -37,6 +37,7 @@ class Tabor final : public Detector {
   [[nodiscard]] ScanPlan plan() const override;
 
   /// Seeds exactly as the parallel scan does, so results match detect().
+  /// Leaves `model` frozen.
   [[nodiscard]] TriggerEstimate reverse_engineer_class(Network& model, const Dataset& probe,
                                                        std::int64_t target_class);
 

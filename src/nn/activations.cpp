@@ -4,114 +4,62 @@
 
 namespace usb {
 
-Tensor ReLU::forward(const Tensor& x) {
-  cached_input_own_ = x;
-  cached_input_ = &cached_input_own_;
-  Tensor y(x.shape());
-  ew::relu_fwd(x.raw(), y.raw(), x.numel());
-  return y;
-}
-
-const Tensor& ReLU::forward_into(const Tensor& x, TensorArena& arena) {
-  cached_input_ = &x;
+const Tensor& ReLU::forward_into(const Tensor& x, TensorArena& arena) const {
+  arena.cache(this).first = &x;
   Tensor& y = arena.alloc(x.shape());
   ew::relu_fwd(x.raw(), y.raw(), x.numel());
   return y;
 }
 
-Tensor ReLU::backward(const Tensor& grad_out) {
-  Tensor dx(grad_out.shape());
-  ew::relu_bwd(cached_input_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
-  return dx;
-}
-
-Tensor& ReLU::backward_into(const Tensor& grad_out, TensorArena& arena) {
+Tensor& ReLU::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  const Tensor& x = *arena.cache(this).first;
   Tensor& dx = arena.alloc(grad_out.shape());
-  ew::relu_bwd(cached_input_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
+  ew::relu_bwd(x.raw(), grad_out.raw(), dx.raw(), grad_out.numel());
   return dx;
 }
 
-Tensor Sigmoid::forward(const Tensor& x) {
-  Tensor y(x.shape());
-  ew::sigmoid_fwd(x.raw(), y.raw(), x.numel());
-  cached_output_own_ = y;
-  cached_output_ = &cached_output_own_;
-  return y;
-}
-
-const Tensor& Sigmoid::forward_into(const Tensor& x, TensorArena& arena) {
+const Tensor& Sigmoid::forward_into(const Tensor& x, TensorArena& arena) const {
   Tensor& y = arena.alloc(x.shape());
   ew::sigmoid_fwd(x.raw(), y.raw(), x.numel());
-  cached_output_ = &y;
+  arena.cache(this).first = &y;
   return y;
 }
 
-Tensor Sigmoid::backward(const Tensor& grad_out) {
-  Tensor dx(grad_out.shape());
-  ew::sigmoid_bwd(cached_output_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
-  return dx;
-}
-
-Tensor& Sigmoid::backward_into(const Tensor& grad_out, TensorArena& arena) {
+Tensor& Sigmoid::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  const Tensor& y = *arena.cache(this).first;
   Tensor& dx = arena.alloc(grad_out.shape());
-  ew::sigmoid_bwd(cached_output_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
+  ew::sigmoid_bwd(y.raw(), grad_out.raw(), dx.raw(), grad_out.numel());
   return dx;
 }
 
-Tensor Tanh::forward(const Tensor& x) {
-  Tensor y(x.shape());
-  ew::tanh_fwd(x.raw(), y.raw(), x.numel());
-  cached_output_own_ = y;
-  cached_output_ = &cached_output_own_;
-  return y;
-}
-
-const Tensor& Tanh::forward_into(const Tensor& x, TensorArena& arena) {
+const Tensor& Tanh::forward_into(const Tensor& x, TensorArena& arena) const {
   Tensor& y = arena.alloc(x.shape());
   ew::tanh_fwd(x.raw(), y.raw(), x.numel());
-  cached_output_ = &y;
+  arena.cache(this).first = &y;
   return y;
 }
 
-Tensor Tanh::backward(const Tensor& grad_out) {
-  Tensor dx(grad_out.shape());
-  ew::tanh_bwd(cached_output_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
-  return dx;
-}
-
-Tensor& Tanh::backward_into(const Tensor& grad_out, TensorArena& arena) {
+Tensor& Tanh::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  const Tensor& y = *arena.cache(this).first;
   Tensor& dx = arena.alloc(grad_out.shape());
-  ew::tanh_bwd(cached_output_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
+  ew::tanh_bwd(y.raw(), grad_out.raw(), dx.raw(), grad_out.numel());
   return dx;
 }
 
-Tensor SiLU::forward(const Tensor& x) {
-  cached_input_own_ = x;
-  cached_input_ = &cached_input_own_;
-  cached_sigmoid_.ensure_shape(x.shape());
-  Tensor y(x.shape());
-  ew::silu_fwd(x.raw(), cached_sigmoid_.raw(), y.raw(), x.numel());
-  return y;
-}
-
-const Tensor& SiLU::forward_into(const Tensor& x, TensorArena& arena) {
-  cached_input_ = &x;
-  cached_sigmoid_.ensure_shape(x.shape());
+const Tensor& SiLU::forward_into(const Tensor& x, TensorArena& arena) const {
+  Tensor& sigmoid = arena.alloc(x.shape());
   Tensor& y = arena.alloc(x.shape());
-  ew::silu_fwd(x.raw(), cached_sigmoid_.raw(), y.raw(), x.numel());
+  ew::silu_fwd(x.raw(), sigmoid.raw(), y.raw(), x.numel());
+  TensorArena::LayerCache& cache = arena.cache(this);
+  cache.first = &x;
+  cache.second = &sigmoid;
   return y;
 }
 
-Tensor SiLU::backward(const Tensor& grad_out) {
-  Tensor dx(grad_out.shape());
-  ew::silu_bwd(cached_sigmoid_.raw(), cached_input_->raw(), grad_out.raw(), dx.raw(),
-               grad_out.numel());
-  return dx;
-}
-
-Tensor& SiLU::backward_into(const Tensor& grad_out, TensorArena& arena) {
+Tensor& SiLU::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  const TensorArena::LayerCache& cache = arena.cache(this);
   Tensor& dx = arena.alloc(grad_out.shape());
-  ew::silu_bwd(cached_sigmoid_.raw(), cached_input_->raw(), grad_out.raw(), dx.raw(),
+  ew::silu_bwd(cache.second->raw(), cache.first->raw(), grad_out.raw(), dx.raw(),
                grad_out.numel());
   return dx;
 }

@@ -1,11 +1,7 @@
-// Pointwise activation layers: ReLU, Sigmoid, Tanh, SiLU (swish).
-//
-// Each layer has two forward entry points sharing one kernel (see
-// tensor/elementwise.h): the value-returning forward() caches by copying
-// into a member, the arena forward_into() caches a borrowed pointer into
-// the caller's arena-lived activation (valid until the arena resets — the
-// Module::forward_into contract). backward/backward_into read through the
-// pointer, so either forward pairs with either backward.
+// Pointwise activation layers: ReLU, Sigmoid, Tanh, SiLU (swish), on the
+// dispatched kernels of tensor/elementwise.h. Each forward records the
+// tensor its backward reads (ReLU/SiLU: the input, Sigmoid/Tanh: the
+// output) in the arena's cache; SiLU also keeps its sigmoid in a slot.
 #pragma once
 
 #include "nn/module.h"
@@ -14,56 +10,31 @@ namespace usb {
 
 class ReLU final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   [[nodiscard]] std::string name() const override { return "ReLU"; }
-
- private:
-  Tensor cached_input_own_;
-  const Tensor* cached_input_ = nullptr;
 };
 
 class Sigmoid final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   [[nodiscard]] std::string name() const override { return "Sigmoid"; }
-
- private:
-  Tensor cached_output_own_;
-  const Tensor* cached_output_ = nullptr;
 };
 
 class Tanh final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   [[nodiscard]] std::string name() const override { return "Tanh"; }
-
- private:
-  Tensor cached_output_own_;
-  const Tensor* cached_output_ = nullptr;
 };
 
 /// SiLU(x) = x * sigmoid(x); the EfficientNet activation.
 class SiLU final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   [[nodiscard]] std::string name() const override { return "SiLU"; }
-
- private:
-  Tensor cached_input_own_;
-  const Tensor* cached_input_ = nullptr;
-  Tensor cached_sigmoid_;  // always module-owned (computed, not borrowed)
 };
 
 }  // namespace usb

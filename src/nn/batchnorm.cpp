@@ -16,7 +16,7 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, float eps, float momentum)
       running_mean_(Shape{channels}),
       running_var_(Tensor::ones(Shape{channels})) {}
 
-void BatchNorm2d::forward_core(const Tensor& x, Tensor& y) {
+const Tensor& BatchNorm2d::forward_into(const Tensor& x, TensorArena& arena) const {
   if (x.rank() != 4 || x.dim(1) != channels_) {
     throw std::invalid_argument("BatchNorm2d: expected NCHW with C=" + std::to_string(channels_));
   }
@@ -26,15 +26,20 @@ void BatchNorm2d::forward_core(const Tensor& x, Tensor& y) {
   const std::int64_t spatial = height * width;
   const std::int64_t count = batch * spatial;
 
-  forward_was_training_ = training();
-  cached_inv_std_.ensure_shape(Shape{channels_});
-  y.ensure_shape(x.shape());
-  cached_xhat_.ensure_shape(x.shape());
+  // The cache: the normalized input, the per-channel 1/sqrt(var+eps) this
+  // forward used, and the mode it ran in.
+  Tensor& xhat = arena.alloc(x.shape());
+  Tensor& inv_std_c = arena.alloc(Shape{channels_});
+  Tensor& y = arena.alloc(x.shape());
+  TensorArena::LayerCache& cache = arena.cache(this);
+  cache.first = &xhat;
+  cache.second = &inv_std_c;
+  cache.training = training();
 
   for (std::int64_t c = 0; c < channels_; ++c) {
     float mean = 0.0F;
     float var = 0.0F;
-    if (forward_was_training_) {
+    if (cache.training) {
       // Batch statistics stay a scalar double reduction: the ascending
       // accumulation order is part of the bit-identity contract.
       double sum = 0.0;
@@ -57,47 +62,39 @@ void BatchNorm2d::forward_core(const Tensor& x, Tensor& y) {
       var = running_var_[c];
     }
     const float inv_std = 1.0F / std::sqrt(var + eps_);
-    cached_inv_std_[c] = inv_std;
+    inv_std_c[c] = inv_std;
     for (std::int64_t n = 0; n < batch; ++n) {
       const std::int64_t offset = (n * channels_ + c) * spatial;
-      ew::bn_fwd(x.raw() + offset, cached_xhat_.raw() + offset, y.raw() + offset, mean, inv_std,
+      ew::bn_fwd(x.raw() + offset, xhat.raw() + offset, y.raw() + offset, mean, inv_std,
                  gamma_.value[c], beta_.value[c], spatial);
     }
   }
-}
-
-Tensor BatchNorm2d::forward(const Tensor& x) {
-  Tensor y;
-  forward_core(x, y);
   return y;
 }
 
-const Tensor& BatchNorm2d::forward_into(const Tensor& x, TensorArena& arena) {
-  Tensor& y = arena.alloc(x.shape());
-  forward_core(x, y);
-  return y;
-}
-
-void BatchNorm2d::backward_core(const Tensor& grad_out, Tensor& dx) {
+Tensor& BatchNorm2d::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  const TensorArena::LayerCache& cache = arena.cache(this);
+  const Tensor& xhat = *cache.first;
+  const Tensor& inv_std_c = *cache.second;
   const std::int64_t batch = grad_out.dim(0);
   const std::int64_t spatial = grad_out.dim(2) * grad_out.dim(3);
   const std::int64_t count = batch * spatial;
-  dx.ensure_shape(grad_out.shape());
+  Tensor& dx = arena.alloc(grad_out.shape());
 
   for (std::int64_t c = 0; c < channels_; ++c) {
-    const float inv_std = cached_inv_std_[c];
+    const float inv_std = inv_std_c[c];
     const float g = gamma_.value[c];
     // The reductions feed both the parameter gradients and (in training
     // mode) the dx correction terms; eval-mode detection with parameter
     // gradients disabled needs neither. Scalar double accumulation by the
     // bit-identity contract.
-    const bool need_sums = param_grads_enabled() || forward_was_training_;
+    const bool need_sums = param_grads_enabled() || cache.training;
     double sum_dy = 0.0;
     double sum_dy_xhat = 0.0;
     if (need_sums) {
       for (std::int64_t n = 0; n < batch; ++n) {
         const float* dy_p = grad_out.raw() + (n * channels_ + c) * spatial;
-        const float* xhat_p = cached_xhat_.raw() + (n * channels_ + c) * spatial;
+        const float* xhat_p = xhat.raw() + (n * channels_ + c) * spatial;
         for (std::int64_t s = 0; s < spatial; ++s) {
           sum_dy += dy_p[s];
           sum_dy_xhat += static_cast<double>(dy_p[s]) * xhat_p[s];
@@ -109,14 +106,14 @@ void BatchNorm2d::backward_core(const Tensor& grad_out, Tensor& dx) {
       beta_.grad[c] += static_cast<float>(sum_dy);
     }
 
-    if (forward_was_training_) {
+    if (cache.training) {
       // Batch statistics participated in the forward, so their dependence on
       // x contributes the two correction terms.
       const auto mean_dy = static_cast<float>(sum_dy / static_cast<double>(count));
       const auto mean_dy_xhat = static_cast<float>(sum_dy_xhat / static_cast<double>(count));
       for (std::int64_t n = 0; n < batch; ++n) {
         const std::int64_t offset = (n * channels_ + c) * spatial;
-        ew::bn_bwd_train(grad_out.raw() + offset, cached_xhat_.raw() + offset, dx.raw() + offset,
+        ew::bn_bwd_train(grad_out.raw() + offset, xhat.raw() + offset, dx.raw() + offset,
                          g * inv_std, mean_dy, mean_dy_xhat, spatial);
       }
     } else {
@@ -128,17 +125,6 @@ void BatchNorm2d::backward_core(const Tensor& grad_out, Tensor& dx) {
       }
     }
   }
-}
-
-Tensor BatchNorm2d::backward(const Tensor& grad_out) {
-  Tensor dx;
-  backward_core(grad_out, dx);
-  return dx;
-}
-
-Tensor& BatchNorm2d::backward_into(const Tensor& grad_out, TensorArena& arena) {
-  Tensor& dx = arena.alloc(grad_out.shape());
-  backward_core(grad_out, dx);
   return dx;
 }
 

@@ -14,10 +14,8 @@ class BatchNorm2d final : public Module {
  public:
   explicit BatchNorm2d(std::int64_t channels, float eps = 1e-5F, float momentum = 0.1F);
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   void collect_state(std::vector<StateTensor>& out) override;
   [[nodiscard]] std::string name() const override { return "BatchNorm2d"; }
@@ -26,22 +24,14 @@ class BatchNorm2d final : public Module {
   [[nodiscard]] const Tensor& running_var() const noexcept { return running_var_; }
 
  private:
-  void forward_core(const Tensor& x, Tensor& y);
-  void backward_core(const Tensor& grad_out, Tensor& dx);
-
   std::int64_t channels_;
   float eps_;
   float momentum_;
   Parameter gamma_;
   Parameter beta_;
-  Tensor running_mean_;
-  Tensor running_var_;
-
-  // Forward cache (module-owned scratch, recycled via ensure_shape — the
-  // steady-state forward/backward pair allocates nothing).
-  bool forward_was_training_ = true;
-  Tensor cached_xhat_;     // normalized input
-  Tensor cached_inv_std_;  // per-channel 1/sqrt(var+eps) used by that forward
+  // Updated by training-mode forwards only.
+  mutable Tensor running_mean_;
+  mutable Tensor running_var_;
 };
 
 }  // namespace usb

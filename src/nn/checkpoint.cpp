@@ -89,7 +89,7 @@ Network clone_network(const Network& source) {
   for (std::size_t i = 0; i < src_state.size(); ++i) {
     *dst_state[i].tensor = *src_state[i].tensor;
   }
-  copy.set_training(false);
+  copy.freeze();
   return copy;
 }
 

@@ -21,15 +21,16 @@ void save_checkpoint(const Network& network, const std::string& path);
 /// must be able to say WHICH file was bad).
 [[nodiscard]] Network load_checkpoint(const std::string& path);
 
-/// Deep-copies a network (architecture + every state tensor). Detectors use
-/// clones to run per-class reverse engineering on independent threads: each
-/// clone owns its forward caches, so classes don't race. The source is only
-/// read, so cloning from a shared immutable instance is race-free.
+/// Deep-copies a network (architecture + every state tensor) and returns
+/// the copy frozen. DetectionService copies a live-pointer request's model
+/// at submit(), so the caller may mutate or destroy the original. The
+/// source is only read, so cloning from a shared immutable instance is
+/// race-free.
 [[nodiscard]] Network clone_network(const Network& source);
 
 /// Bytes a live copy of `network` pins: every state tensor (weights +
 /// running statistics) plus parameter gradient buffers. The figure the
-/// serving stack registers with MemoryBudget per model clone.
+/// serving stack registers with MemoryBudget per submit-time copy.
 [[nodiscard]] std::int64_t network_resident_bytes(const Network& network);
 
 }  // namespace usb

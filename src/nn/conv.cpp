@@ -13,53 +13,31 @@ Conv2d::Conv2d(Conv2dSpec spec, Rng& rng, bool with_bias)
   kaiming_normal(weight_.value, fan_in, rng);
 }
 
-Tensor Conv2d::forward(const Tensor& x) {
-  cached_input_own_ = x;
-  cached_input_ = &cached_input_own_;
-  return conv2d_forward(x, weight_.value, bias_.value, spec_);
-}
-
-const Tensor& Conv2d::forward_into(const Tensor& x, TensorArena& arena) {
-  cached_input_ = &x;
+const Tensor& Conv2d::forward_into(const Tensor& x, TensorArena& arena) const {
+  arena.cache(this).first = &x;
   Tensor& y = arena.alloc(Shape{x.dim(0), spec_.out_channels, spec_.out_size(x.dim(2)),
                                 spec_.out_size(x.dim(3))});
   conv2d_forward_into(x, weight_.value, bias_.value, spec_, y);
   return y;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
-  const bool need_dweight = param_grads_enabled();
-  // Frozen weights AND no input gradient wanted (a first-layer conv on a
-  // frozen model): there is nothing to compute, so skip the kernel dispatch.
-  if (!need_dweight && !need_input_grad_) return Tensor(cached_input_->shape());
-  Conv2dGrads grads = conv2d_backward(*cached_input_, weight_.value, grad_out, spec_,
-                                      need_input_grad_, need_dweight);
-  if (need_dweight) {
-    weight_.grad += grads.dweight;
-    if (with_bias_) bias_.grad += grads.dbias;
-  }
-  if (!need_input_grad_) return Tensor(cached_input_->shape());
-  return std::move(grads.dx);
-}
-
-Tensor& Conv2d::backward_into(const Tensor& grad_out, TensorArena& arena) {
-  const bool need_dweight = param_grads_enabled();
-  if (!need_dweight && !need_input_grad_) return arena.zeros(cached_input_->shape());
-  if (!need_dweight) {
-    // The frozen-model hot path: only dx, written straight into an arena
-    // slot — no gradient-struct allocations at all.
-    Tensor& dx = arena.alloc(cached_input_->shape());
-    conv2d_backward_into(*cached_input_, weight_.value, grad_out, spec_, /*need_dx=*/true,
+Tensor& Conv2d::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  const Tensor& x = *arena.cache(this).first;
+  Tensor& dx = arena.alloc(x.shape());
+  // A frozen model (the detection hot path) computes dx only: nothing is
+  // allocated or accumulated for the weights.
+  if (!param_grads_enabled()) {
+    conv2d_backward_into(x, weight_.value, grad_out, spec_, /*need_dx=*/true,
                          /*need_dweight=*/false, &dx, nullptr, nullptr);
     return dx;
   }
-  // Training path: keep the historical accumulate-into-Parameter structure.
-  Conv2dGrads grads = conv2d_backward(*cached_input_, weight_.value, grad_out, spec_,
-                                      need_input_grad_, /*need_dweight=*/true);
-  weight_.grad += grads.dweight;
-  if (with_bias_) bias_.grad += grads.dbias;
-  if (!need_input_grad_) return arena.zeros(cached_input_->shape());
-  return arena.adopt(std::move(grads.dx));
+  Tensor& dweight = arena.alloc(weight_.value.shape());
+  Tensor& dbias = arena.alloc(Shape{spec_.out_channels});
+  conv2d_backward_into(x, weight_.value, grad_out, spec_, /*need_dx=*/true,
+                       /*need_dweight=*/true, &dx, &dweight, &dbias);
+  weight_.grad += dweight;
+  if (with_bias_) bias_.grad += dbias;
+  return dx;
 }
 
 void Conv2d::collect_parameters(std::vector<Parameter*>& out) {

@@ -11,27 +11,18 @@ class Conv2d final : public Module {
  public:
   Conv2d(Conv2dSpec spec, Rng& rng, bool with_bias = true);
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
 
   [[nodiscard]] const Conv2dSpec& spec() const noexcept { return spec_; }
 
-  /// First-layer convs can skip computing dL/dinput during weight training;
-  /// detection algorithms re-enable it to reach the image. Defaults to true.
-  void set_need_input_grad(bool need) noexcept { need_input_grad_ = need; }
-
  private:
   Conv2dSpec spec_;
   bool with_bias_;
-  bool need_input_grad_ = true;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_own_;
-  const Tensor* cached_input_ = nullptr;
 };
 
 }  // namespace usb

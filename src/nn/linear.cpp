@@ -17,7 +17,7 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
   kaiming_normal(weight_.value, in_features, rng);
 }
 
-void Linear::forward_core(const Tensor& x, Tensor& y) {
+const Tensor& Linear::forward_into(const Tensor& x, TensorArena& arena) const {
   if (x.rank() != 2 || x.dim(1) != in_features_) {
     throw std::invalid_argument("Linear: expected (N, " + std::to_string(in_features_) +
                                 "), got " + x.shape().to_string());
@@ -25,34 +25,23 @@ void Linear::forward_core(const Tensor& x, Tensor& y) {
   // Broadcast the bias into y, then let the GEMM accumulate on top: one
   // fused output pass instead of a separate bias sweep after the matmul.
   const std::int64_t batch = x.dim(0);
-  y.ensure_shape(Shape{batch, out_features_});
+  Tensor& y = arena.alloc(Shape{batch, out_features_});
   for (std::int64_t n = 0; n < batch; ++n) {
     std::copy(bias_.value.raw(), bias_.value.raw() + out_features_, y.raw() + n * out_features_);
   }
   gemm(/*transpose_a=*/false, /*transpose_b=*/true, batch, out_features_, in_features_, x.raw(),
        in_features_, weight_.value.raw(), in_features_, y.raw(), out_features_,
        /*accumulate=*/true);
-}
-
-Tensor Linear::forward(const Tensor& x) {
-  Tensor y;
-  forward_core(x, y);
-  cached_input_own_ = x;
-  cached_input_ = &cached_input_own_;
+  arena.cache(this).first = &x;
   return y;
 }
 
-const Tensor& Linear::forward_into(const Tensor& x, TensorArena& arena) {
-  Tensor& y = arena.alloc(Shape{x.dim(0), out_features_});
-  forward_core(x, y);
-  cached_input_ = &x;
-  return y;
-}
-
-void Linear::backward_core(const Tensor& grad_out, Tensor& dx) {
+Tensor& Linear::backward_into(const Tensor& grad_out, TensorArena& arena) const {
   if (param_grads_enabled()) {
     // dW (out,in) = dy^T (out,N) x X (N,in)
-    weight_.grad += matmul_transpose_a(grad_out, *cached_input_);
+    Tensor& dweight = arena.alloc(weight_.value.shape());
+    matmul_transpose_a_into(grad_out, *arena.cache(this).first, dweight);
+    weight_.grad += dweight;
     const std::int64_t batch = grad_out.dim(0);
     for (std::int64_t n = 0; n < batch; ++n) {
       const float* row = grad_out.raw() + n * out_features_;
@@ -60,18 +49,8 @@ void Linear::backward_core(const Tensor& grad_out, Tensor& dx) {
     }
   }
   // dX (N,in) = dy (N,out) x W (out,in)
-  matmul_into(grad_out, weight_.value, dx);
-}
-
-Tensor Linear::backward(const Tensor& grad_out) {
-  Tensor dx;
-  backward_core(grad_out, dx);
-  return dx;
-}
-
-Tensor& Linear::backward_into(const Tensor& grad_out, TensorArena& arena) {
   Tensor& dx = arena.alloc(Shape{grad_out.dim(0), in_features_});
-  backward_core(grad_out, dx);
+  matmul_into(grad_out, weight_.value, dx);
   return dx;
 }
 

@@ -11,10 +11,8 @@ class Linear final : public Module {
   /// Weight (out_features, in_features) Kaiming-initialized; bias zero.
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng);
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "Linear"; }
 
@@ -24,15 +22,10 @@ class Linear final : public Module {
   [[nodiscard]] Parameter& bias() noexcept { return bias_; }
 
  private:
-  void forward_core(const Tensor& x, Tensor& y);
-  void backward_core(const Tensor& grad_out, Tensor& dx);
-
   std::int64_t in_features_;
   std::int64_t out_features_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_own_;
-  const Tensor* cached_input_ = nullptr;
 };
 
 }  // namespace usb

@@ -43,10 +43,10 @@ Network::Network(Architecture arch, std::int64_t in_channels, std::int64_t input
 Tensor Network::forward(const Tensor& x) { return layers_->forward(x); }
 Tensor Network::backward(const Tensor& grad_logits) { return layers_->backward(grad_logits); }
 
-const Tensor& Network::forward_into(const Tensor& x, TensorArena& arena) {
+const Tensor& Network::forward_into(const Tensor& x, TensorArena& arena) const {
   return layers_->forward_into(x, arena);
 }
-Tensor& Network::backward_into(const Tensor& grad_logits, TensorArena& arena) {
+Tensor& Network::backward_into(const Tensor& grad_logits, TensorArena& arena) const {
   return layers_->backward_into(grad_logits, arena);
 }
 
@@ -61,6 +61,13 @@ Tensor Network::backward_head(const Tensor& grad_logits) {
 }
 Tensor Network::backward_features(const Tensor& grad_features) {
   return layers_->backward_range(grad_features, 0, feature_boundary_);
+}
+
+void require_frozen(const Network& model, const char* caller) {
+  if (!model.frozen()) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": the network must be frozen (Network::freeze())");
+  }
 }
 
 std::int64_t Network::parameter_count() {

@@ -41,24 +41,26 @@ class Network {
   Network& operator=(Network&&) noexcept = default;
 
   /// Full forward pass: images (N,C,H,W) in [0,1] -> logits (N,classes).
+  /// The Module::forward adapter: a new pass on the network's own arena.
   [[nodiscard]] Tensor forward(const Tensor& x);
 
-  /// Full backward pass: dL/dlogits -> dL/dimages. Parameter gradients
-  /// accumulate as a side effect (callers that only need input gradients
-  /// zero them or ignore them).
+  /// Full backward pass over the latest forward(): dL/dlogits ->
+  /// dL/dimages. Parameter gradients accumulate as a side effect when they
+  /// are enabled.
   [[nodiscard]] Tensor backward(const Tensor& grad_logits);
 
-  /// Arena-backed forward/backward: bit-identical to forward()/backward(),
-  /// zero heap allocations in a steady-state loop that resets the arena at
-  /// step boundaries. `x` and the returned references must outlive the
-  /// matching backward (see Module::forward_into).
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena);
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_logits, TensorArena& arena);
+  /// The one forward/backward path, on the caller's arena (see
+  /// nn/module.h): zero heap allocations in a steady-state loop that resets
+  /// the arena at step boundaries, and on a frozen network no write to the
+  /// network at all, so concurrent passes on distinct arenas may share it.
+  /// `x` and the returned references must outlive the matching backward.
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_logits, TensorArena& arena) const;
 
   /// Forward through the feature extractor only (layers before the
-  /// boundary). Used by the Latent Backdoor attack.
+  /// boundary); starts a new pass. Used by the Latent Backdoor attack.
   [[nodiscard]] Tensor forward_features(const Tensor& x);
-  /// Head applied on features from forward_features.
+  /// Head applied on features from forward_features; continues its pass.
   [[nodiscard]] Tensor forward_head(const Tensor& features);
   /// Backward through the head; returns dL/dfeatures.
   [[nodiscard]] Tensor backward_head(const Tensor& grad_logits);
@@ -69,6 +71,16 @@ class Network {
   /// See Module::set_param_grads_enabled: detection on a frozen model turns
   /// this off to halve backward cost.
   void set_param_grads_enabled(bool enabled) { layers_->set_param_grads_enabled(enabled); }
+  /// Eval mode with parameter gradients off: the state in which a pass
+  /// writes nothing to the network, so one instance serves every class of
+  /// a scan and every concurrent scan. Scan entry points require it.
+  void freeze() {
+    set_training(false);
+    set_param_grads_enabled(false);
+  }
+  [[nodiscard]] bool frozen() const noexcept {
+    return !layers_->training() && !layers_->param_grads_enabled();
+  }
   void zero_grad() { layers_->zero_grad(); }
   [[nodiscard]] std::vector<Parameter*> parameters() { return layers_->parameters(); }
   [[nodiscard]] std::vector<StateTensor> state() {
@@ -112,6 +124,11 @@ class Network {
   std::unique_ptr<Sequential> layers_;
   std::int64_t feature_boundary_;
 };
+
+/// Throws std::invalid_argument naming `caller` unless `model` is frozen —
+/// the precondition of every entry point that runs passes on a shared
+/// const network.
+void require_frozen(const Network& model, const char* caller);
 
 /// Builds an untrained network of the given architecture. `input_size` is
 /// the square spatial size (28, 32 or 48 in this repo).

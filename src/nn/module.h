@@ -1,16 +1,23 @@
 // Layer abstraction with explicit forward/backward.
 //
-// There is no autograd tape: each Module caches what its own backward needs
-// during forward and implements the exact gradient. `backward(grad_out)`
-// returns the gradient with respect to the module INPUT and accumulates
-// gradients into its Parameters. Input gradients are first-class because
-// every algorithm in the paper (DeepFool, targeted UAP, NC/TABOR/USB trigger
+// There is no autograd tape: each Module records what its own backward
+// needs during forward and implements the exact gradient. backward returns
+// the gradient with respect to the module INPUT and accumulates gradients
+// into its Parameters. Input gradients are first-class because every
+// algorithm in the paper (DeepFool, targeted UAP, NC/TABOR/USB trigger
 // optimization) differentiates with respect to images, not just weights.
 //
-// Contract: backward must be called after the forward whose activations it
-// consumes, with a grad_out shaped like that forward's output. Modules are
-// not reentrant across interleaved forwards (the training and detection
-// loops in this repo never need that).
+// One path: every layer implements only forward_into/backward_into, both
+// const. Outputs live in the caller's TensorArena and so does the forward
+// cache (TensorArena::cache(layer)), so a layer keeps no per-call state. A
+// frozen module (eval mode, parameter gradients off) writes nothing to
+// itself at all: any number of arenas can run passes over it concurrently.
+// Training writes only what `mutable` marks: Parameter::grad and BatchNorm's
+// running statistics.
+//
+// Contract: backward_into must be called on the arena of the forward_into
+// whose activations it consumes, with a grad_out shaped like that forward's
+// output, and before the arena resets.
 #pragma once
 
 #include <memory>
@@ -27,7 +34,7 @@ namespace usb {
 struct Parameter {
   std::string name;
   Tensor value;
-  Tensor grad;
+  mutable Tensor grad;  // accumulated by const backward passes
 
   Parameter() = default;
   Parameter(std::string param_name, Tensor initial)
@@ -50,29 +57,31 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// Computes the module output, caching whatever backward() needs.
-  [[nodiscard]] virtual Tensor forward(const Tensor& x) = 0;
-
-  /// Returns dL/dinput given dL/doutput; accumulates parameter gradients.
-  [[nodiscard]] virtual Tensor backward(const Tensor& grad_out) = 0;
-
-  /// Arena-backed forward: bit-identical to forward(), but the output (and
-  /// any intermediate) lives in `arena` slots, so a steady-state loop that
-  /// resets the arena between steps performs zero Tensor heap allocations.
-  /// Additional contract on top of forward()'s: the input `x` and the
+  /// Computes the module output into `arena` slots and records what
+  /// backward_into needs in arena.cache(this). The input `x` and the
   /// returned reference must stay alive (no arena reset) until the matching
-  /// backward/backward_into has consumed this forward's caches — layers on
-  /// this path cache borrowed pointers instead of copies. The default is an
-  /// adapter for layers without a native arena body.
-  [[nodiscard]] virtual const Tensor& forward_into(const Tensor& x, TensorArena& arena) {
-    return arena.adopt(forward(x));
+  /// backward_into has run: the cache borrows pointers, it copies nothing.
+  [[nodiscard]] virtual const Tensor& forward_into(const Tensor& x,
+                                                   TensorArena& arena) const = 0;
+
+  /// Returns dL/dinput in an arena slot given dL/doutput; accumulates
+  /// parameter gradients when they are enabled. Returns a mutable reference
+  /// so callers can fold extra gradient terms in place (e.g. the SSIM term
+  /// of USB's Alg. 2). May be repeated over one forward.
+  [[nodiscard]] virtual Tensor& backward_into(const Tensor& grad_out,
+                                              TensorArena& arena) const = 0;
+
+  /// Value-returning adapter: a new pass on an arena this module owns, with
+  /// the input copied in and the output copied out.
+  [[nodiscard]] Tensor forward(const Tensor& x) {
+    TensorArena& arena = own_arena();
+    arena.reset();
+    return forward_into(arena.copy(x), arena);
   }
 
-  /// Arena-backed backward; same pairing rules as backward(). Returns a
-  /// mutable reference so callers can fold extra gradient terms in place
-  /// (e.g. the SSIM term of USB's Alg. 2).
-  [[nodiscard]] virtual Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) {
-    return arena.adopt(backward(grad_out));
+  /// Backward over the latest forward() of this module.
+  [[nodiscard]] Tensor backward(const Tensor& grad_out) {
+    return backward_into(grad_out, own_arena());
   }
 
   /// Appends pointers to learnable parameters (default: none).
@@ -111,8 +120,17 @@ class Module {
   }
 
  protected:
+  /// The arena behind forward()/backward(), created on first use.
+  [[nodiscard]] TensorArena& own_arena() {
+    if (own_arena_ == nullptr) own_arena_ = std::make_unique<TensorArena>();
+    return *own_arena_;
+  }
+
   bool training_ = true;
   bool param_grads_enabled_ = true;
+
+ private:
+  std::unique_ptr<TensorArena> own_arena_;
 };
 
 using ModulePtr = std::unique_ptr<Module>;

@@ -4,94 +4,60 @@
 
 namespace usb {
 
-Tensor MaxPool2d::forward(const Tensor& x) {
-  cached_input_shape_ = x.shape();
-  Tensor y;
-  maxpool2d_forward_into(x, spec_, y, cached_argmax_);
-  return y;
-}
-
-const Tensor& MaxPool2d::forward_into(const Tensor& x, TensorArena& arena) {
-  cached_input_shape_ = x.shape();
+const Tensor& MaxPool2d::forward_into(const Tensor& x, TensorArena& arena) const {
+  TensorArena::LayerCache& cache = arena.cache(this);
+  cache.first = &x;
   Tensor& y = arena.alloc(Shape{x.dim(0), x.dim(1), spec_.out_size(x.dim(2)),
                                 spec_.out_size(x.dim(3))});
-  maxpool2d_forward_into(x, spec_, y, cached_argmax_);
+  maxpool2d_forward_into(x, spec_, y, cache.argmax);
   return y;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  return maxpool2d_backward(grad_out, cached_argmax_, cached_input_shape_);
-}
-
-Tensor& MaxPool2d::backward_into(const Tensor& grad_out, TensorArena& arena) {
-  Tensor& dx = arena.alloc(cached_input_shape_);
-  maxpool2d_backward_into(grad_out, cached_argmax_, cached_input_shape_, dx);
+Tensor& MaxPool2d::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  const TensorArena::LayerCache& cache = arena.cache(this);
+  Tensor& dx = arena.alloc(cache.first->shape());
+  maxpool2d_backward_into(grad_out, cache.argmax, cache.first->shape(), dx);
   return dx;
 }
 
-Tensor AvgPool2d::forward(const Tensor& x) {
-  cached_input_shape_ = x.shape();
-  return avgpool2d_forward(x, spec_);
-}
-
-const Tensor& AvgPool2d::forward_into(const Tensor& x, TensorArena& arena) {
-  cached_input_shape_ = x.shape();
+const Tensor& AvgPool2d::forward_into(const Tensor& x, TensorArena& arena) const {
+  arena.cache(this).first = &x;
   Tensor& y = arena.alloc(Shape{x.dim(0), x.dim(1), spec_.out_size(x.dim(2)),
                                 spec_.out_size(x.dim(3))});
   avgpool2d_forward_into(x, spec_, y);
   return y;
 }
 
-Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  return avgpool2d_backward(grad_out, cached_input_shape_, spec_);
-}
-
-Tensor& AvgPool2d::backward_into(const Tensor& grad_out, TensorArena& arena) {
-  Tensor& dx = arena.alloc(cached_input_shape_);
-  avgpool2d_backward_into(grad_out, cached_input_shape_, spec_, dx);
+Tensor& AvgPool2d::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  const Shape& x_shape = arena.cache(this).first->shape();
+  Tensor& dx = arena.alloc(x_shape);
+  avgpool2d_backward_into(grad_out, x_shape, spec_, dx);
   return dx;
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& x) {
-  cached_input_shape_ = x.shape();
-  return global_avgpool_forward(x);
-}
-
-const Tensor& GlobalAvgPool::forward_into(const Tensor& x, TensorArena& arena) {
-  cached_input_shape_ = x.shape();
+const Tensor& GlobalAvgPool::forward_into(const Tensor& x, TensorArena& arena) const {
+  arena.cache(this).first = &x;
   Tensor& y = arena.alloc(Shape{x.dim(0), x.dim(1), 1, 1});
   global_avgpool_forward_into(x, y);
   return y;
 }
 
-Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
-  return global_avgpool_backward(grad_out, cached_input_shape_);
-}
-
-Tensor& GlobalAvgPool::backward_into(const Tensor& grad_out, TensorArena& arena) {
-  Tensor& dx = arena.alloc(cached_input_shape_);
-  global_avgpool_backward_into(grad_out, cached_input_shape_, dx);
+Tensor& GlobalAvgPool::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  const Shape& x_shape = arena.cache(this).first->shape();
+  Tensor& dx = arena.alloc(x_shape);
+  global_avgpool_backward_into(grad_out, x_shape, dx);
   return dx;
 }
 
-Tensor Flatten::forward(const Tensor& x) {
-  cached_input_shape_ = x.shape();
-  return x.reshaped(Shape{x.dim(0), x.numel() / x.dim(0)});
-}
-
-const Tensor& Flatten::forward_into(const Tensor& x, TensorArena& arena) {
-  cached_input_shape_ = x.shape();
+const Tensor& Flatten::forward_into(const Tensor& x, TensorArena& arena) const {
+  arena.cache(this).first = &x;
   Tensor& y = arena.alloc(Shape{x.dim(0), x.numel() / x.dim(0)});
   std::copy(x.raw(), x.raw() + x.numel(), y.raw());
   return y;
 }
 
-Tensor Flatten::backward(const Tensor& grad_out) {
-  return grad_out.reshaped(cached_input_shape_);
-}
-
-Tensor& Flatten::backward_into(const Tensor& grad_out, TensorArena& arena) {
-  Tensor& dx = arena.alloc(cached_input_shape_);
+Tensor& Flatten::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  Tensor& dx = arena.alloc(arena.cache(this).first->shape());
   std::copy(grad_out.raw(), grad_out.raw() + grad_out.numel(), dx.raw());
   return dx;
 }

@@ -1,4 +1,6 @@
-// Pooling layers wrapping the tensor kernels.
+// Pooling layers wrapping the tensor kernels. Each forward records its
+// input in the arena's cache (backward needs its shape); MaxPool2d also
+// records the argmax indices.
 #pragma once
 
 #include "nn/module.h"
@@ -10,57 +12,40 @@ class MaxPool2d final : public Module {
  public:
   explicit MaxPool2d(Pool2dSpec spec) : spec_(spec) {}
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   [[nodiscard]] std::string name() const override { return "MaxPool2d"; }
 
  private:
   Pool2dSpec spec_;
-  Shape cached_input_shape_;
-  std::vector<std::int64_t> cached_argmax_;  // capacity recycled across steps
 };
 
 class AvgPool2d final : public Module {
  public:
   explicit AvgPool2d(Pool2dSpec spec) : spec_(spec) {}
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   [[nodiscard]] std::string name() const override { return "AvgPool2d"; }
 
  private:
   Pool2dSpec spec_;
-  Shape cached_input_shape_;
 };
 
 /// (N,C,H,W) -> (N,C,1,1) spatial mean; the classifier-head pool.
 class GlobalAvgPool final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   [[nodiscard]] std::string name() const override { return "GlobalAvgPool"; }
-
- private:
-  Shape cached_input_shape_;
 };
 
 /// (N,C,H,W) -> (N, C*H*W).
 class Flatten final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   [[nodiscard]] std::string name() const override { return "Flatten"; }
-
- private:
-  Shape cached_input_shape_;
 };
 
 }  // namespace usb

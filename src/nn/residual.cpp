@@ -41,24 +41,8 @@ ResidualBlock::ResidualBlock(std::int64_t in_channels, std::int64_t out_channels
   }
 }
 
-Tensor ResidualBlock::forward(const Tensor& x) {
-  Tensor main = bn1_.forward(conv1_.forward(x));
-  cached_relu1_input_own_ = main;
-  cached_relu1_input_ = &cached_relu1_input_own_;
-  ew::relu_fwd(cached_relu1_input_own_.raw(), main.raw(), main.numel());
-  main = bn2_.forward(conv2_.forward(main));
-
-  Tensor shortcut = has_projection_ ? proj_bn_->forward(proj_conv_->forward(x)) : x;
-  main += shortcut;
-  cached_sum_own_ = main;
-  cached_sum_ = &cached_sum_own_;
-  ew::relu_fwd(cached_sum_own_.raw(), main.raw(), main.numel());
-  return main;
-}
-
-const Tensor& ResidualBlock::forward_into(const Tensor& x, TensorArena& arena) {
+const Tensor& ResidualBlock::forward_into(const Tensor& x, TensorArena& arena) const {
   const Tensor& pre1 = bn1_.forward_into(conv1_.forward_into(x, arena), arena);
-  cached_relu1_input_ = &pre1;
   Tensor& act1 = arena.alloc(pre1.shape());
   ew::relu_fwd(pre1.raw(), act1.raw(), pre1.numel());
 
@@ -67,41 +51,29 @@ const Tensor& ResidualBlock::forward_into(const Tensor& x, TensorArena& arena) {
       has_projection_ ? proj_bn_->forward_into(proj_conv_->forward_into(x, arena), arena) : x;
   Tensor& sum = arena.alloc(main.shape());
   ew::add(main.raw(), shortcut.raw(), sum.raw(), main.numel());
-  cached_sum_ = &sum;
   Tensor& y = arena.alloc(sum.shape());
   ew::relu_fwd(sum.raw(), y.raw(), sum.numel());
+
+  // The two ReLUs' pre-activations: the inner one's, then the output's.
+  TensorArena::LayerCache& cache = arena.cache(this);
+  cache.first = &pre1;
+  cache.second = &sum;
   return y;
 }
 
-Tensor ResidualBlock::backward(const Tensor& grad_out) {
-  // Through the output ReLU.
-  Tensor grad_sum(grad_out.shape());
-  ew::relu_bwd(cached_sum_->raw(), grad_out.raw(), grad_sum.raw(), grad_out.numel());
+Tensor& ResidualBlock::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  const TensorArena::LayerCache& cache = arena.cache(this);
+  const Tensor& pre1 = *cache.first;
+  const Tensor& sum = *cache.second;
 
-  // Main path.
-  Tensor grad_pre = conv2_.backward(bn2_.backward(grad_sum));
-  Tensor grad_main(grad_pre.shape());
-  ew::relu_bwd(cached_relu1_input_->raw(), grad_pre.raw(), grad_main.raw(), grad_pre.numel());
-  Tensor dx = conv1_.backward(bn1_.backward(grad_main));
-
-  // Shortcut path.
-  if (has_projection_) {
-    dx += proj_conv_->backward(proj_bn_->backward(grad_sum));
-  } else {
-    dx += grad_sum;
-  }
-  return dx;
-}
-
-Tensor& ResidualBlock::backward_into(const Tensor& grad_out, TensorArena& arena) {
   // Through the output ReLU.
   Tensor& grad_sum = arena.alloc(grad_out.shape());
-  ew::relu_bwd(cached_sum_->raw(), grad_out.raw(), grad_sum.raw(), grad_out.numel());
+  ew::relu_bwd(sum.raw(), grad_out.raw(), grad_sum.raw(), grad_out.numel());
 
   // Main path.
   const Tensor& grad_pre = conv2_.backward_into(bn2_.backward_into(grad_sum, arena), arena);
   Tensor& grad_main = arena.alloc(grad_pre.shape());
-  ew::relu_bwd(cached_relu1_input_->raw(), grad_pre.raw(), grad_main.raw(), grad_pre.numel());
+  ew::relu_bwd(pre1.raw(), grad_pre.raw(), grad_main.raw(), grad_pre.numel());
   Tensor& dx = conv1_.backward_into(bn1_.backward_into(grad_main, arena), arena);
 
   // Shortcut path.

@@ -14,10 +14,8 @@ class ResidualBlock final : public Module {
   ResidualBlock(std::int64_t in_channels, std::int64_t out_channels, std::int64_t stride,
                 Rng& rng);
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   void collect_state(std::vector<StateTensor>& out) override;
   void set_training(bool training) override;
@@ -32,13 +30,6 @@ class ResidualBlock final : public Module {
   bool has_projection_;
   std::unique_ptr<Conv2d> proj_conv_;
   std::unique_ptr<BatchNorm2d> proj_bn_;
-
-  // Pre-activation caches: owned copies on the allocating path, borrowed
-  // arena slots on the forward_into path (Module::forward_into contract).
-  Tensor cached_relu1_input_own_;
-  Tensor cached_sum_own_;
-  const Tensor* cached_relu1_input_ = nullptr;  // pre-activation, inner ReLU
-  const Tensor* cached_sum_ = nullptr;          // pre-activation, output ReLU
 };
 
 }  // namespace usb

@@ -1,7 +1,7 @@
 #include "nn/sequential.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace usb {
 
@@ -10,54 +10,50 @@ Sequential& Sequential::add(ModulePtr layer) {
   return *this;
 }
 
-Tensor Sequential::forward(const Tensor& x) { return forward_range(x, 0, size()); }
+const Tensor& Sequential::forward_into(const Tensor& x, TensorArena& arena) const {
+  return forward_layers(x, 0, size(), arena);
+}
 
-Tensor Sequential::backward(const Tensor& grad_out) { return backward_range(grad_out, 0, size()); }
+Tensor& Sequential::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  return backward_layers(grad_out, 0, size(), arena);
+}
 
-const Tensor& Sequential::forward_into(const Tensor& x, TensorArena& arena) {
+Tensor Sequential::forward_range(const Tensor& x, std::int64_t begin, std::int64_t end) {
+  check_range(begin, end, "forward_range");
+  TensorArena& arena = own_arena();
+  if (begin == 0) arena.reset();
+  return forward_layers(arena.copy(x), begin, end, arena);
+}
+
+Tensor Sequential::backward_range(const Tensor& grad_out, std::int64_t begin, std::int64_t end) {
+  check_range(begin, end, "backward_range");
+  return backward_layers(grad_out, begin, end, own_arena());
+}
+
+void Sequential::check_range(std::int64_t begin, std::int64_t end, const char* caller) const {
+  if (begin < 0 || end > size() || begin > end) {
+    throw std::out_of_range(std::string("Sequential::") + caller + ": bad range");
+  }
+}
+
+const Tensor& Sequential::forward_layers(const Tensor& x, std::int64_t begin, std::int64_t end,
+                                         TensorArena& arena) const {
   const Tensor* activation = &x;
-  for (const ModulePtr& layer : layers_) {
-    activation = &layer->forward_into(*activation, arena);
+  for (std::int64_t i = begin; i < end; ++i) {
+    activation = &layers_[static_cast<std::size_t>(i)]->forward_into(*activation, arena);
   }
   return *activation;
 }
 
-Tensor& Sequential::backward_into(const Tensor& grad_out, TensorArena& arena) {
-  Tensor* grad = nullptr;
-  const Tensor* upstream = &grad_out;
-  for (std::int64_t i = size() - 1; i >= 0; --i) {
-    grad = &layers_[static_cast<std::size_t>(i)]->backward_into(*upstream, arena);
-    upstream = grad;
-  }
-  // An empty Sequential degenerates to identity: park a copy in the arena.
-  if (grad == nullptr) {
-    Tensor& dx = arena.alloc(grad_out.shape());
-    std::copy(grad_out.raw(), grad_out.raw() + grad_out.numel(), dx.raw());
-    return dx;
+Tensor& Sequential::backward_layers(const Tensor& grad_out, std::int64_t begin,
+                                    std::int64_t end, TensorArena& arena) const {
+  // An empty range degenerates to identity: park a copy in the arena.
+  if (begin == end) return arena.copy(grad_out);
+  Tensor* grad = &layers_[static_cast<std::size_t>(end - 1)]->backward_into(grad_out, arena);
+  for (std::int64_t i = end - 2; i >= begin; --i) {
+    grad = &layers_[static_cast<std::size_t>(i)]->backward_into(*grad, arena);
   }
   return *grad;
-}
-
-Tensor Sequential::forward_range(const Tensor& x, std::int64_t begin, std::int64_t end) {
-  if (begin < 0 || end > size() || begin > end) {
-    throw std::out_of_range("Sequential::forward_range: bad range");
-  }
-  Tensor activation = x;
-  for (std::int64_t i = begin; i < end; ++i) {
-    activation = layers_[static_cast<std::size_t>(i)]->forward(activation);
-  }
-  return activation;
-}
-
-Tensor Sequential::backward_range(const Tensor& grad_out, std::int64_t begin, std::int64_t end) {
-  if (begin < 0 || end > size() || begin > end) {
-    throw std::out_of_range("Sequential::backward_range: bad range");
-  }
-  Tensor grad = grad_out;
-  for (std::int64_t i = end - 1; i >= begin; --i) {
-    grad = layers_[static_cast<std::size_t>(i)]->backward(grad);
-  }
-  return grad;
 }
 
 void Sequential::collect_parameters(std::vector<Parameter*>& out) {

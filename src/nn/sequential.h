@@ -24,12 +24,13 @@ class Sequential final : public Module {
     return *layers_[static_cast<std::size_t>(index)];
   }
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
 
-  /// Forward through layers [begin, end).
+  /// Forward through layers [begin, end), on the arena behind forward(). A
+  /// range starting at layer 0 starts a new pass; a later range continues
+  /// it, so a feature range followed by a head range keeps both ranges'
+  /// caches for the backward_range calls that follow.
   [[nodiscard]] Tensor forward_range(const Tensor& x, std::int64_t begin, std::int64_t end);
 
   /// Backward through layers [begin, end) in reverse; must follow the
@@ -44,6 +45,12 @@ class Sequential final : public Module {
   [[nodiscard]] std::string name() const override { return "Sequential"; }
 
  private:
+  void check_range(std::int64_t begin, std::int64_t end, const char* caller) const;
+  [[nodiscard]] const Tensor& forward_layers(const Tensor& x, std::int64_t begin,
+                                             std::int64_t end, TensorArena& arena) const;
+  [[nodiscard]] Tensor& backward_layers(const Tensor& grad_out, std::int64_t begin,
+                                        std::int64_t end, TensorArena& arena) const;
+
   std::vector<ModulePtr> layers_;
 };
 

@@ -8,24 +8,9 @@ namespace usb {
 SqueezeExcite::SqueezeExcite(std::int64_t channels, std::int64_t reduced, Rng& rng)
     : channels_(channels), fc1_(channels, reduced, rng), fc2_(reduced, channels, rng) {}
 
-Tensor SqueezeExcite::forward(const Tensor& x) {
-  cached_input_own_ = x;
-  cached_input_ = &cached_input_own_;
+const Tensor& SqueezeExcite::forward_into(const Tensor& x, TensorArena& arena) const {
   const std::int64_t batch = x.dim(0);
-
-  Tensor squeezed = global_avgpool_forward(x).reshaped(Shape{batch, channels_});
-  Tensor gates = gate_.forward(fc2_.forward(act_.forward(fc1_.forward(squeezed))));
-  cached_gates_own_ = gates;
-  cached_gates_ = &cached_gates_own_;
-
-  Tensor y(x.shape());
-  gate_input(x, gates, y);
-  return y;
-}
-
-const Tensor& SqueezeExcite::forward_into(const Tensor& x, TensorArena& arena) {
-  cached_input_ = &x;
-  const std::int64_t batch = x.dim(0);
+  const std::int64_t spatial = x.dim(2) * x.dim(3);
 
   Tensor& squeezed = arena.alloc(Shape{batch, channels_, 1, 1});
   global_avgpool_forward_into(x, squeezed);
@@ -33,73 +18,54 @@ const Tensor& SqueezeExcite::forward_into(const Tensor& x, TensorArena& arena) {
   const Tensor& gates = gate_.forward_into(
       fc2_.forward_into(act_.forward_into(fc1_.forward_into(squeezed, arena), arena), arena),
       arena);
-  cached_gates_ = &gates;
 
   Tensor& y = arena.alloc(x.shape());
-  gate_input(x, gates, y);
-  return y;
-}
-
-void SqueezeExcite::gate_input(const Tensor& x, const Tensor& gates, Tensor& y) const {
-  const std::int64_t batch = x.dim(0);
-  const std::int64_t spatial = x.dim(2) * x.dim(3);
   for (std::int64_t n = 0; n < batch; ++n) {
     for (std::int64_t c = 0; c < channels_; ++c) {
       const std::int64_t offset = (n * channels_ + c) * spatial;
       ew::scale_into(x.raw() + offset, gates.at2(n, c), y.raw() + offset, spatial);
     }
   }
+  TensorArena::LayerCache& cache = arena.cache(this);
+  cache.first = &x;
+  cache.second = &gates;  // (N, C)
+  return y;
 }
 
-void SqueezeExcite::backward_direct(const Tensor& grad_out, Tensor& dx) {
+Tensor& SqueezeExcite::backward_into(const Tensor& grad_out, TensorArena& arena) const {
+  const TensorArena::LayerCache& cache = arena.cache(this);
+  const Tensor& x = *cache.first;
+  const Tensor& gates = *cache.second;
   const std::int64_t batch = grad_out.dim(0);
   const std::int64_t spatial = grad_out.dim(2) * grad_out.dim(3);
 
   // d/dgates: sum over spatial of dy * x (scalar double reduction, by the
   // bit-identity contract). d/dx (direct path): dy * gate.
-  dgates_scratch_.ensure_shape(Shape{batch, channels_});
+  Tensor& dx = arena.alloc(grad_out.shape());
+  Tensor& dgates = arena.alloc(Shape{batch, channels_});
   for (std::int64_t n = 0; n < batch; ++n) {
     for (std::int64_t c = 0; c < channels_; ++c) {
-      const float g = cached_gates_->at2(n, c);
+      const float g = gates.at2(n, c);
       const float* dy_p = grad_out.raw() + (n * channels_ + c) * spatial;
-      const float* x_p = cached_input_->raw() + (n * channels_ + c) * spatial;
+      const float* x_p = x.raw() + (n * channels_ + c) * spatial;
       float* dx_p = dx.raw() + (n * channels_ + c) * spatial;
       double acc = 0.0;
       for (std::int64_t s = 0; s < spatial; ++s) {
         acc += static_cast<double>(dy_p[s]) * x_p[s];
         dx_p[s] = dy_p[s] * g;
       }
-      dgates_scratch_.at2(n, c) = static_cast<float>(acc);
+      dgates.at2(n, c) = static_cast<float>(acc);
     }
   }
-}
-
-Tensor SqueezeExcite::backward(const Tensor& grad_out) {
-  const std::int64_t batch = grad_out.dim(0);
-  Tensor dx(grad_out.shape());
-  backward_direct(grad_out, dx);
 
   // Through the gate MLP back to the squeezed vector, then scatter the
   // squeeze (spatial mean) gradient back over the input.
-  Tensor dsqueezed =
-      fc1_.backward(act_.backward(fc2_.backward(gate_.backward(dgates_scratch_))));
-  Tensor dsq4 = dsqueezed.reshaped(Shape{batch, channels_, 1, 1});
-  dx += global_avgpool_backward(dsq4, cached_input_->shape());
-  return dx;
-}
-
-Tensor& SqueezeExcite::backward_into(const Tensor& grad_out, TensorArena& arena) {
-  const std::int64_t batch = grad_out.dim(0);
-  Tensor& dx = arena.alloc(grad_out.shape());
-  backward_direct(grad_out, dx);
-
   Tensor& dsqueezed = fc1_.backward_into(
-      act_.backward_into(fc2_.backward_into(gate_.backward_into(dgates_scratch_, arena), arena),
-                         arena),
+      act_.backward_into(fc2_.backward_into(gate_.backward_into(dgates, arena), arena), arena),
       arena);
   dsqueezed.reshape_in_place(Shape{batch, channels_, 1, 1});
-  Tensor& scatter = arena.alloc(cached_input_->shape());
-  global_avgpool_backward_into(dsqueezed, cached_input_->shape(), scatter);
+  Tensor& scatter = arena.alloc(x.shape());
+  global_avgpool_backward_into(dsqueezed, x.shape(), scatter);
   dx += scatter;
   return dx;
 }
@@ -168,19 +134,7 @@ MBConvBlock::MBConvBlock(std::int64_t in_channels, std::int64_t out_channels, st
   }
 }
 
-Tensor MBConvBlock::forward(const Tensor& x) {
-  Tensor h = x;
-  if (has_expand_) {
-    h = expand_act_->forward(expand_bn_->forward(expand_conv_->forward(h)));
-  }
-  h = dw_act_.forward(dw_bn_.forward(depthwise_.forward(h)));
-  h = se_.forward(h);
-  h = project_bn_.forward(project_.forward(h));
-  if (has_skip_) h += x;
-  return h;
-}
-
-const Tensor& MBConvBlock::forward_into(const Tensor& x, TensorArena& arena) {
+const Tensor& MBConvBlock::forward_into(const Tensor& x, TensorArena& arena) const {
   const Tensor* h = &x;
   if (has_expand_) {
     h = &expand_act_->forward_into(
@@ -196,18 +150,7 @@ const Tensor& MBConvBlock::forward_into(const Tensor& x, TensorArena& arena) {
   return y;
 }
 
-Tensor MBConvBlock::backward(const Tensor& grad_out) {
-  Tensor grad = project_.backward(project_bn_.backward(grad_out));
-  grad = se_.backward(grad);
-  grad = depthwise_.backward(dw_bn_.backward(dw_act_.backward(grad)));
-  if (has_expand_) {
-    grad = expand_conv_->backward(expand_bn_->backward(expand_act_->backward(grad)));
-  }
-  if (has_skip_) grad += grad_out;
-  return grad;
-}
-
-Tensor& MBConvBlock::backward_into(const Tensor& grad_out, TensorArena& arena) {
+Tensor& MBConvBlock::backward_into(const Tensor& grad_out, TensorArena& arena) const {
   Tensor* grad =
       &project_.backward_into(project_bn_.backward_into(grad_out, arena), arena);
   grad = &se_.backward_into(*grad, arena);

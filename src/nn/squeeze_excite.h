@@ -15,10 +15,8 @@ class SqueezeExcite final : public Module {
  public:
   SqueezeExcite(std::int64_t channels, std::int64_t reduced, Rng& rng);
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   void collect_state(std::vector<StateTensor>& out) override;
   void set_training(bool training) override;
@@ -26,20 +24,11 @@ class SqueezeExcite final : public Module {
   [[nodiscard]] std::string name() const override { return "SqueezeExcite"; }
 
  private:
-  void gate_input(const Tensor& x, const Tensor& gates, Tensor& y) const;
-  void backward_direct(const Tensor& grad_out, Tensor& dx);
-
   std::int64_t channels_;
   Linear fc1_;
   SiLU act_;
   Linear fc2_;
   Sigmoid gate_;
-
-  Tensor cached_input_own_;
-  Tensor cached_gates_own_;
-  const Tensor* cached_input_ = nullptr;
-  const Tensor* cached_gates_ = nullptr;  // (N, C)
-  Tensor dgates_scratch_;                 // backward scratch, recycled
 };
 
 /// EfficientNet MBConv: 1x1 expand -> depthwise 3x3 -> SE -> 1x1 project,
@@ -49,10 +38,8 @@ class MBConvBlock final : public Module {
   MBConvBlock(std::int64_t in_channels, std::int64_t out_channels, std::int64_t stride,
               std::int64_t expand_ratio, Rng& rng);
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   void collect_state(std::vector<StateTensor>& out) override;
   void set_training(bool training) override;

@@ -19,6 +19,7 @@ TrainResult train_network(Network& network, const Dataset& train_set, const Trai
   SoftmaxCrossEntropy loss;
   DataLoader loader(train_set, config.batch_size, /*shuffle=*/true, config.seed);
 
+  TensorArena arena;  // per-step activations and caches; freed on return
   TrainResult result;
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     loader.new_epoch();
@@ -29,10 +30,10 @@ TrainResult train_network(Network& network, const Dataset& train_set, const Trai
     std::int64_t batches = 0;
     while (loader.next(batch)) {
       optimizer.zero_grad();
-      const Tensor logits = network.forward(batch.images);
+      arena.reset();
+      const Tensor& logits = network.forward_into(batch.images, arena);
       const float batch_loss = loss.forward(logits, batch.labels);
-      const Tensor grad_input = network.backward(loss.backward());
-      (void)grad_input;  // input grads unused during weight training
+      (void)network.backward_into(loss.backward_into(arena), arena);  // input grads unused
       optimizer.step();
 
       const std::vector<std::int64_t> predicted = argmax_rows(logits);
@@ -61,11 +62,13 @@ TrainResult train_network(Network& network, const Dataset& train_set, const Trai
 float evaluate_accuracy(Network& network, const Dataset& test_set, std::int64_t batch_size) {
   network.set_training(false);
   DataLoader loader(test_set, batch_size, /*shuffle=*/false, /*seed=*/0);
+  TensorArena arena;
   Batch batch;
   std::int64_t correct = 0;
   std::int64_t total = 0;
   while (loader.next(batch)) {
-    const Tensor logits = network.forward(batch.images);
+    arena.reset();
+    const Tensor& logits = network.forward_into(batch.images, arena);
     const std::vector<std::int64_t> predicted = argmax_rows(logits);
     for (std::size_t i = 0; i < predicted.size(); ++i) {
       if (predicted[i] == batch.labels[i]) ++correct;
@@ -81,12 +84,14 @@ float targeted_success_rate(
     std::int64_t batch_size) {
   network.set_training(false);
   DataLoader loader(test_set, batch_size, /*shuffle=*/false, /*seed=*/0);
+  TensorArena arena;
   Batch batch;
   std::int64_t hits = 0;
   std::int64_t total = 0;
   while (loader.next(batch)) {
     const Tensor stamped = transform(batch.images, batch.indices);
-    const Tensor logits = network.forward(stamped);
+    arena.reset();
+    const Tensor& logits = network.forward_into(stamped, arena);
     const std::vector<std::int64_t> predicted = argmax_rows(logits);
     for (std::size_t i = 0; i < predicted.size(); ++i) {
       if (batch.labels[i] == target_class) continue;  // already the target

@@ -429,16 +429,12 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     if (plan.options.external_probe_cache == nullptr && state_->stored_probe != nullptr) {
       plan.options.external_probe_cache = &state_->stored_probe->cache;
     }
-    if (state_->stored_model != nullptr) {
-      // Shared-model mode: alias the store entry's network. Every concurrent
-      // scan of this ref reads ONE resident instance; no submit clone exists.
-      staged_.emplace(std::move(plan),
-                      std::shared_ptr<const Network>(state_->stored_model,
-                                                     &state_->stored_model->network),
-                      probe);
-    } else {
-      staged_.emplace(std::move(plan), *state_->model, probe);
-    }
+    // A ref-based request reads the store's resident network, shared with
+    // every concurrent scan of the ref (the pinned entry outlives staged_);
+    // a live-pointer request reads its submit-time copy.
+    const Network& model =
+        state_->stored_model != nullptr ? state_->stored_model->network : *state_->model;
+    staged_.emplace(std::move(plan), model, probe);
     staged_->prepare();
     const std::vector<ScanStep> roots = staged_->start();
     const std::lock_guard<std::mutex> lock(mu_);
@@ -509,8 +505,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
         service_->cancelled_.fetch_add(1);
       }
       outcome.retries = retries_;
-      // Release tasks, clones, and the borrowed probe-cache pointer BEFORE
-      // finish() drops the detector and the stored probe they point into.
+      // Release tasks and the borrowed model and probe-cache pointers BEFORE
+      // finish() drops the model, detector and stored probe they point into.
       staged_.reset();
       service_->scheduler_.retire_job(job_);
       service_->retire_scan(state_, this, std::move(outcome), launches);
@@ -737,11 +733,9 @@ ScanHandle DetectionService::submit(ScanRequest request) {
     state = std::make_shared<ScanState>();
     state->id = next_id_.fetch_add(1);
     if (request.model != nullptr) {
-      // Deep copy now: the caller's model may be mutated or destroyed after
-      // submit(), and concurrent requests naming the same model must not
-      // race on its per-instance forward caches. The scan still clones this
-      // clone per class, so reports match detect() on the original bit for
-      // bit.
+      // Deep copy now: the caller's model may be mutated, trained or
+      // destroyed after submit(). The copy is frozen, and the scan runs every
+      // class on it, so reports match detect() on the original bit for bit.
       state->model = std::make_unique<Network>(clone_network(*request.model));
       const std::int64_t clone_bytes = network_resident_bytes(*state->model);
       if (clone_bytes > 0) {

@@ -53,9 +53,10 @@
 //    service sheds lowest-priority-then-newest QUEUED scans as kShed —
 //    resolved immediately, admission slot freed — sparing
 //    ScanOptions::unsheddable requests. Admitted scans are never shed.
-//  - global memory budget: probe materializations, model clones, and arena
-//    high-water bytes register with utils/memory_budget.h; the total drives
-//    shedding and turns kBlock admission into byte backpressure.
+//  - global memory budget: probe materializations, submit-time model copies,
+//    and arena high-water bytes register with utils/memory_budget.h; the
+//    total drives shedding and turns kBlock admission into byte
+//    backpressure.
 //  - hung-scan watchdog: dispatchers heartbeat every item; a watchdog
 //    thread (armed by stuck_item_seconds) flags items stuck past the bound,
 //    surfaces them in ServiceHealth, and optionally fails the owning scan.
@@ -152,8 +153,8 @@ struct ScanOptions {
   /// fault::InjectedFault / std::bad_alloc is re-enqueued with exponential backoff until its
   /// per-item budget runs out, then the scan resolves kFailed with the
   /// count in ScanOutcome::retries. Safe because every retryable stage
-  /// re-derives its work from pristine inputs (construct re-clones the
-  /// submit-time model; rounds fault at entry, before mutation), so a
+  /// re-derives its work from pristine inputs (construct rebuilds the task
+  /// on the frozen model; rounds fault at entry, before mutation), so a
   /// retried scan that succeeds stays byte-identical to detect().
   /// < 0 (default) falls back to DetectionServiceConfig::default_max_retries.
   int max_retries = -1;
@@ -167,9 +168,8 @@ struct ScanOptions {
 };
 
 /// One detection request. The model comes in one of two forms:
-///  - a live `Network*`, deep-copied at submit() (the caller may mutate or
-///    destroy it immediately after, and two requests naming the same model
-///    never race on its forward caches);
+///  - a live `Network*`, deep-copied (and the copy frozen) at submit(): the
+///    caller may mutate or destroy it immediately after;
 ///  - a `model_ref` (zoo spec or checkpoint path), resolved through the
 ///    service's ModelStore inside the scan's FIRST STAGE — like probe_key:
 ///    a scan shed or cancelled while queued never loads anything, load
@@ -269,7 +269,7 @@ struct DetectionServiceConfig {
   /// cap wait in the submission queue with ScanStatus::kQueued (their
   /// stages are not enqueued at all), preserving the admission semantics
   /// of max_queued. Admitted scans share the dispatcher crew fairly — this
-  /// cap bounds how many scans hold live clones/tasks, not parallelism.
+  /// cap bounds how many scans hold live tasks, not parallelism.
   int max_concurrent_scans = 2;
   /// Dispatcher threads of the global class-job scheduler = stage items in
   /// flight at once. 0 (default) sizes the crew like max_concurrent_scans.

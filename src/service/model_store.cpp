@@ -25,10 +25,9 @@ std::shared_ptr<const ModelData> ModelStore::get_or_create(const ModelRef& ref) 
     USB_FAULT_POINT("model_store.load");
     Network network = ref.zoo.has_value() ? std::move(train_or_load(*ref.zoo).network)
                                           : load_checkpoint(ref.checkpoint_path);
-    // Residents never run forward themselves (scans clone them), but eval
-    // mode + no parameter grads is the honest frozen-model state and what
-    // every clone inherits anyway.
-    network.set_training(false);
+    // Frozen: concurrent scans run passes on the resident, which writes
+    // nothing to it only in this state (StagedScan checks).
+    network.freeze();
     return std::make_shared<ModelData>(key, std::move(network));
   });
 }

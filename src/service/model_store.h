@@ -5,15 +5,12 @@
 // at submit(). The fleet-triage scenario — many requests scanning the same
 // uploaded checkpoint, or a zoo population re-scanned by several methods —
 // wants the opposite: requests name a model by REFERENCE (a zoo spec or a
-// checkpoint path), the store loads it once, and every concurrent scan
-// shares one immutable resident instance. Sharing is sound because every
-// scan path only READS the reference model: per-class work runs on
-// clone_network() copies (a const read of the source), and the USB shared
-// prefix — the one stage that runs forward passes, which mutate per-instance
-// forward caches — is built on a private temporary clone when the model is
-// shared (StagedScan). Reports stay bit-identical to detect() on a live
-// pointer: forward is a pure function of (weights, input) and clones copy
-// every state tensor.
+// checkpoint path), the store loads it once, freezes it, and every
+// concurrent scan shares that one resident instance. Sharing is sound
+// because a pass over a frozen network writes nothing to it: every class
+// task and the USB shared prefix keep their forward caches in their own
+// TensorArena (nn/module.h). Reports stay bit-identical to detect() on a
+// live pointer: forward is a pure function of (weights, input).
 //
 // The sharing, pinning, LRU-by-bytes eviction and MemoryBudget accounting
 // (category kResidentModels) are KeyedStore's (utils/keyed_store.h), the
@@ -62,9 +59,9 @@ struct ModelRef {
   [[nodiscard]] std::string key() const;
 };
 
-/// One resident model: loaded once, shared read-only by every scan that
-/// names the key. The network is immutable by contract — consumers clone it
-/// (clone_network reads) and never call forward on it directly.
+/// One resident model: loaded once and frozen, then shared read-only by
+/// every scan that names the key. Scans run their passes on it through the
+/// const forward_into/backward_into path, each on its own arena.
 struct ModelData {
   std::string key;
   Network network;

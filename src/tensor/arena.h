@@ -26,11 +26,19 @@
 // Contents of alloc() slots are UNSPECIFIED (stale bytes from the previous
 // step); kernels writing every element need no clearing, accumulators use
 // zeros().
+//
+// The arena also holds each layer's forward cache (cache()): what a layer's
+// backward reads from its latest forward on THIS arena. Layers keep no
+// per-call state of their own, so any number of arenas can run passes over
+// one frozen network concurrently.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <unordered_map>
+#include <vector>
 
 #include "tensor/tensor.h"
 #include "utils/memory_budget.h"
@@ -65,14 +73,26 @@ class TensorArena {
     return slot;
   }
 
-  /// Parks an already-built Tensor in the next slot (the slot adopts its
-  /// buffer). Fallback used by Module's default forward_into adapter.
-  Tensor& adopt(Tensor&& value) {
-    Tensor& slot = cursor_ < slots_.size() ? slots_[cursor_++] : emplace_slot();
-    slot = std::move(value);
-    track_slot(cursor_ - 1, slot.numel() * static_cast<std::int64_t>(sizeof(float)));
+  /// alloc() + a copy of `source`.
+  [[nodiscard]] Tensor& copy(const Tensor& source) {
+    Tensor& slot = next_slot(source.shape());
+    std::copy(source.raw(), source.raw() + source.numel(), slot.raw());
     return slot;
   }
+
+  /// What one layer's backward reads from its latest forward on this arena.
+  /// Records survive reset() (the argmax buffer keeps its capacity); their
+  /// tensor pointers go stale with the slots they name until the layer's
+  /// next forward rewrites them.
+  struct LayerCache {
+    const Tensor* first = nullptr;     // e.g. the layer's input or output
+    const Tensor* second = nullptr;    // a second saved tensor, where needed
+    std::vector<std::int64_t> argmax;  // MaxPool2d: flat input index per output
+    bool training = false;             // BatchNorm2d: the mode its forward ran in
+  };
+
+  /// `layer`'s record, created empty on first use.
+  [[nodiscard]] LayerCache& cache(const void* layer) { return caches_[layer]; }
 
   /// Rewinds to empty, keeping every slot's storage for recycling. Call at
   /// step boundaries; invalidates all outstanding references.
@@ -112,13 +132,6 @@ class TensorArena {
     return slot;
   }
 
-  Tensor& emplace_slot() {
-    slots_.emplace_back();
-    slot_bytes_.push_back(0);
-    ++cursor_;
-    return slots_.back();
-  }
-
   /// High-water accounting against the process MemoryBudget: a slot's
   /// registered figure only grows (ensure_shape never shrinks storage), so
   /// the steady-state cost is one integer compare per alloc — growth, and
@@ -135,6 +148,7 @@ class TensorArena {
 
   std::deque<Tensor> slots_;  // deque: stable references across growth
   std::deque<std::int64_t> slot_bytes_;
+  std::unordered_map<const void*, LayerCache> caches_;
   std::size_t cursor_ = 0;
   std::int64_t registered_bytes_ = 0;
 };

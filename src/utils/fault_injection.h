@@ -19,7 +19,7 @@
 // on teardown (gtest fixtures do) so suites stay independent.
 //
 // Point catalog (grep for USB_FAULT_POINT / USB_FAULT_NAN to verify):
-//   scan.prepare / scan.clone / scan.construct / scan.round / scan.cutoff /
+//   scan.prepare / scan.construct / scan.round / scan.cutoff /
 //   scan.retire / scan.finalize   stage boundaries of a running scan, for
 //                                 detect() and the service alike
 //                                 (src/defenses/scan_plan.cpp)

@@ -3,9 +3,11 @@
 // The acceptance-criteria pins of the arena/SIMD change:
 //  - arena semantics: grow-never-shrink slot recycling, reset() reuse,
 //    Scope rewind, zero allocations once warm;
-//  - arena-backed forward/backward (forward_into/backward_into) is
-//    BIT-identical to the allocating forward/backward on every architecture,
-//    in eval and training mode, including parameter gradients;
+//  - the value-returning forward/backward adapters are BIT-identical to
+//    forward_into/backward_into on every architecture, in eval and training
+//    mode, including parameter gradients;
+//  - layers keep their forward caches in the arena: passes on distinct
+//    arenas interleave freely over one frozen network;
 //  - the same holds across the AVX2/portable elementwise dispatch variants;
 //  - DetectionReports are bit-identical across USB_THREADS (scan pools of
 //    1 and 4) for USB, NC and TABOR — the arena path cannot introduce
@@ -24,7 +26,6 @@
 #include "defenses/scan_plan.h"
 #include "defenses/tabor.h"
 #include "metrics/ssim.h"
-#include "nn/checkpoint.h"
 #include "nn/models.h"
 #include "tensor/arena.h"
 #include "tensor/elementwise.h"
@@ -114,19 +115,10 @@ TEST(TensorArena, ScopeRewindsAndRecyclesNestedSlots) {
   }
 }
 
-TEST(TensorArena, AdoptParksAndRecyclesBuffers) {
-  TensorArena arena;
-  Tensor& parked = arena.adopt(random_tensor(Shape{3, 3}, 5));
-  EXPECT_EQ(parked.shape(), (Shape{3, 3}));
-  arena.reset();
-  Tensor& reused = arena.alloc(Shape{3, 3});
-  EXPECT_EQ(reused.raw(), parked.raw());
-}
-
 // The central bit-identity pin: for every architecture, in eval mode (the
-// detection configuration) AND training mode, the arena path reproduces the
-// allocating path bit for bit — outputs, input gradients, and parameter
-// gradients.
+// detection configuration) AND training mode, the value-returning adapters
+// reproduce a caller-arena pass bit for bit — outputs, input gradients, and
+// parameter gradients.
 TEST(ArenaPath, ForwardBackwardMatchesAllocatingBitwiseAllArchitectures) {
   for (const Architecture arch : {Architecture::kBasicCnn, Architecture::kMiniResNet,
                                   Architecture::kMiniVgg, Architecture::kMiniEffNet}) {
@@ -168,29 +160,39 @@ TEST(ArenaPath, ForwardBackwardMatchesAllocatingBitwiseAllArchitectures) {
   }
 }
 
-// Mixed pairing is part of the contract: a forward() may be followed by
-// backward_into() and vice versa (the layer caches serve both).
-TEST(ArenaPath, MixedForwardBackwardPairingsAgree) {
-  Network net = make_network(Architecture::kMiniResNet, 3, 32, 10, 33);
-  net.set_training(false);
-  net.set_param_grads_enabled(false);
-  const Tensor x = random_tensor(Shape{2, 3, 32, 32}, 34);
-  const Tensor dy = random_tensor(Shape{2, 10}, 35, -1.0F, 1.0F);
+// The contract that lets one frozen network serve every class of a scan:
+// a pass's forward cache lives in its arena, so a forward on arena B between
+// a forward and its backward on arena A changes nothing A computes.
+TEST(ArenaPath, InterleavedArenasOnOneNetworkMatchSoloPasses) {
+  for (const Architecture arch : {Architecture::kBasicCnn, Architecture::kMiniResNet,
+                                  Architecture::kMiniVgg, Architecture::kMiniEffNet}) {
+    const std::int64_t channels = arch == Architecture::kBasicCnn ? 1 : 3;
+    const std::int64_t size = arch == Architecture::kBasicCnn ? 28 : 32;
+    Network net = make_network(arch, channels, size, 10, 31);
+    net.freeze();
+    const Tensor x1 = random_tensor(Shape{2, channels, size, size}, 32);
+    const Tensor x2 = random_tensor(Shape{2, channels, size, size}, 33);
+    const Tensor dy = random_tensor(Shape{2, 10}, 34, -1.0F, 1.0F);
 
-  const Tensor y_ref = net.forward(x);
-  const Tensor dx_ref = net.backward(dy);
+    const auto solo = [&](const Tensor& x) {
+      TensorArena arena;
+      const Tensor y = net.forward_into(x, arena);
+      return std::make_pair(y, Tensor(net.backward_into(dy, arena)));
+    };
+    const auto [y1_solo, dx1_solo] = solo(x1);
+    const auto [y2_solo, dx2_solo] = solo(x2);
 
-  TensorArena arena;
-  const Tensor& y1 = net.forward_into(x, arena);
-  const Tensor dx1 = net.backward(dy);  // allocating backward over arena forward
-  EXPECT_TRUE(y_ref.equals(y1));
-  EXPECT_TRUE(dx_ref.equals(dx1));
-
-  arena.reset();
-  const Tensor y2 = net.forward(x);  // allocating forward, arena backward
-  const Tensor& dx2 = net.backward_into(dy, arena);
-  EXPECT_TRUE(y_ref.equals(y2));
-  EXPECT_TRUE(dx_ref.equals(dx2));
+    TensorArena a;
+    TensorArena b;
+    const Tensor& y1 = net.forward_into(x1, a);
+    const Tensor& y2 = net.forward_into(x2, b);
+    const Tensor& dx1 = net.backward_into(dy, a);
+    const Tensor& dx2 = net.backward_into(dy, b);
+    EXPECT_TRUE(y1.equals(y1_solo)) << to_string(arch);
+    EXPECT_TRUE(dx1.equals(dx1_solo)) << to_string(arch);
+    EXPECT_TRUE(y2.equals(y2_solo)) << to_string(arch);
+    EXPECT_TRUE(dx2.equals(dx2_solo)) << to_string(arch);
+  }
 }
 
 TEST(ArenaPath, DispatchVariantsBitIdenticalThroughNetwork) {
@@ -311,18 +313,18 @@ TEST(ArenaPath, DetectReportsBitIdenticalAcrossDispatchVariants) {
   expect_reports_identical(portable, avx2);
 }
 
-/// Builds the real per-class refine task of `plan` for class 0 and counts
-/// Tensor heap allocations across `steps` steady-state steps after a
-/// warm-up slice.
+/// Builds the real per-class refine task of `plan` for class 0 on the frozen
+/// `model`, as a scan does, and counts Tensor heap allocations across
+/// `steps` steady-state steps after a warm-up slice.
 std::uint64_t steady_state_allocations(const ScanPlan& plan, Network& model,
                                        const Dataset& probe, std::int64_t steps) {
+  model.freeze();
   ProbeBatchCache local;
   const ProbeBatchCache* cache = select_scan_probe_cache(plan.options, probe, local);
   std::shared_ptr<const ScanSharedState> shared;
   if (plan.shared_builder) shared = plan.shared_builder(model, probe);
   const ClassScanJob job = make_class_job(plan.options, 0, *cache, shared.get());
-  Network clone = clone_network(model);
-  const auto task = plan.make_task(clone, probe, job);
+  const auto task = plan.make_task(model, probe, job);
   (void)task->run_steps(5);  // warm-up: arena slots, loader batch, caches
   const std::uint64_t before = tensor_heap_allocations();
   (void)task->run_steps(steps);
@@ -374,30 +376,31 @@ TEST(ArenaPath, SteadyStateZeroAllocationsOnDeepArchitectures) {
   }
 }
 
-// The finalize side of the contract: fooling_rate routed through an arena
-// is bitwise the allocating form, and once the arena is warm a full
+// The finalize side of the contract: fooling_rate on a task's arena is
+// bitwise the private-arena form, and once the arena is warm a full
 // evaluation sweep over the probe performs ZERO Tensor heap allocations —
 // finalize no longer allocates one blend + one activation set per batch.
 TEST(ArenaPath, WarmFoolingRateEvaluationPerformsZeroTensorAllocations) {
   const DatasetSpec spec = tiny_spec();
   const Dataset probe = generate_dataset(spec, 48, 75);
   Network model = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 76);
+  model.freeze();
   const ProbeBatchCache cache(probe, 8);
 
   Rng rng(77);
   const MaskedTrigger trigger(1, 16, rng, 0.1F);
-  const double allocating = fooling_rate(model, cache, trigger, 0, nullptr);
+  const double private_arena = fooling_rate(model, cache, trigger, 0, nullptr);
 
   TensorArena arena;
   // First arena pass grows the eval-sized slots (refine and eval batches
   // differ, so a task's arena still grows once at its first finalize).
   const double warmup = fooling_rate(model, cache, trigger, 0, &arena);
-  EXPECT_EQ(warmup, allocating);  // arena routing has no numeric effect
+  EXPECT_EQ(warmup, private_arena);  // arena routing has no numeric effect
 
   const std::uint64_t before = tensor_heap_allocations();
   const double warmed = fooling_rate(model, cache, trigger, 0, &arena);
   EXPECT_EQ(tensor_heap_allocations() - before, 0U);
-  EXPECT_EQ(warmed, allocating);
+  EXPECT_EQ(warmed, private_arena);
 }
 
 }  // namespace

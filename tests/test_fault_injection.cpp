@@ -3,7 +3,7 @@
 //
 // The load-bearing guarantees under test:
 //  - the registry itself (hit windows, scope filtering, delay/NaN kinds);
-//  - a throw at ANY scan stage (prepare, clone, construct, round, the
+//  - a throw at ANY scan stage (prepare, construct, round, the
 //    sync-barrier and async-rendezvous cutoffs, retire, finalize) fails
 //    exactly that scan with kFailed naming the faulted point, and the
 //    service stays fully reusable afterwards;
@@ -186,9 +186,9 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
     Mode mode;
   };
   const std::vector<StageCase> cases = {
-      {"scan.prepare", kMono},   {"scan.clone", kMono},
-      {"scan.construct", kMono}, {"scan.round", kMono},
-      {"scan.finalize", kMono},  {"scan.cutoff", kSyncBarrier},
+      {"scan.prepare", kMono},  {"scan.construct", kMono},
+      {"scan.round", kMono},    {"scan.finalize", kMono},
+      {"scan.cutoff", kSyncBarrier},
       {"scan.retire", kSyncBarrier},
       {"scan.cutoff", kAsyncRendezvous},
       {"scan.retire", kAsyncRendezvous},
@@ -325,8 +325,8 @@ TEST_F(FaultInjectionTest, BlockingEarlyExitPathQuarantinesAtRoundBoundary) {
 
 // detect() runs through the same fault points as the service: a one-shot
 // throw at a round propagates out of it as InjectedFault, the unwound scan
-// returns its clone bytes, and the next detect() is byte-identical to a
-// clean run.
+// leaves no model-copy bytes behind, and the next detect() is byte-identical
+// to a clean run.
 TEST_F(FaultInjectionTest, DetectPropagatesInjectedRoundFaultAndStaysReusable) {
   const DatasetSpec spec = tiny_spec();
   const Dataset probe = generate_dataset(spec, 48, 103);

@@ -54,12 +54,13 @@ TEST(MaskedTrigger, ApplyBlendEndpoints) {
   Rng rng(2);
   Tensor x(Shape{2, 1, 4, 4});
   fill_uniform(x, rng, 0.1F, 0.6F);
-  const Tensor unchanged = transparent.apply(x);
+  TensorArena arena;
+  const Tensor& unchanged = transparent.apply_into(x, arena);
   for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_NEAR(unchanged[i], x[i], 1e-3F);
 
   mask0.fill(0.9999F);
   const MaskedTrigger opaque(mask0, pattern0, 0.1F);
-  const Tensor replaced = opaque.apply(x);
+  const Tensor& replaced = opaque.apply_into(x, arena);
   for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_NEAR(replaced[i], 0.9F, 1e-3F);
 }
 
@@ -87,7 +88,8 @@ TEST(MaskedTrigger, OutputGradMatchesFiniteDifference) {
   // Numeric: probe loss(mask values) = <apply(x), dy> with pattern fixed.
   auto loss_of_mask = [&](const Tensor& probe_mask) {
     const MaskedTrigger probe(probe_mask, pattern0, 0.1F);
-    const Tensor out = probe.apply(x);
+    TensorArena arena;
+    const Tensor& out = probe.apply_into(x, arena);
     double total = 0.0;
     for (std::int64_t i = 0; i < out.numel(); ++i) total += static_cast<double>(out[i]) * dy[i];
     return total;

@@ -303,7 +303,7 @@ TEST_F(OverloadTest, MemoryWatermarkShedsQueuedScanWhoseCloneBreachesBudget) {
 
   // Park the blocker inside its FIRST stage (plan preparation) so the only
   // budget movement between the two submits is the submit-time clones —
-  // per-class clones and arenas can't grow while prepare sleeps.
+  // arenas can't grow while prepare sleeps.
   fault::FaultSpec delay;
   delay.kind = fault::FaultSpec::Kind::kDelay;
   delay.delay_seconds = 0.5;
@@ -413,15 +413,15 @@ TEST(MemoryBudgetTest, ScanLifecycleReturnsCloneAndArenaBytesToBaseline) {
     request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
     const ScanHandle handle = service.submit(std::move(request));
     ASSERT_EQ(handle.wait().status, ScanStatus::kDone);
-    // Terminal resolution released the submit clone, every per-class clone,
-    // and the refinement arenas BEFORE the waiter woke.
+    // Terminal resolution released the submit clone and the refinement
+    // arenas BEFORE the waiter woke.
     EXPECT_EQ(budget.bytes(MemoryBudget::Category::kModelClones), clones_before);
     EXPECT_EQ(budget.bytes(MemoryBudget::Category::kArenas), arenas_before);
   }
   // The scan's peak footprint is on the high-water record: at least the
-  // submit-time clone plus one per-class clone were resident at once
-  // (process-wide high water — monotone, so >= this scan's peak).
-  EXPECT_GE(budget.high_water_bytes(), 2 * clone_bytes);
+  // submit-time clone, the only copy a scan makes, was resident (process-wide
+  // high water — monotone, so >= this scan's peak).
+  EXPECT_GE(budget.high_water_bytes(), clone_bytes);
 }
 
 // ---- Hung-scan watchdog ------------------------------------------------

@@ -18,7 +18,6 @@
 #include "defenses/neural_cleanse.h"
 #include "defenses/scan_plan.h"
 #include "defenses/tabor.h"
-#include "nn/checkpoint.h"
 #include "nn/models.h"
 #include "utils/memory_budget.h"
 
@@ -125,6 +124,7 @@ TEST(ProbeBatchCache, EmptyProbeSet) {
   EXPECT_TRUE(cache.batches().empty());
 
   Network model = make_network(Architecture::kBasicCnn, 1, 16, 10, 43);
+  model.freeze();
   Rng rng(44);
   const MaskedTrigger trigger(1, 16, rng, 0.1F);
   EXPECT_EQ(fooling_rate(model, cache, trigger, 0), 0.0);
@@ -144,7 +144,7 @@ TEST(ClassScanScheduler, OrderedReductionFeedsMadInClassOrder) {
 
   const DetectionReport report = run_scan_plan(
       stub_plan(5,
-                [](Network&, const Dataset&, const ClassScanJob& job) {
+                [](const Network&, const Dataset&, const ClassScanJob& job) {
                   return std::make_unique<StubTask>(job);
                 }),
       model, probe);
@@ -167,7 +167,7 @@ TEST(ClassScanScheduler, JobsReceiveSharedCacheAndPerClassSeeds) {
   // The cache lives in the scan's frame, so it must be read inside the task
   // factory; only the pointer VALUES survive for the shared-identity check.
   (void)run_scan_plan(stub_plan(11,
-                                [&](Network&, const Dataset&, const ClassScanJob& job) {
+                                [&](const Network&, const Dataset&, const ClassScanJob& job) {
                                   const auto index = static_cast<std::size_t>(job.target_class);
                                   seeds[index] = job.rng_seed;
                                   caches[index] = job.probe_cache;
@@ -457,10 +457,11 @@ TEST(ClassScanScheduler, DetectOnEmptyProbeIsWellDefined) {
   EXPECT_FALSE(report.verdict.backdoored);
 }
 
-// Finalizing a class frees its task and clone at once: the clone bytes the
-// class registered with the process MemoryBudget drop by exactly one clone,
-// and the scan still reduces to the report detect() produces.
-TEST(StagedScan, FinalizeReleasesExactlyOneClone) {
+// Every class runs on the caller's one frozen network: constructing class
+// tasks copies no weights (the clone bytes registered with the process
+// MemoryBudget stay at baseline), and the scan still reduces to the report
+// detect() produces.
+TEST(StagedScan, ClassesShareTheModelWithoutCloning) {
   const DatasetSpec spec = tiny_spec(3);
   const Dataset probe = generate_dataset(spec, 24, 77);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, 3, 78);
@@ -468,29 +469,40 @@ TEST(StagedScan, FinalizeReleasesExactlyOneClone) {
   ReverseOptConfig config;
   config.steps = 4;
   const NeuralCleanse nc(config);
-  const DetectionReport direct = NeuralCleanse(config).detect(victim, probe);
+  const DetectionReport direct = NeuralCleanse(config).detect(victim, probe);  // freezes
 
   const MemoryBudget& budget = MemoryBudget::process();
-  const auto clone_bytes = [&budget] {
-    return budget.bytes(MemoryBudget::Category::kModelClones);
-  };
-  const std::int64_t one_clone = network_resident_bytes(victim);
-  ASSERT_GT(one_clone, 0);
-  const std::int64_t baseline = clone_bytes();
+  const std::int64_t baseline = budget.bytes(MemoryBudget::Category::kModelClones);
   {
     StagedScan scan(nc.plan(), victim, probe);
     scan.prepare();
     for (std::int64_t t = 0; t < 3; ++t) scan.construct_class(t);
-    EXPECT_EQ(clone_bytes(), baseline + 3 * one_clone);
+    EXPECT_EQ(budget.bytes(MemoryBudget::Category::kModelClones), baseline);
     for (std::int64_t t = 0; t < 3; ++t) {
       while (scan.run_round(t)) {
       }
       scan.finalize_class(t);
-      EXPECT_EQ(clone_bytes(), baseline + (2 - t) * one_clone);
     }
     expect_reports_identical(direct, scan.take_report());
   }
-  EXPECT_EQ(clone_bytes(), baseline);
+  EXPECT_EQ(budget.bytes(MemoryBudget::Category::kModelClones), baseline);
+}
+
+// A scan runs K tasks' passes on the model at once, which is sound only in
+// the frozen state (nothing written to the network); a trainable one is
+// refused up front.
+TEST(StagedScan, RejectsAModelThatIsNotFrozen) {
+  const DatasetSpec spec = tiny_spec(3);
+  const Dataset probe = generate_dataset(spec, 24, 79);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 3, 80);
+  ReverseOptConfig config;
+  config.steps = 2;
+  const NeuralCleanse nc(config);
+  EXPECT_THROW(StagedScan(nc.plan(), victim, probe), std::invalid_argument);
+  victim.set_training(false);  // eval mode alone is not frozen
+  EXPECT_THROW(StagedScan(nc.plan(), victim, probe), std::invalid_argument);
+  victim.set_param_grads_enabled(false);
+  EXPECT_NO_THROW(StagedScan(nc.plan(), victim, probe));
 }
 
 }  // namespace
