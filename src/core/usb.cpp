@@ -4,11 +4,7 @@
 #include <cmath>
 #include <memory>
 
-#include "data/dataloader.h"
 #include "defenses/masked_trigger.h"
-#include "defenses/scan_plan.h"
-#include "nn/loss.h"
-#include "tensor/tensor_ops.h"
 
 namespace usb {
 namespace {
@@ -17,106 +13,55 @@ namespace {
 constexpr std::uint64_t kInitSalt = 0xab1a;
 constexpr std::uint64_t kLoaderSalt = 0x05b;
 
-/// The per-class USB pipeline in resumable form: the constructor runs
-/// Alg. 1 (or adopts the transferred/shared UAP) and the Alg. 2
-/// initialization; run_steps advances the refinement loop in slices whose
-/// concatenation is bit-identical to one uninterrupted run (the loop body
-/// never reads the step index, and all carried state — loader cursor, Adam
-/// moments, last loss — lives here); finalize evaluates the fooling rate
-/// over the scan's shared probe cache.
-///
-/// Every per-step tensor — the blended batch, the forward/backward chain,
-/// the SSIM maps and gradient — lives in the task's TensorArena, reset at
-/// each step boundary; together with the recycled loader batch and trigger
-/// scratch, the steady-state step performs ZERO Tensor heap allocations
-/// (asserted by tests/test_arena.cpp and the bench alloc-pressure entry).
-class UsbRefineTask final : public ClassRefineTask {
+/// The per-class USB pipeline: the constructor runs Alg. 1 (or adopts the
+/// transferred UAP) and the Alg. 2 initialization; the shared loop then
+/// refines under the -SSIM and mask-L1 terms. Alg. 1 runs on the task's
+/// arena, so refinement reuses its slots.
+class UsbRefineTask final : public TriggerRefineTask {
  public:
+  /// `transferred_uap` (nullable) skips Alg. 1, as in the transfer setting.
   UsbRefineTask(const UsbDetector& detector, const Network& model, const Dataset& probe,
-                const ClassScanJob& job, const std::optional<Tensor>& precomputed_uap)
-      : config_(detector.config()),
-        model_(model),
-        job_(job),
-        loader_(probe, config_.batch_size, /*shuffle=*/true,
-                hash_combine(job.rng_seed, kLoaderSalt)) {
-    const std::int64_t target_class = job_.target_class;
-
+                const ClassScanJob& job, const Tensor* transferred_uap)
+      : TriggerRefineTask(model, probe, job, detector.config().batch_size, kLoaderSalt),
+        config_(detector.config()) {
+    if (transferred_uap == nullptr && config_.random_init) {
+      start_random(probe, kInitSalt, config_.lr);
+      return;
+    }
     // ---- Alg. 1: targeted UAP (or the transferred one). ----
-    const auto* shared = dynamic_cast<const UsbScanShared*>(job_.shared);
-    Tensor uap(Shape{1, probe.spec().channels, probe.spec().image_size, probe.spec().image_size});
-    if (precomputed_uap.has_value()) {
-      uap = *precomputed_uap;
-    } else if (!config_.random_init) {
-      uap = targeted_uap(model_, probe, target_class, config_.uap,
-                         shared != nullptr ? &shared->prefix : nullptr, &arena_)
-                .perturbation;
+    Tensor crafted;
+    if (transferred_uap == nullptr) {
+      const auto* shared = dynamic_cast<const UsbScanShared*>(job.shared);
+      crafted = targeted_uap(model, probe, job.target_class, config_.uap,
+                             shared != nullptr ? &shared->prefix : nullptr, &arena_)
+                    .perturbation;
     }
-
     // ---- Alg. 2 init: trigger x mask from the UAP decomposition. ----
-    Rng init_rng(hash_combine(job_.rng_seed, kInitSalt));
-    if (config_.random_init && !precomputed_uap.has_value()) {
-      trigger_.emplace(probe.spec().channels, probe.spec().image_size, init_rng, config_.lr);
-    } else {
-      const UsbDetector::Decomposition init = detector.decompose_uap(uap);
-      trigger_.emplace(init.mask, init.pattern, config_.lr);
-    }
-  }
-
-  std::int64_t run_steps(std::int64_t steps) override {
-    if (exhausted_) return 0;
-    std::int64_t ran = 0;
-    while (ran < steps) {
-      if (!loader_.next(batch_)) {
-        loader_.new_epoch();
-        if (!loader_.next(batch_)) {
-          exhausted_ = true;
-          break;
-        }
-      }
-      arena_.reset();
-      trigger_->zero_grad();
-      const Tensor& blended = trigger_->apply_into(batch_.images, arena_);
-
-      // CE(f(x'), t)
-      const Tensor& logits = model_.forward_into(blended, arena_);
-      const float ce_value = ce_.forward(logits, job_.target_class);
-      Tensor& dblended = model_.backward_into(ce_.backward_into(arena_), arena_);
-
-      // -SSIM(x, x'): keep x' structurally close to the clean batch.
-      const SsimGradRef ssim_result =
-          ssim_with_gradient(batch_.images, blended, arena_, config_.ssim);
-      dblended.add_scaled(*ssim_result.grad_y, -config_.ssim_weight);
-
-      trigger_->accumulate_from_output_grad(dblended, batch_.images);
-      if (config_.use_l1_term) trigger_->add_mask_l1_grad(config_.l1_weight);
-      trigger_->step();
-
-      last_loss_ = ce_value - config_.ssim_weight * ssim_result.value +
-                   (config_.use_l1_term
-                        ? config_.l1_weight * static_cast<float>(trigger_->mask_l1())
-                        : 0.0F);
-      ++ran;
-    }
-    return ran;
-  }
-
-  [[nodiscard]] double current_mask_l1() const override { return trigger_->mask_l1(); }
-
-  [[nodiscard]] TriggerEstimate finalize() override {
-    return finalize_estimate(model_, job_, *trigger_, last_loss_, &arena_);
+    const UsbDetector::Decomposition init =
+        detector.decompose_uap(transferred_uap != nullptr ? *transferred_uap : crafted);
+    trigger_.emplace(init.mask, init.pattern, config_.lr);
   }
 
  private:
+  // -SSIM(x, x'): keep x' structurally close to the clean batch.
+  void add_input_terms(const Batch& batch, const Tensor& blended, Tensor& dblended) override {
+    const SsimGradRef ssim = ssim_with_gradient(batch.images, blended, arena_, config_.ssim);
+    dblended.add_scaled(*ssim.grad_y, -config_.ssim_weight);
+    ssim_value_ = ssim.value;
+  }
+
+  void add_trigger_terms(const Batch&) override {
+    if (config_.use_l1_term) trigger_->add_mask_l1_grad(config_.l1_weight);
+  }
+
+  float after_step(float ce, const Tensor&) override {
+    return ce - config_.ssim_weight * ssim_value_ +
+           (config_.use_l1_term ? config_.l1_weight * static_cast<float>(trigger_->mask_l1())
+                                : 0.0F);
+  }
+
   const UsbConfig& config_;
-  const Network& model_;
-  const ClassScanJob job_;
-  DataLoader loader_;
-  TensorArena arena_;  // per-task slots, reset at step boundaries
-  Batch batch_;        // recycled loader batch
-  std::optional<MaskedTrigger> trigger_;
-  TargetedCrossEntropy ce_;
-  float last_loss_ = 0.0F;
-  bool exhausted_ = false;
+  float ssim_value_ = 0.0F;  // this step's SSIM(x, x'), for the loss value
 };
 
 }  // namespace
@@ -170,14 +115,13 @@ UsbDetector::Decomposition UsbDetector::decompose_uap(const Tensor& uap) const {
   return out;
 }
 
-TriggerEstimate UsbDetector::reverse_engineer_class(
-    Network& model, const Dataset& probe, std::int64_t target_class,
-    const std::optional<Tensor>& precomputed_uap) {
+TriggerEstimate UsbDetector::reverse_engineer_class(Network& model, const Dataset& probe,
+                                                    std::int64_t target_class,
+                                                    const Tensor& uap) const {
   model.freeze();
-  const ClassScanOptions options = plan().options;
   const ProbeBatchCache cache(probe);
-  UsbRefineTask task(*this, model, probe, make_class_job(options, target_class, cache),
-                     precomputed_uap);
+  UsbRefineTask task(*this, model, probe, make_class_job(plan().options, target_class, cache),
+                     &uap);
   (void)task.run_steps(config_.refine_steps);
   return task.finalize();
 }
@@ -192,7 +136,7 @@ ScanPlan UsbDetector::plan() const {
   scan.total_steps = config_.refine_steps;
   scan.make_task = [this](const Network& model, const Dataset& data,
                           const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {
-    return std::make_unique<UsbRefineTask>(*this, model, data, job, std::nullopt);
+    return std::make_unique<UsbRefineTask>(*this, model, data, job, nullptr);
   };
   scan.shared_builder = make_shared_builder();
   return scan;

@@ -10,6 +10,10 @@
 //   3. Alg. 2  — refine with Adam(0.5, 0.9) under
 //                L = CE(f(x'), t) - SSIM(x, x') + w_l1 * |mask|_1 ,
 //                x' = x(1-mask) + trigger*mask.
+//                This is Neural Cleanse's loop with steps 1-2 as its start
+//                and the -SSIM term added, so it runs on the same
+//                TriggerRefineTask (defenses/masked_trigger.h) NC and TABOR
+//                use; USB supplies only its start and its loss terms.
 //   4. The per-class mask-L1 statistics go through the same MAD outlier rule
 //                as NC/TABOR.
 //
@@ -18,11 +22,9 @@
 // backdoor shortcut (paper Fig. 1 and Appendix A.4).
 #pragma once
 
-#include <optional>
-
 #include "core/targeted_uap.h"
-#include "defenses/class_scan_scheduler.h"
 #include "defenses/detector.h"
+#include "defenses/scan_plan.h"
 #include "metrics/ssim.h"
 
 namespace usb {
@@ -67,18 +69,21 @@ class UsbDetector final : public Detector {
 
   [[nodiscard]] std::string name() const override { return "USB"; }
   /// The reified scan (see defenses/scan_plan.h): Alg. 1 + Alg. 2 per-class
-  /// tasks plus the shared-prefix builder. detect() (inherited) runs it
-  /// synchronously; DetectionService runs it with overrides.
+  /// tasks plus the shared-prefix builder. detect() runs it synchronously;
+  /// DetectionService runs it with overrides.
   [[nodiscard]] ScanPlan plan() const override;
 
-  /// Full per-class pipeline. If `precomputed_uap` is given, Alg. 1 is
-  /// skipped — the paper's Section 4.4 transfer setting, where one UAP is
-  /// reused across models of the same architecture. Seeds exactly as the
-  /// parallel scan does, so results match detect() bit for bit. Leaves
-  /// `model` frozen, as detect() does.
-  [[nodiscard]] TriggerEstimate reverse_engineer_class(
-      Network& model, const Dataset& probe, std::int64_t target_class,
-      const std::optional<Tensor>& precomputed_uap = std::nullopt);
+  /// The full per-class pipeline (Detector::reverse_engineer_class).
+  using Detector::reverse_engineer_class;
+
+  /// Alg. 2 alone, started from the given `uap` (1,C,H,W) instead of Alg. 1's
+  /// — the paper's Section 4.4 transfer setting, where one UAP is reused
+  /// across models of the same architecture. Seeds exactly as the scan
+  /// does, so it matches detect() whenever `uap` is what Alg. 1 crafts for
+  /// the class. Leaves `model` frozen, as detect() does.
+  [[nodiscard]] TriggerEstimate reverse_engineer_class(Network& model, const Dataset& probe,
+                                                       std::int64_t target_class,
+                                                       const Tensor& uap) const;
 
   /// Decomposes a UAP (1,C,H,W) into the Alg. 2 starting point.
   struct Decomposition {

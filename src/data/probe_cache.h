@@ -6,8 +6,7 @@
 // to a fresh DataLoader pass.
 //
 // Lives in data/ (not defenses/) because both the core algorithms (Alg. 1
-// UAP crafting) and the defense schedulers consume it; defenses re-export it
-// through class_scan_scheduler.h for existing call sites.
+// UAP crafting) and the scan engine (defenses/scan_plan.h) consume it.
 #pragma once
 
 #include <cstdint>

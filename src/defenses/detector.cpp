@@ -36,9 +36,20 @@ std::vector<std::int64_t> DetectionReport::quarantined_classes() const {
   return quarantined;
 }
 
-DetectionReport Detector::detect(Network& model, const Dataset& probe) {
+DetectionReport Detector::detect(Network& model, const Dataset& probe) const {
   const ScanPlan scan = plan();
   return run_scan_plan(scan, model, probe);
+}
+
+TriggerEstimate Detector::reverse_engineer_class(Network& model, const Dataset& probe,
+                                                 std::int64_t target_class) const {
+  model.freeze();
+  const ScanPlan scan = plan();
+  const ProbeBatchCache cache(probe);
+  const std::unique_ptr<ClassRefineTask> task =
+      scan.make_task(model, probe, make_class_job(scan.options, target_class, cache));
+  (void)task->run_steps(scan.total_steps);
+  return task->finalize();
 }
 
 Tensor DetectionReport::reversed_trigger(std::int64_t k) const {

@@ -97,9 +97,16 @@ class Detector {
 
   /// Runs detection synchronously. `probe` is the defender's clean data
   /// (the paper uses 300 samples for 32x32 datasets, 500 for the ImageNet
-  /// subset). The default implementation is a thin adapter:
-  /// run_scan_plan(plan(), model, probe).
-  [[nodiscard]] virtual DetectionReport detect(Network& model, const Dataset& probe);
+  /// subset). A thin adapter: run_scan_plan(plan(), model, probe).
+  [[nodiscard]] DetectionReport detect(Network& model, const Dataset& probe) const;
+
+  /// Reverse engineers the trigger for one class alone (the figure benches
+  /// visualize per-class results this way): builds the class's task from
+  /// plan() and runs its full budget. Seeds exactly as the scan does, so
+  /// the estimate matches detect()'s class `target_class` bit for bit.
+  /// Leaves `model` frozen, as detect() does.
+  [[nodiscard]] TriggerEstimate reverse_engineer_class(Network& model, const Dataset& probe,
+                                                       std::int64_t target_class) const;
 };
 
 using DetectorPtr = std::unique_ptr<Detector>;

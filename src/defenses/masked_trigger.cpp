@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "tensor/elementwise.h"
+#include "tensor/tensor_ops.h"
 
 namespace usb {
 namespace {
@@ -189,6 +190,78 @@ void MaskedTrigger::step() {
   adam_mask_.step(theta_mask_, grad_mask_);
   adam_pattern_.step(theta_pattern_, grad_pattern_);
   values_fresh_ = false;
+}
+
+double fooling_rate(const Network& model, const ProbeBatchCache& cache,
+                    const MaskedTrigger& trigger, std::int64_t target_class, TensorArena& arena) {
+  require_frozen(model, "fooling_rate");
+  // Eval batches are usually a different size than refine batches, so the
+  // first evaluation on a task's arena still grows slots; every later one
+  // reuses them.
+  std::int64_t hits = 0;
+  for (const Batch& batch : cache.batches()) {
+    const TensorArena::Scope scope(arena);
+    const Tensor& logits = model.forward_into(trigger.apply_into(batch.images, arena), arena);
+    for (const std::int64_t pred : argmax_rows(logits)) {
+      if (pred == target_class) ++hits;
+    }
+  }
+  return cache.total_samples() == 0
+             ? 0.0
+             : static_cast<double>(hits) / static_cast<double>(cache.total_samples());
+}
+
+TriggerRefineTask::TriggerRefineTask(const Network& model, const Dataset& probe,
+                                     const ClassScanJob& job, std::int64_t batch_size,
+                                     std::uint64_t loader_salt)
+    : model_(model),
+      job_(job),
+      loader_(probe, batch_size, /*shuffle=*/true, hash_combine(job.rng_seed, loader_salt)) {}
+
+void TriggerRefineTask::start_random(const Dataset& probe, std::uint64_t init_salt, float lr) {
+  Rng rng(hash_combine(job_.rng_seed, init_salt));
+  trigger_.emplace(probe.spec().channels, probe.spec().image_size, rng, lr);
+}
+
+void TriggerRefineTask::add_input_terms(const Batch&, const Tensor&, Tensor&) {}
+
+std::int64_t TriggerRefineTask::run_steps(std::int64_t steps) {
+  if (exhausted_) return 0;
+  std::int64_t ran = 0;
+  while (ran < steps) {
+    if (!loader_.next(batch_)) {
+      loader_.new_epoch();
+      if (!loader_.next(batch_)) {
+        exhausted_ = true;
+        break;
+      }
+    }
+    arena_.reset();
+    trigger_->zero_grad();
+    const Tensor& blended = trigger_->apply_into(batch_.images, arena_);
+    const Tensor& logits = model_.forward_into(blended, arena_);
+    const float ce = ce_.forward(logits, job_.target_class);
+    Tensor& dblended = model_.backward_into(ce_.backward_into(arena_), arena_);
+    add_input_terms(batch_, blended, dblended);
+    trigger_->accumulate_from_output_grad(dblended, batch_.images);
+    add_trigger_terms(batch_);
+    trigger_->step();
+    last_loss_ = after_step(ce, logits);
+    ++ran;
+  }
+  return ran;
+}
+
+TriggerEstimate TriggerRefineTask::finalize() {
+  TriggerEstimate estimate;
+  estimate.target_class = job_.target_class;
+  estimate.pattern = trigger_->pattern();
+  estimate.mask = trigger_->mask();
+  estimate.mask_l1 = trigger_->mask_l1();
+  estimate.final_loss = last_loss_;
+  estimate.fooling_rate =
+      fooling_rate(model_, *job_.probe_cache, *trigger_, job_.target_class, arena_);
+  return estimate;
 }
 
 }  // namespace usb

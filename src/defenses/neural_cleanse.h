@@ -6,11 +6,13 @@
 // mask-L1 statistics feed the MAD outlier rule. The optimization starts
 // from a RANDOM point and only the blending reaches the pattern — the
 // property the USB paper's Fig. 1 criticizes (the pattern barely moves),
-// reproduced faithfully here.
+// reproduced faithfully here. The loop itself is the shared
+// TriggerRefineTask (defenses/masked_trigger.h); NC adds only its random
+// start and the lambda-weighted mask-L1 term.
 #pragma once
 
-#include "defenses/class_scan_scheduler.h"
 #include "defenses/detector.h"
+#include "defenses/scan_plan.h"
 
 namespace usb {
 
@@ -32,21 +34,33 @@ struct ReverseOptConfig {
   EarlyExitOptions early_exit;
 };
 
+/// The Neural Cleanse mask-L1 weight schedule, shared by NC and TABOR: push
+/// sparsity while the trigger still flips the batch reliably, relax
+/// otherwise, within [1e-3, 100] x lambda_init.
+class DynamicLambda {
+ public:
+  explicit DynamicLambda(const ReverseOptConfig& config)
+      : config_(config), lambda_(config.lambda_init) {}
+
+  [[nodiscard]] float value() const noexcept { return lambda_; }
+
+  /// Scales lambda by the batch fooling rate: the share of `logits` rows
+  /// whose argmax is `target_class`.
+  void update(const Tensor& logits, std::int64_t target_class);
+
+ private:
+  const ReverseOptConfig& config_;
+  float lambda_;
+};
+
 class NeuralCleanse final : public Detector {
  public:
   explicit NeuralCleanse(ReverseOptConfig config) : config_(config) {}
 
   [[nodiscard]] std::string name() const override { return "NC"; }
-  /// The reified scan (see defenses/scan_plan.h); detect() (inherited) runs
-  /// it synchronously, DetectionService runs it with overrides.
+  /// The reified scan (see defenses/scan_plan.h); detect() runs it
+  /// synchronously, DetectionService runs it with overrides.
   [[nodiscard]] ScanPlan plan() const override;
-
-  /// Reverse engineers the trigger for a single class (used by the figure
-  /// benches to visualize per-class results). Seeds exactly as the parallel
-  /// scan does, so results match detect() bit for bit. Leaves `model`
-  /// frozen.
-  [[nodiscard]] TriggerEstimate reverse_engineer_class(Network& model, const Dataset& probe,
-                                                       std::int64_t target_class);
 
  private:
   ReverseOptConfig config_;

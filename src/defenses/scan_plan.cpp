@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "utils/fault_injection.h"
+#include "utils/rng.h"
 
 namespace usb {
 namespace {
@@ -95,6 +96,44 @@ class StepStack {
 };
 
 }  // namespace
+
+double early_exit_cutoff(std::span<const double> norms, double margin) {
+  std::vector<double> finite;
+  finite.reserve(norms.size());
+  for (const double norm : norms) {
+    if (std::isfinite(norm)) finite.push_back(norm);
+  }
+  if (finite.empty()) return std::numeric_limits<double>::infinity();
+  const double med = median(finite);
+  std::vector<double> deviations(finite.size());
+  for (std::size_t i = 0; i < finite.size(); ++i) deviations[i] = std::abs(finite[i] - med);
+  return med + margin * 1.4826 * median(deviations);
+}
+
+const ProbeBatchCache* select_scan_probe_cache(const ClassScanOptions& options,
+                                               const Dataset& probe, ProbeBatchCache& local) {
+  if (options.external_probe_cache != nullptr &&
+      options.external_probe_cache->batch_size() == kEvalBatchSize &&
+      options.external_probe_cache->total_samples() == probe.size()) {
+    return options.external_probe_cache;
+  }
+  local = ProbeBatchCache(probe);
+  return &local;
+}
+
+std::uint64_t class_stream_seed(std::uint64_t base_seed, std::int64_t target_class) noexcept {
+  return hash_combine(base_seed, 0xc1a55'57e4ULL, static_cast<std::uint64_t>(target_class));
+}
+
+ClassScanJob make_class_job(const ClassScanOptions& options, std::int64_t target_class,
+                            const ProbeBatchCache& cache, const ScanSharedState* shared) noexcept {
+  ClassScanJob job;
+  job.target_class = target_class;
+  job.rng_seed = class_stream_seed(options.base_seed, target_class);
+  job.probe_cache = &cache;
+  job.shared = shared;
+  return job;
+}
 
 const char* ScanStep::label() const noexcept {
   switch (kind) {

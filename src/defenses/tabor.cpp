@@ -1,211 +1,129 @@
 #include "defenses/tabor.h"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
-#include <optional>
 
-#include "data/dataloader.h"
 #include "defenses/masked_trigger.h"
-#include "defenses/scan_plan.h"
-#include "nn/loss.h"
-#include "tensor/tensor_ops.h"
-#include "utils/rng.h"
 
 namespace usb {
 namespace {
-
-double batch_fooling_rate(const Tensor& logits, std::int64_t target_class) {
-  std::int64_t hits = 0;
-  const std::vector<std::int64_t> preds = argmax_rows(logits);
-  for (const std::int64_t pred : preds) {
-    if (pred == target_class) ++hits;
-  }
-  return preds.empty() ? 0.0 : static_cast<double>(hits) / static_cast<double>(preds.size());
-}
 
 // Per-class stream salts: sub-streams derived from the job's class root.
 constexpr std::uint64_t kInitSalt = 0x7ab0;
 constexpr std::uint64_t kLoaderSalt = 0x7ab1;
 
-/// The per-class TABOR optimization in resumable form (see ClassRefineTask):
-/// run_steps slices concatenate bit-identically to one uninterrupted loop —
-/// the body never reads the step index, and the loader cursor, Adam moments,
-/// dynamic lambda and last loss all live here. Each step still pays the R3
-/// and R4 extra forward/backward passes, the cost structure the paper's
-/// Table 7 reports — early exit attacks exactly that (K x steps x 3
-/// forwards) budget.
-class TaborRefineTask final : public ClassRefineTask {
+/// TABOR's per-class task: NC's random start and lambda-weighted mask-L1,
+/// then the four regularizers. Each step still pays the R3 and R4 extra
+/// forward/backward passes (on the task's arena), the cost structure the
+/// paper's Table 7 reports — early exit attacks exactly that
+/// (K x steps x 3 forwards) budget.
+class TaborRefineTask final : public TriggerRefineTask {
  public:
   TaborRefineTask(const TaborConfig& config, const Network& model, const Dataset& probe,
                   const ClassScanJob& job)
-      : config_(config),
-        model_(model),
-        job_(job),
-        loader_(probe, config.base.batch_size, /*shuffle=*/true,
-                hash_combine(job.rng_seed, kLoaderSalt)),
+      : TriggerRefineTask(model, probe, job, config.base.batch_size, kLoaderSalt),
+        config_(config),
         channels_(probe.spec().channels),
         size_(probe.spec().image_size),
-        lambda_(config.base.lambda_init) {
-    Rng rng(hash_combine(job_.rng_seed, kInitSalt));
-    trigger_.emplace(channels_, size_, rng, config_.base.lr);
-  }
-
-  std::int64_t run_steps(std::int64_t steps) override {
-    if (exhausted_) return 0;
-    const ReverseOptConfig& base = config_.base;
-    const std::int64_t spatial = size_ * size_;
-    std::int64_t ran = 0;
-    while (ran < steps) {
-      if (!loader_.next(batch_)) {
-        loader_.new_epoch();
-        if (!loader_.next(batch_)) {
-          exhausted_ = true;
-          break;
-        }
-      }
-      // All per-step tensors — the three forward/backward chains and every
-      // regularizer accumulator — live in the task arena (reset here), so
-      // the steady-state TABOR step (the heaviest of the three detectors)
-      // allocates nothing.
-      arena_.reset();
-      trigger_->zero_grad();
-
-      // Main NC objective.
-      const Tensor& blended = trigger_->apply_into(batch_.images, arena_);
-      const Tensor& logits = model_.forward_into(blended, arena_);
-      last_loss_ = target_loss_.forward(logits, job_.target_class);
-      const Tensor& dblended =
-          model_.backward_into(target_loss_.backward_into(arena_), arena_);
-      trigger_->accumulate_from_output_grad(dblended, batch_.images);
-      trigger_->add_mask_l1_grad(lambda_);
-
-      const Tensor& m = trigger_->mask_values();
-      const Tensor& p = trigger_->pattern_values();
-
-      // R1: elastic net on the mask and on the out-of-mask pattern (1-m)*p.
-      trigger_->add_mask_elastic_grad(config_.elastic_mask_weight);
-      {
-        Tensor& dp = arena_.zeros(p.shape());
-        Tensor& dm = arena_.zeros(m.shape());
-        for (std::int64_t c = 0; c < channels_; ++c) {
-          for (std::int64_t s = 0; s < spatial; ++s) {
-            const float value = (1.0F - m[s]) * p[c * spatial + s];
-            const float upstream =
-                config_.elastic_pattern_weight * ((value > 0.0F ? 1.0F : 0.0F) + 2.0F * value);
-            dp[c * spatial + s] += upstream * (1.0F - m[s]);
-            dm[s] += upstream * (-p[c * spatial + s]);
-          }
-        }
-        trigger_->add_pattern_value_grad(dp);
-        trigger_->add_mask_value_grad(dm);
-      }
-
-      // R2: total-variation smoothness on the mask.
-      trigger_->add_mask_tv_grad(config_.tv_weight);
-
-      // R3 "blocking": removing the masked region must preserve the true
-      // labels: CE(f(x * (1-m)), y).
-      {
-        Tensor& removed = arena_.alloc(batch_.images.shape());
-        const std::int64_t bsz = removed.dim(0);
-        for (std::int64_t n = 0; n < bsz; ++n) {
-          for (std::int64_t c = 0; c < channels_; ++c) {
-            const float* xrow = batch_.images.raw() + (n * channels_ + c) * spatial;
-            float* row = removed.raw() + (n * channels_ + c) * spatial;
-            for (std::int64_t s = 0; s < spatial; ++s) row[s] = xrow[s] * (1.0F - m[s]);
-          }
-        }
-        const Tensor& removed_logits = model_.forward_into(removed, arena_);
-        (void)true_loss_.forward(removed_logits, batch_.labels);
-        const Tensor& dremoved =
-            model_.backward_into(true_loss_.backward_into(arena_), arena_);
-        Tensor& dm = arena_.zeros(m.shape());
-        for (std::int64_t n = 0; n < bsz; ++n) {
-          for (std::int64_t c = 0; c < channels_; ++c) {
-            const float* drow = dremoved.raw() + (n * channels_ + c) * spatial;
-            const float* xrow = batch_.images.raw() + (n * channels_ + c) * spatial;
-            for (std::int64_t s = 0; s < spatial; ++s) dm[s] += drow[s] * (-xrow[s]);
-          }
-        }
-        dm *= config_.blocking_weight;
-        trigger_->add_mask_value_grad(dm);
-      }
-
-      // R4 "overlaying": the isolated trigger p*m must classify to target.
-      {
-        Tensor& isolated = arena_.alloc(Shape{1, channels_, size_, size_});
-        for (std::int64_t c = 0; c < channels_; ++c) {
-          for (std::int64_t s = 0; s < spatial; ++s) {
-            isolated[c * spatial + s] = p[c * spatial + s] * m[s];
-          }
-        }
-        const Tensor& iso_logits = model_.forward_into(isolated, arena_);
-        (void)overlay_loss_.forward(iso_logits, job_.target_class);
-        const Tensor& diso =
-            model_.backward_into(overlay_loss_.backward_into(arena_), arena_);
-        Tensor& dp = arena_.zeros(p.shape());
-        Tensor& dm = arena_.zeros(m.shape());
-        for (std::int64_t c = 0; c < channels_; ++c) {
-          for (std::int64_t s = 0; s < spatial; ++s) {
-            dp[c * spatial + s] += diso[c * spatial + s] * m[s];
-            dm[s] += diso[c * spatial + s] * p[c * spatial + s];
-          }
-        }
-        dp *= config_.overlay_weight;
-        dm *= config_.overlay_weight;
-        trigger_->add_pattern_value_grad(dp);
-        trigger_->add_mask_value_grad(dm);
-      }
-
-      trigger_->step();
-
-      const double success = batch_fooling_rate(logits, job_.target_class);
-      if (success > base.success_threshold) {
-        lambda_ = std::min(lambda_ * base.lambda_up, 100.0F * base.lambda_init);
-      } else {
-        lambda_ = std::max(lambda_ / base.lambda_down, 1e-3F * base.lambda_init);
-      }
-      ++ran;
-    }
-    return ran;
-  }
-
-  [[nodiscard]] double current_mask_l1() const override { return trigger_->mask_l1(); }
-
-  [[nodiscard]] TriggerEstimate finalize() override {
-    return finalize_estimate(model_, job_, *trigger_, last_loss_, &arena_);
+        lambda_(config.base) {
+    start_random(probe, kInitSalt, config.base.lr);
   }
 
  private:
+  void add_trigger_terms(const Batch& batch) override {
+    const std::int64_t spatial = size_ * size_;
+    trigger_->add_mask_l1_grad(lambda_.value());
+
+    const Tensor& m = trigger_->mask_values();
+    const Tensor& p = trigger_->pattern_values();
+
+    // R1: elastic net on the mask and on the out-of-mask pattern (1-m)*p.
+    trigger_->add_mask_elastic_grad(config_.elastic_mask_weight);
+    {
+      Tensor& dp = arena_.zeros(p.shape());
+      Tensor& dm = arena_.zeros(m.shape());
+      for (std::int64_t c = 0; c < channels_; ++c) {
+        for (std::int64_t s = 0; s < spatial; ++s) {
+          const float value = (1.0F - m[s]) * p[c * spatial + s];
+          const float upstream =
+              config_.elastic_pattern_weight * ((value > 0.0F ? 1.0F : 0.0F) + 2.0F * value);
+          dp[c * spatial + s] += upstream * (1.0F - m[s]);
+          dm[s] += upstream * (-p[c * spatial + s]);
+        }
+      }
+      trigger_->add_pattern_value_grad(dp);
+      trigger_->add_mask_value_grad(dm);
+    }
+
+    // R2: total-variation smoothness on the mask.
+    trigger_->add_mask_tv_grad(config_.tv_weight);
+
+    // R3 "blocking": removing the masked region must preserve the true
+    // labels: CE(f(x * (1-m)), y).
+    {
+      Tensor& removed = arena_.alloc(batch.images.shape());
+      const std::int64_t bsz = removed.dim(0);
+      for (std::int64_t n = 0; n < bsz; ++n) {
+        for (std::int64_t c = 0; c < channels_; ++c) {
+          const float* xrow = batch.images.raw() + (n * channels_ + c) * spatial;
+          float* row = removed.raw() + (n * channels_ + c) * spatial;
+          for (std::int64_t s = 0; s < spatial; ++s) row[s] = xrow[s] * (1.0F - m[s]);
+        }
+      }
+      const Tensor& removed_logits = model_.forward_into(removed, arena_);
+      (void)true_loss_.forward(removed_logits, batch.labels);
+      const Tensor& dremoved = model_.backward_into(true_loss_.backward_into(arena_), arena_);
+      Tensor& dm = arena_.zeros(m.shape());
+      for (std::int64_t n = 0; n < bsz; ++n) {
+        for (std::int64_t c = 0; c < channels_; ++c) {
+          const float* drow = dremoved.raw() + (n * channels_ + c) * spatial;
+          const float* xrow = batch.images.raw() + (n * channels_ + c) * spatial;
+          for (std::int64_t s = 0; s < spatial; ++s) dm[s] += drow[s] * (-xrow[s]);
+        }
+      }
+      dm *= config_.blocking_weight;
+      trigger_->add_mask_value_grad(dm);
+    }
+
+    // R4 "overlaying": the isolated trigger p*m must classify to target.
+    {
+      Tensor& isolated = arena_.alloc(Shape{1, channels_, size_, size_});
+      for (std::int64_t c = 0; c < channels_; ++c) {
+        for (std::int64_t s = 0; s < spatial; ++s) {
+          isolated[c * spatial + s] = p[c * spatial + s] * m[s];
+        }
+      }
+      const Tensor& iso_logits = model_.forward_into(isolated, arena_);
+      (void)overlay_loss_.forward(iso_logits, job_.target_class);
+      const Tensor& diso = model_.backward_into(overlay_loss_.backward_into(arena_), arena_);
+      Tensor& dp = arena_.zeros(p.shape());
+      Tensor& dm = arena_.zeros(m.shape());
+      for (std::int64_t c = 0; c < channels_; ++c) {
+        for (std::int64_t s = 0; s < spatial; ++s) {
+          dp[c * spatial + s] += diso[c * spatial + s] * m[s];
+          dm[s] += diso[c * spatial + s] * p[c * spatial + s];
+        }
+      }
+      dp *= config_.overlay_weight;
+      dm *= config_.overlay_weight;
+      trigger_->add_pattern_value_grad(dp);
+      trigger_->add_mask_value_grad(dm);
+    }
+  }
+
+  float after_step(float ce, const Tensor& logits) override {
+    lambda_.update(logits, job_.target_class);
+    return ce;
+  }
+
   const TaborConfig& config_;
-  const Network& model_;
-  const ClassScanJob job_;
-  DataLoader loader_;
-  TensorArena arena_;
-  Batch batch_;
-  std::optional<MaskedTrigger> trigger_;
-  TargetedCrossEntropy target_loss_;
   SoftmaxCrossEntropy true_loss_;
   TargetedCrossEntropy overlay_loss_;
   std::int64_t channels_;
   std::int64_t size_;
-  float lambda_;
-  float last_loss_ = 0.0F;
-  bool exhausted_ = false;
+  DynamicLambda lambda_;
 };
 
 }  // namespace
-
-TriggerEstimate Tabor::reverse_engineer_class(Network& model, const Dataset& probe,
-                                              std::int64_t target_class) {
-  model.freeze();
-  const ClassScanOptions options = plan().options;
-  const ProbeBatchCache cache(probe);
-  TaborRefineTask task(config_, model, probe, make_class_job(options, target_class, cache));
-  (void)task.run_steps(config_.base.steps);
-  return task.finalize();
-}
 
 ScanPlan Tabor::plan() const {
   ScanPlan scan;

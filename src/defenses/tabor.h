@@ -10,7 +10,8 @@
 //                       CE(f(p * m), t).
 // R3/R4 each cost an extra forward/backward per step, which is why TABOR is
 // the slowest method in the paper's Table 7; that cost structure carries
-// over here.
+// over here. The loop is the shared TriggerRefineTask
+// (defenses/masked_trigger.h); TABOR adds NC's terms, then R1-R4.
 #pragma once
 
 #include "defenses/detector.h"
@@ -32,14 +33,9 @@ class Tabor final : public Detector {
   explicit Tabor(TaborConfig config) : config_(config) {}
 
   [[nodiscard]] std::string name() const override { return "TABOR"; }
-  /// The reified scan (see defenses/scan_plan.h); detect() (inherited) runs
-  /// it synchronously, DetectionService runs it with overrides.
+  /// The reified scan (see defenses/scan_plan.h); detect() runs it
+  /// synchronously, DetectionService runs it with overrides.
   [[nodiscard]] ScanPlan plan() const override;
-
-  /// Seeds exactly as the parallel scan does, so results match detect().
-  /// Leaves `model` frozen.
-  [[nodiscard]] TriggerEstimate reverse_engineer_class(Network& model, const Dataset& probe,
-                                                       std::int64_t target_class);
 
  private:
   TaborConfig config_;

@@ -93,49 +93,10 @@ USB_DEFINE_MICRO_KERNEL(micro_kernel_avx2, __attribute__((target("avx2"))))
 
 #undef USB_DEFINE_MICRO_KERNEL
 
-#if defined(USB_GEMM_FMA) && (defined(__x86_64__) || defined(__i386__))
-// Opt-in FMA variant (-DUSB_GEMM_FMA, cmake option USB_GEMM_FMA): each
-// accumulator lane fuses the multiply and add into one rounding via the
-// vfmadd builtin, roughly doubling peak throughput. This deliberately breaks
-// the separate-mul-add rounding the default kernels share, so builds with
-// this option forfeit bitwise agreement with the ascending-order naive
-// reference (tests compare with tolerances instead). Determinism across
-// thread counts is unaffected: the tile grid and per-tile arithmetic are
-// still schedule-free, the rounding is just FMA everywhere.
-__attribute__((target("avx2,fma"))) void micro_kernel_fma(std::int64_t kc,
-                                                          const float* USB_RESTRICT ap,
-                                                          const float* USB_RESTRICT bp,
-                                                          float* USB_RESTRICT out) {
-  v8sf acc[kMR][2];
-  for (int mr = 0; mr < kMR; ++mr) {
-    acc[mr][0] = v8sf{};
-    acc[mr][1] = v8sf{};
-  }
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* USB_RESTRICT a_col = ap + p * kMR;
-    const v8sf b0 = *reinterpret_cast<const v8sf*>(bp + p * kNR);
-    const v8sf b1 = *reinterpret_cast<const v8sf*>(bp + p * kNR + 8);
-    for (int mr = 0; mr < kMR; ++mr) {
-      const float a = a_col[mr];
-      const v8sf a_bcast = {a, a, a, a, a, a, a, a};
-      acc[mr][0] = __builtin_ia32_vfmaddps256(a_bcast, b0, acc[mr][0]);
-      acc[mr][1] = __builtin_ia32_vfmaddps256(a_bcast, b1, acc[mr][1]);
-    }
-  }
-  for (int mr = 0; mr < kMR; ++mr) {
-    *reinterpret_cast<v8sf*>(out + mr * kNR) = acc[mr][0];
-    *reinterpret_cast<v8sf*>(out + mr * kNR + 8) = acc[mr][1];
-  }
-}
-#endif
-
 using MicroKernelFn = void (*)(std::int64_t, const float*, const float*, float*);
 
 MicroKernelFn pick_micro_kernel() {
 #if defined(__x86_64__) || defined(__i386__)
-#if defined(USB_GEMM_FMA)
-  if (simd::cpu_has_avx2() && __builtin_cpu_supports("fma")) return micro_kernel_fma;
-#endif
   if (simd::cpu_has_avx2()) return micro_kernel_avx2;
 #endif
   return micro_kernel_portable;

@@ -139,19 +139,5 @@ TEST_F(DefenseFixture, EarlyExitKeepsVerdictOnBackdooredVictim) {
   EXPECT_TRUE(outcome == TargetOutcome::kCorrect || outcome == TargetOutcome::kCorrectSet);
 }
 
-TEST_F(DefenseFixture, ParallelDriverMatchesSequentialNorms) {
-  // The per-class parallel driver must produce the same statistics as
-  // calling reverse_engineer_class sequentially (determinism guarantee).
-  ReverseOptConfig config;
-  config.steps = 10;
-  NeuralCleanse nc{config};
-  const DetectionReport parallel_report = nc.detect(*victim_, *probe_);
-  for (std::int64_t t = 0; t < 3; ++t) {  // spot-check a few classes
-    const TriggerEstimate sequential = nc.reverse_engineer_class(*victim_, *probe_, t);
-    EXPECT_NEAR(parallel_report.per_class[static_cast<std::size_t>(t)].mask_l1,
-                sequential.mask_l1, 1e-6);
-  }
-}
-
 }  // namespace
 }  // namespace usb

@@ -61,18 +61,6 @@ void expect_bitwise_equal(const Tensor& got, const Tensor& want, const char* wha
       << what;
 }
 
-// Agreement with the ascending-order naive reference: bitwise by default;
-// under USB_GEMM_FMA the micro-kernel fuses mul+add into one rounding, so
-// the comparison relaxes to a tolerance (|error| is bounded by one rounding
-// per fused step; 1e-3 is generous for the K <= 65 shapes below). The
-// determinism tests further down stay bitwise in both builds — thread-count
-// invariance is unconditional, only naive-reference agreement is not.
-#if defined(USB_GEMM_FMA)
-#define USB_ASSERT_GEMM_EQ(got, want) ASSERT_NEAR(got, want, 1e-3F)
-#else
-#define USB_ASSERT_GEMM_EQ(got, want) ASSERT_EQ(got, want)
-#endif
-
 // Every (M, N, K) below stays under one KC block, so the blocked result must
 // be bit-identical to the ascending-order reference. The dims sweep the
 // micro-kernel tails: 1 (degenerate), 3/7/17 (partial MR and NR panels), 64
@@ -90,7 +78,7 @@ TEST(BlockedGemm, ExactlyMatchesAscendingNaive) {
         const Tensor got = matmul(a, b);
         ASSERT_EQ(got.shape(), want.shape());
         for (std::int64_t i = 0; i < got.numel(); ++i) {
-          USB_ASSERT_GEMM_EQ(got[i], want[i]) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+          ASSERT_EQ(got[i], want[i]) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
         }
       }
     }
@@ -108,7 +96,7 @@ TEST(BlockedGemm, TransposeAExactlyMatchesAscendingNaive) {
         const Tensor got = matmul_transpose_a(a_stored, b);
         ASSERT_EQ(got.shape(), want.shape());
         for (std::int64_t i = 0; i < got.numel(); ++i) {
-          USB_ASSERT_GEMM_EQ(got[i], want[i]) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+          ASSERT_EQ(got[i], want[i]) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
         }
       }
     }
@@ -126,7 +114,7 @@ TEST(BlockedGemm, TransposeBExactlyMatchesAscendingNaive) {
         const Tensor got = matmul_transpose_b(a, b_stored);
         ASSERT_EQ(got.shape(), want.shape());
         for (std::int64_t i = 0; i < got.numel(); ++i) {
-          USB_ASSERT_GEMM_EQ(got[i], want[i]) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+          ASSERT_EQ(got[i], want[i]) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
         }
       }
     }
@@ -141,7 +129,7 @@ TEST(BlockedGemm, AccumulateAddsExactlyOntoC) {
   Tensor c = c0;
   gemm(false, false, 17, 33, 65, a.raw(), 65, b.raw(), 33, c.raw(), 33, /*accumulate=*/true);
   for (std::int64_t i = 0; i < c.numel(); ++i) {
-    USB_ASSERT_GEMM_EQ(c[i], c0[i] + product[i]) << "i=" << i;
+    ASSERT_EQ(c[i], c0[i] + product[i]) << "i=" << i;
   }
 }
 

@@ -10,10 +10,10 @@
 // in-process, so these tests cover USB_THREADS=1 vs USB_THREADS=4.
 #include <gtest/gtest.h>
 
+#include "core/targeted_uap.h"
 #include "core/usb.h"
 #include "data/dataloader.h"
 #include "data/synthetic.h"
-#include "defenses/class_scan_scheduler.h"
 #include "defenses/masked_trigger.h"
 #include "defenses/neural_cleanse.h"
 #include "defenses/scan_plan.h"
@@ -127,7 +127,8 @@ TEST(ProbeBatchCache, EmptyProbeSet) {
   model.freeze();
   Rng rng(44);
   const MaskedTrigger trigger(1, 16, rng, 0.1F);
-  EXPECT_EQ(fooling_rate(model, cache, trigger, 0), 0.0);
+  TensorArena arena;
+  EXPECT_EQ(fooling_rate(model, cache, trigger, 0, arena), 0.0);
 }
 
 TEST(ClassScanScheduler, ClassStreamSeedsAreStableAndDistinct) {
@@ -234,19 +235,82 @@ TEST(ClassScanScheduler, NcAndTaborBitIdenticalAcrossThreadCounts) {
   expect_reports_identical(tabor_single, tabor_parallel);
 }
 
-// Single-class entry points must reproduce the parallel scan exactly (the
-// per-class stream roots depend only on the base seed and the class).
-TEST(ClassScanScheduler, SequentialSingleClassMatchesParallelScan) {
+// Single-class entry points must reproduce the parallel scan exactly, for
+// every detector (the per-class stream roots depend only on the base seed
+// and the class).
+enum class DetectorKind { kUsb, kNc, kTabor };
+
+/// Calls `body` with a smoke-budget detector of `kind`, by its concrete type.
+template <typename Body>
+void with_tiny_detector(DetectorKind kind, Body&& body) {
+  switch (kind) {
+    case DetectorKind::kUsb: {
+      UsbDetector usb(tiny_usb_config());
+      body(usb);
+      return;
+    }
+    case DetectorKind::kNc: {
+      ReverseOptConfig config;
+      config.steps = 4;
+      NeuralCleanse nc(config);
+      body(nc);
+      return;
+    }
+    case DetectorKind::kTabor: {
+      TaborConfig config;
+      config.base.steps = 3;
+      Tabor tabor(config);
+      body(tabor);
+      return;
+    }
+  }
+}
+
+class SingleClassEntry : public ::testing::TestWithParam<DetectorKind> {};
+
+TEST_P(SingleClassEntry, MatchesEveryClassOfTheScanBitForBit) {
   const DatasetSpec spec = tiny_spec(4);
   const Dataset probe = generate_dataset(spec, 32, 55);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 56);
 
-  UsbDetector usb(tiny_usb_config());
+  with_tiny_detector(GetParam(), [&](auto& detector) {
+    const DetectionReport report = detector.detect(victim, probe);
+    ASSERT_EQ(report.per_class.size(), 4U);
+    for (std::int64_t t = 0; t < 4; ++t) {
+      expect_estimates_identical(report.per_class[static_cast<std::size_t>(t)],
+                                 detector.reverse_engineer_class(victim, probe, t));
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Detectors, SingleClassEntry,
+                         ::testing::Values(DetectorKind::kUsb, DetectorKind::kNc,
+                                           DetectorKind::kTabor),
+                         [](const ::testing::TestParamInfo<DetectorKind>& info) {
+                           switch (info.param) {
+                             case DetectorKind::kUsb: return "USB";
+                             case DetectorKind::kNc: return "NC";
+                             case DetectorKind::kTabor: return "TABOR";
+                           }
+                           return "unknown";
+                         });
+
+// USB's transfer entry (Alg. 2 from a given UAP), handed the UAP Alg. 1
+// crafts for the class, reproduces the scan's class too: Alg. 1 is
+// bit-identical with or without the scan's shared prefix and arena.
+TEST(ClassScanScheduler, UsbTransferOfTheCraftedUapMatchesScan) {
+  const DatasetSpec spec = tiny_spec(4);
+  const Dataset probe = generate_dataset(spec, 32, 55);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 56);
+
+  const UsbConfig config = tiny_usb_config();
+  UsbDetector usb(config);
   const DetectionReport report = usb.detect(victim, probe);
   ASSERT_EQ(report.per_class.size(), 4U);
   for (std::int64_t t = 0; t < 4; ++t) {
-    const TriggerEstimate sequential = usb.reverse_engineer_class(victim, probe, t);
-    expect_estimates_identical(report.per_class[static_cast<std::size_t>(t)], sequential);
+    const Tensor uap = targeted_uap(victim, probe, t, config.uap).perturbation;
+    expect_estimates_identical(report.per_class[static_cast<std::size_t>(t)],
+                               usb.reverse_engineer_class(victim, probe, t, uap));
   }
 }
 
