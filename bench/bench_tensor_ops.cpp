@@ -1,5 +1,5 @@
 // Micro-benchmarks for the kernels everything else sits on: the blocked
-// GEMM core behind the matmul family, conv2d forward/backward (shapes
+// GEMM core behind matmul and Linear, conv2d forward/backward (shapes
 // matched to the CNN architectures in src/nn/models.cpp), the elementwise
 // kernel suite (dispatched vs portable variants, GB/s), SSIM with gradient,
 // a full MiniResNet forward/backward step, and the steady-state
@@ -31,6 +31,7 @@
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "tensor/elementwise.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "utils/rng.h"
 #include "utils/timer.h"
@@ -97,7 +98,12 @@ BenchResult bench_matmul(std::int64_t n) {
   const double flops = 2.0 * static_cast<double>(n) * static_cast<double>(n) *
                        static_cast<double>(n);
   return run_benchmark("matmul", std::to_string(n) + "x" + std::to_string(n),
-                       [&] { do_not_optimize(matmul(a, b)); }, flops, /*is_flops=*/true);
+                       [&] {
+                         Tensor c;
+                         matmul_into(a, b, c);
+                         do_not_optimize(c);
+                       },
+                       flops, /*is_flops=*/true);
 }
 
 BenchResult bench_matmul_transpose_b(std::int64_t n) {
@@ -107,8 +113,13 @@ BenchResult bench_matmul_transpose_b(std::int64_t n) {
   const double flops = 2.0 * static_cast<double>(n) * static_cast<double>(n) *
                        static_cast<double>(n);
   return run_benchmark("matmul_transpose_b", std::to_string(n) + "x" + std::to_string(n),
-                       [&] { do_not_optimize(matmul_transpose_b(a, b)); }, flops,
-                       /*is_flops=*/true);
+                       [&] {
+                         Tensor c(Shape{n, n});
+                         gemm(/*transpose_a=*/false, /*transpose_b=*/true, n, n, n, a.raw(), n,
+                              b.raw(), n, c.raw(), n, /*accumulate=*/false);
+                         do_not_optimize(c);
+                       },
+                       flops, /*is_flops=*/true);
 }
 
 double conv_flops(const Conv2dSpec& spec, std::int64_t batch, std::int64_t image) {
@@ -143,7 +154,11 @@ BenchResult bench_conv_forward(const std::string& name, const Conv2dSpec& spec,
   const Tensor w = random_tensor(spec.weight_shape(), seed + 1, -0.2F, 0.2F);
   const Tensor bias = random_tensor(Shape{spec.out_channels}, seed + 2, -0.1F, 0.1F);
   return run_benchmark(name, conv_shape_label(spec, batch, image),
-                       [&] { do_not_optimize(conv2d_forward(x, w, bias, spec)); },
+                       [&] {
+                         Tensor y;
+                         conv2d_forward_into(x, w, bias, spec, y);
+                         do_not_optimize(y);
+                       },
                        conv_flops(spec, batch, image), /*is_flops=*/true);
 }
 
@@ -156,7 +171,15 @@ BenchResult bench_conv_backward(const std::string& name, const Conv2dSpec& spec,
       random_tensor(Shape{batch, spec.out_channels, out, out}, seed + 2, -1.0F, 1.0F);
   // dX and dW each cost roughly one forward; count both.
   return run_benchmark(name, conv_shape_label(spec, batch, image),
-                       [&] { do_not_optimize(conv2d_backward(x, w, dy, spec)); },
+                       [&] {
+                         Tensor dx(x.shape());
+                         Tensor dweight(w.shape());
+                         Tensor dbias(Shape{spec.out_channels});
+                         conv2d_backward_into(x, w, dy, spec, /*need_dx=*/true,
+                                              /*need_dweight=*/true, &dx, &dweight, &dbias);
+                         do_not_optimize(dx);
+                         do_not_optimize(dweight);
+                       },
                        2.0 * conv_flops(spec, batch, image), /*is_flops=*/true);
 }
 
@@ -304,8 +327,14 @@ BenchResult bench_refine_step_alloc_pressure() {
 BenchResult bench_ssim_with_gradient() {
   const Tensor x = random_tensor(Shape{16, 3, 32, 32}, 9);
   const Tensor y = random_tensor(Shape{16, 3, 32, 32}, 10);
-  return run_benchmark("ssim_with_gradient", "16x3x32x32",
-                       [&] { do_not_optimize(ssim_with_gradient(x, y)); });
+  TensorArena arena;
+  return run_benchmark("ssim_with_gradient", "16x3x32x32", [&] {
+    const TensorArena::Scope scope(arena);
+    const SsimGradRef ref = ssim_with_gradient(x, y, arena);
+    const Tensor grad = *ref.grad_y;  // copy out of the scoped arena
+    do_not_optimize(grad);
+    do_not_optimize(ref.value);
+  });
 }
 
 BenchResult bench_miniresnet_train_step() {

@@ -42,9 +42,7 @@ class Dataset {
   }
 
   [[nodiscard]] const Tensor& images() const noexcept { return images_; }
-  [[nodiscard]] Tensor& mutable_images() noexcept { return images_; }
   [[nodiscard]] const std::vector<std::int64_t>& labels() const noexcept { return labels_; }
-  [[nodiscard]] std::vector<std::int64_t>& mutable_labels() noexcept { return labels_; }
 
   /// Copies one image as a (1,C,H,W) tensor.
   [[nodiscard]] Tensor image(std::int64_t index) const;

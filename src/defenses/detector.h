@@ -29,8 +29,8 @@ struct TriggerEstimate {
 
 /// Completion state of one class's scan (DetectionReport::per_class_state).
 /// kFinalized is the only state whose mask-L1 enters the MAD reduction;
-/// every other state is peeled out (decide_backdoor_peeled) so a diverged
-/// or unfinished class cannot poison the verdict for the rest.
+/// every other state is peeled out (decide_backdoor) so a diverged or
+/// unfinished class cannot poison the verdict for the rest.
 enum class ClassScanState : std::uint8_t {
   kPending,    // scan ended (deadline/fault) before the class's task was built
   kRefining,   // task built, refinement unfinished when the scan ended

@@ -17,9 +17,8 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 /// The ordered MAD reduction every scan ends with. A finalized class whose
 /// mask-L1 or fooling rate came out non-finite is re-graded
 /// kNumericallyUnstable, and every non-kFinalized class feeds a NaN that
-/// decide_backdoor_peeled peels out of the median/MAD population, so
-/// quarantined or unfinished classes cannot shift the verdict for the rest.
-/// With every class finalized and finite this is decide_backdoor verbatim.
+/// decide_backdoor peels out of the median/MAD population, so quarantined
+/// or unfinished classes cannot shift the verdict for the rest.
 DetectionReport finish_report(DetectionReport report, double mad_threshold,
                               double wall_seconds) {
   std::vector<double> norms(report.per_class.size());
@@ -33,7 +32,7 @@ DetectionReport finish_report(DetectionReport report, double mad_threshold,
                    ? report.per_class[t].mask_l1
                    : kNaN;
   }
-  report.verdict = decide_backdoor_peeled(norms, mad_threshold);
+  report.verdict = decide_backdoor(norms, mad_threshold);
   report.wall_seconds = wall_seconds;
   return report;
 }

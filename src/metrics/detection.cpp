@@ -31,53 +31,38 @@ std::vector<double> mad_anomaly_indices(std::span<const double> values) {
 
 DetectionVerdict decide_backdoor(std::span<const double> per_class_norms, double threshold,
                                  double ratio_max, double decisive_ratio) {
-  DetectionVerdict verdict;
-  verdict.norms.assign(per_class_norms.begin(), per_class_norms.end());
-  verdict.anomaly = mad_anomaly_indices(per_class_norms);
-  const double med = median(per_class_norms);
-  for (std::size_t k = 0; k < per_class_norms.size(); ++k) {
-    // Backdoor shortcuts shrink the required perturbation: low-side only,
-    // and decisively below the class median. The decisive-ratio clause
-    // rescues true shortcuts when the remaining norms are too spread out
-    // for MAD to score them.
-    const bool well_below = per_class_norms[k] < ratio_max * med;
-    const bool mad_outlier = verdict.anomaly[k] > threshold;
-    const bool decisive = per_class_norms[k] < decisive_ratio * med;
-    if (well_below && (mad_outlier || decisive)) {
-      verdict.flagged_classes.push_back(static_cast<std::int64_t>(k));
-    }
-  }
-  verdict.backdoored = !verdict.flagged_classes.empty();
-  return verdict;
-}
-
-DetectionVerdict decide_backdoor_peeled(std::span<const double> per_class_norms,
-                                        double threshold, double ratio_max,
-                                        double decisive_ratio) {
+  // Peel the non-finite (excluded) classes out of the population first.
   std::vector<double> finite;
   std::vector<std::size_t> original_index;
   finite.reserve(per_class_norms.size());
+  original_index.reserve(per_class_norms.size());
   for (std::size_t k = 0; k < per_class_norms.size(); ++k) {
     if (std::isfinite(per_class_norms[k])) {
       finite.push_back(per_class_norms[k]);
       original_index.push_back(k);
     }
   }
-  if (finite.size() == per_class_norms.size()) {
-    return decide_backdoor(per_class_norms, threshold, ratio_max, decisive_ratio);
-  }
-  const DetectionVerdict sub = decide_backdoor(finite, threshold, ratio_max, decisive_ratio);
+  const std::vector<double> finite_anomaly = mad_anomaly_indices(finite);
+  const double med = median(finite);
+
   DetectionVerdict verdict;
-  verdict.backdoored = sub.backdoored;
   verdict.norms.assign(per_class_norms.begin(), per_class_norms.end());
   verdict.anomaly.assign(per_class_norms.size(), std::numeric_limits<double>::quiet_NaN());
   for (std::size_t j = 0; j < finite.size(); ++j) {
-    verdict.anomaly[original_index[j]] = sub.anomaly[j];
+    const std::size_t k = original_index[j];
+    verdict.anomaly[k] = finite_anomaly[j];
+    // Backdoor shortcuts shrink the required perturbation: low-side only,
+    // and decisively below the class median. The decisive-ratio clause
+    // rescues true shortcuts when the remaining norms are too spread out
+    // for MAD to score them.
+    const bool well_below = finite[j] < ratio_max * med;
+    const bool mad_outlier = finite_anomaly[j] > threshold;
+    const bool decisive = finite[j] < decisive_ratio * med;
+    if (well_below && (mad_outlier || decisive)) {
+      verdict.flagged_classes.push_back(static_cast<std::int64_t>(k));
+    }
   }
-  for (const std::int64_t flagged : sub.flagged_classes) {
-    verdict.flagged_classes.push_back(
-        static_cast<std::int64_t>(original_index[static_cast<std::size_t>(flagged)]));
-  }
+  verdict.backdoored = !verdict.flagged_classes.empty();
   return verdict;
 }
 

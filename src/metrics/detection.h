@@ -41,23 +41,17 @@ struct DetectionVerdict {
 /// directly — a backdoor shortcut needs a *much* smaller perturbation — and
 /// compensate for MAD's noisiness on as few as 10 classes (a 5x-below-
 /// median trigger is a shortcut even when the other norms are spread out).
+///
+/// Only the FINITE norms enter the rule. Non-finite entries mark classes
+/// excluded from the reduction — quarantined (numerically unstable) or
+/// unfinished (deadline/fault) classes, see ClassScanState — and are peeled
+/// out BEFORE the median/MAD statistics, so one diverged class cannot shift
+/// the cutoff for every other class (nor reach std::sort as a NaN). Flagged
+/// indices refer to the original positions; peeled entries keep their raw
+/// (non-finite) norm, get a NaN anomaly index, and are never flagged.
 [[nodiscard]] DetectionVerdict decide_backdoor(std::span<const double> per_class_norms,
                                                double threshold = 2.0, double ratio_max = 0.45,
                                                double decisive_ratio = 0.22);
-
-/// decide_backdoor over the FINITE entries of `per_class_norms` only.
-/// Non-finite entries mark classes excluded from the reduction — quarantined
-/// (numerically unstable) or unfinished (deadline/fault) classes, see
-/// ClassScanState — and are peeled out BEFORE the median/MAD statistics so
-/// one diverged class cannot shift the cutoff for every other class. Flagged
-/// indices refer to the original positions; peeled entries keep their raw
-/// (non-finite) norm and get a NaN anomaly index. With every entry finite
-/// this is decide_backdoor exactly (bit-identical), which is what keeps
-/// healthy reports unchanged.
-[[nodiscard]] DetectionVerdict decide_backdoor_peeled(std::span<const double> per_class_norms,
-                                                      double threshold = 2.0,
-                                                      double ratio_max = 0.45,
-                                                      double decisive_ratio = 0.22);
 
 enum class TargetOutcome {
   kNotDetected,  // verdict says clean

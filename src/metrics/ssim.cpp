@@ -137,14 +137,4 @@ SsimGradRef ssim_with_gradient(const Tensor& x, const Tensor& y, TensorArena& ar
   return result;
 }
 
-SsimResult ssim_with_gradient(const Tensor& x, const Tensor& y, const SsimConfig& config) {
-  thread_local TensorArena scratch;
-  const TensorArena::Scope scope(scratch);
-  const SsimGradRef ref = ssim_with_gradient(x, y, scratch, config);
-  SsimResult result;
-  result.value = ref.value;
-  result.grad_y = *ref.grad_y;  // copy out of the scoped scratch
-  return result;
-}
-
 }  // namespace usb

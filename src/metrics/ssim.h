@@ -7,7 +7,7 @@
 // gradient propagates through the three y-dependent maps
 //   mu_y = G*y,  sigma_y^2 = G*y^2 - mu_y^2,  sigma_xy = G*(xy) - mu_x mu_y
 // using the adjoint filter (full correlation). Verified against central
-// finite differences in tests/metrics/ssim_test.cpp.
+// finite differences in tests/test_ssim.cpp.
 #pragma once
 
 #include <cstdint>
@@ -29,24 +29,16 @@ struct SsimConfig {
 /// matching shapes, spatial size >= window).
 [[nodiscard]] float ssim(const Tensor& x, const Tensor& y, const SsimConfig& config = {});
 
-struct SsimResult {
+struct SsimGradRef {
   float value = 0.0F;
-  Tensor grad_y;  // d mean-SSIM / dy, same shape as y
+  // d mean-SSIM / dy, same shape as y; arena-owned, valid until the arena resets.
+  const Tensor* grad_y = nullptr;
 };
 
 /// SSIM value plus its exact gradient with respect to y (x held constant).
-[[nodiscard]] SsimResult ssim_with_gradient(const Tensor& x, const Tensor& y,
-                                            const SsimConfig& config = {});
-
-struct SsimGradRef {
-  float value = 0.0F;
-  const Tensor* grad_y = nullptr;  // arena-owned; valid until the arena resets
-};
-
-/// Arena-backed form of ssim_with_gradient: every intermediate map and the
-/// gradient itself live in `arena`, so the USB refinement step's per-step
-/// SSIM term allocates nothing in steady state. Bit-identical to the
-/// value-returning form.
+/// Every intermediate map and the gradient itself live in `arena`, so the
+/// USB refinement step's per-step SSIM term allocates nothing in steady
+/// state.
 [[nodiscard]] SsimGradRef ssim_with_gradient(const Tensor& x, const Tensor& y, TensorArena& arena,
                                              const SsimConfig& config = {});
 

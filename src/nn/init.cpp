@@ -11,17 +11,4 @@ void kaiming_normal(Tensor& weight, std::int64_t fan_in, Rng& rng) {
   }
 }
 
-void xavier_uniform(Tensor& weight, std::int64_t fan_in, std::int64_t fan_out, Rng& rng) {
-  const double bound = std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
-  for (std::int64_t i = 0; i < weight.numel(); ++i) {
-    weight[i] = static_cast<float>(rng.uniform(-bound, bound));
-  }
-}
-
-void uniform_init(Tensor& weight, float bound, Rng& rng) {
-  for (std::int64_t i = 0; i < weight.numel(); ++i) {
-    weight[i] = rng.uniform_float(-bound, bound);
-  }
-}
-
 }  // namespace usb

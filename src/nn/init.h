@@ -1,4 +1,4 @@
-// Weight initialization schemes.
+// Weight initialization.
 #pragma once
 
 #include <cstdint>
@@ -11,11 +11,5 @@ namespace usb {
 /// He/Kaiming normal init: N(0, sqrt(2/fan_in)); the standard for
 /// ReLU-family networks.
 void kaiming_normal(Tensor& weight, std::int64_t fan_in, Rng& rng);
-
-/// Xavier/Glorot uniform init: U(-a, a) with a = sqrt(6/(fan_in+fan_out)).
-void xavier_uniform(Tensor& weight, std::int64_t fan_in, std::int64_t fan_out, Rng& rng);
-
-/// Uniform init in [-bound, bound].
-void uniform_init(Tensor& weight, float bound, Rng& rng);
 
 }  // namespace usb

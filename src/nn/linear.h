@@ -16,11 +16,6 @@ class Linear final : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "Linear"; }
 
-  [[nodiscard]] std::int64_t in_features() const noexcept { return in_features_; }
-  [[nodiscard]] std::int64_t out_features() const noexcept { return out_features_; }
-  [[nodiscard]] Parameter& weight() noexcept { return weight_; }
-  [[nodiscard]] Parameter& bias() noexcept { return bias_; }
-
  private:
   std::int64_t in_features_;
   std::int64_t out_features_;

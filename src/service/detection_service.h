@@ -400,15 +400,9 @@ class DetectionService {
   [[nodiscard]] ThreadPool& scan_pool() noexcept { return scan_pool_; }
   [[nodiscard]] const DetectionServiceConfig& config() const noexcept { return config_; }
 
+  /// Scans accepted by submit() since construction; the other per-status
+  /// totals are in health().
   [[nodiscard]] std::int64_t scans_submitted() const noexcept { return submitted_.load(); }
-  [[nodiscard]] std::int64_t scans_completed() const noexcept { return completed_.load(); }
-  [[nodiscard]] std::int64_t scans_cancelled() const noexcept { return cancelled_.load(); }
-  [[nodiscard]] std::int64_t scans_failed() const noexcept { return failed_.load(); }
-  [[nodiscard]] std::int64_t scans_timed_out() const noexcept { return timed_out_.load(); }
-  /// Queued scans dropped by overload shedding (ScanStatus::kShed).
-  [[nodiscard]] std::int64_t scans_shed() const noexcept { return shed_.load(); }
-  /// Stage items re-enqueued after transient failures.
-  [[nodiscard]] std::int64_t items_retried() const noexcept { return items_retried_.load(); }
   /// Stage items executed by the global scheduler since construction.
   [[nodiscard]] std::int64_t rounds_dispatched() const { return scheduler_.items_executed(); }
 

@@ -71,29 +71,6 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& out) {
        n, /*accumulate=*/false);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  matmul_into(a, b, c);
-  return c;
-}
-
-void matmul_transpose_b_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  require(a.rank() == 2 && b.rank() == 2, "matmul_transpose_b: rank-2 tensors required");
-  const std::int64_t m = a.dim(0);
-  const std::int64_t k = a.dim(1);
-  const std::int64_t n = b.dim(0);
-  require(b.dim(1) == k, "matmul_transpose_b: inner dimensions differ");
-  out.ensure_shape(Shape{m, n});
-  gemm(/*transpose_a=*/false, /*transpose_b=*/true, m, n, k, a.raw(), k, b.raw(), k, out.raw(), n,
-       /*accumulate=*/false);
-}
-
-Tensor matmul_transpose_b(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  matmul_transpose_b_into(a, b, c);
-  return c;
-}
-
 void matmul_transpose_a_into(const Tensor& a, const Tensor& b, Tensor& out) {
   require(a.rank() == 2 && b.rank() == 2, "matmul_transpose_a: rank-2 tensors required");
   const std::int64_t k = a.dim(0);
@@ -103,12 +80,6 @@ void matmul_transpose_a_into(const Tensor& a, const Tensor& b, Tensor& out) {
   out.ensure_shape(Shape{m, n});
   gemm(/*transpose_a=*/true, /*transpose_b=*/false, m, n, k, a.raw(), m, b.raw(), n, out.raw(), n,
        /*accumulate=*/false);
-}
-
-Tensor matmul_transpose_a(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  matmul_transpose_a_into(a, b, c);
-  return c;
 }
 
 void im2col(const float* x, std::int64_t channels, std::int64_t height, std::int64_t width,
@@ -221,13 +192,6 @@ void conv2d_forward_into(const Tensor& x, const Tensor& weight, const Tensor& bi
   }
 }
 
-Tensor conv2d_forward(const Tensor& x, const Tensor& weight, const Tensor& bias,
-                      const Conv2dSpec& spec) {
-  Tensor y;
-  conv2d_forward_into(x, weight, bias, spec, y);
-  return y;
-}
-
 void conv2d_backward_into(const Tensor& x, const Tensor& weight, const Tensor& dy,
                           const Conv2dSpec& spec, bool need_dx, bool need_dweight, Tensor* dx,
                           Tensor* dweight, Tensor* dbias) {
@@ -338,20 +302,6 @@ void conv2d_backward_into(const Tensor& x, const Tensor& weight, const Tensor& d
   }
 }
 
-Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& weight, const Tensor& dy,
-                            const Conv2dSpec& spec, bool need_dx, bool need_dweight) {
-  Conv2dGrads grads;
-  // The struct adapter always materializes dweight/dbias (historical
-  // contract: zero tensors when skipped); the core only touches what the
-  // need flags request.
-  grads.dweight = Tensor(weight.shape());
-  grads.dbias = Tensor(Shape{spec.out_channels});
-  if (need_dx) grads.dx = Tensor(x.shape());
-  conv2d_backward_into(x, weight, dy, spec, need_dx, need_dweight, need_dx ? &grads.dx : nullptr,
-                       &grads.dweight, &grads.dbias);
-  return grads;
-}
-
 void maxpool2d_forward_into(const Tensor& x, const Pool2dSpec& spec, Tensor& y,
                             std::vector<std::int64_t>& argmax) {
   require(x.rank() == 4, "maxpool2d: input must be NCHW");
@@ -394,12 +344,6 @@ void maxpool2d_forward_into(const Tensor& x, const Pool2dSpec& spec, Tensor& y,
   });
 }
 
-MaxPoolResult maxpool2d_forward(const Tensor& x, const Pool2dSpec& spec) {
-  MaxPoolResult result;
-  maxpool2d_forward_into(x, spec, result.y, result.argmax);
-  return result;
-}
-
 void maxpool2d_backward_into(const Tensor& dy, const std::vector<std::int64_t>& argmax,
                              const Shape& x_shape, Tensor& dx) {
   dx.ensure_shape(x_shape);
@@ -408,13 +352,6 @@ void maxpool2d_backward_into(const Tensor& dy, const std::vector<std::int64_t>& 
   for (std::size_t i = 0; i < argmax.size(); ++i) {
     dx[argmax[i]] += dy_data[i];
   }
-}
-
-Tensor maxpool2d_backward(const Tensor& dy, const std::vector<std::int64_t>& argmax,
-                          const Shape& x_shape) {
-  Tensor dx;
-  maxpool2d_backward_into(dy, argmax, x_shape, dx);
-  return dx;
 }
 
 void avgpool2d_forward_into(const Tensor& x, const Pool2dSpec& spec, Tensor& y) {
@@ -448,12 +385,6 @@ void avgpool2d_forward_into(const Tensor& x, const Pool2dSpec& spec, Tensor& y) 
   });
 }
 
-Tensor avgpool2d_forward(const Tensor& x, const Pool2dSpec& spec) {
-  Tensor y;
-  avgpool2d_forward_into(x, spec, y);
-  return y;
-}
-
 void avgpool2d_backward_into(const Tensor& dy, const Shape& x_shape, const Pool2dSpec& spec,
                              Tensor& dx) {
   dx.ensure_shape(x_shape);
@@ -480,12 +411,6 @@ void avgpool2d_backward_into(const Tensor& dy, const Shape& x_shape, const Pool2
   }
 }
 
-Tensor avgpool2d_backward(const Tensor& dy, const Shape& x_shape, const Pool2dSpec& spec) {
-  Tensor dx;
-  avgpool2d_backward_into(dy, x_shape, spec, dx);
-  return dx;
-}
-
 void global_avgpool_forward_into(const Tensor& x, Tensor& y) {
   require(x.rank() == 4, "global_avgpool: input must be NCHW");
   const std::int64_t planes = x.dim(0) * x.dim(1);
@@ -497,12 +422,6 @@ void global_avgpool_forward_into(const Tensor& x, Tensor& y) {
     for (std::int64_t s = 0; s < spatial; ++s) acc += x_p[s];
     y[plane] = static_cast<float>(acc / static_cast<double>(spatial));
   }
-}
-
-Tensor global_avgpool_forward(const Tensor& x) {
-  Tensor y;
-  global_avgpool_forward_into(x, y);
-  return y;
 }
 
 void global_avgpool_backward_into(const Tensor& dy, const Shape& x_shape, Tensor& dx) {
@@ -517,31 +436,10 @@ void global_avgpool_backward_into(const Tensor& dy, const Shape& x_shape, Tensor
   }
 }
 
-Tensor global_avgpool_backward(const Tensor& dy, const Shape& x_shape) {
-  Tensor dx;
-  global_avgpool_backward_into(dy, x_shape, dx);
-  return dx;
-}
-
 void softmax_rows_into(const Tensor& logits, Tensor& probs) {
   require(logits.rank() == 2, "softmax_rows: rank-2 input required");
   probs.ensure_shape(logits.shape());
   ew::softmax_rows(logits.raw(), probs.raw(), logits.dim(0), logits.dim(1));
-}
-
-Tensor softmax_rows(const Tensor& logits) {
-  Tensor probs;
-  softmax_rows_into(logits, probs);
-  return probs;
-}
-
-Tensor one_hot(const std::vector<std::int64_t>& labels, std::int64_t num_classes) {
-  Tensor out(Shape{static_cast<std::int64_t>(labels.size()), num_classes});
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    require(labels[i] >= 0 && labels[i] < num_classes, "one_hot: label out of range");
-    out[static_cast<std::int64_t>(i) * num_classes + labels[i]] = 1.0F;
-  }
-  return out;
 }
 
 std::vector<std::int64_t> argmax_rows(const Tensor& logits) {
@@ -616,12 +514,6 @@ void filter2d_valid_into(const Tensor& x, const Tensor& kernel, Tensor& y) {
   });
 }
 
-Tensor filter2d_valid(const Tensor& x, const Tensor& kernel) {
-  Tensor y;
-  filter2d_valid_into(x, kernel, y);
-  return y;
-}
-
 void filter2d_full_adjoint_into(const Tensor& g, const Tensor& kernel, Tensor& dx) {
   require(g.rank() == 4, "filter2d_full_adjoint: input must be NCHW");
   const std::int64_t k = kernel.dim(0);
@@ -655,12 +547,6 @@ void filter2d_full_adjoint_into(const Tensor& g, const Tensor& kernel, Tensor& d
       }
     }
   });
-}
-
-Tensor filter2d_full_adjoint(const Tensor& g, const Tensor& kernel) {
-  Tensor dx;
-  filter2d_full_adjoint_into(g, kernel, dx);
-  return dx;
 }
 
 }  // namespace usb

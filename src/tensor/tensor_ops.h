@@ -1,5 +1,5 @@
-// Dense kernels: matmul family, im2col convolution (with groups), pooling,
-// softmax, one-hot, and the 2-D filtering primitives used by SSIM.
+// Dense kernels: matmul, im2col convolution (with groups), pooling, softmax,
+// and the 2-D filtering primitives used by SSIM.
 //
 // Layout conventions:
 //  - Activations are NCHW; matrices are row-major (M, K).
@@ -19,29 +19,24 @@ namespace usb {
 
 // ---------------------------------------------------------------- matmul --
 //
-// All three entry points are thin views over the blocked GEMM core in
-// tensor/gemm.h (the transpose is folded into panel packing). Results are
+// Both entry points are thin views over the blocked GEMM core in
+// tensor/gemm.h (the transpose is folded into panel packing); the A x B^T
+// orientation (Linear forward, conv dW) calls gemm() directly. Results are
 // bit-identical for any USB_THREADS; see gemm.h for the determinism
 // contract.
 //
-// Every op here follows the repository's `_into` convention: the core
-// kernel writes into a caller-provided Tensor (re-shaped in place via
+// Every op here follows the repository's `_into` convention: the kernel
+// writes into a caller-provided Tensor (re-shaped in place via
 // Tensor::ensure_shape, so a recycled output buffer costs zero heap
-// allocations), and the value-returning form is a thin adapter that
-// allocates a fresh result and calls the core. Outputs are fully
-// overwritten unless a comment says the op accumulates (those zero the
-// output first), so arena slots with stale contents are safe.
+// allocations), and there is no value-returning twin, so tests and benches
+// run the form a scan runs. Outputs are fully overwritten unless a comment
+// says the op accumulates (those zero the output first), so arena slots
+// with stale contents are safe.
 
 /// C = A (M,K) x B (K,N).
-[[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& out);
 
-/// C = A (M,K) x B^T where B is (N,K).
-[[nodiscard]] Tensor matmul_transpose_b(const Tensor& a, const Tensor& b);
-void matmul_transpose_b_into(const Tensor& a, const Tensor& b, Tensor& out);
-
 /// C = A^T x B where A is (K,M), B is (K,N).
-[[nodiscard]] Tensor matmul_transpose_a(const Tensor& a, const Tensor& b);
 void matmul_transpose_a_into(const Tensor& a, const Tensor& b, Tensor& out);
 
 // ----------------------------------------------------------- convolution --
@@ -66,47 +61,35 @@ struct Conv2dSpec {
 
 /// y (N,OC,OH,OW) = conv(x (N,IC,H,W), weight, bias). `bias` may be empty
 /// (numel 0) to skip the bias add.
-[[nodiscard]] Tensor conv2d_forward(const Tensor& x, const Tensor& weight, const Tensor& bias,
-                                    const Conv2dSpec& spec);
 void conv2d_forward_into(const Tensor& x, const Tensor& weight, const Tensor& bias,
                          const Conv2dSpec& spec, Tensor& y);
 
-struct Conv2dGrads {
-  Tensor dx;       // same shape as x (empty when need_dx == false)
-  Tensor dweight;  // same shape as weight
-  Tensor dbias;    // (OC)
-};
-
-/// Exact gradients of conv2d_forward. Skipping dx (need_dx=false) saves the
-/// col2im pass for the first layer of a network; skipping dweight
-/// (need_dweight=false) halves the cost when only input gradients matter
-/// (frozen-model detection).
-[[nodiscard]] Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& weight, const Tensor& dy,
-                                          const Conv2dSpec& spec, bool need_dx = true,
-                                          bool need_dweight = true);
-
-/// Core form: each requested gradient is written into its out-parameter
-/// (ignored when null or its need flag is off). Unlike the struct adapter
-/// above, nothing is allocated for a skipped gradient — the frozen-model
-/// detection path (need_dweight=false) touches only dx.
+/// Exact gradients of conv2d_forward_into: each requested gradient is
+/// written into its out-parameter (ignored when null or its need flag is
+/// off), and nothing is computed or allocated for a skipped one. Skipping
+/// dx (need_dx=false) saves the col2im pass for the first layer of a
+/// network; skipping dweight (need_dweight=false) halves the cost when only
+/// input gradients matter (frozen-model detection).
 void conv2d_backward_into(const Tensor& x, const Tensor& weight, const Tensor& dy,
                           const Conv2dSpec& spec, bool need_dx, bool need_dweight, Tensor* dx,
                           Tensor* dweight, Tensor* dbias);
 
-/// Unfolds x (C,H,W view of one sample) into columns (C*K*K, OH*OW).
-/// Exposed for tests.
+/// Unfolds x (C,H,W view of one sample) into columns (C*K*K, OH*OW): the
+/// input side of conv backward's dW GEMM.
 void im2col(const float* x, std::int64_t channels, std::int64_t height, std::int64_t width,
             std::int64_t kernel, std::int64_t stride, std::int64_t padding, float* col);
 
-/// Transpose of im2col: accumulates columns back into the (C,H,W) image.
+/// Transpose of im2col: accumulates columns back into the (C,H,W) image
+/// (conv backward's dx).
 void col2im(const float* col, std::int64_t channels, std::int64_t height, std::int64_t width,
             std::int64_t kernel, std::int64_t stride, std::int64_t padding, float* x);
 
 /// Thread-local convolution scratch: the im2col column block, its gradient
 /// counterpart, and the batched-GEMM staging buffer. Buffers grow on demand
 /// and are NEVER shrunk or freed before thread exit, so the steady-state
-/// conv2d_forward/conv2d_backward hot path (N-sample probe batches flowing
-/// through the same geometry over and over) performs zero heap allocations.
+/// conv2d_forward_into/conv2d_backward_into hot path (N-sample probe
+/// batches flowing through the same geometry over and over) performs zero
+/// heap allocations.
 class Im2colWorkspace {
  public:
   /// The calling thread's workspace (one per pool worker / caller thread).
@@ -137,61 +120,45 @@ struct Pool2dSpec {
   }
 };
 
-struct MaxPoolResult {
-  Tensor y;
-  std::vector<std::int64_t> argmax;  // flat input index per output element
-};
-
-[[nodiscard]] MaxPoolResult maxpool2d_forward(const Tensor& x, const Pool2dSpec& spec);
-/// Core form: `argmax` is resized in place (capacity reused across calls).
+/// `argmax` (flat input index per output element) is resized in place
+/// (capacity reused across calls).
 void maxpool2d_forward_into(const Tensor& x, const Pool2dSpec& spec, Tensor& y,
                             std::vector<std::int64_t>& argmax);
-[[nodiscard]] Tensor maxpool2d_backward(const Tensor& dy, const std::vector<std::int64_t>& argmax,
-                                        const Shape& x_shape);
 void maxpool2d_backward_into(const Tensor& dy, const std::vector<std::int64_t>& argmax,
                              const Shape& x_shape, Tensor& dx);
 
-[[nodiscard]] Tensor avgpool2d_forward(const Tensor& x, const Pool2dSpec& spec);
 void avgpool2d_forward_into(const Tensor& x, const Pool2dSpec& spec, Tensor& y);
-[[nodiscard]] Tensor avgpool2d_backward(const Tensor& dy, const Shape& x_shape,
-                                        const Pool2dSpec& spec);
 void avgpool2d_backward_into(const Tensor& dy, const Shape& x_shape, const Pool2dSpec& spec,
                              Tensor& dx);
 
 /// (N,C,H,W) -> (N,C,1,1) mean over spatial dims.
-[[nodiscard]] Tensor global_avgpool_forward(const Tensor& x);
 void global_avgpool_forward_into(const Tensor& x, Tensor& y);
-[[nodiscard]] Tensor global_avgpool_backward(const Tensor& dy, const Shape& x_shape);
 void global_avgpool_backward_into(const Tensor& dy, const Shape& x_shape, Tensor& dx);
 
-// -------------------------------------------------- softmax and encoding --
+// --------------------------------------------------------------- softmax --
 
 /// Row-wise softmax of a (M,N) matrix, numerically stabilized.
-[[nodiscard]] Tensor softmax_rows(const Tensor& logits);
 void softmax_rows_into(const Tensor& logits, Tensor& probs);
-
-/// (M,N) one-hot matrix from labels in [0, num_classes).
-[[nodiscard]] Tensor one_hot(const std::vector<std::int64_t>& labels, std::int64_t num_classes);
 
 /// Argmax per row of a (M,N) matrix.
 [[nodiscard]] std::vector<std::int64_t> argmax_rows(const Tensor& logits);
 
 // ----------------------------------------------------------- 2-D filters --
 
-/// Normalized Gaussian kernel as a (size,size) tensor.
+/// Normalized Gaussian kernel as a (size,size) tensor. The value form is
+/// the one exception to the `_into` convention; the scan benchmark's SSIM
+/// replay (perfbench/) calls it.
 [[nodiscard]] Tensor gaussian_kernel(std::int64_t size, double sigma);
 void gaussian_kernel_into(std::int64_t size, double sigma, Tensor& kernel);
 
 /// Per-channel valid cross-correlation of x (N,C,H,W) with kernel (K,K):
 /// output (N,C,H-K+1,W-K+1). This is the "local statistics" operator of
 /// SSIM.
-[[nodiscard]] Tensor filter2d_valid(const Tensor& x, const Tensor& kernel);
 void filter2d_valid_into(const Tensor& x, const Tensor& kernel, Tensor& y);
 
 /// Per-channel full cross-correlation with the flipped kernel: the exact
-/// adjoint (transpose) of filter2d_valid, mapping gradients on the valid
-/// output back to the input grid. Output (N,C,h+K-1,w+K-1).
-[[nodiscard]] Tensor filter2d_full_adjoint(const Tensor& g, const Tensor& kernel);
+/// adjoint (transpose) of filter2d_valid_into, mapping gradients on the
+/// valid output back to the input grid. Output (N,C,h+K-1,w+K-1).
 void filter2d_full_adjoint_into(const Tensor& g, const Tensor& kernel, Tensor& dx);
 
 }  // namespace usb

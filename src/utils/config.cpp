@@ -13,15 +13,6 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   return static_cast<std::int64_t>(parsed);
 }
 
-double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value) return fallback;
-  return parsed;
-}
-
 std::string env_string(const char* name, const std::string& fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;

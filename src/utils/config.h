@@ -14,9 +14,6 @@ namespace usb {
 /// Reads an integer env var with a fallback.
 [[nodiscard]] std::int64_t env_int(const char* name, std::int64_t fallback);
 
-/// Reads a double env var with a fallback.
-[[nodiscard]] double env_double(const char* name, double fallback);
-
 /// Reads a string env var with a fallback.
 [[nodiscard]] std::string env_string(const char* name, const std::string& fallback);
 

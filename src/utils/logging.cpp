@@ -1,6 +1,5 @@
 #include "utils/logging.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
@@ -8,7 +7,6 @@
 namespace usb {
 namespace {
 
-std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
 std::mutex g_io_mutex;
 
 const char* level_tag(LogLevel level) noexcept {
@@ -17,29 +15,11 @@ const char* level_tag(LogLevel level) noexcept {
     case LogLevel::kInfo: return "INFO ";
     case LogLevel::kWarn: return "WARN ";
     case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF  ";
   }
   return "?????";
 }
 
 }  // namespace
-
-void set_log_level(LogLevel level) noexcept {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel log_level() noexcept {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
-LogLevel parse_log_level(std::string_view text) noexcept {
-  if (text == "debug") return LogLevel::kDebug;
-  if (text == "info") return LogLevel::kInfo;
-  if (text == "warn") return LogLevel::kWarn;
-  if (text == "error") return LogLevel::kError;
-  if (text == "off") return LogLevel::kOff;
-  return LogLevel::kInfo;
-}
 
 namespace detail {
 

@@ -1,8 +1,8 @@
 // Minimal leveled logger.
 //
 // Experiments print paper-style tables to stdout; diagnostic logging goes to
-// stderr through this logger so table output stays machine-parsable. The
-// level is process-global (set once at startup from USB_LOG_LEVEL or CLI).
+// stderr through this logger so table output stays machine-parsable.
+// Statements below kLogLevel (Info) are dropped.
 #pragma once
 
 #include <sstream>
@@ -11,16 +11,10 @@
 
 namespace usb {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Sets the global log level. Thread-safe (relaxed atomic).
-void set_log_level(LogLevel level) noexcept;
-
-/// Reads the global log level.
-[[nodiscard]] LogLevel log_level() noexcept;
-
-/// Parses "debug"/"info"/"warn"/"error"/"off"; unknown strings map to kInfo.
-[[nodiscard]] LogLevel parse_log_level(std::string_view text) noexcept;
+/// The fixed process log level.
+inline constexpr LogLevel kLogLevel = LogLevel::kInfo;
 
 namespace detail {
 void log_line(LogLevel level, std::string_view message);
@@ -33,12 +27,12 @@ class LogStream {
   LogStream(const LogStream&) = delete;
   LogStream& operator=(const LogStream&) = delete;
   ~LogStream() {
-    if (level_ >= log_level()) detail::log_line(level_, stream_.str());
+    if (level_ >= kLogLevel) detail::log_line(level_, stream_.str());
   }
 
   template <typename T>
   LogStream& operator<<(const T& value) {
-    if (level_ >= log_level()) stream_ << value;
+    if (level_ >= kLogLevel) stream_ << value;
     return *this;
   }
 

@@ -72,6 +72,9 @@ BinaryReader BinaryReader::from_file(const std::string& path) {
 
 void BinaryReader::take(void* out, std::size_t size) {
   if (cursor_ + size > buffer_.size()) throw std::runtime_error("BinaryReader: truncated input");
+  // An empty vector's data() may be null, and memcpy forbids a null pointer
+  // even for a zero-byte copy.
+  if (size == 0) return;
   std::memcpy(out, buffer_.data() + cursor_, size);
   cursor_ += size;
 }

@@ -25,7 +25,6 @@
 #include "defenses/neural_cleanse.h"
 #include "defenses/scan_plan.h"
 #include "defenses/tabor.h"
-#include "metrics/ssim.h"
 #include "nn/models.h"
 #include "tensor/arena.h"
 #include "tensor/elementwise.h"
@@ -216,16 +215,6 @@ TEST(ArenaPath, DispatchVariantsBitIdenticalThroughNetwork) {
 
   EXPECT_TRUE(y_portable.equals(y_avx2));
   EXPECT_TRUE(dx_portable.equals(dx_avx2));
-}
-
-TEST(ArenaPath, SsimArenaFormMatchesAllocatingBitwise) {
-  const Tensor x = random_tensor(Shape{2, 3, 16, 16}, 51);
-  const Tensor y = random_tensor(Shape{2, 3, 16, 16}, 52);
-  const SsimResult owned = ssim_with_gradient(x, y);
-  TensorArena arena;
-  const SsimGradRef ref = ssim_with_gradient(x, y, arena);
-  EXPECT_EQ(owned.value, ref.value);
-  EXPECT_TRUE(owned.grad_y.equals(*ref.grad_y));
 }
 
 // ---- Detector-level pins ------------------------------------------------

@@ -184,22 +184,12 @@ TEST(CaseCounts, CleanPopulationUsesMeanNorm) {
   EXPECT_EQ(counts.detected_clean, 1);
 }
 
-TEST(DecideBackdoorPeeled, AllFiniteDelegatesBitIdentically) {
-  const std::vector<double> norms{50, 52, 48, 51, 49, 53, 47, 50, 4, 52};
-  const DetectionVerdict plain = decide_backdoor(norms);
-  const DetectionVerdict peeled = decide_backdoor_peeled(norms);
-  EXPECT_EQ(plain.backdoored, peeled.backdoored);
-  EXPECT_EQ(plain.flagged_classes, peeled.flagged_classes);
-  EXPECT_EQ(plain.norms, peeled.norms);
-  EXPECT_EQ(plain.anomaly, peeled.anomaly);
-}
-
-TEST(DecideBackdoorPeeled, NanEntriesArePeeledNotFlagged) {
-  // Class 3 diverged (quarantined): its NaN must not poison the median/MAD
+TEST(DecideBackdoor, NanEntriesArePeeledNotFlagged) {
+  // Class 2 diverged (quarantined): its NaN must not poison the median/MAD
   // of the rest, and flagged indices must stay ORIGINAL class indices.
   const std::vector<double> norms{50, 52, std::numeric_limits<double>::quiet_NaN(), 51,
                                   49, 53, 47, 50, 4, 52};
-  const DetectionVerdict verdict = decide_backdoor_peeled(norms);
+  const DetectionVerdict verdict = decide_backdoor(norms);
   EXPECT_TRUE(verdict.backdoored);
   ASSERT_EQ(verdict.flagged_classes.size(), 1U);
   EXPECT_EQ(verdict.flagged_classes[0], 8);
@@ -210,17 +200,22 @@ TEST(DecideBackdoorPeeled, NanEntriesArePeeledNotFlagged) {
   EXPECT_FALSE(std::isnan(verdict.anomaly[8]));
 }
 
-TEST(DecideBackdoorPeeled, PeeledOutlierDoesNotShiftVerdict) {
-  // Without peeling, a +inf entry would destroy the median; with it, the
-  // clean profile stays clean.
-  std::vector<double> norms{50, 52, 48, 51, 49, 53, 47, 50, 46, 52};
-  norms[4] = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(decide_backdoor_peeled(norms).backdoored);
+TEST(DecideBackdoor, PeeledOutlierDoesNotShiftVerdict) {
+  // +inf is peeled like NaN. Left in, four +inf norms would lift the median
+  // and the MAD far enough to hide class 8's shortcut.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> backdoored{50, 52, 48, 51, inf, inf, inf, inf, 20, 49};
+  EXPECT_EQ(decide_backdoor(backdoored).flagged_classes, std::vector<std::int64_t>{8});
+
+  // A clean profile with one +inf stays clean.
+  std::vector<double> clean{50, 52, 48, 51, 49, 53, 47, 50, 46, 52};
+  clean[4] = inf;
+  EXPECT_FALSE(decide_backdoor(clean).backdoored);
 }
 
-TEST(DecideBackdoorPeeled, AllNonFiniteIsCleanAndWellDefined) {
+TEST(DecideBackdoor, AllNonFiniteIsCleanAndWellDefined) {
   const std::vector<double> norms(5, std::numeric_limits<double>::quiet_NaN());
-  const DetectionVerdict verdict = decide_backdoor_peeled(norms);
+  const DetectionVerdict verdict = decide_backdoor(norms);
   EXPECT_FALSE(verdict.backdoored);
   EXPECT_TRUE(verdict.flagged_classes.empty());
   ASSERT_EQ(verdict.anomaly.size(), 5U);

@@ -231,7 +231,7 @@ TEST(DetectionService, CancelMidScanLeavesServiceReusable) {
   const ScanOutcome& outcome = handle->wait();
   EXPECT_EQ(outcome.status, ScanStatus::kCancelled);
   EXPECT_TRUE(cancelled.load());
-  EXPECT_EQ(service.scans_cancelled(), 1);
+  EXPECT_EQ(service.health().scans_cancelled, 1);
   EXPECT_FALSE(handle->cancel());  // already terminal
 
   // Reusability: the identical request (default options) completes and is
@@ -245,7 +245,7 @@ TEST(DetectionService, CancelMidScanLeavesServiceReusable) {
   const ScanOutcome& rerun = rerun_handle.wait();
   ASSERT_EQ(rerun.status, ScanStatus::kDone) << rerun.error;
   expect_reports_identical(direct, rerun.report);
-  EXPECT_EQ(service.scans_completed(), 1);
+  EXPECT_EQ(service.health().scans_completed, 1);
 }
 
 // Cancelling a scan that is still queued (single executor busy elsewhere)
@@ -686,7 +686,7 @@ TEST(DetectionService, CancelWhileQueuedResolvesImmediatelyAndFreesSlot) {
   EXPECT_EQ(doomed_handle.poll(), ScanStatus::kCancelled);  // no waiting
   EXPECT_EQ(doomed_handle.wait().status, ScanStatus::kCancelled);
   EXPECT_EQ(doomed_events.load(), 0);
-  EXPECT_EQ(service.scans_cancelled(), 1);
+  EXPECT_EQ(service.health().scans_cancelled, 1);
 
   // The cancelled scan's pending slot is free again: with the dispatcher
   // still wedged, a fresh submit is admitted instead of throwing QueueFull.
@@ -874,8 +874,8 @@ TEST(DetectionService, GenerousDeadlineSubmitMatchesDetectByteForByte) {
     EXPECT_TRUE(outcome.report.complete());
     EXPECT_TRUE(outcome.report.quarantined_classes().empty());
   }
-  EXPECT_EQ(service.scans_timed_out(), 0);
-  EXPECT_EQ(service.scans_completed(), 2);
+  EXPECT_EQ(service.health().scans_timed_out, 0);
+  EXPECT_EQ(service.health().scans_completed, 2);
 }
 
 // An in-flight scan whose deadline passes resolves kTimedOut at the next
@@ -897,7 +897,7 @@ TEST(DetectionService, DeadlineMidScanResolvesTimedOutWithPartialReport) {
 
   const ScanOutcome& outcome = handle.wait();
   ASSERT_EQ(outcome.status, ScanStatus::kTimedOut);
-  EXPECT_EQ(service.scans_timed_out(), 1);
+  EXPECT_EQ(service.health().scans_timed_out, 1);
   if (!outcome.report.per_class_state.empty()) {
     // The scan got past init: the partial report is fully shaped and
     // records per-class completion honestly (nothing can have finalized).
@@ -945,7 +945,7 @@ TEST(DetectionService, WaitOnExpiredQueuedScanResolvesTimedOutWithoutRunning) {
   EXPECT_EQ(outcome.status, ScanStatus::kTimedOut);
   EXPECT_TRUE(outcome.report.per_class_state.empty());  // never ran init
   EXPECT_EQ(events.load(), 0);
-  EXPECT_EQ(service.scans_timed_out(), 1);
+  EXPECT_EQ(service.health().scans_timed_out, 1);
 
   release.set_value();
   EXPECT_EQ(busy.wait().status, ScanStatus::kDone);

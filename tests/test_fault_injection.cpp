@@ -224,7 +224,7 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
         << "error was: " << outcome.error;
     registry.disarm_all();
   }
-  EXPECT_EQ(service.scans_failed(), static_cast<std::int64_t>(cases.size()));
+  EXPECT_EQ(service.health().scans_failed, static_cast<std::int64_t>(cases.size()));
 
   // Nine consecutive injected failures later, a healthy scan on the SAME
   // service is still byte-identical to the blocking detector.
@@ -371,7 +371,7 @@ TEST_F(FaultInjectionTest, InjectedRoundDelayResolvesDeadlinedScanTimedOut) {
   const ScanHandle handle = service.submit(std::move(request));
   const ScanOutcome& outcome = handle.wait();
   ASSERT_EQ(outcome.status, ScanStatus::kTimedOut) << outcome.error;
-  EXPECT_EQ(service.scans_timed_out(), 1);
+  EXPECT_EQ(service.health().scans_timed_out, 1);
   // The partial report is well-formed: one state per class, not complete
   // (0.1s of 20ms-per-round injected latency cannot finalize six classes).
   ASSERT_EQ(outcome.report.per_class_state.size(), static_cast<std::size_t>(spec.num_classes));

@@ -1,13 +1,13 @@
 // Tests for the blocked GEMM core and its determinism contract:
 //  - exact (bitwise) agreement with a naive ascending-order reference across
 //    odd tail shapes, for all three transpose variants and accumulation;
-//  - bit-identical matmul results for any pool size / nesting depth, with
+//  - bit-identical matmul_into results for any pool size / nesting depth, with
 //    tiles running inline, spilling to idle workers, or on the global pool;
 //  - parallel_for_deterministic semantics: full coverage, nested calls from
 //    saturated pools and 1-worker pools complete (no deadlock), exceptions
 //    propagate and do not poison the pool;
 //  - Im2colWorkspace grow-never-shrink behaviour and the blocked batched
-//    conv2d_forward against a direct-convolution reference.
+//    conv2d_forward_into against a direct-convolution reference.
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -75,7 +75,8 @@ TEST(BlockedGemm, ExactlyMatchesAscendingNaive) {
         const Tensor a = random_tensor(Shape{m, k}, seed++);
         const Tensor b = random_tensor(Shape{k, n}, seed++);
         const Tensor want = ascending_order_matmul(a, b);
-        const Tensor got = matmul(a, b);
+        Tensor got;
+        matmul_into(a, b, got);
         ASSERT_EQ(got.shape(), want.shape());
         for (std::int64_t i = 0; i < got.numel(); ++i) {
           ASSERT_EQ(got[i], want[i]) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
@@ -93,7 +94,8 @@ TEST(BlockedGemm, TransposeAExactlyMatchesAscendingNaive) {
         const Tensor a_stored = random_tensor(Shape{k, m}, seed++);  // holds A^T
         const Tensor b = random_tensor(Shape{k, n}, seed++);
         const Tensor want = ascending_order_matmul(transposed(a_stored), b);
-        const Tensor got = matmul_transpose_a(a_stored, b);
+        Tensor got;
+        matmul_transpose_a_into(a_stored, b, got);
         ASSERT_EQ(got.shape(), want.shape());
         for (std::int64_t i = 0; i < got.numel(); ++i) {
           ASSERT_EQ(got[i], want[i]) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
@@ -111,7 +113,9 @@ TEST(BlockedGemm, TransposeBExactlyMatchesAscendingNaive) {
         const Tensor a = random_tensor(Shape{m, k}, seed++);
         const Tensor b_stored = random_tensor(Shape{n, k}, seed++);  // holds B^T
         const Tensor want = ascending_order_matmul(a, transposed(b_stored));
-        const Tensor got = matmul_transpose_b(a, b_stored);
+        Tensor got(Shape{m, n});
+        gemm(/*transpose_a=*/false, /*transpose_b=*/true, m, n, k, a.raw(), k, b_stored.raw(), k,
+             got.raw(), n, /*accumulate=*/false);
         ASSERT_EQ(got.shape(), want.shape());
         for (std::int64_t i = 0; i < got.numel(); ++i) {
           ASSERT_EQ(got[i], want[i]) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
@@ -141,7 +145,8 @@ TEST(BlockedGemm, MultiKcBlockMatchesDoubleReference) {
   const std::int64_t k = 700;
   const Tensor a = random_tensor(Shape{m, k}, 41);
   const Tensor b = random_tensor(Shape{k, n}, 42);
-  const Tensor got = matmul(a, b);
+  Tensor got;
+  matmul_into(a, b, got);
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
       double acc = 0.0;
@@ -162,12 +167,15 @@ TEST(BlockedGemm, BitIdenticalAcrossPoolSizesAndNesting) {
   // two idle workers steal tiles — all must agree bit-for-bit.
   const Tensor a = random_tensor(Shape{256, 64}, 51);
   const Tensor b = random_tensor(Shape{64, 256}, 52);
-  const Tensor direct = matmul(a, b);
+  Tensor direct;
+  matmul_into(a, b, direct);
 
   Tensor from_serial_pool;
   {
     ThreadPool pool(1);
-    pool.parallel_for(1, [&](std::int64_t, std::int64_t, int) { from_serial_pool = matmul(a, b); });
+    pool.parallel_for(1, [&](std::int64_t, std::int64_t, int) {
+      matmul_into(a, b, from_serial_pool);
+    });
   }
   std::vector<Tensor> from_undersubscribed_pool(2);
   {
@@ -176,7 +184,7 @@ TEST(BlockedGemm, BitIdenticalAcrossPoolSizesAndNesting) {
     // idle to claim the nested GEMM tiles.
     pool.parallel_for(2, [&](std::int64_t begin, std::int64_t end, int) {
       for (std::int64_t i = begin; i < end; ++i) {
-        from_undersubscribed_pool[static_cast<std::size_t>(i)] = matmul(a, b);
+        matmul_into(a, b, from_undersubscribed_pool[static_cast<std::size_t>(i)]);
       }
     });
   }
@@ -191,12 +199,15 @@ TEST(BlockedGemm, SaturatedPoolRunsTilesInlineAndMatches) {
   // computation bitwise.
   const Tensor a = random_tensor(Shape{192, 64}, 61);
   const Tensor b = random_tensor(Shape{64, 192}, 62);
-  const Tensor direct = matmul(a, b);
+  Tensor direct;
+  matmul_into(a, b, direct);
 
   ThreadPool pool(4);
   std::vector<Tensor> results(4);
   pool.parallel_for(4, [&](std::int64_t begin, std::int64_t end, int) {
-    for (std::int64_t i = begin; i < end; ++i) results[static_cast<std::size_t>(i)] = matmul(a, b);
+    for (std::int64_t i = begin; i < end; ++i) {
+      matmul_into(a, b, results[static_cast<std::size_t>(i)]);
+    }
   });
   for (const Tensor& r : results) expect_bitwise_equal(r, direct, "saturated-pool worker");
 }
@@ -227,9 +238,11 @@ TEST(ParallelForDeterministic, NestedInsideSingleWorkerPoolCompletes) {
     for (const int h : hits) {
       if (h != 1) throw std::logic_error("nested tile dropped or duplicated");
     }
-    nested = matmul(a, b);
+    matmul_into(a, b, nested);
   });
-  expect_bitwise_equal(nested, matmul(a, b), "nested single-worker GEMM");
+  Tensor direct;
+  matmul_into(a, b, direct);
+  expect_bitwise_equal(nested, direct, "nested single-worker GEMM");
 }
 
 TEST(ParallelForDeterministic, NestedFromSaturatedWorkersCompletes) {
@@ -293,7 +306,8 @@ TEST(ConvBatchedGemm, BlockSplitBatchMatchesDirectConvolution) {
   const Tensor w = random_tensor(spec.weight_shape(), 82, -0.3F, 0.3F);
   const Tensor bias = random_tensor(Shape{spec.out_channels}, 83, -0.1F, 0.1F);
 
-  const Tensor y = conv2d_forward(x, w, bias, spec);
+  Tensor y;
+  conv2d_forward_into(x, w, bias, spec, y);
 
   const std::int64_t out = spec.out_size(image);
   ASSERT_EQ(y.shape(), (Shape{batch, spec.out_channels, out, out}));

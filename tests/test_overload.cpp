@@ -124,7 +124,7 @@ TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
   const ScanOutcome& outcome = handle.wait();
   ASSERT_EQ(outcome.status, ScanStatus::kDone) << outcome.error;
   EXPECT_EQ(outcome.retries, 2);
-  EXPECT_EQ(service.items_retried(), 2);
+  EXPECT_EQ(service.health().items_retried, 2);
   expect_reports_identical(direct, outcome.report);
 
   for (const bool async : {false, true}) {
@@ -210,7 +210,7 @@ TEST_F(OverloadTest, RetryExhaustionResolvesFailedWithRetryCount) {
   EXPECT_GE(outcome.retries, 2);
   EXPECT_NE(outcome.error.find("scan.round"), std::string::npos) << outcome.error;
   EXPECT_NE(outcome.error.find("retries)"), std::string::npos) << outcome.error;
-  EXPECT_EQ(service.scans_failed(), 1);
+  EXPECT_EQ(service.health().scans_failed, 1);
 
   // A detector's own permanent error is NOT retried even with budget left.
   fault::FaultRegistry::instance().disarm_all();
@@ -218,7 +218,7 @@ TEST_F(OverloadTest, RetryExhaustionResolvesFailedWithRetryCount) {
   healthy.options.max_retries = 5;
   const ScanHandle ok = service.submit(std::move(healthy));
   EXPECT_EQ(ok.wait().status, ScanStatus::kDone);
-  EXPECT_EQ(service.items_retried(), outcome.retries);  // no silent retries
+  EXPECT_EQ(service.health().items_retried, outcome.retries);  // no silent retries
 }
 
 // With max_retries = 0 (the default), a transient fault fails immediately —
@@ -238,7 +238,7 @@ TEST_F(OverloadTest, DefaultZeroRetriesFailsTransientFaultImmediately) {
   const ScanOutcome& outcome = handle.wait();
   EXPECT_EQ(outcome.status, ScanStatus::kFailed);
   EXPECT_EQ(outcome.retries, 0);
-  EXPECT_EQ(service.items_retried(), 0);
+  EXPECT_EQ(service.health().items_retried, 0);
 }
 
 // ---- Priority load shedding --------------------------------------------
@@ -282,7 +282,7 @@ TEST_F(OverloadTest, DepthWatermarkShedsLowestPriorityNewestSparingUnsheddable) 
   EXPECT_EQ(older_low.poll(), ScanStatus::kShed);
   EXPECT_EQ(high.poll(), ScanStatus::kQueued);
   EXPECT_EQ(must_run.poll(), ScanStatus::kQueued);
-  EXPECT_EQ(service.scans_shed(), 2);
+  EXPECT_EQ(service.health().scans_shed, 2);
   EXPECT_NE(newest_low.wait().error.find("shed"), std::string::npos);
 
   // Survivors complete once the blocker stops hogging the slot.
@@ -290,7 +290,7 @@ TEST_F(OverloadTest, DepthWatermarkShedsLowestPriorityNewestSparingUnsheddable) 
   blocker.cancel();
   EXPECT_EQ(high.wait().status, ScanStatus::kDone);
   EXPECT_EQ(must_run.wait().status, ScanStatus::kDone);
-  EXPECT_EQ(service.scans_shed(), 2);  // admitted scans were never shed
+  EXPECT_EQ(service.health().scans_shed, 2);  // admitted scans were never shed
 }
 
 TEST_F(OverloadTest, MemoryWatermarkShedsQueuedScanWhoseCloneBreachesBudget) {
@@ -325,7 +325,7 @@ TEST_F(OverloadTest, MemoryWatermarkShedsQueuedScanWhoseCloneBreachesBudget) {
   // scan, which is this one.
   const ScanHandle shed = service.submit(nc_request(victim, probe));
   EXPECT_EQ(shed.poll(), ScanStatus::kShed);
-  EXPECT_EQ(service.scans_shed(), 1);
+  EXPECT_EQ(service.health().scans_shed, 1);
 
   fault::FaultRegistry::instance().disarm_all();
   blocker.cancel();

@@ -66,9 +66,10 @@ TEST(Ssim, ValueMatchesGradientVariant) {
   Tensor y(Shape{1, 3, 16, 16});
   fill_uniform(x, rng, 0.0F, 1.0F);
   fill_uniform(y, rng, 0.0F, 1.0F);
-  const SsimResult result = ssim_with_gradient(x, y);
+  TensorArena arena;
+  const SsimGradRef result = ssim_with_gradient(x, y, arena);
   EXPECT_NEAR(result.value, ssim(x, y), 1e-5F);
-  EXPECT_EQ(result.grad_y.shape(), y.shape());
+  EXPECT_EQ(result.grad_y->shape(), y.shape());
 }
 
 TEST(Ssim, AnalyticGradientMatchesFiniteDifference) {
@@ -83,9 +84,10 @@ TEST(Ssim, AnalyticGradientMatchesFiniteDifference) {
   fill_uniform(x, rng, 0.1F, 0.9F);
   fill_uniform(y, rng, 0.1F, 0.9F);
 
-  const SsimResult result = ssim_with_gradient(x, y, config);
+  TensorArena arena;
+  const SsimGradRef result = ssim_with_gradient(x, y, arena, config);
   auto loss = [&](const Tensor& probe) { return static_cast<double>(ssim(x, probe, config)); };
-  expect_gradient_close(loss, y, result.grad_y, 1e-3, 2e-2, 1e-4);
+  expect_gradient_close(loss, y, *result.grad_y, 1e-3, 2e-2, 1e-4);
 }
 
 TEST(Ssim, GradientPointsTowardReference) {
@@ -97,11 +99,13 @@ TEST(Ssim, GradientPointsTowardReference) {
   for (std::int64_t i = 0; i < y.numel(); ++i) y[i] += rng.uniform_float(-0.2F, 0.2F);
 
   const float before = ssim(x, y);
+  TensorArena arena;
   for (int step = 0; step < 40; ++step) {
-    const SsimResult result = ssim_with_gradient(x, y);
+    arena.reset();
+    const SsimGradRef result = ssim_with_gradient(x, y, arena);
     // Normalized ascent: fixed step length along the gradient direction.
-    const float norm = std::max(result.grad_y.l2_norm(), 1e-8F);
-    y.add_scaled(result.grad_y, 0.05F / norm);
+    const float norm = std::max(result.grad_y->l2_norm(), 1e-8F);
+    y.add_scaled(*result.grad_y, 0.05F / norm);
   }
   EXPECT_GT(ssim(x, y), before + 0.02F);
 }

@@ -1,11 +1,12 @@
-// Tests for the dense kernels: matmul family, im2col/col2im adjointness,
-// conv2d forward/backward against naive references and finite differences,
+// Tests for the dense kernels: matmul, im2col/col2im adjointness, conv2d
+// forward/backward against naive references and finite differences,
 // pooling, softmax, and the SSIM filter primitives.
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "gradcheck.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "utils/rng.h"
 
@@ -36,12 +37,14 @@ TEST(MatMul, MatchesNaive) {
   Tensor b(Shape{5, 9});
   fill_uniform(a, rng);
   fill_uniform(b, rng);
-  const Tensor c = matmul(a, b);
+  Tensor c;
+  matmul_into(a, b, c);
   const Tensor ref = naive_matmul(a, b);
   for (std::int64_t i = 0; i < c.numel(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4F);
 }
 
 TEST(MatMul, TransposeBMatchesExplicit) {
+  // The A x B^T orientation (Linear forward, conv dW) is a direct gemm call.
   Rng rng(2);
   Tensor a(Shape{4, 6});
   Tensor b(Shape{3, 6});  // stands for B^T with B (6,3)
@@ -52,7 +55,9 @@ TEST(MatMul, TransposeBMatchesExplicit) {
     for (std::int64_t j = 0; j < 6; ++j) b_t.at2(j, i) = b.at2(i, j);
   }
   const Tensor expected = naive_matmul(a, b_t);
-  const Tensor got = matmul_transpose_b(a, b);
+  Tensor got(Shape{4, 3});
+  gemm(/*transpose_a=*/false, /*transpose_b=*/true, 4, 3, 6, a.raw(), 6, b.raw(), 6, got.raw(), 3,
+       /*accumulate=*/false);
   for (std::int64_t i = 0; i < got.numel(); ++i) EXPECT_NEAR(got[i], expected[i], 1e-4F);
 }
 
@@ -67,14 +72,16 @@ TEST(MatMul, TransposeAMatchesExplicit) {
     for (std::int64_t j = 0; j < 4; ++j) a_t.at2(j, i) = a.at2(i, j);
   }
   const Tensor expected = naive_matmul(a_t, b);
-  const Tensor got = matmul_transpose_a(a, b);
+  Tensor got;
+  matmul_transpose_a_into(a, b, got);
   for (std::int64_t i = 0; i < got.numel(); ++i) EXPECT_NEAR(got[i], expected[i], 1e-4F);
 }
 
 TEST(MatMul, RejectsBadShapes) {
   const Tensor a(Shape{2, 3});
   const Tensor b(Shape{4, 5});
-  EXPECT_THROW((void)matmul(a, b), std::invalid_argument);
+  Tensor c;
+  EXPECT_THROW(matmul_into(a, b, c), std::invalid_argument);
 }
 
 // Naive direct convolution reference.
@@ -129,7 +136,8 @@ TEST_P(ConvParamTest, ForwardMatchesNaive) {
   fill_uniform(x, rng);
   fill_uniform(w, rng, -0.5F, 0.5F);
   fill_uniform(b, rng, -0.2F, 0.2F);
-  const Tensor y = conv2d_forward(x, w, b, tc.spec);
+  Tensor y;
+  conv2d_forward_into(x, w, b, tc.spec, y);
   const Tensor ref = naive_conv(x, w, b, tc.spec);
   ASSERT_EQ(y.shape(), ref.shape());
   for (std::int64_t i = 0; i < y.numel(); ++i) EXPECT_NEAR(y[i], ref[i], 1e-3F);
@@ -146,25 +154,31 @@ TEST_P(ConvParamTest, BackwardMatchesFiniteDifference) {
   fill_uniform(b, rng, -0.2F, 0.2F);
 
   // Loss = weighted sum of the output with fixed random weights.
-  const Tensor y0 = conv2d_forward(x, w, b, tc.spec);
+  Tensor y0;
+  conv2d_forward_into(x, w, b, tc.spec, y0);
   Tensor dy(y0.shape());
   fill_uniform(dy, rng, -1.0F, 1.0F);
-  const Conv2dGrads grads = conv2d_backward(x, w, dy, tc.spec, /*need_dx=*/true);
+  Tensor dx;
+  Tensor dweight;
+  Tensor dbias;
+  conv2d_backward_into(x, w, dy, tc.spec, /*need_dx=*/true, /*need_dweight=*/true, &dx, &dweight,
+                       &dbias);
 
+  Tensor y;
   auto loss_of_x = [&](const Tensor& probe) {
-    const Tensor y = conv2d_forward(probe, w, b, tc.spec);
+    conv2d_forward_into(probe, w, b, tc.spec, y);
     double total = 0.0;
     for (std::int64_t i = 0; i < y.numel(); ++i) total += static_cast<double>(y[i]) * dy[i];
     return total;
   };
   auto loss_of_w = [&](const Tensor& probe) {
-    const Tensor y = conv2d_forward(x, probe, b, tc.spec);
+    conv2d_forward_into(x, probe, b, tc.spec, y);
     double total = 0.0;
     for (std::int64_t i = 0; i < y.numel(); ++i) total += static_cast<double>(y[i]) * dy[i];
     return total;
   };
-  expect_gradient_close(loss_of_x, x, grads.dx);
-  expect_gradient_close(loss_of_w, w, grads.dweight);
+  expect_gradient_close(loss_of_x, x, dx);
+  expect_gradient_close(loss_of_w, w, dweight);
 
   // Bias gradient: dL/db[oc] = sum of dy over batch and spatial for oc.
   for (std::int64_t oc = 0; oc < tc.spec.out_channels; ++oc) {
@@ -175,7 +189,7 @@ TEST_P(ConvParamTest, BackwardMatchesFiniteDifference) {
         expected += dy[(n * tc.spec.out_channels + oc) * spatial + s];
       }
     }
-    EXPECT_NEAR(grads.dbias[oc], expected, 1e-3);
+    EXPECT_NEAR(dbias[oc], expected, 1e-3);
   }
 }
 
@@ -237,13 +251,16 @@ TEST(MaxPool, ForwardAndBackward) {
   const Tensor x(Shape{1, 1, 4, 4},
                  {1, 2, 5, 6, 3, 4, 7, 8, 9, 10, 13, 14, 11, 12, 15, 16});
   const Pool2dSpec spec{2, 2};
-  const MaxPoolResult result = maxpool2d_forward(x, spec);
-  EXPECT_EQ(result.y.shape(), (Shape{1, 1, 2, 2}));
-  EXPECT_EQ(result.y[0], 4.0F);
-  EXPECT_EQ(result.y[3], 16.0F);
+  Tensor y;
+  std::vector<std::int64_t> argmax;
+  maxpool2d_forward_into(x, spec, y, argmax);
+  EXPECT_EQ(y.shape(), (Shape{1, 1, 2, 2}));
+  EXPECT_EQ(y[0], 4.0F);
+  EXPECT_EQ(y[3], 16.0F);
 
   const Tensor dy(Shape{1, 1, 2, 2}, {1, 1, 1, 1});
-  const Tensor dx = maxpool2d_backward(dy, result.argmax, x.shape());
+  Tensor dx;
+  maxpool2d_backward_into(dy, argmax, x.shape(), dx);
   EXPECT_EQ(dx.at4(0, 0, 1, 1), 1.0F);   // position of 4
   EXPECT_EQ(dx.at4(0, 0, 3, 3), 1.0F);   // position of 16
   EXPECT_EQ(dx.at4(0, 0, 0, 0), 0.0F);
@@ -255,7 +272,8 @@ TEST(AvgPool, ForwardBackwardConsistency) {
   Tensor x(Shape{2, 3, 6, 6});
   fill_uniform(x, rng);
   const Pool2dSpec spec{2, 2};
-  const Tensor y = avgpool2d_forward(x, spec);
+  Tensor y;
+  avgpool2d_forward_into(x, spec, y);
   EXPECT_EQ(y.shape(), (Shape{2, 3, 3, 3}));
   EXPECT_NEAR(y.at4(0, 0, 0, 0),
               0.25F * (x.at4(0, 0, 0, 0) + x.at4(0, 0, 0, 1) + x.at4(0, 0, 1, 0) +
@@ -264,9 +282,11 @@ TEST(AvgPool, ForwardBackwardConsistency) {
 
   Tensor dy(y.shape());
   fill_uniform(dy, rng);
-  const Tensor dx = avgpool2d_backward(dy, x.shape(), spec);
+  Tensor dx;
+  avgpool2d_backward_into(dy, x.shape(), spec, dx);
+  Tensor out;
   auto loss = [&](const Tensor& probe) {
-    const Tensor out = avgpool2d_forward(probe, spec);
+    avgpool2d_forward_into(probe, spec, out);
     double total = 0.0;
     for (std::int64_t i = 0; i < out.numel(); ++i) total += static_cast<double>(out[i]) * dy[i];
     return total;
@@ -278,7 +298,8 @@ TEST(GlobalAvgPool, MeanAndGradient) {
   Rng rng(10);
   Tensor x(Shape{2, 4, 5, 5});
   fill_uniform(x, rng);
-  const Tensor y = global_avgpool_forward(x);
+  Tensor y;
+  global_avgpool_forward_into(x, y);
   EXPECT_EQ(y.shape(), (Shape{2, 4, 1, 1}));
   double manual = 0.0;
   for (std::int64_t s = 0; s < 25; ++s) manual += x[s];
@@ -286,13 +307,15 @@ TEST(GlobalAvgPool, MeanAndGradient) {
 
   Tensor dy(y.shape());
   fill_uniform(dy, rng);
-  const Tensor dx = global_avgpool_backward(dy, x.shape());
+  Tensor dx;
+  global_avgpool_backward_into(dy, x.shape(), dx);
   EXPECT_NEAR(dx[0], dy[0] / 25.0F, 1e-6F);
 }
 
 TEST(Softmax, RowsSumToOneAndOrderPreserved) {
   const Tensor logits(Shape{2, 3}, {1.0F, 2.0F, 3.0F, -1.0F, -1.0F, -1.0F});
-  const Tensor probs = softmax_rows(logits);
+  Tensor probs;
+  softmax_rows_into(logits, probs);
   EXPECT_NEAR(probs[0] + probs[1] + probs[2], 1.0F, 1e-5F);
   EXPECT_GT(probs[2], probs[1]);
   EXPECT_NEAR(probs[3], 1.0F / 3.0F, 1e-5F);
@@ -300,17 +323,10 @@ TEST(Softmax, RowsSumToOneAndOrderPreserved) {
 
 TEST(Softmax, NumericallyStableForLargeLogits) {
   const Tensor logits(Shape{1, 2}, {1000.0F, 999.0F});
-  const Tensor probs = softmax_rows(logits);
+  Tensor probs;
+  softmax_rows_into(logits, probs);
   EXPECT_TRUE(std::isfinite(probs[0]));
   EXPECT_GT(probs[0], probs[1]);
-}
-
-TEST(OneHot, EncodesAndValidates) {
-  const Tensor encoded = one_hot({0, 2}, 3);
-  EXPECT_EQ(encoded.at2(0, 0), 1.0F);
-  EXPECT_EQ(encoded.at2(1, 2), 1.0F);
-  EXPECT_EQ(encoded.sum(), 2.0F);
-  EXPECT_THROW((void)one_hot({3}, 3), std::invalid_argument);
 }
 
 TEST(ArgmaxRows, PicksFirstMaximum) {
@@ -330,22 +346,25 @@ TEST(GaussianKernel, NormalizedAndSymmetric) {
 TEST(Filter2d, ValidAgainstManual) {
   const Tensor x(Shape{1, 1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
   const Tensor kernel(Shape{2, 2}, {1, 0, 0, 1});
-  const Tensor y = filter2d_valid(x, kernel);
+  Tensor y;
+  filter2d_valid_into(x, kernel, y);
   EXPECT_EQ(y.shape(), (Shape{1, 1, 2, 2}));
   EXPECT_EQ(y[0], 1.0F + 5.0F);
   EXPECT_EQ(y[3], 5.0F + 9.0F);
 }
 
 TEST(Filter2d, FullAdjointIsTransposeOfValid) {
-  // <filter2d_valid(x, k), g> == <x, filter2d_full_adjoint(g, k)>.
+  // <filter2d_valid_into(x, k), g> == <x, filter2d_full_adjoint_into(g, k)>.
   Rng rng(21);
   Tensor x(Shape{2, 3, 9, 9});
   fill_uniform(x, rng);
   const Tensor kernel = gaussian_kernel(5, 1.2);
-  const Tensor y = filter2d_valid(x, kernel);
+  Tensor y;
+  filter2d_valid_into(x, kernel, y);
   Tensor g(y.shape());
   fill_uniform(g, rng);
-  const Tensor adj = filter2d_full_adjoint(g, kernel);
+  Tensor adj;
+  filter2d_full_adjoint_into(g, kernel, adj);
   ASSERT_EQ(adj.shape(), x.shape());
 
   double lhs = 0.0;
