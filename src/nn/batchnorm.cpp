@@ -14,7 +14,12 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, float eps, float momentum)
       gamma_("bn.gamma", Tensor::ones(Shape{channels})),
       beta_("bn.beta", Tensor(Shape{channels})),
       running_mean_(Shape{channels}),
-      running_var_(Tensor::ones(Shape{channels})) {}
+      running_var_(Tensor::ones(Shape{channels})) {
+  register_parameter(gamma_);
+  register_parameter(beta_);
+  register_buffer("bn.running_mean", running_mean_);
+  register_buffer("bn.running_var", running_var_);
+}
 
 const Tensor& BatchNorm2d::forward_into(const Tensor& x, TensorArena& arena) const {
   if (x.rank() != 4 || x.dim(1) != channels_) {
@@ -126,17 +131,6 @@ Tensor& BatchNorm2d::backward_into(const Tensor& grad_out, TensorArena& arena) c
     }
   }
   return dx;
-}
-
-void BatchNorm2d::collect_parameters(std::vector<Parameter*>& out) {
-  out.push_back(&gamma_);
-  out.push_back(&beta_);
-}
-
-void BatchNorm2d::collect_state(std::vector<StateTensor>& out) {
-  Module::collect_state(out);
-  out.push_back(StateTensor{"bn.running_mean", &running_mean_});
-  out.push_back(StateTensor{"bn.running_var", &running_var_});
 }
 
 }  // namespace usb

@@ -16,12 +16,7 @@ class BatchNorm2d final : public Module {
 
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
-  void collect_parameters(std::vector<Parameter*>& out) override;
-  void collect_state(std::vector<StateTensor>& out) override;
   [[nodiscard]] std::string name() const override { return "BatchNorm2d"; }
-
-  [[nodiscard]] const Tensor& running_mean() const noexcept { return running_mean_; }
-  [[nodiscard]] const Tensor& running_var() const noexcept { return running_var_; }
 
  private:
   std::int64_t channels_;

@@ -11,6 +11,8 @@ Conv2d::Conv2d(Conv2dSpec spec, Rng& rng, bool with_bias)
       bias_("conv.bias", Tensor(Shape{with_bias ? spec.out_channels : 0})) {
   const std::int64_t fan_in = (spec.in_channels / spec.groups) * spec.kernel * spec.kernel;
   kaiming_normal(weight_.value, fan_in, rng);
+  register_parameter(weight_);
+  if (with_bias_) register_parameter(bias_);
 }
 
 const Tensor& Conv2d::forward_into(const Tensor& x, TensorArena& arena) const {
@@ -38,11 +40,6 @@ Tensor& Conv2d::backward_into(const Tensor& grad_out, TensorArena& arena) const 
   weight_.grad += dweight;
   if (with_bias_) bias_.grad += dbias;
   return dx;
-}
-
-void Conv2d::collect_parameters(std::vector<Parameter*>& out) {
-  out.push_back(&weight_);
-  if (with_bias_) out.push_back(&bias_);
 }
 
 }  // namespace usb

@@ -13,7 +13,6 @@ class Conv2d final : public Module {
 
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
-  void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
 
   [[nodiscard]] const Conv2dSpec& spec() const noexcept { return spec_; }

@@ -15,6 +15,8 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
       weight_("linear.weight", Tensor(Shape{out_features, in_features})),
       bias_("linear.bias", Tensor(Shape{out_features})) {
   kaiming_normal(weight_.value, in_features, rng);
+  register_parameter(weight_);
+  register_parameter(bias_);
 }
 
 const Tensor& Linear::forward_into(const Tensor& x, TensorArena& arena) const {
@@ -52,11 +54,6 @@ Tensor& Linear::backward_into(const Tensor& grad_out, TensorArena& arena) const 
   Tensor& dx = arena.alloc(Shape{grad_out.dim(0), in_features_});
   matmul_into(grad_out, weight_.value, dx);
   return dx;
-}
-
-void Linear::collect_parameters(std::vector<Parameter*>& out) {
-  out.push_back(&weight_);
-  out.push_back(&bias_);
 }
 
 }  // namespace usb

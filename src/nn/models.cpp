@@ -70,12 +70,6 @@ void require_frozen(const Network& model, const char* caller) {
   }
 }
 
-std::int64_t Network::parameter_count() {
-  std::int64_t total = 0;
-  for (const Parameter* p : parameters()) total += p->value.numel();
-  return total;
-}
-
 namespace {
 
 Conv2dSpec conv_spec(std::int64_t in, std::int64_t out, std::int64_t kernel, std::int64_t stride,

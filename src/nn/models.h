@@ -22,12 +22,6 @@ enum class Architecture { kBasicCnn, kMiniResNet, kMiniVgg, kMiniEffNet };
 [[nodiscard]] std::string to_string(Architecture arch);
 [[nodiscard]] Architecture architecture_from_string(const std::string& text);
 
-/// Read-only view of one named state tensor (Network::state_view()).
-struct ConstStateTensor {
-  std::string name;
-  const Tensor* tensor = nullptr;
-};
-
 /// A trained or trainable classifier. Wraps the layer stack with the
 /// metadata needed to reconstruct it from a checkpoint and with
 /// feature/head split points for feature-space attacks.
@@ -89,30 +83,24 @@ class Network {
     return out;
   }
   /// Read-only counterpart of state(): checkpoint saving, cloning, and
-  /// byte accounting only READ through the collected pointers, so a const
-  /// Network (e.g. a ModelStore-resident instance shared by concurrent
-  /// scans) can serve them. Module::collect_state stays non-const because
-  /// checkpoint LOADING writes through the same pointers; collection itself
-  /// never mutates, which is what makes the const_cast sound.
+  /// byte accounting only read, so a const Network (e.g. a ModelStore
+  /// resident shared by concurrent scans) can serve them.
   [[nodiscard]] std::vector<ConstStateTensor> state_view() const {
-    std::vector<StateTensor> raw;
-    const_cast<Sequential*>(layers_.get())->collect_state(raw);
     std::vector<ConstStateTensor> out;
-    out.reserve(raw.size());
-    for (StateTensor& entry : raw) out.push_back({std::move(entry.name), entry.tensor});
+    layers_->collect_state(out);
     return out;
   }
-  /// Read-only counterpart of parameters(), same soundness argument.
+  /// Read-only counterpart of parameters().
   [[nodiscard]] std::vector<const Parameter*> parameters_view() const {
-    const std::vector<Parameter*> raw = const_cast<Sequential*>(layers_.get())->parameters();
-    return {raw.begin(), raw.end()};
+    std::vector<const Parameter*> out;
+    layers_->collect_parameters(out);
+    return out;
   }
 
   [[nodiscard]] Architecture architecture() const noexcept { return arch_; }
   [[nodiscard]] std::int64_t in_channels() const noexcept { return in_channels_; }
   [[nodiscard]] std::int64_t input_size() const noexcept { return input_size_; }
   [[nodiscard]] std::int64_t num_classes() const noexcept { return num_classes_; }
-  [[nodiscard]] std::int64_t parameter_count();
 
   [[nodiscard]] Sequential& sequential() noexcept { return *layers_; }
 

@@ -18,6 +18,17 @@
 // Contract: backward_into must be called on the arena of the forward_into
 // whose activations it consumes, with a grad_out shaped like that forward's
 // output, and before the arena resets.
+//
+// One module tree: each constructor registers its children, parameters and
+// buffers once (register_child/register_parameter/register_buffer), and
+// Module alone walks that registry to collect parameters and state and to
+// set the training and parameter-gradient flags. A walk visits a module's
+// own parameters, then its own buffers, then its children, each in
+// registration order. That order is the checkpoint layout: load_checkpoint
+// rejects a file whose tensor order differs from the build's, so reordering
+// register_* calls orphans every cached checkpoint. The registry holds raw
+// addresses of members, so a Module never moves: copy and move are deleted,
+// and a child is either a member of its parent or owned through unique_ptr.
 #pragma once
 
 #include <memory>
@@ -50,12 +61,20 @@ struct StateTensor {
   Tensor* tensor = nullptr;
 };
 
+/// Read-only view of one named state tensor.
+struct ConstStateTensor {
+  std::string name;
+  const Tensor* tensor = nullptr;
+};
+
 class Module {
  public:
   virtual ~Module() = default;
   Module() = default;
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
+  Module(Module&&) = delete;
+  Module& operator=(Module&&) = delete;
 
   /// Computes the module output into `arena` slots and records what
   /// backward_into needs in arena.cache(this). The input `x` and the
@@ -84,25 +103,24 @@ class Module {
     return backward_into(grad_out, own_arena());
   }
 
-  /// Appends pointers to learnable parameters (default: none).
-  virtual void collect_parameters(std::vector<Parameter*>& /*out*/) {}
+  /// Appends pointers to the learnable parameters of this subtree.
+  void collect_parameters(std::vector<Parameter*>& out);
+  void collect_parameters(std::vector<const Parameter*>& out) const;
 
-  /// Appends all tensors to serialize: parameters plus buffers.
-  virtual void collect_state(std::vector<StateTensor>& out) {
-    std::vector<Parameter*> params;
-    collect_parameters(params);
-    for (Parameter* p : params) out.push_back(StateTensor{p->name, &p->value});
-  }
+  /// Appends all tensors to serialize, in checkpoint order: parameters plus
+  /// buffers.
+  void collect_state(std::vector<StateTensor>& out);
+  void collect_state(std::vector<ConstStateTensor>& out) const;
 
-  /// Switches train/eval behaviour (BatchNorm is the only mode-sensitive
-  /// layer in this library).
-  virtual void set_training(bool training) { training_ = training; }
+  /// Switches train/eval behaviour of this subtree (BatchNorm is the only
+  /// mode-sensitive layer in this library).
+  void set_training(bool training);
   [[nodiscard]] bool training() const noexcept { return training_; }
 
-  /// Disables parameter-gradient accumulation. Detection algorithms only
-  /// need dL/dinput on a frozen model; skipping the dW/db kernels roughly
-  /// halves the cost of every backward pass.
-  virtual void set_param_grads_enabled(bool enabled) { param_grads_enabled_ = enabled; }
+  /// Disables parameter-gradient accumulation in this subtree. Detection
+  /// algorithms only need dL/dinput on a frozen model; skipping the dW/db
+  /// kernels roughly halves the cost of every backward pass.
+  void set_param_grads_enabled(bool enabled);
   [[nodiscard]] bool param_grads_enabled() const noexcept { return param_grads_enabled_; }
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -126,10 +144,20 @@ class Module {
     return *own_arena_;
   }
 
-  bool training_ = true;
-  bool param_grads_enabled_ = true;
+  /// Registration, called once per member from the constructor; the order
+  /// of calls is the checkpoint layout (see the file comment).
+  void register_child(Module& child) { children_.push_back(&child); }
+  void register_parameter(Parameter& parameter) { parameters_.push_back(&parameter); }
+  void register_buffer(std::string buffer_name, Tensor& buffer) {
+    buffers_.push_back(StateTensor{std::move(buffer_name), &buffer});
+  }
 
  private:
+  std::vector<Module*> children_;
+  std::vector<Parameter*> parameters_;
+  std::vector<StateTensor> buffers_;
+  bool training_ = true;
+  bool param_grads_enabled_ = true;
   std::unique_ptr<TensorArena> own_arena_;
 };
 

@@ -21,7 +21,7 @@ ew::AdamParams adam_params(const AdamConfig& config, std::int64_t t) {
 }  // namespace
 
 Sgd::Sgd(std::vector<Parameter*> params, SgdConfig config)
-    : Optimizer(std::move(params)), config_(config) {
+    : params_(std::move(params)), config_(config) {
   velocity_.reserve(params_.size());
   for (const Parameter* p : params_) velocity_.emplace_back(p->value.shape());
 }
@@ -37,26 +37,6 @@ void Sgd::step() {
       vel[j] = config_.momentum * vel[j] + g;
       param.value[j] -= config_.lr * vel[j];
     }
-  }
-}
-
-Adam::Adam(std::vector<Parameter*> params, AdamConfig config)
-    : Optimizer(std::move(params)), config_(config) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (const Parameter* p : params_) {
-    m_.emplace_back(p->value.shape());
-    v_.emplace_back(p->value.shape());
-  }
-}
-
-void Adam::step() {
-  ++t_;
-  const ew::AdamParams params = adam_params(config_, t_);
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& param = *params_[i];
-    ew::adam_update(param.value.raw(), param.grad.raw(), m_[i].raw(), v_[i].raw(),
-                    param.value.numel(), params);
   }
 }
 

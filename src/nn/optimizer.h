@@ -1,10 +1,10 @@
-// Parameter optimizers: SGD with momentum and Adam.
+// Optimizers: SGD for training, AdamState for free tensors.
 //
-// The paper trains victim models with SGD-style settings from TrojanZoo and
-// runs trigger reverse engineering with Adam(beta = (0.5, 0.9)); both are
-// provided here. Optimizers can also drive free tensors (trigger, mask, UAP)
-// via the AdamState helper, which the detection code uses for image-space
-// variables that are not module Parameters.
+// The paper trains victim models with SGD-style settings from TrojanZoo
+// (Sgd, over a network's Parameters) and runs trigger reverse engineering
+// with Adam(beta = (0.5, 0.9)). The variables detection optimizes (trigger,
+// mask, UAP) are image-space tensors, not module Parameters, so Adam exists
+// only as AdamState: the moments of one free tensor.
 #pragma once
 
 #include <cstdint>
@@ -14,38 +14,29 @@
 
 namespace usb {
 
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Parameter*> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Applies one update from the accumulated gradients.
-  virtual void step() = 0;
-
-  void zero_grad() {
-    for (Parameter* p : params_) p->zero_grad();
-  }
-
- protected:
-  std::vector<Parameter*> params_;
-};
-
 struct SgdConfig {
   float lr = 0.01F;
   float momentum = 0.9F;
   float weight_decay = 0.0F;
 };
 
-class Sgd final : public Optimizer {
+/// SGD with momentum and weight decay over a fixed parameter list.
+class Sgd {
  public:
   Sgd(std::vector<Parameter*> params, SgdConfig config);
-  void step() override;
+
+  /// Applies one update from the accumulated gradients.
+  void step();
+
+  void zero_grad() {
+    for (Parameter* p : params_) p->zero_grad();
+  }
+
   void set_lr(float lr) noexcept { config_.lr = lr; }
   [[nodiscard]] float lr() const noexcept { return config_.lr; }
 
  private:
+  std::vector<Parameter*> params_;
   SgdConfig config_;
   std::vector<Tensor> velocity_;
 };
@@ -55,18 +46,6 @@ struct AdamConfig {
   float beta1 = 0.5F;  // paper's detection optimizer: Adam(beta=(0.5, 0.9))
   float beta2 = 0.9F;
   float eps = 1e-8F;
-};
-
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Parameter*> params, AdamConfig config);
-  void step() override;
-
- private:
-  AdamConfig config_;
-  std::vector<Tensor> m_;
-  std::vector<Tensor> v_;
-  std::int64_t t_ = 0;
 };
 
 /// Standalone Adam state for a single free tensor (e.g. a trigger or mask

@@ -34,10 +34,16 @@ ResidualBlock::ResidualBlock(std::int64_t in_channels, std::int64_t out_channels
       conv2_(conv3x3(out_channels, out_channels, 1), rng, /*with_bias=*/false),
       bn2_(out_channels),
       has_projection_(stride != 1 || in_channels != out_channels) {
+  register_child(conv1_);
+  register_child(bn1_);
+  register_child(conv2_);
+  register_child(bn2_);
   if (has_projection_) {
     proj_conv_ = std::make_unique<Conv2d>(conv1x1(in_channels, out_channels, stride), rng,
                                           /*with_bias=*/false);
     proj_bn_ = std::make_unique<BatchNorm2d>(out_channels);
+    register_child(*proj_conv_);
+    register_child(*proj_bn_);
   }
 }
 
@@ -83,52 +89,6 @@ Tensor& ResidualBlock::backward_into(const Tensor& grad_out, TensorArena& arena)
     dx += grad_sum;
   }
   return dx;
-}
-
-void ResidualBlock::collect_parameters(std::vector<Parameter*>& out) {
-  conv1_.collect_parameters(out);
-  bn1_.collect_parameters(out);
-  conv2_.collect_parameters(out);
-  bn2_.collect_parameters(out);
-  if (has_projection_) {
-    proj_conv_->collect_parameters(out);
-    proj_bn_->collect_parameters(out);
-  }
-}
-
-void ResidualBlock::collect_state(std::vector<StateTensor>& out) {
-  conv1_.collect_state(out);
-  bn1_.collect_state(out);
-  conv2_.collect_state(out);
-  bn2_.collect_state(out);
-  if (has_projection_) {
-    proj_conv_->collect_state(out);
-    proj_bn_->collect_state(out);
-  }
-}
-
-void ResidualBlock::set_training(bool training) {
-  Module::set_training(training);
-  conv1_.set_training(training);
-  bn1_.set_training(training);
-  conv2_.set_training(training);
-  bn2_.set_training(training);
-  if (has_projection_) {
-    proj_conv_->set_training(training);
-    proj_bn_->set_training(training);
-  }
-}
-
-void ResidualBlock::set_param_grads_enabled(bool enabled) {
-  Module::set_param_grads_enabled(enabled);
-  conv1_.set_param_grads_enabled(enabled);
-  bn1_.set_param_grads_enabled(enabled);
-  conv2_.set_param_grads_enabled(enabled);
-  bn2_.set_param_grads_enabled(enabled);
-  if (has_projection_) {
-    proj_conv_->set_param_grads_enabled(enabled);
-    proj_bn_->set_param_grads_enabled(enabled);
-  }
 }
 
 }  // namespace usb

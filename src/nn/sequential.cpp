@@ -6,6 +6,7 @@
 namespace usb {
 
 Sequential& Sequential::add(ModulePtr layer) {
+  register_child(*layer);
   layers_.push_back(std::move(layer));
   return *this;
 }
@@ -54,24 +55,6 @@ Tensor& Sequential::backward_layers(const Tensor& grad_out, std::int64_t begin,
     grad = &layers_[static_cast<std::size_t>(i)]->backward_into(*grad, arena);
   }
   return *grad;
-}
-
-void Sequential::collect_parameters(std::vector<Parameter*>& out) {
-  for (const ModulePtr& layer : layers_) layer->collect_parameters(out);
-}
-
-void Sequential::collect_state(std::vector<StateTensor>& out) {
-  for (const ModulePtr& layer : layers_) layer->collect_state(out);
-}
-
-void Sequential::set_training(bool training) {
-  Module::set_training(training);
-  for (const ModulePtr& layer : layers_) layer->set_training(training);
-}
-
-void Sequential::set_param_grads_enabled(bool enabled) {
-  Module::set_param_grads_enabled(enabled);
-  for (const ModulePtr& layer : layers_) layer->set_param_grads_enabled(enabled);
 }
 
 }  // namespace usb

@@ -14,7 +14,7 @@ class Sequential final : public Module {
  public:
   Sequential() = default;
 
-  /// Appends a layer; returns *this for chaining.
+  /// Appends and registers a layer; returns *this for chaining.
   Sequential& add(ModulePtr layer);
 
   [[nodiscard]] std::int64_t size() const noexcept {
@@ -38,10 +38,6 @@ class Sequential final : public Module {
   [[nodiscard]] Tensor backward_range(const Tensor& grad_out, std::int64_t begin,
                                       std::int64_t end);
 
-  void collect_parameters(std::vector<Parameter*>& out) override;
-  void collect_state(std::vector<StateTensor>& out) override;
-  void set_training(bool training) override;
-  void set_param_grads_enabled(bool enabled) override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }
 
  private:

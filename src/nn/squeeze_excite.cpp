@@ -6,7 +6,12 @@
 namespace usb {
 
 SqueezeExcite::SqueezeExcite(std::int64_t channels, std::int64_t reduced, Rng& rng)
-    : channels_(channels), fc1_(channels, reduced, rng), fc2_(reduced, channels, rng) {}
+    : channels_(channels), fc1_(channels, reduced, rng), fc2_(reduced, channels, rng) {
+  register_child(fc1_);
+  register_child(act_);
+  register_child(fc2_);
+  register_child(gate_);
+}
 
 const Tensor& SqueezeExcite::forward_into(const Tensor& x, TensorArena& arena) const {
   const std::int64_t batch = x.dim(0);
@@ -70,30 +75,6 @@ Tensor& SqueezeExcite::backward_into(const Tensor& grad_out, TensorArena& arena)
   return dx;
 }
 
-void SqueezeExcite::collect_parameters(std::vector<Parameter*>& out) {
-  fc1_.collect_parameters(out);
-  fc2_.collect_parameters(out);
-}
-
-void SqueezeExcite::collect_state(std::vector<StateTensor>& out) {
-  fc1_.collect_state(out);
-  fc2_.collect_state(out);
-}
-
-void SqueezeExcite::set_training(bool training) {
-  Module::set_training(training);
-  fc1_.set_training(training);
-  act_.set_training(training);
-  fc2_.set_training(training);
-  gate_.set_training(training);
-}
-
-void SqueezeExcite::set_param_grads_enabled(bool enabled) {
-  Module::set_param_grads_enabled(enabled);
-  fc1_.set_param_grads_enabled(enabled);
-  fc2_.set_param_grads_enabled(enabled);
-}
-
 namespace {
 
 Conv2dSpec pointwise(std::int64_t in, std::int64_t out) {
@@ -131,7 +112,16 @@ MBConvBlock::MBConvBlock(std::int64_t in_channels, std::int64_t out_channels, st
                                             rng, /*with_bias=*/false);
     expand_bn_ = std::make_unique<BatchNorm2d>(in_channels * expand_ratio);
     expand_act_ = std::make_unique<SiLU>();
+    register_child(*expand_conv_);
+    register_child(*expand_bn_);
+    register_child(*expand_act_);
   }
+  register_child(depthwise_);
+  register_child(dw_bn_);
+  register_child(dw_act_);
+  register_child(se_);
+  register_child(project_);
+  register_child(project_bn_);
 }
 
 const Tensor& MBConvBlock::forward_into(const Tensor& x, TensorArena& arena) const {
@@ -162,58 +152,6 @@ Tensor& MBConvBlock::backward_into(const Tensor& grad_out, TensorArena& arena) c
   }
   if (has_skip_) *grad += grad_out;
   return *grad;
-}
-
-void MBConvBlock::collect_parameters(std::vector<Parameter*>& out) {
-  if (has_expand_) {
-    expand_conv_->collect_parameters(out);
-    expand_bn_->collect_parameters(out);
-  }
-  depthwise_.collect_parameters(out);
-  dw_bn_.collect_parameters(out);
-  se_.collect_parameters(out);
-  project_.collect_parameters(out);
-  project_bn_.collect_parameters(out);
-}
-
-void MBConvBlock::collect_state(std::vector<StateTensor>& out) {
-  if (has_expand_) {
-    expand_conv_->collect_state(out);
-    expand_bn_->collect_state(out);
-  }
-  depthwise_.collect_state(out);
-  dw_bn_.collect_state(out);
-  se_.collect_state(out);
-  project_.collect_state(out);
-  project_bn_.collect_state(out);
-}
-
-void MBConvBlock::set_training(bool training) {
-  Module::set_training(training);
-  if (has_expand_) {
-    expand_conv_->set_training(training);
-    expand_bn_->set_training(training);
-    expand_act_->set_training(training);
-  }
-  depthwise_.set_training(training);
-  dw_bn_.set_training(training);
-  dw_act_.set_training(training);
-  se_.set_training(training);
-  project_.set_training(training);
-  project_bn_.set_training(training);
-}
-
-void MBConvBlock::set_param_grads_enabled(bool enabled) {
-  Module::set_param_grads_enabled(enabled);
-  if (has_expand_) {
-    expand_conv_->set_param_grads_enabled(enabled);
-    expand_bn_->set_param_grads_enabled(enabled);
-  }
-  depthwise_.set_param_grads_enabled(enabled);
-  dw_bn_.set_param_grads_enabled(enabled);
-  se_.set_param_grads_enabled(enabled);
-  project_.set_param_grads_enabled(enabled);
-  project_bn_.set_param_grads_enabled(enabled);
 }
 
 }  // namespace usb

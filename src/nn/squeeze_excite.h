@@ -17,10 +17,6 @@ class SqueezeExcite final : public Module {
 
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
-  void collect_parameters(std::vector<Parameter*>& out) override;
-  void collect_state(std::vector<StateTensor>& out) override;
-  void set_training(bool training) override;
-  void set_param_grads_enabled(bool enabled) override;
   [[nodiscard]] std::string name() const override { return "SqueezeExcite"; }
 
  private:
@@ -40,10 +36,6 @@ class MBConvBlock final : public Module {
 
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
-  void collect_parameters(std::vector<Parameter*>& out) override;
-  void collect_state(std::vector<StateTensor>& out) override;
-  void set_training(bool training) override;
-  void set_param_grads_enabled(bool enabled) override;
   [[nodiscard]] std::string name() const override { return "MBConvBlock"; }
 
  private:

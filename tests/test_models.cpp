@@ -1,6 +1,10 @@
 // Tests for the architecture factories, Network feature/head split,
-// checkpoint round-trips, and network cloning.
+// checkpoint round-trips and layout, the module-tree walks, and network
+// cloning.
 #include <cstdio>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -129,11 +133,144 @@ TEST(Network, BasicCnnMatchesPaperGeometry) {
   EXPECT_EQ(features.numel(), 512);
 }
 
-TEST(Network, ParameterCountIsPositiveAndStable) {
-  Network a = make_network(Architecture::kMiniResNet, 3, 32, 10, 1);
-  Network b = make_network(Architecture::kMiniResNet, 3, 32, 10, 2);
-  EXPECT_GT(a.parameter_count(), 1000);
-  EXPECT_EQ(a.parameter_count(), b.parameter_count());  // seed-independent
+/// The checkpoint layout of one architecture: the ordered (name, numel)
+/// sequence of Network::state_view(), written as "name:numel" tokens, and
+/// how many of those tensors are parameters (the rest are BatchNorm running
+/// statistics). load_checkpoint rejects a file whose order differs from the
+/// build's, so a change to these values orphans every cached checkpoint.
+struct PinnedLayout {
+  ArchCase arch;
+  std::size_t parameter_tensors;
+  const char* state;
+};
+
+const PinnedLayout kPinnedLayouts[] = {
+    {{Architecture::kBasicCnn, 1, 28, 10},
+     8,
+     "conv.weight:400 conv.bias:16 conv.weight:12800 conv.bias:32 linear.weight:262144 "
+     "linear.bias:512 linear.weight:5120 linear.bias:10"},
+    {{Architecture::kMiniResNet, 3, 32, 10},
+     29,
+     "conv.weight:216 bn.gamma:8 bn.beta:8 bn.running_mean:8 bn.running_var:8 "
+     "conv.weight:576 bn.gamma:8 bn.beta:8 bn.running_mean:8 bn.running_var:8 "
+     "conv.weight:576 bn.gamma:8 bn.beta:8 bn.running_mean:8 bn.running_var:8 "
+     "conv.weight:1152 bn.gamma:16 bn.beta:16 bn.running_mean:16 bn.running_var:16 "
+     "conv.weight:2304 bn.gamma:16 bn.beta:16 bn.running_mean:16 bn.running_var:16 "
+     "conv.weight:128 bn.gamma:16 bn.beta:16 bn.running_mean:16 bn.running_var:16 "
+     "conv.weight:4608 bn.gamma:32 bn.beta:32 bn.running_mean:32 bn.running_var:32 "
+     "conv.weight:9216 bn.gamma:32 bn.beta:32 bn.running_mean:32 bn.running_var:32 "
+     "conv.weight:512 bn.gamma:32 bn.beta:32 bn.running_mean:32 bn.running_var:32 "
+     "linear.weight:320 linear.bias:10"},
+    {{Architecture::kMiniVgg, 3, 32, 10},
+     22,
+     "conv.weight:216 bn.gamma:8 bn.beta:8 bn.running_mean:8 bn.running_var:8 "
+     "conv.weight:576 bn.gamma:8 bn.beta:8 bn.running_mean:8 bn.running_var:8 "
+     "conv.weight:1152 bn.gamma:16 bn.beta:16 bn.running_mean:16 bn.running_var:16 "
+     "conv.weight:2304 bn.gamma:16 bn.beta:16 bn.running_mean:16 bn.running_var:16 "
+     "conv.weight:4608 bn.gamma:32 bn.beta:32 bn.running_mean:32 bn.running_var:32 "
+     "conv.weight:9216 bn.gamma:32 bn.beta:32 bn.running_mean:32 bn.running_var:32 "
+     "linear.weight:49152 linear.bias:96 linear.weight:960 linear.bias:10"},
+    {{Architecture::kMiniEffNet, 3, 48, 10},
+     54,
+     "conv.weight:324 bn.gamma:12 bn.beta:12 bn.running_mean:12 bn.running_var:12 "
+     "conv.weight:108 bn.gamma:12 bn.beta:12 bn.running_mean:12 bn.running_var:12 "
+     "linear.weight:36 linear.bias:3 linear.weight:36 linear.bias:12 conv.weight:144 "
+     "bn.gamma:12 bn.beta:12 bn.running_mean:12 bn.running_var:12 conv.weight:288 "
+     "bn.gamma:24 bn.beta:24 bn.running_mean:24 bn.running_var:24 conv.weight:216 "
+     "bn.gamma:24 bn.beta:24 bn.running_mean:24 bn.running_var:24 linear.weight:72 "
+     "linear.bias:3 linear.weight:72 linear.bias:24 conv.weight:576 bn.gamma:24 "
+     "bn.beta:24 bn.running_mean:24 bn.running_var:24 conv.weight:1152 bn.gamma:48 "
+     "bn.beta:48 bn.running_mean:48 bn.running_var:48 conv.weight:432 bn.gamma:48 "
+     "bn.beta:48 bn.running_mean:48 bn.running_var:48 linear.weight:288 linear.bias:6 "
+     "linear.weight:288 linear.bias:48 conv.weight:1152 bn.gamma:24 bn.beta:24 "
+     "bn.running_mean:24 bn.running_var:24 conv.weight:1152 bn.gamma:48 bn.beta:48 "
+     "bn.running_mean:48 bn.running_var:48 conv.weight:432 bn.gamma:48 bn.beta:48 "
+     "bn.running_mean:48 bn.running_var:48 linear.weight:288 linear.bias:6 "
+     "linear.weight:288 linear.bias:48 conv.weight:2304 bn.gamma:48 bn.beta:48 "
+     "bn.running_mean:48 bn.running_var:48 linear.weight:480 linear.bias:10"},
+};
+
+std::string layout_of(const Network& net) {
+  std::string out;
+  for (const ConstStateTensor& entry : net.state_view()) {
+    if (!out.empty()) out += ' ';
+    out += entry.name + ':' + std::to_string(entry.tensor->numel());
+  }
+  return out;
+}
+
+// CheckpointRoundTrip writes and reads with one build, so it cannot see a
+// reordered registration; this pins the order against the golden layout,
+// at two seeds because the layout must not depend on the weights.
+TEST(Checkpoint, LayoutIsPinnedPerArchitecture) {
+  for (const PinnedLayout& pinned : kPinnedLayouts) {
+    const ArchCase& tc = pinned.arch;
+    for (const std::uint64_t seed : {1U, 2U}) {
+      SCOPED_TRACE(to_string(tc.arch) + " seed " + std::to_string(seed));
+      const Network net = make_network(tc.arch, tc.channels, tc.size, tc.classes, seed);
+      EXPECT_EQ(layout_of(net), pinned.state);
+      EXPECT_EQ(net.parameters_view().size(), pinned.parameter_tensors);
+    }
+  }
+}
+
+/// Copies of every state tensor, then of every parameter gradient.
+std::vector<Tensor> snapshot(const Network& net) {
+  std::vector<Tensor> out;
+  for (const ConstStateTensor& entry : net.state_view()) out.push_back(*entry.tensor);
+  for (const Parameter* parameter : net.parameters_view()) out.push_back(parameter->grad);
+  return out;
+}
+
+/// One forward_into + backward_into of a random batch of two.
+void one_pass(const Network& net, const ArchCase& tc, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor x(Shape{2, tc.channels, tc.size, tc.size});
+  fill_uniform(x, rng, 0.0F, 1.0F);
+  TensorArena arena;
+  const Tensor& logits = net.forward_into(x, arena);
+  Tensor dlogits(logits.shape());
+  fill_uniform(dlogits, rng);
+  (void)net.backward_into(dlogits, arena);
+}
+
+// The mode walks reach every nested module: a child its constructor forgot
+// to register would keep moving its BatchNorm statistics or accumulating
+// gradients after freeze(), and stay still once training is switched on.
+TEST(Network, ModeWalksReachEveryNestedModule) {
+  for (const PinnedLayout& pinned : kPinnedLayouts) {
+    const ArchCase& tc = pinned.arch;
+    SCOPED_TRACE(to_string(tc.arch));
+    Network net = make_network(tc.arch, tc.channels, tc.size, tc.classes, /*seed=*/21);
+
+    net.freeze();
+    const std::vector<Tensor> before = snapshot(net);
+    one_pass(net, tc, 22);
+    const std::vector<Tensor> frozen = snapshot(net);
+    ASSERT_EQ(frozen.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_TRUE(frozen[i].equals(before[i])) << "tensor " << i << " changed while frozen";
+    }
+
+    net.set_training(true);
+    net.set_param_grads_enabled(true);
+    one_pass(net, tc, 23);
+    const std::vector<const Parameter*> parameters = net.parameters_view();
+    ASSERT_EQ(parameters.size(), pinned.parameter_tensors);
+    std::set<const Tensor*> parameter_values;
+    for (const Parameter* parameter : parameters) {
+      parameter_values.insert(&parameter->value);
+      EXPECT_GT(parameter->grad.abs_sum(), 0.0F) << parameter->name;
+    }
+    const std::vector<ConstStateTensor> state = net.state_view();
+    std::size_t running_stats = 0;
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      if (parameter_values.count(state[i].tensor) != 0) continue;
+      ++running_stats;
+      EXPECT_FALSE(state[i].tensor->equals(before[i])) << state[i].name << " (tensor " << i << ")";
+    }
+    EXPECT_EQ(running_stats, state.size() - pinned.parameter_tensors);
+  }
 }
 
 TEST(Checkpoint, RejectsCorruptedFile) {
