@@ -8,6 +8,12 @@
 //   mu_y = G*y,  sigma_y^2 = G*y^2 - mu_y^2,  sigma_xy = G*(xy) - mu_x mu_y
 // using the adjoint filter (full correlation). Verified against central
 // finite differences in tests/test_ssim.cpp.
+//
+// Cost: each ssim_with_gradient call runs 5 valid filters and 3 adjoint
+// scatters of the 11x11 window. The filters run output columns in double
+// lanes (tensor_ops.h) and keep the bits of the tap-serial loops; the
+// per-map arithmetic and the SSIM total here stay scalar, the total in
+// ascending order.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,10 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "tensor/elementwise.h"
+#include "tensor/simd_common.h"
 #include "utils/thread_pool.h"
 
 namespace usb {
@@ -482,6 +484,118 @@ Tensor gaussian_kernel(std::int64_t size, double sigma) {
   return kernel;
 }
 
+namespace {
+
+// Both Gaussian filters run one tap kernel over a double copy of each input
+// plane. Output columns go in blocks of kFilterBlock, one column per double
+// lane, and each lane adds its column's products in the (a, b) order of the
+// tap-serial loop, starting at +0.0. That keeps every output's bits:
+//  - a float x float product is exact in double;
+//  - the adjoint's zero columns add a ±0.0 product (the kernel is finite)
+//    to a round-to-nearest sum that starts at +0.0 and so is never -0.0,
+//    which leaves the sum unchanged; its tap rows that would read outside g
+//    are skipped, as the tap-serial loop skipped them.
+// Lanes past the last output column read the plane's zero slack and are
+// discarded.
+constexpr std::int64_t kFilterBlock = 12;  // 3 lanes of 4 doubles
+
+/// Thread-local double scratch of the filters: the widened kernel and one
+/// widened input plane with its slack. Grows, never shrinks, so a
+/// steady-state SSIM step allocates nothing.
+struct FilterScratch {
+  std::vector<double> taps;
+  std::vector<double> plane;
+
+  static FilterScratch& local() {
+    thread_local FilterScratch scratch;
+    return scratch;
+  }
+};
+
+double* grow(std::vector<double>& buffer, std::size_t count) {
+  if (buffer.size() < count) {
+    buffer.reserve(count);  // exactly `count`, so ASan flags a read past it
+    buffer.resize(count);
+  }
+  return buffer.data();
+}
+
+/// out (out_h, out_w) = per output (r, c), the double sum over taps (a, b)
+/// in row-major order of src[(r + step*a) * stride + c + o + step*b] *
+/// taps[a*k + b], over the tap rows a whose source row lies in [0, rows).
+/// step +1, o = 0 is the valid filter; step -1, o = k-1 is the adjoint,
+/// reading its input k-1 zero columns in with the taps reversed. src must
+/// hold every column up to the last block's last lane.
+#define USB_FILTER_DEFINE_VARIANT(SUFFIX, TARGET_ATTR)                                          \
+  TARGET_ATTR void tap_filter_##SUFFIX(const double* USB_RESTRICT src, std::int64_t rows,       \
+                                       std::int64_t stride, const double* USB_RESTRICT taps,    \
+                                       std::int64_t k, std::int64_t step,                       \
+                                       float* USB_RESTRICT out, std::int64_t out_h,             \
+                                       std::int64_t out_w) {                                    \
+    const std::int64_t origin = step < 0 ? k - 1 : 0;                                           \
+    for (std::int64_t r = 0; r < out_h; ++r) {                                                  \
+      const std::int64_t a_lo = step < 0 ? std::max<std::int64_t>(0, r - rows + 1) : 0;        \
+      const std::int64_t a_end = std::min(k, step < 0 ? r + 1 : rows - r);                      \
+      for (std::int64_t c = 0; c < out_w; c += kFilterBlock) {                                  \
+        simd::v4df acc0{};                                                                      \
+        simd::v4df acc1{};                                                                      \
+        simd::v4df acc2{};                                                                      \
+        const double* tap = taps + a_lo * k;                                                    \
+        for (std::int64_t a = a_lo; a < a_end; ++a) {                                           \
+          const double* src_row = src + (r + step * a) * stride + c + origin;                  \
+          for (std::int64_t b = 0; b < k; ++b, ++tap) {                                         \
+            const double* in = src_row + step * b;                                              \
+            const simd::v4df t = USB_SIMD_BCAST_PD(*tap);                                       \
+            acc0 = acc0 + USB_SIMD_LOAD_PD(in) * t;                                             \
+            acc1 = acc1 + USB_SIMD_LOAD_PD(in + 4) * t;                                         \
+            acc2 = acc2 + USB_SIMD_LOAD_PD(in + 8) * t;                                         \
+          }                                                                                     \
+        }                                                                                       \
+        double lanes[kFilterBlock];                                                             \
+        USB_SIMD_STORE_PD(lanes, acc0);                                                         \
+        USB_SIMD_STORE_PD(lanes + 4, acc1);                                                     \
+        USB_SIMD_STORE_PD(lanes + 8, acc2);                                                     \
+        const std::int64_t width = std::min(kFilterBlock, out_w - c);                          \
+        for (std::int64_t j = 0; j < width; ++j) {                                              \
+          out[r * out_w + c + j] = static_cast<float>(lanes[j]);                                \
+        }                                                                                       \
+      }                                                                                         \
+    }                                                                                           \
+  }
+
+USB_FILTER_DEFINE_VARIANT(portable, )
+#if defined(__x86_64__) || defined(__i386__)
+USB_FILTER_DEFINE_VARIANT(avx2, __attribute__((target("avx2"))))
+#endif
+
+#undef USB_FILTER_DEFINE_VARIANT
+
+using TapFilter = void (*)(const double*, std::int64_t, std::int64_t, const double*,
+                           std::int64_t, std::int64_t, float*, std::int64_t, std::int64_t);
+
+/// The variant ew::active_variant() selects, so ew::force_variant pins it.
+TapFilter active_tap_filter() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  if (ew::active_variant() == ew::Variant::kAvx2) return tap_filter_avx2;
+#endif
+  return tap_filter_portable;
+}
+
+/// Widens the (k, k) kernel into the calling thread's scratch.
+const double* widen_taps(const Tensor& kernel) {
+  double* taps = grow(FilterScratch::local().taps, static_cast<std::size_t>(kernel.numel()));
+  std::copy(kernel.raw(), kernel.raw() + kernel.numel(), taps);
+  return taps;
+}
+
+/// Row stride of a widened plane: the output width rounded up to whole
+/// blocks, plus the k-1 columns the last block's taps reach past it.
+std::int64_t filter_stride(std::int64_t out_w, std::int64_t k) {
+  return (out_w + kFilterBlock - 1) / kFilterBlock * kFilterBlock + k - 1;
+}
+
+}  // namespace
+
 void filter2d_valid_into(const Tensor& x, const Tensor& kernel, Tensor& y) {
   require(x.rank() == 4, "filter2d_valid: input must be NCHW");
   require(kernel.rank() == 2 && kernel.dim(0) == kernel.dim(1),
@@ -495,27 +609,28 @@ void filter2d_valid_into(const Tensor& x, const Tensor& kernel, Tensor& y) {
 
   y.ensure_shape(Shape{x.dim(0), x.dim(1), out_h, out_w});
   const std::int64_t planes = x.dim(0) * x.dim(1);
+  const std::int64_t stride = filter_stride(out_w, k);
+  const TapFilter filter = active_tap_filter();
   parallel_for(planes, [&](std::int64_t begin, std::int64_t end) {
+    const double* taps = widen_taps(kernel);
+    double* src = grow(FilterScratch::local().plane, static_cast<std::size_t>(height * stride));
     for (std::int64_t plane = begin; plane < end; ++plane) {
       const float* x_p = x.raw() + plane * height * width;
-      float* y_p = y.raw() + plane * out_h * out_w;
-      for (std::int64_t oh = 0; oh < out_h; ++oh) {
-        for (std::int64_t ow = 0; ow < out_w; ++ow) {
-          double acc = 0.0;
-          for (std::int64_t a = 0; a < k; ++a) {
-            const float* x_row = x_p + (oh + a) * width + ow;
-            const float* k_row = kernel.raw() + a * k;
-            for (std::int64_t b = 0; b < k; ++b) acc += static_cast<double>(x_row[b]) * k_row[b];
-          }
-          y_p[oh * out_w + ow] = static_cast<float>(acc);
-        }
+      for (std::int64_t h = 0; h < height; ++h) {
+        double* row = src + h * stride;
+        std::copy(x_p + h * width, x_p + (h + 1) * width, row);
+        std::fill(row + width, row + stride, 0.0);
       }
+      filter(src, height, stride, taps, k, /*step=*/1, y.raw() + plane * out_h * out_w, out_h,
+             out_w);
     }
   });
 }
 
 void filter2d_full_adjoint_into(const Tensor& g, const Tensor& kernel, Tensor& dx) {
   require(g.rank() == 4, "filter2d_full_adjoint: input must be NCHW");
+  require(kernel.rank() == 2 && kernel.dim(0) == kernel.dim(1),
+          "filter2d_full_adjoint: square rank-2 kernel required");
   const std::int64_t k = kernel.dim(0);
   const std::int64_t gh = g.dim(2);
   const std::int64_t gw = g.dim(3);
@@ -524,27 +639,24 @@ void filter2d_full_adjoint_into(const Tensor& g, const Tensor& kernel, Tensor& d
 
   dx.ensure_shape(Shape{g.dim(0), g.dim(1), out_h, out_w});
   const std::int64_t planes = g.dim(0) * g.dim(1);
+  // Each row of g sits k-1 zero columns in, so every column tap of every
+  // output reads inside the padded row.
+  const std::int64_t pad = k - 1;
+  const std::int64_t stride = filter_stride(out_w, k);
+  const TapFilter filter = active_tap_filter();
   parallel_for(planes, [&](std::int64_t begin, std::int64_t end) {
+    const double* taps = widen_taps(kernel);
+    double* src = grow(FilterScratch::local().plane, static_cast<std::size_t>(gh * stride));
     for (std::int64_t plane = begin; plane < end; ++plane) {
       const float* g_p = g.raw() + plane * gh * gw;
-      float* dx_p = dx.raw() + plane * out_h * out_w;
-      for (std::int64_t p = 0; p < out_h; ++p) {
-        for (std::int64_t q = 0; q < out_w; ++q) {
-          double acc = 0.0;
-          const std::int64_t a_lo = std::max<std::int64_t>(0, p - gh + 1);
-          const std::int64_t a_hi = std::min<std::int64_t>(k - 1, p);
-          const std::int64_t b_lo = std::max<std::int64_t>(0, q - gw + 1);
-          const std::int64_t b_hi = std::min<std::int64_t>(k - 1, q);
-          for (std::int64_t a = a_lo; a <= a_hi; ++a) {
-            const float* g_row = g_p + (p - a) * gw;
-            const float* k_row = kernel.raw() + a * k;
-            for (std::int64_t b = b_lo; b <= b_hi; ++b) {
-              acc += static_cast<double>(g_row[q - b]) * k_row[b];
-            }
-          }
-          dx_p[p * out_w + q] = static_cast<float>(acc);
-        }
+      for (std::int64_t i = 0; i < gh; ++i) {
+        double* row = src + i * stride;
+        std::fill(row, row + pad, 0.0);
+        std::copy(g_p + i * gw, g_p + (i + 1) * gw, row + pad);
+        std::fill(row + pad + gw, row + stride, 0.0);
       }
+      filter(src, gh, stride, taps, k, /*step=*/-1, dx.raw() + plane * out_h * out_w, out_h,
+             out_w);
     }
   });
 }

@@ -6,6 +6,10 @@
 //  - Convolution weights are (OC, IC/groups, KH, KW); bias is (OC).
 //  - All backward kernels compute exact gradients of their forward
 //    counterparts (validated against central finite differences in tests).
+//
+// The SSIM filters are AVX2/portable kernels dispatched on
+// ew::active_variant() (elementwise.h), so ew::force_variant pins them; both
+// variants keep the bits of the scalar loops for any thread count.
 #pragma once
 
 #include <cstddef>
@@ -151,6 +155,15 @@ void softmax_rows_into(const Tensor& logits, Tensor& probs);
 [[nodiscard]] Tensor gaussian_kernel(std::int64_t size, double sigma);
 void gaussian_kernel_into(std::int64_t size, double sigma, Tensor& kernel);
 
+// Both filters run one column-blocked tap kernel. Each input plane is
+// widened once to double in thread-local scratch (grown, never shrunk), and
+// 12 output columns at a time run every tap in double lanes, one output per
+// lane. Each output still adds its K*K products in one double chain, in the
+// (a, b) tap order of the scalar loop it replaced, so the result is
+// bit-identical to that loop (tests/test_tensor_ops.cpp keeps it as the
+// reference). Both throw std::invalid_argument unless the kernel is a
+// square rank-2 tensor.
+
 /// Per-channel valid cross-correlation of x (N,C,H,W) with kernel (K,K):
 /// output (N,C,H-K+1,W-K+1). This is the "local statistics" operator of
 /// SSIM.
@@ -158,7 +171,8 @@ void filter2d_valid_into(const Tensor& x, const Tensor& kernel, Tensor& y);
 
 /// Per-channel full cross-correlation with the flipped kernel: the exact
 /// adjoint (transpose) of filter2d_valid_into, mapping gradients on the
-/// valid output back to the input grid. Output (N,C,h+K-1,w+K-1).
+/// valid output back to the input grid. Output (N,C,h+K-1,w+K-1). The
+/// kernel must be finite: the zero columns beside g meet every column tap.
 void filter2d_full_adjoint_into(const Tensor& g, const Tensor& kernel, Tensor& dx);
 
 }  // namespace usb

@@ -11,7 +11,8 @@
 //  - the same holds across the AVX2/portable elementwise dispatch variants;
 //  - DetectionReports are bit-identical across USB_THREADS (scan pools of
 //    1 and 4) for USB, NC and TABOR — the arena path cannot introduce
-//    schedule dependence;
+//    schedule dependence — and across the dispatch variants for NC and USB
+//    (whose step also runs SSIM's Gaussian filters);
 //  - the steady-state refinement step of all three detectors performs ZERO
 //    Tensor heap allocations (counting-allocator probe around a warmed-up
 //    run_steps loop of the real per-class task).
@@ -284,7 +285,8 @@ TEST(ArenaPath, DetectReportsBitIdenticalAcrossThreadCounts) {
                            run_with_pool(tabor_factory, &pool4, victim, probe));
 }
 
-// A full detect() must also be dispatch-invariant (portable vs AVX2).
+// A full detect() must also be dispatch-invariant (portable vs AVX2): NC,
+// and USB, whose refinement step also runs SSIM's Gaussian filters.
 TEST(ArenaPath, DetectReportsBitIdenticalAcrossDispatchVariants) {
   if (!ew::variant_available(ew::Variant::kAvx2)) GTEST_SKIP() << "no AVX2 on this CPU";
   const VariantGuard guard;
@@ -292,14 +294,19 @@ TEST(ArenaPath, DetectReportsBitIdenticalAcrossDispatchVariants) {
   const Dataset probe = generate_dataset(spec, 48, 63);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 64);
   ThreadPool pool(1);
-  ReverseOptConfig config = tiny_nc_config();
-  config.scan_pool = &pool;
+  ReverseOptConfig nc_config = tiny_nc_config();
+  nc_config.scan_pool = &pool;
+  UsbConfig usb_config = tiny_usb_config();
+  usb_config.scan_pool = &pool;
 
   ew::force_variant(ew::Variant::kPortable);
-  const DetectionReport portable = NeuralCleanse(config).detect(victim, probe);
+  const DetectionReport nc_portable = NeuralCleanse(nc_config).detect(victim, probe);
+  const DetectionReport usb_portable = UsbDetector(usb_config).detect(victim, probe);
   ew::force_variant(ew::Variant::kAvx2);
-  const DetectionReport avx2 = NeuralCleanse(config).detect(victim, probe);
-  expect_reports_identical(portable, avx2);
+  const DetectionReport nc_avx2 = NeuralCleanse(nc_config).detect(victim, probe);
+  const DetectionReport usb_avx2 = UsbDetector(usb_config).detect(victim, probe);
+  expect_reports_identical(nc_portable, nc_avx2);
+  expect_reports_identical(usb_portable, usb_avx2);
 }
 
 /// Builds the real per-class refine task of `plan` for class 0 on the frozen

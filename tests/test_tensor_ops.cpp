@@ -1,14 +1,23 @@
 // Tests for the dense kernels: matmul, im2col/col2im adjointness, conv2d
 // forward/backward against naive references and finite differences,
-// pooling, softmax, and the SSIM filter primitives.
+// pooling, softmax, and the SSIM filter primitives (bitwise against the
+// tap-serial loops, on both dispatch variants and a 4-thread pool).
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gradcheck.h"
+#include "tensor/elementwise.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "utils/rng.h"
+#include "utils/thread_pool.h"
 
 namespace usb {
 namespace {
@@ -372,6 +381,178 @@ TEST(Filter2d, FullAdjointIsTransposeOfValid) {
   double rhs = 0.0;
   for (std::int64_t i = 0; i < x.numel(); ++i) rhs += static_cast<double>(x[i]) * adj[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+TEST(Filter2d, RejectsKernelsThatAreNotSquareMatrices) {
+  // A rank-1 kernel of n taps read as n x n runs past its end; a non-square
+  // one would be read with the wrong row stride.
+  const Tensor x(Shape{1, 1, 6, 6});
+  const Tensor g(Shape{1, 1, 4, 4});
+  const Tensor rank1(Shape{3});
+  const Tensor non_square(Shape{3, 2});
+  Tensor out;
+  for (const Tensor* kernel : {&rank1, &non_square}) {
+    EXPECT_THROW(filter2d_valid_into(x, *kernel, out), std::invalid_argument);
+    EXPECT_THROW(filter2d_full_adjoint_into(g, *kernel, out), std::invalid_argument);
+  }
+}
+
+// The tap-serial loops the column-blocked filters replaced, kept as the
+// bitwise reference: one double chain per output, taps in (a, b) order.
+void tap_serial_valid(const Tensor& x, const Tensor& kernel, Tensor& y) {
+  const std::int64_t k = kernel.dim(0);
+  const std::int64_t height = x.dim(2);
+  const std::int64_t width = x.dim(3);
+  const std::int64_t out_h = height - k + 1;
+  const std::int64_t out_w = width - k + 1;
+  y = Tensor(Shape{x.dim(0), x.dim(1), out_h, out_w});
+  for (std::int64_t plane = 0; plane < x.dim(0) * x.dim(1); ++plane) {
+    const float* x_p = x.raw() + plane * height * width;
+    float* y_p = y.raw() + plane * out_h * out_w;
+    for (std::int64_t oh = 0; oh < out_h; ++oh) {
+      for (std::int64_t ow = 0; ow < out_w; ++ow) {
+        double acc = 0.0;
+        for (std::int64_t a = 0; a < k; ++a) {
+          const float* x_row = x_p + (oh + a) * width + ow;
+          const float* k_row = kernel.raw() + a * k;
+          for (std::int64_t b = 0; b < k; ++b) acc += static_cast<double>(x_row[b]) * k_row[b];
+        }
+        y_p[oh * out_w + ow] = static_cast<float>(acc);
+      }
+    }
+  }
+}
+
+void tap_serial_full_adjoint(const Tensor& g, const Tensor& kernel, Tensor& dx) {
+  const std::int64_t k = kernel.dim(0);
+  const std::int64_t gh = g.dim(2);
+  const std::int64_t gw = g.dim(3);
+  const std::int64_t out_h = gh + k - 1;
+  const std::int64_t out_w = gw + k - 1;
+  dx = Tensor(Shape{g.dim(0), g.dim(1), out_h, out_w});
+  for (std::int64_t plane = 0; plane < g.dim(0) * g.dim(1); ++plane) {
+    const float* g_p = g.raw() + plane * gh * gw;
+    float* dx_p = dx.raw() + plane * out_h * out_w;
+    for (std::int64_t p = 0; p < out_h; ++p) {
+      for (std::int64_t q = 0; q < out_w; ++q) {
+        double acc = 0.0;
+        const std::int64_t a_lo = std::max<std::int64_t>(0, p - gh + 1);
+        const std::int64_t a_hi = std::min<std::int64_t>(k - 1, p);
+        const std::int64_t b_lo = std::max<std::int64_t>(0, q - gw + 1);
+        const std::int64_t b_hi = std::min<std::int64_t>(k - 1, q);
+        for (std::int64_t a = a_lo; a <= a_hi; ++a) {
+          const float* g_row = g_p + (p - a) * gw;
+          const float* k_row = kernel.raw() + a * k;
+          for (std::int64_t b = b_lo; b <= b_hi; ++b) {
+            acc += static_cast<double>(g_row[q - b]) * k_row[b];
+          }
+        }
+        dx_p[p * out_w + q] = static_cast<float>(acc);
+      }
+    }
+  }
+}
+
+/// Inputs whose double sums depend on the order of their adds: an eighth
+/// of the elements are +2^40 and an eighth -2^40, the rest uniform in
+/// [-1, 1], with every 5th element +0.0 and every 7th -0.0. While a +-2^40
+/// product is live in a sum, the small terms added lose their low bits;
+/// once the large products cancel exactly, which small terms lost bits
+/// shows in the float output. So a kernel that reordered the taps fails
+/// here, not only one that rounded differently.
+Tensor order_sensitive_input(Shape shape, Rng& rng) {
+  Tensor t(std::move(shape));
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const float u = rng.uniform_float(0.0F, 1.0F);
+    t[i] = u < 0.125F ? 0x1p40F : u < 0.25F ? -0x1p40F : rng.uniform_float(-1.0F, 1.0F);
+  }
+  for (std::int64_t i = 0; i < t.numel(); i += 5) t[i] = 0.0F;
+  for (std::int64_t i = 0; i < t.numel(); i += 7) t[i] = -0.0F;
+  return t;
+}
+
+/// Half the taps +-1 (so that large products cancel exactly), the rest
+/// uniform in [-1, 1]: not symmetric, with negative taps.
+Tensor order_sensitive_kernel(std::int64_t k, Rng& rng) {
+  Tensor kernel(Shape{k, k});
+  for (std::int64_t i = 0; i < kernel.numel(); ++i) {
+    const float u = rng.uniform_float(-1.0F, 1.0F);
+    kernel[i] = rng.uniform_float(0.0F, 1.0F) < 0.5F ? (u < 0.0F ? -1.0F : 1.0F) : u;
+  }
+  return kernel;
+}
+
+void expect_same_bits(const Tensor& got, const Tensor& want, const std::string& label) {
+  ASSERT_EQ(got.shape(), want.shape()) << label;
+  EXPECT_TRUE(got.equals(want)) << label;
+  const std::size_t bytes = sizeof(float) * static_cast<std::size_t>(got.numel());
+  EXPECT_EQ(std::memcmp(got.raw(), want.raw(), bytes), 0) << label;
+}
+
+struct FilterCase {
+  Tensor x;       // (2, 3, H, W), H != W
+  Tensor g;       // shaped like the valid output
+  Tensor kernel;  // (k, k), not symmetric, negative taps
+  Tensor valid;   // tap-serial references
+  Tensor adjoint;
+  std::string label;
+};
+
+struct VariantGuard {
+  ~VariantGuard() { ew::force_variant(std::nullopt); }
+};
+
+TEST(Filter2d, MatchesTapSerialReferenceBitwise) {
+  // Output widths on both sides of the 12-column block and its lane groups,
+  // with kernels from a single tap to SSIM's 11 x 11 window.
+  Rng rng(23);
+  std::vector<FilterCase> cases;
+  for (const std::int64_t out_w : {1, 11, 12, 13, 22}) {
+    for (const std::int64_t k : {1, 3, 11}) {
+      FilterCase c;
+      const std::int64_t out_h = 7;
+      c.x = order_sensitive_input(Shape{2, 3, out_h + k - 1, out_w + k - 1}, rng);
+      c.g = order_sensitive_input(Shape{2, 3, out_h, out_w}, rng);
+      c.kernel = order_sensitive_kernel(k, rng);
+      tap_serial_valid(c.x, c.kernel, c.valid);
+      tap_serial_full_adjoint(c.g, c.kernel, c.adjoint);
+      c.label = "out_w=" + std::to_string(out_w) + " k=" + std::to_string(k);
+      cases.push_back(std::move(c));
+    }
+  }
+
+  const VariantGuard guard;
+  std::vector<ew::Variant> variants{ew::Variant::kPortable};
+  if (ew::variant_available(ew::Variant::kAvx2)) variants.push_back(ew::Variant::kAvx2);
+  ThreadPool pool(4);
+  for (const ew::Variant variant : variants) {
+    ew::force_variant(variant);
+    const std::string tag = variant == ew::Variant::kAvx2 ? " avx2" : " portable";
+    for (const FilterCase& c : cases) {
+      Tensor y;
+      Tensor dx;
+      filter2d_valid_into(c.x, c.kernel, y);
+      filter2d_full_adjoint_into(c.g, c.kernel, dx);
+      expect_same_bits(y, c.valid, c.label + tag + " valid");
+      expect_same_bits(dx, c.adjoint, c.label + tag + " adjoint");
+    }
+    // Every case again, spread over four pool workers, each filtering with
+    // its own thread-local scratch.
+    const auto n = static_cast<std::int64_t>(cases.size());
+    std::vector<Tensor> ys(cases.size());
+    std::vector<Tensor> dxs(cases.size());
+    pool.parallel_for(n, [&](std::int64_t begin, std::int64_t end, int /*worker*/) {
+      for (std::int64_t i = begin; i < end; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        filter2d_valid_into(cases[u].x, cases[u].kernel, ys[u]);
+        filter2d_full_adjoint_into(cases[u].g, cases[u].kernel, dxs[u]);
+      }
+    });
+    for (std::size_t u = 0; u < cases.size(); ++u) {
+      expect_same_bits(ys[u], cases[u].valid, cases[u].label + tag + " valid, pool of 4");
+      expect_same_bits(dxs[u], cases[u].adjoint, cases[u].label + tag + " adjoint, pool of 4");
+    }
+  }
 }
 
 }  // namespace
