@@ -1,19 +1,15 @@
 // Multi-class scan scaling: wall clock of a full K-class detect() as a
-// function of scan-pool size, plus a single-thread feature matrix that
-// isolates the speedup of each scan-level mechanism (shared-prefix caching
-// and early-exit scheduling), with bit-identity checks throughout.
+// function of scan-pool size, plus a single-thread matrix that isolates the
+// speedup of early-exit scheduling, with bit-identity checks throughout.
 //
 // Section "threads" is the scan engine's contract made measurable:
 // per-class reverse engineering fans out over the pool, so a K-class scan
 // should approach a num_threads-fold speedup while producing the same
 // DetectionReport bit for bit.
 //
-// Section "matrix" runs the K=10 synthetic USB detect() at one thread for
-// every requested {prefix-cache, early-exit} combination and reports each
-// run's speedup over the both-off baseline, so the two mechanisms'
-// contributions land separately in the JSON. Contract checks: prefix-cache
-// on/off must be bit-identical (early exit off), and early-exit runs must
-// reach the same verdict.
+// Section "matrix" runs the K=10 synthetic USB detect() at one thread with
+// early exit off and on, and reports each run's speedup over the off run.
+// Contract check: the early-exit run must reach the same verdict.
 //
 // Section "service" is the DetectionService's cross-request fair-share
 // contract made measurable: a small K=4 scan is submitted while a K=43 scan
@@ -26,9 +22,7 @@
 // this entry.
 //
 // Usage:
-//   bench_scan_scaling [OUT.json] [--prefix-cache=on|off|both]
-//                      [--early-exit=on|off|both]
-// The flags restrict the matrix axes (default both x both).
+//   bench_scan_scaling [OUT.json]
 // Emits BENCH_scan_scaling.json.
 #include <algorithm>
 #include <atomic>
@@ -95,18 +89,14 @@ struct ScalingRow {
 };
 
 struct MatrixRow {
-  bool prefix_cache = false;
   bool early_exit = false;
   double seconds = 0.0;
-  double speedup = 1.0;  // vs the both-off baseline
-  bool identical = true;   // bit-identity vs baseline; only meaningful when checked
-  bool identical_checked = false;  // the contract only promises it with early exit off
+  double speedup = 1.0;  // vs the early-exit-off baseline
   bool same_verdict = true;
 };
 
 /// The K=10 matrix workload: refinement-heavy enough that early exit has
-/// rounds to reclaim, with a real Alg. 1 crafting stage for the prefix
-/// cache to share.
+/// rounds to reclaim, with a real Alg. 1 crafting stage behind them.
 UsbConfig matrix_usb_config() {
   UsbConfig config;
   config.uap.max_passes = 1;
@@ -123,8 +113,6 @@ int main(int argc, char** argv) {
   // figbench::BenchArgs, shared by every fig/table bench.
   figbench::BenchArgs args(argc, argv);
   const std::string json_path = args.take_positional().value_or("BENCH_scan_scaling.json");
-  const std::vector<bool> prefix_axis = args.take_axis("prefix-cache", {false, true});
-  const std::vector<bool> early_axis = args.take_axis("early-exit", {false, true});
   args.finish();
 
   // K = 10 candidate classes on a CIFAR-like synthetic probe.
@@ -177,19 +165,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Feature matrix: one thread, each mechanism on/off separately. ----
-  // Baseline semantics (both off) are always measured even when the flags
-  // exclude that cell from the report, so speedups stay comparable.
-  std::printf("\n%-6s %13s %11s %12s %10s %10s %13s\n", "method", "prefix-cache", "early-exit",
-              "seconds", "speedup", "identical", "same-verdict");
+  // ---- Early-exit matrix: one thread, early exit off and on. ----
+  std::printf("\n%-6s %11s %12s %10s %13s\n", "method", "early-exit", "seconds", "speedup",
+              "same-verdict");
   ThreadPool single(1);
   // Two timed repetitions per cell, keeping the min: the matrix gates CI, and
   // single-run wall clocks on a shared 1-core runner swing by 10-20%.
   constexpr int kMatrixReps = 2;
-  const auto run_matrix_cell = [&](bool prefix_on, bool early_on, double& seconds) {
+  const auto run_matrix_cell = [&](bool early_on, double& seconds) {
     UsbConfig config = matrix_usb_config();
     config.scan_pool = &single;
-    config.share_prefix = prefix_on;
     config.early_exit.enabled = early_on;
     if (early_on) {
       config.early_exit.round_steps = 4;
@@ -206,40 +191,21 @@ int main(int argc, char** argv) {
     }
     return report;
   };
-  double baseline_seconds = 0.0;
-  const DetectionReport matrix_baseline =
-      run_matrix_cell(/*prefix_on=*/false, /*early_on=*/false, baseline_seconds);
-
-  std::vector<MatrixRow> matrix;
-  for (const bool prefix_on : prefix_axis) {
-    for (const bool early_on : early_axis) {
-      MatrixRow row;
-      row.prefix_cache = prefix_on;
-      row.early_exit = early_on;
-      if (!prefix_on && !early_on) {
-        row.seconds = baseline_seconds;
-        row.identical_checked = true;  // trivially identical to itself
-      } else {
-        const DetectionReport report = run_matrix_cell(prefix_on, early_on, row.seconds);
-        row.speedup = baseline_seconds / row.seconds;
-        // Prefix caching alone promises bit-identity; early exit only
-        // promises the verdict (it trades refinement budget for time), so
-        // its rows carry no identity claim at all.
-        if (!early_on) {
-          row.identical = reports_identical(matrix_baseline, report);
-          row.identical_checked = true;
-        }
-        row.same_verdict =
-            report.verdict.backdoored == matrix_baseline.verdict.backdoored &&
-            report.verdict.flagged_classes == matrix_baseline.verdict.flagged_classes;
-      }
-      std::printf("%-6s %13s %11s %12.3f %9.2fx %10s %13s\n", "USB",
-                  row.prefix_cache ? "on" : "off", row.early_exit ? "on" : "off", row.seconds,
-                  row.speedup,
-                  row.identical_checked ? (row.identical ? "yes" : "NO") : "n/a",
-                  row.same_verdict ? "yes" : "NO");
-      matrix.push_back(row);
-    }
+  MatrixRow off;
+  const DetectionReport matrix_baseline = run_matrix_cell(/*early_on=*/false, off.seconds);
+  // Early exit promises only the verdict (it trades refinement budget for
+  // time), so its row carries no identity claim.
+  MatrixRow on;
+  on.early_exit = true;
+  const DetectionReport early_report = run_matrix_cell(/*early_on=*/true, on.seconds);
+  on.speedup = off.seconds / on.seconds;
+  on.same_verdict = early_report.verdict.backdoored == matrix_baseline.verdict.backdoored &&
+                    early_report.verdict.flagged_classes ==
+                        matrix_baseline.verdict.flagged_classes;
+  const std::vector<MatrixRow> matrix = {off, on};
+  for (const MatrixRow& row : matrix) {
+    std::printf("%-6s %11s %12.3f %9.2fx %13s\n", "USB", row.early_exit ? "on" : "off",
+                row.seconds, row.speedup, row.same_verdict ? "yes" : "NO");
   }
 
   // ---- Mixed-request fairness: the service's global class-job scheduler. ----
@@ -661,17 +627,12 @@ int main(int argc, char** argv) {
       out << line;
     }
     for (std::size_t i = 0; i < matrix.size(); ++i) {
-      // Early-exit rows make no identity claim: the field is null so the
-      // gate never "verifies" a property the bench did not measure.
       std::snprintf(line, sizeof(line),
                     "  {\"section\": \"matrix\", \"method\": \"USB\", \"threads\": 1, "
-                    "\"prefix_cache\": \"%s\", \"early_exit\": \"%s\", \"seconds\": %.4f, "
-                    "\"speedup\": %.3f, \"identical\": %s, \"same_verdict\": %s}%s\n",
-                    matrix[i].prefix_cache ? "on" : "off", matrix[i].early_exit ? "on" : "off",
-                    matrix[i].seconds, matrix[i].speedup,
-                    matrix[i].identical_checked ? (matrix[i].identical ? "true" : "false")
-                                                : "null",
-                    matrix[i].same_verdict ? "true" : "false", ",");
+                    "\"early_exit\": \"%s\", \"seconds\": %.4f, \"speedup\": %.3f, "
+                    "\"same_verdict\": %s},\n",
+                    matrix[i].early_exit ? "on" : "off", matrix[i].seconds, matrix[i].speedup,
+                    matrix[i].same_verdict ? "true" : "false");
       out << line;
     }
     std::snprintf(line, sizeof(line),
@@ -704,7 +665,7 @@ int main(int argc, char** argv) {
     if (!row.identical) return 1;  // determinism is part of the contract
   }
   for (const MatrixRow& row : matrix) {
-    if ((row.identical_checked && !row.identical) || !row.same_verdict) return 1;
+    if (!row.same_verdict) return 1;
   }
   if (!service_row.small_before_large || !service_row.identical) return 1;
   // By-ref submission contract: the store must actually have shared (a

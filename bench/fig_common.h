@@ -17,47 +17,19 @@
 
 namespace usb::figbench {
 
-/// Strict bench argument handling, ported from bench_scan_scaling (PR 3)
-/// so every fig/table bench shares one rule: flags use --name=value syntax
-/// and must be declared via take_flag/take_axis; positionals must be
-/// claimed via take_positional; anything left when finish() runs — an
-/// unknown flag, a typo, an extra positional — aborts with exit code 2
-/// instead of being silently ignored.
+/// Strict bench argument handling, shared by every fig/table bench: no
+/// bench takes a flag, positionals must be claimed via take_positional, and
+/// anything left when finish() runs — a flag, a typo, an extra positional —
+/// aborts with exit code 2 instead of being silently ignored.
 ///
 ///   BenchArgs args(argc, argv);
 ///   const std::string json = args.take_positional().value_or("OUT.json");
-///   const std::vector<bool> axis = args.take_axis("early-exit", {false, true});
 ///   args.finish();
 class BenchArgs {
  public:
   BenchArgs(int argc, char** argv) : program_(argc > 0 ? argv[0] : "bench") {
     for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
     consumed_.assign(args_.size(), false);
-  }
-
-  /// Consumes --name=value; returns the value when the flag is present.
-  [[nodiscard]] std::optional<std::string> take_flag(const std::string& name) {
-    const std::string prefix = "--" + name + "=";
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (!consumed_[i] && args_[i].compare(0, prefix.size(), prefix) == 0) {
-        consumed_[i] = true;
-        return args_[i].substr(prefix.size());
-      }
-    }
-    return std::nullopt;
-  }
-
-  /// Consumes an on|off|both matrix-axis flag (the bench_scan_scaling
-  /// convention): on -> {true}, off -> {false}, both -> {false, true}.
-  [[nodiscard]] std::vector<bool> take_axis(const std::string& name, std::vector<bool> fallback) {
-    const std::optional<std::string> value = take_flag(name);
-    if (!value.has_value()) return fallback;
-    if (*value == "on") return {true};
-    if (*value == "off") return {false};
-    if (*value == "both") return {false, true};
-    std::fprintf(stderr, "%s: bad value in --%s=%s (want on|off|both)\n", program_.c_str(),
-                 name.c_str(), value->c_str());
-    std::exit(2);
   }
 
   /// Consumes the next unclaimed positional (non --) argument.

@@ -68,7 +68,7 @@ class UsbRefineTask final : public TriggerRefineTask {
 
 ScanSharedBuilder UsbDetector::make_shared_builder() const {
   // The shared prefix only exists when Alg. 1 actually runs per class.
-  if (!config_.share_prefix || config_.random_init) return nullptr;
+  if (config_.random_init) return nullptr;
   return [this](const Network& model, const Dataset& probe) {
     auto shared = std::make_shared<UsbScanShared>();
     shared->prefix =
@@ -129,7 +129,6 @@ TriggerEstimate UsbDetector::reverse_engineer_class(Network& model, const Datase
 ScanPlan UsbDetector::plan() const {
   ScanPlan scan;
   scan.method = name();
-  scan.options.mad_threshold = config_.mad_threshold;
   scan.options.base_seed = config_.seed;
   scan.options.pool = config_.scan_pool;
   scan.options.early_exit = config_.early_exit;

@@ -40,7 +40,6 @@ struct UsbConfig {
   /// Ablation: skip Alg. 1 and start Alg. 2 from an NC-style random point.
   /// Isolates the value of the UAP initialization (DESIGN.md ablation 1).
   bool random_init = false;
-  double mad_threshold = 2.0;
   /// Mask init: pixels whose UAP magnitude reaches this quantile get mask~1.
   double magnitude_quantile = 0.95;
   /// Root of the per-class RNG streams (Alg. 2 init / loader shuffling).
@@ -48,10 +47,6 @@ struct UsbConfig {
   /// Scan-pool override for tests/benches; nullptr means the global pool
   /// (sized from USB_THREADS).
   ThreadPool* scan_pool = nullptr;
-  /// Share the class-independent Alg. 1 prefix (craft batches + the v = 0
-  /// DeepFool warm start) across the K class jobs of detect(). Reports are
-  /// bit-identical on or off; off recomputes the prefix per class.
-  bool share_prefix = true;
   /// Early-exit round scheduling of the Alg. 2 refinement; bit-identical to
   /// the monolithic scan when disabled.
   EarlyExitOptions early_exit;
@@ -70,7 +65,7 @@ class UsbDetector final : public Detector {
   [[nodiscard]] std::string name() const override { return "USB"; }
   /// The reified scan (see defenses/scan_plan.h): Alg. 1 + Alg. 2 per-class
   /// tasks plus the shared-prefix builder. detect() runs it synchronously;
-  /// DetectionService runs it with overrides.
+  /// DetectionService runs it with its probe cache wired in.
   [[nodiscard]] ScanPlan plan() const override;
 
   /// The full per-class pipeline (Detector::reverse_engineer_class).

@@ -53,7 +53,6 @@ void DynamicLambda::update(const Tensor& logits, std::int64_t target_class) {
 ScanPlan NeuralCleanse::plan() const {
   ScanPlan scan;
   scan.method = name();
-  scan.options.mad_threshold = config_.mad_threshold;
   scan.options.base_seed = config_.seed;
   scan.options.pool = config_.scan_pool;
   scan.options.early_exit = config_.early_exit;

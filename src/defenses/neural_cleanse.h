@@ -24,7 +24,6 @@ struct ReverseOptConfig {
   double success_threshold = 0.9; // dynamic lambda target fooling rate
   float lambda_up = 1.3F;
   float lambda_down = 1.5F;
-  double mad_threshold = 2.0;
   std::uint64_t seed = 99;
   /// Scan-pool override for tests/benches; nullptr means the global pool
   /// (sized from USB_THREADS).
@@ -59,7 +58,7 @@ class NeuralCleanse final : public Detector {
 
   [[nodiscard]] std::string name() const override { return "NC"; }
   /// The reified scan (see defenses/scan_plan.h); detect() runs it
-  /// synchronously, DetectionService runs it with overrides.
+  /// synchronously, DetectionService runs it with its probe cache wired in.
   [[nodiscard]] ScanPlan plan() const override;
 
  private:

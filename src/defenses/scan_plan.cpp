@@ -19,8 +19,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 /// kNumericallyUnstable, and every non-kFinalized class feeds a NaN that
 /// decide_backdoor peels out of the median/MAD population, so quarantined
 /// or unfinished classes cannot shift the verdict for the rest.
-DetectionReport finish_report(DetectionReport report, double mad_threshold,
-                              double wall_seconds) {
+DetectionReport finish_report(DetectionReport report, double wall_seconds) {
   std::vector<double> norms(report.per_class.size());
   for (std::size_t t = 0; t < norms.size(); ++t) {
     if (report.per_class_state[t] == ClassScanState::kFinalized &&
@@ -32,7 +31,7 @@ DetectionReport finish_report(DetectionReport report, double mad_threshold,
                    ? report.per_class[t].mask_l1
                    : kNaN;
   }
-  report.verdict = decide_backdoor(norms, mad_threshold);
+  report.verdict = decide_backdoor(norms);
   report.wall_seconds = wall_seconds;
   return report;
 }
@@ -153,9 +152,7 @@ StagedScan::StagedScan(ScanPlan plan, const Network& model, const Dataset& probe
       round_steps_(plan_.options.early_exit.round_steps > 0
                        ? plan_.options.early_exit.round_steps
                        : std::max<std::int64_t>(1, (plan_.total_steps + 5) / 6)),
-      mode_(!plan_.options.early_exit.enabled ? Mode::kMonolithic
-            : plan_.options.early_exit.async  ? Mode::kRendezvous
-                                              : Mode::kBarrier) {
+      mode_(plan_.options.early_exit.enabled ? Mode::kBarrier : Mode::kMonolithic) {
   require_frozen(model, "StagedScan");
   const auto slots = static_cast<std::size_t>(num_classes_);
   tasks_.resize(slots);
@@ -168,7 +165,6 @@ StagedScan::StagedScan(ScanPlan plan, const Network& model, const Dataset& probe
   // got (take_report handles every state).
   report_.per_class_state.assign(slots, ClassScanState::kPending);
   stats_.assign(slots, kNaN);
-  rendezvous_left_.assign(slots, std::max<std::int64_t>(1, plan_.options.early_exit.min_rounds));
 }
 
 void StagedScan::prepare() {
@@ -228,61 +224,31 @@ bool StagedScan::finished() const {
 
 std::vector<ScanStep> StagedScan::after_construct_locked(std::int64_t target_class, bool more) {
   std::vector<ScanStep> out;
-  switch (mode_) {
-    case Mode::kMonolithic:
-      out.push_back({more ? ScanStep::Kind::kRound : ScanStep::Kind::kFinalize, target_class});
-      break;
-    case Mode::kBarrier:
-      // Lockstep rounds start once every class exists: the first cutoff's
-      // population is all K classes.
-      park_locked(target_class, more, out);
-      if (constructed_ == num_classes_) launch_round_locked(out);
-      break;
-    case Mode::kRendezvous:
-      // A class's rendezvous rounds need no other class.
-      if (more) {
-        out.push_back({ScanStep::Kind::kRound, target_class});
-      } else {
-        arrive_locked(target_class, more, out);
-      }
-      break;
+  if (mode_ == Mode::kMonolithic) {
+    out.push_back({more ? ScanStep::Kind::kRound : ScanStep::Kind::kFinalize, target_class});
+    return out;
   }
+  // Lockstep rounds start once every class exists: the first cutoff's
+  // population is all K classes.
+  park_locked(target_class, more, out);
+  if (constructed_ == num_classes_) launch_round_locked(out);
   return out;
 }
 
 std::vector<ScanStep> StagedScan::after_round_locked(std::int64_t target_class, bool more) {
-  const auto slot = static_cast<std::size_t>(target_class);
   std::vector<ScanStep> out;
-  switch (mode_) {
-    case Mode::kMonolithic:
-      out.push_back({more ? ScanStep::Kind::kRound : ScanStep::Kind::kFinalize, target_class});
-      break;
-    case Mode::kBarrier:
-      park_locked(target_class, more, out);
-      if (--in_round_ == 0) {
-        ++rounds_done_;
-        if (!parked_.empty() && rounds_done_ >= plan_.options.early_exit.min_rounds) {
-          out.push_back({ScanStep::Kind::kCutoff, 0});
-        } else {
-          launch_round_locked(out);
-        }
-      }
-      break;
-    case Mode::kRendezvous:
-      if (cutoff_fixed_) {
-        // Untethered: check the fixed cutoff before spending another round.
-        if (!more) {
-          out.push_back({ScanStep::Kind::kFinalize, target_class});
-        } else {
-          out.push_back({stats_[slot] > cutoff_ ? ScanStep::Kind::kRetire : ScanStep::Kind::kRound,
-                         target_class});
-        }
-      } else if (more && --rendezvous_left_[slot] > 0) {
-        out.push_back({ScanStep::Kind::kRound, target_class});
-      } else {
-        arrive_locked(target_class, more, out);
-      }
-      break;
+  if (mode_ == Mode::kMonolithic) {
+    out.push_back({more ? ScanStep::Kind::kRound : ScanStep::Kind::kFinalize, target_class});
+    return out;
+  }
+  park_locked(target_class, more, out);
+  if (--in_round_ == 0) {
+    ++rounds_done_;
+    if (!parked_.empty() && rounds_done_ >= plan_.options.early_exit.min_rounds) {
+      out.push_back({ScanStep::Kind::kCutoff, 0});
+    } else {
+      launch_round_locked(out);
+    }
   }
   return out;
 }
@@ -306,10 +272,6 @@ std::vector<ScanStep> StagedScan::run_cutoff() {
     }
   }
   parked_ = std::move(survivors);
-  if (mode_ == Mode::kRendezvous) {
-    cutoff_ = cutoff;
-    cutoff_fixed_ = true;
-  }
   launch_round_locked(out);
   return out;
 }
@@ -320,11 +282,6 @@ void StagedScan::park_locked(std::int64_t target_class, bool more, std::vector<S
   } else {
     out.push_back({ScanStep::Kind::kFinalize, target_class});
   }
-}
-
-void StagedScan::arrive_locked(std::int64_t target_class, bool more, std::vector<ScanStep>& out) {
-  park_locked(target_class, more, out);
-  if (++arrived_ == num_classes_) out.push_back({ScanStep::Kind::kCutoff, 0});
 }
 
 void StagedScan::launch_round_locked(std::vector<ScanStep>& out) {
@@ -403,7 +360,7 @@ DetectionReport StagedScan::take_report() {
       report_.per_class[slot].target_class = t;
     }
   }
-  return finish_report(std::move(report_), plan_.options.mad_threshold, wall_.seconds());
+  return finish_report(std::move(report_), wall_.seconds());
 }
 
 void StagedScan::notify(std::int64_t target_class, ClassScanEvent event, double mask_l1) const {

@@ -31,8 +31,7 @@
 // probe set, a pool, or a schedule. StagedScan binds them and expresses the
 // scan as a STEP GRAPH: per-class construct, refinement round, retire and
 // finalize steps, plus the class-free cutoff step of early exit. Running a
-// step returns the steps it enables, and the graph encodes all three
-// schedules:
+// step returns the steps it enables, and the graph encodes both schedules:
 //
 //  - monolithic (early exit disabled): construct -> rounds until the budget
 //    is spent -> finalize, per class, with no cross-class flow;
@@ -40,11 +39,11 @@
 //    run in lockstep; after the last class of round r arrives (from round
 //    min_rounds on) a cutoff step fixes median + margin * 1.4826 * MAD over
 //    ALL classes' statistics, retires the classes above it and relaunches
-//    the rest;
-//  - async rendezvous (early exit + EarlyExitOptions::async): each class
-//    runs max(1, min_rounds) rounds and arrives; once all K arrived one
-//    cutoff step fixes the cutoff, and each class then runs untethered,
-//    checking it before every further round.
+//    the rest.
+//
+// Early exit is set in one place, the detector's config (UsbConfig,
+// ReverseOptConfig, TaborConfig::base); plan() copies it into the ScanPlan,
+// and both runners follow it.
 //
 // Two runners decide only WHERE a step runs:
 //
@@ -63,11 +62,9 @@
 // cross-class data flow is the early-exit cutoff, and every cutoff reads
 // statistics recorded at a logical point fixed by the graph, not by timing:
 // the barrier after round r sees every class at exactly r rounds (stopped
-// classes at their frozen value), and the rendezvous sees every class at
-// exactly max(1, min_rounds) rounds. After the rendezvous, every retirement
-// is a pure function of (own trajectory, fixed cutoff). The MAD reduction
-// reads the estimates in class order. Hence scheduling decides only when
-// those points are reached, never what is computed at them;
+// classes at their frozen value). The MAD reduction reads the estimates in
+// class order. Hence scheduling decides only when those points are
+// reached, never what is computed at them;
 // tests/test_scan_scheduler.cpp and tests/test_detection_service.cpp pin
 // it across thread counts, runners, and mixed-request load.
 //
@@ -113,7 +110,7 @@ struct ClassScanJob {
   /// Shared full-probe evaluation batches; never null inside a scan.
   const ProbeBatchCache* probe_cache = nullptr;
   /// Detector-specific shared scan prefix; null when the detector attached
-  /// none (or sharing is disabled).
+  /// none, and in the single-class entry points, which build none.
   const ScanSharedState* shared = nullptr;
 };
 
@@ -160,6 +157,11 @@ using RefineTaskFn = std::function<std::unique_ptr<ClassRefineTask>(
 /// is a heuristic budget/accuracy trade — mask-L1 is not monotone under
 /// refinement, so a retired class could in principle have descended below
 /// the median given its full budget; margin/min_rounds tune that risk.
+///
+/// Rounds run in lockstep: after every round (from min_rounds on) one
+/// cutoff over all K classes' statistics retires the classes above it. The
+/// detector's config is the only place early exit is set; a scan through
+/// DetectionService follows it exactly as detect() does.
 struct EarlyExitOptions {
   bool enabled = false;
   /// Steps per round; <= 0 derives ceil(total_steps / 6).
@@ -170,14 +172,6 @@ struct EarlyExitOptions {
   /// than `margin` consistency-scaled MADs (the same 1.4826 scaling the
   /// decision rule uses). 0 stops everything strictly above the median.
   double margin = 1.0;
-  /// Async retirement instead of a barrier after every round: the scan
-  /// synchronizes ONCE — after every class has run max(1, min_rounds)
-  /// rounds — to fix the MAD cutoff, then lets each class run its remaining
-  /// rounds untethered, retiring the moment its own mask-L1 crosses that
-  /// fixed cutoff. A slow class no longer gates the others' rounds. Intended
-  /// to be driven through DetectionService::ScanOptions; no detector config
-  /// sets it by default. Ignored when `enabled` is false.
-  bool async = false;
 };
 
 /// Scan progress notifications (ClassScanOptions::progress).
@@ -194,7 +188,6 @@ using ClassProgressFn =
     std::function<void(std::int64_t target_class, ClassScanEvent event, double mask_l1)>;
 
 struct ClassScanOptions {
-  double mad_threshold = 2.0;
   /// Root seed for the per-class RNG streams (typically the detector seed).
   std::uint64_t base_seed = 0;
   /// Pool override for tests/benches; nullptr means ThreadPool::global().
@@ -267,10 +260,10 @@ struct ScanStep {
 ///
 /// Thread-safety: run() may be called concurrently for any steps the graph
 /// has handed out — it never hands out two steps of one class at once, and
-/// the cross-class schedule state (recorded statistics, arrivals, cutoff)
-/// lives under an internal lock. prepare() and take_report() require
-/// quiescence (no step in flight). The model and probe must outlive the
-/// StagedScan.
+/// the cross-class schedule state (recorded statistics, parked classes,
+/// round counts) lives under an internal lock. prepare() and take_report()
+/// require quiescence (no step in flight). The model and probe must outlive
+/// the StagedScan.
 class StagedScan {
  public:
   /// `model` must be frozen (std::invalid_argument otherwise). Every class
@@ -327,7 +320,7 @@ class StagedScan {
   [[nodiscard]] DetectionReport take_report();
 
  private:
-  enum class Mode { kMonolithic, kBarrier, kRendezvous };
+  enum class Mode { kMonolithic, kBarrier };
 
   void notify(std::int64_t target_class, ClassScanEvent event, double mask_l1) const;
   /// Class t's statistic as its own step sees it: NaN once quarantined.
@@ -342,8 +335,6 @@ class StagedScan {
   [[nodiscard]] std::vector<ScanStep> after_round_locked(std::int64_t target_class, bool more);
   /// Parks a class with budget left for the next cutoff, else finalizes it.
   void park_locked(std::int64_t target_class, bool more, std::vector<ScanStep>& out);
-  /// Rendezvous arrival; the K-th one enables the cutoff.
-  void arrive_locked(std::int64_t target_class, bool more, std::vector<ScanStep>& out);
   /// Starts the next lockstep round for every parked class.
   void launch_round_locked(std::vector<ScanStep>& out);
 
@@ -373,10 +364,6 @@ class StagedScan {
   std::int64_t finalized_ = 0;
   std::int64_t in_round_ = 0;     // barrier: classes still running the current round
   std::int64_t rounds_done_ = 0;  // barrier: completed lockstep rounds
-  std::int64_t arrived_ = 0;      // rendezvous: classes past their rendezvous rounds
-  std::vector<std::int64_t> rendezvous_left_;  // rendezvous: rounds before arrival
-  bool cutoff_fixed_ = false;                   // rendezvous: untethered phase began
-  double cutoff_ = 0.0;                         // rendezvous: the fixed cutoff
 };
 
 /// Runs a plan to completion on the calling thread — the blocking runner

@@ -128,7 +128,6 @@ class TaborRefineTask final : public TriggerRefineTask {
 ScanPlan Tabor::plan() const {
   ScanPlan scan;
   scan.method = name();
-  scan.options.mad_threshold = config_.base.mad_threshold;
   scan.options.base_seed = config_.base.seed;
   scan.options.pool = config_.base.scan_pool;
   scan.options.early_exit = config_.base.early_exit;

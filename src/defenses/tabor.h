@@ -34,7 +34,7 @@ class Tabor final : public Detector {
 
   [[nodiscard]] std::string name() const override { return "TABOR"; }
   /// The reified scan (see defenses/scan_plan.h); detect() runs it
-  /// synchronously, DetectionService runs it with overrides.
+  /// synchronously, DetectionService runs it with its probe cache wired in.
   [[nodiscard]] ScanPlan plan() const override;
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "utils/errors.h"
 #include "utils/fault_injection.h"
 #include "utils/memory_budget.h"
+#include "utils/timer.h"
 
 namespace usb {
 
@@ -58,11 +58,6 @@ struct ScanState {
   std::unique_ptr<Dataset> owned_probe;           // explicit-probe requests
   ScanOptions options;
 
-  // Retry policy, resolved at submit() from options + service defaults.
-  // Immutable after publication.
-  int max_retries = 0;
-  double retry_backoff_seconds = 0.0;
-
   // Bytes this scan's submit-time model clone registered with the process
   // MemoryBudget; released exactly once (finish() or destruction).
   std::atomic<std::int64_t> clone_budget_bytes{0};
@@ -74,9 +69,8 @@ struct ScanState {
 
   std::atomic<bool> cancel{false};
 
-  // Deadline, fixed at submit() from ScanOptions::deadline_seconds (falling
-  // back to the service default). Immutable after publication, so
-  // deadline_expired() needs no lock.
+  // Deadline, fixed at submit() from ScanOptions::deadline_seconds.
+  // Immutable after publication, so deadline_expired() needs no lock.
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
   [[nodiscard]] bool deadline_expired() const {
@@ -321,17 +315,18 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   }
 
   /// Re-enqueues a transiently-failed stage item with exponential backoff
-  /// (base * 2^attempt) through the scheduler's timer queue. Returns false
-  /// — caller records the failure — when the error is permanent, the
-  /// per-item budget is spent, or the scan is already aborting. The
-  /// replacement item is posted BEFORE this one completes (net outstanding
-  /// unchanged), so the scan cannot transiently look finished.
+  /// (base * 2^attempt) through the scheduler's timer queue, which clamps
+  /// the delay with steady_span(). Returns false — caller records the
+  /// failure — when the error is permanent, the per-item budget is spent, or
+  /// the scan is already aborting. The replacement item is posted BEFORE
+  /// this one completes (net outstanding unchanged), so the scan cannot
+  /// transiently look finished.
   [[nodiscard]] bool maybe_retry(const char* label, const std::function<void()>& stage,
                                  int attempt, const std::exception& error) {
     if (!is_transient_failure(error)) return false;
-    if (attempt >= state_->max_retries) return false;
+    if (attempt >= state_->options.max_retries) return false;
     if (state_->cancel.load(std::memory_order_relaxed) || state_->deadline_expired()) return false;
-    const double backoff = state_->retry_backoff_seconds *
+    const double backoff = state_->options.retry_backoff_seconds *
                            static_cast<double>(std::int64_t{1} << std::min(attempt, 30));
     const std::lock_guard<std::mutex> lock(mu_);
     if (phase_ == Phase::kTerminal || failed_ || timed_out_) return false;
@@ -412,18 +407,15 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       state_->stored_model =
           resolve(service_->model_store_, *state_->model_ref, "model load failed: ");
     }
-    // The detector's own plan, with the service's session state wired in.
-    // None of the overrides has a numeric effect (cache adoption is
-    // schedule-only; progress carries no data into the scan), so a
-    // default-options run matches detect() byte for byte. options.pool
+    // The detector's own plan, early exit included, with the service's
+    // session state wired in. Neither addition has a numeric effect (cache
+    // adoption is schedule-only; progress carries no data into the scan),
+    // so the scan matches detect() byte for byte. options.pool
     // stays as the detector left it: the service never calls run_scan_plan
     // — tensor kernels adopt scan_pool_ through the dispatchers'
     // WorkerContext.
     ScanPlan plan = state_->detector->plan();
     if (state_->options.progress) plan.options.progress = state_->options.progress;
-    if (state_->options.early_exit.has_value()) {
-      plan.options.early_exit = *state_->options.early_exit;
-    }
     const Dataset& probe =
         state_->stored_probe != nullptr ? state_->stored_probe->probe : *state_->owned_probe;
     if (plan.options.external_probe_cache == nullptr && state_->stored_probe != nullptr) {
@@ -542,18 +534,6 @@ const std::shared_ptr<ScanState>& require_state(const std::shared_ptr<ScanState>
   return state;
 }
 
-/// Mirrors ThreadPool::global()'s sizing so a default service behaves like
-/// the pool every detect() call used before the service existed.
-int resolve_scan_threads(int requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("USB_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
-  }
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return std::clamp(hw, 1, 16);
-}
-
 int resolve_dispatchers(const DetectionServiceConfig& config) {
   if (config.round_dispatchers > 0) return config.round_dispatchers;
   return std::max(1, config.max_concurrent_scans);
@@ -592,10 +572,7 @@ const ScanOutcome& ScanHandle::wait() const {
 
 ScanStatus ScanHandle::wait_for(double seconds) const {
   const auto& state = require_state(state_);
-  const auto wait_deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(std::max(0.0, seconds)));
+  const auto wait_deadline = std::chrono::steady_clock::now() + steady_span(seconds);
   std::unique_lock<std::mutex> lock(state->mutex);
   if (state->has_deadline) {
     // Same nudge as wait(): if the SCAN deadline lands inside our window
@@ -631,7 +608,7 @@ bool ScanHandle::cancel() const {
 
 DetectionService::DetectionService(DetectionServiceConfig config)
     : config_(config),
-      scan_pool_(resolve_scan_threads(config.scan_threads)),
+      scan_pool_(config.scan_threads),
       probe_store_(ProbeStoreOptions{config.probe_store_max_bytes}),
       model_store_(ModelStoreOptions{config.model_store_max_bytes}),
       scheduler_(RoundScheduler::Config{resolve_dispatchers(config), &scan_pool_}) {
@@ -757,20 +734,10 @@ ScanHandle DetectionService::submit(ScanRequest request) {
       state->owned_probe = std::make_unique<Dataset>(*request.probe);
     }
     state->options = std::move(request.options);
-    state->max_retries = state->options.max_retries >= 0 ? state->options.max_retries
-                                                         : config_.default_max_retries;
-    state->retry_backoff_seconds = std::max(
-        0.0, state->options.retry_backoff_seconds >= 0 ? state->options.retry_backoff_seconds
-                                                       : config_.default_retry_backoff_seconds);
-    const double deadline_seconds = state->options.deadline_seconds > 0
-                                        ? state->options.deadline_seconds
-                                        : config_.default_deadline_seconds;
-    if (deadline_seconds > 0) {
+    if (state->options.deadline_seconds > 0) {
       state->has_deadline = true;
       state->deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(deadline_seconds));
+          std::chrono::steady_clock::now() + steady_span(state->options.deadline_seconds);
     }
     execution = std::make_shared<ScanExecution>(*this, state);
     state->execution = execution;  // pre-publication: no lock needed yet

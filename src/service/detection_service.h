@@ -117,14 +117,11 @@ struct ScanOutcome {
   std::int64_t retries = 0;
 };
 
-/// Per-request execution options. The default-constructed value changes
-/// nothing: the scan runs exactly as the detector's own config dictates,
-/// which is what makes default submit() byte-identical to detect().
+/// Per-request execution options. None of them changes what a completed
+/// scan computes: the scan runs exactly as the detector's own config
+/// dictates (early exit included), which is what makes submit()
+/// byte-identical to detect().
 struct ScanOptions {
-  /// When set, replaces the detector's early-exit configuration — the
-  /// intended switch for async retirement (EarlyExitOptions::async), which
-  /// no detector config sets on its own.
-  std::optional<EarlyExitOptions> early_exit;
   /// Per-class progress notifications (task finalized / early-retired).
   /// Invoked from dispatcher threads, possibly concurrently — must be
   /// thread-safe and must not throw.
@@ -133,19 +130,19 @@ struct ScanOptions {
   /// run before stages of lower-priority ones. No numeric effect.
   int priority = 0;
   /// Fair-share weight among equal-priority scans (see
-  /// RoundScheduler::JobOptions::weight). Values <= 0 are clamped up to a
-  /// tiny positive weight. No numeric effect.
+  /// RoundScheduler::JobOptions::weight). Values <= 0, and NaN, are
+  /// clamped up to a tiny positive weight. No numeric effect.
   double fair_weight = 1.0;
-  /// Wall-clock deadline, measured from submit(). <= 0 falls back to
-  /// DetectionServiceConfig::default_deadline_seconds (whose 0 means no
-  /// deadline). The deadline is checked at every stage boundary — never
-  /// mid-kernel — so an expired scan resolves to kTimedOut within one
-  /// stage's latency, with a partial report. A scan that finishes its last
-  /// stage before anyone observes the expiry still resolves kDone:
-  /// completed work is never thrown away. A scan still queued past its
-  /// deadline is dropped without ever consuming a dispatcher. Deadlines
-  /// that are set but never hit have no numeric effect (submit() stays
-  /// byte-identical to detect()).
+  /// Wall-clock deadline, measured from submit(); <= 0 or NaN (default 0) =
+  /// no deadline, and longer than kMaxSpanSeconds (utils/timer.h; infinity
+  /// included) counts as that limit. The deadline is checked at every stage
+  /// boundary — never mid-kernel — so an expired scan resolves to kTimedOut
+  /// within one stage's latency, with a partial report. A scan that
+  /// finishes its last stage before anyone observes the expiry still
+  /// resolves kDone: completed work is never thrown away. A scan still
+  /// queued past its deadline is dropped without ever consuming a
+  /// dispatcher. Deadlines that are set but never hit have no numeric
+  /// effect (submit() stays byte-identical to detect()).
   double deadline_seconds = 0.0;
   /// Transient-failure retries PER STAGE ITEM (probe materialization, a
   /// class construct, one refinement round, a cutoff, a finalize): a stage
@@ -156,12 +153,12 @@ struct ScanOptions {
   /// re-derives its work from pristine inputs (construct rebuilds the task
   /// on the frozen model; rounds fault at entry, before mutation), so a
   /// retried scan that succeeds stays byte-identical to detect().
-  /// < 0 (default) falls back to DetectionServiceConfig::default_max_retries.
-  int max_retries = -1;
-  /// First-retry backoff; doubles per subsequent attempt of the same item.
-  /// < 0 (default) falls back to
-  /// DetectionServiceConfig::default_retry_backoff_seconds.
-  double retry_backoff_seconds = -1.0;
+  /// 0 (default) = transient failures fail like permanent ones, keeping the
+  /// retry layer fully inert.
+  int max_retries = 0;
+  /// First-retry backoff; doubles per subsequent attempt of the same item,
+  /// up to kMaxSpanSeconds. Negative and NaN values count as 0.
+  double retry_backoff_seconds = 0.05;
   /// Exempts this scan from overload shedding (it can still be cancelled,
   /// time out, or be rejected at admission). For must-run requests.
   bool unsheddable = false;
@@ -223,10 +220,11 @@ class ScanHandle {
   /// eventual status is then kCancelled unless the scan beat the flag to
   /// completion. The service stays fully reusable.
   bool cancel() const;
-  /// Blocks until the scan reaches a terminal status OR `seconds` elapse,
-  /// whichever comes first, and returns the CURRENT status either way —
-  /// poll-with-timeout, never an error. Like wait(), a waiter observing
-  /// deadline expiry nudges the scan toward kTimedOut.
+  /// Blocks until the scan reaches a terminal status OR `seconds` elapse
+  /// (clamped like a deadline), whichever comes first, and returns the
+  /// CURRENT status either way — poll-with-timeout, never an error. Like
+  /// wait(), a waiter observing deadline expiry nudges the scan toward
+  /// kTimedOut.
   ScanStatus wait_for(double seconds) const;
 
  private:
@@ -262,8 +260,8 @@ struct QueueFull : std::runtime_error {
 };
 
 struct DetectionServiceConfig {
-  /// Workers of the shared scan pool. 0 sizes it like ThreadPool::global():
-  /// USB_THREADS if set, else hardware concurrency capped at 16.
+  /// Workers of the shared scan pool. 0 sizes it like ThreadPool::global()
+  /// (see ThreadPool's constructor).
   int scan_threads = 0;
   /// Scans ADMITTED to the global scheduler at once. Requests beyond the
   /// cap wait in the submission queue with ScanStatus::kQueued (their
@@ -295,15 +293,6 @@ struct DetectionServiceConfig {
   /// (0 = unlimited). Same discipline as the probe store: LRU by bytes,
   /// models pinned by in-flight ref-based scans are never evicted.
   std::int64_t model_store_max_bytes = 0;
-  /// Deadline applied to every scan whose ScanOptions::deadline_seconds is
-  /// unset (<= 0). 0 (default) = scans run to completion.
-  double default_deadline_seconds = 0.0;
-  /// Retry budget applied to every scan whose ScanOptions::max_retries is
-  /// unset (< 0). 0 (default) = transient failures fail like permanent
-  /// ones, keeping the retry layer fully inert.
-  int default_max_retries = 0;
-  /// Backoff applied when ScanOptions::retry_backoff_seconds is unset.
-  double default_retry_backoff_seconds = 0.05;
   /// Memory watermark: when the process MemoryBudget (probe data + model
   /// clones + arenas; see utils/memory_budget.h) exceeds this many bytes,
   /// (a) queued sheddable scans are shed lowest-priority-newest-first until

@@ -50,7 +50,9 @@ RoundScheduler::~RoundScheduler() {
 RoundScheduler::JobPtr RoundScheduler::create_job(JobOptions options) {
   auto job = std::make_shared<Job>();
   job->priority = options.priority;
-  job->weight = std::max(options.weight, 1e-9);
+  // Non-positive and NaN weights floor alike: a NaN would make every vtime
+  // comparison false and drain this job ahead of its equals.
+  job->weight = options.weight > 1e-9 ? options.weight : 1e-9;
   job->owner = options.owner;
   job->on_item_error = std::move(options.on_item_error);
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -71,7 +73,7 @@ void RoundScheduler::enqueue(const JobPtr& job, std::function<void()> item, cons
 
 void RoundScheduler::enqueue_after(const JobPtr& job, double delay_seconds,
                                    std::function<void()> item, const char* label) {
-  if (delay_seconds <= 0.0) {
+  if (!(delay_seconds > 0.0)) {
     enqueue(job, std::move(item), label);
     return;
   }
@@ -83,9 +85,7 @@ void RoundScheduler::enqueue_after(const JobPtr& job, double delay_seconds,
       // instead of parking behind a timer nobody will honor.
       job->items.push_back(Job::Item{std::move(item), label});
     } else {
-      const auto not_before =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(delay_seconds));
+      const auto not_before = Clock::now() + steady_span(delay_seconds);
       deferred_.push_back(Deferred{not_before, job, Job::Item{std::move(item), label}});
     }
   }

@@ -87,6 +87,7 @@ class RoundScheduler {
     int priority = 0;
     /// Fair-share weight among equal-priority jobs; vtime accrues at
     /// seconds / weight, so weight 2 receives twice the service rate.
+    /// Values below 1e-9, and NaN, count as 1e-9.
     double weight = 1.0;
     /// Opaque owner tag published in heartbeats (the service uses the scan
     /// id) so a monitor can attribute an in-flight item to its request.
@@ -156,10 +157,11 @@ class RoundScheduler {
   /// the item in heartbeats; null is fine.
   void enqueue(const JobPtr& job, std::function<void()> item, const char* label = nullptr);
 
-  /// Parks an item until `delay_seconds` from now (steady_clock), then
-  /// promotes it onto the job's FIFO like a normal enqueue. Dispatchers
-  /// sleeping on an empty queue wake via wait_until — no thread ever
-  /// sleep-waits holding a slot. A non-positive delay enqueues directly.
+  /// Parks an item until `delay_seconds` from now (steady_clock, clamped by
+  /// steady_span()), then promotes it onto the job's FIFO like a normal
+  /// enqueue. Dispatchers sleeping on an empty queue wake via wait_until —
+  /// no thread ever sleep-waits holding a slot. A non-positive or NaN delay
+  /// enqueues directly.
   void enqueue_after(const JobPtr& job, double delay_seconds, std::function<void()> item,
                      const char* label = nullptr);
 

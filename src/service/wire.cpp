@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <limits>
@@ -9,6 +10,7 @@
 #include <utility>
 
 #include "utils/serialize.h"
+#include "utils/timer.h"
 
 namespace usb::wire {
 namespace {
@@ -148,15 +150,6 @@ void write_options(BinaryWriter& writer, const ScanOptions& options) {
   writer.write_i64(options.max_retries);
   writer.write_f64(options.retry_backoff_seconds);
   write_bool(writer, options.unsheddable);
-  write_bool(writer, options.early_exit.has_value());
-  if (options.early_exit.has_value()) {
-    const EarlyExitOptions& early = *options.early_exit;
-    write_bool(writer, early.enabled);
-    writer.write_i64(early.round_steps);
-    writer.write_i64(early.min_rounds);
-    writer.write_f64(early.margin);
-    write_bool(writer, early.async);
-  }
 }
 
 ScanOptions read_options(BinaryReader& reader) {
@@ -175,15 +168,7 @@ ScanOptions read_options(BinaryReader& reader) {
   options.max_retries = static_cast<int>(max_retries);
   options.retry_backoff_seconds = reader.read_f64();
   options.unsheddable = read_bool(reader);
-  if (read_bool(reader)) {
-    EarlyExitOptions early;
-    early.enabled = read_bool(reader);
-    early.round_steps = reader.read_i64();
-    early.min_rounds = reader.read_i64();
-    early.margin = reader.read_f64();
-    early.async = read_bool(reader);
-    options.early_exit = early;
-  }
+  check_options(options);
   return options;
 }
 
@@ -263,6 +248,15 @@ auto decode_guard(Fn&& fn) -> decltype(fn()) {
 }
 
 }  // namespace
+
+void check_options(const ScanOptions& options) {
+  require(std::isfinite(options.fair_weight), "fair_weight is not finite");
+  require(std::isfinite(options.deadline_seconds) && options.deadline_seconds <= kMaxSpanSeconds,
+          "deadline_seconds out of range");
+  require(std::isfinite(options.retry_backoff_seconds) &&
+              options.retry_backoff_seconds <= kMaxSpanSeconds,
+          "retry_backoff_seconds out of range");
+}
 
 std::vector<std::uint8_t> encode_request(const WireScanRequest& request) {
   BinaryWriter writer;

@@ -20,7 +20,8 @@
 // fleet rolls its workers together). Strictness: decode validates magic,
 // version, every length prefix against the remaining bytes (oversized and
 // negative lengths throw before any allocation), every enum tag, tensor
-// shape/payload consistency, and that no trailing bytes remain. Corrupt
+// shape/payload consistency, the option values the service schedules and
+// times by (check_options()), and that no trailing bytes remain. Corrupt
 // input of any kind throws WireError — never UB (fuzz-style truncation
 // coverage in tests/test_wire.cpp runs under the ASan/UBSan CI jobs).
 //
@@ -30,6 +31,11 @@
 //      (results can arrive out of submission order, which process-sharded
 //      fleets need for re-dispatch), and ping/pong heartbeat records let a
 //      supervisor distinguish a wedged worker from a slow scan.
+//   3  Requests no longer carry an early-exit override (five fields): early
+//      exit is part of the server's detector config, like every other scan
+//      parameter. Decoding rejects the option values check_options()
+//      refuses: a non-finite fair_weight, and a non-finite or out-of-range
+//      deadline_seconds or retry_backoff_seconds.
 #pragma once
 
 #include <atomic>
@@ -47,7 +53,7 @@
 namespace usb::wire {
 
 inline constexpr std::uint32_t kMagic = 0x57425355;  // "USBW" little-endian
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 
 /// Record tags, exposed so stream demultiplexers (the fleet supervisor, the
 /// worker loop) can peek_record() a frame and dispatch without trial
@@ -59,7 +65,8 @@ inline constexpr std::uint32_t kPingRecord = 3;
 inline constexpr std::uint32_t kPongRecord = 4;
 
 /// Any decode-side validation failure (truncation, bad magic/version/tag,
-/// oversized length, inconsistent tensor, trailing bytes).
+/// oversized length, inconsistent tensor, out-of-range option value,
+/// trailing bytes).
 struct WireError : std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error("wire: " + what) {}
 };
@@ -84,9 +91,17 @@ struct WireScanRequest {
   /// with its binary, so every worker scans identically.
   std::string method;
   /// Serialized subset of ScanOptions: everything except `progress` (a
-  /// callback cannot cross the wire).
+  /// callback cannot cross the wire). Decoding applies check_options().
   ScanOptions options;
 };
+
+/// Throws WireError unless `options` has a finite fair_weight and a finite
+/// deadline_seconds and retry_backoff_seconds of at most kMaxSpanSeconds
+/// (utils/timer.h). The service would clamp such values; on the wire they
+/// mark a corrupt or hostile peer. decode_request() applies it, and
+/// WorkerFleet::submit() applies it before routing, so a request a worker
+/// would reject fails where it was made.
+void check_options(const ScanOptions& options);
 
 /// The out-of-process form of ScanOutcome: terminal status, error text,
 /// retry count, and the full report.

@@ -19,6 +19,7 @@
 #include <utility>
 
 #include "utils/fault_injection.h"
+#include "utils/timer.h"
 
 namespace usb {
 
@@ -92,8 +93,7 @@ const FleetOutcome& FleetHandle::wait() const {
 
 ScanStatus FleetHandle::wait_for(double seconds) const {
   std::unique_lock<std::mutex> lock(state_->mutex);
-  state_->cv.wait_for(lock, std::chrono::duration<double>(seconds),
-                      [this] { return state_->terminal; });
+  state_->cv.wait_for(lock, steady_span(seconds), [this] { return state_->terminal; });
   return state_->status;
 }
 
@@ -494,6 +494,14 @@ struct WorkerFleet::Impl {
 
   FleetHandle submit(wire::WireScanRequest request) {
     auto state = std::make_shared<FleetRequestState>();
+    try {
+      // A worker that cannot decode a request answers it as request 0,
+      // which no future waits for: refuse it here instead.
+      wire::check_options(request.options);
+    } catch (const wire::WireError& error) {
+      resolve_state(state, ScanStatus::kFailed, error.what(), nullptr);
+      return FleetHandle(std::move(state));
+    }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (!accepting_) {

@@ -121,7 +121,8 @@ class FleetHandle {
   /// Blocks until terminal (worker answered, request quarantined, or fleet
   /// shut down). Never throws on scan failure — inspect outcome.status.
   const FleetOutcome& wait() const;
-  /// Blocks at most `seconds`; returns the status observed.
+  /// Blocks at most `seconds` (clamped by steady_span()); returns the status
+  /// observed.
   ScanStatus wait_for(double seconds) const;
 
  private:
@@ -174,8 +175,9 @@ class WorkerFleet {
   WorkerFleet& operator=(const WorkerFleet&) = delete;
 
   /// Accepts a request for dispatch (request_id is ASSIGNED BY THE FLEET —
-  /// any caller-set value is overwritten) and returns its future. After
-  /// shutdown() begins, resolves immediately as kCancelled.
+  /// any caller-set value is overwritten) and returns its future. Options
+  /// that wire::check_options() rejects resolve it immediately as kFailed;
+  /// after shutdown() begins, it resolves immediately as kCancelled.
   [[nodiscard]] FleetHandle submit(wire::WireScanRequest request);
 
   /// Graceful drain with bounded escalation (see file comment). Idempotent;

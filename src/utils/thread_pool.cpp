@@ -17,8 +17,11 @@ thread_local ThreadPool* t_current_pool = nullptr;
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (num_threads <= 0) num_threads = 4;
+    const char* env = std::getenv("USB_THREADS");
+    num_threads = env != nullptr ? std::atoi(env) : 0;
+    if (num_threads <= 0) {
+      num_threads = std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1, 16);
+    }
   }
   workers_.reserve(static_cast<std::size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
@@ -215,14 +218,7 @@ ThreadPool::WorkerContext::~WorkerContext() {
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("USB_THREADS")) {
-      const int parsed = std::atoi(env);
-      if (parsed > 0) return parsed;
-    }
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    return std::clamp(hw, 1, 16);
-  }());
+  static ThreadPool pool(0);
   return pool;
 }
 

@@ -33,7 +33,8 @@ namespace usb {
 
 class ThreadPool {
  public:
-  /// Creates `num_threads` workers; 0 means std::thread::hardware_concurrency.
+  /// Creates `num_threads` workers. <= 0 is the one default size: USB_THREADS
+  /// if set (> 0), else hardware concurrency capped at 16 (1 when unknown).
   explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
 
@@ -65,8 +66,8 @@ class ThreadPool {
   void parallel_for_deterministic(std::int64_t num_tiles,
                                   const std::function<void(std::int64_t)>& body);
 
-  /// Process-wide pool sized from USB_THREADS (default: hardware concurrency,
-  /// capped at 16). Lives for the process lifetime.
+  /// Process-wide pool of the default size (ThreadPool(0)). Lives for the
+  /// process lifetime.
   static ThreadPool& global();
 
   /// Adopts this pool's worker context on a foreign thread for the scope of

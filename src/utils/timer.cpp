@@ -1,9 +1,16 @@
 #include "utils/timer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
 namespace usb {
+
+std::chrono::steady_clock::duration steady_span(double seconds) noexcept {
+  if (!(seconds > 0.0)) return std::chrono::steady_clock::duration::zero();
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(std::min(seconds, kMaxSpanSeconds)));
+}
 
 std::string format_minutes_seconds(double seconds) {
   if (seconds < 0) seconds = 0;

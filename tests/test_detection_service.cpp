@@ -4,7 +4,7 @@
 //  - submit() with default options is byte-for-byte Detector::detect() on
 //    the same (model, probe, config) — for any service pool size, with the
 //    probe resolved through the ProbeStore or passed explicitly, and with
-//    async retirement enabled through request options;
+//    early exit on in the detector's config;
 //  - ScanHandle::cancel() mid-scan resolves the handle to kCancelled and
 //    leaves the service fully reusable (a resubmitted identical request
 //    completes and is bit-identical to detect());
@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -123,42 +124,32 @@ TEST(DetectionService, DefaultSubmitMatchesDetectByteForByte) {
   }
 }
 
-// Same pin with early exit switched on through request options (the
-// intended switch for async retirement), in both early-exit schedules:
-// submit must match a detect() whose config carries the identical
-// early-exit settings, at 1 and 4 scan threads.
-TEST(DetectionService, AsyncRetirementSubmitMatchesDetectAcrossThreadCounts) {
+// Same pin with early exit on in the detector's config, the one place it
+// is set: the service runs the round-barrier schedule and must match
+// detect() at 1 and 4 scan threads.
+TEST(DetectionService, EarlyExitSubmitMatchesDetectAcrossThreadCounts) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 83};
   const Dataset probe = generate_dataset(spec, 48, 83);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 84);
 
-  for (const bool async : {true, false}) {
-    EarlyExitOptions early;
-    early.enabled = true;
-    early.async = async;
-    early.round_steps = 2;
-    early.margin = 0.25;
+  UsbConfig config = tiny_usb_config();
+  config.refine_steps = 8;
+  config.early_exit.enabled = true;
+  config.early_exit.round_steps = 2;
+  config.early_exit.margin = 0.25;
+  const DetectionReport direct = UsbDetector(config).detect(victim, probe);
 
-    UsbConfig reference_config = tiny_usb_config();
-    reference_config.refine_steps = 8;
-    reference_config.early_exit = early;
-    const DetectionReport direct = UsbDetector(reference_config).detect(victim, probe);
-
-    for (const int threads : {1, 4}) {
-      DetectionService service(service_config(threads));
-      ScanRequest request;
-      request.model = &victim;
-      UsbConfig config = tiny_usb_config();
-      config.refine_steps = 8;  // early-exit settings come from the request
-      request.detector = std::make_unique<UsbDetector>(config);
-      request.probe_key = key;
-      request.options.early_exit = early;
-      const ScanHandle handle = service.submit(std::move(request));
-      const ScanOutcome& outcome = handle.wait();
-      ASSERT_EQ(outcome.status, ScanStatus::kDone) << "async " << async << ": " << outcome.error;
-      expect_reports_identical(direct, outcome.report);
-    }
+  for (const int threads : {1, 4}) {
+    DetectionService service(service_config(threads));
+    ScanRequest request;
+    request.model = &victim;
+    request.detector = std::make_unique<UsbDetector>(config);
+    request.probe_key = key;
+    const ScanHandle handle = service.submit(std::move(request));
+    const ScanOutcome& outcome = handle.wait();
+    ASSERT_EQ(outcome.status, ScanStatus::kDone) << "threads " << threads << ": " << outcome.error;
+    expect_reports_identical(direct, outcome.report);
   }
 }
 
@@ -840,8 +831,10 @@ TEST(DetectionService, WaitForReturnsCurrentStatusOnTimeoutAndTerminalOnCompleti
 
 // A deadline that is set but never hit must have zero numeric effect: the
 // report stays byte-identical to detect(), per_class_state is all
-// kFinalized, and nothing lands in the timed-out counter. Covers both the
-// per-request knob and the service-wide default.
+// kFinalized, and nothing lands in the timed-out counter. That holds for a
+// deadline too long for steady_clock, infinity included (steady_span()
+// clamps it rather than overflowing into the past), and wait_for() with an
+// infinite budget blocks until the scan is done.
 TEST(DetectionService, GenerousDeadlineSubmitMatchesDetectByteForByte) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 281};
@@ -850,32 +843,26 @@ TEST(DetectionService, GenerousDeadlineSubmitMatchesDetectByteForByte) {
 
   const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
 
-  DetectionServiceConfig config = service_config(/*scan_threads=*/1);
-  config.default_deadline_seconds = 3600.0;  // every scan gets a deadline
-  DetectionService service(config);
+  DetectionService service(service_config(/*scan_threads=*/1));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> deadlines = {7200.0, 1e300, kInf};
+  for (const double deadline : deadlines) {
+    ScanRequest request;
+    request.model = &victim;
+    request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
+    request.probe_key = key;
+    request.options.deadline_seconds = deadline;
+    const ScanHandle handle = service.submit(std::move(request));
 
-  ScanRequest by_default;
-  by_default.model = &victim;
-  by_default.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
-  by_default.probe_key = key;
-  const ScanHandle default_handle = service.submit(std::move(by_default));
-
-  ScanRequest by_request;
-  by_request.model = &victim;
-  by_request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
-  by_request.probe_key = key;
-  by_request.options.deadline_seconds = 7200.0;
-  const ScanHandle request_handle = service.submit(std::move(by_request));
-
-  for (const ScanHandle* handle : {&default_handle, &request_handle}) {
-    const ScanOutcome& outcome = handle->wait();
+    ASSERT_EQ(handle.wait_for(kInf), ScanStatus::kDone) << "deadline " << deadline;
+    const ScanOutcome& outcome = handle.wait();
     ASSERT_EQ(outcome.status, ScanStatus::kDone) << outcome.error;
     expect_reports_identical(direct, outcome.report);
     EXPECT_TRUE(outcome.report.complete());
     EXPECT_TRUE(outcome.report.quarantined_classes().empty());
   }
   EXPECT_EQ(service.health().scans_timed_out, 0);
-  EXPECT_EQ(service.health().scans_completed, 2);
+  EXPECT_EQ(service.health().scans_completed, static_cast<std::int64_t>(deadlines.size()));
 }
 
 // An in-flight scan whose deadline passes resolves kTimedOut at the next

@@ -4,9 +4,9 @@
 // The load-bearing guarantees under test:
 //  - the registry itself (hit windows, scope filtering, delay/NaN kinds);
 //  - a throw at ANY scan stage (prepare, construct, round, the
-//    sync-barrier and async-rendezvous cutoffs, retire, finalize) fails
-//    exactly that scan with kFailed naming the faulted point, and the
-//    service stays fully reusable afterwards;
+//    round-barrier cutoff, retire, finalize) fails exactly that scan with
+//    kFailed naming the faulted point, and the service stays fully
+//    reusable afterwards;
 //  - a NaN statistic at a round boundary quarantines exactly that class
 //    (kNumericallyUnstable, peeled from the verdict) while a CONCURRENT
 //    healthy scan on the same dispatchers stays byte-identical to
@@ -171,16 +171,16 @@ TEST_F(FaultInjectionTest, RegistryDelayAndNanKindsBehaveAsDocumented) {
   EXPECT_FALSE(registry.poison("unit.never_armed"));
 }
 
-// The tentpole pin: a throw at EVERY stage the execution runs — across all
-// three replayed schedules — resolves exactly that scan to kFailed with an
-// error naming the faulted point, and the same service keeps serving.
+// A throw at EVERY stage the execution runs — in both schedules — resolves
+// exactly that scan to kFailed with an error naming the faulted point, and
+// the same service keeps serving.
 TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint) {
   const DatasetSpec spec = tiny_spec();
   const Dataset probe = generate_dataset(spec, 48, 91);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 92);
   const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
 
-  enum Mode { kMono, kSyncBarrier, kAsyncRendezvous };
+  enum Mode { kMono, kBarrier };
   struct StageCase {
     const char* point;
     Mode mode;
@@ -188,11 +188,14 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
   const std::vector<StageCase> cases = {
       {"scan.prepare", kMono},  {"scan.construct", kMono},
       {"scan.round", kMono},    {"scan.finalize", kMono},
-      {"scan.cutoff", kSyncBarrier},
-      {"scan.retire", kSyncBarrier},
-      {"scan.cutoff", kAsyncRendezvous},
-      {"scan.retire", kAsyncRendezvous},
+      {"scan.cutoff", kBarrier}, {"scan.retire", kBarrier},
   };
+  // margin 0 retires every class strictly above the running median, so
+  // the retire stage is guaranteed to run before budgets drain.
+  ReverseOptConfig barrier_config = tiny_nc_config();
+  barrier_config.early_exit.enabled = true;
+  barrier_config.early_exit.round_steps = 2;
+  barrier_config.early_exit.margin = 0.0;
 
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
   auto& registry = fault::FaultRegistry::instance();
@@ -205,17 +208,8 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
     ScanRequest request;
     request.model = &victim;
     request.probe = &probe;
-    request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
-    if (stage_case.mode != kMono) {
-      EarlyExitOptions early;
-      early.enabled = true;
-      early.async = stage_case.mode == kAsyncRendezvous;
-      early.round_steps = 2;
-      // margin 0 retires every class strictly above the running median, so
-      // the retire stage is guaranteed to run before budgets drain.
-      early.margin = 0.0;
-      request.options.early_exit = early;
-    }
+    request.detector = std::make_unique<NeuralCleanse>(
+        stage_case.mode == kMono ? tiny_nc_config() : barrier_config);
     const ScanHandle handle = service.submit(std::move(request));
     const ScanOutcome& outcome = handle.wait();
     EXPECT_EQ(outcome.status, ScanStatus::kFailed)
@@ -226,7 +220,7 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
   }
   EXPECT_EQ(service.health().scans_failed, static_cast<std::int64_t>(cases.size()));
 
-  // Nine consecutive injected failures later, a healthy scan on the SAME
+  // Six consecutive injected failures later, a healthy scan on the SAME
   // service is still byte-identical to the blocking detector.
   ScanRequest healthy;
   healthy.model = &victim;

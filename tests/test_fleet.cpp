@@ -26,6 +26,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -349,6 +350,32 @@ TEST_F(FleetTest, HeartbeatFaultTreatsWorkerAsSilent) {
   const FleetHealth health = fleet.health();
   EXPECT_NE(health.workers[0].last_death.find("signal"), std::string::npos)
       << health.workers[0].last_death;
+  fleet.shutdown();
+}
+
+// Options the wire refuses fail at submit with the decoder's reason. A
+// worker that could not decode such a request would answer it as the
+// unattributable request 0, and its future would never resolve. Nothing
+// is queued or routed for the refused requests, and the fleet keeps
+// serving.
+TEST_F(FleetTest, OptionsTheWireRefusesFailAtSubmit) {
+  WorkerFleet fleet(base_config(/*workers=*/1));
+  wire::WireScanRequest nan_weight = make_request("NC");
+  nan_weight.options.fair_weight = std::numeric_limits<double>::quiet_NaN();
+  wire::WireScanRequest far_deadline = make_request("NC");
+  far_deadline.options.deadline_seconds = 2e9;
+  for (const FleetHandle& refused : {fleet.submit(nan_weight), fleet.submit(far_deadline)}) {
+    ASSERT_EQ(refused.wait_for(30.0), ScanStatus::kFailed);
+    EXPECT_NE(refused.wait().error.find("wire:"), std::string::npos) << refused.wait().error;
+    EXPECT_EQ(refused.wait().dispatches, 0);
+  }
+  const FleetHealth health = fleet.health();
+  EXPECT_EQ(health.queued_requests, 0);
+  EXPECT_EQ(health.in_flight_requests, 0);
+
+  FleetHandle after = fleet.submit(make_request("NC"));
+  const FleetOutcome& after_outcome = after.wait();
+  EXPECT_EQ(after_outcome.status, ScanStatus::kDone) << after_outcome.error;
   fleet.shutdown();
 }
 

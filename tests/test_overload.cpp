@@ -103,8 +103,8 @@ class OverloadTest : public ::testing::Test {
 // retried with backoff, the scan resolves kDone, the retry count is
 // reported, and the report is byte-identical to the blocking detector —
 // retrying re-runs the same stage against un-mutated inputs. The same holds
-// for a fault at the early-exit cutoff, in both early-exit schedules: the
-// retry re-runs only the cutoff step.
+// for a fault at the round barrier's early-exit cutoff: the retry re-runs
+// only the cutoff step.
 TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
   const DatasetSpec spec = tiny_spec();
   const Dataset probe = generate_dataset(spec, 48, 141);
@@ -127,32 +127,26 @@ TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
   EXPECT_EQ(service.health().items_retried, 2);
   expect_reports_identical(direct, outcome.report);
 
-  for (const bool async : {false, true}) {
-    EarlyExitOptions early;
-    early.enabled = true;
-    early.async = async;
-    early.round_steps = 2;
-    early.margin = 1e18;
-    ReverseOptConfig config = tiny_nc_config();
-    config.early_exit = early;
-    fault::FaultRegistry::instance().disarm_all();
-    const DetectionReport early_direct = NeuralCleanse(config).detect(victim, probe);
+  ReverseOptConfig config = tiny_nc_config();
+  config.early_exit.enabled = true;
+  config.early_exit.round_steps = 2;
+  config.early_exit.margin = 1e18;
+  fault::FaultRegistry::instance().disarm_all();
+  const DetectionReport early_direct = NeuralCleanse(config).detect(victim, probe);
 
-    fault::FaultSpec cutoff_fault;
-    cutoff_fault.kind = fault::FaultSpec::Kind::kThrow;
-    cutoff_fault.count = 1;
-    fault::FaultRegistry::instance().arm("scan.cutoff", cutoff_fault);
-    ScanRequest cutoff_request = nc_request(victim, probe);
-    cutoff_request.options.early_exit = early;
-    cutoff_request.options.max_retries = 3;
-    cutoff_request.options.retry_backoff_seconds = 0.002;
-    const ScanHandle cutoff_handle = service.submit(std::move(cutoff_request));
-    const ScanOutcome& cutoff_outcome = cutoff_handle.wait();
-    ASSERT_EQ(cutoff_outcome.status, ScanStatus::kDone) << "async " << async << ": "
-                                                        << cutoff_outcome.error;
-    EXPECT_EQ(cutoff_outcome.retries, 1) << "async " << async;
-    expect_reports_identical(early_direct, cutoff_outcome.report);
-  }
+  fault::FaultSpec cutoff_fault;
+  cutoff_fault.kind = fault::FaultSpec::Kind::kThrow;
+  cutoff_fault.count = 1;
+  fault::FaultRegistry::instance().arm("scan.cutoff", cutoff_fault);
+  ScanRequest cutoff_request = nc_request(victim, probe);
+  cutoff_request.detector = std::make_unique<NeuralCleanse>(config);
+  cutoff_request.options.max_retries = 3;
+  cutoff_request.options.retry_backoff_seconds = 0.002;
+  const ScanHandle cutoff_handle = service.submit(std::move(cutoff_request));
+  const ScanOutcome& cutoff_outcome = cutoff_handle.wait();
+  ASSERT_EQ(cutoff_outcome.status, ScanStatus::kDone) << cutoff_outcome.error;
+  EXPECT_EQ(cutoff_outcome.retries, 1);
+  expect_reports_identical(early_direct, cutoff_outcome.report);
 }
 
 // Simulated ENOMEM inside probe materialization: the store's failure is
@@ -239,6 +233,40 @@ TEST_F(OverloadTest, DefaultZeroRetriesFailsTransientFaultImmediately) {
   EXPECT_EQ(outcome.status, ScanStatus::kFailed);
   EXPECT_EQ(outcome.retries, 0);
   EXPECT_EQ(service.health().items_retried, 0);
+}
+
+// A backoff too long for steady_clock is capped, not overflowed: the retry
+// of a transiently-failed round waits in the timer queue, where cancel()
+// expedites it, instead of wrapping into the past and running at once.
+TEST_F(OverloadTest, HugeRetryBackoffIsCappedNotOverflowed) {
+  const DatasetSpec spec = tiny_spec();
+  const Dataset probe = generate_dataset(spec, 48, 149);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 150);
+
+  fault::FaultSpec fault_spec;
+  fault_spec.kind = fault::FaultSpec::Kind::kThrow;
+  fault_spec.count = 1;
+  fault::FaultRegistry::instance().arm("scan.round", fault_spec);
+
+  DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
+  ScanRequest request = nc_request(victim, probe);
+  request.options.max_retries = 1;
+  request.options.retry_backoff_seconds = 1e300;
+  const ScanHandle handle = service.submit(std::move(request));
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (service.health().items_deferred == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service.health().items_deferred, 1);
+  // The other classes drain; the deferred retry keeps the scan open.
+  EXPECT_EQ(handle.wait_for(0.2), ScanStatus::kRunning);
+  EXPECT_EQ(service.health().items_deferred, 1);
+
+  EXPECT_TRUE(handle.cancel());
+  const ScanOutcome& outcome = handle.wait();
+  EXPECT_EQ(outcome.status, ScanStatus::kCancelled);
+  EXPECT_EQ(outcome.retries, 1);
+  EXPECT_EQ(service.health().items_deferred, 0);
 }
 
 // ---- Priority load shedding --------------------------------------------

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -128,6 +129,37 @@ TEST(RoundSchedulerTest, WeightSkewsServiceTowardHeavierJob) {
     best = std::max(best, heavy_in_prefix);
   }
   EXPECT_GE(best, 7);
+}
+
+// A NaN weight floors like a non-positive one. With the tiny floor weight,
+// job A's first item pushes its vtime far past B's, so B drains before A's
+// remaining items, whatever the items cost. An unfloored NaN vtime loses
+// every comparison, and A would drain first instead.
+TEST(RoundSchedulerTest, NanWeightOrdersLikeWeightZero) {
+  const auto order = [](double weight) {
+    RoundScheduler scheduler({/*workers=*/1, nullptr});
+    Trace trace;
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    const auto holder = scheduler.create_job({});
+    scheduler.enqueue(holder, [open] { open.wait(); });
+    RoundScheduler::JobOptions a_options;
+    a_options.weight = weight;
+    const auto job_a = scheduler.create_job(a_options);
+    const auto job_b = scheduler.create_job({});
+    for (int i = 0; i < 10; ++i) {
+      scheduler.enqueue(job_a, [&trace, i] { trace.add('A', i); });
+      scheduler.enqueue(job_b, [&trace, i] { trace.add('B', i); });
+    }
+    gate.set_value();
+    while (scheduler.items_executed() < 21) std::this_thread::yield();
+    std::string tags;
+    const std::lock_guard<std::mutex> lock(trace.mu);
+    for (const auto& event : trace.events) tags += event.first;
+    return tags;
+  };
+  EXPECT_EQ(order(0.0), "ABBBBBBBBBBAAAAAAAAA");
+  EXPECT_EQ(order(std::numeric_limits<double>::quiet_NaN()), "ABBBBBBBBBBAAAAAAAAA");
 }
 
 TEST(RoundSchedulerTest, ThrowingItemRoutesToOwnerAndQueueKeepsDraining) {

@@ -314,35 +314,6 @@ TEST(ClassScanScheduler, UsbTransferOfTheCraftedUapMatchesScan) {
   }
 }
 
-// Shared-prefix caching is a pure reuse optimization: detect() must be
-// bit-identical with the Alg. 1 scan prefix shared or recomputed per class,
-// and that identity must hold at every pool size.
-TEST(ClassScanScheduler, UsbSharedPrefixOnOffBitIdentical) {
-  const DatasetSpec spec = tiny_spec(5);
-  const Dataset probe = generate_dataset(spec, 40, 61);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 5, 62);
-
-  ThreadPool pool_1(1);
-  ThreadPool pool_4(4);
-
-  UsbConfig config = tiny_usb_config();
-  config.share_prefix = true;
-  config.scan_pool = &pool_1;
-  const DetectionReport shared_single = UsbDetector(config).detect(victim, probe);
-  config.scan_pool = &pool_4;
-  const DetectionReport shared_parallel = UsbDetector(config).detect(victim, probe);
-
-  config.share_prefix = false;
-  config.scan_pool = &pool_1;
-  const DetectionReport recomputed_single = UsbDetector(config).detect(victim, probe);
-  config.scan_pool = &pool_4;
-  const DetectionReport recomputed_parallel = UsbDetector(config).detect(victim, probe);
-
-  expect_reports_identical(shared_single, recomputed_single);
-  expect_reports_identical(shared_single, shared_parallel);
-  expect_reports_identical(shared_single, recomputed_parallel);
-}
-
 // An externally injected probe cache (the service sets its ProbeStore
 // entry's) must not change any bit of the report either.
 TEST(ClassScanScheduler, ExternalProbeCacheBitIdentical) {
@@ -420,66 +391,6 @@ TEST(ClassScanScheduler, EarlyExitBitIdenticalAcrossThreadCounts) {
   expect_reports_identical(nc_single, nc_parallel);
 }
 
-// Async retirement (one rendezvous, then untethered per-class rounds
-// against a fixed cutoff) with a margin no statistic can exceed must be the
-// monolithic run: the rendezvous + continuation slices concatenate
-// bit-identically to one uninterrupted refinement.
-TEST(ClassScanScheduler, AsyncRetireNeverRetiringMatchesMonolithicRun) {
-  const DatasetSpec spec = tiny_spec(5);
-  const Dataset probe = generate_dataset(spec, 40, 71);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 5, 72);
-
-  UsbConfig config = tiny_usb_config();
-  config.refine_steps = 6;
-  const DetectionReport monolithic = UsbDetector(config).detect(victim, probe);
-
-  config.early_exit.enabled = true;
-  config.early_exit.async = true;
-  config.early_exit.round_steps = 2;
-  config.early_exit.margin = 1e18;
-  const DetectionReport async_sliced = UsbDetector(config).detect(victim, probe);
-  expect_reports_identical(monolithic, async_sliced);
-}
-
-// With an aggressive margin async retirement DOES stop classes mid-budget;
-// the determinism contract (EarlyExitOptions::async) is that every
-// retirement decision is a pure function of the class's own trajectory and
-// the rendezvous cutoff, so the report must be bit-identical for any
-// thread count even though phase 2b has no barriers at all.
-TEST(ClassScanScheduler, AsyncRetireBitIdenticalAcrossThreadCounts) {
-  const DatasetSpec spec = tiny_spec(6);
-  const Dataset probe = generate_dataset(spec, 48, 73);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 6, 74);
-
-  ThreadPool pool_1(1);
-  ThreadPool pool_4(4);
-
-  UsbConfig config = tiny_usb_config();
-  config.refine_steps = 8;
-  config.early_exit.enabled = true;
-  config.early_exit.async = true;
-  config.early_exit.round_steps = 2;
-  config.early_exit.margin = 0.25;
-
-  config.scan_pool = &pool_1;
-  const DetectionReport single = UsbDetector(config).detect(victim, probe);
-  config.scan_pool = &pool_4;
-  const DetectionReport parallel = UsbDetector(config).detect(victim, probe);
-  expect_reports_identical(single, parallel);
-
-  ReverseOptConfig nc_config;
-  nc_config.steps = 8;
-  nc_config.early_exit.enabled = true;
-  nc_config.early_exit.async = true;
-  nc_config.early_exit.round_steps = 2;
-  nc_config.early_exit.margin = 0.25;
-  nc_config.scan_pool = &pool_1;
-  const DetectionReport nc_single = NeuralCleanse(nc_config).detect(victim, probe);
-  nc_config.scan_pool = &pool_4;
-  const DetectionReport nc_parallel = NeuralCleanse(nc_config).detect(victim, probe);
-  expect_reports_identical(nc_single, nc_parallel);
-}
-
 // wall_seconds is the end-to-end measure detect() callers actually wait;
 // it must be populated on every scan path.
 TEST(ClassScanScheduler, ReportsCarryEndToEndWallSeconds) {
@@ -497,10 +408,6 @@ TEST(ClassScanScheduler, ReportsCarryEndToEndWallSeconds) {
   config.early_exit.round_steps = 2;
   const DetectionReport rounds = NeuralCleanse(config).detect(victim, probe);
   EXPECT_GT(rounds.wall_seconds, 0.0);
-
-  config.early_exit.async = true;
-  const DetectionReport async_rounds = NeuralCleanse(config).detect(victim, probe);
-  EXPECT_GT(async_rounds.wall_seconds, 0.0);
 }
 
 TEST(ClassScanScheduler, DetectOnEmptyProbeIsWellDefined) {

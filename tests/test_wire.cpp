@@ -28,6 +28,7 @@
 #include "service/detection_service.h"
 #include "service/wire.h"
 #include "utils/serialize.h"
+#include "utils/timer.h"
 
 namespace usb {
 namespace {
@@ -60,13 +61,6 @@ wire::WireScanRequest sample_zoo_request() {
   request.options.max_retries = 4;
   request.options.retry_backoff_seconds = 0.125;
   request.options.unsheddable = true;
-  EarlyExitOptions early;
-  early.enabled = true;
-  early.round_steps = 7;
-  early.min_rounds = 2;
-  early.margin = 1.4826;
-  early.async = true;
-  request.options.early_exit = early;
   return request;
 }
 
@@ -145,9 +139,11 @@ TEST(Wire, RequestRoundTripIsExactZooForm) {
   EXPECT_EQ(decoded.probe_key, sample_zoo_request().probe_key);
   EXPECT_EQ(decoded.method, "USB");
   EXPECT_EQ(decoded.options.priority, -3);
-  ASSERT_TRUE(decoded.options.early_exit.has_value());
-  EXPECT_EQ(decoded.options.early_exit->round_steps, 7);
-  EXPECT_EQ(decoded.options.early_exit->margin, 1.4826);
+  EXPECT_EQ(decoded.options.fair_weight, 2.5);
+  EXPECT_EQ(decoded.options.deadline_seconds, 12.75);
+  EXPECT_EQ(decoded.options.max_retries, 4);
+  EXPECT_EQ(decoded.options.retry_backoff_seconds, 0.125);
+  EXPECT_TRUE(decoded.options.unsheddable);
 }
 
 TEST(Wire, RequestRoundTripIsExactCheckpointForm) {
@@ -158,7 +154,45 @@ TEST(Wire, RequestRoundTripIsExactCheckpointForm) {
   const wire::WireScanRequest decoded =
       wire::decode_request(wire::encode_request(sample_checkpoint_request()));
   EXPECT_EQ(decoded.model_ref.checkpoint_path, "/models/fleet/worker-17.ckpt");
-  EXPECT_FALSE(decoded.options.early_exit.has_value());
+  // Default options survive as the defaults: no deadline, no retries.
+  EXPECT_EQ(decoded.options.deadline_seconds, 0.0);
+  EXPECT_EQ(decoded.options.max_retries, 0);
+  EXPECT_EQ(decoded.options.retry_backoff_seconds, 0.05);
+}
+
+// The option doubles a server schedules and times by must be ones a sound
+// peer sends: a NaN fair_weight, or a non-finite deadline or backoff or one
+// past kMaxSpanSeconds (which the service would only clamp), marks a
+// corrupt or hostile one. Each such value is a WireError; the limits
+// themselves and negative (disabled) values still decode.
+TEST(Wire, NonFiniteOrOutOfRangeOptionValuesThrow) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto decodes = [](void (*set)(ScanOptions&, double), double value) {
+    wire::WireScanRequest request = sample_checkpoint_request();
+    set(request.options, value);
+    (void)wire::decode_request(wire::encode_request(request));
+  };
+  const auto set_weight = [](ScanOptions& options, double value) { options.fair_weight = value; };
+  const auto set_deadline = [](ScanOptions& options, double value) {
+    options.deadline_seconds = value;
+  };
+  const auto set_backoff = [](ScanOptions& options, double value) {
+    options.retry_backoff_seconds = value;
+  };
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    EXPECT_THROW(decodes(set_weight, bad), wire::WireError) << "fair_weight " << bad;
+  }
+  for (const double bad : {kNaN, kInf, -kInf, 1e300, kMaxSpanSeconds * 2}) {
+    EXPECT_THROW(decodes(set_deadline, bad), wire::WireError) << "deadline " << bad;
+    EXPECT_THROW(decodes(set_backoff, bad), wire::WireError) << "backoff " << bad;
+  }
+  for (const double good : {-1.0, 0.0, kMaxSpanSeconds}) {
+    EXPECT_NO_THROW(decodes(set_deadline, good)) << "deadline " << good;
+    EXPECT_NO_THROW(decodes(set_backoff, good)) << "backoff " << good;
+  }
+  EXPECT_NO_THROW(decodes(set_weight, 0.0));
+  EXPECT_NO_THROW(decodes(set_weight, -2.0));
 }
 
 TEST(Wire, ResultRoundTripIsExactIncludingNaN) {
@@ -273,12 +307,14 @@ TEST(Wire, BadMagicVersionAndRecordTagThrow) {
     bad[0] = 'X';
     EXPECT_THROW((void)wire::decode_request(bad), wire::WireError);
   }
-  {
+  // A foreign version, and the previous one (whose requests carried
+  // fields this version dropped).
+  for (const std::uint32_t version : {0xFEU, wire::kVersion - 1}) {
     std::vector<std::uint8_t> bad = bytes;
-    bad[4] = 0xFE;  // version
+    bad[4] = static_cast<std::uint8_t>(version);  // low byte of the version word
     try {
       (void)wire::decode_request(bad);
-      FAIL() << "wrong version must throw";
+      FAIL() << "version " << version << " must throw";
     } catch (const wire::WireError& error) {
       EXPECT_NE(std::string(error.what()).find("version"), std::string::npos) << error.what();
     }
@@ -397,9 +433,11 @@ TEST(Wire, PeekRecordDispatchesWithoutDecoding) {
   std::vector<std::uint8_t> bad_magic = bytes;
   bad_magic[0] = 'X';
   EXPECT_THROW((void)wire::peek_record(bad_magic), wire::WireError);
-  std::vector<std::uint8_t> bad_version = bytes;
-  bad_version[4] = 0x7F;
-  EXPECT_THROW((void)wire::peek_record(bad_version), wire::WireError);
+  for (const std::uint32_t version : {0x7FU, wire::kVersion - 1}) {
+    std::vector<std::uint8_t> bad_version = bytes;
+    bad_version[4] = static_cast<std::uint8_t>(version);
+    EXPECT_THROW((void)wire::peek_record(bad_version), wire::WireError) << "version " << version;
+  }
   std::vector<std::uint8_t> bad_tag = bytes;
   bad_tag[8] = 99;
   EXPECT_THROW((void)wire::peek_record(bad_tag), wire::WireError);
