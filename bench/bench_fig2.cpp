@@ -55,16 +55,6 @@ void run_dataset(const DatasetSpec& spec, Architecture arch, std::int64_t trigge
   const TriggerEstimate usb_estimate = usb.reverse_engineer_class(victim.network, probe, 0);
 
   Table table({"panel", "mask L1", "overlap with true trigger"});
-  auto trigger_of = [](const TriggerEstimate& est) {
-    Tensor image(Shape{est.pattern.dim(0), est.pattern.dim(1), est.pattern.dim(2)});
-    const std::int64_t spatial = est.pattern.dim(1) * est.pattern.dim(2);
-    for (std::int64_t c = 0; c < est.pattern.dim(0); ++c) {
-      for (std::int64_t s = 0; s < spatial; ++s) {
-        image[c * spatial + s] = est.pattern[c * spatial + s] * est.mask[s];
-      }
-    }
-    return image;
-  };
   table.add_row({"Original", "-", "1.00"});
   table.add_row({"NC", format_double(nc_estimate.mask_l1),
                  format_double(mask_overlap(nc_estimate.mask, badnet, trigger_size))});
@@ -74,8 +64,8 @@ void run_dataset(const DatasetSpec& spec, Architecture arch, std::int64_t trigge
                  format_double(mask_overlap(usb_estimate.mask, badnet, trigger_size))});
   table.print();
 
-  dump_strip({true_trigger_image(victim), trigger_of(nc_estimate), trigger_of(tabor_estimate),
-              trigger_of(usb_estimate)},
+  dump_strip({true_trigger_image(victim), nc_estimate.image(), tabor_estimate.image(),
+              usb_estimate.image()},
              "fig2_" + tag + ".ppm");
   std::printf("\n");
 }

@@ -76,15 +76,7 @@ int main(int argc, char** argv) {
     table.add_row({entry.name, format_double(entry.estimate.mask_l1),
                    format_double(total > 0 ? inside / total : 0.0),
                    peak_inside ? "yes" : "no"});
-
-    Tensor panel(Shape{spec.channels, size, size});
-    const std::int64_t spatial = size * size;
-    for (std::int64_t c = 0; c < spec.channels; ++c) {
-      for (std::int64_t s = 0; s < spatial; ++s) {
-        panel[c * spatial + s] = entry.estimate.pattern[c * spatial + s] * mask[s];
-      }
-    }
-    panels.push_back(std::move(panel));
+    panels.push_back(entry.estimate.image());
   }
   table.print();
   dump_strip(panels, "fig3_reversed_triggers.ppm");

@@ -14,17 +14,6 @@ namespace {
 using namespace usb;
 using namespace usb::figbench;
 
-Tensor trigger_of(const TriggerEstimate& est) {
-  Tensor image(est.pattern.shape());
-  const std::int64_t spatial = est.pattern.dim(1) * est.pattern.dim(2);
-  for (std::int64_t c = 0; c < est.pattern.dim(0); ++c) {
-    for (std::int64_t s = 0; s < spatial; ++s) {
-      image[c * spatial + s] = est.pattern[c * spatial + s] * est.mask[s];
-    }
-  }
-  return image;
-}
-
 void run_case(std::int64_t trigger_size, const ExperimentScale& scale) {
   const DatasetSpec spec = DatasetSpec::cifar10_like();
   TrainedModel victim =
@@ -41,8 +30,7 @@ void run_case(std::int64_t trigger_size, const ExperimentScale& scale) {
   std::printf("%lldx%lld trigger: mask L1 -> NC %.2f, TABOR %.2f, USB %.2f\n",
               static_cast<long long>(trigger_size), static_cast<long long>(trigger_size),
               nc_est.mask_l1, tb_est.mask_l1, us_est.mask_l1);
-  dump_strip({true_trigger_image(victim), trigger_of(nc_est), trigger_of(tb_est),
-              trigger_of(us_est)},
+  dump_strip({true_trigger_image(victim), nc_est.image(), tb_est.image(), us_est.image()},
              "fig4_trigger" + std::to_string(trigger_size) + ".ppm");
 }
 

@@ -14,10 +14,8 @@
 #include <cstdio>
 
 #include "core/usb.h"
-#include "fig_common.h"
-#include "defenses/neural_cleanse.h"
-#include "defenses/tabor.h"
 #include "exp/experiment.h"
+#include "fig_common.h"
 #include "utils/table.h"
 #include "utils/timer.h"
 
@@ -58,27 +56,14 @@ int main(int argc, char** argv) {
     table.add_row(row);
   };
 
-  {
-    NeuralCleanse nc{[&] {
-      ReverseOptConfig config;
-      config.steps = budget.nc_steps;
-      return config;
-    }()};
-    const DetectionReport report = nc.detect(model.network, probe);
-    add_row("NC", report.per_class_seconds, report.wall_seconds);
-  }
-  {
-    Tabor tabor{[&] {
-      TaborConfig config;
-      config.base.steps = budget.tabor_steps;
-      return config;
-    }()};
-    const DetectionReport report = tabor.detect(model.network, probe);
-    add_row("TABOR", report.per_class_seconds, report.wall_seconds);
+  for (const MethodKind method : {MethodKind::kNc, MethodKind::kTabor}) {
+    const DetectionReport report = make_detector(method, budget)->detect(model.network, probe);
+    add_row(to_string(method), report.per_class_seconds, report.wall_seconds);
   }
 
   // USB with the paper's amortized accounting: craft the UAPs once (timed
-  // separately), then per-class time covers only the Alg. 2 refinement.
+  // separately), then per-class time covers only the Alg. 2 refinement. Its
+  // config is spelled out because targeted_uap takes its `uap` part.
   UsbConfig usb_config;
   usb_config.refine_steps = budget.usb_refine_steps;
   usb_config.uap.max_passes = budget.uap_max_passes;

@@ -43,8 +43,9 @@ class BenchArgs {
     return std::nullopt;
   }
 
-  /// Call after every take_*: rejects whatever was not claimed.
-  void finish() const {
+  /// Call after every take_*: rejects whatever was not claimed, printing
+  /// `usage` (when given) after the offending arguments.
+  void finish(const std::string& usage = "") const {
     bool bad = false;
     for (std::size_t i = 0; i < args_.size(); ++i) {
       if (consumed_[i]) continue;
@@ -53,7 +54,9 @@ class BenchArgs {
                    is_flag ? "flag" : "argument", args_[i].c_str());
       bad = true;
     }
-    if (bad) std::exit(2);
+    if (!bad) return;
+    if (!usage.empty()) std::fprintf(stderr, "%s\n", usage.c_str());
+    std::exit(2);
   }
 
  private:

@@ -83,14 +83,7 @@ int main(int argc, char** argv) {
   UsbDetector usb{UsbConfig{}};
   const TriggerEstimate estimate =
       usb.reverse_engineer_class(model, probe, badnet_config.target_class, uap.perturbation);
-  Tensor reversed(Shape{spec.channels, spec.image_size, spec.image_size});
-  const std::int64_t spatial = spec.image_size * spec.image_size;
-  for (std::int64_t c = 0; c < spec.channels; ++c) {
-    for (std::int64_t s = 0; s < spatial; ++s) {
-      reversed[c * spatial + s] = estimate.pattern[c * spatial + s] * estimate.mask[s];
-    }
-  }
-  const Image reversed_image = to_image(reversed);
+  const Image reversed_image = to_image(estimate.image());
   write_image(reversed_image, out_dir + "/usb_reversed_trigger.ppm");
   preview("USB reversed trigger:", reversed_image);
   std::printf("reversed mask L1 = %.2f, fooling rate = %.2f\n", estimate.mask_l1,

@@ -7,9 +7,9 @@
 
 namespace usb {
 
-DeepFoolResult targeted_deepfool(const Network& model, const Tensor& x, std::int64_t target,
-                                 const DeepFoolConfig& config, const DeepFoolWarmStart* warm,
-                                 TensorArena* arena) {
+Tensor targeted_deepfool(const Network& model, const Tensor& x, std::int64_t target,
+                         const DeepFoolConfig& config, const DeepFoolWarmStart* warm,
+                         TensorArena* arena) {
   require_frozen(model, "targeted_deepfool");
   const std::int64_t batch = x.dim(0);
   const std::int64_t numel = x.numel() / batch;
@@ -24,8 +24,7 @@ DeepFoolResult targeted_deepfool(const Network& model, const Tensor& x, std::int
 
   Tensor& x_adv = slots.alloc(x.shape());
   std::copy(x.raw(), x.raw() + x.numel(), x_adv.raw());
-  DeepFoolResult result;
-  result.perturbation = Tensor(x.shape());
+  Tensor perturbation(x.shape());
 
   std::vector<bool> done(static_cast<std::size_t>(batch), false);
   for (std::int64_t iter = 0; iter < config.max_iterations; ++iter) {
@@ -82,7 +81,7 @@ DeepFoolResult targeted_deepfool(const Network& model, const Tensor& x, std::int
       const float logit_gap = logits[n * classes + pred] - logits[n * classes + target];
       const double scale = (static_cast<double>(logit_gap) + 1e-4) / (w_sq + 1e-12);
       float* adv = x_adv.raw() + n * numel;
-      float* pert = result.perturbation.raw() + n * numel;
+      float* pert = perturbation.raw() + n * numel;
       const float step = static_cast<float>(scale) * (1.0F + config.overshoot);
       for (std::int64_t i = 0; i < numel; ++i) {
         const float delta = step * (gt[i] - gc[i]);
@@ -91,13 +90,7 @@ DeepFoolResult targeted_deepfool(const Network& model, const Tensor& x, std::int
       }
     }
   }
-
-  // Final count of rows that reached the target.
-  const Tensor& logits = model.forward_into(x_adv, slots);
-  for (const std::int64_t pred : argmax_rows(logits)) {
-    if (pred == target) ++result.flipped;
-  }
-  return result;
+  return perturbation;
 }
 
 }  // namespace usb

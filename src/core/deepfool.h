@@ -23,11 +23,6 @@ struct DeepFoolConfig {
   float clip_hi = 1.0F;
 };
 
-struct DeepFoolResult {
-  Tensor perturbation;       // same shape as the input batch
-  std::int64_t flipped = 0;  // rows that reached the target class
-};
-
 /// Precomputed products of the first iteration's forward/backward, used when
 /// the input batch is CLASS-INDEPENDENT (Alg. 1's first craft batch, where
 /// v = 0 for every candidate class): the forward, the argmax predictions and
@@ -49,19 +44,19 @@ struct DeepFoolWarmStart {
 
 /// Batched targeted DeepFool: for every row not yet classified as `target`,
 /// accumulates boundary-projection steps until the row flips or the
-/// iteration budget runs out. Rows already at the target get a zero
-/// perturbation. When `warm` is given, iteration 0 consumes its cached
-/// forward/backward products instead of recomputing them — bit-identical,
-/// because eval-mode forwards are pure row-wise functions of (weights, x).
+/// iteration budget runs out, and returns the summed steps (same shape as
+/// `x`). Rows already at the target get a zero perturbation. When `warm` is
+/// given, iteration 0 consumes its cached forward/backward products instead
+/// of recomputing them — bit-identical, because eval-mode forwards are pure
+/// row-wise functions of (weights, x).
 /// `arena` (optional) hosts every per-iteration temporary — forwards,
 /// selectors, backwards — under a Scope, so repeated calls recycle the same
 /// slots; without one the call uses a private arena (still allocation-free
 /// across its own iterations). `model` must be frozen (std::invalid_argument
 /// otherwise).
-[[nodiscard]] DeepFoolResult targeted_deepfool(const Network& model, const Tensor& x,
-                                               std::int64_t target,
-                                               const DeepFoolConfig& config = {},
-                                               const DeepFoolWarmStart* warm = nullptr,
-                                               TensorArena* arena = nullptr);
+[[nodiscard]] Tensor targeted_deepfool(const Network& model, const Tensor& x,
+                                       std::int64_t target, const DeepFoolConfig& config = {},
+                                       const DeepFoolWarmStart* warm = nullptr,
+                                       TensorArena* arena = nullptr);
 
 }  // namespace usb

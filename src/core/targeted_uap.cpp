@@ -161,14 +161,14 @@ TargetedUapResult targeted_uap(const Network& model, const Dataset& probe, std::
       // Batched Alg. 1 inner loop: the minimal per-sample perturbations that
       // send x_i + v to the target, averaged over the rows that still miss
       // it, become the aggregate update to v.
-      const DeepFoolResult step = targeted_deepfool(model, shifted, target, config.deepfool,
-                                                    warm_ptr, &slots);
+      const Tensor step = targeted_deepfool(model, shifted, target, config.deepfool, warm_ptr,
+                                            &slots);
       const std::int64_t batch_rows = shifted.dim(0);
       const std::int64_t numel = v.numel();
       std::int64_t active_rows = 0;
       Tensor& update = slots.zeros(v.shape());
       for (std::int64_t n = 0; n < batch_rows; ++n) {
-        const float* pert = step.perturbation.raw() + n * numel;
+        const float* pert = step.raw() + n * numel;
         float row_norm = 0.0F;
         for (std::int64_t i = 0; i < numel; ++i) row_norm += pert[i] * pert[i];
         if (row_norm <= 0.0F) continue;  // already at target, untouched

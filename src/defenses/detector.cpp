@@ -52,24 +52,22 @@ TriggerEstimate Detector::reverse_engineer_class(Network& model, const Dataset& 
   return task->finalize();
 }
 
+Tensor TriggerEstimate::image() const {
+  Tensor image(pattern.shape());
+  const std::int64_t spatial = pattern.dim(1) * pattern.dim(2);
+  for (std::int64_t c = 0; c < pattern.dim(0); ++c) {
+    for (std::int64_t s = 0; s < spatial; ++s) {
+      image[c * spatial + s] = pattern[c * spatial + s] * mask[s];
+    }
+  }
+  return image;
+}
+
 Tensor DetectionReport::reversed_trigger(std::int64_t k) const {
   if (k < 0 || k >= static_cast<std::int64_t>(per_class.size())) {
     throw std::out_of_range("reversed_trigger: class index out of range");
   }
-  const TriggerEstimate& estimate = per_class[static_cast<std::size_t>(k)];
-  const std::int64_t channels = estimate.pattern.dim(0);
-  const std::int64_t height = estimate.pattern.dim(1);
-  const std::int64_t width = estimate.pattern.dim(2);
-  Tensor image(Shape{channels, height, width});
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t y = 0; y < height; ++y) {
-      for (std::int64_t x = 0; x < width; ++x) {
-        image[(c * height + y) * width + x] =
-            estimate.pattern[(c * height + y) * width + x] * estimate.mask[y * width + x];
-      }
-    }
-  }
-  return image;
+  return per_class[static_cast<std::size_t>(k)].image();
 }
 
 }  // namespace usb

@@ -25,6 +25,9 @@ struct TriggerEstimate {
   double mask_l1 = 0.0;    // detection statistic
   double final_loss = 0.0;
   double fooling_rate = 0.0;  // probe fraction sent to target_class
+
+  /// The full-size reversed trigger image pattern*mask, (C,H,W).
+  [[nodiscard]] Tensor image() const;
 };
 
 /// Completion state of one class's scan (DetectionReport::per_class_state).
@@ -65,7 +68,7 @@ struct DetectionReport {
     for (const double s : per_class_seconds) total += s;
     return total;
   }
-  /// The full-size reversed trigger image pattern*mask for class k.
+  /// per_class[k].image(), with k range-checked.
   [[nodiscard]] Tensor reversed_trigger(std::int64_t k) const;
 
   /// True when every class reached a terminal per-class state (kFinalized

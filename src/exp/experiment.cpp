@@ -1,7 +1,6 @@
 #include "exp/experiment.h"
 
 #include <cstdio>
-#include <optional>
 #include <stdexcept>
 
 #include "core/usb.h"
@@ -62,16 +61,12 @@ DetectorPtr make_detector(MethodKind method, const MethodBudget& budget) {
 DetectionCaseResult run_detection_case(const DetectionCaseSpec& spec,
                                        const ExperimentScale& scale,
                                        const std::vector<MethodKind>& methods,
-                                       DetectionService* service) {
+                                       DetectionService& service) {
   DetectionCaseResult result;
   result.spec = spec;
   for (const MethodKind method : methods) {
-    result.methods.push_back(MethodRow{to_string(method), CaseCounts{to_string(method)}, 0.0});
+    result.methods.push_back(MethodRow{to_string(method), CaseCounts{to_string(method)}});
   }
-
-  // Case-private service when the caller shares none across cases.
-  std::optional<DetectionService> local_service;
-  if (service == nullptr) service = &local_service.emplace();
 
   const MethodBudget budget = MethodBudget::from_scale(scale);
 
@@ -102,8 +97,8 @@ DetectionCaseResult run_detection_case(const DetectionCaseSpec& spec,
 
   // Phase 2 — submit every (model x method) scan at once. The probe is
   // named by content address, so the service materializes each model's
-  // probe once for all methods (and reuses it across cases sharing the
-  // same coordinates when the caller passed a shared service). Memory
+  // probe once for all methods (and reuses it for the caller's other cases
+  // on the same service whose probes share its coordinates). Memory
   // trade-off, accepted at this repo's model scale (mini networks, <MB
   // each): submit() deep-copies the model per request — the safety
   // contract that lets concurrent methods scan one model — so a queue of
@@ -118,7 +113,7 @@ DetectionCaseResult run_detection_case(const DetectionCaseSpec& spec,
       request.detector = make_detector(method, budget);
       request.probe_key = ProbeKey{spec.dataset, spec.probe_size,
                                    hash_combine(0x9e0beULL, static_cast<std::uint64_t>(index))};
-      handles.push_back(service->submit(std::move(request)));
+      handles.push_back(service.submit(std::move(request)));
     }
   }
 
@@ -133,7 +128,6 @@ DetectionCaseResult run_detection_case(const DetectionCaseSpec& spec,
       }
       const DetectionReport& report = outcome.report;
       const std::int64_t true_target = true_targets[static_cast<std::size_t>(index)];
-      result.methods[m].mean_detect_seconds += report.wall_seconds;
       result.methods[m].counts.record(report.verdict, true_target);
       USB_LOG(Info) << spec.label << " model " << index << " " << report.method
                     << (report.verdict.backdoored ? " -> backdoored" : " -> clean")
@@ -144,7 +138,6 @@ DetectionCaseResult run_detection_case(const DetectionCaseSpec& spec,
   const double n = static_cast<double>(scale.models_per_case);
   result.mean_accuracy /= n;
   result.mean_asr /= n;
-  for (MethodRow& row : result.methods) row.mean_detect_seconds /= n;
   return result;
 }
 

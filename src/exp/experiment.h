@@ -32,7 +32,9 @@ struct MethodBudget {
 
 struct DetectionCaseSpec {
   std::string label;  // e.g. "Backdoored (2x2 trigger)"
-  DatasetSpec dataset;
+  /// `{}` lets a designated initializer omit it without a warning:
+  /// bench_detection's case lists take it from their table.
+  DatasetSpec dataset{};
   Architecture arch = Architecture::kMiniResNet;
   AttackKind attack = AttackKind::kNone;
   std::int64_t trigger_size = 0;
@@ -45,9 +47,6 @@ struct DetectionCaseSpec {
 struct MethodRow {
   std::string method;
   CaseCounts counts;
-  /// Mean end-to-end scan wall clock per model (DetectionReport::
-  /// wall_seconds — what a caller waits, not the per-class work sum).
-  double mean_detect_seconds = 0.0;
 };
 
 struct DetectionCaseResult {
@@ -61,20 +60,18 @@ struct DetectionCaseResult {
 [[nodiscard]] DetectorPtr make_detector(MethodKind method, const MethodBudget& budget);
 
 /// Trains/loads `scale.models_per_case` models for the case, then submits
-/// every (model x method) scan to a DetectionService at once — scans of one
-/// case overlap on the service pool instead of running back to back, and
-/// each model's probe is resolved through the service's content-addressed
-/// ProbeStore (shared across the methods scanning it, and across cases when
-/// `service` is passed in). Backdoor target class rotates with the model
-/// index (the paper varies triggers per trained model). Results are
-/// bit-identical to the historical sequential detect() loop.
-///
-/// `service` is optional: null runs the case on a private service; passing
-/// one shares its ProbeStore and pool across cases (bench_table1 does).
+/// every (model x method) scan to `service` at once — scans of one case
+/// overlap on the service pool instead of running back to back, and each
+/// model's probe is resolved through the service's content-addressed
+/// ProbeStore (shared across the methods scanning it, and across the cases
+/// of one table, since bench_detection runs them all on one service).
+/// Backdoor target class rotates with the model index (the paper varies
+/// triggers per trained model). Results are bit-identical to the historical
+/// sequential detect() loop.
 [[nodiscard]] DetectionCaseResult run_detection_case(const DetectionCaseSpec& spec,
                                                      const ExperimentScale& scale,
                                                      const std::vector<MethodKind>& methods,
-                                                     DetectionService* service = nullptr);
+                                                     DetectionService& service);
 
 /// Prints results in the paper's table layout.
 void print_detection_table(const std::string& title,

@@ -27,6 +27,7 @@
 #include "defenses/scan_plan.h"
 #include "defenses/tabor.h"
 #include "nn/models.h"
+#include "report_identity.h"
 #include "tensor/arena.h"
 #include "tensor/elementwise.h"
 #include "utils/rng.h"
@@ -53,21 +54,6 @@ DatasetSpec tiny_spec(std::int64_t num_classes = 6) {
   spec.image_size = 16;
   spec.num_classes = num_classes;
   return spec;
-}
-
-void expect_reports_identical(const DetectionReport& a, const DetectionReport& b) {
-  EXPECT_EQ(a.method, b.method);
-  ASSERT_EQ(a.per_class.size(), b.per_class.size());
-  for (std::size_t t = 0; t < a.per_class.size(); ++t) {
-    EXPECT_EQ(a.per_class[t].mask_l1, b.per_class[t].mask_l1);
-    EXPECT_EQ(a.per_class[t].final_loss, b.per_class[t].final_loss);
-    EXPECT_EQ(a.per_class[t].fooling_rate, b.per_class[t].fooling_rate);
-    EXPECT_TRUE(a.per_class[t].pattern.equals(b.per_class[t].pattern));
-    EXPECT_TRUE(a.per_class[t].mask.equals(b.per_class[t].mask));
-  }
-  EXPECT_EQ(a.verdict.backdoored, b.verdict.backdoored);
-  EXPECT_EQ(a.verdict.flagged_classes, b.verdict.flagged_classes);
-  EXPECT_EQ(a.verdict.anomaly, b.verdict.anomaly);
 }
 
 TEST(TensorArena, SlotRecyclingIsAllocationFreeOnceWarm) {

@@ -114,8 +114,9 @@ TEST(Experiment, RunDetectionCaseProducesConsistentCounts) {
   case_spec.poison_rate = 0.2;
   case_spec.probe_size = 100;
 
+  DetectionService service;
   const DetectionCaseResult result =
-      run_detection_case(case_spec, tiny_scale(cache_dir), {MethodKind::kUsb});
+      run_detection_case(case_spec, tiny_scale(cache_dir), {MethodKind::kUsb}, service);
   ASSERT_EQ(result.methods.size(), 1U);
   const CaseCounts& counts = result.methods[0].counts;
   // Every model lands in exactly one of clean/backdoored.
@@ -123,7 +124,6 @@ TEST(Experiment, RunDetectionCaseProducesConsistentCounts) {
   // Target outcomes never exceed backdoored verdicts.
   EXPECT_LE(counts.correct + counts.correct_set + counts.wrong, counts.detected_backdoored);
   EXPECT_GT(result.mean_accuracy, 0.0);
-  EXPECT_GE(result.methods[0].mean_detect_seconds, 0.0);
   std::filesystem::remove_all(cache_dir);
 }
 

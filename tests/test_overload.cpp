@@ -32,6 +32,7 @@
 #include "defenses/neural_cleanse.h"
 #include "nn/checkpoint.h"
 #include "nn/models.h"
+#include "report_identity.h"
 #include "service/detection_service.h"
 #include "utils/errors.h"
 #include "utils/fault_injection.h"
@@ -53,26 +54,6 @@ ReverseOptConfig tiny_nc_config(std::int64_t steps = 6) {
   ReverseOptConfig config;
   config.steps = steps;
   return config;
-}
-
-void expect_reports_identical(const DetectionReport& a, const DetectionReport& b) {
-  EXPECT_EQ(a.method, b.method);
-  ASSERT_EQ(a.per_class.size(), b.per_class.size());
-  for (std::size_t t = 0; t < a.per_class.size(); ++t) {
-    const TriggerEstimate& x = a.per_class[t];
-    const TriggerEstimate& y = b.per_class[t];
-    EXPECT_EQ(x.target_class, y.target_class);
-    EXPECT_EQ(x.mask_l1, y.mask_l1);
-    EXPECT_EQ(x.final_loss, y.final_loss);
-    EXPECT_EQ(x.fooling_rate, y.fooling_rate);
-    EXPECT_TRUE(x.pattern.equals(y.pattern));
-    EXPECT_TRUE(x.mask.equals(y.mask));
-  }
-  EXPECT_EQ(a.verdict.backdoored, b.verdict.backdoored);
-  EXPECT_EQ(a.verdict.flagged_classes, b.verdict.flagged_classes);
-  EXPECT_EQ(a.verdict.norms, b.verdict.norms);
-  EXPECT_EQ(a.verdict.anomaly, b.verdict.anomaly);
-  EXPECT_EQ(a.per_class_state, b.per_class_state);
 }
 
 DetectionServiceConfig service_config(int scan_threads, int executors = 2) {

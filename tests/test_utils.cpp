@@ -109,7 +109,7 @@ TEST(Timer, FormatMinutesSeconds) {
 TEST(Timer, MeasuresElapsed) {
   const Timer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(timer.seconds(), 0.0);
   EXPECT_GE(timer.milliseconds(), timer.seconds() * 1000.0 - 1.0);
 }
