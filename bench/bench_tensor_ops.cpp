@@ -344,10 +344,12 @@ BenchResult bench_miniresnet_train_step() {
   std::vector<std::int64_t> labels(32);
   for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<std::int64_t>(i % 10);
   SoftmaxCrossEntropy loss;
+  TensorArena arena;
   return run_benchmark("miniresnet_train_step", "32x3x32x32", [&] {
-    const Tensor logits = net.forward(x);
+    arena.reset();
+    const Tensor& logits = net.forward_into(x, arena);
     do_not_optimize(loss.forward(logits, labels));
-    do_not_optimize(net.backward(loss.backward()));
+    do_not_optimize(net.backward_into(loss.backward_into(arena), arena));
     net.zero_grad();
   });
 }
@@ -359,10 +361,12 @@ BenchResult bench_miniresnet_input_grad_only() {
   net.set_param_grads_enabled(false);
   const Tensor x = random_tensor(Shape{16, 3, 32, 32}, 14);
   TargetedCrossEntropy loss;
+  TensorArena arena;
   return run_benchmark("miniresnet_input_grad_only", "16x3x32x32", [&] {
-    const Tensor logits = net.forward(x);
+    arena.reset();
+    const Tensor& logits = net.forward_into(x, arena);
     do_not_optimize(loss.forward(logits, 0));
-    do_not_optimize(net.backward(loss.backward()));
+    do_not_optimize(net.backward_into(loss.backward_into(arena), arena));
   });
 }
 

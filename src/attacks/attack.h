@@ -29,12 +29,11 @@ class BackdoorAttack {
   virtual TrainResult train_backdoored(Network& network, const Dataset& clean_train,
                                        const TrainConfig& config) = 0;
 
-  /// Stamps the trigger onto a batch (inference-time poisoning). Non-const:
-  /// dynamic attacks run their generator network.
-  [[nodiscard]] virtual Tensor apply_trigger(const Tensor& images) = 0;
+  /// Stamps the trigger onto a batch (inference-time poisoning).
+  [[nodiscard]] virtual Tensor apply_trigger(const Tensor& images) const = 0;
 
   /// Attack success rate of `network` under this attack's trigger.
-  [[nodiscard]] float success_rate(Network& network, const Dataset& test_set) {
+  [[nodiscard]] float success_rate(Network& network, const Dataset& test_set) const {
     return targeted_success_rate(
         network, test_set, target_class(),
         [this](const Tensor& images, std::span<const std::int64_t>) {

@@ -12,6 +12,9 @@ BadNet::BadNet(BadNetConfig config, const DatasetSpec& spec)
   if (config_.trigger_size <= 0 || config_.trigger_size > spec_.image_size) {
     throw std::invalid_argument("BadNet: trigger size out of range");
   }
+  if (config_.target_class < 0 || config_.target_class >= spec_.num_classes) {
+    throw std::invalid_argument("BadNet: target class out of range");
+  }
   Rng rng(hash_combine(config_.seed, 0xbadbadULL));
   const std::int64_t k = config_.trigger_size;
   const std::int64_t limit = spec_.image_size - k;
@@ -66,7 +69,7 @@ void BadNet::stamp(Tensor& images) const {
   }
 }
 
-Tensor BadNet::apply_trigger(const Tensor& images) {
+Tensor BadNet::apply_trigger(const Tensor& images) const {
   Tensor stamped = images;
   stamp(stamped);
   return stamped;

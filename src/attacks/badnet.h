@@ -20,7 +20,8 @@ struct BadNetConfig {
 class BadNet final : public BackdoorAttack {
  public:
   /// Draws the patch colour/position deterministically from config.seed for
-  /// the given dataset geometry.
+  /// the given dataset geometry. Throws std::invalid_argument unless the
+  /// trigger fits the image and the target is in [0, spec.num_classes).
   BadNet(BadNetConfig config, const DatasetSpec& spec);
 
   [[nodiscard]] std::string name() const override { return "badnet"; }
@@ -28,7 +29,7 @@ class BadNet final : public BackdoorAttack {
 
   TrainResult train_backdoored(Network& network, const Dataset& clean_train,
                                const TrainConfig& config) override;
-  [[nodiscard]] Tensor apply_trigger(const Tensor& images) override;
+  [[nodiscard]] Tensor apply_trigger(const Tensor& images) const override;
 
   /// Statically poisons a copy of `clean`: stamps + relabels a poison_rate
   /// fraction of rows. Exposed for tests and for the Latent attack.

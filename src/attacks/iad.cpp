@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "data/dataloader.h"
 #include "nn/activations.h"
@@ -32,6 +33,9 @@ void stamp_inplace(float* row, const float* pattern, std::int64_t numel, float e
 }  // namespace
 
 Iad::Iad(IadConfig config, const DatasetSpec& spec) : config_(config), spec_(spec) {
+  if (config_.target_class < 0 || config_.target_class >= spec_.num_classes) {
+    throw std::invalid_argument("Iad: target class out of range");
+  }
   // Fixed random convnet: emits a smooth, input-keyed trigger field. Frozen
   // at initialization (see the substitution note in the header).
   Rng rng(hash_combine(config.seed, 0x1adULL));
@@ -44,7 +48,7 @@ Iad::Iad(IadConfig config, const DatasetSpec& spec) : config_(config), spec_(spe
   generator_.set_training(false);
 }
 
-Tensor Iad::apply_trigger(const Tensor& images) {
+Tensor Iad::apply_trigger(const Tensor& images) const {
   const Tensor pattern = generator_.forward(images);
   Tensor out = images;
   const std::int64_t batch = out.dim(0);
@@ -55,7 +59,7 @@ Tensor Iad::apply_trigger(const Tensor& images) {
   return out;
 }
 
-Tensor Iad::trigger_field(const Tensor& images) {
+Tensor Iad::trigger_field(const Tensor& images) const {
   Tensor pattern = generator_.forward(images);
   pattern *= config_.epsilon;
   return pattern;
@@ -76,6 +80,7 @@ TrainResult Iad::train_backdoored(Network& network, const Dataset& clean_train,
                     hash_combine(config.seed, 0xd1adULL));
   Rng role_rng(hash_combine(config.seed, 0x90a1ULL));
 
+  TensorArena arena;  // per-step activations and caches; freed on return
   TrainResult result;
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     loader.new_epoch();
@@ -86,7 +91,8 @@ TrainResult Iad::train_backdoored(Network& network, const Dataset& clean_train,
       const std::int64_t numel = batch.images.numel() / bsz;
 
       // One generator pass serves matched and transplanted triggers.
-      const Tensor pattern = generator_.forward(batch.images);
+      arena.reset();
+      const Tensor& pattern = generator_.forward_into(batch.images, arena);
 
       Tensor mixed = batch.images;
       std::vector<std::int64_t> labels = batch.labels;
@@ -109,9 +115,9 @@ TrainResult Iad::train_backdoored(Network& network, const Dataset& clean_train,
       }
 
       optimizer.zero_grad();
-      const Tensor logits = network.forward(mixed);
+      const Tensor& logits = network.forward_into(mixed, arena);
       result.final_train_loss = loss.forward(logits, labels);
-      (void)network.backward(loss.backward());
+      (void)network.backward_into(loss.backward_into(arena), arena);
       optimizer.step();
       ++result.steps;
     }

@@ -38,6 +38,8 @@ struct IadConfig {
 
 class Iad final : public BackdoorAttack {
  public:
+  /// Throws std::invalid_argument unless the target is in
+  /// [0, spec.num_classes).
   Iad(IadConfig config, const DatasetSpec& spec);
 
   [[nodiscard]] std::string name() const override { return "iad"; }
@@ -45,11 +47,11 @@ class Iad final : public BackdoorAttack {
 
   TrainResult train_backdoored(Network& network, const Dataset& clean_train,
                                const TrainConfig& config) override;
-  [[nodiscard]] Tensor apply_trigger(const Tensor& images) override;
+  [[nodiscard]] Tensor apply_trigger(const Tensor& images) const override;
 
   /// The per-input trigger field eps*g(x) for visualization and tests of
   /// the input-awareness property.
-  [[nodiscard]] Tensor trigger_field(const Tensor& images);
+  [[nodiscard]] Tensor trigger_field(const Tensor& images) const;
 
  private:
   IadConfig config_;

@@ -21,7 +21,7 @@ BadNetConfig stamper_config(const LatentBackdoorConfig& config) {
 LatentBackdoor::LatentBackdoor(LatentBackdoorConfig config, const DatasetSpec& spec)
     : config_(config), stamper_(stamper_config(config), spec) {}
 
-Tensor LatentBackdoor::apply_trigger(const Tensor& images) {
+Tensor LatentBackdoor::apply_trigger(const Tensor& images) const {
   return stamper_.apply_trigger(images);
 }
 
@@ -31,6 +31,12 @@ TrainResult LatentBackdoor::train_backdoored(Network& network, const Dataset& cl
   TrainConfig phase_a = config;
   phase_a.epochs = std::max<std::int64_t>(1, config.epochs / 2);
   TrainResult result = train_network(network, clean_train, phase_a);
+
+  // Feature/head split of the network; every pass below runs on `arena`,
+  // reset at each step.
+  const Sequential& layers = network.sequential();
+  const std::int64_t boundary = network.feature_boundary();
+  TensorArena arena;
 
   // Record the target class's latent centroid on the phase-A model.
   network.set_training(false);
@@ -42,7 +48,7 @@ TrainResult LatentBackdoor::train_backdoored(Network& network, const Dataset& cl
       if (target_rows.size() >= 128) break;
     }
     const Tensor images = clean_train.gather_images(target_rows);
-    const Tensor features = network.forward_features(images);
+    const Tensor& features = layers.forward_layers(images, 0, boundary, arena);
     const std::int64_t feat_dim = features.numel() / features.dim(0);
     centroid = Tensor(Shape{1, feat_dim});
     for (std::int64_t n = 0; n < features.dim(0); ++n) {
@@ -73,9 +79,10 @@ TrainResult LatentBackdoor::train_backdoored(Network& network, const Dataset& cl
     while (loader.next(batch)) {
       // Clean objective.
       optimizer.zero_grad();
-      const Tensor logits = network.forward(batch.images);
+      arena.reset();
+      const Tensor& logits = network.forward_into(batch.images, arena);
       result.final_train_loss = clean_loss.forward(logits, batch.labels);
-      (void)network.backward(clean_loss.backward());
+      (void)network.backward_into(clean_loss.backward_into(arena), arena);
 
       // Poisoned objective on a random sub-batch.
       const auto poison_count = std::max<std::int64_t>(
@@ -95,24 +102,22 @@ TrainResult LatentBackdoor::train_backdoored(Network& network, const Dataset& cl
       }
       poisoned = stamper_.apply_trigger(poisoned);
 
-      const Tensor features = network.forward_features(poisoned);
-      const std::int64_t feat_dim = features.numel() / poison_count;
-      const Tensor flat_features = features.reshaped(Shape{poison_count, feat_dim});
-      const Tensor poisoned_logits =
-          network.forward_head(flat_features.reshaped(features.shape()));
-
+      const Tensor& features = layers.forward_layers(poisoned, 0, boundary, arena);
+      const Tensor& poisoned_logits = layers.forward_layers(features, boundary, layers.size(),
+                                                            arena);
       (void)poison_loss.forward(poisoned_logits, config_.target_class);
-      Tensor dfeat = network.backward_head(poison_loss.backward());
+      Tensor& dfeat = layers.backward_layers(poison_loss.backward_into(arena), boundary,
+                                             layers.size(), arena);
 
       // Latent alignment: pull triggered features onto the target centroid.
-      Tensor centroid_batch(Shape{poison_count, feat_dim});
+      const std::int64_t feat_dim = features.numel() / poison_count;
+      Tensor& centroid_batch = arena.alloc(features.shape());
       for (std::int64_t i = 0; i < poison_count; ++i) {
         std::copy_n(centroid.raw(), feat_dim, centroid_batch.raw() + i * feat_dim);
       }
-      (void)alignment.forward(flat_features, centroid_batch);
-      const Tensor dalign = alignment.backward().reshaped(features.shape());
-      dfeat.add_scaled(dalign, config_.alignment_weight);
-      (void)network.backward_features(dfeat);
+      (void)alignment.forward(features, centroid_batch);
+      dfeat.add_scaled(alignment.backward_into(arena), config_.alignment_weight);
+      (void)layers.backward_layers(dfeat, 0, boundary, arena);
 
       optimizer.step();
       ++result.steps;

@@ -32,7 +32,7 @@ class LatentBackdoor final : public BackdoorAttack {
 
   TrainResult train_backdoored(Network& network, const Dataset& clean_train,
                                const TrainConfig& config) override;
-  [[nodiscard]] Tensor apply_trigger(const Tensor& images) override;
+  [[nodiscard]] Tensor apply_trigger(const Tensor& images) const override;
 
   [[nodiscard]] Tensor trigger_image() const { return stamper_.trigger_image(); }
 

@@ -65,22 +65,25 @@ TrainedModel train_or_load(const ModelCaseSpec& spec) {
   const std::string stem =
       cache_dir.empty() ? std::string() : cache_dir + "/" + spec.cache_key();
 
+  // Per-model seeds: everything about model i is a function of (spec, i).
+  const std::uint64_t base_seed = hash_combine(spec_hash(spec), 0x5eedULL);
+  AttackParams attack_params = spec.attack;
+  attack_params.seed = hash_combine(base_seed, 5);
+
   if (!stem.empty() && file_exists(stem + ".ckpt")) {
     if (const std::optional<ModelMeta> meta = load_meta(stem + ".meta")) {
       TrainedModel model{load_checkpoint(stem + ".ckpt"), nullptr, meta->accuracy, meta->asr,
                          /*from_cache=*/true};
-      // Static attacks are reconstructible from their seed, so inference-time
-      // stamping still works for cached models.
+      // Static attacks are reconstructible from the seed training used, so
+      // a cached victim stamps the trigger its weights learned.
       if (spec.attack.kind == AttackKind::kBadNet || spec.attack.kind == AttackKind::kLatent) {
-        model.attack = make_attack(spec.attack, spec.dataset);
+        model.attack = make_attack(attack_params, spec.dataset);
       }
       USB_LOG(Debug) << "model zoo: cache hit " << spec.cache_key();
       return model;
     }
   }
 
-  // Per-model seeds: everything about model i is a function of (spec, i).
-  const std::uint64_t base_seed = hash_combine(spec_hash(spec), 0x5eedULL);
   const Dataset train_set =
       generate_dataset(spec.dataset, spec.scale.train_size, hash_combine(base_seed, 1));
   const Dataset test_set =
@@ -94,8 +97,6 @@ TrainedModel train_or_load(const ModelCaseSpec& spec) {
   train_config.epochs = spec.scale.epochs;
   train_config.seed = hash_combine(base_seed, 4);
 
-  AttackParams attack_params = spec.attack;
-  attack_params.seed = hash_combine(base_seed, 5);
   model.attack = make_attack(attack_params, spec.dataset);
 
   // Training-stability guard: a rare bad initialization can diverge at the

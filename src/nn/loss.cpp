@@ -14,10 +14,15 @@ float SoftmaxCrossEntropy::forward(const Tensor& logits,
   if (logits.rank() != 2 || logits.dim(0) != static_cast<std::int64_t>(labels.size())) {
     throw std::invalid_argument("SoftmaxCrossEntropy: logits/labels mismatch");
   }
-  softmax_rows_into(logits, cached_probs_);
-  cached_labels_ = labels;
   const std::int64_t rows = logits.dim(0);
   const std::int64_t cols = logits.dim(1);
+  for (const std::int64_t label : labels) {
+    if (label < 0 || label >= cols) {
+      throw std::invalid_argument("SoftmaxCrossEntropy: label out of range");
+    }
+  }
+  softmax_rows_into(logits, cached_probs_);
+  cached_labels_ = labels;
   double loss = 0.0;
   for (std::int64_t r = 0; r < rows; ++r) {
     const float p = cached_probs_[r * cols + labels[static_cast<std::size_t>(r)]];
@@ -26,27 +31,16 @@ float SoftmaxCrossEntropy::forward(const Tensor& logits,
   return static_cast<float>(loss / static_cast<double>(rows));
 }
 
-void SoftmaxCrossEntropy::backward_core(Tensor& grad) const {
+Tensor& SoftmaxCrossEntropy::backward_into(TensorArena& arena) const {
   const std::int64_t rows = cached_probs_.dim(0);
   const std::int64_t cols = cached_probs_.dim(1);
-  grad.ensure_shape(cached_probs_.shape());
+  Tensor& grad = arena.alloc(cached_probs_.shape());
   std::copy(cached_probs_.raw(), cached_probs_.raw() + cached_probs_.numel(), grad.raw());
   const float inv_rows = 1.0F / static_cast<float>(rows);
   for (std::int64_t r = 0; r < rows; ++r) {
     grad[r * cols + cached_labels_[static_cast<std::size_t>(r)]] -= 1.0F;
     ew::scale(grad.raw() + r * cols, inv_rows, cols);
   }
-}
-
-Tensor SoftmaxCrossEntropy::backward() const {
-  Tensor grad;
-  backward_core(grad);
-  return grad;
-}
-
-Tensor& SoftmaxCrossEntropy::backward_into(TensorArena& arena) const {
-  Tensor& grad = arena.alloc(cached_probs_.shape());
-  backward_core(grad);
   return grad;
 }
 
@@ -65,27 +59,16 @@ float TargetedCrossEntropy::forward(const Tensor& logits, std::int64_t target_cl
   return static_cast<float>(loss / static_cast<double>(rows));
 }
 
-void TargetedCrossEntropy::backward_core(Tensor& grad) const {
+Tensor& TargetedCrossEntropy::backward_into(TensorArena& arena) const {
   const std::int64_t rows = cached_probs_.dim(0);
   const std::int64_t cols = cached_probs_.dim(1);
-  grad.ensure_shape(cached_probs_.shape());
+  Tensor& grad = arena.alloc(cached_probs_.shape());
   std::copy(cached_probs_.raw(), cached_probs_.raw() + cached_probs_.numel(), grad.raw());
   const float inv_rows = 1.0F / static_cast<float>(rows);
   for (std::int64_t r = 0; r < rows; ++r) {
     grad[r * cols + cached_target_] -= 1.0F;
     ew::scale(grad.raw() + r * cols, inv_rows, cols);
   }
-}
-
-Tensor TargetedCrossEntropy::backward() const {
-  Tensor grad;
-  backward_core(grad);
-  return grad;
-}
-
-Tensor& TargetedCrossEntropy::backward_into(TensorArena& arena) const {
-  Tensor& grad = arena.alloc(cached_probs_.shape());
-  backward_core(grad);
   return grad;
 }
 
@@ -98,21 +81,10 @@ float MeanSquaredError::forward(const Tensor& prediction, const Tensor& target) 
   return cached_diff_.sq_sum() / static_cast<float>(cached_diff_.numel());
 }
 
-void MeanSquaredError::backward_core(Tensor& grad) const {
-  grad.ensure_shape(cached_diff_.shape());
-  ew::scale_into(cached_diff_.raw(), 2.0F / static_cast<float>(cached_diff_.numel()), grad.raw(),
-                 cached_diff_.numel());
-}
-
-Tensor MeanSquaredError::backward() const {
-  Tensor grad;
-  backward_core(grad);
-  return grad;
-}
-
 Tensor& MeanSquaredError::backward_into(TensorArena& arena) const {
   Tensor& grad = arena.alloc(cached_diff_.shape());
-  backward_core(grad);
+  ew::scale_into(cached_diff_.raw(), 2.0F / static_cast<float>(cached_diff_.numel()), grad.raw(),
+                 cached_diff_.numel());
   return grad;
 }
 

@@ -1,7 +1,7 @@
 // Loss functions with exact gradients.
 //
-// All three losses cache into recycled member scratch and offer an
-// arena-backed backward_into alongside the value-returning backward(), so a
+// All three losses cache into recycled member scratch and return their
+// gradient in a slot of the caller's arena (backward_into), so a
 // steady-state loss forward+backward pair performs zero heap allocations.
 #pragma once
 
@@ -16,16 +16,15 @@ namespace usb {
 /// Fused softmax + cross-entropy over hard labels, mean-reduced.
 class SoftmaxCrossEntropy {
  public:
-  /// Returns the mean CE loss of logits (N,C) against labels.
+  /// Returns the mean CE loss of logits (N,C) against labels. Throws
+  /// std::invalid_argument on a shape mismatch or a label outside [0, C).
   [[nodiscard]] float forward(const Tensor& logits, const std::vector<std::int64_t>& labels);
 
-  /// Returns dL/dlogits = (softmax - onehot) / N for the last forward.
-  [[nodiscard]] Tensor backward() const;
+  /// dL/dlogits = (softmax - onehot) / N for the last forward, in an arena
+  /// slot.
   [[nodiscard]] Tensor& backward_into(TensorArena& arena) const;
 
  private:
-  void backward_core(Tensor& grad) const;
-
   Tensor cached_probs_;
   std::vector<std::int64_t> cached_labels_;
 };
@@ -35,12 +34,9 @@ class SoftmaxCrossEntropy {
 class TargetedCrossEntropy {
  public:
   [[nodiscard]] float forward(const Tensor& logits, std::int64_t target_class);
-  [[nodiscard]] Tensor backward() const;
   [[nodiscard]] Tensor& backward_into(TensorArena& arena) const;
 
  private:
-  void backward_core(Tensor& grad) const;
-
   Tensor cached_probs_;
   std::int64_t cached_target_ = 0;
 };
@@ -49,12 +45,9 @@ class TargetedCrossEntropy {
 class MeanSquaredError {
  public:
   [[nodiscard]] float forward(const Tensor& prediction, const Tensor& target);
-  [[nodiscard]] Tensor backward() const;
   [[nodiscard]] Tensor& backward_into(TensorArena& arena) const;
 
  private:
-  void backward_core(Tensor& grad) const;
-
   Tensor cached_diff_;
 };
 

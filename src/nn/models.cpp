@@ -40,27 +40,11 @@ Network::Network(Architecture arch, std::int64_t in_channels, std::int64_t input
       layers_(std::move(layers)),
       feature_boundary_(feature_boundary) {}
 
-Tensor Network::forward(const Tensor& x) { return layers_->forward(x); }
-Tensor Network::backward(const Tensor& grad_logits) { return layers_->backward(grad_logits); }
-
 const Tensor& Network::forward_into(const Tensor& x, TensorArena& arena) const {
   return layers_->forward_into(x, arena);
 }
 Tensor& Network::backward_into(const Tensor& grad_logits, TensorArena& arena) const {
   return layers_->backward_into(grad_logits, arena);
-}
-
-Tensor Network::forward_features(const Tensor& x) {
-  return layers_->forward_range(x, 0, feature_boundary_);
-}
-Tensor Network::forward_head(const Tensor& features) {
-  return layers_->forward_range(features, feature_boundary_, layers_->size());
-}
-Tensor Network::backward_head(const Tensor& grad_logits) {
-  return layers_->backward_range(grad_logits, feature_boundary_, layers_->size());
-}
-Tensor Network::backward_features(const Tensor& grad_features) {
-  return layers_->backward_range(grad_features, 0, feature_boundary_);
 }
 
 void require_frozen(const Network& model, const char* caller) {

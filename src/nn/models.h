@@ -1,5 +1,8 @@
 // Network: a classifier with a marked feature/head boundary, plus factories
-// for the four architecture families the paper evaluates.
+// for the four architecture families the paper evaluates. Its passes run on
+// the caller's arena only (forward_into/backward_into; see nn/module.h); a
+// feature/head split is Sequential::forward_layers/backward_layers at
+// feature_boundary().
 //
 // Paper -> repo mapping (scaled for CPU; see DESIGN.md):
 //   Basic model (Appendix A.7)  -> BasicCnn   (exact: conv(1,16,5) pool
@@ -34,32 +37,19 @@ class Network {
   Network(Network&&) noexcept = default;
   Network& operator=(Network&&) noexcept = default;
 
-  /// Full forward pass: images (N,C,H,W) in [0,1] -> logits (N,classes).
-  /// The Module::forward adapter: a new pass on the network's own arena.
-  [[nodiscard]] Tensor forward(const Tensor& x);
-
-  /// Full backward pass over the latest forward(): dL/dlogits ->
-  /// dL/dimages. Parameter gradients accumulate as a side effect when they
-  /// are enabled.
-  [[nodiscard]] Tensor backward(const Tensor& grad_logits);
-
   /// The one forward/backward path, on the caller's arena (see
-  /// nn/module.h): zero heap allocations in a steady-state loop that resets
+  /// nn/module.h): images (N,C,H,W) in [0,1] -> logits (N,classes), and
+  /// dL/dlogits -> dL/dimages, accumulating parameter gradients when they
+  /// are enabled. Zero heap allocations in a steady-state loop that resets
   /// the arena at step boundaries, and on a frozen network no write to the
   /// network at all, so concurrent passes on distinct arenas may share it.
   /// `x` and the returned references must outlive the matching backward.
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_logits, TensorArena& arena) const;
 
-  /// Forward through the feature extractor only (layers before the
-  /// boundary); starts a new pass. Used by the Latent Backdoor attack.
-  [[nodiscard]] Tensor forward_features(const Tensor& x);
-  /// Head applied on features from forward_features; continues its pass.
-  [[nodiscard]] Tensor forward_head(const Tensor& features);
-  /// Backward through the head; returns dL/dfeatures.
-  [[nodiscard]] Tensor backward_head(const Tensor& grad_logits);
-  /// Backward through the feature extractor; returns dL/dimages.
-  [[nodiscard]] Tensor backward_features(const Tensor& grad_features);
+  /// Index of the first head layer of sequential(): layers before it are
+  /// the feature extractor. Used by the Latent Backdoor attack.
+  [[nodiscard]] std::int64_t feature_boundary() const noexcept { return feature_boundary_; }
 
   void set_training(bool training) { layers_->set_training(training); }
   /// See Module::set_param_grads_enabled: detection on a frozen model turns

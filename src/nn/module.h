@@ -1,19 +1,21 @@
 // Layer abstraction with explicit forward/backward.
 //
 // There is no autograd tape: each Module records what its own backward
-// needs during forward and implements the exact gradient. backward returns
-// the gradient with respect to the module INPUT and accumulates gradients
-// into its Parameters. Input gradients are first-class because every
-// algorithm in the paper (DeepFool, targeted UAP, NC/TABOR/USB trigger
+// needs during forward and implements the exact gradient. backward_into
+// returns the gradient with respect to the module INPUT and accumulates
+// gradients into its Parameters. Input gradients are first-class because
+// every algorithm in the paper (DeepFool, targeted UAP, NC/TABOR/USB trigger
 // optimization) differentiates with respect to images, not just weights.
 //
-// One path: every layer implements only forward_into/backward_into, both
-// const. Outputs live in the caller's TensorArena and so does the forward
-// cache (TensorArena::cache(layer)), so a layer keeps no per-call state. A
-// frozen module (eval mode, parameter gradients off) writes nothing to
-// itself at all: any number of arenas can run passes over it concurrently.
-// Training writes only what `mutable` marks: Parameter::grad and BatchNorm's
-// running statistics.
+// One pass API: every layer implements only forward_into/backward_into,
+// both const, and every pass (training, the attacks' trainers, every scan)
+// runs on a TensorArena its caller owns. Outputs live in that arena and so
+// does the forward cache (TensorArena::cache(layer)), so a layer keeps no
+// per-call state. A frozen module (eval mode, parameter gradients off)
+// writes nothing to itself at all: any number of arenas can run passes over
+// it concurrently. Training writes only what `mutable` marks:
+// Parameter::grad and BatchNorm's running statistics. forward() is a const
+// convenience for a one-off pass that no backward follows.
 //
 // Contract: backward_into must be called on the arena of the forward_into
 // whose activations it consumes, with a grad_out shaped like that forward's
@@ -90,17 +92,12 @@ class Module {
   [[nodiscard]] virtual Tensor& backward_into(const Tensor& grad_out,
                                               TensorArena& arena) const = 0;
 
-  /// Value-returning adapter: a new pass on an arena this module owns, with
-  /// the input copied in and the output copied out.
-  [[nodiscard]] Tensor forward(const Tensor& x) {
-    TensorArena& arena = own_arena();
-    arena.reset();
-    return forward_into(arena.copy(x), arena);
-  }
-
-  /// Backward over the latest forward() of this module.
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) {
-    return backward_into(grad_out, own_arena());
+  /// A forward on a call-local arena, the output copied out: for one-off
+  /// passes (a layer walk, a fixed trigger generator) that no backward
+  /// follows.
+  [[nodiscard]] Tensor forward(const Tensor& x) const {
+    TensorArena arena;
+    return forward_into(x, arena);
   }
 
   /// Appends pointers to the learnable parameters of this subtree.
@@ -138,12 +135,6 @@ class Module {
   }
 
  protected:
-  /// The arena behind forward()/backward(), created on first use.
-  [[nodiscard]] TensorArena& own_arena() {
-    if (own_arena_ == nullptr) own_arena_ = std::make_unique<TensorArena>();
-    return *own_arena_;
-  }
-
   /// Registration, called once per member from the constructor; the order
   /// of calls is the checkpoint layout (see the file comment).
   void register_child(Module& child) { children_.push_back(&child); }
@@ -158,7 +149,6 @@ class Module {
   std::vector<StateTensor> buffers_;
   bool training_ = true;
   bool param_grads_enabled_ = true;
-  std::unique_ptr<TensorArena> own_arena_;
 };
 
 using ModulePtr = std::unique_ptr<Module>;

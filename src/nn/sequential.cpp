@@ -19,18 +19,6 @@ Tensor& Sequential::backward_into(const Tensor& grad_out, TensorArena& arena) co
   return backward_layers(grad_out, 0, size(), arena);
 }
 
-Tensor Sequential::forward_range(const Tensor& x, std::int64_t begin, std::int64_t end) {
-  check_range(begin, end, "forward_range");
-  TensorArena& arena = own_arena();
-  if (begin == 0) arena.reset();
-  return forward_layers(arena.copy(x), begin, end, arena);
-}
-
-Tensor Sequential::backward_range(const Tensor& grad_out, std::int64_t begin, std::int64_t end) {
-  check_range(begin, end, "backward_range");
-  return backward_layers(grad_out, begin, end, own_arena());
-}
-
 void Sequential::check_range(std::int64_t begin, std::int64_t end, const char* caller) const {
   if (begin < 0 || end > size() || begin > end) {
     throw std::out_of_range(std::string("Sequential::") + caller + ": bad range");
@@ -39,6 +27,7 @@ void Sequential::check_range(std::int64_t begin, std::int64_t end, const char* c
 
 const Tensor& Sequential::forward_layers(const Tensor& x, std::int64_t begin, std::int64_t end,
                                          TensorArena& arena) const {
+  check_range(begin, end, "forward_layers");
   const Tensor* activation = &x;
   for (std::int64_t i = begin; i < end; ++i) {
     activation = &layers_[static_cast<std::size_t>(i)]->forward_into(*activation, arena);
@@ -48,7 +37,7 @@ const Tensor& Sequential::forward_layers(const Tensor& x, std::int64_t begin, st
 
 Tensor& Sequential::backward_layers(const Tensor& grad_out, std::int64_t begin,
                                     std::int64_t end, TensorArena& arena) const {
-  // An empty range degenerates to identity: park a copy in the arena.
+  check_range(begin, end, "backward_layers");
   if (begin == end) return arena.copy(grad_out);
   Tensor* grad = &layers_[static_cast<std::size_t>(end - 1)]->backward_into(grad_out, arena);
   for (std::int64_t i = end - 2; i >= begin; --i) {

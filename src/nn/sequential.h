@@ -1,9 +1,12 @@
 // Sequential container with ranged forward/backward.
 //
-// The ranged variants let callers split a network into a feature extractor
-// and a classifier head without restructuring it — the Latent Backdoor
-// attack trains against intermediate features, and model factories mark the
-// feature/head boundary by layer index.
+// The ranged forms let callers split a network into a feature extractor and
+// a classifier head without restructuring it — the Latent Backdoor attack
+// trains against intermediate features, and model factories mark the
+// feature/head boundary by layer index (Network::feature_boundary()). Like
+// every pass, a ranged pass runs on the caller's arena: a feature range
+// followed by a head range on one arena keeps both ranges' caches for the
+// backward_layers calls that follow.
 #pragma once
 
 #include "nn/module.h"
@@ -27,25 +30,21 @@ class Sequential final : public Module {
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) const override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) const override;
 
-  /// Forward through layers [begin, end), on the arena behind forward(). A
-  /// range starting at layer 0 starts a new pass; a later range continues
-  /// it, so a feature range followed by a head range keeps both ranges'
-  /// caches for the backward_range calls that follow.
-  [[nodiscard]] Tensor forward_range(const Tensor& x, std::int64_t begin, std::int64_t end);
+  /// Forward through layers [begin, end) on `arena`. Throws
+  /// std::out_of_range unless 0 <= begin <= end <= size().
+  [[nodiscard]] const Tensor& forward_layers(const Tensor& x, std::int64_t begin,
+                                             std::int64_t end, TensorArena& arena) const;
 
-  /// Backward through layers [begin, end) in reverse; must follow the
-  /// matching forward_range.
-  [[nodiscard]] Tensor backward_range(const Tensor& grad_out, std::int64_t begin,
-                                      std::int64_t end);
+  /// Backward through layers [begin, end) in reverse, over the matching
+  /// forward_layers on the same arena. An empty range is the identity (a
+  /// copy of grad_out in an arena slot). Same range check.
+  [[nodiscard]] Tensor& backward_layers(const Tensor& grad_out, std::int64_t begin,
+                                        std::int64_t end, TensorArena& arena) const;
 
   [[nodiscard]] std::string name() const override { return "Sequential"; }
 
  private:
   void check_range(std::int64_t begin, std::int64_t end, const char* caller) const;
-  [[nodiscard]] const Tensor& forward_layers(const Tensor& x, std::int64_t begin,
-                                             std::int64_t end, TensorArena& arena) const;
-  [[nodiscard]] Tensor& backward_layers(const Tensor& grad_out, std::int64_t begin,
-                                        std::int64_t end, TensorArena& arena) const;
 
   std::vector<ModulePtr> layers_;
 };

@@ -53,9 +53,8 @@ struct ScanState {
   std::optional<ModelRef> model_ref;               // ref-based requests
   std::shared_ptr<const ModelData> stored_model;   // resolved ref; pins the store entry
   DetectorPtr detector;
-  std::optional<ProbeKey> probe_key;
-  std::shared_ptr<const ProbeData> stored_probe;  // probe_key requests
-  std::unique_ptr<Dataset> owned_probe;           // explicit-probe requests
+  ProbeKey probe_key;
+  std::shared_ptr<const ProbeData> stored_probe;  // resolved probe_key
   ScanOptions options;
 
   // Bytes this scan's submit-time model clone registered with the process
@@ -99,7 +98,6 @@ struct ScanState {
     release_clone_budget();
     detector.reset();
     stored_probe.reset();
-    owned_probe.reset();
     std::shared_ptr<ScanExecution> exec;
     {
       const std::lock_guard<std::mutex> lock(mutex);
@@ -399,8 +397,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   }
 
   void stage_init() {
-    if (state_->probe_key.has_value() && state_->stored_probe == nullptr) {
-      state_->stored_probe = resolve(service_->probe_store_, *state_->probe_key,
+    if (state_->stored_probe == nullptr) {
+      state_->stored_probe = resolve(service_->probe_store_, state_->probe_key,
                                      "probe materialization failed: ");
     }
     if (state_->model_ref.has_value() && state_->stored_model == nullptr) {
@@ -416,9 +414,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     // WorkerContext.
     ScanPlan plan = state_->detector->plan();
     if (state_->options.progress) plan.options.progress = state_->options.progress;
-    const Dataset& probe =
-        state_->stored_probe != nullptr ? state_->stored_probe->probe : *state_->owned_probe;
-    if (plan.options.external_probe_cache == nullptr && state_->stored_probe != nullptr) {
+    const Dataset& probe = state_->stored_probe->probe;
+    if (plan.options.external_probe_cache == nullptr) {
       plan.options.external_probe_cache = &state_->stored_probe->cache;
     }
     // A ref-based request reads the store's resident network, shared with
@@ -609,7 +606,6 @@ bool ScanHandle::cancel() const {
 DetectionService::DetectionService(DetectionServiceConfig config)
     : config_(config),
       scan_pool_(config.scan_threads),
-      probe_store_(ProbeStoreOptions{config.probe_store_max_bytes}),
       model_store_(ModelStoreOptions{config.model_store_max_bytes}),
       scheduler_(RoundScheduler::Config{resolve_dispatchers(config), &scan_pool_}) {
   if (config_.stuck_item_seconds > 0) {
@@ -664,8 +660,8 @@ ScanHandle DetectionService::submit(ScanRequest request) {
         "ScanRequest: model_ref must set exactly one of checkpoint_path / zoo spec");
   }
   if (request.detector == nullptr) throw std::invalid_argument("ScanRequest: null detector");
-  if (!request.probe_key.has_value() && request.probe == nullptr) {
-    throw std::invalid_argument("ScanRequest: neither probe_key nor probe set");
+  if (request.probe_key.probe_size <= 0) {
+    throw std::invalid_argument("ScanRequest: probe_size must be positive");
   }
 
   // Admission control BEFORE any expensive work: a rejected request costs
@@ -727,12 +723,7 @@ ScanHandle DetectionService::submit(ScanRequest request) {
       state->model_ref = std::move(request.model_ref);
     }
     state->detector = std::move(request.detector);
-    if (request.probe_key.has_value()) {
-      // Deferred to the scan's init stage; see submit()'s contract.
-      state->probe_key = *request.probe_key;
-    } else {
-      state->owned_probe = std::make_unique<Dataset>(*request.probe);
-    }
+    state->probe_key = std::move(request.probe_key);  // resolved by the init stage
     state->options = std::move(request.options);
     if (state->options.deadline_seconds > 0) {
       state->has_deadline = true;

@@ -182,12 +182,11 @@ struct ScanRequest {
   /// Model by reference; see above. Set model XOR model_ref.
   std::optional<ModelRef> model_ref;
   DetectorPtr detector;
-  /// Probe: either a content address resolved through the service's
-  /// ProbeStore (preferred — shared across requests)...
-  std::optional<ProbeKey> probe_key;
-  /// ...or an explicit dataset, copied at submit(). probe_key wins if both
-  /// are set.
-  const Dataset* probe = nullptr;
+  /// The probe, by content address: resolved through the service's
+  /// ProbeStore in the scan's first stage and shared with every request
+  /// naming the same key. The scan reads exactly make_probe(spec,
+  /// probe_size, seed). probe_size must be positive.
+  ProbeKey probe_key;
   ScanOptions options;
 };
 
@@ -284,14 +283,9 @@ struct DetectionServiceConfig {
   /// throw) happens BEFORE the request's model is cloned or its probe
   /// resolved, so rejected submissions cost nothing.
   AdmissionPolicy admission_policy = AdmissionPolicy::kBlock;
-  /// Probe-store eviction cap, forwarded to ProbeStoreOptions::max_bytes
-  /// (0 = unlimited): long-lived services cap their resident probe
-  /// materializations by LRU eviction; entries pinned by in-flight scans
-  /// are never dropped.
-  std::int64_t probe_store_max_bytes = 0;
   /// Model-store eviction cap, forwarded to ModelStoreOptions::max_bytes
-  /// (0 = unlimited). Same discipline as the probe store: LRU by bytes,
-  /// models pinned by in-flight ref-based scans are never evicted.
+  /// (0 = unlimited): LRU by bytes, models pinned by in-flight ref-based
+  /// scans are never evicted.
   std::int64_t model_store_max_bytes = 0;
   /// Memory watermark: when the process MemoryBudget (probe data + model
   /// clones + arenas; see utils/memory_budget.h) exceeds this many bytes,
@@ -361,23 +355,23 @@ class DetectionService {
   DetectionService(const DetectionService&) = delete;
   DetectionService& operator=(const DetectionService&) = delete;
 
-  /// Enqueues a scan and returns immediately. A live model is cloned (and
-  /// an explicit probe copied) on the calling thread, so the request's
-  /// borrowed pointers are dead weight the moment this returns; a
-  /// probe_key or model_ref, by contrast, is resolved through the
-  /// ProbeStore/ModelStore inside the scan's FIRST STAGE — materialization
-  /// and load failures are then retryable like any stage fault, and a scan
-  /// shed or cancelled while queued never materializes anything. Ref-based
-  /// requests skip the submit-time deep copy entirely: concurrent scans of
-  /// one ref share the store's resident instance. Throws
-  /// std::invalid_argument on a malformed request (model XOR model_ref
-  /// violated, null detector, no probe). With max_queued set, a full
-  /// queue either blocks this call until the scheduler drains a slot
-  /// (kBlock; the admission slot is reserved before the model clone, so
-  /// blocked submitters hold at most their own clone-in-progress) or
-  /// throws QueueFull (kReject); with max_resident_bytes set the same
-  /// policy gates on the memory budget. Submitting past a shed watermark
-  /// resolves victims (possibly this scan) to kShed before returning.
+  /// Enqueues a scan and returns immediately. A live model is cloned on
+  /// the calling thread, so the request's borrowed pointer is dead weight
+  /// the moment this returns; the probe_key and a model_ref, by contrast,
+  /// are resolved through the ProbeStore/ModelStore inside the scan's
+  /// FIRST STAGE — materialization and load failures are then retryable
+  /// like any stage fault, and a scan shed or cancelled while queued never
+  /// materializes anything. Ref-based requests skip the submit-time deep
+  /// copy entirely: concurrent scans of one ref share the store's resident
+  /// instance. Throws std::invalid_argument on a malformed request (model
+  /// XOR model_ref violated, null detector, probe_size <= 0). With
+  /// max_queued set, a full queue either blocks this call until the
+  /// scheduler drains a slot (kBlock; the admission slot is reserved
+  /// before the model clone, so blocked submitters hold at most their own
+  /// clone-in-progress) or throws QueueFull (kReject); with
+  /// max_resident_bytes set the same policy gates on the memory budget.
+  /// Submitting past a shed watermark resolves victims (possibly this
+  /// scan) to kShed before returning.
   ScanHandle submit(ScanRequest request);
 
   /// Blocks until every scan submitted so far has reached a terminal

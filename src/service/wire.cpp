@@ -62,10 +62,13 @@ DatasetSpec read_dataset_spec(BinaryReader& reader) {
   spec.channels = reader.read_i64();
   spec.image_size = reader.read_i64();
   spec.num_classes = reader.read_i64();
+  return spec;
+}
+
+void check_dataset_spec(const DatasetSpec& spec) {
   require(spec.channels > 0 && spec.channels <= 16, "dataset channels out of range");
   require(spec.image_size > 0 && spec.image_size <= 4096, "dataset image_size out of range");
   require(spec.num_classes > 0 && spec.num_classes <= 65536, "dataset num_classes out of range");
-  return spec;
 }
 
 void write_model_ref(BinaryWriter& writer, const ModelRef& ref) {
@@ -95,11 +98,7 @@ void write_model_ref(BinaryWriter& writer, const ModelRef& ref) {
 ModelRef read_model_ref(BinaryReader& reader) {
   const std::uint32_t form = reader.read_u32();
   require(form <= 1U, "model_ref form tag out of range");
-  if (form == 0U) {
-    ModelRef ref = ModelRef::from_checkpoint(reader.read_string());
-    require(!ref.checkpoint_path.empty(), "empty checkpoint path");
-    return ref;
-  }
+  if (form == 0U) return ModelRef::from_checkpoint(reader.read_string());
   ModelCaseSpec spec;
   spec.dataset = read_dataset_spec(reader);
   spec.arch = architecture_from_string(reader.read_string());
@@ -168,7 +167,6 @@ ScanOptions read_options(BinaryReader& reader) {
   options.max_retries = static_cast<int>(max_retries);
   options.retry_backoff_seconds = reader.read_f64();
   options.unsheddable = read_bool(reader);
-  check_options(options);
   return options;
 }
 
@@ -249,7 +247,15 @@ auto decode_guard(Fn&& fn) -> decltype(fn()) {
 
 }  // namespace
 
-void check_options(const ScanOptions& options) {
+void check_request(const WireScanRequest& request) {
+  if (request.model_ref.zoo.has_value()) {
+    check_dataset_spec(request.model_ref.zoo->dataset);
+  } else {
+    require(!request.model_ref.checkpoint_path.empty(), "empty checkpoint path");
+  }
+  check_dataset_spec(request.probe_key.spec);
+  require(request.probe_key.probe_size > 0, "probe_size out of range");
+  const ScanOptions& options = request.options;
   require(std::isfinite(options.fair_weight), "fair_weight is not finite");
   require(std::isfinite(options.deadline_seconds) && options.deadline_seconds <= kMaxSpanSeconds,
           "deadline_seconds out of range");
@@ -280,11 +286,11 @@ WireScanRequest decode_request(std::span<const std::uint8_t> bytes) {
     request.model_ref = read_model_ref(reader);
     request.probe_key.spec = read_dataset_spec(reader);
     request.probe_key.probe_size = reader.read_i64();
-    require(request.probe_key.probe_size > 0, "probe_size out of range");
     request.probe_key.seed = static_cast<std::uint64_t>(reader.read_i64());
     request.method = reader.read_string();
     request.options = read_options(reader);
     require(reader.exhausted(), "trailing bytes after request");
+    check_request(request);
     return request;
   });
 }

@@ -20,8 +20,8 @@
 // fleet rolls its workers together). Strictness: decode validates magic,
 // version, every length prefix against the remaining bytes (oversized and
 // negative lengths throw before any allocation), every enum tag, tensor
-// shape/payload consistency, the option values the service schedules and
-// times by (check_options()), and that no trailing bytes remain. Corrupt
+// shape/payload consistency, every request value a worker cannot serve
+// (check_request()), and that no trailing bytes remain. Corrupt
 // input of any kind throws WireError — never UB (fuzz-style truncation
 // coverage in tests/test_wire.cpp runs under the ASan/UBSan CI jobs).
 //
@@ -33,9 +33,10 @@
 //      supervisor distinguish a wedged worker from a slow scan.
 //   3  Requests no longer carry an early-exit override (five fields): early
 //      exit is part of the server's detector config, like every other scan
-//      parameter. Decoding rejects the option values check_options()
-//      refuses: a non-finite fair_weight, and a non-finite or out-of-range
-//      deadline_seconds or retry_backoff_seconds.
+//      parameter. Decoding rejects every value check_request() refuses,
+//      the option values among them: a non-finite fair_weight, and a
+//      non-finite or out-of-range deadline_seconds or
+//      retry_backoff_seconds.
 #pragma once
 
 #include <atomic>
@@ -91,17 +92,20 @@ struct WireScanRequest {
   /// with its binary, so every worker scans identically.
   std::string method;
   /// Serialized subset of ScanOptions: everything except `progress` (a
-  /// callback cannot cross the wire). Decoding applies check_options().
+  /// callback cannot cross the wire).
   ScanOptions options;
 };
 
-/// Throws WireError unless `options` has a finite fair_weight and a finite
-/// deadline_seconds and retry_backoff_seconds of at most kMaxSpanSeconds
-/// (utils/timer.h). The service would clamp such values; on the wire they
-/// mark a corrupt or hostile peer. decode_request() applies it, and
-/// WorkerFleet::submit() applies it before routing, so a request a worker
-/// would reject fails where it was made.
-void check_options(const ScanOptions& options);
+/// Throws WireError unless every value of `request` is one a worker can
+/// serve: a positive probe_size; dataset specs (the probe's, and a zoo
+/// ref's) with 1..16 channels, image_size 1..4096 and 1..65536 classes; a
+/// non-empty checkpoint path for a checkpoint ref; a finite fair_weight;
+/// and a finite deadline_seconds and retry_backoff_seconds of at most
+/// kMaxSpanSeconds (utils/timer.h). decode_request() applies it to every
+/// frame, and WorkerFleet::submit() applies it before routing: a worker
+/// answers a frame it cannot decode as request 0, which no future waits
+/// for, so a request a worker would reject must fail where it was made.
+void check_request(const WireScanRequest& request);
 
 /// The out-of-process form of ScanOutcome: terminal status, error text,
 /// retry count, and the full report.

@@ -497,7 +497,7 @@ struct WorkerFleet::Impl {
     try {
       // A worker that cannot decode a request answers it as request 0,
       // which no future waits for: refuse it here instead.
-      wire::check_options(request.options);
+      wire::check_request(request);
     } catch (const wire::WireError& error) {
       resolve_state(state, ScanStatus::kFailed, error.what(), nullptr);
       return FleetHandle(std::move(state));

@@ -175,8 +175,8 @@ class WorkerFleet {
   WorkerFleet& operator=(const WorkerFleet&) = delete;
 
   /// Accepts a request for dispatch (request_id is ASSIGNED BY THE FLEET —
-  /// any caller-set value is overwritten) and returns its future. Options
-  /// that wire::check_options() rejects resolve it immediately as kFailed;
+  /// any caller-set value is overwritten) and returns its future. A request
+  /// that wire::check_request() rejects resolves immediately as kFailed;
   /// after shutdown() begins, it resolves immediately as kCancelled.
   [[nodiscard]] FleetHandle submit(wire::WireScanRequest request);
 

@@ -3,9 +3,10 @@
 // The acceptance-criteria pins of the arena/SIMD change:
 //  - arena semantics: grow-never-shrink slot recycling, reset() reuse,
 //    Scope rewind, zero allocations once warm;
-//  - the value-returning forward/backward adapters are BIT-identical to
-//    forward_into/backward_into on every architecture, in eval and training
-//    mode, including parameter gradients;
+//  - a pass on a recycled arena (slots and layer caches stale from a pass
+//    over other input) is BIT-identical to a pass on a fresh arena on
+//    every architecture, in eval and training mode, including parameter
+//    gradients;
 //  - layers keep their forward caches in the arena: passes on distinct
 //    arenas interleave freely over one frozen network;
 //  - the same holds across the AVX2/portable elementwise dispatch variants;
@@ -101,45 +102,64 @@ TEST(TensorArena, ScopeRewindsAndRecyclesNestedSlots) {
   }
 }
 
+/// One forward_into + backward_into of (x, dy) on `arena`, with the output,
+/// the input gradient and every parameter gradient copied out.
+struct PassResult {
+  Tensor y;
+  Tensor dx;
+  std::vector<Tensor> grads;
+};
+
+PassResult run_pass(Network& net, const Tensor& x, const Tensor& dy, TensorArena& arena) {
+  PassResult result;
+  result.y = net.forward_into(x, arena);
+  result.dx = net.backward_into(dy, arena);
+  for (const Parameter* p : net.parameters()) result.grads.push_back(p->grad);
+  return result;
+}
+
 // The central bit-identity pin: for every architecture, in eval mode (the
-// detection configuration) AND training mode, the value-returning adapters
-// reproduce a caller-arena pass bit for bit — outputs, input gradients, and
+// detection configuration) AND training mode, a pass on a recycled arena —
+// every slot and layer cache stale from a pass over other input — matches a
+// pass on a fresh arena bit for bit: outputs, input gradients, and
 // parameter gradients.
-TEST(ArenaPath, ForwardBackwardMatchesAllocatingBitwiseAllArchitectures) {
+TEST(ArenaPath, RecycledArenaMatchesFreshArenaBitwiseAllArchitectures) {
   for (const Architecture arch : {Architecture::kBasicCnn, Architecture::kMiniResNet,
                                   Architecture::kMiniVgg, Architecture::kMiniEffNet}) {
     for (const bool training : {false, true}) {
       const std::int64_t channels = arch == Architecture::kBasicCnn ? 1 : 3;
       const std::int64_t size = arch == Architecture::kBasicCnn ? 28 : 32;
-      Network net = make_network(arch, channels, size, 10, 17);
-      net.set_training(training);
-      net.set_param_grads_enabled(training);
-
       const Tensor x = random_tensor(Shape{4, channels, size, size}, 21);
       const Tensor dy = random_tensor(Shape{4, 10}, 22, -1.0F, 1.0F);
 
-      net.zero_grad();
-      const Tensor y_alloc = net.forward(x);
-      const Tensor dx_alloc = net.backward(dy);
-      std::vector<Tensor> grads_alloc;
-      for (Parameter* p : net.parameters()) grads_alloc.push_back(p->grad);
+      // Training-mode BatchNorm mutates running stats, so each side builds
+      // its own network from one seed.
+      Network fresh_net = make_network(arch, channels, size, 10, 17);
+      fresh_net.set_training(training);
+      fresh_net.set_param_grads_enabled(training);
+      fresh_net.zero_grad();
+      TensorArena fresh_arena;
+      const PassResult fresh = run_pass(fresh_net, x, dy, fresh_arena);
 
-      // Training-mode BatchNorm mutates running stats; rebuild the network
-      // so both paths see identical initial state.
-      Network net2 = make_network(arch, channels, size, 10, 17);
-      net2.set_training(training);
-      net2.set_param_grads_enabled(training);
-      net2.zero_grad();
+      // The stale pass runs frozen, so it writes nothing to the network;
+      // its larger batch leaves stale bytes in every recycled slot.
+      Network net = make_network(arch, channels, size, 10, 17);
+      net.freeze();
       TensorArena arena;
-      const Tensor& y_arena = net2.forward_into(x, arena);
-      const Tensor& dx_arena = net2.backward_into(dy, arena);
+      (void)run_pass(net, random_tensor(Shape{6, channels, size, size}, 23),
+                     random_tensor(Shape{6, 10}, 24, -1.0F, 1.0F), arena);
+      arena.reset();
+      net.set_training(training);
+      net.set_param_grads_enabled(training);
+      net.zero_grad();
+      const PassResult recycled = run_pass(net, x, dy, arena);
 
-      EXPECT_TRUE(y_alloc.equals(y_arena)) << to_string(arch) << " training=" << training;
-      EXPECT_TRUE(dx_alloc.equals(dx_arena)) << to_string(arch) << " training=" << training;
-      const std::vector<Parameter*> params = net2.parameters();
-      ASSERT_EQ(params.size(), grads_alloc.size());
-      for (std::size_t i = 0; i < params.size(); ++i) {
-        EXPECT_TRUE(params[i]->grad.equals(grads_alloc[i]))
+      EXPECT_TRUE(recycled.y.equals(fresh.y)) << to_string(arch) << " training=" << training;
+      EXPECT_TRUE(recycled.dx.equals(fresh.dx)) << to_string(arch) << " training=" << training;
+      const std::vector<Parameter*> params = net.parameters();
+      ASSERT_EQ(recycled.grads.size(), fresh.grads.size());
+      for (std::size_t i = 0; i < fresh.grads.size(); ++i) {
+        EXPECT_TRUE(recycled.grads[i].equals(fresh.grads[i]))
             << to_string(arch) << " grad " << params[i]->name;
       }
     }

@@ -1,6 +1,8 @@
 // Tests for the three backdoor attacks: poisoning semantics, trigger
 // stamping, input-awareness, and end-to-end injection (train a small victim
 // and require high ASR with preserved clean accuracy).
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "attacks/badnet.h"
@@ -126,6 +128,23 @@ TEST(AttackFactory, BuildsEveryKind) {
   EXPECT_EQ(make_attack(params, spec)->name(), "latent");
   params.kind = AttackKind::kIad;
   EXPECT_EQ(make_attack(params, spec)->name(), "iad");
+}
+
+// A target outside [0, num_classes) would train labels the loss cannot
+// index; every attack refuses it at construction, before any training.
+TEST(AttackFactory, RejectsTargetOutOfRange) {
+  const DatasetSpec spec = DatasetSpec::cifar10_like();
+  for (const AttackKind kind : {AttackKind::kBadNet, AttackKind::kLatent, AttackKind::kIad}) {
+    AttackParams params;
+    params.kind = kind;
+    for (const std::int64_t target : {spec.num_classes, std::int64_t{-1}}) {
+      params.target_class = target;
+      EXPECT_THROW((void)make_attack(params, spec), std::invalid_argument)
+          << to_string(kind) << " target " << target;
+    }
+    params.target_class = spec.num_classes - 1;
+    EXPECT_NO_THROW((void)make_attack(params, spec)) << to_string(kind);
+  }
 }
 
 TEST(AttackFactory, KindStrings) {

@@ -84,9 +84,10 @@ TEST_F(CoreFixture, InputGradientMatchesSelectorSemantics) {
   Tensor sel_b(Shape{2, 10});
   sel_b[0 * 10 + 7] = 1.0F;
   sel_b[1 * 10 + 7] = 1.0F;
-  (void)clean_->forward(x);
-  const Tensor grad_a = clean_->backward(sel_a);
-  const Tensor grad_b = clean_->backward(sel_b);  // backward repeats over one forward
+  TensorArena arena;
+  (void)clean_->forward_into(x, arena);
+  const Tensor& grad_a = clean_->backward_into(sel_a, arena);
+  const Tensor& grad_b = clean_->backward_into(sel_b, arena);  // repeats over one forward
   EXPECT_GT(grad_a.abs_sum(), 0.0F);
   EXPECT_FALSE(grad_a.equals(grad_b));
 }
@@ -103,7 +104,8 @@ TEST_F(CoreFixture, TargetedDeepFoolFlipsMostRows) {
   adv += perturbation;
   adv.clamp(0.0F, 1.0F);
   std::int64_t hits = 0;
-  for (const std::int64_t pred : argmax_rows(clean_->forward(adv))) {
+  TensorArena arena;
+  for (const std::int64_t pred : argmax_rows(clean_->forward_into(adv, arena))) {
     if (pred == target) ++hits;
   }
   EXPECT_GE(hits, 5);
@@ -111,8 +113,9 @@ TEST_F(CoreFixture, TargetedDeepFoolFlipsMostRows) {
 
 TEST_F(CoreFixture, DeepFoolLeavesAlreadyTargetRowsAlone) {
   // Rows already classified as the target get zero perturbation.
-  const Tensor logits = clean_->forward(probe_->images());
-  const std::vector<std::int64_t> preds = argmax_rows(logits);
+  TensorArena arena;
+  const std::vector<std::int64_t> preds =
+      argmax_rows(clean_->forward_into(probe_->images(), arena));
   std::int64_t row = -1;
   for (std::size_t i = 0; i < preds.size(); ++i) {
     if (preds[i] == 5) {
@@ -129,7 +132,7 @@ TEST_F(CoreFixture, DeepFoolLeavesAlreadyTargetRowsAlone) {
   Tensor adv = x;
   adv += perturbation;
   adv.clamp(0.0F, 1.0F);
-  EXPECT_EQ(argmax_rows(clean_->forward(adv)), std::vector<std::int64_t>{5});
+  EXPECT_EQ(argmax_rows(clean_->forward_into(adv, arena)), std::vector<std::int64_t>{5});
 }
 
 TEST_F(CoreFixture, TargetedUapReachesDesiredRate) {

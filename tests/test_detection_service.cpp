@@ -3,8 +3,8 @@
 // The load-bearing guarantees under test:
 //  - submit() with default options is byte-for-byte Detector::detect() on
 //    the same (model, probe, config) — for any service pool size, with the
-//    probe resolved through the ProbeStore or passed explicitly, and with
-//    early exit on in the detector's config;
+//    probe resolved through the ProbeStore, and with early exit on in the
+//    detector's config;
 //  - ScanHandle::cancel() mid-scan resolves the handle to kCancelled and
 //    leaves the service fully reusable (a resubmitted identical request
 //    completes and is bit-identical to detect());
@@ -69,11 +69,12 @@ DetectionServiceConfig service_config(int scan_threads, int executors = 2) {
 }  // namespace
 
 // The acceptance-criteria pin: default-options submit() == detect() byte
-// for byte, across service pool sizes, for both probe plumbing variants.
+// for byte, across service pool sizes, with detect() run on the store's
+// materialization of the request's probe key.
 TEST(DetectionService, DefaultSubmitMatchesDetectByteForByte) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 81};
-  const Dataset probe = generate_dataset(spec, 48, 81);
+  const Dataset probe = make_probe(spec, 48, 81);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 82);
 
   UsbDetector reference(tiny_usb_config());
@@ -88,18 +89,9 @@ TEST(DetectionService, DefaultSubmitMatchesDetectByteForByte) {
     by_key.probe_key = key;
     const ScanHandle key_handle = service.submit(std::move(by_key));
 
-    ScanRequest by_value;
-    by_value.model = &victim;
-    by_value.detector = std::make_unique<UsbDetector>(tiny_usb_config());
-    by_value.probe = &probe;
-    const ScanHandle value_handle = service.submit(std::move(by_value));
-
     const ScanOutcome& from_key = key_handle.wait();
-    const ScanOutcome& from_value = value_handle.wait();
     ASSERT_EQ(from_key.status, ScanStatus::kDone) << from_key.error;
-    ASSERT_EQ(from_value.status, ScanStatus::kDone) << from_value.error;
     expect_reports_identical(direct, from_key.report);
-    expect_reports_identical(direct, from_value.report);
     EXPECT_GT(from_key.report.wall_seconds, 0.0);
     EXPECT_EQ(key_handle.poll(), ScanStatus::kDone);
   }
@@ -142,7 +134,8 @@ TEST(DetectionService, EarlyExitSubmitMatchesDetectAcrossThreadCounts) {
 // exactly this load.
 TEST(DetectionService, RoundBarrierCutoffStressMatchesDetect) {
   const DatasetSpec spec = tiny_spec(10);
-  const Dataset probe = generate_dataset(spec, 48, 87);
+  const ProbeKey key{spec, 48, 87};
+  const Dataset probe = make_probe(spec, 48, 87);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 88);
 
   ReverseOptConfig config = tiny_nc_config(12);
@@ -158,7 +151,7 @@ TEST(DetectionService, RoundBarrierCutoffStressMatchesDetect) {
   for (int i = 0; i < 20; ++i) {
     ScanRequest request;
     request.model = &victim;
-    request.probe = &probe;
+    request.probe_key = key;
     request.detector = std::make_unique<NeuralCleanse>(config);
     handles.push_back(service.submit(std::move(request)));
   }

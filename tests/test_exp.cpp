@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attacks/badnet.h"
 #include "exp/experiment.h"
 
 namespace usb {
@@ -66,10 +67,48 @@ TEST(ModelZoo, TrainThenLoadRoundTrip) {
 
   // The cached network computes the same function.
   const Dataset probe = make_probe(spec.dataset, 32);
-  const Tensor logits_a = first.network.forward(probe.images());
-  const Tensor logits_b = second.network.forward(probe.images());
+  TensorArena arena;
+  const Tensor& logits_a = first.network.forward_into(probe.images(), arena);
+  const Tensor& logits_b = second.network.forward_into(probe.images(), arena);
   for (std::int64_t i = 0; i < logits_a.numel(); ++i) {
     EXPECT_EQ(logits_a[i], logits_b[i]);
+  }
+  std::filesystem::remove_all(cache_dir);
+}
+
+// A cached victim's attack is the one its weights learned: training seeds
+// the attack from the model's identity, and a cache hit rebuilds it from
+// that seed, not from the spec's.
+TEST(ModelZoo, CachedVictimStampsTheTriggerItWasTrainedOn) {
+  const std::string cache_dir = ::testing::TempDir() + "zoo_trigger_cache";
+  std::filesystem::remove_all(cache_dir);
+  ExperimentScale scale = tiny_scale(cache_dir);
+  scale.epochs = 1;
+  scale.train_size = 200;
+  const Dataset batch = make_probe(DatasetSpec::mnist_like(), 4);
+  for (const AttackKind kind : {AttackKind::kBadNet, AttackKind::kLatent}) {
+    SCOPED_TRACE(to_string(kind));
+    ModelCaseSpec spec;
+    spec.dataset = DatasetSpec::mnist_like();
+    spec.arch = Architecture::kBasicCnn;
+    spec.attack.kind = kind;
+    spec.attack.trigger_size = 3;
+    spec.attack.target_class = 2;
+    spec.scale = scale;
+
+    const TrainedModel trained = train_or_load(spec);
+    const TrainedModel cached = train_or_load(spec);
+    ASSERT_FALSE(trained.from_cache);
+    ASSERT_TRUE(cached.from_cache);
+    ASSERT_NE(trained.attack, nullptr);
+    ASSERT_NE(cached.attack, nullptr);
+    EXPECT_TRUE(cached.attack->apply_trigger(batch.images())
+                    .equals(trained.attack->apply_trigger(batch.images())));
+    if (kind == AttackKind::kBadNet) {
+      const auto& trained_badnet = dynamic_cast<const BadNet&>(*trained.attack);
+      const auto& cached_badnet = dynamic_cast<const BadNet&>(*cached.attack);
+      EXPECT_TRUE(cached_badnet.trigger_image().equals(trained_badnet.trigger_image()));
+    }
   }
   std::filesystem::remove_all(cache_dir);
 }

@@ -157,7 +157,8 @@ TEST_F(FaultInjectionTest, RegistryDelayAndNanKindsBehaveAsDocumented) {
 // the same service keeps serving.
 TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint) {
   const DatasetSpec spec = tiny_spec();
-  const Dataset probe = generate_dataset(spec, 48, 91);
+  const ProbeKey key{spec, 48, 91};
+  const Dataset probe = make_probe(spec, 48, 91);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 92);
   const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
 
@@ -188,7 +189,7 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
 
     ScanRequest request;
     request.model = &victim;
-    request.probe = &probe;
+    request.probe_key = key;
     request.detector = std::make_unique<NeuralCleanse>(
         stage_case.mode == kMono ? tiny_nc_config() : barrier_config);
     const ScanHandle handle = service.submit(std::move(request));
@@ -205,7 +206,7 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
   // service is still byte-identical to the blocking detector.
   ScanRequest healthy;
   healthy.model = &victim;
-  healthy.probe = &probe;
+  healthy.probe_key = key;
   healthy.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   const ScanHandle handle = service.submit(std::move(healthy));
   const ScanOutcome& outcome = handle.wait();
@@ -219,7 +220,8 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
 // and thread pool stays byte-identical to detect().
 TEST_F(FaultInjectionTest, NanQuarantinesOneClassWithoutTouchingConcurrentHealthyScan) {
   const DatasetSpec spec = tiny_spec();
-  const Dataset probe = generate_dataset(spec, 48, 93);
+  const ProbeKey key{spec, 48, 93};
+  const Dataset probe = make_probe(spec, 48, 93);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 94);
   const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
 
@@ -234,13 +236,13 @@ TEST_F(FaultInjectionTest, NanQuarantinesOneClassWithoutTouchingConcurrentHealth
 
   ScanRequest healthy;
   healthy.model = &victim;
-  healthy.probe = &probe;
+  healthy.probe_key = key;
   healthy.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   const ScanHandle healthy_handle = service.submit(std::move(healthy));
 
   ScanRequest faulty;
   faulty.model = &victim;
-  faulty.probe = &probe;
+  faulty.probe_key = key;
   faulty.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   const ScanHandle faulty_handle = service.submit(std::move(faulty));
   ASSERT_EQ(healthy_handle.id(), 1u);
@@ -328,7 +330,8 @@ TEST_F(FaultInjectionTest, DetectPropagatesInjectedRoundFaultAndStaysReusable) {
 // serves the next (fault-free) request normally.
 TEST_F(FaultInjectionTest, InjectedRoundDelayResolvesDeadlinedScanTimedOut) {
   const DatasetSpec spec = tiny_spec();
-  const Dataset probe = generate_dataset(spec, 48, 97);
+  const ProbeKey key{spec, 48, 97};
+  const Dataset probe = make_probe(spec, 48, 97);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 98);
 
   fault::FaultSpec fault_spec;
@@ -340,7 +343,7 @@ TEST_F(FaultInjectionTest, InjectedRoundDelayResolvesDeadlinedScanTimedOut) {
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
   ScanRequest request;
   request.model = &victim;
-  request.probe = &probe;
+  request.probe_key = key;
   request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(/*steps=*/60));
   request.options.deadline_seconds = 0.1;
   const ScanHandle handle = service.submit(std::move(request));
@@ -355,7 +358,7 @@ TEST_F(FaultInjectionTest, InjectedRoundDelayResolvesDeadlinedScanTimedOut) {
   fault::FaultRegistry::instance().disarm_all();
   ScanRequest retry;
   retry.model = &victim;
-  retry.probe = &probe;
+  retry.probe_key = key;
   retry.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(/*steps=*/3));
   retry.options.deadline_seconds = 3600.0;
   const ScanHandle retry_handle = service.submit(std::move(retry));
@@ -391,7 +394,8 @@ TEST_F(FaultInjectionTest, ProbeStoreSurvivesGeneratorFailureAndRetries) {
 // healthy scan byte-identical to the blocking detector.
 TEST_F(FaultInjectionTest, NonMatchingArmedSpecsLeaveHealthyScanByteIdentical) {
   const DatasetSpec spec = tiny_spec();
-  const Dataset probe = generate_dataset(spec, 48, 101);
+  const ProbeKey key{spec, 48, 101};
+  const Dataset probe = make_probe(spec, 48, 101);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 102);
   const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
 
@@ -408,7 +412,7 @@ TEST_F(FaultInjectionTest, NonMatchingArmedSpecsLeaveHealthyScanByteIdentical) {
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
   ScanRequest request;
   request.model = &victim;
-  request.probe = &probe;
+  request.probe_key = key;
   request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   request.options.deadline_seconds = 3600.0;  // set but never hit
   const ScanHandle handle = service.submit(std::move(request));

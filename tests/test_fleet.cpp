@@ -353,18 +353,23 @@ TEST_F(FleetTest, HeartbeatFaultTreatsWorkerAsSilent) {
   fleet.shutdown();
 }
 
-// Options the wire refuses fail at submit with the decoder's reason. A
-// worker that could not decode such a request would answer it as the
-// unattributable request 0, and its future would never resolve. Nothing
-// is queued or routed for the refused requests, and the fleet keeps
-// serving.
+// Requests the wire refuses (bad options, an empty probe, an empty
+// checkpoint path) fail at submit with the decoder's reason. A worker that
+// could not decode such a request would answer it as the unattributable
+// request 0, and its future would never resolve. Nothing is queued or
+// routed for the refused requests, and the fleet keeps serving.
 TEST_F(FleetTest, OptionsTheWireRefusesFailAtSubmit) {
   WorkerFleet fleet(base_config(/*workers=*/1));
   wire::WireScanRequest nan_weight = make_request("NC");
   nan_weight.options.fair_weight = std::numeric_limits<double>::quiet_NaN();
   wire::WireScanRequest far_deadline = make_request("NC");
   far_deadline.options.deadline_seconds = 2e9;
-  for (const FleetHandle& refused : {fleet.submit(nan_weight), fleet.submit(far_deadline)}) {
+  wire::WireScanRequest empty_probe = make_request("NC");
+  empty_probe.probe_key.probe_size = 0;
+  wire::WireScanRequest no_path = make_request("NC");
+  no_path.model_ref = ModelRef::from_checkpoint("");
+  for (const FleetHandle& refused : {fleet.submit(nan_weight), fleet.submit(far_deadline),
+                                     fleet.submit(empty_probe), fleet.submit(no_path)}) {
     ASSERT_EQ(refused.wait_for(30.0), ScanStatus::kFailed);
     EXPECT_NE(refused.wait().error.find("wire:"), std::string::npos) << refused.wait().error;
     EXPECT_EQ(refused.wait().dispatches, 0);

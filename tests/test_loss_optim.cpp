@@ -1,6 +1,7 @@
 // Tests for losses (CE / targeted CE / MSE gradients) and optimizers
 // (SGD momentum semantics, AdamState convergence on a free tensor).
 #include <cmath>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -29,7 +30,8 @@ TEST(SoftmaxCrossEntropy, GradientMatchesFiniteDifference) {
   const std::vector<std::int64_t> labels{0, 2, 4};
   SoftmaxCrossEntropy loss;
   (void)loss.forward(logits, labels);
-  const Tensor grad = loss.backward();
+  TensorArena arena;
+  const Tensor& grad = loss.backward_into(arena);
 
   auto loss_fn = [&](const Tensor& probe) {
     SoftmaxCrossEntropy probe_loss;
@@ -44,12 +46,23 @@ TEST(SoftmaxCrossEntropy, GradientRowsSumToZero) {
   fill_uniform(logits, rng, -1.0F, 1.0F);
   SoftmaxCrossEntropy loss;
   (void)loss.forward(logits, {1, 2, 3, 4});
-  const Tensor grad = loss.backward();
+  TensorArena arena;
+  const Tensor& grad = loss.backward_into(arena);
   for (std::int64_t r = 0; r < 4; ++r) {
     double row_sum = 0.0;
     for (std::int64_t c = 0; c < 6; ++c) row_sum += grad.at2(r, c);
     EXPECT_NEAR(row_sum, 0.0, 1e-6);
   }
+}
+
+// A label outside [0, classes) would index past the row of probabilities
+// the loss reads, and its gradient would write there.
+TEST(SoftmaxCrossEntropy, RejectsLabelOutOfRange) {
+  SoftmaxCrossEntropy loss;
+  const Tensor logits(Shape{2, 3});
+  EXPECT_THROW((void)loss.forward(logits, {0, -1}), std::invalid_argument);
+  EXPECT_THROW((void)loss.forward(logits, {3, 0}), std::invalid_argument);
+  EXPECT_NO_THROW((void)loss.forward(logits, {0, 2}));
 }
 
 TEST(TargetedCrossEntropy, GradientMatchesFiniteDifference) {
@@ -58,7 +71,8 @@ TEST(TargetedCrossEntropy, GradientMatchesFiniteDifference) {
   fill_uniform(logits, rng, -2.0F, 2.0F);
   TargetedCrossEntropy loss;
   (void)loss.forward(logits, 2);
-  const Tensor grad = loss.backward();
+  TensorArena arena;
+  const Tensor& grad = loss.backward_into(arena);
   auto loss_fn = [&](const Tensor& probe) {
     TargetedCrossEntropy probe_loss;
     return static_cast<double>(probe_loss.forward(probe, 2));
@@ -77,7 +91,8 @@ TEST(MeanSquaredError, ValueAndGradient) {
   const Tensor b(Shape{2, 2}, {0, 2, 3, 6});
   MeanSquaredError loss;
   EXPECT_NEAR(loss.forward(a, b), (1.0F + 0.0F + 0.0F + 4.0F) / 4.0F, 1e-6F);
-  const Tensor grad = loss.backward();
+  TensorArena arena;
+  const Tensor& grad = loss.backward_into(arena);
   EXPECT_NEAR(grad[0], 2.0F * 1.0F / 4.0F, 1e-6F);
   EXPECT_NEAR(grad[3], 2.0F * -2.0F / 4.0F, 1e-6F);
 }

@@ -90,8 +90,9 @@ TEST(Checkpoint, RoundTripForwardBitIdentityAllArchitectures) {
     Network restored = load_checkpoint(path);
     restored.set_training(false);
 
-    const Tensor expected = original.forward(probe.images());
-    const Tensor actual = restored.forward(probe.images());
+    TensorArena arena;
+    const Tensor& expected = original.forward_into(probe.images(), arena);
+    const Tensor& actual = restored.forward_into(probe.images(), arena);
     EXPECT_TRUE(expected.equals(actual)) << to_string(arch) << ": restored forward diverged";
   }
 }

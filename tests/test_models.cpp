@@ -35,7 +35,8 @@ TEST_P(ArchParamTest, ForwardProducesLogits) {
   Rng rng(2);
   Tensor x(Shape{3, tc.channels, tc.size, tc.size});
   fill_uniform(x, rng, 0.0F, 1.0F);
-  const Tensor logits = net.forward(x);
+  TensorArena arena;
+  const Tensor& logits = net.forward_into(x, arena);
   EXPECT_EQ(logits.shape(), (Shape{3, tc.classes}));
   for (std::int64_t i = 0; i < logits.numel(); ++i) {
     EXPECT_TRUE(std::isfinite(logits[i]));
@@ -49,10 +50,11 @@ TEST_P(ArchParamTest, BackwardReachesInput) {
   Rng rng(4);
   Tensor x(Shape{2, tc.channels, tc.size, tc.size});
   fill_uniform(x, rng, 0.0F, 1.0F);
-  const Tensor logits = net.forward(x);
+  TensorArena arena;
+  const Tensor& logits = net.forward_into(x, arena);
   Tensor dlogits(logits.shape());
   fill_uniform(dlogits, rng);
-  const Tensor dx = net.backward(dlogits);
+  const Tensor& dx = net.backward_into(dlogits, arena);
   EXPECT_EQ(dx.shape(), x.shape());
   EXPECT_GT(dx.abs_sum(), 0.0F);  // gradient actually reaches the image
 }
@@ -64,9 +66,12 @@ TEST_P(ArchParamTest, FeatureHeadSplitMatchesFullForward) {
   Rng rng(6);
   Tensor x(Shape{2, tc.channels, tc.size, tc.size});
   fill_uniform(x, rng, 0.0F, 1.0F);
-  const Tensor full = net.forward(x);
-  const Tensor features = net.forward_features(x);
-  const Tensor split = net.forward_head(features);
+  TensorArena arena;
+  const Tensor& full = net.forward_into(x, arena);
+  const Sequential& layers = net.sequential();
+  const Tensor& features = layers.forward_layers(x, 0, net.feature_boundary(), arena);
+  const Tensor& split = layers.forward_layers(features, net.feature_boundary(), layers.size(),
+                                              arena);
   ASSERT_EQ(split.shape(), full.shape());
   for (std::int64_t i = 0; i < full.numel(); ++i) EXPECT_NEAR(split[i], full[i], 1e-5F);
 }
@@ -78,13 +83,14 @@ TEST_P(ArchParamTest, CheckpointRoundTrip) {
   Rng rng(8);
   Tensor x(Shape{1, tc.channels, tc.size, tc.size});
   fill_uniform(x, rng, 0.0F, 1.0F);
-  const Tensor before = net.forward(x);
+  TensorArena arena;
+  const Tensor before = net.forward_into(x, arena);
 
   const std::string path = ::testing::TempDir() + "ckpt_" + to_string(tc.arch) + ".bin";
   save_checkpoint(net, path);
   Network restored = load_checkpoint(path);
   restored.set_training(false);
-  const Tensor after = restored.forward(x);
+  const Tensor& after = restored.forward_into(x, arena);
   ASSERT_EQ(after.shape(), before.shape());
   for (std::int64_t i = 0; i < before.numel(); ++i) EXPECT_EQ(after[i], before[i]);
   std::remove(path.c_str());
@@ -98,13 +104,14 @@ TEST_P(ArchParamTest, CloneIsIndependentAndIdentical) {
   Rng rng(10);
   Tensor x(Shape{2, tc.channels, tc.size, tc.size});
   fill_uniform(x, rng, 0.0F, 1.0F);
-  const Tensor a = net.forward(x);
-  const Tensor b = clone.forward(x);
+  TensorArena arena;
+  const Tensor& a = net.forward_into(x, arena);
+  const Tensor& b = clone.forward_into(x, arena);
   for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]);
 
   // Mutating the clone must not affect the source.
   clone.parameters()[0]->value.fill(0.0F);
-  const Tensor c = net.forward(x);
+  const Tensor& c = net.forward_into(x, arena);
   for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], c[i]);
 }
 
@@ -129,7 +136,9 @@ TEST(Network, BasicCnnMatchesPaperGeometry) {
   // 28x28 MNIST inputs -> flattened feature size is exactly 512.
   Network net = make_network(Architecture::kBasicCnn, 1, 28, 10, 11);
   net.set_training(false);
-  const Tensor features = net.forward_features(Tensor(Shape{1, 1, 28, 28}));
+  const Tensor x(Shape{1, 1, 28, 28});
+  TensorArena arena;
+  const Tensor& features = net.sequential().forward_layers(x, 0, net.feature_boundary(), arena);
   EXPECT_EQ(features.numel(), 512);
 }
 

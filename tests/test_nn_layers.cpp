@@ -31,11 +31,12 @@ void check_input_gradient(Module& module, const Shape& input_shape, std::uint64_
   Rng rng(seed);
   Tensor x(input_shape);
   fill_uniform(x, rng, -1.0F, 1.0F);
-  const Tensor y0 = module.forward(x);
+  TensorArena arena;
+  const Tensor& y0 = module.forward_into(x, arena);
   Tensor dy(y0.shape());
   fill_uniform(dy, rng, -1.0F, 1.0F);
   module.zero_grad();
-  const Tensor dx = module.backward(dy);
+  const Tensor& dx = module.backward_into(dy, arena);
 
   auto loss = [&](const Tensor& probe) {
     const Tensor y = module.forward(probe);
@@ -61,11 +62,12 @@ void check_parameter_gradients(Module& module, const Shape& input_shape, std::ui
   Rng rng(seed);
   Tensor x(input_shape);
   fill_uniform(x, rng, -1.0F, 1.0F);
-  const Tensor y0 = module.forward(x);
+  TensorArena arena;
+  const Tensor& y0 = module.forward_into(x, arena);
   Tensor dy(y0.shape());
   fill_uniform(dy, rng, -1.0F, 1.0F);
   module.zero_grad();
-  (void)module.backward(dy);
+  (void)module.backward_into(dy, arena);
 
   for (Parameter* param : module.parameters()) {
     auto loss = [&](const Tensor& probe) {
@@ -211,10 +213,11 @@ TEST(Pooling, MaxPoolInputGradient) {
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x[i] = static_cast<float>(i % 7) + rng.uniform_float(0.0F, 0.3F);
   }
-  const Tensor y0 = layer.forward(x);
+  TensorArena arena;
+  const Tensor& y0 = layer.forward_into(x, arena);
   Tensor dy(y0.shape());
   fill_uniform(dy, rng);
-  const Tensor dx = layer.backward(dy);
+  const Tensor& dx = layer.backward_into(dy, arena);
   auto loss = [&](const Tensor& probe) {
     const Tensor y = layer.forward(probe);
     double total = 0.0;
@@ -243,10 +246,11 @@ TEST(Pooling, OverlappingMaxPoolInputGradient) {
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x[i] = static_cast<float>((i * 7) % 23) + rng.uniform_float(0.0F, 0.2F);
   }
-  const Tensor y0 = layer.forward(x);
+  TensorArena arena;
+  const Tensor& y0 = layer.forward_into(x, arena);
   Tensor dy(y0.shape());
   fill_uniform(dy, rng);
-  const Tensor dx = layer.backward(dy);
+  const Tensor& dx = layer.backward_into(dy, arena);
   auto loss = [&](const Tensor& probe) {
     const Tensor y = layer.forward(probe);
     double total = 0.0;
@@ -266,9 +270,10 @@ TEST(Pooling, FlattenRoundTrip) {
   Tensor x(Shape{2, 3, 4, 4});
   Rng rng(10);
   fill_uniform(x, rng);
-  const Tensor y = layer.forward(x);
+  TensorArena arena;
+  const Tensor& y = layer.forward_into(x, arena);
   EXPECT_EQ(y.shape(), (Shape{2, 48}));
-  const Tensor dx = layer.backward(y);
+  const Tensor& dx = layer.backward_into(y, arena);
   EXPECT_EQ(dx.shape(), x.shape());
   EXPECT_TRUE(dx.equals(x.reshaped(Shape{2, 48}).reshaped(x.shape())));
 }
@@ -396,18 +401,20 @@ TEST(SequentialContainer, RangedForwardBackwardMatchesFull) {
 
   Tensor x(Shape{3, 4});
   fill_uniform(x, rng);
-  const Tensor full = seq.forward(x);
-  const Tensor features = seq.forward_range(x, 0, 2);
-  const Tensor head = seq.forward_range(features, 2, 3);
+  TensorArena full_arena;
+  const Tensor& full = seq.forward_into(x, full_arena);
+  TensorArena split_arena;
+  const Tensor& features = seq.forward_layers(x, 0, 2, split_arena);
+  const Tensor& head = seq.forward_layers(features, 2, 3, split_arena);
   EXPECT_TRUE(head.equals(full));
 
   Tensor dy(full.shape());
   fill_uniform(dy, rng);
   seq.zero_grad();
-  const Tensor dx_full = seq.backward(dy);
+  const Tensor& dx_full = seq.backward_into(dy, full_arena);
   seq.zero_grad();
-  const Tensor dfeat = seq.backward_range(dy, 2, 3);
-  const Tensor dx_split = seq.backward_range(dfeat, 0, 2);
+  const Tensor& dfeat = seq.backward_layers(dy, 2, 3, split_arena);
+  const Tensor& dx_split = seq.backward_layers(dfeat, 0, 2, split_arena);
   for (std::int64_t i = 0; i < dx_full.numel(); ++i) {
     EXPECT_NEAR(dx_full[i], dx_split[i], 1e-6F);
   }
@@ -415,7 +422,9 @@ TEST(SequentialContainer, RangedForwardBackwardMatchesFull) {
 
 TEST(SequentialContainer, RangeValidation) {
   Sequential seq;
-  EXPECT_THROW((void)seq.forward_range(Tensor(Shape{1}), 0, 1), std::out_of_range);
+  TensorArena arena;
+  EXPECT_THROW((void)seq.forward_layers(Tensor(Shape{1}), 0, 1, arena), std::out_of_range);
+  EXPECT_THROW((void)seq.backward_layers(Tensor(Shape{1}), 0, 1, arena), std::out_of_range);
 }
 
 }  // namespace

@@ -63,10 +63,10 @@ DetectionServiceConfig service_config(int scan_threads, int executors = 2) {
   return config;
 }
 
-ScanRequest nc_request(Network& model, const Dataset& probe, std::int64_t steps = 6) {
+ScanRequest nc_request(Network& model, const ProbeKey& key, std::int64_t steps = 6) {
   ScanRequest request;
   request.model = &model;
-  request.probe = &probe;
+  request.probe_key = key;
   request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(steps));
   return request;
 }
@@ -88,7 +88,8 @@ class OverloadTest : public ::testing::Test {
 // only the cutoff step.
 TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
   const DatasetSpec spec = tiny_spec();
-  const Dataset probe = generate_dataset(spec, 48, 141);
+  const ProbeKey key{spec, 48, 141};
+  const Dataset probe = make_probe(spec, 48, 141);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 142);
   const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
 
@@ -98,7 +99,7 @@ TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
   fault::FaultRegistry::instance().arm("scan.round", fault_spec);
 
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
-  ScanRequest request = nc_request(victim, probe);
+  ScanRequest request = nc_request(victim, key);
   request.options.max_retries = 3;
   request.options.retry_backoff_seconds = 0.002;
   const ScanHandle handle = service.submit(std::move(request));
@@ -119,7 +120,7 @@ TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
   cutoff_fault.kind = fault::FaultSpec::Kind::kThrow;
   cutoff_fault.count = 1;
   fault::FaultRegistry::instance().arm("scan.cutoff", cutoff_fault);
-  ScanRequest cutoff_request = nc_request(victim, probe);
+  ScanRequest cutoff_request = nc_request(victim, key);
   cutoff_request.detector = std::make_unique<NeuralCleanse>(config);
   cutoff_request.options.max_retries = 3;
   cutoff_request.options.retry_backoff_seconds = 0.002;
@@ -136,7 +137,7 @@ TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
 TEST_F(OverloadTest, ProbeMaterializationEnomemRetriesAndSucceeds) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 143};
-  const Dataset probe = generate_dataset(spec, 48, 143);
+  const Dataset probe = make_probe(spec, 48, 143);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 144);
   const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
 
@@ -165,7 +166,7 @@ TEST_F(OverloadTest, ProbeMaterializationEnomemRetriesAndSucceeds) {
 // budget, then the scan resolves kFailed with the spent count on record.
 TEST_F(OverloadTest, RetryExhaustionResolvesFailedWithRetryCount) {
   const DatasetSpec spec = tiny_spec();
-  const Dataset probe = generate_dataset(spec, 48, 145);
+  const ProbeKey key{spec, 48, 145};
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 146);
 
   fault::FaultSpec fault_spec;
@@ -174,7 +175,7 @@ TEST_F(OverloadTest, RetryExhaustionResolvesFailedWithRetryCount) {
   fault::FaultRegistry::instance().arm("scan.round", fault_spec);
 
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
-  ScanRequest request = nc_request(victim, probe);
+  ScanRequest request = nc_request(victim, key);
   request.options.max_retries = 2;
   request.options.retry_backoff_seconds = 0.002;
   const ScanHandle handle = service.submit(std::move(request));
@@ -189,7 +190,7 @@ TEST_F(OverloadTest, RetryExhaustionResolvesFailedWithRetryCount) {
 
   // A detector's own permanent error is NOT retried even with budget left.
   fault::FaultRegistry::instance().disarm_all();
-  ScanRequest healthy = nc_request(victim, probe);
+  ScanRequest healthy = nc_request(victim, key);
   healthy.options.max_retries = 5;
   const ScanHandle ok = service.submit(std::move(healthy));
   EXPECT_EQ(ok.wait().status, ScanStatus::kDone);
@@ -200,7 +201,7 @@ TEST_F(OverloadTest, RetryExhaustionResolvesFailedWithRetryCount) {
 // the retry layer is inert unless armed, keeping default semantics.
 TEST_F(OverloadTest, DefaultZeroRetriesFailsTransientFaultImmediately) {
   const DatasetSpec spec = tiny_spec();
-  const Dataset probe = generate_dataset(spec, 48, 147);
+  const ProbeKey key{spec, 48, 147};
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 148);
 
   fault::FaultSpec fault_spec;
@@ -209,7 +210,7 @@ TEST_F(OverloadTest, DefaultZeroRetriesFailsTransientFaultImmediately) {
   fault::FaultRegistry::instance().arm("scan.round", fault_spec);
 
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
-  const ScanHandle handle = service.submit(nc_request(victim, probe));
+  const ScanHandle handle = service.submit(nc_request(victim, key));
   const ScanOutcome& outcome = handle.wait();
   EXPECT_EQ(outcome.status, ScanStatus::kFailed);
   EXPECT_EQ(outcome.retries, 0);
@@ -221,7 +222,7 @@ TEST_F(OverloadTest, DefaultZeroRetriesFailsTransientFaultImmediately) {
 // expedites it, instead of wrapping into the past and running at once.
 TEST_F(OverloadTest, HugeRetryBackoffIsCappedNotOverflowed) {
   const DatasetSpec spec = tiny_spec();
-  const Dataset probe = generate_dataset(spec, 48, 149);
+  const ProbeKey key{spec, 48, 149};
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 150);
 
   fault::FaultSpec fault_spec;
@@ -230,7 +231,7 @@ TEST_F(OverloadTest, HugeRetryBackoffIsCappedNotOverflowed) {
   fault::FaultRegistry::instance().arm("scan.round", fault_spec);
 
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
-  ScanRequest request = nc_request(victim, probe);
+  ScanRequest request = nc_request(victim, key);
   request.options.max_retries = 1;
   request.options.retry_backoff_seconds = 1e300;
   const ScanHandle handle = service.submit(std::move(request));
@@ -254,7 +255,7 @@ TEST_F(OverloadTest, HugeRetryBackoffIsCappedNotOverflowed) {
 
 TEST_F(OverloadTest, DepthWatermarkShedsLowestPriorityNewestSparingUnsheddable) {
   const DatasetSpec spec = tiny_spec();
-  const Dataset probe = generate_dataset(spec, 48, 151);
+  const ProbeKey key{spec, 48, 151};
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 152);
 
   // The blocker (scan id 1) holds the single admission slot: every one of
@@ -270,12 +271,12 @@ TEST_F(OverloadTest, DepthWatermarkShedsLowestPriorityNewestSparingUnsheddable) 
   config.shed_queue_depth = 2;
   DetectionService service(config);
   auto submit = [&](int priority, bool unsheddable) {
-    ScanRequest request = nc_request(victim, probe);
+    ScanRequest request = nc_request(victim, key);
     request.options.priority = priority;
     request.options.unsheddable = unsheddable;
     return service.submit(std::move(request));
   };
-  ScanRequest blocking = nc_request(victim, probe, /*steps=*/40);
+  ScanRequest blocking = nc_request(victim, key, /*steps=*/40);
   blocking.options.priority = 2;
   blocking.options.unsheddable = true;
   const ScanHandle blocker = service.submit(std::move(blocking));
@@ -304,15 +305,18 @@ TEST_F(OverloadTest, DepthWatermarkShedsLowestPriorityNewestSparingUnsheddable) 
 
 TEST_F(OverloadTest, MemoryWatermarkShedsQueuedScanWhoseCloneBreachesBudget) {
   const DatasetSpec spec = tiny_spec();
-  const Dataset probe = generate_dataset(spec, 48, 153);
+  const ProbeKey key{spec, 48, 153};
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 154);
   Network sample_clone = clone_network(victim);
   const std::int64_t clone_bytes = network_resident_bytes(sample_clone);
   ASSERT_GT(clone_bytes, 0);
 
-  // Park the blocker inside its FIRST stage (plan preparation) so the only
-  // budget movement between the two submits is the submit-time clones —
-  // arenas can't grow while prepare sleeps.
+  const std::int64_t probe_bytes = ProbeStore().get_or_create(key)->bytes();
+
+  // Park the blocker in plan preparation, which its first stage runs just
+  // after materializing the probe, so the only budget movement between the
+  // two submits is the submit-time clones — arenas can't grow while
+  // prepare sleeps.
   fault::FaultSpec delay;
   delay.kind = fault::FaultSpec::Kind::kDelay;
   delay.delay_seconds = 0.5;
@@ -320,19 +324,27 @@ TEST_F(OverloadTest, MemoryWatermarkShedsQueuedScanWhoseCloneBreachesBudget) {
   delay.scope = 1;
   fault::FaultRegistry::instance().arm("scan.prepare", delay);
 
-  // Room for one-and-a-half clones above whatever the rest of the process
-  // has registered: the admitted blocker fits, a second clone does not.
+  // Room for the probe and one-and-a-half clones above whatever the rest of
+  // the process has registered: the admitted blocker fits, a second clone
+  // does not.
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
-  config.max_resident_bytes = MemoryBudget::process().bytes() + clone_bytes + clone_bytes / 2;
+  config.max_resident_bytes =
+      MemoryBudget::process().bytes() + probe_bytes + clone_bytes + clone_bytes / 2;
   DetectionService service(config);
 
-  ScanRequest blocking = nc_request(victim, probe);
+  ScanRequest blocking = nc_request(victim, key);
   blocking.options.unsheddable = true;
   const ScanHandle blocker = service.submit(std::move(blocking));
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (service.probe_store().bytes_resident() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service.probe_store().bytes_resident(), probe_bytes);
   // Passes the admission gate (budget still under the watermark), but its
   // own clone breaches it — the sweep sheds the newest sheddable queued
   // scan, which is this one.
-  const ScanHandle shed = service.submit(nc_request(victim, probe));
+  const ScanHandle shed = service.submit(nc_request(victim, key));
   EXPECT_EQ(shed.poll(), ScanStatus::kShed);
   EXPECT_EQ(service.health().scans_shed, 1);
 
@@ -343,7 +355,7 @@ TEST_F(OverloadTest, MemoryWatermarkShedsQueuedScanWhoseCloneBreachesBudget) {
 
 TEST_F(OverloadTest, ByteBackpressureRejectsWhileOverBudgetAndRecovers) {
   const DatasetSpec spec = tiny_spec();
-  const Dataset probe = generate_dataset(spec, 48, 155);
+  const ProbeKey key{spec, 48, 155};
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 156);
 
   fault::FaultSpec delay;
@@ -359,15 +371,15 @@ TEST_F(OverloadTest, ByteBackpressureRejectsWhileOverBudgetAndRecovers) {
   config.max_resident_bytes = 1;
   config.admission_policy = AdmissionPolicy::kReject;
   DetectionService service(config);
-  const ScanHandle first = service.submit(nc_request(victim, probe, /*steps=*/40));
-  EXPECT_THROW((void)service.submit(nc_request(victim, probe)), QueueFull);
+  const ScanHandle first = service.submit(nc_request(victim, key, /*steps=*/40));
+  EXPECT_THROW((void)service.submit(nc_request(victim, key)), QueueFull);
 
   fault::FaultRegistry::instance().disarm_all();
   first.cancel();
   (void)first.wait();
   // Budget drained and live_ emptied: the same service admits again (an
   // empty service never blocks on externally-owned bytes).
-  const ScanHandle second = service.submit(nc_request(victim, probe));
+  const ScanHandle second = service.submit(nc_request(victim, key));
   EXPECT_EQ(second.wait().status, ScanStatus::kDone);
 }
 
@@ -403,7 +415,7 @@ TEST(MemoryBudgetTest, ProbeStoreRegistersEvictsAndReleases) {
 TEST(MemoryBudgetTest, ScanLifecycleReturnsCloneAndArenaBytesToBaseline) {
   auto& budget = MemoryBudget::process();
   const DatasetSpec spec = tiny_spec(4);
-  const Dataset probe = generate_dataset(spec, 32, 163);
+  const ProbeKey key{spec, 32, 163};
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 164);
   Network sample_clone = clone_network(victim);
   const std::int64_t clone_bytes = network_resident_bytes(sample_clone);
@@ -418,7 +430,7 @@ TEST(MemoryBudgetTest, ScanLifecycleReturnsCloneAndArenaBytesToBaseline) {
     DetectionService service(config);
     ScanRequest request;
     request.model = &victim;
-    request.probe = &probe;
+    request.probe_key = key;
     request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
     const ScanHandle handle = service.submit(std::move(request));
     ASSERT_EQ(handle.wait().status, ScanStatus::kDone);
@@ -437,7 +449,7 @@ TEST(MemoryBudgetTest, ScanLifecycleReturnsCloneAndArenaBytesToBaseline) {
 
 TEST_F(OverloadTest, WatchdogFlagsInjectedStallAndHealthReportsIt) {
   const DatasetSpec spec = tiny_spec(4);
-  const Dataset probe = generate_dataset(spec, 32, 171);
+  const ProbeKey key{spec, 32, 171};
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 172);
 
   fault::FaultSpec delay;
@@ -449,7 +461,7 @@ TEST_F(OverloadTest, WatchdogFlagsInjectedStallAndHealthReportsIt) {
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
   config.stuck_item_seconds = 0.05;
   DetectionService service(config);
-  const ScanHandle handle = service.submit(nc_request(victim, probe));
+  const ScanHandle handle = service.submit(nc_request(victim, key));
 
   bool observed = false;
   const auto poll_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -469,13 +481,13 @@ TEST_F(OverloadTest, WatchdogFlagsInjectedStallAndHealthReportsIt) {
 
 TEST_F(OverloadTest, WatchdogStaysQuietOnHealthyRuns) {
   const DatasetSpec spec = tiny_spec(4);
-  const Dataset probe = generate_dataset(spec, 32, 173);
+  const ProbeKey key{spec, 32, 173};
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 174);
 
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
   config.stuck_item_seconds = 30.0;  // far above any honest stage
   DetectionService service(config);
-  const ScanHandle handle = service.submit(nc_request(victim, probe));
+  const ScanHandle handle = service.submit(nc_request(victim, key));
   ASSERT_EQ(handle.wait().status, ScanStatus::kDone);
   const ServiceHealth health = service.health();
   EXPECT_EQ(health.stuck_flagged_total, 0);
@@ -484,7 +496,7 @@ TEST_F(OverloadTest, WatchdogStaysQuietOnHealthyRuns) {
 
 TEST_F(OverloadTest, FailStuckScansResolvesOwnerFailedNamingTheStage) {
   const DatasetSpec spec = tiny_spec(4);
-  const Dataset probe = generate_dataset(spec, 32, 175);
+  const ProbeKey key{spec, 32, 175};
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 176);
 
   fault::FaultSpec delay;
@@ -497,7 +509,7 @@ TEST_F(OverloadTest, FailStuckScansResolvesOwnerFailedNamingTheStage) {
   config.stuck_item_seconds = 0.05;
   config.fail_stuck_scans = true;
   DetectionService service(config);
-  const ScanHandle handle = service.submit(nc_request(victim, probe));
+  const ScanHandle handle = service.submit(nc_request(victim, key));
   const ScanOutcome& outcome = handle.wait();
   EXPECT_EQ(outcome.status, ScanStatus::kFailed);
   EXPECT_NE(outcome.error.find("watchdog"), std::string::npos) << outcome.error;
@@ -508,7 +520,7 @@ TEST_F(OverloadTest, FailStuckScansResolvesOwnerFailedNamingTheStage) {
 
 TEST_F(OverloadTest, HealthSnapshotTracksCountersAndBudget) {
   const DatasetSpec spec = tiny_spec(4);
-  const Dataset probe = generate_dataset(spec, 32, 181);
+  const ProbeKey key{spec, 32, 181};
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 182);
 
   DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
@@ -518,7 +530,7 @@ TEST_F(OverloadTest, HealthSnapshotTracksCountersAndBudget) {
   EXPECT_EQ(idle.in_flight_items, 0);
   EXPECT_EQ(idle.budget_limit_bytes, 0);
 
-  const ScanHandle handle = service.submit(nc_request(victim, probe));
+  const ScanHandle handle = service.submit(nc_request(victim, key));
   ASSERT_EQ(handle.wait().status, ScanStatus::kDone);
   const ServiceHealth done = service.health();
   EXPECT_EQ(done.scans_submitted, 1);
