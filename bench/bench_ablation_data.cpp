@@ -1,4 +1,4 @@
-// Ablation 3 (DESIGN.md) — clean-data budget |X|.
+// Ablation 3 (README "Paper → repo substitutions") — clean-data budget |X|.
 //
 // The paper uses 300 probe images and notes (appendix A.5) that this
 // starves GTSRB's 43 classes (<10 images per class), explaining USB's extra

@@ -1,4 +1,5 @@
-// Ablation 1 (DESIGN.md) — UAP initialization vs random initialization.
+// Ablation 1 (README "Paper → repo substitutions") — UAP initialization vs
+// random initialization.
 //
 // The paper's central design claim: starting Alg. 2 from the targeted UAP
 // (which already rides the backdoor shortcut) beats the NC-style random

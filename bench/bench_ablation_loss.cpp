@@ -1,5 +1,5 @@
-// Ablation 2 (DESIGN.md) — composition of the Alg. 2 loss
-//   L = CE - SSIM + w*|mask|_1.
+// Ablation 2 (README "Paper → repo substitutions") — composition of the
+// Alg. 2 loss L = CE - SSIM + w*|mask|_1.
 //
 // Variants: full loss, no SSIM term, no L1 term (the appendix A.6 setting).
 // Expectation: dropping L1 inflates all masks (norm statistic loses

@@ -140,13 +140,9 @@ int main(int argc, char** argv) {
       Timer timer;
       DetectionReport report;
       if (method == "USB") {
-        UsbConfig config = usb_config;
-        config.scan_pool = &pool;
-        report = UsbDetector(config).detect(model, probe);
+        report = UsbDetector(usb_config).detect(model, probe, pool);
       } else {
-        ReverseOptConfig config = nc_config;
-        config.scan_pool = &pool;
-        report = NeuralCleanse(config).detect(model, probe);
+        report = NeuralCleanse(nc_config).detect(model, probe, pool);
       }
       ScalingRow row;
       row.method = method;
@@ -174,7 +170,6 @@ int main(int argc, char** argv) {
   constexpr int kMatrixReps = 2;
   const auto run_matrix_cell = [&](bool early_on, double& seconds) {
     UsbConfig config = matrix_usb_config();
-    config.scan_pool = &single;
     config.early_exit.enabled = early_on;
     if (early_on) {
       config.early_exit.round_steps = 4;
@@ -185,7 +180,7 @@ int main(int argc, char** argv) {
     seconds = 0.0;
     for (int rep = 0; rep < kMatrixReps; ++rep) {
       Timer timer;
-      report = UsbDetector(config).detect(model, probe);
+      report = UsbDetector(config).detect(model, probe, single);
       const double elapsed = timer.seconds();
       if (rep == 0 || elapsed < seconds) seconds = elapsed;
     }
@@ -221,12 +216,9 @@ int main(int argc, char** argv) {
     // is a handful of steady_clock reads per stage boundary; the gate holds
     // this below 2%.
     double deadline_overhead = 0.0;
-    // ModelStore economics of by-reference submission: hits/(hits+misses)
-    // after N same-ref submits ((N-1)/N when sharing works), and the bytes
-    // the submit-time deep clone would have cost minus what actually went
-    // resident ((N-1) x model size when N submits share one instance).
+    // ModelStore sharing of by-reference submission: hits/(hits+misses)
+    // after N same-ref submits ((N-1)/N when sharing works).
     double model_store_hit_rate = 0.0;
-    double submit_clone_bytes_saved = 0.0;
     // Crash resilience of the process-sharded fleet: fraction of
     // kill-a-worker-mid-scan reps whose scan still resolved kDone with a
     // report identical to direct detect() (hard 1.0 — re-dispatch must be
@@ -257,15 +249,19 @@ int main(int argc, char** argv) {
     const ProbeKey small_key{small_spec, 32, 612};
     const Dataset large_probe = generate_dataset(large_spec, 32, 611);
     const Dataset small_probe = generate_dataset(small_spec, 32, 612);
-    Network large_victim = make_network(Architecture::kBasicCnn, 1, 16, 43, 613);
-    Network small_victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 614);
+    // Every submit below shares these two instances, which the direct
+    // detect() calls leave frozen.
+    const auto large_victim =
+        std::make_shared<Network>(make_network(Architecture::kBasicCnn, 1, 16, 43, 613));
+    const auto small_victim =
+        std::make_shared<Network>(make_network(Architecture::kBasicCnn, 1, 16, 4, 614));
 
     ReverseOptConfig service_nc;
     service_nc.steps = 6;
     const DetectionReport direct_large =
-        NeuralCleanse(service_nc).detect(large_victim, large_probe);
+        NeuralCleanse(service_nc).detect(*large_victim, large_probe);
     const DetectionReport direct_small =
-        NeuralCleanse(service_nc).detect(small_victim, small_probe);
+        NeuralCleanse(service_nc).detect(*small_victim, small_probe);
 
     DetectionServiceConfig service_config;
     service_config.scan_threads = 1;
@@ -278,14 +274,14 @@ int main(int argc, char** argv) {
     latencies.reserve(kServiceReps);
     for (int rep = 0; rep < kServiceReps; ++rep) {
       ScanRequest large_request;
-      large_request.model = &large_victim;
+      large_request.model = large_victim;
       large_request.detector = std::make_unique<NeuralCleanse>(service_nc);
       large_request.probe_key = large_key;
       const ScanHandle large_handle = service.submit(std::move(large_request));
 
       Timer latency;
       ScanRequest small_request;
-      small_request.model = &small_victim;
+      small_request.model = small_victim;
       small_request.detector = std::make_unique<NeuralCleanse>(service_nc);
       small_request.probe_key = small_key;
       const ScanHandle small_handle = service.submit(std::move(small_request));
@@ -321,7 +317,7 @@ int main(int argc, char** argv) {
       const Timer timer;
       for (int scan = 0; scan < kScansPerRep; ++scan) {
         ScanRequest request;
-        request.model = &small_victim;
+        request.model = small_victim;
         request.detector = std::make_unique<NeuralCleanse>(service_nc);
         request.probe_key = small_key;
         request.options.deadline_seconds = deadline_seconds;
@@ -352,18 +348,15 @@ int main(int argc, char** argv) {
         *std::min_element(with_deadline.begin(), with_deadline.end());
     service_row.deadline_overhead = base_best > 0 ? deadline_best / base_best - 1.0 : 0.0;
 
-    // ---- ModelStore economics: by-reference submission. ------------------
+    // ---- ModelStore sharing: by-reference submission. --------------------
     // The small victim is checkpointed once and submitted kRefSubmits times
     // BY REFERENCE through the same service. The store loads the file once
     // (one miss) and every later submit shares the resident instance, so
-    // the hit rate is (N-1)/N and the submit-time deep clone disappears:
-    // bytes saved = N x model size (the clones that were never made) minus
-    // what actually went resident (1 x model size). The ref reports must
-    // still be byte-identical to detect() — folded into `identical`.
+    // the hit rate is (N-1)/N. The ref reports must still be byte-identical
+    // to detect() — folded into `identical`.
     {
       const std::string ckpt_path = "/tmp/bench_scan_scaling_small.ckpt";
-      save_checkpoint(small_victim, ckpt_path);
-      const std::int64_t model_bytes = network_resident_bytes(small_victim);
+      save_checkpoint(*small_victim, ckpt_path);
       constexpr int kRefSubmits = 4;
       std::vector<ScanHandle> ref_handles;
       ref_handles.reserve(kRefSubmits);
@@ -385,9 +378,6 @@ int main(int argc, char** argv) {
       const double lookups = static_cast<double>(store.hits() + store.misses());
       service_row.model_store_hit_rate =
           lookups > 0 ? static_cast<double>(store.hits()) / lookups : 0.0;
-      service_row.submit_clone_bytes_saved =
-          static_cast<double>(kRefSubmits) * static_cast<double>(model_bytes) -
-          static_cast<double>(store.bytes_resident());
       std::remove(ckpt_path.c_str());
     }
 
@@ -407,7 +397,7 @@ int main(int argc, char** argv) {
       fault_spec.count = 1;
       fault::FaultRegistry::instance().arm("scan.round", fault_spec);
       ScanRequest request;
-      request.model = &small_victim;
+      request.model = small_victim;
       request.detector = std::make_unique<NeuralCleanse>(service_nc);
       request.probe_key = small_key;
       request.options.max_retries = 2;
@@ -433,8 +423,8 @@ int main(int argc, char** argv) {
     // A dedicated single-slot service past its depth watermark: every rep's
     // submit breaches the watermark and sheds ITSELF synchronously, so the
     // submit-to-kShed latency is the full cost of rejecting work under
-    // overload (clone + watermark sweep + resolution) — the number an
-    // overloaded caller actually waits.
+    // overload (watermark sweep + resolution) — the number an overloaded
+    // caller actually waits.
     {
       DetectionServiceConfig shed_config;
       shed_config.scan_threads = 1;
@@ -445,7 +435,7 @@ int main(int argc, char** argv) {
       const std::shared_future<void> gate(release.get_future());
       auto small_request = [&](bool gated) {
         ScanRequest request;
-        request.model = &small_victim;
+        request.model = small_victim;
         request.detector = std::make_unique<NeuralCleanse>(service_nc);
         request.probe_key = small_key;
         if (gated) {
@@ -528,7 +518,7 @@ int main(int argc, char** argv) {
                      worker.c_str());
       } else {
         const std::string fleet_ckpt = "/tmp/bench_scan_scaling_fleet.ckpt";
-        save_checkpoint(small_victim, fleet_ckpt);
+        save_checkpoint(*small_victim, fleet_ckpt);
         FleetConfig fleet_config;
         // --steps 6 matches service_nc: the worker's NC config must equal
         // the direct baseline's for byte-identity to be a fair check.
@@ -593,14 +583,12 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("\n%-6s %13s %20s %10s %18s %14s %14s\n", "method", "small-p50-s",
-              "small-before-large", "identical", "deadline-overhead", "store-hit-rate",
-              "clone-KB-saved");
-  std::printf("%-6s %13.3f %20s %10s %17.1f%% %14.2f %14.1f\n", "NC", service_row.seconds,
+  std::printf("\n%-6s %13s %20s %10s %18s %14s\n", "method", "small-p50-s",
+              "small-before-large", "identical", "deadline-overhead", "store-hit-rate");
+  std::printf("%-6s %13.3f %20s %10s %17.1f%% %14.2f\n", "NC", service_row.seconds,
               service_row.small_before_large ? "yes" : "NO",
               service_row.identical ? "yes" : "NO", service_row.deadline_overhead * 100.0,
-              service_row.model_store_hit_rate,
-              service_row.submit_clone_bytes_saved / 1024.0);
+              service_row.model_store_hit_rate);
   std::printf("\n%-6s %14s %19s %14s %17s\n", "method", "retry-p50-s", "retry-success-rate",
               "shed-p50-ms", "health-overhead");
   std::printf("%-6s %14.3f %19.2f %14.3f %16.1f%%\n", "NC", overload_row.retry_seconds,
@@ -641,18 +629,20 @@ int main(int argc, char** argv) {
                   "\"small_before_large\": %s, \"identical\": %s, "
                   "\"deadline_miss_p50_overhead\": %.4f, "
                   "\"model_store_hit_rate\": %.4f, "
-                  "\"submit_clone_bytes_saved\": %.0f, "
                   "\"fleet_redispatch_success_rate\": %.3f, "
                   "\"fleet_respawn_p50_seconds\": %.4f},\n",
                   service_row.seconds, service_row.small_before_large ? "true" : "false",
                   service_row.identical ? "true" : "false", service_row.deadline_overhead,
-                  service_row.model_store_hit_rate, service_row.submit_clone_bytes_saved,
-                  service_row.fleet_redispatch_success_rate, service_row.fleet_respawn_p50);
+                  service_row.model_store_hit_rate, service_row.fleet_redispatch_success_rate,
+                  service_row.fleet_respawn_p50);
     out << line;
+    // Nanosecond precision for the shed latency: a shed submit copies
+    // nothing and resolves in about a microsecond, which %.6f could round
+    // to the zero the gate reads as "never fired".
     std::snprintf(line, sizeof(line),
                   "  {\"section\": \"overload\", \"method\": \"NC\", \"threads\": 1, "
                   "\"scenario\": \"overload\", \"seconds\": %.4f, "
-                  "\"retry_success_rate\": %.3f, \"shed_p50_latency_seconds\": %.6f, "
+                  "\"retry_success_rate\": %.3f, \"shed_p50_latency_seconds\": %.9f, "
                   "\"health_snapshot_overhead\": %.4f}\n",
                   overload_row.retry_seconds, overload_row.retry_success_rate,
                   overload_row.shed_p50_latency, overload_row.health_overhead);
@@ -669,11 +659,8 @@ int main(int argc, char** argv) {
   }
   if (!service_row.small_before_large || !service_row.identical) return 1;
   // By-ref submission contract: the store must actually have shared (a
-  // zero hit rate means every submit reloaded) and must have cost less
-  // memory than clone-on-submit would have.
-  if (service_row.model_store_hit_rate <= 0.0 || service_row.submit_clone_bytes_saved <= 0.0) {
-    return 1;
-  }
+  // zero hit rate means every submit reloaded).
+  if (service_row.model_store_hit_rate <= 0.0) return 1;
   // Overload contract: every faulted scan must retry to success, and the
   // shed path must actually have shed (a zero p50 means it never fired).
   if (overload_row.retry_success_rate != 1.0 || overload_row.shed_p50_latency <= 0.0) return 1;

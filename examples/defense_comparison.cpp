@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -154,29 +155,30 @@ int main(int argc, char** argv) {
   const ProbeKey probe_key{spec, 300, /*seed=*/23};
 
   AttackPtr attack = make_attack(params, spec);
-  Network model = make_network(Architecture::kMiniVgg, spec.channels, spec.image_size,
-                               spec.num_classes, /*seed=*/24);
+  const auto model = std::make_shared<Network>(make_network(
+      Architecture::kMiniVgg, spec.channels, spec.image_size, spec.num_classes, /*seed=*/24));
   TrainConfig train_config;
   train_config.epochs = params.kind == AttackKind::kIad ? 6 : 4;
   train_config.seed = 25;
 
   const Timer train_timer;
-  (void)attack->train_backdoored(model, train_set, train_config);
+  (void)attack->train_backdoored(*model, train_set, train_config);
   std::printf("[%.1fs] trained MiniVgg with %s attack: accuracy %.2f%%, ASR %.2f%%\n",
               train_timer.seconds(), attack->name().c_str(),
-              100.0F * evaluate_accuracy(model, test_set),
-              100.0F * attack->success_rate(model, test_set));
+              100.0F * evaluate_accuracy(*model, test_set),
+              100.0F * attack->success_rate(*model, test_set));
   std::printf("true backdoor target class: %lld\n\n",
               static_cast<long long>(params.target_class));
 
-  // One service session: three concurrent scans of the same victim (the
-  // service clones the model per request, so sharing `model` is safe).
+  // One service session: three concurrent scans of the same victim, all on
+  // its one frozen instance (a pass on a frozen network writes nothing).
+  model->freeze();
   DetectionService service;
   std::atomic<std::int64_t> classes_done{0};
 
   auto submit = [&](DetectorPtr detector) {
     ScanRequest request;
-    request.model = &model;
+    request.model = model;
     request.detector = std::move(detector);
     request.probe_key = probe_key;
     request.options.progress = [&classes_done](std::int64_t /*target_class*/, ClassScanEvent event,

@@ -8,15 +8,15 @@
 // reproduces the backdoor, which is why NC and TABOR score zero detections
 // on IAD in the paper's Table 3.
 //
-// Substitution note (DESIGN.md): the original attack trains the generator
-// jointly with the classifier — a min-max game that is unstable at this
-// repo's scale of a few CPU epochs. We keep the generator FIXED at its
-// random initialization (a random convnet already emits diverse, input-
-// keyed fields) and poison with RANDOMLY SCALED amplitudes, which makes the
-// victim hypersensitive to faint traces of the trigger texture. The
-// resulting model has the property the paper measures: gradient-guided
-// universal perturbations (USB's Alg. 1) find the shortcut, while
-// random-start mask optimization (NC/TABOR) does not.
+// Substitution note (README "Paper → repo substitutions"): the original
+// attack trains the generator jointly with the classifier — a min-max game
+// that is unstable at this repo's scale of a few CPU epochs. We keep the
+// generator FIXED at its random initialization (a random convnet already
+// emits diverse, input-keyed fields) and poison with RANDOMLY SCALED
+// amplitudes, which makes the victim hypersensitive to faint traces of the
+// trigger texture. The resulting model has the property the paper
+// measures: gradient-guided universal perturbations (USB's Alg. 1) find the
+// shortcut, while random-start mask optimization (NC/TABOR) does not.
 #pragma once
 
 #include <vector>

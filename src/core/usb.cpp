@@ -130,7 +130,6 @@ ScanPlan UsbDetector::plan() const {
   ScanPlan scan;
   scan.method = name();
   scan.options.base_seed = config_.seed;
-  scan.options.pool = config_.scan_pool;
   scan.options.early_exit = config_.early_exit;
   scan.total_steps = config_.refine_steps;
   scan.make_task = [this](const Network& model, const Dataset& data,

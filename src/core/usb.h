@@ -38,15 +38,13 @@ struct UsbConfig {
   float l1_weight = 0.02F;          // weight on |mask|_1
   bool use_l1_term = true;          // false reproduces the Fig. 5 ablation
   /// Ablation: skip Alg. 1 and start Alg. 2 from an NC-style random point.
-  /// Isolates the value of the UAP initialization (DESIGN.md ablation 1).
+  /// Isolates the value of the UAP initialization (ablation 1, README
+  /// "Paper → repo substitutions").
   bool random_init = false;
   /// Mask init: pixels whose UAP magnitude reaches this quantile get mask~1.
   double magnitude_quantile = 0.95;
   /// Root of the per-class RNG streams (Alg. 2 init / loader shuffling).
   std::uint64_t seed = 0xab1a7e0;
-  /// Scan-pool override for tests/benches; nullptr means the global pool
-  /// (sized from USB_THREADS).
-  ThreadPool* scan_pool = nullptr;
   /// Early-exit round scheduling of the Alg. 2 refinement; bit-identical to
   /// the monolithic scan when disabled.
   EarlyExitOptions early_exit;

@@ -11,7 +11,7 @@
 namespace usb {
 
 /// Identity and geometry of a dataset. The four presets mirror the paper's
-/// datasets at CPU-tractable scale (see DESIGN.md substitution table).
+/// datasets at CPU-tractable scale (see README "Paper → repo substitutions").
 struct DatasetSpec {
   std::string name;            // stable key; also seeds the class prototypes
   std::int64_t channels = 3;

@@ -1,5 +1,5 @@
 // Procedural image datasets standing in for MNIST / CIFAR-10 / GTSRB /
-// ImageNet (the substitution table in DESIGN.md).
+// ImageNet (README "Paper → repo substitutions").
 //
 // Construction: each dataset owns a pool of smooth "feature components"
 // (Gaussian blobs + sinusoidal gratings). Every class blends a few SHARED

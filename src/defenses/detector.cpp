@@ -36,9 +36,9 @@ std::vector<std::int64_t> DetectionReport::quarantined_classes() const {
   return quarantined;
 }
 
-DetectionReport Detector::detect(Network& model, const Dataset& probe) const {
+DetectionReport Detector::detect(Network& model, const Dataset& probe, ThreadPool& pool) const {
   const ScanPlan scan = plan();
-  return run_scan_plan(scan, model, probe);
+  return run_scan_plan(scan, model, probe, pool);
 }
 
 TriggerEstimate Detector::reverse_engineer_class(Network& model, const Dataset& probe,

@@ -14,6 +14,7 @@
 #include "data/dataset.h"
 #include "metrics/detection.h"
 #include "nn/models.h"
+#include "utils/thread_pool.h"
 
 namespace usb {
 
@@ -95,13 +96,16 @@ class Detector {
   /// builder, scheduler options) without running it — see
   /// defenses/scan_plan.h. The plan's closures borrow `this`, which must
   /// outlive any run of the plan. detect() runs the plan synchronously;
-  /// DetectionService runs it asynchronously with pool/cache overrides.
+  /// DetectionService runs it asynchronously with its probe cache wired in.
   [[nodiscard]] virtual ScanPlan plan() const = 0;
 
-  /// Runs detection synchronously. `probe` is the defender's clean data
-  /// (the paper uses 300 samples for 32x32 datasets, 500 for the ImageNet
-  /// subset). A thin adapter: run_scan_plan(plan(), model, probe).
-  [[nodiscard]] DetectionReport detect(Network& model, const Dataset& probe) const;
+  /// Runs detection synchronously on `pool`'s workers. `probe` is the
+  /// defender's clean data (the paper uses 300 samples for 32x32 datasets,
+  /// 500 for the ImageNet subset). A thin adapter:
+  /// run_scan_plan(plan(), model, probe, pool). The report is bit-identical
+  /// for any pool size.
+  [[nodiscard]] DetectionReport detect(Network& model, const Dataset& probe,
+                                       ThreadPool& pool = ThreadPool::global()) const;
 
   /// Reverse engineers the trigger for one class alone (the figure benches
   /// visualize per-class results this way): builds the class's task from

@@ -54,7 +54,6 @@ ScanPlan NeuralCleanse::plan() const {
   ScanPlan scan;
   scan.method = name();
   scan.options.base_seed = config_.seed;
-  scan.options.pool = config_.scan_pool;
   scan.options.early_exit = config_.early_exit;
   scan.total_steps = config_.steps;
   scan.make_task = [this](const Network& model, const Dataset& data,

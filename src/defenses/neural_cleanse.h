@@ -25,9 +25,6 @@ struct ReverseOptConfig {
   float lambda_up = 1.3F;
   float lambda_down = 1.5F;
   std::uint64_t seed = 99;
-  /// Scan-pool override for tests/benches; nullptr means the global pool
-  /// (sized from USB_THREADS).
-  ThreadPool* scan_pool = nullptr;
   /// Early-exit round scheduling of the optimization loop; bit-identical to
   /// the monolithic scan when disabled.
   EarlyExitOptions early_exit;

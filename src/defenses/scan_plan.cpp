@@ -367,14 +367,14 @@ void StagedScan::notify(std::int64_t target_class, ClassScanEvent event, double 
   if (plan_.options.progress) plan_.options.progress(target_class, event, mask_l1);
 }
 
-DetectionReport run_scan_plan(const ScanPlan& plan, Network& model, const Dataset& probe) {
+DetectionReport run_scan_plan(const ScanPlan& plan, Network& model, const Dataset& probe,
+                              ThreadPool& pool) {
   model.freeze();
   StagedScan scan(plan, model, probe);
   scan.prepare();
   StepStack steps(scan.start());
   // No more than K steps are ever claimable at once, so a wider pool keeps
   // its spare workers for the tensor kernels' tiles.
-  ThreadPool& pool = plan.options.pool != nullptr ? *plan.options.pool : ThreadPool::global();
   pool.parallel_for(std::min<std::int64_t>(pool.size(), scan.num_classes()),
                     [&](std::int64_t, std::int64_t, int) { steps.drain(scan); });
   steps.rethrow_if_failed();

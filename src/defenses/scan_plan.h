@@ -190,8 +190,6 @@ using ClassProgressFn =
 struct ClassScanOptions {
   /// Root seed for the per-class RNG streams (typically the detector seed).
   std::uint64_t base_seed = 0;
-  /// Pool override for tests/benches; nullptr means ThreadPool::global().
-  ThreadPool* pool = nullptr;
   /// Prebuilt probe cache to reuse across scans of the same probe set (the
   /// service sets its ProbeStore entry's). Used only when it is batched at
   /// kEvalBatchSize and its sample count matches the probe (else the scan
@@ -367,15 +365,15 @@ class StagedScan {
 };
 
 /// Runs a plan to completion on the calling thread — the blocking runner
-/// behind every Detector::detect(). Pool workers (options.pool, else
-/// ThreadPool::global()) claim steps depth-first from one LIFO stack, so a
-/// worker carries its class through to finalize before it claims a new
-/// construct: in the monolithic schedule at most pool-size classes are live
-/// at once. An idle worker waits for the next step; the first exception
-/// stops new claims and is rethrown once the steps already running have
-/// finished. Called from inside a pool worker, it drains every step inline.
+/// behind every Detector::detect(). Workers of `pool` claim steps
+/// depth-first from one LIFO stack, so a worker carries its class through
+/// to finalize before it claims a new construct: in the monolithic schedule
+/// at most pool-size classes are live at once. An idle worker waits for the
+/// next step; the first exception stops new claims and is rethrown once the
+/// steps already running have finished. Called from inside a pool worker,
+/// it drains every step inline.
 /// Freezes `model` first, so detect() leaves the caller's model frozen.
 [[nodiscard]] DetectionReport run_scan_plan(const ScanPlan& plan, Network& model,
-                                            const Dataset& probe);
+                                            const Dataset& probe, ThreadPool& pool);
 
 }  // namespace usb

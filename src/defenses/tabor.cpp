@@ -129,7 +129,6 @@ ScanPlan Tabor::plan() const {
   ScanPlan scan;
   scan.method = name();
   scan.options.base_seed = config_.base.seed;
-  scan.options.pool = config_.base.scan_pool;
   scan.options.early_exit = config_.base.early_exit;
   scan.total_steps = config_.base.steps;
   scan.make_task = [this](const Network& model, const Dataset& data,

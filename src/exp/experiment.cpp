@@ -1,6 +1,7 @@
 #include "exp/experiment.h"
 
 #include <cstdio>
+#include <memory>
 #include <stdexcept>
 
 #include "core/usb.h"
@@ -70,11 +71,11 @@ DetectionCaseResult run_detection_case(const DetectionCaseSpec& spec,
 
   const MethodBudget budget = MethodBudget::from_scale(scale);
 
-  // Phase 1 — train or load the whole population (zoo-cached; the models
-  // must outlive submit(), which is where the service clones them).
-  std::vector<TrainedModel> models;
+  // Phase 1 — train or load the whole population (zoo-cached). Each victim
+  // is frozen once and shared by every method's scan of it.
+  std::vector<std::shared_ptr<const Network>> victims;
   std::vector<std::int64_t> true_targets;
-  models.reserve(static_cast<std::size_t>(scale.models_per_case));
+  victims.reserve(static_cast<std::size_t>(scale.models_per_case));
   for (std::int64_t index = 0; index < scale.models_per_case; ++index) {
     ModelCaseSpec model_spec;
     model_spec.dataset = spec.dataset;
@@ -88,9 +89,12 @@ DetectionCaseResult run_detection_case(const DetectionCaseSpec& spec,
     // trigger and target; rotate the target with the model index.
     model_spec.attack.target_class = index % spec.dataset.num_classes;
 
-    models.push_back(train_or_load(model_spec));
-    result.mean_accuracy += models.back().clean_accuracy;
-    result.mean_asr += models.back().asr;
+    TrainedModel trained = train_or_load(model_spec);
+    result.mean_accuracy += trained.clean_accuracy;
+    result.mean_asr += trained.asr;
+    auto victim = std::make_shared<Network>(std::move(trained.network));
+    victim->freeze();
+    victims.push_back(std::move(victim));
     true_targets.push_back(spec.attack == AttackKind::kNone ? -1
                                                            : model_spec.attack.target_class);
   }
@@ -98,18 +102,15 @@ DetectionCaseResult run_detection_case(const DetectionCaseSpec& spec,
   // Phase 2 — submit every (model x method) scan at once. The probe is
   // named by content address, so the service materializes each model's
   // probe once for all methods (and reuses it for the caller's other cases
-  // on the same service whose probes share its coordinates). Memory
-  // trade-off, accepted at this repo's model scale (mini networks, <MB
-  // each): submit() deep-copies the model per request — the safety
-  // contract that lets concurrent methods scan one model — so a queue of
-  // models_per_case x methods requests holds that many clones until the
-  // executors drain it. A queue-depth/admission limit is a ROADMAP item.
+  // on the same service whose probes share its coordinates). The methods'
+  // scans of one victim share its frozen network, so the queue holds no
+  // weights beyond the population itself.
   std::vector<ScanHandle> handles;
-  handles.reserve(models.size() * methods.size());
+  handles.reserve(victims.size() * methods.size());
   for (std::int64_t index = 0; index < scale.models_per_case; ++index) {
     for (const MethodKind method : methods) {
       ScanRequest request;
-      request.model = &models[static_cast<std::size_t>(index)].network;
+      request.model = victims[static_cast<std::size_t>(index)];
       request.detector = make_detector(method, budget);
       request.probe_key = ProbeKey{spec.dataset, spec.probe_size,
                                    hash_combine(0x9e0beULL, static_cast<std::uint64_t>(index))};

@@ -40,7 +40,7 @@ struct DetectionCaseSpec {
   std::int64_t trigger_size = 0;
   double poison_rate = 0.08;
   /// |X| of Alg. 1; also the probe budget given to NC/TABOR (the paper gives
-  /// them the full training set — see DESIGN.md).
+  /// them the full training set — see README "Paper → repo substitutions").
   std::int64_t probe_size = 300;
 };
 

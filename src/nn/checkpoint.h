@@ -22,15 +22,16 @@ void save_checkpoint(const Network& network, const std::string& path);
 [[nodiscard]] Network load_checkpoint(const std::string& path);
 
 /// Deep-copies a network (architecture + every state tensor) and returns
-/// the copy frozen. DetectionService copies a live-pointer request's model
-/// at submit(), so the caller may mutate or destroy the original. The
+/// the copy frozen. Scans never copy their model — every class and every
+/// concurrent scan share one frozen instance — so this serves callers that
+/// need a private copy, such as perfbench's call-by-call replays. The
 /// source is only read, so cloning from a shared immutable instance is
 /// race-free.
 [[nodiscard]] Network clone_network(const Network& source);
 
 /// Bytes a live copy of `network` pins: every state tensor (weights +
-/// running statistics) plus parameter gradient buffers. The figure the
-/// serving stack registers with MemoryBudget per submit-time copy.
+/// running statistics) plus parameter gradient buffers. The figure
+/// ModelStore registers with MemoryBudget per resident model.
 [[nodiscard]] std::int64_t network_resident_bytes(const Network& network);
 
 }  // namespace usb

@@ -92,7 +92,8 @@ Network build_basic_cnn(std::int64_t in_channels, std::int64_t input_size,
 
 /// CIFAR-style residual network: stem conv + three residual stages with
 /// channel doubling and stride-2 downsampling, global average pool head.
-/// Channel widths are scaled to 8/16/32 for CPU (DESIGN.md substitutions);
+/// Channel widths are scaled to 8/16/32 for CPU (README "Paper → repo
+/// substitutions");
 /// the topology — skip connections, BN placement, strided projections — is
 /// the ResNet-18 family's.
 Network build_mini_resnet(std::int64_t in_channels, std::int64_t input_size,

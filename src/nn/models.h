@@ -4,7 +4,8 @@
 // feature/head split is Sequential::forward_layers/backward_layers at
 // feature_boundary().
 //
-// Paper -> repo mapping (scaled for CPU; see DESIGN.md):
+// Paper -> repo mapping (scaled for CPU; see README "Paper → repo
+// substitutions"):
 //   Basic model (Appendix A.7)  -> BasicCnn   (exact: conv(1,16,5) pool
 //                                  conv(16,32,5) pool fc(512,512) fc(512,10))
 //   ResNet-18                   -> MiniResNet (CIFAR-style residual stages)
@@ -58,7 +59,10 @@ class Network {
   /// Eval mode with parameter gradients off: the state in which a pass
   /// writes nothing to the network, so one instance serves every class of
   /// a scan and every concurrent scan. Scan entry points require it.
+  /// Returns at once on a frozen network, so a detect() on an instance that
+  /// running service scans share writes nothing to it either.
   void freeze() {
+    if (frozen()) return;
     set_training(false);
     set_param_grads_enabled(false);
   }

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/checkpoint.h"
 #include "utils/errors.h"
 #include "utils/fault_injection.h"
 #include "utils/memory_budget.h"
@@ -38,33 +37,26 @@ std::string to_string(AdmissionPolicy policy) {
 namespace detail {
 
 /// Shared between the submitting thread, the scan's execution, and any
-/// number of ScanHandle copies. The request payload (model clone, detector,
-/// probe) is released the moment the scan reaches a terminal status; the
-/// outcome stays alive for as long as any handle does.
+/// number of ScanHandle copies. The request payload (model reference,
+/// detector, probe) is released the moment the scan reaches a terminal
+/// status; the outcome stays alive for as long as any handle does.
 struct ScanState {
   std::uint64_t id = 0;
 
   // Request payload. Touched only by submit() (filling) and the execution's
-  // stages (consuming + releasing) — never by handles. stored_probe is
-  // resolved lazily from probe_key by the scan's init stage (so a queued
-  // scan that is shed/cancelled never materializes, and a materialization
-  // failure is a retryable stage fault).
-  std::unique_ptr<Network> model;                  // live-pointer requests (submit clone)
-  std::optional<ModelRef> model_ref;               // ref-based requests
-  std::shared_ptr<const ModelData> stored_model;   // resolved ref; pins the store entry
+  // stages (consuming + releasing) — never by handles. A model_ref and the
+  // probe_key are resolved lazily by the scan's init stage (so a queued
+  // scan that is shed/cancelled never loads or materializes anything, and
+  // a failure there is a retryable stage fault).
+  // The frozen network every class of the scan runs on: the request's own,
+  // or, for a model_ref, an aliasing pointer into the ModelStore entry
+  // (set by stage_init) that pins the entry while the scan holds it.
+  std::shared_ptr<const Network> model;
+  std::optional<ModelRef> model_ref;
   DetectorPtr detector;
   ProbeKey probe_key;
   std::shared_ptr<const ProbeData> stored_probe;  // resolved probe_key
   ScanOptions options;
-
-  // Bytes this scan's submit-time model clone registered with the process
-  // MemoryBudget; released exactly once (finish() or destruction).
-  std::atomic<std::int64_t> clone_budget_bytes{0};
-  void release_clone_budget() noexcept {
-    const std::int64_t bytes = clone_budget_bytes.exchange(0);
-    if (bytes > 0) MemoryBudget::process().release(MemoryBudget::Category::kModelClones, bytes);
-  }
-  ~ScanState() { release_clone_budget(); }
 
   std::atomic<bool> cancel{false};
 
@@ -88,14 +80,12 @@ struct ScanState {
 
   void finish(ScanOutcome final_outcome) {
     // Drop the payload BEFORE publishing the terminal status: a long-lived
-    // handle must not pin a model clone or a probe materialization, and a
-    // waiter observing the terminal status must also observe the memory
-    // budget drained of this scan's bytes. Safe unlocked — finish() runs
-    // exactly once (terminal transitions are guarded by the execution's
-    // phase) and no stage touches the payload once the last item resolved.
+    // handle must not pin a model or a probe materialization, and a waiter
+    // observing the terminal status must also observe the store entries
+    // unpinned (evictable again). Safe unlocked — finish() runs exactly
+    // once (terminal transitions are guarded by the execution's phase) and
+    // no stage touches the payload once the last item resolved.
     model.reset();
-    stored_model.reset();  // unpins the ModelStore entry (evictable again)
-    release_clone_budget();
     detector.reset();
     stored_probe.reset();
     std::shared_ptr<ScanExecution> exec;
@@ -401,29 +391,26 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       state_->stored_probe = resolve(service_->probe_store_, state_->probe_key,
                                      "probe materialization failed: ");
     }
-    if (state_->model_ref.has_value() && state_->stored_model == nullptr) {
-      state_->stored_model =
+    if (state_->model == nullptr) {
+      std::shared_ptr<const ModelData> entry =
           resolve(service_->model_store_, *state_->model_ref, "model load failed: ");
+      const Network* network = &entry->network;
+      state_->model = std::shared_ptr<const Network>(std::move(entry), network);
     }
     // The detector's own plan, early exit included, with the service's
     // session state wired in. Neither addition has a numeric effect (cache
     // adoption is schedule-only; progress carries no data into the scan),
-    // so the scan matches detect() byte for byte. options.pool
-    // stays as the detector left it: the service never calls run_scan_plan
-    // — tensor kernels adopt scan_pool_ through the dispatchers'
-    // WorkerContext.
+    // so the scan matches detect() byte for byte. Tensor kernels adopt
+    // scan_pool_ through the dispatchers' WorkerContext.
     ScanPlan plan = state_->detector->plan();
     if (state_->options.progress) plan.options.progress = state_->options.progress;
     const Dataset& probe = state_->stored_probe->probe;
     if (plan.options.external_probe_cache == nullptr) {
       plan.options.external_probe_cache = &state_->stored_probe->cache;
     }
-    // A ref-based request reads the store's resident network, shared with
-    // every concurrent scan of the ref (the pinned entry outlives staged_);
-    // a live-pointer request reads its submit-time copy.
-    const Network& model =
-        state_->stored_model != nullptr ? state_->stored_model->network : *state_->model;
-    staged_.emplace(std::move(plan), model, probe);
+    // Every class reads the one shared network (state_->model outlives
+    // staged_: complete_item resets staged_ before finish()).
+    staged_.emplace(std::move(plan), *state_->model, probe);
     staged_->prepare();
     const std::vector<ScanStep> roots = staged_->start();
     const std::lock_guard<std::mutex> lock(mu_);
@@ -655,6 +642,7 @@ ScanHandle DetectionService::submit(ScanRequest request) {
   if ((request.model == nullptr) == !request.model_ref.has_value()) {
     throw std::invalid_argument("ScanRequest: set exactly one of model / model_ref");
   }
+  if (request.model != nullptr) require_frozen(*request.model, "ScanRequest::model");
   if (request.model_ref.has_value() && !request.model_ref->valid()) {
     throw std::invalid_argument(
         "ScanRequest: model_ref must set exactly one of checkpoint_path / zoo spec");
@@ -664,64 +652,38 @@ ScanHandle DetectionService::submit(ScanRequest request) {
     throw std::invalid_argument("ScanRequest: probe_size must be positive");
   }
 
-  // Admission control BEFORE any expensive work: a rejected request costs
-  // nothing, and a blocked one reserves its queue slot first so the clone
-  // below can never overshoot the cap (pending = queued + reserved). The
-  // memory watermark gates the same way — byte backpressure, released when
-  // a retiring scan's clone/probe bytes drain the budget.
-  const bool bounded = config_.max_queued > 0;
-  const bool byte_gated = config_.max_resident_bytes > 0;
-  if (bounded || byte_gated) {
+  std::shared_ptr<ScanState> state;
+  std::shared_ptr<ScanExecution> execution;
+  bool launch_now = false;
+  std::vector<std::shared_ptr<ScanExecution>> victims;
+  {
+    // Admission and enqueue under one hold: nothing between them is
+    // expensive (the scan shares the request's network), so no slot has to
+    // be reserved across unlocked work. The memory watermark gates the same
+    // way — byte backpressure, released when a retiring scan drains the
+    // budget.
     std::unique_lock<std::mutex> lock(mutex_);
     if (shutting_down_) throw std::runtime_error("DetectionService: submit after shutdown");
-    const auto admissible = [this, bounded, byte_gated] {
-      if (bounded && pending_depth_locked() >= config_.max_queued) return false;
-      if (byte_gated && over_byte_watermark_locked()) return false;
-      return true;
+    const auto admissible = [this] {
+      if (config_.max_queued > 0 &&
+          static_cast<std::int64_t>(queue_.size()) >= config_.max_queued) {
+        return false;
+      }
+      return !over_byte_watermark_locked();
     };
     if (!admissible()) {
       if (config_.admission_policy == AdmissionPolicy::kReject) {
-        throw QueueFull(pending_depth_locked());
+        throw QueueFull(static_cast<std::int64_t>(queue_.size()));
       }
       queue_space_.wait(lock, [this, &admissible] { return shutting_down_ || admissible(); });
       if (shutting_down_) throw std::runtime_error("DetectionService: submit after shutdown");
     }
-    if (bounded) ++reserved_slots_;
-  }
-  // Releases the reservation on every early exit; disarmed once the request
-  // is actually queued (the queue entry then carries the slot).
-  auto release_reservation = [this, bounded]() {
-    if (!bounded) return;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --reserved_slots_;
-    }
-    queue_space_.notify_one();
-  };
 
-  std::shared_ptr<ScanState> state;
-  std::shared_ptr<ScanExecution> execution;
-  bool launch_now = false;
-  try {
+    // Admitted: only now does the state<->execution ownership cycle exist.
     state = std::make_shared<ScanState>();
     state->id = next_id_.fetch_add(1);
-    if (request.model != nullptr) {
-      // Deep copy now: the caller's model may be mutated, trained or
-      // destroyed after submit(). The copy is frozen, and the scan runs every
-      // class on it, so reports match detect() on the original bit for bit.
-      state->model = std::make_unique<Network>(clone_network(*request.model));
-      const std::int64_t clone_bytes = network_resident_bytes(*state->model);
-      if (clone_bytes > 0) {
-        state->clone_budget_bytes.store(clone_bytes);
-        MemoryBudget::process().add(MemoryBudget::Category::kModelClones, clone_bytes);
-      }
-    } else {
-      // Ref-based request: NO submit-time deep copy. The resident instance
-      // is resolved in the scan's init stage and shared with every other
-      // scan naming the ref; its bytes are the ModelStore's
-      // (kResidentModels), accounted once per model, not per request.
-      state->model_ref = std::move(request.model_ref);
-    }
+    state->model = std::move(request.model);
+    state->model_ref = std::move(request.model_ref);  // resolved by the init stage
     state->detector = std::move(request.detector);
     state->probe_key = std::move(request.probe_key);  // resolved by the init stage
     state->options = std::move(request.options);
@@ -733,8 +695,6 @@ ScanHandle DetectionService::submit(ScanRequest request) {
     execution = std::make_shared<ScanExecution>(*this, state);
     state->execution = execution;  // pre-publication: no lock needed yet
 
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (shutting_down_) throw std::runtime_error("DetectionService: submit after shutdown");
     live_.push_back(state);
     if (admitted_ < std::max(1, config_.max_concurrent_scans)) {
       ++admitted_;
@@ -742,21 +702,14 @@ ScanHandle DetectionService::submit(ScanRequest request) {
     } else {
       queue_.push_back(execution);
     }
-    if (bounded) --reserved_slots_;  // the queue entry (or admission) holds the slot
-  } catch (...) {
-    release_reservation();
-    throw;
+    // Watermark check AFTER enqueueing: the newcomer is itself a shed
+    // candidate (it may be the lowest-priority newest queued scan).
+    victims = collect_shed_victims_locked();
   }
   submitted_.fetch_add(1);
   if (launch_now) execution->launch();
-  // Watermark check AFTER enqueueing: the newcomer is itself a shed
-  // candidate (it may be the lowest-priority newest queued scan). Victims
-  // resolve outside mutex_ — request_shed re-enters through retire_scan.
-  std::vector<std::shared_ptr<ScanExecution>> victims;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!shutting_down_) victims = collect_shed_victims_locked();
-  }
+  // Victims resolve outside mutex_ — request_shed re-enters through
+  // retire_scan.
   for (const auto& victim : victims) victim->request_shed();
   return ScanHandle(std::move(state));
 }
@@ -807,11 +760,14 @@ void DetectionService::retire_scan(const std::shared_ptr<detail::ScanState>& sta
 
 bool DetectionService::over_byte_watermark_locked() const {
   if (config_.max_resident_bytes <= 0) return false;
-  // With no live scan there is nothing that can drain the budget — blocking
-  // an empty service on externally-owned bytes (another service's probe
-  // store, a standalone arena) would deadlock, so the first scan is always
-  // admitted.
-  if (live_.empty()) return false;
+  // With no scan queued or admitted there is nothing that can drain the
+  // budget — blocking an empty service on bytes no scan holds (its own
+  // resident probes, another service's store, a standalone arena) would
+  // deadlock, so the first scan is always admitted. Counted by slots, not
+  // by live_: retire_scan frees a slot before it publishes the terminal
+  // status, but leaves live_ only after, so a waiter that saw its scan
+  // resolve must not find the service still occupied.
+  if (admitted_ == 0 && queue_.empty()) return false;
   return MemoryBudget::process().bytes() > config_.max_resident_bytes;
 }
 
@@ -820,17 +776,16 @@ DetectionService::collect_shed_victims_locked() {
   std::vector<std::shared_ptr<ScanExecution>> victims;
   if (config_.shed_queue_depth <= 0 && config_.max_resident_bytes <= 0) return victims;
   std::vector<std::shared_ptr<ScanExecution>> candidates(queue_.begin(), queue_.end());
-  // Project the budget as if each victim's clone bytes were already
-  // released (its probe is never materialized while queued), so one sweep
-  // picks exactly enough victims.
-  std::int64_t projected_bytes = MemoryBudget::process().bytes();
-  const auto over_watermark = [this, &candidates, &projected_bytes] {
-    if (config_.shed_queue_depth > 0 &&
-        static_cast<std::int64_t>(candidates.size()) > config_.shed_queue_depth) {
-      return true;
-    }
-    return config_.max_resident_bytes > 0 && !candidates.empty() &&
-           projected_bytes > config_.max_resident_bytes;
+  // A queued scan holds no budgeted bytes (its probe and a ref's model are
+  // resolved only once it runs), so shedding cannot bring the total down:
+  // over the memory watermark every sheddable queued scan goes.
+  const bool over_bytes = config_.max_resident_bytes > 0 &&
+                          MemoryBudget::process().bytes() > config_.max_resident_bytes;
+  const auto over_watermark = [this, &candidates, over_bytes] {
+    if (candidates.empty()) return false;
+    return over_bytes || (config_.shed_queue_depth > 0 &&
+                          static_cast<std::int64_t>(candidates.size()) >
+                              config_.shed_queue_depth);
   };
   while (over_watermark()) {
     // Lowest priority first; among equals the NEWEST (queue_ is submit
@@ -845,7 +800,6 @@ DetectionService::collect_shed_victims_locked() {
       }
     }
     if (best == candidates.size()) break;  // everything left is unsheddable
-    projected_bytes -= candidates[best]->scan_state()->clone_budget_bytes.load();
     victims.push_back(candidates[best]);
     candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(best));
   }

@@ -53,10 +53,10 @@
 //    service sheds lowest-priority-then-newest QUEUED scans as kShed —
 //    resolved immediately, admission slot freed — sparing
 //    ScanOptions::unsheddable requests. Admitted scans are never shed.
-//  - global memory budget: probe materializations, submit-time model copies,
-//    and arena high-water bytes register with utils/memory_budget.h; the
-//    total drives shedding and turns kBlock admission into byte
-//    backpressure.
+//  - global memory budget: probe materializations, resident models, and
+//    arena high-water bytes register with utils/memory_budget.h; the total
+//    drives shedding and turns kBlock admission into byte backpressure. A
+//    scan never copies its model, so a queued scan holds no budgeted bytes.
 //  - hung-scan watchdog: dispatchers heartbeat every item; a watchdog
 //    thread (armed by stuck_item_seconds) flags items stuck past the bound,
 //    surfaces them in ServiceHealth, and optionally fails the owning scan.
@@ -164,21 +164,26 @@ struct ScanOptions {
   bool unsheddable = false;
 };
 
-/// One detection request. The model comes in one of two forms:
-///  - a live `Network*`, deep-copied (and the copy frozen) at submit(): the
-///    caller may mutate or destroy it immediately after;
+/// One detection request. The model comes in one of two forms, and a scan
+/// never copies it in either:
+///  - a shared frozen network (`model`; submit() throws
+///    std::invalid_argument unless it is frozen). The scan shares the
+///    instance and holds a reference until it resolves. Every pass on a
+///    frozen network writes nothing to it, so any number of scans — and the
+///    caller's own detect() — may run on it at once; the caller must not
+///    unfreeze, train or otherwise write to it while a scan holding it is
+///    unresolved;
 ///  - a `model_ref` (zoo spec or checkpoint path), resolved through the
 ///    service's ModelStore inside the scan's FIRST STAGE — like probe_key:
 ///    a scan shed or cancelled while queued never loads anything, load
 ///    failures are retryable stage faults, and N concurrent scans naming
 ///    the same ref share ONE resident instance (pinned while any of them
-///    runs) instead of N submit-time deep copies. Reports are byte-identical
-///    either way.
+///    runs). Reports are byte-identical either way.
 /// Exactly one of the two must be set. The service takes ownership of the
 /// detector (its config drives the scan; the plan's closures borrow it for
 /// the scan's lifetime).
 struct ScanRequest {
-  Network* model = nullptr;
+  std::shared_ptr<const Network> model;
   /// Model by reference; see above. Set model XOR model_ref.
   std::optional<ModelRef> model_ref;
   DetectorPtr detector;
@@ -212,7 +217,7 @@ class ScanHandle {
   /// running a stage.
   const ScanOutcome& wait() const;
   /// Requests cancellation. A scan still queued (not yet admitted to the
-  /// scheduler) resolves to kCancelled IMMEDIATELY — its model clone is
+  /// scheduler) resolves to kCancelled IMMEDIATELY — its model reference is
   /// released, its admission slot freed, and it never runs a single stage.
   /// An admitted scan is cancelled cooperatively at stage boundaries.
   /// Returns true if the scan had not yet reached a terminal status — the
@@ -237,7 +242,7 @@ class ScanHandle {
 /// with max_resident_bytes set, when the memory budget is saturated).
 enum class AdmissionPolicy {
   kBlock,   // wait for the scheduler to drain a slot (throws on shutdown)
-  kReject,  // throw QueueFull immediately, before cloning anything
+  kReject,  // throw QueueFull immediately
 };
 
 [[nodiscard]] std::string to_string(AdmissionPolicy policy);
@@ -251,7 +256,7 @@ struct QueueFull : std::runtime_error {
                            " requests)"),
         depth_(depth) {}
 
-  /// Pending depth (queued + reserved submissions) observed at the throw.
+  /// Queued (submitted, not yet admitted) scans observed at the throw.
   [[nodiscard]] std::int64_t depth() const noexcept { return depth_; }
 
  private:
@@ -274,25 +279,25 @@ struct DetectionServiceConfig {
   /// fairly — that is the point of the global queue.
   int round_dispatchers = 0;
   /// Admission control: maximum requests pending (submitted, not yet
-  /// admitted to the scheduler). Every queued request holds a model clone,
-  /// so a deep backlog holds one clone per request unboundedly — the cap
-  /// bounds that peak. 0 (default) = unbounded. Admitted scans do not
-  /// count.
+  /// admitted to the scheduler), which bounds how long the backlog a new
+  /// request waits behind can grow. 0 (default) = unbounded. Admitted scans
+  /// do not count.
   std::int64_t max_queued = 0;
   /// Behaviour at the cap; see AdmissionPolicy. The check (and a kReject
-  /// throw) happens BEFORE the request's model is cloned or its probe
-  /// resolved, so rejected submissions cost nothing.
+  /// throw) happens before any scan state exists, so rejected submissions
+  /// cost nothing.
   AdmissionPolicy admission_policy = AdmissionPolicy::kBlock;
   /// Model-store eviction cap, forwarded to ModelStoreOptions::max_bytes
   /// (0 = unlimited): LRU by bytes, models pinned by in-flight ref-based
   /// scans are never evicted.
   std::int64_t model_store_max_bytes = 0;
-  /// Memory watermark: when the process MemoryBudget (probe data + model
-  /// clones + arenas; see utils/memory_budget.h) exceeds this many bytes,
-  /// (a) queued sheddable scans are shed lowest-priority-newest-first until
-  /// the projection fits, and (b) kBlock admission blocks new submissions
-  /// (kReject throws QueueFull) until a scan retires — byte backpressure,
-  /// not just counts. 0 (default) = no memory policy.
+  /// Memory watermark: when the process MemoryBudget (probe data + resident
+  /// models + arenas; see utils/memory_budget.h) exceeds this many bytes,
+  /// (a) every sheddable queued scan is shed — a queued scan holds no
+  /// budgeted bytes, so only running scans can bring the total back down —
+  /// and (b) kBlock admission blocks new submissions (kReject throws
+  /// QueueFull) until a scan retires — byte backpressure, not just counts.
+  /// 0 (default) = no memory policy.
   std::int64_t max_resident_bytes = 0;
   /// Queue-depth watermark: when more than this many scans sit QUEUED
   /// (admitted scans do not count), the lowest-priority newest sheddable
@@ -355,23 +360,19 @@ class DetectionService {
   DetectionService(const DetectionService&) = delete;
   DetectionService& operator=(const DetectionService&) = delete;
 
-  /// Enqueues a scan and returns immediately. A live model is cloned on
-  /// the calling thread, so the request's borrowed pointer is dead weight
-  /// the moment this returns; the probe_key and a model_ref, by contrast,
-  /// are resolved through the ProbeStore/ModelStore inside the scan's
-  /// FIRST STAGE — materialization and load failures are then retryable
-  /// like any stage fault, and a scan shed or cancelled while queued never
-  /// materializes anything. Ref-based requests skip the submit-time deep
-  /// copy entirely: concurrent scans of one ref share the store's resident
-  /// instance. Throws std::invalid_argument on a malformed request (model
-  /// XOR model_ref violated, null detector, probe_size <= 0). With
-  /// max_queued set, a full queue either blocks this call until the
-  /// scheduler drains a slot (kBlock; the admission slot is reserved
-  /// before the model clone, so blocked submitters hold at most their own
-  /// clone-in-progress) or throws QueueFull (kReject); with
-  /// max_resident_bytes set the same policy gates on the memory budget.
-  /// Submitting past a shed watermark resolves victims (possibly this
-  /// scan) to kShed before returning.
+  /// Enqueues a scan and returns immediately. The scan shares the request's
+  /// frozen network; the probe_key and a model_ref are resolved through the
+  /// ProbeStore/ModelStore inside the scan's FIRST STAGE — materialization
+  /// and load failures are then retryable like any stage fault, and a scan
+  /// shed or cancelled while queued never materializes anything. Throws
+  /// std::invalid_argument on a malformed request (model XOR model_ref
+  /// violated, a model that is not frozen, null detector, probe_size <= 0).
+  /// The admission check and the enqueue happen under one hold of the
+  /// service lock: with max_queued set, a full queue either blocks this
+  /// call until the scheduler drains a slot (kBlock) or throws QueueFull
+  /// (kReject); with max_resident_bytes set the same policy gates on the
+  /// memory budget. Submitting past a shed watermark resolves victims
+  /// (possibly this scan) to kShed before returning.
   ScanHandle submit(ScanRequest request);
 
   /// Blocks until every scan submitted so far has reached a terminal
@@ -396,12 +397,6 @@ class DetectionService {
  private:
   friend class detail::ScanExecution;
 
-  /// Pending depth for admission: requests in the queue plus admission
-  /// slots reserved by submitters still cloning. Caller must hold mutex_.
-  [[nodiscard]] std::int64_t pending_depth_locked() const noexcept {
-    return static_cast<std::int64_t>(queue_.size()) + reserved_slots_;
-  }
-
   /// Called by a ScanExecution reaching a terminal state: frees its
   /// admission slot, COLLECTS (not launches — the caller holds the
   /// execution's lock) queued executions that now fit under
@@ -413,15 +408,16 @@ class DetectionService {
                    const detail::ScanExecution* exec, ScanOutcome outcome,
                    std::vector<std::shared_ptr<detail::ScanExecution>>& launches);
 
-  /// Picks queued scans to shed until both watermarks (queue depth, memory
-  /// budget projected after the victims' clone bytes release) fit: lowest
-  /// priority first, newest first among equals, skipping unsheddable scans.
+  /// Picks queued scans to shed, lowest priority first, newest first among
+  /// equals, skipping unsheddable scans: over the memory watermark every
+  /// sheddable queued scan (it holds no budgeted bytes, so no subset brings
+  /// the total down), else over the depth watermark until the depth fits.
   /// Caller must hold mutex_ and resolve the victims (request_shed) outside
   /// it. Empty when no watermark is configured or exceeded.
   [[nodiscard]] std::vector<std::shared_ptr<detail::ScanExecution>> collect_shed_victims_locked();
 
   /// True when the memory watermark blocks new admissions (over budget with
-  /// live scans that can still drain it).
+  /// queued or admitted scans that can still drain it).
   [[nodiscard]] bool over_byte_watermark_locked() const;
 
   void watchdog_loop();
@@ -437,8 +433,7 @@ class DetectionService {
   std::condition_variable idle_;         // signalled when live_ empties
   std::deque<std::shared_ptr<detail::ScanExecution>> queue_;  // not yet admitted
   std::vector<std::shared_ptr<detail::ScanState>> live_;      // queued or admitted
-  std::int64_t admitted_ = 0;        // scans currently admitted to the scheduler
-  std::int64_t reserved_slots_ = 0;  // admission slots held by in-flight submits
+  std::int64_t admitted_ = 0;  // scans currently admitted to the scheduler
   bool shutting_down_ = false;
 
   std::atomic<std::uint64_t> next_id_{1};

@@ -1,16 +1,16 @@
 // Key-addressed store of resident victim models, the model-side equivalent
 // of data/probe_store.h.
 //
-// A ScanRequest used to require a live Network* that the service deep-copied
-// at submit(). The fleet-triage scenario — many requests scanning the same
-// uploaded checkpoint, or a zoo population re-scanned by several methods —
-// wants the opposite: requests name a model by REFERENCE (a zoo spec or a
-// checkpoint path), the store loads it once, freezes it, and every
-// concurrent scan shares that one resident instance. Sharing is sound
-// because a pass over a frozen network writes nothing to it: every class
-// task and the USB shared prefix keep their forward caches in their own
-// TensorArena (nn/module.h). Reports stay bit-identical to detect() on a
-// live pointer: forward is a pure function of (weights, input).
+// A ScanRequest names its model either as a shared frozen network the
+// caller holds or by REFERENCE (a zoo spec or a checkpoint path). The
+// fleet-triage scenario — many requests scanning the same uploaded
+// checkpoint, or a zoo population re-scanned by several methods — wants the
+// second: the store loads the model once, freezes it, and every concurrent
+// scan shares that one resident instance. Sharing is sound because a pass
+// over a frozen network writes nothing to it: every class task and the USB
+// shared prefix keep their forward caches in their own TensorArena
+// (nn/module.h). Reports stay bit-identical to detect() on the caller's own
+// network: forward is a pure function of (weights, input).
 //
 // The sharing, pinning, LRU-by-bytes eviction and MemoryBudget accounting
 // (category kResidentModels) are KeyedStore's (utils/keyed_store.h), the

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <mutex>
@@ -135,11 +136,6 @@ DetectorPtr make_wire_detector(const std::string& method, std::int64_t steps) {
 }
 
 int run_scan_worker(const ScanWorkerOptions& options) {
-  std::FILE* in = options.in != nullptr ? options.in : stdin;
-  std::FILE* out = options.out != nullptr ? options.out : stdout;
-  const std::int64_t max_frame =
-      options.max_frame_bytes > 0 ? options.max_frame_bytes : wire::kDefaultMaxFrameBytes;
-
   wire::ignore_sigpipe();
   g_drain.store(false, std::memory_order_relaxed);
   install_drain_handler();
@@ -154,7 +150,7 @@ int run_scan_worker(const ScanWorkerOptions& options) {
   pthread_sigmask(SIG_BLOCK, &term_set, nullptr);
 
   DetectionService service(options.service);
-  FrameWriter writer(out);
+  FrameWriter writer(stdout);
 
   // Completion watcher: sweeps the pending list and streams each scan's
   // result the moment it turns terminal. wait_for on the front handle
@@ -211,7 +207,7 @@ int run_scan_worker(const ScanWorkerOptions& options) {
   std::vector<std::uint8_t> payload;
   try {
     while (!g_drain.load(std::memory_order_relaxed) && !writer.dead() &&
-           wire::read_frame(in, payload, max_frame, &g_drain)) {
+           wire::read_frame(stdin, payload, wire::kDefaultMaxFrameBytes, &g_drain)) {
       std::uint64_t request_id = 0;
       try {
         const std::uint32_t record = wire::peek_record(payload);
@@ -223,7 +219,7 @@ int run_scan_worker(const ScanWorkerOptions& options) {
         request_id = request.request_id;
         if (options.enable_test_hazards) {
           if (request.method == "__crash__") std::abort();
-          if (request.method == "__garble__") garble_and_die(out);
+          if (request.method == "__garble__") garble_and_die(stdout);
           if (request.method == "__wedge__") {
             // Wedge the FRAME-READING thread: pings go unanswered, which is
             // exactly the heartbeat-silence failure a supervisor must kill.

@@ -3,7 +3,7 @@
 // run_scan_worker() is the body of examples/scan_server — in the library so
 // the WorkerFleet tests and benches exercise the exact code the shipped
 // binary runs, and so the worker side of the protocol has one home. The
-// loop reads frames from `in` until end-of-stream (or SIGTERM — see below),
+// loop reads frames from stdin until end-of-stream (or SIGTERM — see below),
 // answers ping frames with pongs IMMEDIATELY from the reading thread (so
 // heartbeat silence observed by a supervisor means the process is dead or
 // wedged, never merely busy scanning), submits every request to the service
@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 #include "defenses/detector.h"
@@ -41,10 +40,6 @@ struct ScanWorkerOptions {
   /// Forwarded to the worker's DetectionService (model_store_max_bytes and
   /// friends).
   DetectionServiceConfig service;
-  /// Frame streams; default stdin/stdout in the shipped binary.
-  std::FILE* in = nullptr;   // nullptr = stdin
-  std::FILE* out = nullptr;  // nullptr = stdout
-  std::int64_t max_frame_bytes = 0;  // 0 = wire::kDefaultMaxFrameBytes
   /// Accepts the magic hazard methods ("__crash__", "__wedge__",
   /// "__garble__") that make the worker misbehave on purpose — the fault
   /// harness of the fleet tests (a real SIGABRT mid-scan, real heartbeat

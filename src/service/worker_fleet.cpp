@@ -263,11 +263,9 @@ struct WorkerFleet::Impl {
   // ---- reader (one thread per live worker) ------------------------------
 
   void reader_loop(std::int64_t index, pid_t pid, std::FILE* from) {
-    const std::int64_t max_frame =
-        config_.max_frame_bytes > 0 ? config_.max_frame_bytes : wire::kDefaultMaxFrameBytes;
     std::vector<std::uint8_t> payload;
     try {
-      while (wire::read_frame(from, payload, max_frame)) {
+      while (wire::read_frame(from, payload)) {
         const std::uint32_t record = wire::peek_record(payload);
         if (record == wire::kPongRecord) {
           (void)wire::decode_pong(payload);

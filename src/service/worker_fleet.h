@@ -92,7 +92,6 @@ struct FleetConfig {
   /// Shutdown escalation budget per rung (EOF drain, then SIGTERM).
   double drain_wait_seconds = 10.0;
   double sigterm_wait_seconds = 2.0;
-  std::int64_t max_frame_bytes = 0;  // 0 = wire::kDefaultMaxFrameBytes
 };
 
 /// Terminal result of a fleet submission: the worker's WireScanResult fields

@@ -2,16 +2,16 @@
 //
 // Every subsystem that pins multi-megabyte buffers registers them here:
 // the resident entries of both keyed stores (ProbeStore datasets and
-// ModelStore networks, through utils/keyed_store.h), the model copies
-// DetectionService makes of live-pointer requests at submit(), and
-// TensorArena slot storage. The budget is pure bookkeeping — it never allocates, frees, or
-// refuses anything itself. DetectionService reads it to drive policy:
-// DetectionServiceConfig::max_resident_bytes turns the total into a shed
-// watermark for queued scans and into byte backpressure for kBlock
+// ModelStore networks, through utils/keyed_store.h) and TensorArena slot
+// storage. A scan never copies its model, so no per-request bytes exist
+// beyond these. The budget is pure bookkeeping — it never allocates,
+// frees, or refuses anything itself. DetectionService reads it to drive
+// policy: DetectionServiceConfig::max_resident_bytes turns the total into
+// a shed watermark for queued scans and into byte backpressure for kBlock
 // admission.
 //
 // All counters are relaxed atomics: registration is on hot-ish paths
-// (arena growth, submit-time copies) and the readers (shed checks, health
+// (arena growth, store insertions) and the readers (shed checks, health
 // snapshots) only need a monotonic-ish total, not a linearizable one.
 #pragma once
 
@@ -24,11 +24,10 @@ class MemoryBudget {
  public:
   enum class Category : int {
     kProbeData = 0,       // ProbeStore resident datasets
-    kModelClones = 1,     // submit-time copies of live-pointer requests' models
-    kArenas = 2,          // TensorArena slot storage (scratch high-water)
-    kResidentModels = 3,  // ModelStore resident (shared immutable) networks
+    kArenas = 1,          // TensorArena slot storage (scratch high-water)
+    kResidentModels = 2,  // ModelStore resident (shared immutable) networks
   };
-  static constexpr int kNumCategories = 4;
+  static constexpr int kNumCategories = 3;
 
   MemoryBudget() = default;
   MemoryBudget(const MemoryBudget&) = delete;

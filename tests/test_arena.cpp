@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "core/usb.h"
 #include "data/synthetic.h"
@@ -248,14 +249,6 @@ TaborConfig tiny_tabor_config() {
   return config;
 }
 
-/// Runs one detector under a given scan pool; `detector_factory` builds a
-/// fresh detector per call (configs embed the pool override).
-template <typename MakeDetector>
-DetectionReport run_with_pool(const MakeDetector& make_detector, ThreadPool* pool,
-                              Network& model, const Dataset& probe) {
-  auto detector = make_detector(pool);
-  return detector->detect(model, probe);
-}
 
 // DetectionReports pinned bit-identical at USB_THREADS in {1, 4} for all
 // three masked-trigger detectors, on the arena-backed hot path.
@@ -267,28 +260,13 @@ TEST(ArenaPath, DetectReportsBitIdenticalAcrossThreadCounts) {
   ThreadPool pool1(1);
   ThreadPool pool4(4);
 
-  const auto usb_factory = [](ThreadPool* pool) {
-    UsbConfig config = tiny_usb_config();
-    config.scan_pool = pool;
-    return std::make_unique<UsbDetector>(config);
-  };
-  const auto nc_factory = [](ThreadPool* pool) {
-    ReverseOptConfig config = tiny_nc_config();
-    config.scan_pool = pool;
-    return std::make_unique<NeuralCleanse>(config);
-  };
-  const auto tabor_factory = [](ThreadPool* pool) {
-    TaborConfig config = tiny_tabor_config();
-    config.base.scan_pool = pool;
-    return std::make_unique<Tabor>(config);
-  };
-
-  expect_reports_identical(run_with_pool(usb_factory, &pool1, victim, probe),
-                           run_with_pool(usb_factory, &pool4, victim, probe));
-  expect_reports_identical(run_with_pool(nc_factory, &pool1, victim, probe),
-                           run_with_pool(nc_factory, &pool4, victim, probe));
-  expect_reports_identical(run_with_pool(tabor_factory, &pool1, victim, probe),
-                           run_with_pool(tabor_factory, &pool4, victim, probe));
+  const UsbDetector usb(tiny_usb_config());
+  const NeuralCleanse nc(tiny_nc_config());
+  const Tabor tabor(tiny_tabor_config());
+  for (const Detector* detector : std::vector<const Detector*>{&usb, &nc, &tabor}) {
+    expect_reports_identical(detector->detect(victim, probe, pool1),
+                             detector->detect(victim, probe, pool4));
+  }
 }
 
 // A full detect() must also be dispatch-invariant (portable vs AVX2): NC,
@@ -300,17 +278,15 @@ TEST(ArenaPath, DetectReportsBitIdenticalAcrossDispatchVariants) {
   const Dataset probe = generate_dataset(spec, 48, 63);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 64);
   ThreadPool pool(1);
-  ReverseOptConfig nc_config = tiny_nc_config();
-  nc_config.scan_pool = &pool;
-  UsbConfig usb_config = tiny_usb_config();
-  usb_config.scan_pool = &pool;
+  const NeuralCleanse nc(tiny_nc_config());
+  const UsbDetector usb(tiny_usb_config());
 
   ew::force_variant(ew::Variant::kPortable);
-  const DetectionReport nc_portable = NeuralCleanse(nc_config).detect(victim, probe);
-  const DetectionReport usb_portable = UsbDetector(usb_config).detect(victim, probe);
+  const DetectionReport nc_portable = nc.detect(victim, probe, pool);
+  const DetectionReport usb_portable = usb.detect(victim, probe, pool);
   ew::force_variant(ew::Variant::kAvx2);
-  const DetectionReport nc_avx2 = NeuralCleanse(nc_config).detect(victim, probe);
-  const DetectionReport usb_avx2 = UsbDetector(usb_config).detect(victim, probe);
+  const DetectionReport nc_avx2 = nc.detect(victim, probe, pool);
+  const DetectionReport usb_avx2 = usb.detect(victim, probe, pool);
   expect_reports_identical(nc_portable, nc_avx2);
   expect_reports_identical(usb_portable, usb_avx2);
 }

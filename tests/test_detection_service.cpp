@@ -10,6 +10,9 @@
 //    completes and is bit-identical to detect());
 //  - the ProbeStore is content-addressed: every request naming the same
 //    (spec, size, seed) shares one materialization;
+//  - a scan shares the request's frozen network, never a copy: each queued
+//    scan holds one reference until it resolves, and the caller's own
+//    detect() may run on the instance meanwhile;
 //  - overlapping scans on one service pool do not perturb each other's
 //    reports (the ThreadSanitizer CI job additionally races these paths).
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <chrono>
 #include <future>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -66,6 +70,15 @@ DetectionServiceConfig service_config(int scan_threads, int executors = 2) {
   return config;
 }
 
+/// A frozen 16x16 single-channel victim, shared by every scan a test
+/// submits of it and by the test's own detect() references.
+std::shared_ptr<Network> frozen_victim(Architecture arch, std::int64_t num_classes,
+                                       std::uint64_t seed) {
+  auto victim = std::make_shared<Network>(make_network(arch, 1, 16, num_classes, seed));
+  victim->freeze();
+  return victim;
+}
+
 }  // namespace
 
 // The acceptance-criteria pin: default-options submit() == detect() byte
@@ -75,16 +88,16 @@ TEST(DetectionService, DefaultSubmitMatchesDetectByteForByte) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 81};
   const Dataset probe = make_probe(spec, 48, 81);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 82);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, spec.num_classes, 82);
 
   UsbDetector reference(tiny_usb_config());
-  const DetectionReport direct = reference.detect(victim, probe);
+  const DetectionReport direct = reference.detect(*victim, probe);
 
   for (const int threads : {1, 4}) {
     DetectionService service(service_config(threads));
 
     ScanRequest by_key;
-    by_key.model = &victim;
+    by_key.model = victim;
     by_key.detector = std::make_unique<UsbDetector>(tiny_usb_config());
     by_key.probe_key = key;
     const ScanHandle key_handle = service.submit(std::move(by_key));
@@ -104,19 +117,19 @@ TEST(DetectionService, EarlyExitSubmitMatchesDetectAcrossThreadCounts) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 83};
   const Dataset probe = generate_dataset(spec, 48, 83);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 84);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, spec.num_classes, 84);
 
   UsbConfig config = tiny_usb_config();
   config.refine_steps = 8;
   config.early_exit.enabled = true;
   config.early_exit.round_steps = 2;
   config.early_exit.margin = 0.25;
-  const DetectionReport direct = UsbDetector(config).detect(victim, probe);
+  const DetectionReport direct = UsbDetector(config).detect(*victim, probe);
 
   for (const int threads : {1, 4}) {
     DetectionService service(service_config(threads));
     ScanRequest request;
-    request.model = &victim;
+    request.model = victim;
     request.detector = std::make_unique<UsbDetector>(config);
     request.probe_key = key;
     const ScanHandle handle = service.submit(std::move(request));
@@ -136,13 +149,13 @@ TEST(DetectionService, RoundBarrierCutoffStressMatchesDetect) {
   const DatasetSpec spec = tiny_spec(10);
   const ProbeKey key{spec, 48, 87};
   const Dataset probe = make_probe(spec, 48, 87);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 88);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, spec.num_classes, 88);
 
   ReverseOptConfig config = tiny_nc_config(12);
   config.early_exit.enabled = true;
   config.early_exit.round_steps = 1;
   config.early_exit.margin = 0.0;
-  const DetectionReport direct = NeuralCleanse(config).detect(victim, probe);
+  const DetectionReport direct = NeuralCleanse(config).detect(*victim, probe);
 
   DetectionServiceConfig service_cfg = service_config(/*scan_threads=*/4, /*executors=*/1);
   service_cfg.round_dispatchers = 4;
@@ -150,7 +163,7 @@ TEST(DetectionService, RoundBarrierCutoffStressMatchesDetect) {
   std::vector<ScanHandle> handles;
   for (int i = 0; i < 20; ++i) {
     ScanRequest request;
-    request.model = &victim;
+    request.model = victim;
     request.probe_key = key;
     request.detector = std::make_unique<NeuralCleanse>(config);
     handles.push_back(service.submit(std::move(request)));
@@ -171,7 +184,7 @@ TEST(DetectionService, CancelMidScanLeavesServiceReusable) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 85};
   const Dataset probe = generate_dataset(spec, 48, 85);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 86);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, spec.num_classes, 86);
 
   DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
 
@@ -181,7 +194,7 @@ TEST(DetectionService, CancelMidScanLeavesServiceReusable) {
   std::atomic<bool> cancelled{false};
 
   ScanRequest request;
-  request.model = &victim;
+  request.model = victim;
   request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   request.probe_key = key;
   request.options.progress = [&](std::int64_t /*target_class*/, ClassScanEvent event,
@@ -201,9 +214,9 @@ TEST(DetectionService, CancelMidScanLeavesServiceReusable) {
 
   // Reusability: the identical request (default options) completes and is
   // bit-identical to the blocking path.
-  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
+  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(*victim, probe);
   ScanRequest again;
-  again.model = &victim;
+  again.model = victim;
   again.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   again.probe_key = key;
   const ScanHandle rerun_handle = service.submit(std::move(again));
@@ -218,21 +231,21 @@ TEST(DetectionService, CancelMidScanLeavesServiceReusable) {
 TEST(DetectionService, CancelWhileQueuedNeverRuns) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 87};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 88);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, spec.num_classes, 88);
 
   DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
 
   // Occupy the only executor long enough to cancel the second request while
   // it is still queued (steps are generous; cancel happens immediately).
   ScanRequest busy;
-  busy.model = &victim;
+  busy.model = victim;
   busy.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(/*steps=*/30));
   busy.probe_key = key;
   const ScanHandle busy_handle = service.submit(std::move(busy));
 
   std::atomic<std::int64_t> victim_classes{0};
   ScanRequest queued;
-  queued.model = &victim;
+  queued.model = victim;
   queued.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   queued.probe_key = key;
   queued.options.progress = [&victim_classes](std::int64_t, ClassScanEvent, double) {
@@ -250,7 +263,7 @@ TEST(DetectionService, CancelWhileQueuedNeverRuns) {
 // materialization; a different seed is a different address.
 TEST(DetectionService, ProbeStoreSharesAcrossRequests) {
   const DatasetSpec spec = tiny_spec(4);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 90);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 90);
 
   DetectionService service(service_config(/*scan_threads=*/1));
   const ProbeKey key_a{spec, 32, 91};
@@ -260,7 +273,7 @@ TEST(DetectionService, ProbeStoreSharesAcrossRequests) {
   std::vector<ScanHandle> handles;
   for (const ProbeKey& key : {key_a, key_a, key_b}) {
     ScanRequest request;
-    request.model = &victim;
+    request.model = victim;
     request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(/*steps=*/3));
     request.probe_key = key;
     handles.push_back(service.submit(std::move(request)));
@@ -283,19 +296,19 @@ TEST(DetectionService, OverlappingScansDoNotPerturbEachOther) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 93};
   const Dataset probe = generate_dataset(spec, 32, 93);
-  Network victim_a = make_network(Architecture::kBasicCnn, 1, 16, 4, 94);
-  Network victim_b = make_network(Architecture::kMiniVgg, 1, 16, 4, 95);
+  const auto victim_a = frozen_victim(Architecture::kBasicCnn, 4, 94);
+  const auto victim_b = frozen_victim(Architecture::kMiniVgg, 4, 95);
 
-  const DetectionReport direct_a = NeuralCleanse(tiny_nc_config()).detect(victim_a, probe);
-  const DetectionReport direct_b = UsbDetector(tiny_usb_config()).detect(victim_b, probe);
+  const DetectionReport direct_a = NeuralCleanse(tiny_nc_config()).detect(*victim_a, probe);
+  const DetectionReport direct_b = UsbDetector(tiny_usb_config()).detect(*victim_b, probe);
 
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/2));
   ScanRequest request_a;
-  request_a.model = &victim_a;
+  request_a.model = victim_a;
   request_a.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   request_a.probe_key = key;
   ScanRequest request_b;
-  request_b.model = &victim_b;
+  request_b.model = victim_b;
   request_b.detector = std::make_unique<UsbDetector>(tiny_usb_config());
   request_b.probe_key = key;
 
@@ -314,12 +327,12 @@ TEST(DetectionService, OverlappingScansDoNotPerturbEachOther) {
 TEST(DetectionService, ProgressEventsAndDrain) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 96};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 97);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 97);
 
   DetectionService service(service_config(/*scan_threads=*/1));
   std::atomic<std::int64_t> finalized{0};
   ScanRequest request;
-  request.model = &victim;
+  request.model = victim;
   request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(/*steps=*/3));
   request.probe_key = key;
   request.options.progress = [&finalized](std::int64_t, ClassScanEvent event, double) {
@@ -336,14 +349,14 @@ TEST(DetectionService, ProgressEventsAndDrain) {
 TEST(DetectionService, ShutdownCancelsOutstandingScans) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 98};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 99);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, spec.num_classes, 99);
 
   std::vector<ScanHandle> handles;
   {
     DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
     for (int i = 0; i < 3; ++i) {
       ScanRequest request;
-      request.model = &victim;
+      request.model = victim;
       request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(/*steps=*/30));
       request.probe_key = key;
       handles.push_back(service.submit(std::move(request)));
@@ -357,8 +370,15 @@ TEST(DetectionService, ShutdownCancelsOutstandingScans) {
 
 TEST(DetectionService, MalformedRequestsAreRejected) {
   const DatasetSpec spec = tiny_spec(4);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 100);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 100);
   DetectionService service(service_config(/*scan_threads=*/1));
+
+  // The scan shares the request's network, which is sound only frozen.
+  ScanRequest unfrozen;
+  unfrozen.model = std::make_shared<Network>(make_network(Architecture::kBasicCnn, 1, 16, 4, 100));
+  unfrozen.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
+  unfrozen.probe_key = ProbeKey{spec, 32, 1};
+  EXPECT_THROW((void)service.submit(std::move(unfrozen)), std::invalid_argument);
 
   ScanRequest no_model;
   no_model.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
@@ -366,14 +386,16 @@ TEST(DetectionService, MalformedRequestsAreRejected) {
   EXPECT_THROW((void)service.submit(std::move(no_model)), std::invalid_argument);
 
   ScanRequest no_detector;
-  no_detector.model = &victim;
+  no_detector.model = victim;
   no_detector.probe_key = ProbeKey{spec, 32, 1};
   EXPECT_THROW((void)service.submit(std::move(no_detector)), std::invalid_argument);
 
   ScanRequest no_probe;
-  no_probe.model = &victim;
+  no_probe.model = victim;
   no_probe.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   EXPECT_THROW((void)service.submit(std::move(no_probe)), std::invalid_argument);
+  EXPECT_EQ(service.scans_submitted(), 0);
+  EXPECT_EQ(victim.use_count(), 1);  // a rejected request leaves no reference behind
 }
 
 // ---- ProbeStore eviction (LRU by bytes) ---------------------------------
@@ -501,10 +523,10 @@ namespace {
 
 /// A request whose scan blocks inside its first progress event until
 /// `gate` is released — pins the executor deterministically.
-ScanRequest gated_request(Network& victim, const ProbeKey& key,
+ScanRequest gated_request(std::shared_ptr<const Network> victim, const ProbeKey& key,
                           std::shared_future<void> gate) {
   ScanRequest request;
-  request.model = &victim;
+  request.model = victim;
   request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   request.probe_key = key;
   request.options.progress = [gate = std::move(gate)](std::int64_t, ClassScanEvent event,
@@ -520,10 +542,10 @@ void wait_until_running(const ScanHandle& handle) {
 
 }  // namespace
 
-TEST(DetectionService, AdmissionRejectPolicyThrowsQueueFullBeforeCloning) {
+TEST(DetectionService, AdmissionRejectPolicyThrowsQueueFullWithQueueDepth) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 221};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 222);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 222);
 
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
   config.max_queued = 1;
@@ -539,15 +561,15 @@ TEST(DetectionService, AdmissionRejectPolicyThrowsQueueFullBeforeCloning) {
 
   // ...fill the single queue slot...
   ScanRequest queued;
-  queued.model = &victim;
+  queued.model = victim;
   queued.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   queued.probe_key = key;
   const ScanHandle waiting = service.submit(std::move(queued));
 
-  // ...and the next submit is rejected up front, reporting the observed
-  // pending depth so callers can size their backoff.
+  // ...and the next submit is rejected up front, reporting the queue depth
+  // so callers can size their backoff.
   ScanRequest rejected;
-  rejected.model = &victim;
+  rejected.model = victim;
   rejected.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   rejected.probe_key = key;
   try {
@@ -565,7 +587,7 @@ TEST(DetectionService, AdmissionRejectPolicyThrowsQueueFullBeforeCloning) {
 
   // With the backlog drained the service admits again.
   ScanRequest after;
-  after.model = &victim;
+  after.model = victim;
   after.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   after.probe_key = key;
   EXPECT_EQ(service.submit(std::move(after)).wait().status, ScanStatus::kDone);
@@ -574,7 +596,7 @@ TEST(DetectionService, AdmissionRejectPolicyThrowsQueueFullBeforeCloning) {
 TEST(DetectionService, AdmissionBlockPolicyWaitsForQueueSpace) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 231};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 232);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 232);
 
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
   config.max_queued = 1;
@@ -587,7 +609,7 @@ TEST(DetectionService, AdmissionBlockPolicyWaitsForQueueSpace) {
   wait_until_running(busy);
 
   ScanRequest fill;
-  fill.model = &victim;
+  fill.model = victim;
   fill.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   fill.probe_key = key;
   const ScanHandle queued = service.submit(std::move(fill));
@@ -596,7 +618,7 @@ TEST(DetectionService, AdmissionBlockPolicyWaitsForQueueSpace) {
   // on its own thread and can only complete after the gate opens.
   std::future<ScanHandle> blocked = std::async(std::launch::async, [&] {
     ScanRequest request;
-    request.model = &victim;
+    request.model = victim;
     request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
     request.probe_key = key;
     return service.submit(std::move(request));
@@ -614,6 +636,79 @@ TEST(DetectionService, AdmissionBlockPolicyWaitsForQueueSpace) {
   EXPECT_EQ(service.scans_submitted(), 3);
 }
 
+// ---- Shared networks: a scan never copies its model ---------------------
+
+// N scans queued behind a busy executor hold the request's network by
+// reference, one count each — no copy, no extra holder — and drop it on
+// resolution; every report still equals detect()'s.
+TEST(DetectionService, QueuedScansShareTheRequestNetworkAndReleaseIt) {
+  const DatasetSpec spec = tiny_spec(4);
+  const ProbeKey key{spec, 32, 241};
+  const Dataset probe = make_probe(spec, 32, 241);
+  const auto blocker_victim = frozen_victim(Architecture::kBasicCnn, 4, 242);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 243);
+  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(*victim, probe);
+  ASSERT_EQ(victim.use_count(), 1);
+
+  DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
+  std::promise<void> release;
+  const std::shared_future<void> gate(release.get_future());
+  const ScanHandle busy = service.submit(gated_request(blocker_victim, key, gate));
+  wait_until_running(busy);
+
+  constexpr int kScans = 3;
+  std::vector<ScanHandle> handles;
+  for (int i = 0; i < kScans; ++i) {
+    ScanRequest request;
+    request.model = victim;
+    request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
+    request.probe_key = key;
+    handles.push_back(service.submit(std::move(request)));
+    EXPECT_EQ(handles.back().poll(), ScanStatus::kQueued);
+  }
+  EXPECT_EQ(victim.use_count(), 1 + kScans);
+
+  release.set_value();
+  EXPECT_EQ(busy.wait().status, ScanStatus::kDone);
+  for (const ScanHandle& handle : handles) {
+    const ScanOutcome& outcome = handle.wait();
+    ASSERT_EQ(outcome.status, ScanStatus::kDone) << outcome.error;
+    expect_reports_identical(direct, outcome.report);
+  }
+  EXPECT_EQ(victim.use_count(), 1);
+}
+
+// The caller may keep scanning its own network while service scans share
+// it: detect() on a frozen instance writes nothing to it (freeze() returns
+// at once), so its passes and the dispatchers' do not race — the TSan job
+// runs this — and every report equals a detect() run alone.
+TEST(DetectionService, DetectOnTheSharedNetworkWhileServiceScansRunIt) {
+  const DatasetSpec spec = tiny_spec(4);
+  const ProbeKey key{spec, 32, 245};
+  const Dataset probe = make_probe(spec, 32, 245);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 246);
+  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(*victim, probe);
+
+  DetectionService service(service_config(/*scan_threads=*/2));
+  std::vector<ScanHandle> handles;
+  for (int i = 0; i < 2; ++i) {
+    ScanRequest request;
+    request.model = victim;
+    request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
+    request.probe_key = key;
+    handles.push_back(service.submit(std::move(request)));
+  }
+  ThreadPool pool(2);
+  const DetectionReport concurrent =
+      NeuralCleanse(tiny_nc_config()).detect(*victim, probe, pool);
+  expect_reports_identical(direct, concurrent);
+  for (const ScanHandle& handle : handles) {
+    const ScanOutcome& outcome = handle.wait();
+    ASSERT_EQ(outcome.status, ScanStatus::kDone) << outcome.error;
+    expect_reports_identical(direct, outcome.report);
+  }
+}
+
 // ---- Global scheduler: fairness, priority, queued cancel ----------------
 
 // Cancelling a still-queued scan resolves the handle IMMEDIATELY — proven
@@ -624,7 +719,7 @@ TEST(DetectionService, AdmissionBlockPolicyWaitsForQueueSpace) {
 TEST(DetectionService, CancelWhileQueuedResolvesImmediatelyAndFreesSlot) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 251};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 252);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 252);
 
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
   config.max_queued = 1;
@@ -638,7 +733,7 @@ TEST(DetectionService, CancelWhileQueuedResolvesImmediatelyAndFreesSlot) {
 
   std::atomic<std::int64_t> doomed_events{0};
   ScanRequest doomed;
-  doomed.model = &victim;
+  doomed.model = victim;
   doomed.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   doomed.probe_key = key;
   doomed.options.progress = [&doomed_events](std::int64_t, ClassScanEvent, double) {
@@ -656,7 +751,7 @@ TEST(DetectionService, CancelWhileQueuedResolvesImmediatelyAndFreesSlot) {
   // The cancelled scan's pending slot is free again: with the dispatcher
   // still wedged, a fresh submit is admitted instead of throwing QueueFull.
   ScanRequest replacement;
-  replacement.model = &victim;
+  replacement.model = victim;
   replacement.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   replacement.probe_key = key;
   const ScanHandle replacement_handle = service.submit(std::move(replacement));
@@ -680,13 +775,13 @@ TEST(DetectionService, FairShareAndPrioritySmallScanFinishesUnderLargeLoad) {
   const ProbeKey small_key{small_spec, 32, 262};
   const Dataset large_probe = generate_dataset(large_spec, 32, 261);
   const Dataset small_probe = generate_dataset(small_spec, 32, 262);
-  Network large_victim = make_network(Architecture::kBasicCnn, 1, 16, 43, 263);
-  Network small_victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 264);
+  const auto large_victim = frozen_victim(Architecture::kBasicCnn, 43, 263);
+  const auto small_victim = frozen_victim(Architecture::kBasicCnn, 4, 264);
 
   const DetectionReport direct_large =
-      NeuralCleanse(tiny_nc_config()).detect(large_victim, large_probe);
+      NeuralCleanse(tiny_nc_config()).detect(*large_victim, large_probe);
   const DetectionReport direct_small =
-      NeuralCleanse(tiny_nc_config()).detect(small_victim, small_probe);
+      NeuralCleanse(tiny_nc_config()).detect(*small_victim, small_probe);
 
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/2);
   config.round_dispatchers = 1;  // both scans admitted, ONE crew to share
@@ -694,13 +789,13 @@ TEST(DetectionService, FairShareAndPrioritySmallScanFinishesUnderLargeLoad) {
 
   for (const int small_priority : {0, 1}) {
     ScanRequest large;
-    large.model = &large_victim;
+    large.model = large_victim;
     large.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
     large.probe_key = large_key;
     const ScanHandle large_handle = service.submit(std::move(large));
 
     ScanRequest small;
-    small.model = &small_victim;
+    small.model = small_victim;
     small.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
     small.probe_key = small_key;
     small.options.priority = small_priority;
@@ -784,7 +879,7 @@ TEST(DetectionService, ClassScanStateToStringCoversEveryValue) {
 TEST(DetectionService, WaitForReturnsCurrentStatusOnTimeoutAndTerminalOnCompletion) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 291};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 292);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 292);
 
   DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
   std::promise<void> release;
@@ -813,16 +908,16 @@ TEST(DetectionService, GenerousDeadlineSubmitMatchesDetectByteForByte) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 281};
   const Dataset probe = generate_dataset(spec, 32, 281);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 282);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 282);
 
-  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
+  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(*victim, probe);
 
   DetectionService service(service_config(/*scan_threads=*/1));
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::vector<double> deadlines = {7200.0, 1e300, kInf};
   for (const double deadline : deadlines) {
     ScanRequest request;
-    request.model = &victim;
+    request.model = victim;
     request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
     request.probe_key = key;
     request.options.deadline_seconds = deadline;
@@ -845,11 +940,11 @@ TEST(DetectionService, GenerousDeadlineSubmitMatchesDetectByteForByte) {
 TEST(DetectionService, DeadlineMidScanResolvesTimedOutWithPartialReport) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 283};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 284);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, spec.num_classes, 284);
 
   DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
   ScanRequest request;
-  request.model = &victim;
+  request.model = victim;
   // A budget far beyond the deadline: the scan CANNOT finish in time.
   request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(/*steps=*/600));
   request.probe_key = key;
@@ -870,7 +965,7 @@ TEST(DetectionService, DeadlineMidScanResolvesTimedOutWithPartialReport) {
 
   // Reusability: an identical request without the deadline completes.
   ScanRequest again;
-  again.model = &victim;
+  again.model = victim;
   again.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(/*steps=*/3));
   again.probe_key = key;
   EXPECT_EQ(service.submit(std::move(again)).wait().status, ScanStatus::kDone);
@@ -882,7 +977,7 @@ TEST(DetectionService, DeadlineMidScanResolvesTimedOutWithPartialReport) {
 TEST(DetectionService, WaitOnExpiredQueuedScanResolvesTimedOutWithoutRunning) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 285};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 286);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 286);
 
   DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
   std::promise<void> release;
@@ -892,7 +987,7 @@ TEST(DetectionService, WaitOnExpiredQueuedScanResolvesTimedOutWithoutRunning) {
 
   std::atomic<std::int64_t> events{0};
   ScanRequest doomed;
-  doomed.model = &victim;
+  doomed.model = victim;
   doomed.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   doomed.probe_key = key;
   doomed.options.deadline_seconds = 0.02;
@@ -918,7 +1013,7 @@ TEST(DetectionService, WaitOnExpiredQueuedScanResolvesTimedOutWithoutRunning) {
 TEST(DetectionService, ShutdownResolvesExpiredScansTimedOutNotCancelled) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 287};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 288);
+  const auto victim = frozen_victim(Architecture::kBasicCnn, spec.num_classes, 288);
 
   ScanHandle busy_handle;
   std::vector<ScanHandle> expired_handles;
@@ -926,7 +1021,7 @@ TEST(DetectionService, ShutdownResolvesExpiredScansTimedOutNotCancelled) {
   {
     DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
     ScanRequest busy;
-    busy.model = &victim;
+    busy.model = victim;
     busy.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(/*steps=*/60));
     busy.probe_key = key;
     busy_handle = service.submit(std::move(busy));
@@ -935,7 +1030,7 @@ TEST(DetectionService, ShutdownResolvesExpiredScansTimedOutNotCancelled) {
       event_counts.push_back(std::make_unique<std::atomic<std::int64_t>>(0));
       std::atomic<std::int64_t>* count = event_counts.back().get();
       ScanRequest doomed;
-      doomed.model = &victim;
+      doomed.model = victim;
       doomed.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
       doomed.probe_key = key;
       doomed.options.deadline_seconds = 0.01;

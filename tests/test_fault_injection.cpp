@@ -38,7 +38,6 @@
 #include "report_identity.h"
 #include "service/detection_service.h"
 #include "utils/fault_injection.h"
-#include "utils/memory_budget.h"
 
 namespace usb {
 namespace {
@@ -63,6 +62,14 @@ DetectionServiceConfig service_config(int scan_threads, int executors = 2) {
   config.scan_threads = scan_threads;
   config.max_concurrent_scans = executors;
   return config;
+}
+
+/// A frozen 16x16 BasicCnn victim, shared by every scan a test submits.
+std::shared_ptr<Network> frozen_victim(std::int64_t num_classes, std::uint64_t seed) {
+  auto victim =
+      std::make_shared<Network>(make_network(Architecture::kBasicCnn, 1, 16, num_classes, seed));
+  victim->freeze();
+  return victim;
 }
 
 // The registry is process-global; every test starts and ends disarmed so
@@ -159,8 +166,8 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 91};
   const Dataset probe = make_probe(spec, 48, 91);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 92);
-  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
+  const auto victim = frozen_victim(spec.num_classes, 92);
+  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(*victim, probe);
 
   enum Mode { kMono, kBarrier };
   struct StageCase {
@@ -188,7 +195,7 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
     registry.arm(stage_case.point, fault_spec);
 
     ScanRequest request;
-    request.model = &victim;
+    request.model = victim;
     request.probe_key = key;
     request.detector = std::make_unique<NeuralCleanse>(
         stage_case.mode == kMono ? tiny_nc_config() : barrier_config);
@@ -205,7 +212,7 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
   // Six consecutive injected failures later, a healthy scan on the SAME
   // service is still byte-identical to the blocking detector.
   ScanRequest healthy;
-  healthy.model = &victim;
+  healthy.model = victim;
   healthy.probe_key = key;
   healthy.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   const ScanHandle handle = service.submit(std::move(healthy));
@@ -222,8 +229,8 @@ TEST_F(FaultInjectionTest, NanQuarantinesOneClassWithoutTouchingConcurrentHealth
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 93};
   const Dataset probe = make_probe(spec, 48, 93);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 94);
-  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
+  const auto victim = frozen_victim(spec.num_classes, 94);
+  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(*victim, probe);
 
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/2));
   // Scan ids are assigned 1, 2, ... per service; scope the poison to the
@@ -235,13 +242,13 @@ TEST_F(FaultInjectionTest, NanQuarantinesOneClassWithoutTouchingConcurrentHealth
   fault::FaultRegistry::instance().arm("scan.round_stat", fault_spec);
 
   ScanRequest healthy;
-  healthy.model = &victim;
+  healthy.model = victim;
   healthy.probe_key = key;
   healthy.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   const ScanHandle healthy_handle = service.submit(std::move(healthy));
 
   ScanRequest faulty;
-  faulty.model = &victim;
+  faulty.model = victim;
   faulty.probe_key = key;
   faulty.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   const ScanHandle faulty_handle = service.submit(std::move(faulty));
@@ -301,16 +308,13 @@ TEST_F(FaultInjectionTest, BlockingEarlyExitPathQuarantinesAtRoundBoundary) {
 }
 
 // detect() runs through the same fault points as the service: a one-shot
-// throw at a round propagates out of it as InjectedFault, the unwound scan
-// leaves no model-copy bytes behind, and the next detect() is byte-identical
-// to a clean run.
+// throw at a round propagates out of it as InjectedFault, and the next
+// detect() is byte-identical to a clean run.
 TEST_F(FaultInjectionTest, DetectPropagatesInjectedRoundFaultAndStaysReusable) {
   const DatasetSpec spec = tiny_spec();
   const Dataset probe = generate_dataset(spec, 48, 103);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 104);
   const DetectionReport clean = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
-  const std::int64_t clone_bytes =
-      MemoryBudget::process().bytes(MemoryBudget::Category::kModelClones);
 
   fault::FaultSpec fault_spec;
   fault_spec.kind = fault::FaultSpec::Kind::kThrow;
@@ -319,7 +323,6 @@ TEST_F(FaultInjectionTest, DetectPropagatesInjectedRoundFaultAndStaysReusable) {
   EXPECT_THROW((void)NeuralCleanse(tiny_nc_config()).detect(victim, probe),
                fault::InjectedFault);
   EXPECT_GE(fault::FaultRegistry::instance().hits("scan.round"), 1);
-  EXPECT_EQ(MemoryBudget::process().bytes(MemoryBudget::Category::kModelClones), clone_bytes);
 
   const DetectionReport again = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
   expect_reports_identical(clean, again);
@@ -332,7 +335,7 @@ TEST_F(FaultInjectionTest, InjectedRoundDelayResolvesDeadlinedScanTimedOut) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 97};
   const Dataset probe = make_probe(spec, 48, 97);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 98);
+  const auto victim = frozen_victim(spec.num_classes, 98);
 
   fault::FaultSpec fault_spec;
   fault_spec.kind = fault::FaultSpec::Kind::kDelay;
@@ -342,7 +345,7 @@ TEST_F(FaultInjectionTest, InjectedRoundDelayResolvesDeadlinedScanTimedOut) {
 
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
   ScanRequest request;
-  request.model = &victim;
+  request.model = victim;
   request.probe_key = key;
   request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(/*steps=*/60));
   request.options.deadline_seconds = 0.1;
@@ -357,7 +360,7 @@ TEST_F(FaultInjectionTest, InjectedRoundDelayResolvesDeadlinedScanTimedOut) {
 
   fault::FaultRegistry::instance().disarm_all();
   ScanRequest retry;
-  retry.model = &victim;
+  retry.model = victim;
   retry.probe_key = key;
   retry.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(/*steps=*/3));
   retry.options.deadline_seconds = 3600.0;
@@ -396,8 +399,8 @@ TEST_F(FaultInjectionTest, NonMatchingArmedSpecsLeaveHealthyScanByteIdentical) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 101};
   const Dataset probe = make_probe(spec, 48, 101);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 102);
-  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
+  const auto victim = frozen_victim(spec.num_classes, 102);
+  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(*victim, probe);
 
   fault::FaultSpec unknown;
   unknown.kind = fault::FaultSpec::Kind::kThrow;
@@ -411,7 +414,7 @@ TEST_F(FaultInjectionTest, NonMatchingArmedSpecsLeaveHealthyScanByteIdentical) {
 
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
   ScanRequest request;
-  request.model = &victim;
+  request.model = victim;
   request.probe_key = key;
   request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   request.options.deadline_seconds = 3600.0;  // set but never hit

@@ -19,6 +19,7 @@
 //  - load failures carry the checkpoint path and reach every waiter.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -308,19 +309,20 @@ TEST(ModelStore, ConcurrentRefScansMatchDetectByteForByte) {
   }
 }
 
-// Mixed plumbing in one service: the same victim scanned live (clone-on-
-// submit) and by checkpoint ref produces byte-identical reports.
+// Mixed plumbing in one service: the same victim scanned as the caller's
+// shared network and by checkpoint ref produces byte-identical reports.
 TEST(ModelStore, RefAndLiveSubmissionsAgree) {
   const DatasetSpec spec = tiny_spec(6);
   const ProbeKey key{spec, 48, /*seed=*/87};
-  Network victim = make_network(Architecture::kBasicCnn, spec.channels, spec.image_size,
-                                spec.num_classes, /*seed=*/88);
+  const auto victim = std::make_shared<Network>(make_network(
+      Architecture::kBasicCnn, spec.channels, spec.image_size, spec.num_classes, /*seed=*/88));
+  victim->freeze();
   const std::string path = checkpoint_path("mixed");
-  save_checkpoint(victim, path);
+  save_checkpoint(*victim, path);
 
   DetectionService service(service_config(2, /*executors=*/2));
   ScanRequest live;
-  live.model = &victim;
+  live.model = victim;
   live.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   live.probe_key = key;
   ScanRequest by_ref;
@@ -340,8 +342,9 @@ TEST(ModelStore, RefAndLiveSubmissionsAgree) {
 // A request must name exactly one model source.
 TEST(ModelStore, SubmitRejectsZeroOrTwoModelSources) {
   const DatasetSpec spec = tiny_spec();
-  Network victim = make_network(Architecture::kBasicCnn, spec.channels, spec.image_size,
-                                spec.num_classes, /*seed=*/89);
+  const auto victim = std::make_shared<Network>(make_network(
+      Architecture::kBasicCnn, spec.channels, spec.image_size, spec.num_classes, /*seed=*/89));
+  victim->freeze();
   DetectionService service(service_config(1));
 
   ScanRequest neither;
@@ -350,7 +353,7 @@ TEST(ModelStore, SubmitRejectsZeroOrTwoModelSources) {
   EXPECT_THROW((void)service.submit(std::move(neither)), std::invalid_argument);
 
   ScanRequest both;
-  both.model = &victim;
+  both.model = victim;
   both.model_ref = ModelRef::from_checkpoint("x.ckpt");
   both.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   both.probe_key = ProbeKey{spec, 16, 90};

@@ -8,11 +8,12 @@
 //    retry count in ScanOutcome::retries;
 //  - retry exhaustion resolves kFailed, still reporting how many retries
 //    were spent;
-//  - past the queue-depth or memory watermark, the LOWEST-priority NEWEST
-//    queued scans are shed (kShed, resolved immediately) while unsheddable
-//    and admitted scans complete untouched;
-//  - ProbeStore entries, model clones, and arena storage register with the
-//    process MemoryBudget and release on eviction / scan retirement, and
+//  - past the queue-depth watermark, the LOWEST-priority NEWEST queued
+//    scans are shed (kShed, resolved immediately), and past the memory
+//    watermark every sheddable queued scan is, while unsheddable and
+//    admitted scans complete untouched;
+//  - ProbeStore entries and arena storage register with the process
+//    MemoryBudget and release on eviction / scan retirement, and
 //    max_resident_bytes turns the total into kReject/kBlock backpressure;
 //  - the watchdog flags an item stuck past stuck_item_seconds (and, opted
 //    in, fails the owning scan naming the stage) while healthy runs with a
@@ -30,7 +31,6 @@
 #include "data/probe_store.h"
 #include "data/synthetic.h"
 #include "defenses/neural_cleanse.h"
-#include "nn/checkpoint.h"
 #include "nn/models.h"
 #include "report_identity.h"
 #include "service/detection_service.h"
@@ -63,9 +63,18 @@ DetectionServiceConfig service_config(int scan_threads, int executors = 2) {
   return config;
 }
 
-ScanRequest nc_request(Network& model, const ProbeKey& key, std::int64_t steps = 6) {
+/// A frozen 16x16 BasicCnn victim, shared by every scan a test submits.
+std::shared_ptr<Network> frozen_victim(std::int64_t num_classes, std::uint64_t seed) {
+  auto victim =
+      std::make_shared<Network>(make_network(Architecture::kBasicCnn, 1, 16, num_classes, seed));
+  victim->freeze();
+  return victim;
+}
+
+ScanRequest nc_request(std::shared_ptr<const Network> model, const ProbeKey& key,
+                       std::int64_t steps = 6) {
   ScanRequest request;
-  request.model = &model;
+  request.model = std::move(model);
   request.probe_key = key;
   request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config(steps));
   return request;
@@ -90,8 +99,8 @@ TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 141};
   const Dataset probe = make_probe(spec, 48, 141);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 142);
-  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
+  const auto victim = frozen_victim(spec.num_classes, 142);
+  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(*victim, probe);
 
   fault::FaultSpec fault_spec;
   fault_spec.kind = fault::FaultSpec::Kind::kThrow;
@@ -114,7 +123,7 @@ TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
   config.early_exit.round_steps = 2;
   config.early_exit.margin = 1e18;
   fault::FaultRegistry::instance().disarm_all();
-  const DetectionReport early_direct = NeuralCleanse(config).detect(victim, probe);
+  const DetectionReport early_direct = NeuralCleanse(config).detect(*victim, probe);
 
   fault::FaultSpec cutoff_fault;
   cutoff_fault.kind = fault::FaultSpec::Kind::kThrow;
@@ -138,8 +147,8 @@ TEST_F(OverloadTest, ProbeMaterializationEnomemRetriesAndSucceeds) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 143};
   const Dataset probe = make_probe(spec, 48, 143);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 144);
-  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(victim, probe);
+  const auto victim = frozen_victim(spec.num_classes, 144);
+  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(*victim, probe);
 
   fault::FaultSpec fault_spec;
   fault_spec.kind = fault::FaultSpec::Kind::kEnomem;
@@ -148,7 +157,7 @@ TEST_F(OverloadTest, ProbeMaterializationEnomemRetriesAndSucceeds) {
 
   DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
   ScanRequest request;
-  request.model = &victim;
+  request.model = victim;
   request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   request.probe_key = key;
   request.options.max_retries = 1;
@@ -167,7 +176,7 @@ TEST_F(OverloadTest, ProbeMaterializationEnomemRetriesAndSucceeds) {
 TEST_F(OverloadTest, RetryExhaustionResolvesFailedWithRetryCount) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 145};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 146);
+  const auto victim = frozen_victim(spec.num_classes, 146);
 
   fault::FaultSpec fault_spec;
   fault_spec.kind = fault::FaultSpec::Kind::kThrow;
@@ -202,7 +211,7 @@ TEST_F(OverloadTest, RetryExhaustionResolvesFailedWithRetryCount) {
 TEST_F(OverloadTest, DefaultZeroRetriesFailsTransientFaultImmediately) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 147};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 148);
+  const auto victim = frozen_victim(spec.num_classes, 148);
 
   fault::FaultSpec fault_spec;
   fault_spec.kind = fault::FaultSpec::Kind::kThrow;
@@ -223,7 +232,7 @@ TEST_F(OverloadTest, DefaultZeroRetriesFailsTransientFaultImmediately) {
 TEST_F(OverloadTest, HugeRetryBackoffIsCappedNotOverflowed) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 149};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 150);
+  const auto victim = frozen_victim(spec.num_classes, 150);
 
   fault::FaultSpec fault_spec;
   fault_spec.kind = fault::FaultSpec::Kind::kThrow;
@@ -256,7 +265,7 @@ TEST_F(OverloadTest, HugeRetryBackoffIsCappedNotOverflowed) {
 TEST_F(OverloadTest, DepthWatermarkShedsLowestPriorityNewestSparingUnsheddable) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 151};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 152);
+  const auto victim = frozen_victim(spec.num_classes, 152);
 
   // The blocker (scan id 1) holds the single admission slot: every one of
   // its rounds sleeps, so the scans below all sit queued while we assert.
@@ -303,60 +312,79 @@ TEST_F(OverloadTest, DepthWatermarkShedsLowestPriorityNewestSparingUnsheddable) 
   EXPECT_EQ(service.health().scans_shed, 2);  // admitted scans were never shed
 }
 
-TEST_F(OverloadTest, MemoryWatermarkShedsQueuedScanWhoseCloneBreachesBudget) {
+// A queued scan holds no budgeted bytes, so over the memory watermark
+// every sheddable queued scan is shed, whatever its priority. Here the
+// running blocker's probe breaches the watermark after three scans queued
+// behind it; the watchdog's sweep (running scans grow the budget with no
+// submit() to notice) sheds the two sheddable ones and spares the
+// unsheddable one, which runs once the blocker is gone.
+TEST_F(OverloadTest, MemoryWatermarkBreachedByResidentProbeShedsSheddableQueuedScans) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 153};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 154);
-  Network sample_clone = clone_network(victim);
-  const std::int64_t clone_bytes = network_resident_bytes(sample_clone);
-  ASSERT_GT(clone_bytes, 0);
-
+  const auto victim = frozen_victim(spec.num_classes, 154);
   const std::int64_t probe_bytes = ProbeStore().get_or_create(key)->bytes();
+  ASSERT_GT(probe_bytes, 1);
 
-  // Park the blocker in plan preparation, which its first stage runs just
-  // after materializing the probe, so the only budget movement between the
-  // two submits is the submit-time clones — arenas can't grow while
-  // prepare sleeps.
-  fault::FaultSpec delay;
-  delay.kind = fault::FaultSpec::Kind::kDelay;
-  delay.delay_seconds = 0.5;
-  delay.count = 1;
-  delay.scope = 1;
-  fault::FaultRegistry::instance().arm("scan.prepare", delay);
+  // The blocker (scan id 1) materializes the probe in its first stage; hold
+  // that until the scans below have passed admission under the watermark,
+  // then slow its rounds so it keeps the probe resident through a sweep.
+  fault::FaultSpec hold;
+  hold.kind = fault::FaultSpec::Kind::kDelay;
+  hold.delay_seconds = 0.5;
+  hold.count = 1;
+  hold.scope = 1;
+  fault::FaultRegistry::instance().arm("probe_store.materialize", hold);
+  fault::FaultSpec slow;
+  slow.kind = fault::FaultSpec::Kind::kDelay;
+  slow.delay_seconds = 0.05;
+  slow.count = -1;
+  slow.scope = 1;
+  fault::FaultRegistry::instance().arm("scan.round", slow);
 
-  // Room for the probe and one-and-a-half clones above whatever the rest of
-  // the process has registered: the admitted blocker fits, a second clone
-  // does not.
+  // Half a probe above whatever the rest of the process has registered.
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
-  config.max_resident_bytes =
-      MemoryBudget::process().bytes() + probe_bytes + clone_bytes + clone_bytes / 2;
+  config.max_resident_bytes = MemoryBudget::process().bytes() + probe_bytes / 2;
+  config.stuck_item_seconds = 2.0;  // arms the watchdog, which re-checks the watermarks
   DetectionService service(config);
 
-  ScanRequest blocking = nc_request(victim, key);
+  ScanRequest blocking = nc_request(victim, key, /*steps=*/40);
   blocking.options.unsheddable = true;
   const ScanHandle blocker = service.submit(std::move(blocking));
+  ScanRequest high_request = nc_request(victim, key);
+  high_request.options.priority = 1;
+  const ScanHandle high = service.submit(std::move(high_request));
+  const ScanHandle low = service.submit(nc_request(victim, key));
+  ScanRequest must_run_request = nc_request(victim, key);
+  must_run_request.options.unsheddable = true;
+  const ScanHandle must_run = service.submit(std::move(must_run_request));
+  ASSERT_EQ(service.probe_store().bytes_resident(), 0)
+      << "the watermark was breached before the queue filled";
+  EXPECT_EQ(high.poll(), ScanStatus::kQueued);
+  EXPECT_EQ(low.poll(), ScanStatus::kQueued);
+  EXPECT_EQ(must_run.poll(), ScanStatus::kQueued);
+
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (service.probe_store().bytes_resident() == 0 &&
+  while ((high.poll() != ScanStatus::kShed || low.poll() != ScanStatus::kShed) &&
          std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_EQ(service.probe_store().bytes_resident(), probe_bytes);
-  // Passes the admission gate (budget still under the watermark), but its
-  // own clone breaches it — the sweep sheds the newest sheddable queued
-  // scan, which is this one.
-  const ScanHandle shed = service.submit(nc_request(victim, key));
-  EXPECT_EQ(shed.poll(), ScanStatus::kShed);
-  EXPECT_EQ(service.health().scans_shed, 1);
+  EXPECT_EQ(high.poll(), ScanStatus::kShed);
+  EXPECT_EQ(low.poll(), ScanStatus::kShed);
+  EXPECT_EQ(must_run.poll(), ScanStatus::kQueued);
+  EXPECT_EQ(service.probe_store().bytes_resident(), probe_bytes);
+  EXPECT_EQ(service.health().scans_shed, 2);
 
   fault::FaultRegistry::instance().disarm_all();
   blocker.cancel();
   (void)blocker.wait();
+  EXPECT_EQ(must_run.wait().status, ScanStatus::kDone);
+  EXPECT_EQ(service.health().scans_shed, 2);
 }
 
 TEST_F(OverloadTest, ByteBackpressureRejectsWhileOverBudgetAndRecovers) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 155};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 156);
+  const auto victim = frozen_victim(spec.num_classes, 156);
 
   fault::FaultSpec delay;
   delay.kind = fault::FaultSpec::Kind::kDelay;
@@ -365,20 +393,28 @@ TEST_F(OverloadTest, ByteBackpressureRejectsWhileOverBudgetAndRecovers) {
   delay.scope = 1;
   fault::FaultRegistry::instance().arm("scan.round", delay);
 
-  // Any live scan's clone exceeds one byte, so admission is gated the
-  // moment a scan is in flight — and reopens when it retires.
+  // A live scan's resident probe exceeds one byte, so admission is gated
+  // once the first scan has materialized it — and reopens when it retires.
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
   config.max_resident_bytes = 1;
   config.admission_policy = AdmissionPolicy::kReject;
   DetectionService service(config);
   const ScanHandle first = service.submit(nc_request(victim, key, /*steps=*/40));
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (service.probe_store().bytes_resident() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(service.probe_store().bytes_resident(), 0);
   EXPECT_THROW((void)service.submit(nc_request(victim, key)), QueueFull);
 
   fault::FaultRegistry::instance().disarm_all();
   first.cancel();
   (void)first.wait();
-  // Budget drained and live_ emptied: the same service admits again (an
-  // empty service never blocks on externally-owned bytes).
+  // The scan freed its slot before wait() returned, so the same service
+  // admits again at once: with nothing queued or admitted, the byte gate
+  // never blocks on bytes no scan can drain, its own resident probe
+  // included.
   const ScanHandle second = service.submit(nc_request(victim, key));
   EXPECT_EQ(second.wait().status, ScanStatus::kDone);
 }
@@ -412,16 +448,12 @@ TEST(MemoryBudgetTest, ProbeStoreRegistersEvictsAndReleases) {
   EXPECT_EQ(budget.bytes(MemoryBudget::Category::kProbeData), before);
 }
 
-TEST(MemoryBudgetTest, ScanLifecycleReturnsCloneAndArenaBytesToBaseline) {
+TEST(MemoryBudgetTest, ScanLifecycleReturnsArenaBytesToBaseline) {
   auto& budget = MemoryBudget::process();
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 163};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 164);
-  Network sample_clone = clone_network(victim);
-  const std::int64_t clone_bytes = network_resident_bytes(sample_clone);
-  ASSERT_GT(clone_bytes, 0);
+  const auto victim = frozen_victim(4, 164);
 
-  const std::int64_t clones_before = budget.bytes(MemoryBudget::Category::kModelClones);
   const std::int64_t arenas_before = budget.bytes(MemoryBudget::Category::kArenas);
   {
     DetectionServiceConfig config;
@@ -429,20 +461,21 @@ TEST(MemoryBudgetTest, ScanLifecycleReturnsCloneAndArenaBytesToBaseline) {
     config.max_concurrent_scans = 1;
     DetectionService service(config);
     ScanRequest request;
-    request.model = &victim;
+    request.model = victim;
     request.probe_key = key;
     request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
     const ScanHandle handle = service.submit(std::move(request));
     ASSERT_EQ(handle.wait().status, ScanStatus::kDone);
-    // Terminal resolution released the submit clone and the refinement
-    // arenas BEFORE the waiter woke.
-    EXPECT_EQ(budget.bytes(MemoryBudget::Category::kModelClones), clones_before);
+    // Terminal resolution released the refinement arenas BEFORE the waiter
+    // woke.
     EXPECT_EQ(budget.bytes(MemoryBudget::Category::kArenas), arenas_before);
+    // The scan's peak footprint is on the high-water record: at least its
+    // probe, which the service's store keeps resident, was registered
+    // (process-wide high water — monotone, so >= this scan's peak).
+    const std::int64_t probe_bytes = service.probe_store().bytes_resident();
+    EXPECT_GT(probe_bytes, 0);
+    EXPECT_GE(budget.high_water_bytes(), probe_bytes);
   }
-  // The scan's peak footprint is on the high-water record: at least the
-  // submit-time clone, the only copy a scan makes, was resident (process-wide
-  // high water — monotone, so >= this scan's peak).
-  EXPECT_GE(budget.high_water_bytes(), clone_bytes);
 }
 
 // ---- Hung-scan watchdog ------------------------------------------------
@@ -450,7 +483,7 @@ TEST(MemoryBudgetTest, ScanLifecycleReturnsCloneAndArenaBytesToBaseline) {
 TEST_F(OverloadTest, WatchdogFlagsInjectedStallAndHealthReportsIt) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 171};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 172);
+  const auto victim = frozen_victim(4, 172);
 
   fault::FaultSpec delay;
   delay.kind = fault::FaultSpec::Kind::kDelay;
@@ -482,7 +515,7 @@ TEST_F(OverloadTest, WatchdogFlagsInjectedStallAndHealthReportsIt) {
 TEST_F(OverloadTest, WatchdogStaysQuietOnHealthyRuns) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 173};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 174);
+  const auto victim = frozen_victim(4, 174);
 
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
   config.stuck_item_seconds = 30.0;  // far above any honest stage
@@ -497,7 +530,7 @@ TEST_F(OverloadTest, WatchdogStaysQuietOnHealthyRuns) {
 TEST_F(OverloadTest, FailStuckScansResolvesOwnerFailedNamingTheStage) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 175};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 176);
+  const auto victim = frozen_victim(4, 176);
 
   fault::FaultSpec delay;
   delay.kind = fault::FaultSpec::Kind::kDelay;
@@ -521,7 +554,7 @@ TEST_F(OverloadTest, FailStuckScansResolvesOwnerFailedNamingTheStage) {
 TEST_F(OverloadTest, HealthSnapshotTracksCountersAndBudget) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 181};
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 182);
+  const auto victim = frozen_victim(4, 182);
 
   DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
   const ServiceHealth idle = service.health();

@@ -5,9 +5,9 @@
 // payload (per-class estimates and verdict) must be bit-identical for any
 // thread count, because every per-class job derives its RNG streams only
 // from (base_seed, class) and the reduction into the MAD stage is ordered.
-// USB_THREADS merely resizes the global pool; injecting explicitly sized
-// pools through the scan_pool override exercises the same code path
-// in-process, so these tests cover USB_THREADS=1 vs USB_THREADS=4.
+// USB_THREADS merely resizes the global pool; passing explicitly sized
+// pools to detect() exercises the same code path in-process, so these
+// tests cover USB_THREADS=1 vs USB_THREADS=4.
 #include <gtest/gtest.h>
 
 #include "core/targeted_uap.h"
@@ -20,7 +20,6 @@
 #include "defenses/tabor.h"
 #include "nn/models.h"
 #include "report_identity.h"
-#include "utils/memory_budget.h"
 
 namespace usb {
 namespace {
@@ -126,7 +125,7 @@ TEST(ClassScanScheduler, OrderedReductionFeedsMadInClassOrder) {
                 [](const Network&, const Dataset&, const ClassScanJob& job) {
                   return std::make_unique<StubTask>(job);
                 }),
-      model, probe);
+      model, probe, ThreadPool::global());
   ASSERT_EQ(report.per_class.size(), 4U);
   ASSERT_EQ(report.verdict.norms.size(), 4U);
   for (std::int64_t t = 0; t < 4; ++t) {
@@ -153,7 +152,7 @@ TEST(ClassScanScheduler, JobsReceiveSharedCacheAndPerClassSeeds) {
                                   cache_samples[index] = job.probe_cache->total_samples();
                                   return std::make_unique<StubTask>(job);
                                 }),
-                      model, probe);
+                      model, probe, ThreadPool::global());
   for (std::int64_t t = 0; t < 3; ++t) {
     EXPECT_EQ(seeds[static_cast<std::size_t>(t)], class_stream_seed(11, t));
     ASSERT_NE(caches[static_cast<std::size_t>(t)], nullptr);
@@ -166,7 +165,7 @@ TEST(ClassScanScheduler, JobsReceiveSharedCacheAndPerClassSeeds) {
 
 // The satellite regression test: UsbDetector::detect on a small synthetic
 // model produces an identical DetectionReport under USB_THREADS=1 vs
-// USB_THREADS=4 (explicitly sized pools injected via scan_pool).
+// USB_THREADS=4 (explicitly sized pools passed to detect()).
 TEST(ClassScanScheduler, UsbDetectorBitIdenticalAcrossThreadCounts) {
   const DatasetSpec spec = tiny_spec();
   const Dataset probe = generate_dataset(spec, 64, 51);
@@ -175,14 +174,9 @@ TEST(ClassScanScheduler, UsbDetectorBitIdenticalAcrossThreadCounts) {
   ThreadPool pool_1(1);
   ThreadPool pool_4(4);
 
-  UsbConfig config = tiny_usb_config();
-  config.scan_pool = &pool_1;
-  UsbDetector usb_single(config);
-  const DetectionReport single = usb_single.detect(victim, probe);
-
-  config.scan_pool = &pool_4;
-  UsbDetector usb_parallel(config);
-  const DetectionReport parallel = usb_parallel.detect(victim, probe);
+  const UsbDetector usb(tiny_usb_config());
+  const DetectionReport single = usb.detect(victim, probe, pool_1);
+  const DetectionReport parallel = usb.detect(victim, probe, pool_4);
 
   ASSERT_EQ(single.per_class.size(), 10U);
   expect_reports_identical(single, parallel);
@@ -198,18 +192,16 @@ TEST(ClassScanScheduler, NcAndTaborBitIdenticalAcrossThreadCounts) {
 
   ReverseOptConfig nc_config;
   nc_config.steps = 6;
-  nc_config.scan_pool = &pool_1;
-  const DetectionReport nc_single = NeuralCleanse(nc_config).detect(victim, probe);
-  nc_config.scan_pool = &pool_4;
-  const DetectionReport nc_parallel = NeuralCleanse(nc_config).detect(victim, probe);
+  const NeuralCleanse nc(nc_config);
+  const DetectionReport nc_single = nc.detect(victim, probe, pool_1);
+  const DetectionReport nc_parallel = nc.detect(victim, probe, pool_4);
   expect_reports_identical(nc_single, nc_parallel);
 
   TaborConfig tabor_config;
   tabor_config.base.steps = 4;
-  tabor_config.base.scan_pool = &pool_1;
-  const DetectionReport tabor_single = Tabor(tabor_config).detect(victim, probe);
-  tabor_config.base.scan_pool = &pool_4;
-  const DetectionReport tabor_parallel = Tabor(tabor_config).detect(victim, probe);
+  const Tabor tabor(tabor_config);
+  const DetectionReport tabor_single = tabor.detect(victim, probe, pool_1);
+  const DetectionReport tabor_parallel = tabor.detect(victim, probe, pool_4);
   expect_reports_identical(tabor_single, tabor_parallel);
 }
 
@@ -308,8 +300,9 @@ TEST(ClassScanScheduler, ExternalProbeCacheBitIdentical) {
   const ProbeBatchCache shared(probe);
   ScanPlan plan = detector.plan();
   plan.options.external_probe_cache = &shared;
-  const DetectionReport cached = run_scan_plan(plan, victim, probe);
-  const DetectionReport cached_again = run_scan_plan(plan, victim, probe);
+  const DetectionReport cached = run_scan_plan(plan, victim, probe, ThreadPool::global());
+  const DetectionReport cached_again =
+      run_scan_plan(plan, victim, probe, ThreadPool::global());
 
   expect_reports_identical(fresh, cached);
   expect_reports_identical(fresh, cached_again);
@@ -351,10 +344,8 @@ TEST(ClassScanScheduler, EarlyExitBitIdenticalAcrossThreadCounts) {
   config.early_exit.round_steps = 2;
   config.early_exit.margin = 0.25;
 
-  config.scan_pool = &pool_1;
-  const DetectionReport single = UsbDetector(config).detect(victim, probe);
-  config.scan_pool = &pool_4;
-  const DetectionReport parallel = UsbDetector(config).detect(victim, probe);
+  const DetectionReport single = UsbDetector(config).detect(victim, probe, pool_1);
+  const DetectionReport parallel = UsbDetector(config).detect(victim, probe, pool_4);
   expect_reports_identical(single, parallel);
 
   ReverseOptConfig nc_config;
@@ -362,10 +353,8 @@ TEST(ClassScanScheduler, EarlyExitBitIdenticalAcrossThreadCounts) {
   nc_config.early_exit.enabled = true;
   nc_config.early_exit.round_steps = 2;
   nc_config.early_exit.margin = 0.25;
-  nc_config.scan_pool = &pool_1;
-  const DetectionReport nc_single = NeuralCleanse(nc_config).detect(victim, probe);
-  nc_config.scan_pool = &pool_4;
-  const DetectionReport nc_parallel = NeuralCleanse(nc_config).detect(victim, probe);
+  const DetectionReport nc_single = NeuralCleanse(nc_config).detect(victim, probe, pool_1);
+  const DetectionReport nc_parallel = NeuralCleanse(nc_config).detect(victim, probe, pool_4);
   expect_reports_identical(nc_single, nc_parallel);
 }
 
@@ -406,10 +395,8 @@ TEST(ClassScanScheduler, DetectOnEmptyProbeIsWellDefined) {
   EXPECT_FALSE(report.verdict.backdoored);
 }
 
-// Every class runs on the caller's one frozen network: constructing class
-// tasks copies no weights (the clone bytes registered with the process
-// MemoryBudget stay at baseline), and the scan still reduces to the report
-// detect() produces.
+// Every class runs on the caller's one frozen network, and the scan still
+// reduces to the report detect() produces.
 TEST(StagedScan, ClassesShareTheModelWithoutCloning) {
   const DatasetSpec spec = tiny_spec(3);
   const Dataset probe = generate_dataset(spec, 24, 77);
@@ -420,21 +407,15 @@ TEST(StagedScan, ClassesShareTheModelWithoutCloning) {
   const NeuralCleanse nc(config);
   const DetectionReport direct = NeuralCleanse(config).detect(victim, probe);  // freezes
 
-  const MemoryBudget& budget = MemoryBudget::process();
-  const std::int64_t baseline = budget.bytes(MemoryBudget::Category::kModelClones);
-  {
-    StagedScan scan(nc.plan(), victim, probe);
-    scan.prepare();
-    for (std::int64_t t = 0; t < 3; ++t) scan.construct_class(t);
-    EXPECT_EQ(budget.bytes(MemoryBudget::Category::kModelClones), baseline);
-    for (std::int64_t t = 0; t < 3; ++t) {
-      while (scan.run_round(t)) {
-      }
-      scan.finalize_class(t);
+  StagedScan scan(nc.plan(), victim, probe);
+  scan.prepare();
+  for (std::int64_t t = 0; t < 3; ++t) scan.construct_class(t);
+  for (std::int64_t t = 0; t < 3; ++t) {
+    while (scan.run_round(t)) {
     }
-    expect_reports_identical(direct, scan.take_report());
+    scan.finalize_class(t);
   }
-  EXPECT_EQ(budget.bytes(MemoryBudget::Category::kModelClones), baseline);
+  expect_reports_identical(direct, scan.take_report());
 }
 
 // A scan runs K tasks' passes on the model at once, which is sound only in
