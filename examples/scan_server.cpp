@@ -2,6 +2,9 @@
 //
 // Usage: scan_server [--steps N] [--store-bytes BYTES] [--hazards]
 //
+//   --steps N            per-class refinement budget of every method (default 12)
+//   --store-bytes BYTES  the worker service's model-store cap (default 0 = unlimited)
+//
 // Thin wrapper over usb::run_scan_worker (src/service/scan_worker.cpp) — the
 // worker loop lives in the library so the WorkerFleet supervisor tests and
 // benches drive the exact code this binary runs. Reads WireScanRequest
@@ -25,7 +28,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
       options.steps = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--store-bytes") == 0 && i + 1 < argc) {
-      options.service.model_store_max_bytes = std::atoll(argv[++i]);
+      options.model_store_max_bytes = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--hazards") == 0) {
       options.enable_test_hazards = true;
     } else {

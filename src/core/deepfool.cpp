@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "tensor/tensor_ops.h"
 
@@ -11,9 +12,12 @@ Tensor targeted_deepfool(const Network& model, const Tensor& x, std::int64_t tar
                          const DeepFoolConfig& config, const DeepFoolWarmStart* warm,
                          TensorArena* arena) {
   require_frozen(model, "targeted_deepfool");
+  const std::int64_t classes = model.num_classes();
+  if (target < 0 || target >= classes) {
+    throw std::invalid_argument("targeted_deepfool: target class out of range");
+  }
   const std::int64_t batch = x.dim(0);
   const std::int64_t numel = x.numel() / batch;
-  const std::int64_t classes = model.num_classes();
 
   // Temporaries (the adversarial batch, every forward/backward, the
   // selectors) live in the caller's arena when one is provided, else in a

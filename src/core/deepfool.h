@@ -52,8 +52,8 @@ struct DeepFoolWarmStart {
 /// `arena` (optional) hosts every per-iteration temporary — forwards,
 /// selectors, backwards — under a Scope, so repeated calls recycle the same
 /// slots; without one the call uses a private arena (still allocation-free
-/// across its own iterations). `model` must be frozen (std::invalid_argument
-/// otherwise).
+/// across its own iterations). `model` must be frozen and `target` one of
+/// its classes (std::invalid_argument otherwise).
 [[nodiscard]] Tensor targeted_deepfool(const Network& model, const Tensor& x,
                                        std::int64_t target, const DeepFoolConfig& config = {},
                                        const DeepFoolWarmStart* warm = nullptr,

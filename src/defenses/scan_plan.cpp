@@ -5,6 +5,8 @@
 #include <condition_variable>
 #include <exception>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "utils/fault_injection.h"
 #include "utils/rng.h"
@@ -154,6 +156,11 @@ StagedScan::StagedScan(ScanPlan plan, const Network& model, const Dataset& probe
                        : std::max<std::int64_t>(1, (plan_.total_steps + 5) / 6)),
       mode_(plan_.options.early_exit.enabled ? Mode::kBarrier : Mode::kMonolithic) {
   require_frozen(model, "StagedScan");
+  if (num_classes_ != model.num_classes()) {
+    throw std::invalid_argument("StagedScan: the probe has " + std::to_string(num_classes_) +
+                                " classes but the model has " +
+                                std::to_string(model.num_classes()));
+  }
   const auto slots = static_cast<std::size_t>(num_classes_);
   tasks_.resize(slots);
   remaining_.assign(slots, std::max<std::int64_t>(0, plan_.total_steps));

@@ -264,10 +264,11 @@ struct ScanStep {
 /// the StagedScan.
 class StagedScan {
  public:
-  /// `model` must be frozen (std::invalid_argument otherwise). Every class
-  /// task and the shared-prefix builder run their passes on it, each on its
-  /// own arena, so the scan never writes to it: one instance may serve any
-  /// number of concurrent scans (a ModelStore resident does).
+  /// `model` must be frozen and classify as many classes as the probe
+  /// (std::invalid_argument otherwise). Every class task and the
+  /// shared-prefix builder run their passes on it, each on its own arena,
+  /// so the scan never writes to it: one instance may serve any number of
+  /// concurrent scans (a ModelStore resident does).
   StagedScan(ScanPlan plan, const Network& model, const Dataset& probe);
 
   StagedScan(const StagedScan&) = delete;

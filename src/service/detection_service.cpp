@@ -26,14 +26,6 @@ std::string to_string(ScanStatus status) {
   return "unknown";
 }
 
-std::string to_string(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kBlock: return "block";
-    case AdmissionPolicy::kReject: return "reject";
-  }
-  return "unknown";
-}
-
 namespace detail {
 
 /// Shared between the submitting thread, the scan's execution, and any
@@ -195,26 +187,11 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       phase_ = Phase::kTerminal;
       ScanOutcome outcome;
       outcome.status = ScanStatus::kShed;
-      outcome.error = "shed under overload (queue/memory watermark)";
+      outcome.error = "shed under overload (queue-depth watermark)";
       service_->shed_.fetch_add(1);
       service_->retire_scan(state_, this, std::move(outcome), launches);
     }
     for (const auto& exec : launches) exec->launch();
-  }
-
-  /// Watchdog verdict on a stuck item of this scan (fail_stuck_scans):
-  /// record the failure — the scan resolves kFailed when the stuck item
-  /// finally returns (an item cannot be pre-empted) — and expedite any
-  /// backoff-parked retries so the rest of the chain drains now.
-  void mark_stuck(const char* point) {
-    mark_failed(std::string("watchdog: stage '") + (point != nullptr && *point ? point : "item") +
-                "' exceeded stuck_item_seconds");
-    RoundScheduler::JobPtr job;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      job = job_;
-    }
-    if (job != nullptr) service_->scheduler_.expedite(job);
   }
 
   [[nodiscard]] const std::shared_ptr<ScanState>& scan_state() const noexcept { return state_; }
@@ -292,8 +269,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   /// Transient classification: explicit (ScanError::transient, so detectors
   /// opt stages in via TransientError) plus the two implicit families the
   /// service trusts to be retryable — injected faults (the registry models
-  /// infrastructure hiccups) and allocation failures (memory pressure is
-  /// relieved by shedding and backoff).
+  /// infrastructure hiccups) and allocation failures (retried with backoff,
+  /// since running scans may release memory in the meantime).
   [[nodiscard]] static bool is_transient_failure(const std::exception& error) {
     if (const auto* scan_error = dynamic_cast<const ScanError*>(&error)) {
       return scan_error->transient;
@@ -594,30 +571,15 @@ DetectionService::DetectionService(DetectionServiceConfig config)
     : config_(config),
       scan_pool_(config.scan_threads),
       model_store_(ModelStoreOptions{config.model_store_max_bytes}),
-      scheduler_(RoundScheduler::Config{resolve_dispatchers(config), &scan_pool_}) {
-  if (config_.stuck_item_seconds > 0) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
-  }
-}
+      scheduler_(RoundScheduler::Config{resolve_dispatchers(config), &scan_pool_}) {}
 
 DetectionService::~DetectionService() {
-  // The watchdog goes first: it walks live_ and calls back into scans, so
-  // it must be gone before shutdown starts resolving them.
-  if (watchdog_.joinable()) {
-    {
-      const std::lock_guard<std::mutex> lock(watchdog_mutex_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_.join();
-  }
   std::vector<std::shared_ptr<ScanState>> snapshot;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     shutting_down_ = true;
     snapshot.assign(live_.begin(), live_.end());
   }
-  queue_space_.notify_all();  // blocked submitters must observe the shutdown
   // Queued scans resolve to kCancelled immediately; admitted scans hit the
   // flag at their next stage boundary. Cancel OUTSIDE mutex_: request_cancel
   // re-enters the service through retire_scan.
@@ -657,29 +619,11 @@ ScanHandle DetectionService::submit(ScanRequest request) {
   bool launch_now = false;
   std::vector<std::shared_ptr<ScanExecution>> victims;
   {
-    // Admission and enqueue under one hold: nothing between them is
-    // expensive (the scan shares the request's network), so no slot has to
-    // be reserved across unlocked work. The memory watermark gates the same
-    // way — byte backpressure, released when a retiring scan drains the
-    // budget.
-    std::unique_lock<std::mutex> lock(mutex_);
+    // One hold builds the scan, takes an admission slot or queues it, and
+    // picks shed victims: nothing here is expensive (the scan shares the
+    // request's network) and nothing waits.
+    const std::lock_guard<std::mutex> lock(mutex_);
     if (shutting_down_) throw std::runtime_error("DetectionService: submit after shutdown");
-    const auto admissible = [this] {
-      if (config_.max_queued > 0 &&
-          static_cast<std::int64_t>(queue_.size()) >= config_.max_queued) {
-        return false;
-      }
-      return !over_byte_watermark_locked();
-    };
-    if (!admissible()) {
-      if (config_.admission_policy == AdmissionPolicy::kReject) {
-        throw QueueFull(static_cast<std::int64_t>(queue_.size()));
-      }
-      queue_space_.wait(lock, [this, &admissible] { return shutting_down_ || admissible(); });
-      if (shutting_down_) throw std::runtime_error("DetectionService: submit after shutdown");
-    }
-
-    // Admitted: only now does the state<->execution ownership cycle exist.
     state = std::make_shared<ScanState>();
     state->id = next_id_.fetch_add(1);
     state->model = std::move(request.model);
@@ -714,18 +658,6 @@ ScanHandle DetectionService::submit(ScanRequest request) {
   return ScanHandle(std::move(state));
 }
 
-void DetectionService::drain() {
-  std::vector<std::shared_ptr<ScanState>> snapshot;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    snapshot.assign(live_.begin(), live_.end());
-  }
-  for (const auto& state : snapshot) {
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->done_cv.wait(lock, [&state] { return state->terminal; });
-  }
-}
-
 void DetectionService::retire_scan(const std::shared_ptr<detail::ScanState>& state,
                                    const detail::ScanExecution* exec, ScanOutcome outcome,
                                    std::vector<std::shared_ptr<detail::ScanExecution>>& launches) {
@@ -755,39 +687,14 @@ void DetectionService::retire_scan(const std::shared_ptr<detail::ScanState>& sta
     live_.erase(std::find(live_.begin(), live_.end(), state));
     if (live_.empty()) idle_.notify_all();
   }
-  queue_space_.notify_all();  // pending depth shrank (or shutdown progressed)
-}
-
-bool DetectionService::over_byte_watermark_locked() const {
-  if (config_.max_resident_bytes <= 0) return false;
-  // With no scan queued or admitted there is nothing that can drain the
-  // budget — blocking an empty service on bytes no scan holds (its own
-  // resident probes, another service's store, a standalone arena) would
-  // deadlock, so the first scan is always admitted. Counted by slots, not
-  // by live_: retire_scan frees a slot before it publishes the terminal
-  // status, but leaves live_ only after, so a waiter that saw its scan
-  // resolve must not find the service still occupied.
-  if (admitted_ == 0 && queue_.empty()) return false;
-  return MemoryBudget::process().bytes() > config_.max_resident_bytes;
 }
 
 std::vector<std::shared_ptr<detail::ScanExecution>>
 DetectionService::collect_shed_victims_locked() {
   std::vector<std::shared_ptr<ScanExecution>> victims;
-  if (config_.shed_queue_depth <= 0 && config_.max_resident_bytes <= 0) return victims;
+  if (config_.shed_queue_depth <= 0) return victims;
   std::vector<std::shared_ptr<ScanExecution>> candidates(queue_.begin(), queue_.end());
-  // A queued scan holds no budgeted bytes (its probe and a ref's model are
-  // resolved only once it runs), so shedding cannot bring the total down:
-  // over the memory watermark every sheddable queued scan goes.
-  const bool over_bytes = config_.max_resident_bytes > 0 &&
-                          MemoryBudget::process().bytes() > config_.max_resident_bytes;
-  const auto over_watermark = [this, &candidates, over_bytes] {
-    if (candidates.empty()) return false;
-    return over_bytes || (config_.shed_queue_depth > 0 &&
-                          static_cast<std::int64_t>(candidates.size()) >
-                              config_.shed_queue_depth);
-  };
-  while (over_watermark()) {
+  while (static_cast<std::int64_t>(candidates.size()) > config_.shed_queue_depth) {
     // Lowest priority first; among equals the NEWEST (queue_ is submit
     // order, so a later index is newer — <= keeps replacing on ties).
     std::size_t best = candidates.size();
@@ -824,7 +731,6 @@ ServiceHealth DetectionService::health() const {
   const MemoryBudget& budget = MemoryBudget::process();
   health.budget_bytes = budget.bytes();
   health.budget_high_water_bytes = budget.high_water_bytes();
-  health.budget_limit_bytes = config_.max_resident_bytes;
   std::vector<RoundScheduler::InFlightItem> items;
   scheduler_.sample_in_flight(items);
   health.in_flight_items = static_cast<std::int64_t>(items.size());
@@ -835,75 +741,8 @@ ServiceHealth DetectionService::health() const {
       if (health.oldest_item_point.empty()) health.oldest_item_point = "item";
       health.oldest_item_scan = item.owner;
     }
-    if (config_.stuck_item_seconds > 0 && item.seconds >= config_.stuck_item_seconds) {
-      ++health.stuck_items;
-    }
   }
-  health.stuck_flagged_total = stuck_flagged_.load();
   return health;
-}
-
-void DetectionService::watchdog_loop() {
-  // Tick a few times per stuck bound so a freshly stuck item is flagged
-  // within ~1.25x the configured threshold, capped so an idle service
-  // wakes at most once a second.
-  const double tick_seconds = std::clamp(config_.stuck_item_seconds / 4.0, 0.001, 1.0);
-  const auto period = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(tick_seconds));
-  std::unique_lock<std::mutex> lock(watchdog_mutex_);
-  while (!watchdog_stop_) {
-    watchdog_cv_.wait_for(lock, period, [this] { return watchdog_stop_; });
-    if (watchdog_stop_) return;
-    lock.unlock();
-    watchdog_tick();
-    lock.lock();
-  }
-}
-
-void DetectionService::watchdog_tick() {
-  // Re-check the shed watermarks: running scans grow the budget (arena
-  // warm-up, probe materializations) without any submit() to notice.
-  std::vector<std::shared_ptr<ScanExecution>> victims;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!shutting_down_) victims = collect_shed_victims_locked();
-  }
-  for (const auto& victim : victims) victim->request_shed();
-
-  std::vector<RoundScheduler::InFlightItem> items;
-  scheduler_.sample_in_flight(items);
-  std::vector<std::pair<int, std::int64_t>> flagged_now;
-  for (const auto& item : items) {
-    if (item.seconds < config_.stuck_item_seconds) continue;
-    const std::pair<int, std::int64_t> key{item.dispatcher, item.start_ns};
-    flagged_now.push_back(key);
-    const bool already =
-        std::find(watchdog_flagged_.begin(), watchdog_flagged_.end(), key) !=
-        watchdog_flagged_.end();
-    if (already) continue;  // one flag per item
-    stuck_flagged_.fetch_add(1);
-    if (!config_.fail_stuck_scans || item.owner == 0) continue;
-    std::shared_ptr<ScanState> owner;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      for (const auto& state : live_) {
-        if (state->id == item.owner) {
-          owner = state;
-          break;
-        }
-      }
-    }
-    if (owner == nullptr) continue;  // resolved between sample and lookup
-    std::shared_ptr<ScanExecution> execution;
-    {
-      const std::lock_guard<std::mutex> lock(owner->mutex);
-      execution = owner->execution;
-    }
-    if (execution != nullptr) execution->mark_stuck(item.point);
-  }
-  // Keep only keys still stuck in flight: finished items age out, and a
-  // recycled (dispatcher, start_ns) pair can be re-flagged correctly.
-  watchdog_flagged_ = std::move(flagged_now);
 }
 
 }  // namespace usb

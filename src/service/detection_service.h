@@ -48,24 +48,24 @@
 //    queue — no dispatcher ever sleeps through a backoff. A retried scan
 //    that eventually succeeds is byte-identical to detect(); exhaustion
 //    resolves kFailed with the retry count in ScanOutcome::retries.
-//  - priority load shedding: past the queue-depth or memory watermarks
-//    (DetectionServiceConfig::{shed_queue_depth, max_resident_bytes}) the
-//    service sheds lowest-priority-then-newest QUEUED scans as kShed —
-//    resolved immediately, admission slot freed — sparing
-//    ScanOptions::unsheddable requests. Admitted scans are never shed.
-//  - global memory budget: probe materializations, resident models, and
-//    arena high-water bytes register with utils/memory_budget.h; the total
-//    drives shedding and turns kBlock admission into byte backpressure. A
-//    scan never copies its model, so a queued scan holds no budgeted bytes.
-//  - hung-scan watchdog: dispatchers heartbeat every item; a watchdog
-//    thread (armed by stuck_item_seconds) flags items stuck past the bound,
-//    surfaces them in ServiceHealth, and optionally fails the owning scan.
+//  - priority load shedding: past the queue-depth watermark
+//    (DetectionServiceConfig::shed_queue_depth) the service sheds
+//    lowest-priority-then-newest QUEUED scans as kShed — resolved
+//    immediately, admission slot freed — sparing ScanOptions::unsheddable
+//    requests. Admitted scans are never shed.
+//  - memory ledger: probe materializations, resident models, and arena
+//    high-water bytes register with utils/memory_budget.h, which health()
+//    reports. A scan never copies its model, so a queued scan holds no
+//    budgeted bytes.
+//  - liveness: dispatchers heartbeat every item, and health() names the
+//    oldest in-flight item (its age, stage label and scan) without a
+//    thread of its own; a request's deadline_seconds bounds a slow scan.
 //  - numerical quarantine: a class whose round statistic goes non-finite
 //    is retired with ClassScanState::kNumericallyUnstable and peeled from
 //    every MAD population; the scan still resolves kDone and the report
 //    names the quarantined classes.
 // When no fault occurs, no deadline is hit, nothing is quarantined, and no
-// watermark/retry/watchdog option is armed, every path above is inert and
+// shed watermark or retry option is armed, every path above is inert and
 // reports stay bit-identical to detect().
 #pragma once
 
@@ -76,9 +76,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -159,8 +157,8 @@ struct ScanOptions {
   /// First-retry backoff; doubles per subsequent attempt of the same item,
   /// up to kMaxSpanSeconds. Negative and NaN values count as 0.
   double retry_backoff_seconds = 0.05;
-  /// Exempts this scan from overload shedding (it can still be cancelled,
-  /// time out, or be rejected at admission). For must-run requests.
+  /// Exempts this scan from overload shedding (it can still be cancelled
+  /// or time out). For must-run requests.
   bool unsheddable = false;
 };
 
@@ -238,82 +236,30 @@ class ScanHandle {
   std::shared_ptr<detail::ScanState> state_;
 };
 
-/// What submit() does when the pending queue is at max_queued depth (or,
-/// with max_resident_bytes set, when the memory budget is saturated).
-enum class AdmissionPolicy {
-  kBlock,   // wait for the scheduler to drain a slot (throws on shutdown)
-  kReject,  // throw QueueFull immediately
-};
-
-[[nodiscard]] std::string to_string(AdmissionPolicy policy);
-
-/// Thrown by submit() under AdmissionPolicy::kReject when the pending queue
-/// is full (or the memory budget saturated). The service stays fully
-/// usable; retry after draining.
-struct QueueFull : std::runtime_error {
-  explicit QueueFull(std::int64_t depth)
-      : std::runtime_error("DetectionService: pending queue full (" + std::to_string(depth) +
-                           " requests)"),
-        depth_(depth) {}
-
-  /// Queued (submitted, not yet admitted) scans observed at the throw.
-  [[nodiscard]] std::int64_t depth() const noexcept { return depth_; }
-
- private:
-  std::int64_t depth_;
-};
-
 struct DetectionServiceConfig {
   /// Workers of the shared scan pool. 0 sizes it like ThreadPool::global()
   /// (see ThreadPool's constructor).
   int scan_threads = 0;
   /// Scans ADMITTED to the global scheduler at once. Requests beyond the
   /// cap wait in the submission queue with ScanStatus::kQueued (their
-  /// stages are not enqueued at all), preserving the admission semantics
-  /// of max_queued. Admitted scans share the dispatcher crew fairly — this
-  /// cap bounds how many scans hold live tasks, not parallelism.
+  /// stages are not enqueued at all; shed_queue_depth bounds that queue).
+  /// Admitted scans share the dispatcher crew fairly — this cap bounds how
+  /// many scans hold live tasks, not parallelism.
   int max_concurrent_scans = 2;
   /// Dispatcher threads of the global class-job scheduler = stage items in
   /// flight at once. 0 (default) sizes the crew like max_concurrent_scans.
   /// A single dispatcher still interleaves rounds of every admitted scan
   /// fairly — that is the point of the global queue.
   int round_dispatchers = 0;
-  /// Admission control: maximum requests pending (submitted, not yet
-  /// admitted to the scheduler), which bounds how long the backlog a new
-  /// request waits behind can grow. 0 (default) = unbounded. Admitted scans
-  /// do not count.
-  std::int64_t max_queued = 0;
-  /// Behaviour at the cap; see AdmissionPolicy. The check (and a kReject
-  /// throw) happens before any scan state exists, so rejected submissions
-  /// cost nothing.
-  AdmissionPolicy admission_policy = AdmissionPolicy::kBlock;
   /// Model-store eviction cap, forwarded to ModelStoreOptions::max_bytes
   /// (0 = unlimited): LRU by bytes, models pinned by in-flight ref-based
   /// scans are never evicted.
   std::int64_t model_store_max_bytes = 0;
-  /// Memory watermark: when the process MemoryBudget (probe data + resident
-  /// models + arenas; see utils/memory_budget.h) exceeds this many bytes,
-  /// (a) every sheddable queued scan is shed — a queued scan holds no
-  /// budgeted bytes, so only running scans can bring the total back down —
-  /// and (b) kBlock admission blocks new submissions (kReject throws
-  /// QueueFull) until a scan retires — byte backpressure, not just counts.
-  /// 0 (default) = no memory policy.
-  std::int64_t max_resident_bytes = 0;
   /// Queue-depth watermark: when more than this many scans sit QUEUED
   /// (admitted scans do not count), the lowest-priority newest sheddable
   /// queued scans resolve kShed until the depth fits. 0 (default) = never
   /// shed on depth.
   std::int64_t shed_queue_depth = 0;
-  /// Arms the hung-scan watchdog: a background thread flags any stage item
-  /// in flight longer than this (ServiceHealth::{stuck_items,
-  /// stuck_flagged_total}, one flag per item). 0 (default) = no watchdog
-  /// thread at all. Size it well above the longest honest round.
-  double stuck_item_seconds = 0.0;
-  /// With the watchdog armed: also FAIL the scan owning a stuck item
-  /// (kFailed naming the stage) instead of only reporting it. Best-effort —
-  /// the item itself cannot be pre-empted; the scan resolves when the stuck
-  /// item finally returns (or at once if other items drain first).
-  bool fail_stuck_scans = false;
 };
 
 /// One consistent-enough snapshot of service liveness, assembled on demand
@@ -337,15 +283,11 @@ struct ServiceHealth {
   // Memory budget (process-wide; see utils/memory_budget.h).
   std::int64_t budget_bytes = 0;
   std::int64_t budget_high_water_bytes = 0;
-  std::int64_t budget_limit_bytes = 0;  // config max_resident_bytes (0 = none)
   // In-flight items (heartbeat sweep).
   std::int64_t in_flight_items = 0;
   double oldest_item_seconds = 0.0;    // age of the longest-running item
   std::string oldest_item_point;       // its stage label, e.g. "scan.round"
   std::uint64_t oldest_item_scan = 0;  // its owning scan id
-  // Watchdog.
-  std::int64_t stuck_items = 0;          // items past stuck_item_seconds right now
-  std::int64_t stuck_flagged_total = 0;  // distinct items ever flagged
 };
 
 class DetectionService {
@@ -366,23 +308,16 @@ class DetectionService {
   /// and load failures are then retryable like any stage fault, and a scan
   /// shed or cancelled while queued never materializes anything. Throws
   /// std::invalid_argument on a malformed request (model XOR model_ref
-  /// violated, a model that is not frozen, null detector, probe_size <= 0).
-  /// The admission check and the enqueue happen under one hold of the
-  /// service lock: with max_queued set, a full queue either blocks this
-  /// call until the scheduler drains a slot (kBlock) or throws QueueFull
-  /// (kReject); with max_resident_bytes set the same policy gates on the
-  /// memory budget. Submitting past a shed watermark resolves victims
-  /// (possibly this scan) to kShed before returning.
+  /// violated, a model that is not frozen, null detector, probe_size <= 0);
+  /// a probe whose class count differs from the model's fails the scan
+  /// (kFailed) at its first stage, once the model is resolved. Never
+  /// blocks: under one hold of the service lock it builds the scan, takes
+  /// an admission slot or queues it, and picks shed victims, which
+  /// (possibly this scan) resolve kShed before it returns.
   ScanHandle submit(ScanRequest request);
-
-  /// Blocks until every scan submitted so far has reached a terminal
-  /// status. New submissions during the wait are not covered.
-  void drain();
 
   [[nodiscard]] ProbeStore& probe_store() noexcept { return probe_store_; }
   [[nodiscard]] ModelStore& model_store() noexcept { return model_store_; }
-  [[nodiscard]] ThreadPool& scan_pool() noexcept { return scan_pool_; }
-  [[nodiscard]] const DetectionServiceConfig& config() const noexcept { return config_; }
 
   /// Scans accepted by submit() since construction; the other per-status
   /// totals are in health().
@@ -402,26 +337,18 @@ class DetectionService {
   /// execution's lock) queued executions that now fit under
   /// max_concurrent_scans into `launches`, publishes `outcome`, then removes
   /// the scan from live_. A waiter that observes the terminal status can
-  /// therefore submit into the freed slot, and drain() never misses a scan
-  /// that is not yet terminal.
+  /// therefore submit into the freed slot, and the destructor never misses
+  /// a scan that is not yet terminal.
   void retire_scan(const std::shared_ptr<detail::ScanState>& state,
                    const detail::ScanExecution* exec, ScanOutcome outcome,
                    std::vector<std::shared_ptr<detail::ScanExecution>>& launches);
 
-  /// Picks queued scans to shed, lowest priority first, newest first among
-  /// equals, skipping unsheddable scans: over the memory watermark every
-  /// sheddable queued scan (it holds no budgeted bytes, so no subset brings
-  /// the total down), else over the depth watermark until the depth fits.
-  /// Caller must hold mutex_ and resolve the victims (request_shed) outside
-  /// it. Empty when no watermark is configured or exceeded.
+  /// Picks queued scans to shed past the depth watermark, lowest priority
+  /// first, newest first among equals, skipping unsheddable scans, until
+  /// the depth fits. Caller must hold mutex_ and resolve the victims
+  /// (request_shed) outside it. Empty when the watermark is unset or not
+  /// exceeded.
   [[nodiscard]] std::vector<std::shared_ptr<detail::ScanExecution>> collect_shed_victims_locked();
-
-  /// True when the memory watermark blocks new admissions (over budget with
-  /// queued or admitted scans that can still drain it).
-  [[nodiscard]] bool over_byte_watermark_locked() const;
-
-  void watchdog_loop();
-  void watchdog_tick();
 
   DetectionServiceConfig config_;
   ThreadPool scan_pool_;
@@ -429,8 +356,7 @@ class DetectionService {
   ModelStore model_store_;
 
   mutable std::mutex mutex_;
-  std::condition_variable queue_space_;  // signalled when a slot frees
-  std::condition_variable idle_;         // signalled when live_ empties
+  std::condition_variable idle_;  // signalled when live_ empties
   std::deque<std::shared_ptr<detail::ScanExecution>> queue_;  // not yet admitted
   std::vector<std::shared_ptr<detail::ScanState>> live_;      // queued or admitted
   std::int64_t admitted_ = 0;  // scans currently admitted to the scheduler
@@ -444,23 +370,11 @@ class DetectionService {
   std::atomic<std::int64_t> timed_out_{0};
   std::atomic<std::int64_t> shed_{0};
   std::atomic<std::int64_t> items_retried_{0};
-  std::atomic<std::int64_t> stuck_flagged_{0};
-
-  // Hung-scan watchdog (started only when config.stuck_item_seconds > 0;
-  // joined at the top of the destructor, before any member it samples).
-  std::mutex watchdog_mutex_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;
-  /// Items already flagged, keyed (dispatcher, start_ns) — a stable item
-  /// identity. Touched only by the watchdog thread; rebuilt every tick from
-  /// the live sample, so entries of finished items age out on their own.
-  std::vector<std::pair<int, std::int64_t>> watchdog_flagged_;
-  std::thread watchdog_;
 
   /// Declared last: destroyed first, joining the dispatchers before any
   /// state they might touch goes away. The destructor body additionally
-  /// stops the watchdog, cancels all scans, and waits for live_ to empty
-  /// before members start destructing at all.
+  /// cancels all scans and waits for live_ to empty before members start
+  /// destructing at all.
   RoundScheduler scheduler_;
 };
 

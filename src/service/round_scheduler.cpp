@@ -160,12 +160,10 @@ void RoundScheduler::sample_in_flight(std::vector<InFlightItem>& out) const {
     const char* point = slot.point.load(std::memory_order_relaxed);
     item.point = point != nullptr ? point : "";
     item.owner = slot.owner.load(std::memory_order_relaxed);
-    item.start_ns = slot.start_ns.load(std::memory_order_relaxed);
+    const std::int64_t start_ns = slot.start_ns.load(std::memory_order_relaxed);
     const std::uint64_t after = slot.epoch.load(std::memory_order_acquire);
     if (after != before) continue;  // torn sample (item changed): skip
-    item.seconds = static_cast<double>(now_ns - item.start_ns) * 1e-9;
-    if (item.seconds < 0.0) item.seconds = 0.0;
-    item.dispatcher = i;
+    item.seconds = std::max(0.0, static_cast<double>(now_ns - start_ns) * 1e-9);
     out.push_back(item);
   }
 }

@@ -48,9 +48,9 @@
 // Heartbeats: each dispatcher publishes the item it is currently running
 // (label, owning job's owner tag, start time) into a per-dispatcher slot —
 // an inverted seqlock whose epoch is odd while an item is in flight. The
-// service's watchdog samples the slots wait-free via sample_in_flight() to
-// detect hung items; a torn read is detected by re-checking the epoch and
-// simply skipped (monitoring tolerates a missed sample).
+// service's health() samples the slots wait-free via sample_in_flight() to
+// name the oldest in-flight item; a torn read is detected by re-checking
+// the epoch and simply skipped (monitoring tolerates a missed sample).
 #pragma once
 
 #include <chrono>
@@ -102,11 +102,9 @@ class RoundScheduler {
 
   /// A sampled in-flight item (see sample_in_flight).
   struct InFlightItem {
-    const char* point = "";     // item label ("" when enqueued unlabeled)
-    std::uint64_t owner = 0;    // owning job's JobOptions::owner tag
-    double seconds = 0.0;       // time the item has been running
-    int dispatcher = 0;         // slot index, stable identity for dedup
-    std::int64_t start_ns = 0;  // steady_clock start, identity for dedup
+    const char* point = "";   // item label ("" when enqueued unlabeled)
+    std::uint64_t owner = 0;  // owning job's JobOptions::owner tag
+    double seconds = 0.0;     // time the item has been running
   };
 
   /// One request's item queue plus its scheduling account. Opaque to

@@ -19,6 +19,7 @@
 #include "core/usb.h"
 #include "defenses/neural_cleanse.h"
 #include "defenses/tabor.h"
+#include "service/detection_service.h"
 #include "service/wire.h"
 
 namespace usb {
@@ -149,7 +150,9 @@ int run_scan_worker(const ScanWorkerOptions& options) {
   sigaddset(&term_set, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &term_set, nullptr);
 
-  DetectionService service(options.service);
+  DetectionServiceConfig service_config;
+  service_config.model_store_max_bytes = options.model_store_max_bytes;
+  DetectionService service(service_config);
   FrameWriter writer(stdout);
 
   // Completion watcher: sweeps the pending list and streams each scan's

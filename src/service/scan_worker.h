@@ -27,7 +27,6 @@
 #include <string>
 
 #include "defenses/detector.h"
-#include "service/detection_service.h"
 
 namespace usb {
 
@@ -37,9 +36,10 @@ struct ScanWorkerOptions {
   /// wire ships only the method name, so every worker of a fleet scans
   /// identically.
   std::int64_t steps = 12;
-  /// Forwarded to the worker's DetectionService (model_store_max_bytes and
-  /// friends).
-  DetectionServiceConfig service;
+  /// The worker service's model-store cap, a deployment setting sized to
+  /// the worker's box (scan_server --store-bytes;
+  /// DetectionServiceConfig::model_store_max_bytes; 0 = unlimited).
+  std::int64_t model_store_max_bytes = 0;
   /// Accepts the magic hazard methods ("__crash__", "__wedge__",
   /// "__garble__") that make the worker misbehave on purpose — the fault
   /// harness of the fleet tests (a real SIGABRT mid-scan, real heartbeat

@@ -105,6 +105,8 @@ struct WireScanRequest {
 /// frame, and WorkerFleet::submit() applies it before routing: a worker
 /// answers a frame it cannot decode as request 0, which no future waits
 /// for, so a request a worker would reject must fail where it was made.
+/// It cannot compare the probe's class count with the model's, which the
+/// worker loads later; a mismatch resolves the scan kFailed instead.
 void check_request(const WireScanRequest& request);
 
 /// The out-of-process form of ScanOutcome: terminal status, error text,
@@ -127,9 +129,11 @@ struct WireScanResult {
 /// Heartbeat records. A supervisor pings each worker on a fixed cadence;
 /// the worker's frame-reading thread answers with a pong echoing the nonce
 /// immediately — never behind a running scan — so heartbeat SILENCE means
-/// the worker process is dead or wedged, not merely busy (slow scans are
-/// the DetectionService watchdog's job). decode_* throw WireError on
-/// anything but a well-formed frame of the expected record type.
+/// the worker process is dead or wedged, not merely busy. A slow scan is
+/// bounded by its request's deadline_seconds instead, and the worker
+/// service's health() names its oldest in-flight item. decode_* throw
+/// WireError on anything but a well-formed frame of the expected record
+/// type.
 [[nodiscard]] std::vector<std::uint8_t> encode_ping(std::uint64_t nonce);
 [[nodiscard]] std::uint64_t decode_ping(std::span<const std::uint8_t> bytes);
 [[nodiscard]] std::vector<std::uint8_t> encode_pong(std::uint64_t nonce);

@@ -77,7 +77,9 @@ struct FleetConfig {
   /// Heartbeat cadence and patience. A worker that answers no ping for
   /// heartbeat_timeout_seconds is declared wedged and killed. Pongs are
   /// answered from the worker's frame-reading thread, so a long scan never
-  /// looks like silence (slow scans are the worker-side watchdog's job).
+  /// looks like silence. A slow scan is bounded by its request's
+  /// deadline_seconds, and the worker service's health() names its oldest
+  /// in-flight item.
   double heartbeat_interval_seconds = 0.25;
   double heartbeat_timeout_seconds = 5.0;
   /// Respawn backoff: first respawn after a death waits

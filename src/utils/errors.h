@@ -9,8 +9,8 @@
 // and stores that want a retry raise TransientError. Exceptions outside
 // this hierarchy are permanent, with two exceptions made by the service:
 // fault::InjectedFault (the fault registry models transient infrastructure
-// faults) and std::bad_alloc (memory pressure is relieved by shedding and
-// backoff, so an ENOMEM is worth retrying).
+// faults) and std::bad_alloc (retried with backoff, since running scans may
+// release memory in the meantime).
 #pragma once
 
 #include <stdexcept>

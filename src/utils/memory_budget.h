@@ -4,15 +4,13 @@
 // the resident entries of both keyed stores (ProbeStore datasets and
 // ModelStore networks, through utils/keyed_store.h) and TensorArena slot
 // storage. A scan never copies its model, so no per-request bytes exist
-// beyond these. The budget is pure bookkeeping — it never allocates,
-// frees, or refuses anything itself. DetectionService reads it to drive
-// policy: DetectionServiceConfig::max_resident_bytes turns the total into
-// a shed watermark for queued scans and into byte backpressure for kBlock
-// admission.
+// beyond these. The budget is a ledger only — it never allocates, frees,
+// or refuses anything, and no policy reads it: DetectionService::health()
+// reports its total and high water.
 //
 // All counters are relaxed atomics: registration is on hot-ish paths
-// (arena growth, store insertions) and the readers (shed checks, health
-// snapshots) only need a monotonic-ish total, not a linearizable one.
+// (arena growth, store insertions) and the readers (health snapshots) only
+// need a monotonic-ish total, not a linearizable one.
 #pragma once
 
 #include <atomic>

@@ -322,8 +322,8 @@ TEST(DetectionService, OverlappingScansDoNotPerturbEachOther) {
   expect_reports_identical(direct_b, outcome_b.report);
 }
 
-// Progress events: one kFinalized per class, in any order, plus drain()
-// returning only after every submitted scan is terminal.
+// Progress events: one kFinalized per class, in any order, all delivered
+// by the time the handle resolves.
 TEST(DetectionService, ProgressEventsAndDrain) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 96};
@@ -339,7 +339,7 @@ TEST(DetectionService, ProgressEventsAndDrain) {
     if (event == ClassScanEvent::kFinalized) finalized.fetch_add(1);
   };
   const ScanHandle handle = service.submit(std::move(request));
-  service.drain();
+  (void)handle.wait();
   EXPECT_EQ(handle.poll(), ScanStatus::kDone);
   EXPECT_EQ(finalized.load(), 4);
 }
@@ -396,6 +396,28 @@ TEST(DetectionService, MalformedRequestsAreRejected) {
   EXPECT_THROW((void)service.submit(std::move(no_probe)), std::invalid_argument);
   EXPECT_EQ(service.scans_submitted(), 0);
   EXPECT_EQ(victim.use_count(), 1);  // a rejected request leaves no reference behind
+}
+
+// A probe with more classes than its model would index past the model's
+// logits; the scan refuses the pair at its first stage, where a model_ref
+// is first resolved, and resolves kFailed naming the mismatch. The error
+// is permanent, so a retry budget is not spent on it.
+TEST(DetectionService, ProbeClassCountMismatchResolvesFailed) {
+  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 101);
+  DetectionService service(service_config(/*scan_threads=*/1));
+
+  ScanRequest request;
+  request.model = victim;
+  request.detector = std::make_unique<UsbDetector>(tiny_usb_config());
+  request.probe_key = ProbeKey{tiny_spec(6), 32, 102};
+  request.options.max_retries = 2;
+  const ScanHandle handle = service.submit(std::move(request));
+  const ScanOutcome& outcome = handle.wait();
+  EXPECT_EQ(outcome.status, ScanStatus::kFailed);
+  EXPECT_NE(outcome.error.find("the probe has 6 classes but the model has 4"), std::string::npos)
+      << outcome.error;
+  EXPECT_EQ(outcome.retries, 0);
+  EXPECT_EQ(service.health().scans_failed, 1);
 }
 
 // ---- ProbeStore eviction (LRU by bytes) ---------------------------------
@@ -464,8 +486,8 @@ TEST(ProbeStore, PinnedEntriesSurviveEviction) {
 
 // Pins only defer eviction: once they drop, the next lookup — a hit
 // included — trims the store back under its cap, and the kProbeData budget
-// (the shed watermark and byte backpressure read it) follows. The entry
-// being handed out counts as pinned, so the hit evicts the other one.
+// (health() reports it) follows. The entry being handed out counts as
+// pinned, so the hit evicts the other one.
 TEST(ProbeStore, OverCapStoreTrimsOnceUnpinned) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key_a{spec, 32, 215};
@@ -517,7 +539,7 @@ TEST(ProbeStore, ClearDuringMaterializationDropsTheCell) {
   EXPECT_EQ(store.misses(), 2);
 }
 
-// ---- Admission control (bounded pending depth) --------------------------
+// ---- Gated scans: a deterministically busy executor ---------------------
 
 namespace {
 
@@ -541,100 +563,6 @@ void wait_until_running(const ScanHandle& handle) {
 }
 
 }  // namespace
-
-TEST(DetectionService, AdmissionRejectPolicyThrowsQueueFullWithQueueDepth) {
-  const DatasetSpec spec = tiny_spec(4);
-  const ProbeKey key{spec, 32, 221};
-  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 222);
-
-  DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
-  config.max_queued = 1;
-  config.admission_policy = AdmissionPolicy::kReject;
-  DetectionService service(config);
-
-  std::promise<void> release;
-  const std::shared_future<void> gate(release.get_future());
-
-  // Occupy the executor (running scans do not count against the queue)...
-  const ScanHandle busy = service.submit(gated_request(victim, key, gate));
-  wait_until_running(busy);
-
-  // ...fill the single queue slot...
-  ScanRequest queued;
-  queued.model = victim;
-  queued.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
-  queued.probe_key = key;
-  const ScanHandle waiting = service.submit(std::move(queued));
-
-  // ...and the next submit is rejected up front, reporting the queue depth
-  // so callers can size their backoff.
-  ScanRequest rejected;
-  rejected.model = victim;
-  rejected.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
-  rejected.probe_key = key;
-  try {
-    (void)service.submit(std::move(rejected));
-    FAIL() << "submit past max_queued under kReject must throw QueueFull";
-  } catch (const QueueFull& full) {
-    EXPECT_EQ(full.depth(), 1);
-    EXPECT_NE(std::string(full.what()).find("queue full"), std::string::npos);
-  }
-
-  release.set_value();
-  EXPECT_EQ(busy.wait().status, ScanStatus::kDone);
-  EXPECT_EQ(waiting.wait().status, ScanStatus::kDone);
-  EXPECT_EQ(service.scans_submitted(), 2);
-
-  // With the backlog drained the service admits again.
-  ScanRequest after;
-  after.model = victim;
-  after.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
-  after.probe_key = key;
-  EXPECT_EQ(service.submit(std::move(after)).wait().status, ScanStatus::kDone);
-}
-
-TEST(DetectionService, AdmissionBlockPolicyWaitsForQueueSpace) {
-  const DatasetSpec spec = tiny_spec(4);
-  const ProbeKey key{spec, 32, 231};
-  const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 232);
-
-  DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
-  config.max_queued = 1;
-  config.admission_policy = AdmissionPolicy::kBlock;
-  DetectionService service(config);
-
-  std::promise<void> release;
-  const std::shared_future<void> gate(release.get_future());
-  const ScanHandle busy = service.submit(gated_request(victim, key, gate));
-  wait_until_running(busy);
-
-  ScanRequest fill;
-  fill.model = victim;
-  fill.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
-  fill.probe_key = key;
-  const ScanHandle queued = service.submit(std::move(fill));
-
-  // The third submit must block until the executor drains a slot; it runs
-  // on its own thread and can only complete after the gate opens.
-  std::future<ScanHandle> blocked = std::async(std::launch::async, [&] {
-    ScanRequest request;
-    request.model = victim;
-    request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
-    request.probe_key = key;
-    return service.submit(std::move(request));
-  });
-  // The gated scan holds the executor and the queue is full, so the submit
-  // cannot have been admitted yet.
-  EXPECT_EQ(blocked.wait_for(std::chrono::milliseconds(100)), std::future_status::timeout);
-  EXPECT_EQ(service.scans_submitted(), 2);
-
-  release.set_value();
-  const ScanHandle third = blocked.get();  // unblocks once a slot drains
-  EXPECT_EQ(busy.wait().status, ScanStatus::kDone);
-  EXPECT_EQ(queued.wait().status, ScanStatus::kDone);
-  EXPECT_EQ(third.wait().status, ScanStatus::kDone);
-  EXPECT_EQ(service.scans_submitted(), 3);
-}
 
 // ---- Shared networks: a scan never copies its model ---------------------
 
@@ -714,16 +642,15 @@ TEST(DetectionService, DetectOnTheSharedNetworkWhileServiceScansRunIt) {
 // Cancelling a still-queued scan resolves the handle IMMEDIATELY — proven
 // by wedging the service's only dispatcher inside another scan, so nothing
 // but synchronous queue removal could produce kCancelled here — and frees
-// the admission slot for the next submit. (CancelWhileQueuedNeverRuns
-// covers the eventual-drain side.)
+// its queue slot for the next submit. (CancelWhileQueuedNeverRuns covers
+// the eventual-drain side.)
 TEST(DetectionService, CancelWhileQueuedResolvesImmediatelyAndFreesSlot) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 251};
   const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 252);
 
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
-  config.max_queued = 1;
-  config.admission_policy = AdmissionPolicy::kReject;
+  config.shed_queue_depth = 1;  // a second queued scan would shed the newest
   DetectionService service(config);
 
   std::promise<void> release;
@@ -748,13 +675,15 @@ TEST(DetectionService, CancelWhileQueuedResolvesImmediatelyAndFreesSlot) {
   EXPECT_EQ(doomed_events.load(), 0);
   EXPECT_EQ(service.health().scans_cancelled, 1);
 
-  // The cancelled scan's pending slot is free again: with the dispatcher
-  // still wedged, a fresh submit is admitted instead of throwing QueueFull.
+  // The cancelled scan's queue slot is free again: with the dispatcher
+  // still wedged, a fresh submit queues instead of breaching the depth
+  // watermark and shedding itself.
   ScanRequest replacement;
   replacement.model = victim;
   replacement.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   replacement.probe_key = key;
   const ScanHandle replacement_handle = service.submit(std::move(replacement));
+  EXPECT_EQ(replacement_handle.poll(), ScanStatus::kQueued);
 
   release.set_value();
   EXPECT_EQ(busy.wait().status, ScanStatus::kDone);
@@ -859,11 +788,6 @@ TEST(DetectionService, ScanStatusToStringCoversEveryValue) {
   EXPECT_EQ(to_string(ScanStatus::kFailed), "failed");
   EXPECT_EQ(to_string(ScanStatus::kTimedOut), "timed_out");
   EXPECT_EQ(to_string(ScanStatus::kShed), "shed");
-}
-
-TEST(DetectionService, AdmissionPolicyToStringCoversEveryValue) {
-  EXPECT_EQ(to_string(AdmissionPolicy::kBlock), "block");
-  EXPECT_EQ(to_string(AdmissionPolicy::kReject), "reject");
 }
 
 TEST(DetectionService, ClassScanStateToStringCoversEveryValue) {

@@ -13,9 +13,9 @@
 //  - ref-based service scans are byte-identical to Detector::detect() on
 //    the live network, for concurrent scans sharing one resident model,
 //    across service pool sizes;
-//  - LRU-by-bytes eviction never drops a pinned entry, and the bytes
-//    ledger (store counters AND the process MemoryBudget) returns to
-//    baseline once entries drain;
+//  - LRU-by-bytes eviction never drops a pinned entry, the bytes ledger
+//    (store counters AND the process MemoryBudget) returns to baseline
+//    once entries drain, and a service's config sets its store's cap;
 //  - load failures carry the checkpoint path and reach every waiter.
 #include <gtest/gtest.h>
 
@@ -242,6 +242,18 @@ TEST(ModelStore, LruEvictionSkipsPinnedEntries) {
   const auto again_a = store.get_or_create(ModelRef::from_checkpoint(path_a));
   EXPECT_EQ(again_a.get(), pinned_a.get());
   EXPECT_EQ(store.misses(), 3);
+}
+
+// DetectionServiceConfig::model_store_max_bytes caps the service's store
+// (scan_server's --store-bytes sets it); the default 0 leaves it unlimited.
+TEST(ModelStore, ServiceConfigSetsTheStoreCap) {
+  DetectionService unlimited(service_config(1));
+  EXPECT_EQ(unlimited.model_store().max_bytes(), 0);
+
+  DetectionServiceConfig config = service_config(1);
+  config.model_store_max_bytes = 12345;
+  DetectionService capped(config);
+  EXPECT_EQ(capped.model_store().max_bytes(), 12345);
 }
 
 TEST(ModelStore, BytesLedgerReturnsToBaselineAfterDrain) {

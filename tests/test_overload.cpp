@@ -1,5 +1,6 @@
 // Overload-resilience suite: transient-fault retries, priority load
-// shedding, the global memory budget, and the hung-scan watchdog.
+// shedding, the global memory budget, and what health() says about a
+// stalled item.
 //
 // The load-bearing guarantees under test:
 //  - a stage that fails TRANSIENTLY (injected fault, simulated ENOMEM in
@@ -9,15 +10,13 @@
 //  - retry exhaustion resolves kFailed, still reporting how many retries
 //    were spent;
 //  - past the queue-depth watermark, the LOWEST-priority NEWEST queued
-//    scans are shed (kShed, resolved immediately), and past the memory
-//    watermark every sheddable queued scan is, while unsheddable and
+//    scans are shed (kShed, resolved immediately), while unsheddable and
 //    admitted scans complete untouched;
 //  - ProbeStore entries and arena storage register with the process
-//    MemoryBudget and release on eviction / scan retirement, and
-//    max_resident_bytes turns the total into kReject/kBlock backpressure;
-//  - the watchdog flags an item stuck past stuck_item_seconds (and, opted
-//    in, fails the owning scan naming the stage) while healthy runs with a
-//    sane threshold never flag anything.
+//    MemoryBudget and release on eviction / scan retirement;
+//  - while an item stalls, health() names it as the oldest in-flight item
+//    (stage label, owning scan, age), and nothing stays in flight once the
+//    scan resolves.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -312,113 +311,6 @@ TEST_F(OverloadTest, DepthWatermarkShedsLowestPriorityNewestSparingUnsheddable) 
   EXPECT_EQ(service.health().scans_shed, 2);  // admitted scans were never shed
 }
 
-// A queued scan holds no budgeted bytes, so over the memory watermark
-// every sheddable queued scan is shed, whatever its priority. Here the
-// running blocker's probe breaches the watermark after three scans queued
-// behind it; the watchdog's sweep (running scans grow the budget with no
-// submit() to notice) sheds the two sheddable ones and spares the
-// unsheddable one, which runs once the blocker is gone.
-TEST_F(OverloadTest, MemoryWatermarkBreachedByResidentProbeShedsSheddableQueuedScans) {
-  const DatasetSpec spec = tiny_spec();
-  const ProbeKey key{spec, 48, 153};
-  const auto victim = frozen_victim(spec.num_classes, 154);
-  const std::int64_t probe_bytes = ProbeStore().get_or_create(key)->bytes();
-  ASSERT_GT(probe_bytes, 1);
-
-  // The blocker (scan id 1) materializes the probe in its first stage; hold
-  // that until the scans below have passed admission under the watermark,
-  // then slow its rounds so it keeps the probe resident through a sweep.
-  fault::FaultSpec hold;
-  hold.kind = fault::FaultSpec::Kind::kDelay;
-  hold.delay_seconds = 0.5;
-  hold.count = 1;
-  hold.scope = 1;
-  fault::FaultRegistry::instance().arm("probe_store.materialize", hold);
-  fault::FaultSpec slow;
-  slow.kind = fault::FaultSpec::Kind::kDelay;
-  slow.delay_seconds = 0.05;
-  slow.count = -1;
-  slow.scope = 1;
-  fault::FaultRegistry::instance().arm("scan.round", slow);
-
-  // Half a probe above whatever the rest of the process has registered.
-  DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
-  config.max_resident_bytes = MemoryBudget::process().bytes() + probe_bytes / 2;
-  config.stuck_item_seconds = 2.0;  // arms the watchdog, which re-checks the watermarks
-  DetectionService service(config);
-
-  ScanRequest blocking = nc_request(victim, key, /*steps=*/40);
-  blocking.options.unsheddable = true;
-  const ScanHandle blocker = service.submit(std::move(blocking));
-  ScanRequest high_request = nc_request(victim, key);
-  high_request.options.priority = 1;
-  const ScanHandle high = service.submit(std::move(high_request));
-  const ScanHandle low = service.submit(nc_request(victim, key));
-  ScanRequest must_run_request = nc_request(victim, key);
-  must_run_request.options.unsheddable = true;
-  const ScanHandle must_run = service.submit(std::move(must_run_request));
-  ASSERT_EQ(service.probe_store().bytes_resident(), 0)
-      << "the watermark was breached before the queue filled";
-  EXPECT_EQ(high.poll(), ScanStatus::kQueued);
-  EXPECT_EQ(low.poll(), ScanStatus::kQueued);
-  EXPECT_EQ(must_run.poll(), ScanStatus::kQueued);
-
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while ((high.poll() != ScanStatus::kShed || low.poll() != ScanStatus::kShed) &&
-         std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(high.poll(), ScanStatus::kShed);
-  EXPECT_EQ(low.poll(), ScanStatus::kShed);
-  EXPECT_EQ(must_run.poll(), ScanStatus::kQueued);
-  EXPECT_EQ(service.probe_store().bytes_resident(), probe_bytes);
-  EXPECT_EQ(service.health().scans_shed, 2);
-
-  fault::FaultRegistry::instance().disarm_all();
-  blocker.cancel();
-  (void)blocker.wait();
-  EXPECT_EQ(must_run.wait().status, ScanStatus::kDone);
-  EXPECT_EQ(service.health().scans_shed, 2);
-}
-
-TEST_F(OverloadTest, ByteBackpressureRejectsWhileOverBudgetAndRecovers) {
-  const DatasetSpec spec = tiny_spec();
-  const ProbeKey key{spec, 48, 155};
-  const auto victim = frozen_victim(spec.num_classes, 156);
-
-  fault::FaultSpec delay;
-  delay.kind = fault::FaultSpec::Kind::kDelay;
-  delay.delay_seconds = 0.05;
-  delay.count = -1;
-  delay.scope = 1;
-  fault::FaultRegistry::instance().arm("scan.round", delay);
-
-  // A live scan's resident probe exceeds one byte, so admission is gated
-  // once the first scan has materialized it — and reopens when it retires.
-  DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
-  config.max_resident_bytes = 1;
-  config.admission_policy = AdmissionPolicy::kReject;
-  DetectionService service(config);
-  const ScanHandle first = service.submit(nc_request(victim, key, /*steps=*/40));
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (service.probe_store().bytes_resident() == 0 &&
-         std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GT(service.probe_store().bytes_resident(), 0);
-  EXPECT_THROW((void)service.submit(nc_request(victim, key)), QueueFull);
-
-  fault::FaultRegistry::instance().disarm_all();
-  first.cancel();
-  (void)first.wait();
-  // The scan freed its slot before wait() returned, so the same service
-  // admits again at once: with nothing queued or admitted, the byte gate
-  // never blocks on bytes no scan can drain, its own resident probe
-  // included.
-  const ScanHandle second = service.submit(nc_request(victim, key));
-  EXPECT_EQ(second.wait().status, ScanStatus::kDone);
-}
-
 // ---- Global memory budget ----------------------------------------------
 
 TEST(MemoryBudgetTest, ProbeStoreRegistersEvictsAndReleases) {
@@ -478,9 +370,13 @@ TEST(MemoryBudgetTest, ScanLifecycleReturnsArenaBytesToBaseline) {
   }
 }
 
-// ---- Hung-scan watchdog ------------------------------------------------
+// ---- Stalled items in health() ---------------------------------------
 
-TEST_F(OverloadTest, WatchdogFlagsInjectedStallAndHealthReportsIt) {
+// One dispatcher, one scan, a 0.4 s stall at its first round: while the
+// stall runs, health() names that round as the oldest in-flight item and
+// attributes it to the scan. The stall only slows the scan, which resolves
+// kDone, and then nothing is left in flight.
+TEST_F(OverloadTest, HealthNamesTheStalledItemAsOldestInFlight) {
   const DatasetSpec spec = tiny_spec(4);
   const ProbeKey key{spec, 32, 171};
   const auto victim = frozen_victim(4, 172);
@@ -491,62 +387,34 @@ TEST_F(OverloadTest, WatchdogFlagsInjectedStallAndHealthReportsIt) {
   delay.count = 1;
   fault::FaultRegistry::instance().arm("scan.round", delay);
 
-  DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
-  config.stuck_item_seconds = 0.05;
-  DetectionService service(config);
+  DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
+  const auto before_submit = std::chrono::steady_clock::now();
   const ScanHandle handle = service.submit(nc_request(victim, key));
 
-  bool observed = false;
-  const auto poll_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < poll_deadline) {
-    const ServiceHealth health = service.health();
-    if (health.stuck_flagged_total >= 1) {
-      observed = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // The first hit of the point is the one that sleeps.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fault::FaultRegistry::instance().hits("scan.round") == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_TRUE(observed) << "watchdog never flagged the 0.4s stall";
-  // Flag-only mode: the scan itself still completes.
-  EXPECT_EQ(handle.wait().status, ScanStatus::kDone);
-  EXPECT_GE(service.health().stuck_flagged_total, 1);
-}
+  ASSERT_GE(fault::FaultRegistry::instance().hits("scan.round"), 1);
+  const ServiceHealth stalled = service.health();
+  const double since_submit =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - before_submit).count();
+  EXPECT_GE(stalled.in_flight_items, 1);
+  EXPECT_EQ(stalled.oldest_item_point, "scan.round");
+  EXPECT_EQ(stalled.oldest_item_scan, handle.id());
+  EXPECT_GT(stalled.oldest_item_seconds, 0.0);
+  EXPECT_LE(stalled.oldest_item_seconds, since_submit);
 
-TEST_F(OverloadTest, WatchdogStaysQuietOnHealthyRuns) {
-  const DatasetSpec spec = tiny_spec(4);
-  const ProbeKey key{spec, 32, 173};
-  const auto victim = frozen_victim(4, 174);
-
-  DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
-  config.stuck_item_seconds = 30.0;  // far above any honest stage
-  DetectionService service(config);
-  const ScanHandle handle = service.submit(nc_request(victim, key));
   ASSERT_EQ(handle.wait().status, ScanStatus::kDone);
-  const ServiceHealth health = service.health();
-  EXPECT_EQ(health.stuck_flagged_total, 0);
-  EXPECT_EQ(health.stuck_items, 0);
-}
-
-TEST_F(OverloadTest, FailStuckScansResolvesOwnerFailedNamingTheStage) {
-  const DatasetSpec spec = tiny_spec(4);
-  const ProbeKey key{spec, 32, 175};
-  const auto victim = frozen_victim(4, 176);
-
-  fault::FaultSpec delay;
-  delay.kind = fault::FaultSpec::Kind::kDelay;
-  delay.delay_seconds = 0.5;
-  delay.count = 1;
-  fault::FaultRegistry::instance().arm("scan.round", delay);
-
-  DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
-  config.stuck_item_seconds = 0.05;
-  config.fail_stuck_scans = true;
-  DetectionService service(config);
-  const ScanHandle handle = service.submit(nc_request(victim, key));
-  const ScanOutcome& outcome = handle.wait();
-  EXPECT_EQ(outcome.status, ScanStatus::kFailed);
-  EXPECT_NE(outcome.error.find("watchdog"), std::string::npos) << outcome.error;
-  EXPECT_GE(service.health().stuck_flagged_total, 1);
+  // The item that resolved the scan leaves its dispatcher slot as it
+  // returns, a moment after the waiter wakes.
+  const auto drained = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (service.health().in_flight_items != 0 && std::chrono::steady_clock::now() < drained) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(service.health().in_flight_items, 0);
 }
 
 // ---- Health snapshot & error taxonomy ----------------------------------
@@ -561,7 +429,6 @@ TEST_F(OverloadTest, HealthSnapshotTracksCountersAndBudget) {
   EXPECT_EQ(idle.queued_scans, 0);
   EXPECT_EQ(idle.admitted_scans, 0);
   EXPECT_EQ(idle.in_flight_items, 0);
-  EXPECT_EQ(idle.budget_limit_bytes, 0);
 
   const ScanHandle handle = service.submit(nc_request(victim, key));
   ASSERT_EQ(handle.wait().status, ScanStatus::kDone);
@@ -582,8 +449,6 @@ TEST(OverloadErrors, TransientErrorClassificationAndToStringTotality) {
   EXPECT_STREQ(transient.what(), "blip");
 
   EXPECT_EQ(to_string(ScanStatus::kShed), "shed");
-  EXPECT_EQ(to_string(AdmissionPolicy::kBlock), "block");
-  EXPECT_EQ(to_string(AdmissionPolicy::kReject), "reject");
 }
 
 }  // namespace

@@ -335,6 +335,7 @@ TEST(RoundSchedulerTest, SampleInFlightReportsRunningItemLabelAndOwner) {
   std::promise<void> release;
   std::shared_future<void> hold = release.get_future().share();
   std::atomic<bool> started{false};
+  const auto before_enqueue = std::chrono::steady_clock::now();
   scheduler.enqueue(
       job,
       [&started, hold] {
@@ -343,14 +344,19 @@ TEST(RoundSchedulerTest, SampleInFlightReportsRunningItemLabelAndOwner) {
       },
       "test.inflight");
   while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
   std::vector<RoundScheduler::InFlightItem> sample;
   scheduler.sample_in_flight(sample);
+  const double since_enqueue =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - before_enqueue).count();
   ASSERT_EQ(sample.size(), 1u);
   EXPECT_STREQ(sample[0].point, "test.inflight");
   EXPECT_EQ(sample[0].owner, 42u);
-  EXPECT_GE(sample[0].seconds, 0.0);
-  EXPECT_GT(sample[0].start_ns, 0);
+  // The age runs from the item's published start: at least the sleep above,
+  // at most the time since it was enqueued.
+  EXPECT_GE(sample[0].seconds, 0.02);
+  EXPECT_LE(sample[0].seconds, since_enqueue);
 
   release.set_value();
   while (scheduler.items_executed() < 1) std::this_thread::yield();

@@ -253,6 +253,22 @@ TEST_P(SingleClassEntry, MatchesEveryClassOfTheScanBitForBit) {
   });
 }
 
+// A target outside the model's classes is refused up front: unchecked,
+// USB's Alg. 1 writes its one-hot selector past the model's logits.
+TEST_P(SingleClassEntry, RejectsATargetOutsideTheModel) {
+  const DatasetSpec spec = tiny_spec(4);
+  const Dataset probe = generate_dataset(spec, 32, 55);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 56);
+
+  with_tiny_detector(GetParam(), [&](auto& detector) {
+    for (const std::int64_t target : {std::int64_t{-1}, std::int64_t{4}, std::int64_t{6}}) {
+      EXPECT_THROW((void)detector.reverse_engineer_class(victim, probe, target),
+                   std::invalid_argument)
+          << "target " << target;
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Detectors, SingleClassEntry,
                          ::testing::Values(DetectorKind::kUsb, DetectorKind::kNc,
                                            DetectorKind::kTabor),
@@ -433,6 +449,24 @@ TEST(StagedScan, RejectsAModelThatIsNotFrozen) {
   EXPECT_THROW(StagedScan(nc.plan(), victim, probe), std::invalid_argument);
   victim.set_param_grads_enabled(false);
   EXPECT_NO_THROW(StagedScan(nc.plan(), victim, probe));
+}
+
+// The scan sizes its per-class state by the probe's classes and every
+// pass by the model's, so the two must agree: unchecked, a 6-class probe on
+// a 4-class model writes past USB's scan-prefix selector inside detect().
+TEST(StagedScan, RejectsAProbeWhoseClassCountDiffersFromTheModel) {
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 81);
+  const Dataset wider = generate_dataset(tiny_spec(6), 24, 82);
+  EXPECT_THROW((void)UsbDetector(tiny_usb_config()).detect(victim, wider), std::invalid_argument);
+
+  ReverseOptConfig config;
+  config.steps = 2;
+  const NeuralCleanse nc(config);
+  EXPECT_THROW((void)nc.detect(victim, wider), std::invalid_argument);
+  const Dataset narrower = generate_dataset(tiny_spec(3), 24, 83);
+  EXPECT_THROW(StagedScan(nc.plan(), victim, narrower), std::invalid_argument);
+  const Dataset matching = generate_dataset(tiny_spec(4), 24, 84);
+  EXPECT_NO_THROW(StagedScan(nc.plan(), victim, matching));
 }
 
 }  // namespace
