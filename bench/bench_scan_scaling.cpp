@@ -321,12 +321,7 @@ int main(int argc, char** argv) {
         request.detector = std::make_unique<NeuralCleanse>(service_nc);
         request.probe_key = small_key;
         request.options.deadline_seconds = deadline_seconds;
-        // The handle must outlive the outcome reference: wait() returns
-        // state the handle keeps alive, and a temporary handle dying at
-        // the end of this statement leaves `outcome` dangling (observed as
-        // freed-heap garbage in the report tensors on allocator reuse).
-        const ScanHandle handle = service.submit(std::move(request));
-        const ScanOutcome& outcome = handle.wait();
+        const ScanOutcome outcome = service.submit(std::move(request)).wait();
         if (outcome.status != ScanStatus::kDone ||
             !reports_identical(direct_small, outcome.report)) {
           service_row.identical = false;
@@ -476,7 +471,7 @@ int main(int argc, char** argv) {
     // (a realistic monitoring cadence; on a 1-core runner a tighter loop
     // measures context-switch preemption, not snapshot cost), interleaved
     // with unmonitored pairs so machine drift hits both alike. health() is
-    // two mutex grabs plus a wait-free heartbeat sweep; the gate holds its
+    // two mutex grabs plus a few atomic loads; the gate holds its
     // effect on scan latency below 2%. Min-of-reps on both sides: the p50
     // of millisecond-scale pairs on a shared 1-core runner still carries
     // one-sided scheduler spikes that would swamp a sub-1% effect.

@@ -304,13 +304,14 @@ BenchResult bench_refine_step_alloc_pressure() {
   const ProbeBatchCache* cache = select_scan_probe_cache(plan.options, probe, local);
   const ClassScanJob job = make_class_job(plan.options, 0, *cache);
   model.freeze();  // a scan's tasks all run on the one frozen model
-  const auto task = plan.make_task(model, probe, job);
-  (void)task->run_steps(8);  // warm-up: arena slots, loader batch, caches
+  TensorArena arena;  // what a scan lends each stage
+  const auto task = plan.make_task(model, probe, job, arena);
+  (void)task->run_steps(8, arena);  // warm-up: arena slots, loader batch, caches
 
   const std::uint64_t allocs_before = tensor_heap_allocations();
   std::int64_t steps = 0;
   const Timer timer;
-  while (steps < 32 || timer.seconds() < 0.25) steps += task->run_steps(8);
+  while (steps < 32 || timer.seconds() < 0.25) steps += task->run_steps(8, arena);
   const double elapsed = timer.seconds();
   const std::uint64_t allocs = tensor_heap_allocations() - allocs_before;
 

@@ -15,13 +15,14 @@ constexpr std::uint64_t kLoaderSalt = 0x05b;
 
 /// The per-class USB pipeline: the constructor runs Alg. 1 (or adopts the
 /// transferred UAP) and the Alg. 2 initialization; the shared loop then
-/// refines under the -SSIM and mask-L1 terms. Alg. 1 runs on the task's
-/// arena, so refinement reuses its slots.
+/// refines under the -SSIM and mask-L1 terms. Alg. 1 runs on the arena the
+/// construct stage lends, and the SSIM term on each step's; the task keeps
+/// neither.
 class UsbRefineTask final : public TriggerRefineTask {
  public:
   /// `transferred_uap` (nullable) skips Alg. 1, as in the transfer setting.
   UsbRefineTask(const UsbDetector& detector, const Network& model, const Dataset& probe,
-                const ClassScanJob& job, const Tensor* transferred_uap)
+                const ClassScanJob& job, const Tensor* transferred_uap, TensorArena& arena)
       : TriggerRefineTask(model, probe, job, detector.config().batch_size, kLoaderSalt),
         config_(detector.config()) {
     if (transferred_uap == nullptr && config_.random_init) {
@@ -33,7 +34,7 @@ class UsbRefineTask final : public TriggerRefineTask {
     if (transferred_uap == nullptr) {
       const auto* shared = dynamic_cast<const UsbScanShared*>(job.shared);
       crafted = targeted_uap(model, probe, job.target_class, config_.uap,
-                             shared != nullptr ? &shared->prefix : nullptr, &arena_)
+                             shared != nullptr ? &shared->prefix : nullptr, &arena)
                     .perturbation;
     }
     // ---- Alg. 2 init: trigger x mask from the UAP decomposition. ----
@@ -44,13 +45,14 @@ class UsbRefineTask final : public TriggerRefineTask {
 
  private:
   // -SSIM(x, x'): keep x' structurally close to the clean batch.
-  void add_input_terms(const Batch& batch, const Tensor& blended, Tensor& dblended) override {
-    const SsimGradRef ssim = ssim_with_gradient(batch.images, blended, arena_, config_.ssim);
+  void add_input_terms(const Batch& batch, const Tensor& blended, Tensor& dblended,
+                       TensorArena& arena) override {
+    const SsimGradRef ssim = ssim_with_gradient(batch.images, blended, arena, config_.ssim);
     dblended.add_scaled(*ssim.grad_y, -config_.ssim_weight);
     ssim_value_ = ssim.value;
   }
 
-  void add_trigger_terms(const Batch&) override {
+  void add_trigger_terms(const Batch&, TensorArena&) override {
     if (config_.use_l1_term) trigger_->add_mask_l1_grad(config_.l1_weight);
   }
 
@@ -120,10 +122,11 @@ TriggerEstimate UsbDetector::reverse_engineer_class(Network& model, const Datase
                                                     const Tensor& uap) const {
   model.freeze();
   const ProbeBatchCache cache(probe);
+  TensorArena arena;
   UsbRefineTask task(*this, model, probe, make_class_job(plan().options, target_class, cache),
-                     &uap);
-  (void)task.run_steps(config_.refine_steps);
-  return task.finalize();
+                     &uap, arena);
+  (void)task.run_steps(config_.refine_steps, arena);
+  return task.finalize(arena);
 }
 
 ScanPlan UsbDetector::plan() const {
@@ -132,9 +135,9 @@ ScanPlan UsbDetector::plan() const {
   scan.options.base_seed = config_.seed;
   scan.options.early_exit = config_.early_exit;
   scan.total_steps = config_.refine_steps;
-  scan.make_task = [this](const Network& model, const Dataset& data,
-                          const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {
-    return std::make_unique<UsbRefineTask>(*this, model, data, job, nullptr);
+  scan.make_task = [this](const Network& model, const Dataset& data, const ClassScanJob& job,
+                          TensorArena& arena) -> std::unique_ptr<ClassRefineTask> {
+    return std::make_unique<UsbRefineTask>(*this, model, data, job, nullptr, arena);
   };
   scan.shared_builder = make_shared_builder();
   return scan;

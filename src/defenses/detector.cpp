@@ -46,10 +46,11 @@ TriggerEstimate Detector::reverse_engineer_class(Network& model, const Dataset& 
   model.freeze();
   const ScanPlan scan = plan();
   const ProbeBatchCache cache(probe);
+  TensorArena arena;
   const std::unique_ptr<ClassRefineTask> task =
-      scan.make_task(model, probe, make_class_job(scan.options, target_class, cache));
-  (void)task->run_steps(scan.total_steps);
-  return task->finalize();
+      scan.make_task(model, probe, make_class_job(scan.options, target_class, cache), arena);
+  (void)task->run_steps(scan.total_steps, arena);
+  return task->finalize(arena);
 }
 
 Tensor TriggerEstimate::image() const {

@@ -196,8 +196,8 @@ double fooling_rate(const Network& model, const ProbeBatchCache& cache,
                     const MaskedTrigger& trigger, std::int64_t target_class, TensorArena& arena) {
   require_frozen(model, "fooling_rate");
   // Eval batches are usually a different size than refine batches, so the
-  // first evaluation on a task's arena still grows slots; every later one
-  // reuses them.
+  // first evaluation on an arena warmed by refinement still grows slots;
+  // every later one reuses them.
   std::int64_t hits = 0;
   for (const Batch& batch : cache.batches()) {
     const TensorArena::Scope scope(arena);
@@ -223,9 +223,9 @@ void TriggerRefineTask::start_random(const Dataset& probe, std::uint64_t init_sa
   trigger_.emplace(probe.spec().channels, probe.spec().image_size, rng, lr);
 }
 
-void TriggerRefineTask::add_input_terms(const Batch&, const Tensor&, Tensor&) {}
+void TriggerRefineTask::add_input_terms(const Batch&, const Tensor&, Tensor&, TensorArena&) {}
 
-std::int64_t TriggerRefineTask::run_steps(std::int64_t steps) {
+std::int64_t TriggerRefineTask::run_steps(std::int64_t steps, TensorArena& arena) {
   if (exhausted_) return 0;
   std::int64_t ran = 0;
   while (ran < steps) {
@@ -236,15 +236,15 @@ std::int64_t TriggerRefineTask::run_steps(std::int64_t steps) {
         break;
       }
     }
-    arena_.reset();
+    arena.reset();
     trigger_->zero_grad();
-    const Tensor& blended = trigger_->apply_into(batch_.images, arena_);
-    const Tensor& logits = model_.forward_into(blended, arena_);
+    const Tensor& blended = trigger_->apply_into(batch_.images, arena);
+    const Tensor& logits = model_.forward_into(blended, arena);
     const float ce = ce_.forward(logits, job_.target_class);
-    Tensor& dblended = model_.backward_into(ce_.backward_into(arena_), arena_);
-    add_input_terms(batch_, blended, dblended);
+    Tensor& dblended = model_.backward_into(ce_.backward_into(arena), arena);
+    add_input_terms(batch_, blended, dblended, arena);
     trigger_->accumulate_from_output_grad(dblended, batch_.images);
-    add_trigger_terms(batch_);
+    add_trigger_terms(batch_, arena);
     trigger_->step();
     last_loss_ = after_step(ce, logits);
     ++ran;
@@ -252,7 +252,7 @@ std::int64_t TriggerRefineTask::run_steps(std::int64_t steps) {
   return ran;
 }
 
-TriggerEstimate TriggerRefineTask::finalize() {
+TriggerEstimate TriggerRefineTask::finalize(TensorArena& arena) {
   TriggerEstimate estimate;
   estimate.target_class = job_.target_class;
   estimate.pattern = trigger_->pattern();
@@ -260,7 +260,7 @@ TriggerEstimate TriggerRefineTask::finalize() {
   estimate.mask_l1 = trigger_->mask_l1();
   estimate.final_loss = last_loss_;
   estimate.fooling_rate =
-      fooling_rate(model_, *job_.probe_cache, *trigger_, job_.target_class, arena_);
+      fooling_rate(model_, *job_.probe_cache, *trigger_, job_.target_class, arena);
   return estimate;
 }
 

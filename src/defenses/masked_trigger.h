@@ -131,18 +131,21 @@ class MaskedTrigger {
 /// the body never reads the step index, and the loader cursor, Adam moments,
 /// the detector's schedules and the last loss all live in the task.
 ///
-/// Every per-step tensor lives in the task's TensorArena, reset at each step
-/// boundary; with the recycled loader batch and trigger scratch, a
-/// steady-state step performs ZERO Tensor heap allocations (asserted by
-/// tests/test_arena.cpp and the bench alloc-pressure entry). Hooks that need
-/// scratch or extra passes (SSIM, TABOR's R3/R4) use the same arena.
+/// The task owns no arena. Every per-step tensor lives in the arena the
+/// caller lends run_steps (a StagedScan lends one per running stage), reset
+/// at each step boundary; with the recycled loader batch and trigger
+/// scratch, a steady-state step on a warm arena performs ZERO Tensor heap
+/// allocations (asserted by tests/test_arena.cpp and the bench
+/// alloc-pressure entry). Hooks that need scratch or extra passes (SSIM,
+/// TABOR's R3/R4) run on the same lent arena, and keep no slot past the
+/// step.
 class TriggerRefineTask : public ClassRefineTask {
  public:
-  std::int64_t run_steps(std::int64_t steps) final;
+  std::int64_t run_steps(std::int64_t steps, TensorArena& arena) final;
   [[nodiscard]] double current_mask_l1() const final { return trigger_->mask_l1(); }
   /// The trigger's decomposition plus its fooling rate over the job's shared
-  /// probe cache, evaluated on the task's arena.
-  [[nodiscard]] TriggerEstimate finalize() final;
+  /// probe cache, evaluated on `arena`.
+  [[nodiscard]] TriggerEstimate finalize(TensorArena& arena) final;
 
  protected:
   /// The loader shuffles with the stream hash_combine(job.rng_seed,
@@ -155,18 +158,20 @@ class TriggerRefineTask : public ClassRefineTask {
   void start_random(const Dataset& probe, std::uint64_t init_salt, float lr);
 
   /// Adds the gradient of loss terms on the blended batch `blended` (x') to
-  /// dL/dx', before the chain rule into the trigger. Default: none.
-  virtual void add_input_terms(const Batch& batch, const Tensor& blended, Tensor& dblended);
+  /// dL/dx', before the chain rule into the trigger, with scratch on the
+  /// step's `arena`. Default: none.
+  virtual void add_input_terms(const Batch& batch, const Tensor& blended, Tensor& dblended,
+                               TensorArena& arena);
   /// Adds the gradient of loss terms on the trigger itself (and any extra
-  /// passes they need) after the chain rule, before the Adam step.
-  virtual void add_trigger_terms(const Batch& batch) = 0;
+  /// passes they need, on the step's `arena`) after the chain rule, before
+  /// the Adam step.
+  virtual void add_trigger_terms(const Batch& batch, TensorArena& arena) = 0;
   /// Runs after the Adam step, given the step's CE value and the logits of
   /// x'; returns the step's loss value.
   [[nodiscard]] virtual float after_step(float ce, const Tensor& logits) = 0;
 
   const Network& model_;
   const ClassScanJob job_;
-  TensorArena arena_;  // per-task slots, reset at step boundaries
   std::optional<MaskedTrigger> trigger_;
 
  private:

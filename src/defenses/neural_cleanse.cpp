@@ -24,7 +24,9 @@ class NcRefineTask final : public TriggerRefineTask {
   }
 
  private:
-  void add_trigger_terms(const Batch&) override { trigger_->add_mask_l1_grad(lambda_.value()); }
+  void add_trigger_terms(const Batch&, TensorArena&) override {
+    trigger_->add_mask_l1_grad(lambda_.value());
+  }
 
   float after_step(float ce, const Tensor& logits) override {
     lambda_.update(logits, job_.target_class);
@@ -56,8 +58,8 @@ ScanPlan NeuralCleanse::plan() const {
   scan.options.base_seed = config_.seed;
   scan.options.early_exit = config_.early_exit;
   scan.total_steps = config_.steps;
-  scan.make_task = [this](const Network& model, const Dataset& data,
-                          const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {
+  scan.make_task = [this](const Network& model, const Dataset& data, const ClassScanJob& job,
+                          TensorArena&) -> std::unique_ptr<ClassRefineTask> {
     return std::make_unique<NcRefineTask>(config_, model, data, job);
   };
   return scan;

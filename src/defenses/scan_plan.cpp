@@ -135,17 +135,6 @@ ClassScanJob make_class_job(const ClassScanOptions& options, std::int64_t target
   return job;
 }
 
-const char* ScanStep::label() const noexcept {
-  switch (kind) {
-    case Kind::kConstruct: return "scan.construct";
-    case Kind::kRound: return "scan.round";
-    case Kind::kCutoff: return "scan.cutoff";
-    case Kind::kRetire: return "scan.retire";
-    case Kind::kFinalize: return "scan.finalize";
-  }
-  return "scan.step";
-}
-
 StagedScan::StagedScan(ScanPlan plan, const Network& model, const Dataset& probe)
     : plan_(std::move(plan)),
       model_(&model),
@@ -297,13 +286,40 @@ void StagedScan::launch_round_locked(std::vector<ScanStep>& out) {
   parked_.clear();
 }
 
+StagedScan::ArenaLease::ArenaLease(StagedScan& scan) : scan_(scan) {
+  const std::lock_guard<std::mutex> lock(scan_.mu_);
+  if (scan_.spare_arenas_.empty()) {
+    scan_.spare_arenas_.reserve(scan_.arenas_alive_ + 1);
+    arena_ = std::make_unique<TensorArena>();
+    ++scan_.arenas_alive_;
+  } else {
+    arena_ = std::move(scan_.spare_arenas_.back());
+    scan_.spare_arenas_.pop_back();
+  }
+}
+
+StagedScan::ArenaLease::~ArenaLease() {
+  if (arena_ == nullptr) return;
+  arena_->reset();
+  const std::lock_guard<std::mutex> lock(scan_.mu_);
+  scan_.spare_arenas_.push_back(std::move(arena_));  // within capacity: cannot throw
+}
+
+void StagedScan::ArenaLease::discard() {
+  arena_.reset();
+  const std::lock_guard<std::mutex> lock(scan_.mu_);
+  --scan_.arenas_alive_;
+}
+
 void StagedScan::construct_class(std::int64_t target_class) {
   const auto slot = static_cast<std::size_t>(target_class);
   const Timer timer;
   USB_FAULT_POINT("scan.construct");
+  const ArenaLease arena(*this);
   tasks_[slot] = plan_.make_task(*model_, *probe_,
                                  make_class_job(plan_.options, target_class, *eval_cache_,
-                                                shared_.get()));
+                                                shared_.get()),
+                                 *arena);
   report_.per_class_seconds[slot] += timer.seconds();
   report_.per_class_state[slot] = ClassScanState::kRefining;
 }
@@ -312,8 +328,9 @@ bool StagedScan::run_round(std::int64_t target_class) {
   const auto slot = static_cast<std::size_t>(target_class);
   USB_FAULT_POINT("scan.round");
   const Timer timer;
+  const ArenaLease arena(*this);
   const std::int64_t steps = std::min(round_steps_, remaining_[slot]);
-  const std::int64_t ran = tasks_[slot]->run_steps(steps);
+  const std::int64_t ran = tasks_[slot]->run_steps(steps, *arena);
   // Fewer than requested means the loop's own exit condition fired; the
   // class is done either way.
   remaining_[slot] = ran < steps ? 0 : remaining_[slot] - ran;
@@ -350,10 +367,12 @@ void StagedScan::finalize_class(std::int64_t target_class) {
   }
   USB_FAULT_POINT("scan.finalize");
   const Timer timer;
-  report_.per_class[slot] = tasks_[slot]->finalize();
+  ArenaLease arena(*this);
+  report_.per_class[slot] = tasks_[slot]->finalize(*arena);
   report_.per_class_seconds[slot] += timer.seconds();
   report_.per_class_state[slot] = ClassScanState::kFinalized;
   tasks_[slot].reset();
+  arena.discard();
   notify(target_class, ClassScanEvent::kFinalized, report_.per_class[slot].mask_l1);
 }
 

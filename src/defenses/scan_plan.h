@@ -9,9 +9,12 @@
 // defenses/masked_trigger.h); the scan engine owns everything around it:
 //
 //  - fan-out: every candidate class runs on the one frozen victim model —
-//    layers keep their forward caches in the task's TensorArena, not in
-//    themselves, so the classes are embarrassingly parallel with no copy
-//    of the weights;
+//    layers keep their forward caches in the running stage's TensorArena,
+//    not in themselves, so the classes are embarrassingly parallel with no
+//    copy of the weights. A task owns only its class's state (trigger, Adam
+//    moments, loader cursor); each stage borrows a scratch arena from its
+//    scan, so a scan holds one arena per stage running at once, whatever K
+//    is;
 //  - per-class RNG streams: each job receives a stream root derived only
 //    from (base_seed, class), never from thread ids or schedule order;
 //  - shared probe batches: the fooling-rate evaluation batches over the full
@@ -81,6 +84,7 @@
 
 #include "data/probe_cache.h"
 #include "defenses/detector.h"
+#include "tensor/arena.h"
 #include "utils/thread_pool.h"
 #include "utils/timer.h"
 
@@ -120,6 +124,10 @@ struct ClassScanJob {
 /// concatenation is bit-identical to one uninterrupted run (all loop state —
 /// data loader cursor, optimizer moments, schedules — lives in the task);
 /// finalize performs the post-loop evaluation.
+///
+/// The task keeps no scratch: every pass runs on the arena its caller lends
+/// to that one call (any arena, reset or not, warm from another class or
+/// not), and no slot outlives the call.
 class ClassRefineTask {
  public:
   virtual ~ClassRefineTask() = default;
@@ -127,25 +135,27 @@ class ClassRefineTask {
   ClassRefineTask(const ClassRefineTask&) = delete;
   ClassRefineTask& operator=(const ClassRefineTask&) = delete;
 
-  /// Runs up to `steps` more refinement steps; returns the number actually
-  /// executed (fewer only when the loop's own exit condition fired, after
-  /// which every later call returns 0).
-  virtual std::int64_t run_steps(std::int64_t steps) = 0;
+  /// Runs up to `steps` more refinement steps on `arena`; returns the
+  /// number actually executed (fewer only when the loop's own exit
+  /// condition fired, after which every later call returns 0).
+  virtual std::int64_t run_steps(std::int64_t steps, TensorArena& arena) = 0;
 
   /// Current value of the detection statistic (mask L1) — the early-exit
   /// decision input. Must be cheap and must not advance any state.
   [[nodiscard]] virtual double current_mask_l1() const = 0;
 
-  /// Post-loop evaluation (fooling rate over the shared probe cache) and
-  /// estimate assembly. Call exactly once, after the last run_steps.
-  [[nodiscard]] virtual TriggerEstimate finalize() = 0;
+  /// Post-loop evaluation (fooling rate over the shared probe cache, on
+  /// `arena`) and estimate assembly. Call exactly once, after the last
+  /// run_steps.
+  [[nodiscard]] virtual TriggerEstimate finalize(TensorArena& arena) = 0;
 };
 
 /// Builds the resumable form of one class's job against the scan's frozen
 /// model, which every class shares; the reference stays valid for the
-/// task's lifetime. Tasks run passes on their own arenas only.
+/// task's lifetime. Construction runs its passes (USB: Alg. 1) on the lent
+/// arena, which the task must not keep.
 using RefineTaskFn = std::function<std::unique_ptr<ClassRefineTask>(
-    const Network&, const Dataset&, const ClassScanJob&)>;
+    const Network&, const Dataset&, const ClassScanJob&, TensorArena&)>;
 
 /// Early-exit configuration. Disabled by default; when disabled the scan is
 /// bit-identical to running every class through its full budget.
@@ -246,10 +256,6 @@ struct ScanStep {
   enum class Kind : std::uint8_t { kConstruct, kRound, kCutoff, kRetire, kFinalize };
   Kind kind = Kind::kConstruct;
   std::int64_t target_class = 0;  // unused by kCutoff
-
-  /// "scan.construct", "scan.round", ...: a static string naming the step
-  /// in heartbeats and retries.
-  [[nodiscard]] const char* label() const noexcept;
 };
 
 /// One scan as a step graph over resumable per-class tasks (see the file
@@ -259,16 +265,27 @@ struct ScanStep {
 /// Thread-safety: run() may be called concurrently for any steps the graph
 /// has handed out — it never hands out two steps of one class at once, and
 /// the cross-class schedule state (recorded statistics, parked classes,
-/// round counts) lives under an internal lock. prepare() and take_report()
-/// require quiescence (no step in flight). The model and probe must outlive
-/// the StagedScan.
+/// round counts, spare arenas) lives under an internal lock. prepare() and
+/// take_report() require quiescence (no step in flight). The model and
+/// probe must outlive the StagedScan.
+///
+/// Scratch memory. Each construct, round and finalize borrows a TensorArena
+/// from the scan — a spare one, or a new one when none is spare — and runs
+/// its class's passes on it. A construct or round gives its arena back as a
+/// spare when it ends; a finalize frees its arena, as its evaluation batches
+/// would outgrow every later stage's need. So the scan holds as many arenas
+/// as it runs stages at once (its pool workers or the service's
+/// dispatchers), however many classes are constructed and waiting, and the
+/// spares die with the StagedScan. Reports do not depend on which arena a
+/// stage gets: every stage starts its arena at a reset, and no pass reads a
+/// slot it did not write.
 class StagedScan {
  public:
   /// `model` must be frozen and classify as many classes as the probe
-  /// (std::invalid_argument otherwise). Every class task and the
-  /// shared-prefix builder run their passes on it, each on its own arena,
-  /// so the scan never writes to it: one instance may serve any number of
-  /// concurrent scans (a ModelStore resident does).
+  /// (std::invalid_argument otherwise). Every class stage and the
+  /// shared-prefix builder run their passes on it, each on an arena of its
+  /// own, so the scan never writes to it: one instance may serve any number
+  /// of concurrent scans (a ModelStore resident does).
   StagedScan(ScanPlan plan, const Network& model, const Dataset& probe);
 
   StagedScan(const StagedScan&) = delete;
@@ -296,19 +313,20 @@ class StagedScan {
   // schedule by hand (perfbench's traced replay). run() is built on them.
 
   /// Constructs class t's resumable task (the whole pre-refinement
-  /// pipeline) on the shared model.
+  /// pipeline) on the shared model, on a borrowed arena.
   void construct_class(std::int64_t target_class);
 
   /// Advances class t by one round (min(round_steps, its remaining
-  /// budget)); returns true while budget remains afterwards. A task whose
-  /// own exit condition fires mid-round zeroes its budget. A non-finite
-  /// statistic at the round boundary quarantines the class: budget zeroed,
-  /// state kNumericallyUnstable, excluded from cutoffs and the verdict.
+  /// budget)) on a borrowed arena; returns true while budget remains
+  /// afterwards. A task whose own exit condition fires mid-round zeroes its
+  /// budget. A non-finite statistic at the round boundary quarantines the
+  /// class: budget zeroed, state kNumericallyUnstable, excluded from cutoffs
+  /// and the verdict.
   bool run_round(std::int64_t target_class);
 
-  /// Evaluates class t's fooling rate, assembles its estimate, emits
-  /// kFinalized, then frees the class's task (and its arena). Exactly once
-  /// per class, after its last round.
+  /// Evaluates class t's fooling rate on a borrowed arena, assembles its
+  /// estimate, emits kFinalized, then frees the class's task and that
+  /// arena. Exactly once per class, after its last round.
   void finalize_class(std::int64_t target_class);
 
   /// Ordered MAD reduction + wall time. Call once, with no step in flight —
@@ -320,6 +338,25 @@ class StagedScan {
 
  private:
   enum class Mode { kMonolithic, kBarrier };
+
+  /// One stage's scratch arena (see the class comment): borrowed at
+  /// construction; reset and given back as a spare on destruction, unless
+  /// discard() freed it first.
+  class ArenaLease {
+   public:
+    explicit ArenaLease(StagedScan& scan);
+    ~ArenaLease();
+    ArenaLease(const ArenaLease&) = delete;
+    ArenaLease& operator=(const ArenaLease&) = delete;
+
+    [[nodiscard]] TensorArena& operator*() const noexcept { return *arena_; }
+    /// Frees the arena now instead of keeping it as a spare.
+    void discard();
+
+   private:
+    StagedScan& scan_;
+    std::unique_ptr<TensorArena> arena_;
+  };
 
   void notify(std::int64_t target_class, ClassScanEvent event, double mask_l1) const;
   /// Class t's statistic as its own step sees it: NaN once quarantined.
@@ -363,6 +400,10 @@ class StagedScan {
   std::int64_t finalized_ = 0;
   std::int64_t in_round_ = 0;     // barrier: classes still running the current round
   std::int64_t rounds_done_ = 0;  // barrier: completed lockstep rounds
+  // Arenas no stage holds. Its capacity covers every arena alive (lent or
+  // spare), so giving one back never allocates.
+  std::vector<std::unique_ptr<TensorArena>> spare_arenas_;
+  std::size_t arenas_alive_ = 0;
 };
 
 /// Runs a plan to completion on the calling thread — the blocking runner

@@ -13,7 +13,7 @@ constexpr std::uint64_t kLoaderSalt = 0x7ab1;
 
 /// TABOR's per-class task: NC's random start and lambda-weighted mask-L1,
 /// then the four regularizers. Each step still pays the R3 and R4 extra
-/// forward/backward passes (on the task's arena), the cost structure the
+/// forward/backward passes (on the step's arena), the cost structure the
 /// paper's Table 7 reports — early exit attacks exactly that
 /// (K x steps x 3 forwards) budget.
 class TaborRefineTask final : public TriggerRefineTask {
@@ -29,7 +29,7 @@ class TaborRefineTask final : public TriggerRefineTask {
   }
 
  private:
-  void add_trigger_terms(const Batch& batch) override {
+  void add_trigger_terms(const Batch& batch, TensorArena& arena) override {
     const std::int64_t spatial = size_ * size_;
     trigger_->add_mask_l1_grad(lambda_.value());
 
@@ -39,8 +39,8 @@ class TaborRefineTask final : public TriggerRefineTask {
     // R1: elastic net on the mask and on the out-of-mask pattern (1-m)*p.
     trigger_->add_mask_elastic_grad(config_.elastic_mask_weight);
     {
-      Tensor& dp = arena_.zeros(p.shape());
-      Tensor& dm = arena_.zeros(m.shape());
+      Tensor& dp = arena.zeros(p.shape());
+      Tensor& dm = arena.zeros(m.shape());
       for (std::int64_t c = 0; c < channels_; ++c) {
         for (std::int64_t s = 0; s < spatial; ++s) {
           const float value = (1.0F - m[s]) * p[c * spatial + s];
@@ -60,7 +60,7 @@ class TaborRefineTask final : public TriggerRefineTask {
     // R3 "blocking": removing the masked region must preserve the true
     // labels: CE(f(x * (1-m)), y).
     {
-      Tensor& removed = arena_.alloc(batch.images.shape());
+      Tensor& removed = arena.alloc(batch.images.shape());
       const std::int64_t bsz = removed.dim(0);
       for (std::int64_t n = 0; n < bsz; ++n) {
         for (std::int64_t c = 0; c < channels_; ++c) {
@@ -69,10 +69,10 @@ class TaborRefineTask final : public TriggerRefineTask {
           for (std::int64_t s = 0; s < spatial; ++s) row[s] = xrow[s] * (1.0F - m[s]);
         }
       }
-      const Tensor& removed_logits = model_.forward_into(removed, arena_);
+      const Tensor& removed_logits = model_.forward_into(removed, arena);
       (void)true_loss_.forward(removed_logits, batch.labels);
-      const Tensor& dremoved = model_.backward_into(true_loss_.backward_into(arena_), arena_);
-      Tensor& dm = arena_.zeros(m.shape());
+      const Tensor& dremoved = model_.backward_into(true_loss_.backward_into(arena), arena);
+      Tensor& dm = arena.zeros(m.shape());
       for (std::int64_t n = 0; n < bsz; ++n) {
         for (std::int64_t c = 0; c < channels_; ++c) {
           const float* drow = dremoved.raw() + (n * channels_ + c) * spatial;
@@ -86,17 +86,17 @@ class TaborRefineTask final : public TriggerRefineTask {
 
     // R4 "overlaying": the isolated trigger p*m must classify to target.
     {
-      Tensor& isolated = arena_.alloc(Shape{1, channels_, size_, size_});
+      Tensor& isolated = arena.alloc(Shape{1, channels_, size_, size_});
       for (std::int64_t c = 0; c < channels_; ++c) {
         for (std::int64_t s = 0; s < spatial; ++s) {
           isolated[c * spatial + s] = p[c * spatial + s] * m[s];
         }
       }
-      const Tensor& iso_logits = model_.forward_into(isolated, arena_);
+      const Tensor& iso_logits = model_.forward_into(isolated, arena);
       (void)overlay_loss_.forward(iso_logits, job_.target_class);
-      const Tensor& diso = model_.backward_into(overlay_loss_.backward_into(arena_), arena_);
-      Tensor& dp = arena_.zeros(p.shape());
-      Tensor& dm = arena_.zeros(m.shape());
+      const Tensor& diso = model_.backward_into(overlay_loss_.backward_into(arena), arena);
+      Tensor& dp = arena.zeros(p.shape());
+      Tensor& dm = arena.zeros(m.shape());
       for (std::int64_t c = 0; c < channels_; ++c) {
         for (std::int64_t s = 0; s < spatial; ++s) {
           dp[c * spatial + s] += diso[c * spatial + s] * m[s];
@@ -131,8 +131,8 @@ ScanPlan Tabor::plan() const {
   scan.options.base_seed = config_.base.seed;
   scan.options.early_exit = config_.base.early_exit;
   scan.total_steps = config_.base.steps;
-  scan.make_task = [this](const Network& model, const Dataset& data,
-                          const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {
+  scan.make_task = [this](const Network& model, const Dataset& data, const ClassScanJob& job,
+                          TensorArena&) -> std::unique_ptr<ClassRefineTask> {
     return std::make_unique<TaborRefineTask>(config_, model, data, job);
   };
   return scan;

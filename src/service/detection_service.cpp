@@ -131,7 +131,6 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
         RoundScheduler::JobOptions job_options;
         job_options.priority = state_->options.priority;
         job_options.weight = state_->options.fair_weight;
-        job_options.owner = state_->id;  // heartbeat attribution
         // Defense in depth: run_stage already routes stage exceptions, so
         // only an escape from the completion path itself lands here — it
         // still fails ONLY this scan, never the dispatcher crew. Weak
@@ -148,10 +147,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
             job_,
             // The inner stage function captures `self` BY VALUE: a retry
             // copies it past this enqueued wrapper's lifetime.
-            [self = shared_from_this()] {
-              self->run_stage("scan.init", [self] { self->stage_init(); }, 0);
-            },
-            "scan.init");
+            [self = shared_from_this()] { self->run_stage([self] { self->stage_init(); }, 0); });
       }
     }
     for (const auto& exec : launches) exec->launch();
@@ -241,7 +237,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   /// under a FaultScope tagged with the scan id, so injected faults scoped
   /// to one scan can never leak into a concurrent healthy one
   /// (tests/test_fault_injection.cpp).
-  void run_stage(const char* label, const std::function<void()>& stage, int attempt) {
+  void run_stage(const std::function<void()>& stage, int attempt) {
     const fault::FaultScope fault_scope(state_->id);
     bool skip = false;
     if (state_->deadline_expired()) {
@@ -258,7 +254,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       try {
         stage();
       } catch (const std::exception& error) {
-        if (!maybe_retry(label, stage, attempt, error)) mark_failed(error.what());
+        if (!maybe_retry(stage, attempt, error)) mark_failed(error.what());
       } catch (...) {
         mark_failed("unknown scan failure");
       }
@@ -286,8 +282,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   /// the scan is already aborting. The replacement item is posted BEFORE
   /// this one completes (net outstanding unchanged), so the scan cannot
   /// transiently look finished.
-  [[nodiscard]] bool maybe_retry(const char* label, const std::function<void()>& stage,
-                                 int attempt, const std::exception& error) {
+  [[nodiscard]] bool maybe_retry(const std::function<void()>& stage, int attempt,
+                                 const std::exception& error) {
     if (!is_transient_failure(error)) return false;
     if (attempt >= state_->options.max_retries) return false;
     if (state_->cancel.load(std::memory_order_relaxed) || state_->deadline_expired()) return false;
@@ -300,10 +296,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     ++outstanding_;
     service_->scheduler_.enqueue_after(
         job_, backoff,
-        [self = shared_from_this(), label, stage, next = attempt + 1] {
-          self->run_stage(label, stage, next);
-        },
-        label);
+        [self = shared_from_this(), stage, next = attempt + 1] { self->run_stage(stage, next); });
     return true;
   }
 
@@ -323,17 +316,12 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     complete_item();
   }
 
-  /// Posts a stage as one scheduler item. Caller must hold mu_. `label`
-  /// must be static storage (string literal): it is published in
-  /// heartbeats and kept by retry re-enqueues.
-  void post_locked(const char* label, std::function<void()> stage) {
+  /// Posts a stage as one scheduler item. Caller must hold mu_.
+  void post_locked(std::function<void()> stage) {
     ++outstanding_;
-    service_->scheduler_.enqueue(
-        job_,
-        [self = shared_from_this(), label, stage = std::move(stage)] {
-          self->run_stage(label, stage, 0);
-        },
-        label);
+    service_->scheduler_.enqueue(job_, [self = shared_from_this(), stage = std::move(stage)] {
+      self->run_stage(stage, 0);
+    });
   }
 
   void mark_failed(const std::string& what) {
@@ -403,7 +391,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
 
   void post_steps_locked(const std::vector<ScanStep>& steps) {
     for (const ScanStep& step : steps) {
-      post_locked(step.label(), [this, step] { run_step(step); });
+      post_locked([this, step] { run_step(step); });
     }
   }
 
@@ -510,7 +498,9 @@ ScanStatus ScanHandle::poll() const {
   return state->outcome.status;
 }
 
-const ScanOutcome& ScanHandle::wait() const {
+ScanOutcome ScanHandle::wait() && { return std::as_const(*this).wait(); }
+
+const ScanOutcome& ScanHandle::wait() const& {
   const auto& state = require_state(state_);
   std::unique_lock<std::mutex> lock(state->mutex);
   if (state->has_deadline) {
@@ -731,17 +721,6 @@ ServiceHealth DetectionService::health() const {
   const MemoryBudget& budget = MemoryBudget::process();
   health.budget_bytes = budget.bytes();
   health.budget_high_water_bytes = budget.high_water_bytes();
-  std::vector<RoundScheduler::InFlightItem> items;
-  scheduler_.sample_in_flight(items);
-  health.in_flight_items = static_cast<std::int64_t>(items.size());
-  for (const auto& item : items) {
-    if (health.oldest_item_point.empty() || item.seconds > health.oldest_item_seconds) {
-      health.oldest_item_seconds = item.seconds;
-      health.oldest_item_point = item.point != nullptr ? item.point : "";
-      if (health.oldest_item_point.empty()) health.oldest_item_point = "item";
-      health.oldest_item_scan = item.owner;
-    }
-  }
   return health;
 }
 

@@ -56,10 +56,8 @@
 //  - memory ledger: probe materializations, resident models, and arena
 //    high-water bytes register with utils/memory_budget.h, which health()
 //    reports. A scan never copies its model, so a queued scan holds no
-//    budgeted bytes.
-//  - liveness: dispatchers heartbeat every item, and health() names the
-//    oldest in-flight item (its age, stage label and scan) without a
-//    thread of its own; a request's deadline_seconds bounds a slow scan.
+//    budgeted bytes, and an admitted one holds an arena only for each of
+//    its stages running on a dispatcher (plus spares), not one per class.
 //  - numerical quarantine: a class whose round statistic goes non-finite
 //    is retired with ClassScanState::kNumericallyUnstable and peeled from
 //    every MAD population; the scan still resolves kDone and the report
@@ -213,7 +211,11 @@ class ScanHandle {
   /// the waiter observes expiry, so wait() on a deadline-expired scan that
   /// is still QUEUED resolves kTimedOut promptly without the scan ever
   /// running a stage.
-  const ScanOutcome& wait() const;
+  const ScanOutcome& wait() const&;
+  /// The same, on a temporary handle (`service.submit(request).wait()`):
+  /// returns a copy, since nothing keeps the outcome alive past the end of
+  /// the statement.
+  ScanOutcome wait() &&;
   /// Requests cancellation. A scan still queued (not yet admitted to the
   /// scheduler) resolves to kCancelled IMMEDIATELY — its model reference is
   /// released, its admission slot freed, and it never runs a single stage.
@@ -264,8 +266,8 @@ struct DetectionServiceConfig {
 
 /// One consistent-enough snapshot of service liveness, assembled on demand
 /// by DetectionService::health(). Counters are monotone totals since
-/// construction; gauges are instantaneous. Cheap: two mutexes plus a
-/// wait-free heartbeat sweep — safe to poll from a monitoring loop.
+/// construction; gauges are instantaneous. Cheap: two mutexes and a few
+/// atomic loads — safe to poll from a monitoring loop.
 struct ServiceHealth {
   // Queue gauges.
   std::int64_t queued_scans = 0;    // submitted, not yet admitted
@@ -283,11 +285,6 @@ struct ServiceHealth {
   // Memory budget (process-wide; see utils/memory_budget.h).
   std::int64_t budget_bytes = 0;
   std::int64_t budget_high_water_bytes = 0;
-  // In-flight items (heartbeat sweep).
-  std::int64_t in_flight_items = 0;
-  double oldest_item_seconds = 0.0;    // age of the longest-running item
-  std::string oldest_item_point;       // its stage label, e.g. "scan.round"
-  std::uint64_t oldest_item_scan = 0;  // its owning scan id
 };
 
 class DetectionService {

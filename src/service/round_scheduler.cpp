@@ -18,20 +18,13 @@ namespace {
 // starve the younger job).
 constexpr double kMinItemSeconds = 20e-6;
 
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
 
 RoundScheduler::RoundScheduler(Config config) : config_(config) {
   const int workers = std::max(1, config_.workers);
-  heartbeats_ = std::make_unique<HeartbeatSlot[]>(static_cast<std::size_t>(workers));
   dispatchers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    dispatchers_.emplace_back([this, i] { dispatcher_loop(i); });
+    dispatchers_.emplace_back([this] { dispatcher_loop(); });
   }
 }
 
@@ -53,7 +46,6 @@ RoundScheduler::JobPtr RoundScheduler::create_job(JobOptions options) {
   // Non-positive and NaN weights floor alike: a NaN would make every vtime
   // comparison false and drain this job ahead of its equals.
   job->weight = options.weight > 1e-9 ? options.weight : 1e-9;
-  job->owner = options.owner;
   job->on_item_error = std::move(options.on_item_error);
   const std::lock_guard<std::mutex> lock(mutex_);
   job->vtime = vclock_;
@@ -62,19 +54,19 @@ RoundScheduler::JobPtr RoundScheduler::create_job(JobOptions options) {
   return job;
 }
 
-void RoundScheduler::enqueue(const JobPtr& job, std::function<void()> item, const char* label) {
+void RoundScheduler::enqueue(const JobPtr& job, std::function<void()> item) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (job->retired) return;  // late enqueue on a detached job: drop
-    job->items.push_back(Job::Item{std::move(item), label});
+    job->items.push_back(std::move(item));
   }
   work_available_.notify_one();
 }
 
 void RoundScheduler::enqueue_after(const JobPtr& job, double delay_seconds,
-                                   std::function<void()> item, const char* label) {
+                                   std::function<void()> item) {
   if (!(delay_seconds > 0.0)) {
-    enqueue(job, std::move(item), label);
+    enqueue(job, std::move(item));
     return;
   }
   {
@@ -83,10 +75,10 @@ void RoundScheduler::enqueue_after(const JobPtr& job, double delay_seconds,
     if (shutting_down_) {
       // Drain mode: the item runs now (and observes its scan's flags)
       // instead of parking behind a timer nobody will honor.
-      job->items.push_back(Job::Item{std::move(item), label});
+      job->items.push_back(std::move(item));
     } else {
       const auto not_before = Clock::now() + steady_span(delay_seconds);
-      deferred_.push_back(Deferred{not_before, job, Job::Item{std::move(item), label}});
+      deferred_.push_back(Deferred{not_before, job, std::move(item)});
     }
   }
   // Wake a sleeper either way: it recomputes the earliest not-before (or
@@ -149,25 +141,6 @@ std::int64_t RoundScheduler::items_deferred() const {
   return static_cast<std::int64_t>(deferred_.size());
 }
 
-void RoundScheduler::sample_in_flight(std::vector<InFlightItem>& out) const {
-  const std::int64_t now_ns = steady_now_ns();
-  const int workers = static_cast<int>(dispatchers_.size());
-  for (int i = 0; i < workers; ++i) {
-    const HeartbeatSlot& slot = heartbeats_[i];
-    const std::uint64_t before = slot.epoch.load(std::memory_order_acquire);
-    if ((before & 1) == 0) continue;  // idle
-    InFlightItem item;
-    const char* point = slot.point.load(std::memory_order_relaxed);
-    item.point = point != nullptr ? point : "";
-    item.owner = slot.owner.load(std::memory_order_relaxed);
-    const std::int64_t start_ns = slot.start_ns.load(std::memory_order_relaxed);
-    const std::uint64_t after = slot.epoch.load(std::memory_order_acquire);
-    if (after != before) continue;  // torn sample (item changed): skip
-    item.seconds = std::max(0.0, static_cast<double>(now_ns - start_ns) * 1e-9);
-    out.push_back(item);
-  }
-}
-
 RoundScheduler::JobPtr RoundScheduler::pick_locked() {
   JobPtr best;
   for (const JobPtr& job : jobs_) {
@@ -200,15 +173,14 @@ void RoundScheduler::promote_all_deferred_locked() {
   deferred_.clear();
 }
 
-void RoundScheduler::dispatcher_loop(int slot_index) {
+void RoundScheduler::dispatcher_loop() {
   // Per-thread: every item this dispatcher runs executes inside the kernel
   // pool's worker context (see ThreadPool::WorkerContext).
   std::optional<ThreadPool::WorkerContext> context;
   if (config_.kernel_pool != nullptr) context.emplace(*config_.kernel_pool);
-  HeartbeatSlot& heartbeat = heartbeats_[slot_index];
 
   for (;;) {
-    Job::Item item;
+    std::function<void()> item;
     JobPtr job;  // shared ownership across the item: the job may be retired
                  // (and dropped from jobs_) by the item itself, e.g. a
                  // scan's last finalize — the account must outlive the run.
@@ -241,17 +213,10 @@ void RoundScheduler::dispatcher_loop(int slot_index) {
       vclock_ = std::max(vclock_, job->vtime);
     }
 
-    // Heartbeat: publish the item before running it (fields first, then the
-    // odd epoch transition — see the seqlock note in the header).
-    heartbeat.point.store(item.label, std::memory_order_relaxed);
-    heartbeat.owner.store(job->owner, std::memory_order_relaxed);
-    heartbeat.start_ns.store(steady_now_ns(), std::memory_order_relaxed);
-    heartbeat.epoch.fetch_add(1, std::memory_order_release);
-
     const Timer timer;
     std::exception_ptr error;
     try {
-      item.fn();
+      item();
     } catch (...) {
       // Fault isolation: the throw belongs to ONE job. Charge the item,
       // then hand the exception to that job's handler — the other jobs'
@@ -259,8 +224,6 @@ void RoundScheduler::dispatcher_loop(int slot_index) {
       error = std::current_exception();
     }
     const double cost = timer.seconds() + kMinItemSeconds;
-
-    heartbeat.epoch.fetch_add(1, std::memory_order_release);
 
     {
       const std::lock_guard<std::mutex> lock(mutex_);

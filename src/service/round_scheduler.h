@@ -44,13 +44,6 @@
 // expedite() promotes a job's deferred items immediately (used on
 // cancel/timeout so an aborting scan never waits out its own backoff), and
 // shutdown promotes everything so the queue always drains.
-//
-// Heartbeats: each dispatcher publishes the item it is currently running
-// (label, owning job's owner tag, start time) into a per-dispatcher slot —
-// an inverted seqlock whose epoch is odd while an item is in flight. The
-// service's health() samples the slots wait-free via sample_in_flight() to
-// name the oldest in-flight item; a torn read is detected by re-checking
-// the epoch and simply skipped (monitoring tolerates a missed sample).
 #pragma once
 
 #include <chrono>
@@ -89,9 +82,6 @@ class RoundScheduler {
     /// seconds / weight, so weight 2 receives twice the service rate.
     /// Values below 1e-9, and NaN, count as 1e-9.
     double weight = 1.0;
-    /// Opaque owner tag published in heartbeats (the service uses the scan
-    /// id) so a monitor can attribute an in-flight item to its request.
-    std::uint64_t owner = 0;
     /// Routes an exception thrown by one of this job's items. Called on the
     /// dispatcher thread, outside the scheduler lock, after the item was
     /// charged to the job's vtime; must not throw. May enqueue further
@@ -100,30 +90,18 @@ class RoundScheduler {
     std::function<void(std::exception_ptr)> on_item_error;
   };
 
-  /// A sampled in-flight item (see sample_in_flight).
-  struct InFlightItem {
-    const char* point = "";   // item label ("" when enqueued unlabeled)
-    std::uint64_t owner = 0;  // owning job's JobOptions::owner tag
-    double seconds = 0.0;     // time the item has been running
-  };
-
   /// One request's item queue plus its scheduling account. Opaque to
   /// callers; create with create_job, feed with enqueue, detach with
   /// retire_job.
   class Job {
    private:
     friend class RoundScheduler;
-    struct Item {
-      std::function<void()> fn;
-      const char* label = nullptr;  // static storage; published in heartbeats
-    };
-    std::deque<Item> items;
+    std::deque<std::function<void()>> items;
     std::function<void(std::exception_ptr)> on_item_error;
     int priority = 0;
     double weight = 1.0;
     double vtime = 0.0;
     std::uint64_t sequence = 0;  // creation order, the final tiebreak
-    std::uint64_t owner = 0;     // heartbeat attribution tag
     std::int64_t started = 0;    // items ever picked by a dispatcher
     bool retired = false;
   };
@@ -151,17 +129,15 @@ class RoundScheduler {
   /// item is in flight — per-job mutual exclusion, where needed, is the
   /// caller's (the service serializes per-class chains by construction:
   /// a class's next round is enqueued only by the completion of its
-  /// previous one). `label` (static storage, e.g. a string literal) names
-  /// the item in heartbeats; null is fine.
-  void enqueue(const JobPtr& job, std::function<void()> item, const char* label = nullptr);
+  /// previous one).
+  void enqueue(const JobPtr& job, std::function<void()> item);
 
   /// Parks an item until `delay_seconds` from now (steady_clock, clamped by
   /// steady_span()), then promotes it onto the job's FIFO like a normal
   /// enqueue. Dispatchers sleeping on an empty queue wake via wait_until —
   /// no thread ever sleep-waits holding a slot. A non-positive or NaN delay
   /// enqueues directly.
-  void enqueue_after(const JobPtr& job, double delay_seconds, std::function<void()> item,
-                     const char* label = nullptr);
+  void enqueue_after(const JobPtr& job, double delay_seconds, std::function<void()> item);
 
   /// Promotes every deferred item of `job` to runnable now. Used by abort
   /// paths so a scan never waits out its own retry backoff to observe its
@@ -188,33 +164,16 @@ class RoundScheduler {
   /// Items currently parked in the timer queue (not yet runnable).
   [[nodiscard]] std::int64_t items_deferred() const;
 
-  /// Appends a snapshot of every item currently running on a dispatcher.
-  /// Wait-free with respect to the dispatchers (seqlock read per slot; a
-  /// slot caught mid-transition is skipped). Ages are measured against
-  /// steady_clock at the time of the call.
-  void sample_in_flight(std::vector<InFlightItem>& out) const;
-
  private:
   using Clock = std::chrono::steady_clock;
 
   struct Deferred {
     Clock::time_point not_before;
     JobPtr job;
-    Job::Item item;
+    std::function<void()> item;
   };
 
-  // Inverted seqlock: epoch is odd exactly while an item runs, and the
-  // payload fields are written before the odd transition and left
-  // untouched until the even one — so a reader that sees one odd epoch
-  // twice around its field reads has a consistent sample.
-  struct HeartbeatSlot {
-    std::atomic<std::uint64_t> epoch{0};
-    std::atomic<const char*> point{nullptr};
-    std::atomic<std::uint64_t> owner{0};
-    std::atomic<std::int64_t> start_ns{0};
-  };
-
-  void dispatcher_loop(int slot);
+  void dispatcher_loop();
   [[nodiscard]] JobPtr pick_locked();
   /// Moves every due deferred item onto its job's FIFO. Lock held.
   void promote_due_locked(Clock::time_point now);
@@ -229,7 +188,6 @@ class RoundScheduler {
   std::uint64_t next_sequence_ = 0;
   std::int64_t items_executed_ = 0;
   bool shutting_down_ = false;
-  std::unique_ptr<HeartbeatSlot[]> heartbeats_;
   std::vector<std::thread> dispatchers_;
 };
 

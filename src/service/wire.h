@@ -130,8 +130,7 @@ struct WireScanResult {
 /// the worker's frame-reading thread answers with a pong echoing the nonce
 /// immediately — never behind a running scan — so heartbeat SILENCE means
 /// the worker process is dead or wedged, not merely busy. A slow scan is
-/// bounded by its request's deadline_seconds instead, and the worker
-/// service's health() names its oldest in-flight item. decode_* throw
+/// bounded by its request's deadline_seconds instead. decode_* throw
 /// WireError on anything but a well-formed frame of the expected record
 /// type.
 [[nodiscard]] std::vector<std::uint8_t> encode_ping(std::uint64_t nonce);

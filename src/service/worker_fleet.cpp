@@ -85,7 +85,9 @@ ScanStatus FleetHandle::poll() const {
   return state_->status;
 }
 
-const FleetOutcome& FleetHandle::wait() const {
+FleetOutcome FleetHandle::wait() && { return std::as_const(*this).wait(); }
+
+const FleetOutcome& FleetHandle::wait() const& {
   std::unique_lock<std::mutex> lock(state_->mutex);
   state_->cv.wait(lock, [this] { return state_->terminal; });
   return state_->outcome;

@@ -78,8 +78,7 @@ struct FleetConfig {
   /// heartbeat_timeout_seconds is declared wedged and killed. Pongs are
   /// answered from the worker's frame-reading thread, so a long scan never
   /// looks like silence. A slow scan is bounded by its request's
-  /// deadline_seconds, and the worker service's health() names its oldest
-  /// in-flight item.
+  /// deadline_seconds.
   double heartbeat_interval_seconds = 0.25;
   double heartbeat_timeout_seconds = 5.0;
   /// Respawn backoff: first respawn after a death waits
@@ -120,8 +119,11 @@ class FleetHandle {
   [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
   [[nodiscard]] ScanStatus poll() const;
   /// Blocks until terminal (worker answered, request quarantined, or fleet
-  /// shut down). Never throws on scan failure — inspect outcome.status.
-  const FleetOutcome& wait() const;
+  /// shut down). Never throws on scan failure — inspect outcome.status. The
+  /// outcome lives as long as this handle, so a temporary handle returns a
+  /// copy.
+  const FleetOutcome& wait() const&;
+  FleetOutcome wait() &&;
   /// Blocks at most `seconds` (clamped by steady_span()); returns the status
   /// observed.
   ScanStatus wait_for(double seconds) const;

@@ -14,10 +14,13 @@
 //  - a Tensor& from alloc()/zeros() is valid until the NEXT reset() (or the
 //    exit of the Scope that covers the alloc); holding it across a reset
 //    reads recycled storage;
-//  - one arena per refinement task (TriggerRefineTask, whose Alg. 1 start,
-//    hooks and finalize borrow it too) / thread — the arena is not
-//    synchronized, and sharing one across concurrently-running tasks would
-//    interleave their slot sequences nondeterministically;
+//  - one arena per running stage / thread — the arena is not synchronized,
+//    and sharing one across concurrently-running stages would interleave
+//    their slot sequences nondeterministically. A scan (StagedScan) lends
+//    each construct, round and finalize of a class's TriggerRefineTask an
+//    arena of its own, which the stage's Alg. 1 start, hooks and
+//    fooling-rate sweep use too; the next stage on it may be another
+//    class's, so a stage reads no slot it did not write;
 //  - the slot sequence should be shape-stable across steps for the
 //    zero-allocation property; deviations are correct, just not free;
 //  - nested phases (e.g. DeepFool iterations inside an Alg. 1 pass) use

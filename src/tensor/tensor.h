@@ -20,10 +20,11 @@
 namespace usb {
 
 /// Total heap allocations ever made for Tensor element storage, process
-/// wide. The hot-path contract of this library (per-task TensorArena +
-/// `_into` kernels) is that a steady-state refinement step performs ZERO of
-/// these; tests and the alloc-pressure bench assert it by differencing this
-/// counter around a warmed-up loop. Monotonic; never reset.
+/// wide. The hot-path contract of this library (a TensorArena per running
+/// stage + `_into` kernels) is that a steady-state refinement step performs
+/// ZERO of these; tests and the alloc-pressure bench assert it by
+/// differencing this counter around a warmed-up loop. Monotonic; never
+/// reset.
 [[nodiscard]] std::uint64_t tensor_heap_allocations() noexcept;
 
 namespace detail {

@@ -16,7 +16,9 @@
 //    (whose step also runs SSIM's Gaussian filters);
 //  - the steady-state refinement step of all three detectors performs ZERO
 //    Tensor heap allocations (counting-allocator probe around a warmed-up
-//    run_steps loop of the real per-class task).
+//    run_steps loop of the real per-class task);
+//  - an arena one class's stages warmed serves another class's stages
+//    without growing, so a scan may lend it to any class.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -32,6 +34,7 @@
 #include "report_identity.h"
 #include "tensor/arena.h"
 #include "tensor/elementwise.h"
+#include "utils/memory_budget.h"
 #include "utils/rng.h"
 #include "utils/thread_pool.h"
 
@@ -302,10 +305,11 @@ std::uint64_t steady_state_allocations(const ScanPlan& plan, Network& model,
   std::shared_ptr<const ScanSharedState> shared;
   if (plan.shared_builder) shared = plan.shared_builder(model, probe);
   const ClassScanJob job = make_class_job(plan.options, 0, *cache, shared.get());
-  const auto task = plan.make_task(model, probe, job);
-  (void)task->run_steps(5);  // warm-up: arena slots, loader batch, caches
+  TensorArena arena;  // what a scan lends the class's stages
+  const auto task = plan.make_task(model, probe, job, arena);
+  (void)task->run_steps(5, arena);  // warm-up: arena slots, loader batch, caches
   const std::uint64_t before = tensor_heap_allocations();
-  (void)task->run_steps(steps);
+  (void)task->run_steps(steps, arena);
   return tensor_heap_allocations() - before;
 }
 
@@ -354,7 +358,48 @@ TEST(ArenaPath, SteadyStateZeroAllocationsOnDeepArchitectures) {
   }
 }
 
-// The finalize side of the contract: once a task's arena is warm, a full
+// A scan lends its arenas to one stage at a time, and the next stage on an
+// arena may be another class's. One class's construct, round and finalize
+// warm every slot the next class's stages use, so the arena serves class b
+// without growing: no new slot, no new byte on the ledger.
+TEST(ArenaPath, LentArenaServesAnotherClassWithoutGrowing) {
+  const DatasetSpec spec = tiny_spec();
+  const Dataset probe = generate_dataset(spec, 48, 79);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 80);
+  victim.freeze();
+  const UsbDetector usb(tiny_usb_config());
+  const NeuralCleanse nc(tiny_nc_config());
+  const Tabor tabor(tiny_tabor_config());
+  for (const Detector* detector : {static_cast<const Detector*>(&usb),
+                                   static_cast<const Detector*>(&nc),
+                                   static_cast<const Detector*>(&tabor)}) {
+    const ScanPlan plan = detector->plan();
+    ProbeBatchCache local;
+    const ProbeBatchCache* cache = select_scan_probe_cache(plan.options, probe, local);
+    std::shared_ptr<const ScanSharedState> shared;
+    if (plan.shared_builder) shared = plan.shared_builder(victim, probe);
+    TensorArena arena;
+    // Every stage starts on a reset arena, as a scan lends it.
+    const auto run_class = [&](std::int64_t target_class) {
+      arena.reset();
+      const auto task = plan.make_task(
+          victim, probe, make_class_job(plan.options, target_class, *cache, shared.get()), arena);
+      arena.reset();
+      (void)task->run_steps(plan.total_steps, arena);
+      arena.reset();
+      (void)task->finalize(arena);
+    };
+    run_class(0);
+    const std::size_t slots = arena.slot_capacity();
+    const std::int64_t bytes = MemoryBudget::process().bytes(MemoryBudget::Category::kArenas);
+    run_class(1);
+    EXPECT_EQ(arena.slot_capacity(), slots) << detector->name();
+    EXPECT_EQ(MemoryBudget::process().bytes(MemoryBudget::Category::kArenas), bytes)
+        << detector->name();
+  }
+}
+
+// The finalize side of the contract: once a finalize's arena is warm, a full
 // evaluation sweep over the probe performs ZERO Tensor heap allocations —
 // finalize no longer allocates one blend + one activation set per batch —
 // and gives the fresh arena's rate bit for bit.
@@ -369,8 +414,8 @@ TEST(ArenaPath, WarmFoolingRateEvaluationPerformsZeroTensorAllocations) {
   const MaskedTrigger trigger(1, 16, rng, 0.1F);
   TensorArena arena;
   // The fresh arena's pass grows the eval-sized slots (refine and eval
-  // batches differ, so a task's arena still grows once at its first
-  // finalize).
+  // batches differ, so an arena warmed by rounds still grows once at its
+  // first finalize).
   const double fresh = fooling_rate(model, cache, trigger, 0, arena);
 
   const std::uint64_t before = tensor_heap_allocations();

@@ -14,7 +14,8 @@
 //    scan holds one reference until it resolves, and the caller's own
 //    detect() may run on the instance meanwhile;
 //  - overlapping scans on one service pool do not perturb each other's
-//    reports (the ThreadSanitizer CI job additionally races these paths).
+//    reports (the ThreadSanitizer CI job additionally races these paths);
+//  - a scan's arena bytes do not grow with its class count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,8 +23,11 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/usb.h"
@@ -32,6 +36,7 @@
 #include "nn/models.h"
 #include "report_identity.h"
 #include "service/detection_service.h"
+#include "stage_arena_bytes.h"
 #include "utils/fault_injection.h"
 #include "utils/memory_budget.h"
 
@@ -418,6 +423,30 @@ TEST(DetectionService, ProbeClassCountMismatchResolvesFailed) {
       << outcome.error;
   EXPECT_EQ(outcome.retries, 0);
   EXPECT_EQ(service.health().scans_failed, 1);
+}
+
+// A temporary handle is the only holder of its outcome once the scan
+// retires, so wait() on one returns the outcome by value; a named handle
+// still lends a reference.
+static_assert(std::is_same_v<decltype(std::declval<ScanHandle>().wait()), ScanOutcome>);
+static_assert(
+    std::is_same_v<decltype(std::declval<const ScanHandle&>().wait()), const ScanOutcome&>);
+
+TEST(DetectionService, OutcomeReadOffATemporaryHandleOutlivesIt) {
+  const DatasetSpec spec = tiny_spec(4);
+  const ProbeKey key{spec, 32, 103};
+  const auto victim = frozen_victim(Architecture::kBasicCnn, spec.num_classes, 104);
+  const DetectionReport direct =
+      NeuralCleanse(tiny_nc_config()).detect(*victim, make_probe(spec, 32, 103));
+
+  DetectionService service(service_config(/*scan_threads=*/1));
+  ScanRequest request;
+  request.model = victim;
+  request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
+  request.probe_key = key;
+  const ScanOutcome& outcome = service.submit(std::move(request)).wait();
+  ASSERT_EQ(outcome.status, ScanStatus::kDone);
+  expect_reports_identical(direct, outcome.report);
 }
 
 // ---- ProbeStore eviction (LRU by bytes) ---------------------------------
@@ -972,6 +1001,43 @@ TEST(DetectionService, ShutdownResolvesExpiredScansTimedOutNotCancelled) {
   }
   const ScanStatus busy_status = busy_handle.wait().status;
   EXPECT_TRUE(busy_status == ScanStatus::kCancelled || busy_status == ScanStatus::kDone);
+}
+
+// ---- Scan memory: an arena per running stage, not per class ------------
+
+// The dispatchers take a scan's items round-robin, so all ten classes are
+// constructed before the first one finalizes. Tasks keep no arena between
+// their stages, so at every finalize the scan holds only what its two
+// dispatchers' stages borrowed (and their spares): within three of one
+// stage's arena, where holding one per constructed class would be nine.
+TEST(DetectionService, ScanArenaBytesDoNotGrowWithClassCount) {
+  const DatasetSpec spec = tiny_spec(10);
+  const ProbeKey key{spec, 40, 105};
+  const auto victim = frozen_victim(Architecture::kBasicCnn, spec.num_classes, 106);
+  const std::int64_t one_stage = one_stage_arena_bytes(
+      NeuralCleanse(tiny_nc_config()).plan(), *victim, make_probe(spec, 40, 105));
+  ASSERT_GT(one_stage, 0);
+
+  DetectionServiceConfig config = service_config(/*scan_threads=*/2, /*executors=*/1);
+  config.round_dispatchers = 2;
+  DetectionService service(config);
+  const std::int64_t baseline = arena_bytes();
+  std::mutex mu;
+  std::int64_t finalized = 0;
+  std::int64_t most = 0;
+  ScanRequest request;
+  request.model = victim;
+  request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
+  request.probe_key = key;
+  request.options.progress = [&](std::int64_t, ClassScanEvent event, double) {
+    if (event != ClassScanEvent::kFinalized) return;
+    const std::lock_guard<std::mutex> lock(mu);
+    ++finalized;
+    most = std::max(most, arena_bytes() - baseline);
+  };
+  ASSERT_EQ(service.submit(std::move(request)).wait().status, ScanStatus::kDone);
+  EXPECT_EQ(finalized, spec.num_classes);
+  EXPECT_LE(most, 3 * one_stage) << "one stage's arena: " << one_stage << " bytes";
 }
 
 }  // namespace usb

@@ -29,6 +29,8 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -40,6 +42,12 @@
 
 namespace usb {
 namespace {
+
+// The outcome lives as long as its handle, so wait() on a temporary handle
+// returns it by value.
+static_assert(std::is_same_v<decltype(std::declval<FleetHandle>().wait()), FleetOutcome>);
+static_assert(
+    std::is_same_v<decltype(std::declval<const FleetHandle&>().wait()), const FleetOutcome&>);
 
 constexpr std::int64_t kSteps = 4;
 

@@ -1,6 +1,5 @@
 // Overload-resilience suite: transient-fault retries, priority load
-// shedding, the global memory budget, and what health() says about a
-// stalled item.
+// shedding, the global memory budget, and the health() snapshot.
 //
 // The load-bearing guarantees under test:
 //  - a stage that fails TRANSIENTLY (injected fault, simulated ENOMEM in
@@ -13,10 +12,7 @@
 //    scans are shed (kShed, resolved immediately), while unsheddable and
 //    admitted scans complete untouched;
 //  - ProbeStore entries and arena storage register with the process
-//    MemoryBudget and release on eviction / scan retirement;
-//  - while an item stalls, health() names it as the oldest in-flight item
-//    (stage label, owning scan, age), and nothing stays in flight once the
-//    scan resolves.
+//    MemoryBudget and release on eviction / scan retirement.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -370,53 +366,6 @@ TEST(MemoryBudgetTest, ScanLifecycleReturnsArenaBytesToBaseline) {
   }
 }
 
-// ---- Stalled items in health() ---------------------------------------
-
-// One dispatcher, one scan, a 0.4 s stall at its first round: while the
-// stall runs, health() names that round as the oldest in-flight item and
-// attributes it to the scan. The stall only slows the scan, which resolves
-// kDone, and then nothing is left in flight.
-TEST_F(OverloadTest, HealthNamesTheStalledItemAsOldestInFlight) {
-  const DatasetSpec spec = tiny_spec(4);
-  const ProbeKey key{spec, 32, 171};
-  const auto victim = frozen_victim(4, 172);
-
-  fault::FaultSpec delay;
-  delay.kind = fault::FaultSpec::Kind::kDelay;
-  delay.delay_seconds = 0.4;
-  delay.count = 1;
-  fault::FaultRegistry::instance().arm("scan.round", delay);
-
-  DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
-  const auto before_submit = std::chrono::steady_clock::now();
-  const ScanHandle handle = service.submit(nc_request(victim, key));
-
-  // The first hit of the point is the one that sleeps.
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (fault::FaultRegistry::instance().hits("scan.round") == 0 &&
-         std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GE(fault::FaultRegistry::instance().hits("scan.round"), 1);
-  const ServiceHealth stalled = service.health();
-  const double since_submit =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - before_submit).count();
-  EXPECT_GE(stalled.in_flight_items, 1);
-  EXPECT_EQ(stalled.oldest_item_point, "scan.round");
-  EXPECT_EQ(stalled.oldest_item_scan, handle.id());
-  EXPECT_GT(stalled.oldest_item_seconds, 0.0);
-  EXPECT_LE(stalled.oldest_item_seconds, since_submit);
-
-  ASSERT_EQ(handle.wait().status, ScanStatus::kDone);
-  // The item that resolved the scan leaves its dispatcher slot as it
-  // returns, a moment after the waiter wakes.
-  const auto drained = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (service.health().in_flight_items != 0 && std::chrono::steady_clock::now() < drained) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(service.health().in_flight_items, 0);
-}
-
 // ---- Health snapshot & error taxonomy ----------------------------------
 
 TEST_F(OverloadTest, HealthSnapshotTracksCountersAndBudget) {
@@ -428,7 +377,6 @@ TEST_F(OverloadTest, HealthSnapshotTracksCountersAndBudget) {
   const ServiceHealth idle = service.health();
   EXPECT_EQ(idle.queued_scans, 0);
   EXPECT_EQ(idle.admitted_scans, 0);
-  EXPECT_EQ(idle.in_flight_items, 0);
 
   const ScanHandle handle = service.submit(nc_request(victim, key));
   ASSERT_EQ(handle.wait().status, ScanStatus::kDone);

@@ -268,14 +268,11 @@ TEST(RoundSchedulerTest, EnqueueAfterDefersItemUntilItsNotBeforeTime) {
   const auto job = scheduler.create_job({});
   const auto enqueued_at = std::chrono::steady_clock::now();
   std::atomic<std::int64_t> ran_after_ns{0};
-  scheduler.enqueue_after(
-      job, 0.05,
-      [&ran_after_ns, enqueued_at] {
-        ran_after_ns.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - enqueued_at)
-                               .count());
-      },
-      "test.deferred");
+  scheduler.enqueue_after(job, 0.05, [&ran_after_ns, enqueued_at] {
+    ran_after_ns.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - enqueued_at)
+                           .count());
+  });
   // Parked, not runnable: the deferred gauge sees it, the execution
   // counter does not.
   EXPECT_EQ(scheduler.items_deferred(), 1);
@@ -322,48 +319,6 @@ TEST(RoundSchedulerTest, DropQueuedIfUnstartedDropsDeferredItemsToo) {
   gate.set_value();
   while (scheduler.items_executed() < 1) std::this_thread::yield();
   EXPECT_EQ(ran.load(), 0);
-}
-
-// ---- Heartbeats (sample_in_flight) --------------------------------------
-
-TEST(RoundSchedulerTest, SampleInFlightReportsRunningItemLabelAndOwner) {
-  RoundScheduler scheduler({/*workers=*/1, nullptr});
-  RoundScheduler::JobOptions job_options;
-  job_options.owner = 42;
-  const auto job = scheduler.create_job(std::move(job_options));
-
-  std::promise<void> release;
-  std::shared_future<void> hold = release.get_future().share();
-  std::atomic<bool> started{false};
-  const auto before_enqueue = std::chrono::steady_clock::now();
-  scheduler.enqueue(
-      job,
-      [&started, hold] {
-        started.store(true);
-        hold.wait();
-      },
-      "test.inflight");
-  while (!started.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  std::vector<RoundScheduler::InFlightItem> sample;
-  scheduler.sample_in_flight(sample);
-  const double since_enqueue =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - before_enqueue).count();
-  ASSERT_EQ(sample.size(), 1u);
-  EXPECT_STREQ(sample[0].point, "test.inflight");
-  EXPECT_EQ(sample[0].owner, 42u);
-  // The age runs from the item's published start: at least the sleep above,
-  // at most the time since it was enqueued.
-  EXPECT_GE(sample[0].seconds, 0.02);
-  EXPECT_LE(sample[0].seconds, since_enqueue);
-
-  release.set_value();
-  while (scheduler.items_executed() < 1) std::this_thread::yield();
-  // The slot clears when the item returns.
-  sample.clear();
-  scheduler.sample_in_flight(sample);
-  EXPECT_TRUE(sample.empty());
 }
 
 TEST(RoundSchedulerTest, StressManyJobsAcrossDispatchersRunEveryItemExactlyOnce) {

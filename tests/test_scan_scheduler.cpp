@@ -20,6 +20,7 @@
 #include "defenses/tabor.h"
 #include "nn/models.h"
 #include "report_identity.h"
+#include "stage_arena_bytes.h"
 
 namespace usb {
 namespace {
@@ -50,11 +51,11 @@ class StubTask final : public ClassRefineTask {
  public:
   explicit StubTask(const ClassScanJob& job) : job_(job) {}
 
-  std::int64_t run_steps(std::int64_t steps) override { return steps; }
+  std::int64_t run_steps(std::int64_t steps, TensorArena&) override { return steps; }
   [[nodiscard]] double current_mask_l1() const override {
     return 10.0 + static_cast<double>(job_.target_class);
   }
-  [[nodiscard]] TriggerEstimate finalize() override {
+  [[nodiscard]] TriggerEstimate finalize(TensorArena&) override {
     TriggerEstimate estimate;
     estimate.target_class = job_.target_class;
     estimate.pattern = Tensor(Shape{1, 16, 16});
@@ -122,7 +123,7 @@ TEST(ClassScanScheduler, OrderedReductionFeedsMadInClassOrder) {
 
   const DetectionReport report = run_scan_plan(
       stub_plan(5,
-                [](const Network&, const Dataset&, const ClassScanJob& job) {
+                [](const Network&, const Dataset&, const ClassScanJob& job, TensorArena&) {
                   return std::make_unique<StubTask>(job);
                 }),
       model, probe, ThreadPool::global());
@@ -145,7 +146,8 @@ TEST(ClassScanScheduler, JobsReceiveSharedCacheAndPerClassSeeds) {
   // The cache lives in the scan's frame, so it must be read inside the task
   // factory; only the pointer VALUES survive for the shared-identity check.
   (void)run_scan_plan(stub_plan(11,
-                                [&](const Network&, const Dataset&, const ClassScanJob& job) {
+                                [&](const Network&, const Dataset&, const ClassScanJob& job,
+                                    TensorArena&) {
                                   const auto index = static_cast<std::size_t>(job.target_class);
                                   seeds[index] = job.rng_seed;
                                   caches[index] = job.probe_cache;
@@ -467,6 +469,37 @@ TEST(StagedScan, RejectsAProbeWhoseClassCountDiffersFromTheModel) {
   EXPECT_THROW(StagedScan(nc.plan(), victim, narrower), std::invalid_argument);
   const Dataset matching = generate_dataset(tiny_spec(4), 24, 84);
   EXPECT_NO_THROW(StagedScan(nc.plan(), victim, matching));
+}
+
+// The round barrier constructs all ten classes before round 1 and finalizes
+// none before the first cutoff. Tasks keep no arena between their stages,
+// so at every finalize the scan holds within three of one stage's arena,
+// where holding one per constructed class would be nine.
+TEST(StagedScan, EarlyExitArenaBytesDoNotGrowWithClassCount) {
+  const DatasetSpec spec = tiny_spec();
+  const Dataset probe = generate_dataset(spec, 40, 85);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 86);
+  ReverseOptConfig config;
+  config.steps = 6;
+  config.early_exit.enabled = true;
+  config.early_exit.round_steps = 2;
+  const NeuralCleanse nc(config);
+  const std::int64_t one_stage = one_stage_arena_bytes(nc.plan(), victim, probe);
+  ASSERT_GT(one_stage, 0);
+
+  ScanPlan plan = nc.plan();
+  const std::int64_t baseline = arena_bytes();
+  std::int64_t finalized = 0;
+  std::int64_t most = 0;
+  plan.options.progress = [&](std::int64_t, ClassScanEvent event, double) {
+    if (event != ClassScanEvent::kFinalized) return;
+    ++finalized;
+    most = std::max(most, arena_bytes() - baseline);
+  };
+  ThreadPool pool(1);  // one worker: the callback never runs concurrently
+  (void)run_scan_plan(plan, victim, probe, pool);
+  EXPECT_EQ(finalized, spec.num_classes);
+  EXPECT_LE(most, 3 * one_stage) << "one stage's arena: " << one_stage << " bytes";
 }
 
 }  // namespace
