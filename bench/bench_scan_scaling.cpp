@@ -418,7 +418,7 @@ int main(int argc, char** argv) {
     // A dedicated single-slot service past its depth watermark: every rep's
     // submit breaches the watermark and sheds ITSELF synchronously, so the
     // submit-to-kShed latency is the full cost of rejecting work under
-    // overload (watermark sweep + resolution) — the number an overloaded
+    // overload (watermark check + resolution) — the number an overloaded
     // caller actually waits.
     {
       DetectionServiceConfig shed_config;

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <exception>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -95,8 +96,11 @@ class StepStack {
   std::exception_ptr error_;
 };
 
-}  // namespace
-
+/// The early-exit retirement cutoff: median + margin * 1.4826 * MAD over
+/// the FINITE entries of `norms` (quarantined classes feed a NaN and must
+/// not shift the statistic; no finite entries -> +infinity, nothing
+/// retires). With every entry finite it is exactly the historical inline
+/// computation.
 double early_exit_cutoff(std::span<const double> norms, double margin) {
   std::vector<double> finite;
   finite.reserve(norms.size());
@@ -109,6 +113,8 @@ double early_exit_cutoff(std::span<const double> norms, double margin) {
   for (std::size_t i = 0; i < finite.size(); ++i) deviations[i] = std::abs(finite[i] - med);
   return med + margin * 1.4826 * median(deviations);
 }
+
+}  // namespace
 
 const ProbeBatchCache* select_scan_probe_cache(const ClassScanOptions& options,
                                                const Dataset& probe, ProbeBatchCache& local) {

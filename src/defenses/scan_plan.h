@@ -56,8 +56,8 @@
 //    cross-request class-job scheduler (service/round_scheduler.h).
 //
 // Determinism. A report is bit-identical for either runner, any pool size,
-// dispatcher count, priority assignment, and interleaving with other scans
-// (wall-clock timings aside). A class's trajectory is a schedule-free
+// dispatcher count, and interleaving with other scans (wall-clock timings
+// aside). A class's trajectory is a schedule-free
 // function of (base_seed, class): its RNG streams derive from nothing else,
 // run_steps slices concatenate bit-identically, and the tensor kernels'
 // tile decompositions depend only on operand sizes. So a class cannot
@@ -79,7 +79,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "data/probe_cache.h"
@@ -223,13 +222,6 @@ struct ClassScanOptions {
                                           std::int64_t target_class,
                                           const ProbeBatchCache& cache,
                                           const ScanSharedState* shared = nullptr) noexcept;
-
-/// The early-exit retirement cutoff: median + margin * 1.4826 * MAD over
-/// the FINITE entries of `norms` (quarantined classes feed a NaN and must
-/// not shift the statistic; no finite entries -> +infinity, nothing
-/// retires). With every entry finite it is exactly the historical inline
-/// computation.
-[[nodiscard]] double early_exit_cutoff(std::span<const double> norms, double margin);
 
 /// The probe cache a scan actually uses: the injected
 /// options.external_probe_cache when its batching (kEvalBatchSize) AND

@@ -37,9 +37,9 @@ struct ScanState {
 
   // Request payload. Touched only by submit() (filling) and the execution's
   // stages (consuming + releasing) — never by handles. A model_ref and the
-  // probe_key are resolved lazily by the scan's init stage (so a queued
-  // scan that is shed/cancelled never loads or materializes anything, and
-  // a failure there is a retryable stage fault).
+  // probe_key are resolved lazily by the scan's init stage (so a shed scan,
+  // or one cancelled while queued, never loads or materializes anything,
+  // and a failure there is a retryable stage fault).
   // The frozen network every class of the scan runs on: the request's own,
   // or, for a model_ref, an aliasing pointer into the ModelStore entry
   // (set by stage_init) that pins the entry while the scan holds it.
@@ -128,9 +128,6 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
           const std::lock_guard<std::mutex> state_lock(state_->mutex);
           state_->outcome.status = ScanStatus::kRunning;
         }
-        RoundScheduler::JobOptions job_options;
-        job_options.priority = state_->options.priority;
-        job_options.weight = state_->options.fair_weight;
         // Defense in depth: run_stage already routes stage exceptions, so
         // only an escape from the completion path itself lands here — it
         // still fails ONLY this scan, never the dispatcher crew. Weak
@@ -138,10 +135,12 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
         // so a strong self here would be a shared_ptr cycle that leaks
         // every scan. The handler only fires from an item, and items
         // capture the execution strongly, so lock() cannot miss a live one.
-        job_options.on_item_error = [weak = weak_from_this()](const std::exception_ptr& error) {
-          if (const std::shared_ptr<ScanExecution> self = weak.lock()) self->on_item_error(error);
-        };
-        job_ = service_->scheduler_.create_job(std::move(job_options));
+        job_ = service_->scheduler_.create_job(
+            [weak = weak_from_this()](const std::exception_ptr& error) {
+              if (const std::shared_ptr<ScanExecution> self = weak.lock()) {
+                self->on_item_error(error);
+              }
+            });
         outstanding_ = 1;
         service_->scheduler_.enqueue(
             job_,
@@ -169,28 +168,6 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     if (!state_->deadline_expired()) return;
     request_abort(/*timeout=*/true);
   }
-
-  /// Overload shedding: resolves the scan kShed IF it is still queued.
-  /// Racing an admission is safe — launch() flipped the phase under mu_
-  /// first, so a scan picked for launch concurrently with a shed decision
-  /// simply runs; a shed that wins makes the later launch() a no-op, and
-  /// retire_scan rebalances the admission slot either way.
-  void request_shed() {
-    std::vector<std::shared_ptr<ScanExecution>> launches;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (phase_ != Phase::kQueued) return;
-      phase_ = Phase::kTerminal;
-      ScanOutcome outcome;
-      outcome.status = ScanStatus::kShed;
-      outcome.error = "shed under overload (queue-depth watermark)";
-      service_->shed_.fetch_add(1);
-      service_->retire_scan(state_, this, std::move(outcome), launches);
-    }
-    for (const auto& exec : launches) exec->launch();
-  }
-
-  [[nodiscard]] const std::shared_ptr<ScanState>& scan_state() const noexcept { return state_; }
 
  private:
   enum class Phase { kQueued, kLaunched, kTerminal };
@@ -331,9 +308,9 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   }
 
   /// Resolves a store entry (a content-addressed probe or a ref-named
-  /// model) NOW, not at submit(): a scan shed or cancelled while queued
-  /// never materializes anything, and the returned shared_ptr pins the
-  /// entry until finish(). Unrecognized failures are wrapped TRANSIENT —
+  /// model) NOW, not at submit(): a shed scan, or one cancelled while
+  /// queued, never materializes anything, and the returned shared_ptr pins
+  /// the entry until finish(). Unrecognized failures are wrapped TRANSIENT —
   /// regenerating from a deterministic key, or re-reading after a flaky
   /// filesystem read or an allocation failure under load, is exactly what
   /// the retry layer exists for; a truly corrupt checkpoint exhausts the
@@ -607,11 +584,11 @@ ScanHandle DetectionService::submit(ScanRequest request) {
   std::shared_ptr<ScanState> state;
   std::shared_ptr<ScanExecution> execution;
   bool launch_now = false;
-  std::vector<std::shared_ptr<ScanExecution>> victims;
+  bool shed = false;
   {
-    // One hold builds the scan, takes an admission slot or queues it, and
-    // picks shed victims: nothing here is expensive (the scan shares the
-    // request's network) and nothing waits.
+    // One hold builds the scan and admits, queues or sheds it: nothing here
+    // is expensive (the scan shares the request's network) and nothing
+    // waits.
     const std::lock_guard<std::mutex> lock(mutex_);
     if (shutting_down_) throw std::runtime_error("DetectionService: submit after shutdown");
     state = std::make_shared<ScanState>();
@@ -626,25 +603,29 @@ ScanHandle DetectionService::submit(ScanRequest request) {
       state->deadline =
           std::chrono::steady_clock::now() + steady_span(state->options.deadline_seconds);
     }
-    execution = std::make_shared<ScanExecution>(*this, state);
-    state->execution = execution;  // pre-publication: no lock needed yet
-
-    live_.push_back(state);
     if (admitted_ < std::max(1, config_.max_concurrent_scans)) {
       ++admitted_;
       launch_now = true;
-    } else {
-      queue_.push_back(execution);
     }
-    // Watermark check AFTER enqueueing: the newcomer is itself a shed
-    // candidate (it may be the lowest-priority newest queued scan).
-    victims = collect_shed_victims_locked();
+    // Every queued scan has equal standing and the newest goes first, so
+    // the depth watermark only ever sheds the newcomer: a scan that would
+    // queue past it is never queued, and resolves below.
+    shed = !launch_now && config_.shed_queue_depth > 0 &&
+           static_cast<std::int64_t>(queue_.size()) >= config_.shed_queue_depth;
+    if (!shed) {
+      execution = std::make_shared<ScanExecution>(*this, state);
+      state->execution = execution;  // pre-publication: no lock needed yet
+      live_.push_back(state);
+      if (!launch_now) queue_.push_back(execution);
+    }
   }
   submitted_.fetch_add(1);
+  if (shed) {
+    shed_.fetch_add(1);
+    state->finish(
+        ScanOutcome{ScanStatus::kShed, {}, "shed under overload (queue-depth watermark)"});
+  }
   if (launch_now) execution->launch();
-  // Victims resolve outside mutex_ — request_shed re-enters through
-  // retire_scan.
-  for (const auto& victim : victims) victim->request_shed();
   return ScanHandle(std::move(state));
 }
 
@@ -677,30 +658,6 @@ void DetectionService::retire_scan(const std::shared_ptr<detail::ScanState>& sta
     live_.erase(std::find(live_.begin(), live_.end(), state));
     if (live_.empty()) idle_.notify_all();
   }
-}
-
-std::vector<std::shared_ptr<detail::ScanExecution>>
-DetectionService::collect_shed_victims_locked() {
-  std::vector<std::shared_ptr<ScanExecution>> victims;
-  if (config_.shed_queue_depth <= 0) return victims;
-  std::vector<std::shared_ptr<ScanExecution>> candidates(queue_.begin(), queue_.end());
-  while (static_cast<std::int64_t>(candidates.size()) > config_.shed_queue_depth) {
-    // Lowest priority first; among equals the NEWEST (queue_ is submit
-    // order, so a later index is newer — <= keeps replacing on ties).
-    std::size_t best = candidates.size();
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const auto& state = candidates[i]->scan_state();
-      if (state->options.unsheddable) continue;
-      if (best == candidates.size() ||
-          state->options.priority <= candidates[best]->scan_state()->options.priority) {
-        best = i;
-      }
-    }
-    if (best == candidates.size()) break;  // everything left is unsheddable
-    victims.push_back(candidates[best]);
-    candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(best));
-  }
-  return victims;
 }
 
 ServiceHealth DetectionService::health() const {

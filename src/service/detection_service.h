@@ -17,9 +17,8 @@
 //    admitted scan is decomposed into schedulable steps — per-class task
 //    construction, individual refinement rounds, early-exit cutoffs,
 //    retirements, finalizes — and all admitted scans' steps flatten into
-//    one weighted fair-share queue drained by a small dispatcher crew.
-//    Requests carry a strict priority and a fair-share weight
-//    (ScanOptions), so a K=4 scan submitted behind a K=43 scan on a
+//    one fair-share queue drained by a small dispatcher crew. Every scan
+//    has an equal share, so a K=4 scan submitted behind a K=43 scan on a
 //    saturated service interleaves with it round-for-round and finishes
 //    first instead of waiting for the whole backlog; dispatchers have no
 //    per-request affinity, so capacity freed by one scan is stolen by
@@ -28,9 +27,9 @@
 // Each item is one step of the scan's StagedScan step graph — the same
 // engine detect() drains on its pool — so a report produced through the
 // service is bit-identical to Detector::detect() on the same (model, probe,
-// config) for any pool size, dispatcher count, priority/weight assignment,
-// and interleaving with other requests (the argument is in
-// defenses/scan_plan.h; tests/test_detection_service.cpp pins it).
+// config) for any pool size, dispatcher count, and interleaving with
+// other requests (the argument is in defenses/scan_plan.h;
+// tests/test_detection_service.cpp pins it).
 //
 // FAILURE SEMANTICS (the robustness layer; see also README "Failure
 // semantics" and tests/test_fault_injection.cpp + tests/test_overload.cpp):
@@ -48,11 +47,10 @@
 //    queue — no dispatcher ever sleeps through a backoff. A retried scan
 //    that eventually succeeds is byte-identical to detect(); exhaustion
 //    resolves kFailed with the retry count in ScanOutcome::retries.
-//  - priority load shedding: past the queue-depth watermark
-//    (DetectionServiceConfig::shed_queue_depth) the service sheds
-//    lowest-priority-then-newest QUEUED scans as kShed — resolved
-//    immediately, admission slot freed — sparing ScanOptions::unsheddable
-//    requests. Admitted scans are never shed.
+//  - load shedding: a submit that would queue past the queue-depth
+//    watermark (DetectionServiceConfig::shed_queue_depth) resolves kShed
+//    before submit() returns, without ever queueing. Scans already queued
+//    or admitted are never shed.
 //  - memory ledger: probe materializations, resident models, and arena
 //    high-water bytes register with utils/memory_budget.h, which health()
 //    reports. A scan never copies its model, so a queued scan holds no
@@ -94,7 +92,7 @@ enum class ScanStatus {
   kCancelled,  // cancel() (or service shutdown) stopped it
   kFailed,     // the scan threw; see ScanOutcome::error
   kTimedOut,   // deadline expired; a PARTIAL report is available
-  kShed,       // dropped while queued by overload shedding; never ran
+  kShed,       // refused by overload shedding at submit(); never ran
 };
 
 [[nodiscard]] std::string to_string(ScanStatus status);
@@ -122,13 +120,6 @@ struct ScanOptions {
   /// Invoked from dispatcher threads, possibly concurrently — must be
   /// thread-safe and must not throw.
   ClassProgressFn progress;
-  /// Strict scheduling priority: stages of a higher-priority scan always
-  /// run before stages of lower-priority ones. No numeric effect.
-  int priority = 0;
-  /// Fair-share weight among equal-priority scans (see
-  /// RoundScheduler::JobOptions::weight). Values <= 0, and NaN, are
-  /// clamped up to a tiny positive weight. No numeric effect.
-  double fair_weight = 1.0;
   /// Wall-clock deadline, measured from submit(); <= 0 or NaN (default 0) =
   /// no deadline, and longer than kMaxSpanSeconds (utils/timer.h; infinity
   /// included) counts as that limit. The deadline is checked at every stage
@@ -155,9 +146,6 @@ struct ScanOptions {
   /// First-retry backoff; doubles per subsequent attempt of the same item,
   /// up to kMaxSpanSeconds. Negative and NaN values count as 0.
   double retry_backoff_seconds = 0.05;
-  /// Exempts this scan from overload shedding (it can still be cancelled
-  /// or time out). For must-run requests.
-  bool unsheddable = false;
 };
 
 /// One detection request. The model comes in one of two forms, and a scan
@@ -171,10 +159,10 @@ struct ScanOptions {
 ///    unresolved;
 ///  - a `model_ref` (zoo spec or checkpoint path), resolved through the
 ///    service's ModelStore inside the scan's FIRST STAGE — like probe_key:
-///    a scan shed or cancelled while queued never loads anything, load
-///    failures are retryable stage faults, and N concurrent scans naming
-///    the same ref share ONE resident instance (pinned while any of them
-///    runs). Reports are byte-identical either way.
+///    a shed scan, or one cancelled while queued, never loads anything,
+///    load failures are retryable stage faults, and N concurrent scans
+///    naming the same ref share ONE resident instance (pinned while any of
+///    them runs). Reports are byte-identical either way.
 /// Exactly one of the two must be set. The service takes ownership of the
 /// detector (its config drives the scan; the plan's closures borrow it for
 /// the scan's lifetime).
@@ -200,6 +188,8 @@ class ScanExecution;
 /// thread-safe. Outlives the service (a handle keeps its outcome alive).
 class ScanHandle {
  public:
+  /// An empty handle, for a slot filled by a later submit; its methods
+  /// throw std::logic_error.
   ScanHandle() = default;
 
   [[nodiscard]] std::uint64_t id() const;
@@ -218,7 +208,7 @@ class ScanHandle {
   ScanOutcome wait() &&;
   /// Requests cancellation. A scan still queued (not yet admitted to the
   /// scheduler) resolves to kCancelled IMMEDIATELY — its model reference is
-  /// released, its admission slot freed, and it never runs a single stage.
+  /// released, its queue slot freed, and it never runs a single stage.
   /// An admitted scan is cancelled cooperatively at stage boundaries.
   /// Returns true if the scan had not yet reached a terminal status — the
   /// eventual status is then kCancelled unless the scan beat the flag to
@@ -257,10 +247,9 @@ struct DetectionServiceConfig {
   /// (0 = unlimited): LRU by bytes, models pinned by in-flight ref-based
   /// scans are never evicted.
   std::int64_t model_store_max_bytes = 0;
-  /// Queue-depth watermark: when more than this many scans sit QUEUED
-  /// (admitted scans do not count), the lowest-priority newest sheddable
-  /// queued scans resolve kShed until the depth fits. 0 (default) = never
-  /// shed on depth.
+  /// Queue-depth watermark: a submit that finds this many scans already
+  /// QUEUED (admitted scans do not count) resolves kShed instead of
+  /// queueing. 0 (default) = never shed on depth.
   std::int64_t shed_queue_depth = 0;
 };
 
@@ -302,15 +291,16 @@ class DetectionService {
   /// Enqueues a scan and returns immediately. The scan shares the request's
   /// frozen network; the probe_key and a model_ref are resolved through the
   /// ProbeStore/ModelStore inside the scan's FIRST STAGE — materialization
-  /// and load failures are then retryable like any stage fault, and a scan
-  /// shed or cancelled while queued never materializes anything. Throws
+  /// and load failures are then retryable like any stage fault, and a shed
+  /// scan, or one cancelled while queued, never materializes anything. Throws
   /// std::invalid_argument on a malformed request (model XOR model_ref
   /// violated, a model that is not frozen, null detector, probe_size <= 0);
   /// a probe whose class count differs from the model's fails the scan
   /// (kFailed) at its first stage, once the model is resolved. Never
-  /// blocks: under one hold of the service lock it builds the scan, takes
-  /// an admission slot or queues it, and picks shed victims, which
-  /// (possibly this scan) resolve kShed before it returns.
+  /// blocks: under one hold of the service lock it builds the scan and
+  /// takes an admission slot, queues it, or — when the queue is at the
+  /// shed_queue_depth watermark — sheds it, so a shed scan is kShed
+  /// before submit() returns.
   ScanHandle submit(ScanRequest request);
 
   [[nodiscard]] ProbeStore& probe_store() noexcept { return probe_store_; }
@@ -339,13 +329,6 @@ class DetectionService {
   void retire_scan(const std::shared_ptr<detail::ScanState>& state,
                    const detail::ScanExecution* exec, ScanOutcome outcome,
                    std::vector<std::shared_ptr<detail::ScanExecution>>& launches);
-
-  /// Picks queued scans to shed past the depth watermark, lowest priority
-  /// first, newest first among equals, skipping unsheddable scans, until
-  /// the depth fits. Caller must hold mutex_ and resolve the victims
-  /// (request_shed) outside it. Empty when the watermark is unset or not
-  /// exceeded.
-  [[nodiscard]] std::vector<std::shared_ptr<detail::ScanExecution>> collect_shed_victims_locked();
 
   DetectionServiceConfig config_;
   ThreadPool scan_pool_;

@@ -13,9 +13,9 @@ namespace {
 
 // Floor on an item's charged cost. Real refinement rounds cost milliseconds
 // and dominate it; for near-zero items (drained cancels, trivial tests) the
-// floor keeps vtime strictly increasing so equal-weight jobs alternate
-// instead of resolving every pick by the sequence tiebreak (which would
-// starve the younger job).
+// floor keeps vtime strictly increasing so jobs alternate instead of
+// resolving every pick by the creation-order tiebreak (which would starve
+// the younger job).
 constexpr double kMinItemSeconds = 20e-6;
 
 }  // namespace
@@ -40,16 +40,12 @@ RoundScheduler::~RoundScheduler() {
   for (std::thread& dispatcher : dispatchers_) dispatcher.join();
 }
 
-RoundScheduler::JobPtr RoundScheduler::create_job(JobOptions options) {
+RoundScheduler::JobPtr RoundScheduler::create_job(
+    std::function<void(std::exception_ptr)> on_item_error) {
   auto job = std::make_shared<Job>();
-  job->priority = options.priority;
-  // Non-positive and NaN weights floor alike: a NaN would make every vtime
-  // comparison false and drain this job ahead of its equals.
-  job->weight = options.weight > 1e-9 ? options.weight : 1e-9;
-  job->on_item_error = std::move(options.on_item_error);
+  job->on_item_error = std::move(on_item_error);
   const std::lock_guard<std::mutex> lock(mutex_);
   job->vtime = vclock_;
-  job->sequence = next_sequence_++;
   jobs_.push_back(job);
   return job;
 }
@@ -142,15 +138,12 @@ std::int64_t RoundScheduler::items_deferred() const {
 }
 
 RoundScheduler::JobPtr RoundScheduler::pick_locked() {
+  // jobs_ is in creation order and only a strictly lower vtime replaces
+  // `best`, so the older job wins a tie.
   JobPtr best;
   for (const JobPtr& job : jobs_) {
     if (job->items.empty()) continue;
-    if (best == nullptr || job->priority > best->priority ||
-        (job->priority == best->priority &&
-         (job->vtime < best->vtime ||
-          (job->vtime == best->vtime && job->sequence < best->sequence)))) {
-      best = job;
-    }
+    if (best == nullptr || job->vtime < best->vtime) best = job;
   }
   return best;
 }
@@ -227,7 +220,7 @@ void RoundScheduler::dispatcher_loop() {
 
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      job->vtime += cost / job->weight;
+      job->vtime += cost;
       ++items_executed_;
     }
     if (error != nullptr) {

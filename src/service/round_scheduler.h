@@ -1,4 +1,4 @@
-// Weighted fair-share multi-queue for class-job rounds.
+// Fair-share multi-queue for class-job rounds.
 //
 // The global cross-request scheduler behind DetectionService: every admitted
 // scan registers one Job, and every schedulable stage of that scan (task
@@ -6,13 +6,11 @@
 // as an opaque item on that job's FIFO. A small crew of dispatcher threads
 // repeatedly picks the next item across ALL jobs by
 //
-//   1. highest priority (strict: a higher-priority job with pending items
-//      always runs first),
-//   2. then lowest virtual time (stride/fair-queueing: each job accrues
-//      vtime = sum of its items' measured seconds divided by its weight, so
-//      a K=43 scan and a K=4 scan at equal weight each get ~half the crew's
-//      attention and the small scan finishes first),
-//   3. then creation order (stable tiebreak).
+//   1. lowest virtual time (stride/fair-queueing: each job accrues
+//      vtime = sum of its items' measured seconds, so a K=43 scan and a
+//      K=4 scan each get ~half the crew's attention and the small scan
+//      finishes first),
+//   2. then creation order (stable tiebreak).
 //
 // A job created mid-flight starts at the scheduler's virtual clock (the
 // minimum vtime frontier observed so far), so a newcomer is served
@@ -29,11 +27,11 @@
 // the job's first item ever ran).
 //
 // Items may throw: an exception escaping an item is caught by the
-// dispatcher and routed to the owning job's on_item_error handler
-// (JobOptions), so one faulty request fails ONLY itself while the queue
-// keeps draining every other job — the dispatcher crew never dies. A job
-// armed without a handler gets its errors logged and dropped (the item is
-// still charged to its vtime account).
+// dispatcher and routed to the owning job's error handler (create_job), so
+// one faulty request fails ONLY itself while the queue keeps draining every
+// other job — the dispatcher crew never dies. A job created without a
+// handler gets its errors logged and dropped (the item is still charged to
+// its vtime account).
 //
 // Timer queue: enqueue_after() parks an item with a not-before
 // steady_clock time. Deferred items live in a side list; a dispatcher with
@@ -74,22 +72,6 @@ class RoundScheduler {
     ThreadPool* kernel_pool = nullptr;
   };
 
-  struct JobOptions {
-    /// Strict priority: any pending item of a higher-priority job runs
-    /// before every lower-priority item.
-    int priority = 0;
-    /// Fair-share weight among equal-priority jobs; vtime accrues at
-    /// seconds / weight, so weight 2 receives twice the service rate.
-    /// Values below 1e-9, and NaN, count as 1e-9.
-    double weight = 1.0;
-    /// Routes an exception thrown by one of this job's items. Called on the
-    /// dispatcher thread, outside the scheduler lock, after the item was
-    /// charged to the job's vtime; must not throw. May enqueue further
-    /// items or retire the job. Null logs-and-drops instead (the queue
-    /// keeps draining either way — a throwing item never kills the crew).
-    std::function<void(std::exception_ptr)> on_item_error;
-  };
-
   /// One request's item queue plus its scheduling account. Opaque to
   /// callers; create with create_job, feed with enqueue, detach with
   /// retire_job.
@@ -98,11 +80,8 @@ class RoundScheduler {
     friend class RoundScheduler;
     std::deque<std::function<void()>> items;
     std::function<void(std::exception_ptr)> on_item_error;
-    int priority = 0;
-    double weight = 1.0;
     double vtime = 0.0;
-    std::uint64_t sequence = 0;  // creation order, the final tiebreak
-    std::int64_t started = 0;    // items ever picked by a dispatcher
+    std::int64_t started = 0;  // items ever picked by a dispatcher
     bool retired = false;
   };
   using JobPtr = std::shared_ptr<Job>;
@@ -119,10 +98,14 @@ class RoundScheduler {
   RoundScheduler(const RoundScheduler&) = delete;
   RoundScheduler& operator=(const RoundScheduler&) = delete;
 
-  [[nodiscard]] int workers() const noexcept { return static_cast<int>(dispatchers_.size()); }
-
-  /// Registers a new job at the current vtime frontier.
-  [[nodiscard]] JobPtr create_job(JobOptions options);
+  /// Registers a new job at the current vtime frontier. `on_item_error`
+  /// routes an exception thrown by one of the job's items: it is called on
+  /// the dispatcher thread, outside the scheduler lock, after the item was
+  /// charged to the job's vtime, and must not throw. It may enqueue further
+  /// items or retire the job. Null logs-and-drops instead (the queue keeps
+  /// draining either way — a throwing item never kills the crew).
+  [[nodiscard]] JobPtr create_job(
+      std::function<void(std::exception_ptr)> on_item_error = nullptr);
 
   /// Appends an item to the job's FIFO. Items of one job may still run
   /// concurrently on several dispatchers when enqueued while a previous
@@ -185,7 +168,6 @@ class RoundScheduler {
   std::vector<JobPtr> jobs_;  // live jobs, creation order
   std::vector<Deferred> deferred_;
   double vclock_ = 0.0;  // min-vtime frontier; start point for new jobs
-  std::uint64_t next_sequence_ = 0;
   std::int64_t items_executed_ = 0;
   bool shutting_down_ = false;
   std::vector<std::thread> dispatchers_;

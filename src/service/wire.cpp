@@ -28,15 +28,19 @@ void write_header(BinaryWriter& writer, std::uint32_t record) {
   writer.write_u32(record);
 }
 
-void read_header(BinaryReader& reader, std::uint32_t record) {
-  const std::uint32_t magic = reader.read_u32();
-  require(magic == kMagic, "bad magic");
+/// Checks magic and exact version, then returns the record tag unchecked.
+std::uint32_t read_record_tag(BinaryReader& reader) {
+  require(reader.read_u32() == kMagic, "bad magic");
   const std::uint32_t version = reader.read_u32();
   if (version != kVersion) {
     throw WireError("unsupported format version " + std::to_string(version) + " (want " +
                     std::to_string(kVersion) + ")");
   }
-  require(reader.read_u32() == record, "wrong record type");
+  return reader.read_u32();
+}
+
+void read_header(BinaryReader& reader, std::uint32_t record) {
+  require(read_record_tag(reader) == record, "wrong record type");
 }
 
 void write_bool(BinaryWriter& writer, bool value) {
@@ -143,22 +147,13 @@ Tensor read_tensor(BinaryReader& reader) {
 
 void write_options(BinaryWriter& writer, const ScanOptions& options) {
   // `progress` is deliberately absent: callbacks cannot cross the wire.
-  writer.write_i64(options.priority);
-  writer.write_f64(options.fair_weight);
   writer.write_f64(options.deadline_seconds);
   writer.write_i64(options.max_retries);
   writer.write_f64(options.retry_backoff_seconds);
-  write_bool(writer, options.unsheddable);
 }
 
 ScanOptions read_options(BinaryReader& reader) {
   ScanOptions options;
-  const std::int64_t priority = reader.read_i64();
-  require(priority >= std::numeric_limits<int>::min() &&
-              priority <= std::numeric_limits<int>::max(),
-          "priority out of range");
-  options.priority = static_cast<int>(priority);
-  options.fair_weight = reader.read_f64();
   options.deadline_seconds = reader.read_f64();
   const std::int64_t max_retries = reader.read_i64();
   require(max_retries >= std::numeric_limits<int>::min() &&
@@ -166,7 +161,6 @@ ScanOptions read_options(BinaryReader& reader) {
           "max_retries out of range");
   options.max_retries = static_cast<int>(max_retries);
   options.retry_backoff_seconds = reader.read_f64();
-  options.unsheddable = read_bool(reader);
   return options;
 }
 
@@ -256,7 +250,6 @@ void check_request(const WireScanRequest& request) {
   check_dataset_spec(request.probe_key.spec);
   require(request.probe_key.probe_size > 0, "probe_size out of range");
   const ScanOptions& options = request.options;
-  require(std::isfinite(options.fair_weight), "fair_weight is not finite");
   require(std::isfinite(options.deadline_seconds) && options.deadline_seconds <= kMaxSpanSeconds,
           "deadline_seconds out of range");
   require(std::isfinite(options.retry_backoff_seconds) &&
@@ -363,14 +356,7 @@ std::uint32_t peek_record(std::span<const std::uint8_t> bytes) {
   return decode_guard([&] {
     BinaryReader reader(
         std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + std::min<std::size_t>(bytes.size(), 12)));
-    const std::uint32_t magic = reader.read_u32();
-    require(magic == kMagic, "bad magic");
-    const std::uint32_t version = reader.read_u32();
-    if (version != kVersion) {
-      throw WireError("unsupported format version " + std::to_string(version) + " (want " +
-                      std::to_string(kVersion) + ")");
-    }
-    const std::uint32_t record = reader.read_u32();
+    const std::uint32_t record = read_record_tag(reader);
     require(record >= kRequestRecord && record <= kPongRecord, "unknown record tag");
     return record;
   });

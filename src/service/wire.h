@@ -37,6 +37,9 @@
 //      the option values among them: a non-finite fair_weight, and a
 //      non-finite or out-of-range deadline_seconds or
 //      retry_backoff_seconds.
+//   4  Requests no longer carry priority, fair_weight or unsheddable: every
+//      scan shares a service on one equal-share policy. The options left
+//      are deadline_seconds, max_retries and retry_backoff_seconds.
 #pragma once
 
 #include <atomic>
@@ -54,7 +57,7 @@
 namespace usb::wire {
 
 inline constexpr std::uint32_t kMagic = 0x57425355;  // "USBW" little-endian
-inline constexpr std::uint32_t kVersion = 3;
+inline constexpr std::uint32_t kVersion = 4;
 
 /// Record tags, exposed so stream demultiplexers (the fleet supervisor, the
 /// worker loop) can peek_record() a frame and dispatch without trial
@@ -74,8 +77,8 @@ struct WireError : std::runtime_error {
 
 /// The out-of-process form of ScanRequest. Models travel by reference only
 /// (a live Network* cannot cross a process boundary) and probes by key; the
-/// non-serializable ScanOptions members (progress callback, the handle-side
-/// knobs) stay local to the server.
+/// one non-serializable ScanOptions member, the progress callback, stays
+/// local to the server.
 struct WireScanRequest {
   /// Caller-assigned correlation id, echoed verbatim in the matching
   /// WireScanResult. Workers answer requests as their scans complete — NOT
@@ -91,16 +94,17 @@ struct WireScanRequest {
   /// config: a fleet's detector configuration is the server's, versioned
   /// with its binary, so every worker scans identically.
   std::string method;
-  /// Serialized subset of ScanOptions: everything except `progress` (a
-  /// callback cannot cross the wire).
+  /// Serialized subset of ScanOptions: deadline_seconds, max_retries and
+  /// retry_backoff_seconds — everything except `progress` (a callback
+  /// cannot cross the wire).
   ScanOptions options;
 };
 
 /// Throws WireError unless every value of `request` is one a worker can
 /// serve: a positive probe_size; dataset specs (the probe's, and a zoo
 /// ref's) with 1..16 channels, image_size 1..4096 and 1..65536 classes; a
-/// non-empty checkpoint path for a checkpoint ref; a finite fair_weight;
-/// and a finite deadline_seconds and retry_backoff_seconds of at most
+/// non-empty checkpoint path for a checkpoint ref; and a finite
+/// deadline_seconds and retry_backoff_seconds of at most
 /// kMaxSpanSeconds (utils/timer.h). decode_request() applies it to every
 /// frame, and WorkerFleet::submit() applies it before routing: a worker
 /// answers a frame it cannot decode as request 0, which no future waits

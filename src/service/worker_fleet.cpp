@@ -49,6 +49,16 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using detail::FleetRequestState;
 
+/// A request whose worker dies under it this many times is quarantined
+/// (resolved kFailed) instead of re-dispatched again.
+constexpr std::int64_t kMaxRequestKills = 2;
+
+const std::shared_ptr<FleetRequestState>& require_state(
+    const std::shared_ptr<FleetRequestState>& state) {
+  if (state == nullptr) throw std::logic_error("FleetHandle: empty handle");
+  return state;
+}
+
 std::string describe_wait_status(int status) {
   if (WIFSIGNALED(status)) {
     const int sig = WTERMSIG(status);
@@ -81,22 +91,25 @@ void resolve_state(const std::shared_ptr<FleetRequestState>& state, ScanStatus s
 }  // namespace
 
 ScanStatus FleetHandle::poll() const {
-  const std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->status;
+  const auto& state = require_state(state_);
+  const std::lock_guard<std::mutex> lock(state->mutex);
+  return state->status;
 }
 
 FleetOutcome FleetHandle::wait() && { return std::as_const(*this).wait(); }
 
 const FleetOutcome& FleetHandle::wait() const& {
-  std::unique_lock<std::mutex> lock(state_->mutex);
-  state_->cv.wait(lock, [this] { return state_->terminal; });
-  return state_->outcome;
+  const auto& state = require_state(state_);
+  std::unique_lock<std::mutex> lock(state->mutex);
+  state->cv.wait(lock, [&state] { return state->terminal; });
+  return state->outcome;
 }
 
 ScanStatus FleetHandle::wait_for(double seconds) const {
-  std::unique_lock<std::mutex> lock(state_->mutex);
-  state_->cv.wait_for(lock, steady_span(seconds), [this] { return state_->terminal; });
-  return state_->status;
+  const auto& state = require_state(state_);
+  std::unique_lock<std::mutex> lock(state->mutex);
+  state->cv.wait_for(lock, steady_span(seconds), [&state] { return state->terminal; });
+  return state->status;
 }
 
 struct WorkerFleet::Impl {
@@ -404,7 +417,7 @@ struct WorkerFleet::Impl {
         const std::shared_ptr<FleetRequestState> state = it->second.state;
         it = in_flight_.erase(it);
         ++state->kills;
-        if (state->kills >= config_.max_request_kills) {
+        if (state->kills >= kMaxRequestKills) {
           ++quarantined_;
           resolve_state(state, ScanStatus::kFailed,
                         "poison request: dispatch #" + std::to_string(state->dispatches) +

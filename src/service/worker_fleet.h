@@ -38,10 +38,10 @@
 //                               deterministic — and the worker respawned
 //                               with exponential backoff
 //   poison request              a request whose worker died under it
-//                               max_request_kills times is quarantined:
-//                               resolved kFailed naming the workers it
-//                               killed and how they died, NOT re-dispatched
-//                               a third time to take down the whole fleet
+//                               twice is quarantined: resolved kFailed
+//                               naming the workers it killed and how they
+//                               died, NOT re-dispatched a third time to
+//                               take down the whole fleet
 //
 // Shutdown is a graceful drain with bounded escalation: stop routing, close
 // every worker's stdin (EOF = drain: finish in-flight, flush, exit 0), wait
@@ -87,9 +87,6 @@ struct FleetConfig {
   /// delivering a result.
   double respawn_backoff_initial_seconds = 0.05;
   double respawn_backoff_max_seconds = 2.0;
-  /// A request whose worker dies under it this many times is quarantined
-  /// (resolved kFailed) instead of re-dispatched again.
-  std::int64_t max_request_kills = 2;
   /// Shutdown escalation budget per rung (EOF drain, then SIGTERM).
   double drain_wait_seconds = 10.0;
   double sigterm_wait_seconds = 2.0;
@@ -114,9 +111,10 @@ struct FleetOutcome {
 /// cheap; outcomes stay alive as long as any handle does.
 class FleetHandle {
  public:
+  /// An empty handle, for a slot filled by a later submit; its methods
+  /// throw std::logic_error.
   FleetHandle() = default;
 
-  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
   [[nodiscard]] ScanStatus poll() const;
   /// Blocks until terminal (worker answered, request quarantined, or fleet
   /// shut down). Never throws on scan failure — inspect outcome.status. The

@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -449,6 +450,18 @@ TEST(DetectionService, OutcomeReadOffATemporaryHandleOutlivesIt) {
   expect_reports_identical(direct, outcome.report);
 }
 
+// A default-constructed handle holds no scan: every method throws instead
+// of dereferencing a null state.
+TEST(DetectionService, EmptyHandleMethodsThrow) {
+  const ScanHandle empty;
+  EXPECT_THROW((void)empty.id(), std::logic_error);
+  EXPECT_THROW((void)empty.poll(), std::logic_error);
+  EXPECT_THROW((void)empty.wait(), std::logic_error);
+  EXPECT_THROW((void)ScanHandle().wait(), std::logic_error);
+  EXPECT_THROW((void)empty.wait_for(0.0), std::logic_error);
+  EXPECT_THROW((void)empty.cancel(), std::logic_error);
+}
+
 // ---- ProbeStore eviction (LRU by bytes) ---------------------------------
 
 // The store under a byte cap: inserting past the cap evicts the
@@ -666,7 +679,7 @@ TEST(DetectionService, DetectOnTheSharedNetworkWhileServiceScansRunIt) {
   }
 }
 
-// ---- Global scheduler: fairness, priority, queued cancel ----------------
+// ---- Global scheduler: fairness, queued cancel --------------------------
 
 // Cancelling a still-queued scan resolves the handle IMMEDIATELY — proven
 // by wedging the service's only dispatcher inside another scan, so nothing
@@ -723,9 +736,8 @@ TEST(DetectionService, CancelWhileQueuedResolvesImmediatelyAndFreesSlot) {
 // single-dispatcher service interleaves with it (equal fair share) and
 // finishes while the large scan is still running — the old per-request
 // executors could never do this — and BOTH reports stay bit-identical to
-// detect(). The second pass re-runs the pair with the small scan at
-// strict priority 1, which must also win.
-TEST(DetectionService, FairShareAndPrioritySmallScanFinishesUnderLargeLoad) {
+// detect().
+TEST(DetectionService, FairShareSmallScanFinishesUnderLargeLoad) {
   DatasetSpec large_spec = tiny_spec(43);
   large_spec.name = "detection-service-fairness-large";
   const DatasetSpec small_spec = tiny_spec(4);
@@ -745,33 +757,29 @@ TEST(DetectionService, FairShareAndPrioritySmallScanFinishesUnderLargeLoad) {
   config.round_dispatchers = 1;  // both scans admitted, ONE crew to share
   DetectionService service(config);
 
-  for (const int small_priority : {0, 1}) {
-    ScanRequest large;
-    large.model = large_victim;
-    large.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
-    large.probe_key = large_key;
-    const ScanHandle large_handle = service.submit(std::move(large));
+  ScanRequest large;
+  large.model = large_victim;
+  large.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
+  large.probe_key = large_key;
+  const ScanHandle large_handle = service.submit(std::move(large));
 
-    ScanRequest small;
-    small.model = small_victim;
-    small.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
-    small.probe_key = small_key;
-    small.options.priority = small_priority;
-    const ScanHandle small_handle = service.submit(std::move(small));
+  ScanRequest small;
+  small.model = small_victim;
+  small.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
+  small.probe_key = small_key;
+  const ScanHandle small_handle = service.submit(std::move(small));
 
-    const ScanOutcome& small_outcome = small_handle.wait();
-    ASSERT_EQ(small_outcome.status, ScanStatus::kDone) << small_outcome.error;
-    // ~10x the remaining work: the large scan cannot have finished unless
-    // it monopolized the dispatcher and starved the small one out.
-    EXPECT_EQ(large_handle.poll(), ScanStatus::kRunning)
-        << "small scan (priority " << small_priority << ") did not finish first";
-    const ScanOutcome& large_outcome = large_handle.wait();
-    ASSERT_EQ(large_outcome.status, ScanStatus::kDone) << large_outcome.error;
+  const ScanOutcome& small_outcome = small_handle.wait();
+  ASSERT_EQ(small_outcome.status, ScanStatus::kDone) << small_outcome.error;
+  // ~10x the remaining work: the large scan cannot have finished unless
+  // it monopolized the dispatcher and starved the small one out.
+  EXPECT_EQ(large_handle.poll(), ScanStatus::kRunning) << "small scan did not finish first";
+  const ScanOutcome& large_outcome = large_handle.wait();
+  ASSERT_EQ(large_outcome.status, ScanStatus::kDone) << large_outcome.error;
 
-    // Fair-share / priority scheduling has no numeric effect.
-    expect_reports_identical(direct_small, small_outcome.report);
-    expect_reports_identical(direct_large, large_outcome.report);
-  }
+  // Fair-share scheduling has no numeric effect.
+  expect_reports_identical(direct_small, small_outcome.report);
+  expect_reports_identical(direct_large, large_outcome.report);
   EXPECT_GT(service.rounds_dispatched(), 0);
 }
 

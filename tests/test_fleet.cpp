@@ -9,8 +9,8 @@
 //  - a killed worker's in-flight scans re-dispatch to survivors and come
 //    back BYTE-IDENTICAL to the same scan run in-process (re-dispatch is
 //    safe because reports are deterministic);
-//  - a request that kills its worker max_request_kills times is quarantined
-//    (kFailed naming the worker and signal), not re-dispatched forever;
+//  - a request that kills its worker twice is quarantined (kFailed naming
+//    the worker and signal), not re-dispatched forever;
 //  - respawns follow the exponential backoff schedule, observable in
 //    FleetHealth::respawn_backoffs_seconds, and reset on delivered results;
 //  - shutdown under load terminates EVERY request (done or cancelled,
@@ -26,7 +26,7 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -123,6 +123,16 @@ class FleetTest : public ::testing::Test {
   void TearDown() override { fault::FaultRegistry::instance().disarm_all(); }
 };
 
+// A default-constructed handle holds no request: every method throws
+// instead of dereferencing a null state.
+TEST(FleetHandle, EmptyHandleMethodsThrow) {
+  const FleetHandle empty;
+  EXPECT_THROW((void)empty.poll(), std::logic_error);
+  EXPECT_THROW((void)empty.wait(), std::logic_error);
+  EXPECT_THROW((void)FleetHandle().wait(), std::logic_error);
+  EXPECT_THROW((void)empty.wait_for(0.0), std::logic_error);
+}
+
 // The acceptance pin: SIGKILL a worker while it is scanning. Every scan
 // still resolves kDone, the re-dispatched reports are byte-identical to the
 // same scans run in-process, nothing is quarantined, and the fleet records
@@ -177,13 +187,11 @@ TEST_F(FleetTest, KilledWorkerMidScanRedispatchesByteIdentical) {
   fleet.shutdown();
 }
 
-// A request that abort()s every worker it lands on is quarantined after
-// max_request_kills deaths — resolved kFailed naming the worker and signal
-// — while a healthy scan sharing the fleet still completes.
+// A request that abort()s every worker it lands on is quarantined after two
+// deaths — resolved kFailed naming the worker and signal — while a healthy
+// scan sharing the fleet still completes.
 TEST_F(FleetTest, PoisonRequestQuarantinedAfterTwoKills) {
-  FleetConfig config = base_config(/*workers=*/2);
-  config.max_request_kills = 2;
-  WorkerFleet fleet(config);
+  WorkerFleet fleet(base_config(/*workers=*/2));
   FleetHandle healthy = fleet.submit(make_request("NC"));
   FleetHandle poison = fleet.submit(make_request("__crash__"));
 
@@ -368,16 +376,14 @@ TEST_F(FleetTest, HeartbeatFaultTreatsWorkerAsSilent) {
 // routed for the refused requests, and the fleet keeps serving.
 TEST_F(FleetTest, OptionsTheWireRefusesFailAtSubmit) {
   WorkerFleet fleet(base_config(/*workers=*/1));
-  wire::WireScanRequest nan_weight = make_request("NC");
-  nan_weight.options.fair_weight = std::numeric_limits<double>::quiet_NaN();
   wire::WireScanRequest far_deadline = make_request("NC");
   far_deadline.options.deadline_seconds = 2e9;
   wire::WireScanRequest empty_probe = make_request("NC");
   empty_probe.probe_key.probe_size = 0;
   wire::WireScanRequest no_path = make_request("NC");
   no_path.model_ref = ModelRef::from_checkpoint("");
-  for (const FleetHandle& refused : {fleet.submit(nan_weight), fleet.submit(far_deadline),
-                                     fleet.submit(empty_probe), fleet.submit(no_path)}) {
+  for (const FleetHandle& refused :
+       {fleet.submit(far_deadline), fleet.submit(empty_probe), fleet.submit(no_path)}) {
     ASSERT_EQ(refused.wait_for(30.0), ScanStatus::kFailed);
     EXPECT_NE(refused.wait().error.find("wire:"), std::string::npos) << refused.wait().error;
     EXPECT_EQ(refused.wait().dispatches, 0);

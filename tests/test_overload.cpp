@@ -1,4 +1,4 @@
-// Overload-resilience suite: transient-fault retries, priority load
+// Overload-resilience suite: transient-fault retries, queue-depth load
 // shedding, the global memory budget, and the health() snapshot.
 //
 // The load-bearing guarantees under test:
@@ -8,9 +8,9 @@
 //    retry count in ScanOutcome::retries;
 //  - retry exhaustion resolves kFailed, still reporting how many retries
 //    were spent;
-//  - past the queue-depth watermark, the LOWEST-priority NEWEST queued
-//    scans are shed (kShed, resolved immediately), while unsheddable and
-//    admitted scans complete untouched;
+//  - a submit that would queue past the queue-depth watermark resolves
+//    kShed before submit() returns, while the queued and admitted scans
+//    complete untouched;
 //  - ProbeStore entries and arena storage register with the process
 //    MemoryBudget and release on eviction / scan retirement.
 #include <gtest/gtest.h>
@@ -255,9 +255,9 @@ TEST_F(OverloadTest, HugeRetryBackoffIsCappedNotOverflowed) {
   EXPECT_EQ(service.health().items_deferred, 0);
 }
 
-// ---- Priority load shedding --------------------------------------------
+// ---- Queue-depth load shedding -----------------------------------------
 
-TEST_F(OverloadTest, DepthWatermarkShedsLowestPriorityNewestSparingUnsheddable) {
+TEST_F(OverloadTest, DepthWatermarkShedsTheNewcomerBeforeSubmitReturns) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 151};
   const auto victim = frozen_victim(spec.num_classes, 152);
@@ -274,36 +274,35 @@ TEST_F(OverloadTest, DepthWatermarkShedsLowestPriorityNewestSparingUnsheddable) 
   DetectionServiceConfig config = service_config(/*scan_threads=*/1, /*executors=*/1);
   config.shed_queue_depth = 2;
   DetectionService service(config);
-  auto submit = [&](int priority, bool unsheddable) {
-    ScanRequest request = nc_request(victim, key);
-    request.options.priority = priority;
-    request.options.unsheddable = unsheddable;
-    return service.submit(std::move(request));
-  };
-  ScanRequest blocking = nc_request(victim, key, /*steps=*/40);
-  blocking.options.priority = 2;
-  blocking.options.unsheddable = true;
-  const ScanHandle blocker = service.submit(std::move(blocking));
-  const ScanHandle high = submit(1, false);
-  const ScanHandle older_low = submit(0, false);
-  // Third queued scan breaches depth 2: the NEWEST lowest-priority queued
-  // scan — itself — is shed synchronously, before submit() returns.
-  const ScanHandle newest_low = submit(0, false);
-  EXPECT_EQ(newest_low.poll(), ScanStatus::kShed);
-  // The unsheddable newcomer breaches the depth again, but is spared; the
-  // remaining low-priority scan goes instead.
-  const ScanHandle must_run = submit(0, true);
-  EXPECT_EQ(older_low.poll(), ScanStatus::kShed);
-  EXPECT_EQ(high.poll(), ScanStatus::kQueued);
-  EXPECT_EQ(must_run.poll(), ScanStatus::kQueued);
-  EXPECT_EQ(service.health().scans_shed, 2);
-  EXPECT_NE(newest_low.wait().error.find("shed"), std::string::npos);
+  const auto submit = [&] { return service.submit(nc_request(victim, key)); };
+  const ScanHandle blocker = service.submit(nc_request(victim, key, /*steps=*/40));
+  const ScanHandle first = submit();
+  const ScanHandle second = submit();
+  // A third queued scan would breach depth 2: the newcomer is shed
+  // synchronously, before submit() returns, and the queue is untouched.
+  const ScanHandle newcomer = submit();
+  EXPECT_EQ(newcomer.poll(), ScanStatus::kShed);
+  EXPECT_NE(newcomer.wait().error.find("shed"), std::string::npos);
+  EXPECT_EQ(first.poll(), ScanStatus::kQueued);
+  EXPECT_EQ(second.poll(), ScanStatus::kQueued);
+  EXPECT_EQ(service.health().scans_shed, 1);
+  EXPECT_EQ(service.health().queued_scans, 2);
 
-  // Survivors complete once the blocker stops hogging the slot.
+  // A cancel frees a queue slot: the next submit queues instead of being
+  // shed, and the one after it is shed again.
+  EXPECT_TRUE(second.cancel());
+  const ScanHandle replacement = submit();
+  EXPECT_EQ(replacement.poll(), ScanStatus::kQueued);
+  const ScanHandle late = submit();
+  EXPECT_EQ(late.poll(), ScanStatus::kShed);
+  EXPECT_EQ(service.health().scans_shed, 2);
+
+  // The queued scans complete once the blocker stops hogging the slot.
   fault::FaultRegistry::instance().disarm_all();
   blocker.cancel();
-  EXPECT_EQ(high.wait().status, ScanStatus::kDone);
-  EXPECT_EQ(must_run.wait().status, ScanStatus::kDone);
+  EXPECT_EQ(first.wait().status, ScanStatus::kDone);
+  EXPECT_EQ(replacement.wait().status, ScanStatus::kDone);
+  EXPECT_EQ(second.wait().status, ScanStatus::kCancelled);
   EXPECT_EQ(service.health().scans_shed, 2);  // admitted scans were never shed
 }
 

@@ -1,7 +1,7 @@
 // RoundScheduler: the service's global cross-request fair-share queue.
 //
 // These tests pin the scheduling CONTRACT (per-job FIFO, fair-share
-// alternation, strict priority, atomic queued-drop), not exact interleavings
+// alternation, atomic queued-drop), not exact interleavings
 // — which item runs when is explicitly allowed to vary. Single-dispatcher
 // configurations make order observable; the stress test races four.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -34,7 +33,7 @@ struct Trace {
 TEST(RoundSchedulerTest, RunsItemsOfOneJobInFifoOrder) {
   RoundScheduler scheduler({/*workers=*/1, nullptr});
   Trace trace;
-  const auto job = scheduler.create_job({});
+  const auto job = scheduler.create_job();
   for (int i = 0; i < 16; ++i) {
     scheduler.enqueue(job, [&trace, i] { trace.add('A', i); });
   }
@@ -43,14 +42,13 @@ TEST(RoundSchedulerTest, RunsItemsOfOneJobInFifoOrder) {
   for (int i = 0; i < 16; ++i) EXPECT_EQ(trace.events[static_cast<std::size_t>(i)].second, i);
 }
 
-// The two fairness tests below measure wall-clock vtime accounting, which
-// CPU oversubscription (the rest of the suite running in parallel) can skew
+// The fairness test below measures wall-clock vtime accounting, which CPU
+// oversubscription (the rest of the suite running in parallel) can skew
 // arbitrarily: a dispatcher descheduled mid-item charges that item tens of
 // milliseconds instead of 200µs, and the victim job's account leaps ahead.
-// Each test therefore retries a few fresh schedulers and passes on the
-// first fair outcome — a scheduler BUG (sequential draining, ignored
-// weights) is deterministic and fails every attempt, while scheduling noise
-// does not repeat across attempts.
+// It therefore retries a few fresh schedulers and passes on the first fair
+// outcome — a scheduler BUG (sequential draining) is deterministic and fails
+// every attempt, while scheduling noise does not repeat across attempts.
 constexpr int kFairnessAttempts = 5;
 
 TEST(RoundSchedulerTest, EqualWeightJobsInterleaveInsteadOfDrainingSequentially) {
@@ -62,10 +60,10 @@ TEST(RoundSchedulerTest, EqualWeightJobsInterleaveInsteadOfDrainingSequentially)
     // otherwise job A would legitimately drain alone before B exists.
     std::promise<void> gate;
     std::shared_future<void> open = gate.get_future().share();
-    const auto holder = scheduler.create_job({});
+    const auto holder = scheduler.create_job();
     scheduler.enqueue(holder, [open] { open.wait(); });
-    const auto job_a = scheduler.create_job({});
-    const auto job_b = scheduler.create_job({});
+    const auto job_a = scheduler.create_job();
+    const auto job_b = scheduler.create_job();
     for (int i = 0; i < 10; ++i) {
       scheduler.enqueue(job_a, [&trace, i] {
         trace.add('A', i);
@@ -93,97 +91,27 @@ TEST(RoundSchedulerTest, EqualWeightJobsInterleaveInsteadOfDrainingSequentially)
   EXPECT_GE(best, 15) << "one job drained long before the other, on every attempt";
 }
 
-TEST(RoundSchedulerTest, WeightSkewsServiceTowardHeavierJob) {
-  int best = -1;
-  for (int attempt = 0; attempt < kFairnessAttempts && best < 7; ++attempt) {
-    RoundScheduler scheduler({/*workers=*/1, nullptr});
-    Trace trace;
-    std::promise<void> gate;
-    std::shared_future<void> open = gate.get_future().share();
-    const auto holder = scheduler.create_job({});
-    scheduler.enqueue(holder, [open] { open.wait(); });
-    RoundScheduler::JobOptions heavy_options;
-    heavy_options.weight = 3.0;
-    const auto heavy = scheduler.create_job(std::move(heavy_options));
-    const auto light = scheduler.create_job({});
-    for (int i = 0; i < 12; ++i) {
-      scheduler.enqueue(heavy, [&trace, i] {
-        trace.add('H', i);
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      });
-      scheduler.enqueue(light, [&trace, i] {
-        trace.add('L', i);
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      });
-    }
-    gate.set_value();
-    while (scheduler.items_executed() < 25) std::this_thread::yield();
-
-    // Weight 3 vs 1: of the first 12 completions, the heavy job should take
-    // roughly three quarters. Demand at least 7 — far above alternation's 6,
-    // comfortably below the exact 9 to absorb timing noise.
-    int heavy_in_prefix = 0;
-    for (int pos = 0; pos < 12; ++pos) {
-      if (trace.events[static_cast<std::size_t>(pos)].first == 'H') ++heavy_in_prefix;
-    }
-    best = std::max(best, heavy_in_prefix);
-  }
-  EXPECT_GE(best, 7);
-}
-
-// A NaN weight floors like a non-positive one. With the tiny floor weight,
-// job A's first item pushes its vtime far past B's, so B drains before A's
-// remaining items, whatever the items cost. An unfloored NaN vtime loses
-// every comparison, and A would drain first instead.
-TEST(RoundSchedulerTest, NanWeightOrdersLikeWeightZero) {
-  const auto order = [](double weight) {
-    RoundScheduler scheduler({/*workers=*/1, nullptr});
-    Trace trace;
-    std::promise<void> gate;
-    std::shared_future<void> open = gate.get_future().share();
-    const auto holder = scheduler.create_job({});
-    scheduler.enqueue(holder, [open] { open.wait(); });
-    RoundScheduler::JobOptions a_options;
-    a_options.weight = weight;
-    const auto job_a = scheduler.create_job(a_options);
-    const auto job_b = scheduler.create_job({});
-    for (int i = 0; i < 10; ++i) {
-      scheduler.enqueue(job_a, [&trace, i] { trace.add('A', i); });
-      scheduler.enqueue(job_b, [&trace, i] { trace.add('B', i); });
-    }
-    gate.set_value();
-    while (scheduler.items_executed() < 21) std::this_thread::yield();
-    std::string tags;
-    const std::lock_guard<std::mutex> lock(trace.mu);
-    for (const auto& event : trace.events) tags += event.first;
-    return tags;
-  };
-  EXPECT_EQ(order(0.0), "ABBBBBBBBBBAAAAAAAAA");
-  EXPECT_EQ(order(std::numeric_limits<double>::quiet_NaN()), "ABBBBBBBBBBAAAAAAAAA");
-}
-
 TEST(RoundSchedulerTest, ThrowingItemRoutesToOwnerAndQueueKeepsDraining) {
   RoundScheduler scheduler({/*workers=*/1, nullptr});
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
-  const auto holder = scheduler.create_job({});
+  const auto holder = scheduler.create_job();
   scheduler.enqueue(holder, [open] { open.wait(); });
 
   std::atomic<int> errors{0};
   std::mutex message_mu;
   std::string message;
-  RoundScheduler::JobOptions faulty_options;
-  faulty_options.on_item_error = [&errors, &message_mu, &message](const std::exception_ptr& error) {
-    try {
-      std::rethrow_exception(error);
-    } catch (const std::exception& e) {
-      const std::lock_guard<std::mutex> lock(message_mu);
-      message = e.what();
-    }
-    errors.fetch_add(1);
-  };
-  const auto faulty = scheduler.create_job(std::move(faulty_options));
-  const auto healthy = scheduler.create_job({});
+  const auto faulty =
+      scheduler.create_job([&errors, &message_mu, &message](const std::exception_ptr& error) {
+        try {
+          std::rethrow_exception(error);
+        } catch (const std::exception& e) {
+          const std::lock_guard<std::mutex> lock(message_mu);
+          message = e.what();
+        }
+        errors.fetch_add(1);
+      });
+  const auto healthy = scheduler.create_job();
 
   std::atomic<int> faulty_ran{0};
   std::atomic<int> healthy_ran{0};
@@ -214,46 +142,23 @@ TEST(RoundSchedulerTest, ThrowingItemRoutesToOwnerAndQueueKeepsDraining) {
   EXPECT_EQ(errors.load(), 1);
 }
 
-TEST(RoundSchedulerTest, HigherPriorityJobPreemptsQueuedLowerPriorityItems) {
-  RoundScheduler scheduler({/*workers=*/1, nullptr});
-  Trace trace;
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  const auto holder = scheduler.create_job({});
-  scheduler.enqueue(holder, [open] { open.wait(); });
-  const auto low = scheduler.create_job({});
-  RoundScheduler::JobOptions high_options;
-  high_options.priority = 1;
-  const auto high = scheduler.create_job(std::move(high_options));
-  for (int i = 0; i < 8; ++i) scheduler.enqueue(low, [&trace, i] { trace.add('L', i); });
-  for (int i = 0; i < 8; ++i) scheduler.enqueue(high, [&trace, i] { trace.add('H', i); });
-  gate.set_value();
-  while (scheduler.items_executed() < 17) std::this_thread::yield();
-
-  // Strict priority: every high item before any low item.
-  ASSERT_EQ(trace.events.size(), 16u);
-  for (int pos = 0; pos < 8; ++pos) {
-    EXPECT_EQ(trace.events[static_cast<std::size_t>(pos)].first, 'H') << "position " << pos;
-  }
-}
-
 TEST(RoundSchedulerTest, DropQueuedIfUnstartedIsAtomicWithFirstPick) {
   RoundScheduler scheduler({/*workers=*/1, nullptr});
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
-  const auto holder = scheduler.create_job({});
+  const auto holder = scheduler.create_job();
   scheduler.enqueue(holder, [open] { open.wait(); });
 
   // Never started: all queued items drop, none runs.
   std::atomic<int> ran{0};
-  const auto victim = scheduler.create_job({});
+  const auto victim = scheduler.create_job();
   for (int i = 0; i < 3; ++i) scheduler.enqueue(victim, [&ran] { ran.fetch_add(1); });
   EXPECT_EQ(scheduler.drop_queued_if_unstarted(victim), 3);
   // Retired: late enqueues are dropped too.
   scheduler.enqueue(victim, [&ran] { ran.fetch_add(1); });
 
   // Started: refuse, let the chain drain.
-  const auto runner = scheduler.create_job({});
+  const auto runner = scheduler.create_job();
   scheduler.enqueue(runner, [&ran] { ran.fetch_add(1); });
   gate.set_value();
   while (scheduler.items_executed() < 2) std::this_thread::yield();
@@ -265,7 +170,7 @@ TEST(RoundSchedulerTest, DropQueuedIfUnstartedIsAtomicWithFirstPick) {
 
 TEST(RoundSchedulerTest, EnqueueAfterDefersItemUntilItsNotBeforeTime) {
   RoundScheduler scheduler({/*workers=*/1, nullptr});
-  const auto job = scheduler.create_job({});
+  const auto job = scheduler.create_job();
   const auto enqueued_at = std::chrono::steady_clock::now();
   std::atomic<std::int64_t> ran_after_ns{0};
   scheduler.enqueue_after(job, 0.05, [&ran_after_ns, enqueued_at] {
@@ -285,7 +190,7 @@ TEST(RoundSchedulerTest, EnqueueAfterDefersItemUntilItsNotBeforeTime) {
 
 TEST(RoundSchedulerTest, ExpeditePromotesDeferredItemsImmediately) {
   RoundScheduler scheduler({/*workers=*/1, nullptr});
-  const auto job = scheduler.create_job({});
+  const auto job = scheduler.create_job();
   std::atomic<int> ran{0};
   // Far future: without expedite this test would take half a minute.
   scheduler.enqueue_after(job, 30.0, [&ran] { ran.fetch_add(1); });
@@ -304,11 +209,11 @@ TEST(RoundSchedulerTest, DropQueuedIfUnstartedDropsDeferredItemsToo) {
   RoundScheduler scheduler({/*workers=*/1, nullptr});
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
-  const auto holder = scheduler.create_job({});
+  const auto holder = scheduler.create_job();
   scheduler.enqueue(holder, [open] { open.wait(); });
 
   std::atomic<int> ran{0};
-  const auto victim = scheduler.create_job({});
+  const auto victim = scheduler.create_job();
   scheduler.enqueue(victim, [&ran] { ran.fetch_add(1); });
   scheduler.enqueue_after(victim, 30.0, [&ran] { ran.fetch_add(1); });
   scheduler.enqueue_after(victim, 30.0, [&ran] { ran.fetch_add(1); });
@@ -327,12 +232,7 @@ TEST(RoundSchedulerTest, StressManyJobsAcrossDispatchersRunEveryItemExactlyOnce)
   constexpr int kItems = 50;
   std::vector<RoundScheduler::JobPtr> jobs;
   std::vector<std::atomic<int>> counts(kJobs);
-  for (int j = 0; j < kJobs; ++j) {
-    RoundScheduler::JobOptions job_options;
-    job_options.priority = j % 2;
-    job_options.weight = 1.0 + j;
-    jobs.push_back(scheduler.create_job(std::move(job_options)));
-  }
+  for (int j = 0; j < kJobs; ++j) jobs.push_back(scheduler.create_job());
   for (int i = 0; i < kItems; ++i) {
     for (int j = 0; j < kJobs; ++j) {
       scheduler.enqueue(jobs[static_cast<std::size_t>(j)],

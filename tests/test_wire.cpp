@@ -55,12 +55,9 @@ wire::WireScanRequest sample_zoo_request() {
   request.model_ref = ModelRef::from_zoo(std::move(spec));
   request.probe_key = ProbeKey{DatasetSpec::mnist_like(), 300, 0x9e0beULL};
   request.method = "USB";
-  request.options.priority = -3;
-  request.options.fair_weight = 2.5;
   request.options.deadline_seconds = 12.75;
   request.options.max_retries = 4;
   request.options.retry_backoff_seconds = 0.125;
-  request.options.unsheddable = true;
   return request;
 }
 
@@ -138,12 +135,9 @@ TEST(Wire, RequestRoundTripIsExactZooForm) {
   EXPECT_EQ(decoded.model_ref.key(), sample_zoo_request().model_ref.key());
   EXPECT_EQ(decoded.probe_key, sample_zoo_request().probe_key);
   EXPECT_EQ(decoded.method, "USB");
-  EXPECT_EQ(decoded.options.priority, -3);
-  EXPECT_EQ(decoded.options.fair_weight, 2.5);
   EXPECT_EQ(decoded.options.deadline_seconds, 12.75);
   EXPECT_EQ(decoded.options.max_retries, 4);
   EXPECT_EQ(decoded.options.retry_backoff_seconds, 0.125);
-  EXPECT_TRUE(decoded.options.unsheddable);
 }
 
 TEST(Wire, RequestRoundTripIsExactCheckpointForm) {
@@ -160,11 +154,11 @@ TEST(Wire, RequestRoundTripIsExactCheckpointForm) {
   EXPECT_EQ(decoded.options.retry_backoff_seconds, 0.05);
 }
 
-// The option doubles a server schedules and times by must be ones a sound
-// peer sends: a NaN fair_weight, or a non-finite deadline or backoff or one
-// past kMaxSpanSeconds (which the service would only clamp), marks a
-// corrupt or hostile one. Each such value is a WireError; the limits
-// themselves and negative (disabled) values still decode.
+// The option doubles a server times by must be ones a sound peer sends: a
+// non-finite deadline or backoff, or one past kMaxSpanSeconds (which the
+// service would only clamp), marks a corrupt or hostile one. Each such
+// value is a WireError; the limits themselves and negative (disabled)
+// values still decode.
 TEST(Wire, NonFiniteOrOutOfRangeOptionValuesThrow) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -173,16 +167,12 @@ TEST(Wire, NonFiniteOrOutOfRangeOptionValuesThrow) {
     set(request.options, value);
     (void)wire::decode_request(wire::encode_request(request));
   };
-  const auto set_weight = [](ScanOptions& options, double value) { options.fair_weight = value; };
   const auto set_deadline = [](ScanOptions& options, double value) {
     options.deadline_seconds = value;
   };
   const auto set_backoff = [](ScanOptions& options, double value) {
     options.retry_backoff_seconds = value;
   };
-  for (const double bad : {kNaN, kInf, -kInf}) {
-    EXPECT_THROW(decodes(set_weight, bad), wire::WireError) << "fair_weight " << bad;
-  }
   for (const double bad : {kNaN, kInf, -kInf, 1e300, kMaxSpanSeconds * 2}) {
     EXPECT_THROW(decodes(set_deadline, bad), wire::WireError) << "deadline " << bad;
     EXPECT_THROW(decodes(set_backoff, bad), wire::WireError) << "backoff " << bad;
@@ -191,8 +181,6 @@ TEST(Wire, NonFiniteOrOutOfRangeOptionValuesThrow) {
     EXPECT_NO_THROW(decodes(set_deadline, good)) << "deadline " << good;
     EXPECT_NO_THROW(decodes(set_backoff, good)) << "backoff " << good;
   }
-  EXPECT_NO_THROW(decodes(set_weight, 0.0));
-  EXPECT_NO_THROW(decodes(set_weight, -2.0));
 }
 
 TEST(Wire, ResultRoundTripIsExactIncludingNaN) {
