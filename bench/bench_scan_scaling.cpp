@@ -46,7 +46,6 @@
 #include "nn/models.h"
 #include "service/detection_service.h"
 #include "service/worker_fleet.h"
-#include "utils/fault_injection.h"
 #include "utils/thread_pool.h"
 #include "utils/timer.h"
 
@@ -228,12 +227,11 @@ int main(int argc, char** argv) {
     double fleet_respawn_p50 = 0.0;
   };
   ServiceRow service_row;
-  // ---- Overload resilience: retries, shedding, health-snapshot cost. ----
+  // ---- Overload resilience: shedding and health-snapshot cost. ---------
   struct OverloadRow {
-    double retry_seconds = 0.0;        // p50 submit-to-done WITH one injected retry
-    double retry_success_rate = 0.0;   // fraction of faulted scans resolving kDone
+    double seconds = 0.0;              // p50 unmonitored solo-scan latency
     double shed_p50_latency = 0.0;     // p50 submit-to-kShed resolution latency
-    double health_overhead = 0.0;      // solo p50 with a health() poller, minus 1
+    double health_overhead = 0.0;      // solo best with a health() poller, minus 1
   };
   OverloadRow overload_row;
   {
@@ -376,44 +374,6 @@ int main(int argc, char** argv) {
       std::remove(ckpt_path.c_str());
     }
 
-    // ---- Transient-fault retry success rate. ----------------------------
-    // Each rep arms exactly one injected throw at the next round stage; a
-    // max_retries=2 budget must absorb it and the retried scan must still
-    // be byte-identical to detect(). The rate is a hard 1.0 requirement in
-    // check_regression.py; the p50 latency (seconds of the JSON row) tracks
-    // what one retry + backoff costs end to end.
-    constexpr int kRetryReps = 9;
-    int retry_successes = 0;
-    std::vector<double> retry_latencies;
-    retry_latencies.reserve(kRetryReps);
-    for (int rep = 0; rep < kRetryReps; ++rep) {
-      fault::FaultSpec fault_spec;
-      fault_spec.kind = fault::FaultSpec::Kind::kThrow;
-      fault_spec.count = 1;
-      fault::FaultRegistry::instance().arm("scan.round", fault_spec);
-      ScanRequest request;
-      request.model = small_victim;
-      request.detector = std::make_unique<NeuralCleanse>(service_nc);
-      request.probe_key = small_key;
-      request.options.max_retries = 2;
-      request.options.retry_backoff_seconds = 0.001;
-      const Timer timer;
-      // Named handle: see the deadline block — a temporary would leave the
-      // outcome reference dangling.
-      const ScanHandle handle = service.submit(std::move(request));
-      const ScanOutcome& outcome = handle.wait();
-      retry_latencies.push_back(timer.seconds());
-      if (outcome.status == ScanStatus::kDone && outcome.retries >= 1 &&
-          reports_identical(direct_small, outcome.report)) {
-        ++retry_successes;
-      }
-    }
-    fault::FaultRegistry::instance().disarm_all();
-    std::sort(retry_latencies.begin(), retry_latencies.end());
-    overload_row.retry_seconds = retry_latencies[retry_latencies.size() / 2];
-    overload_row.retry_success_rate =
-        static_cast<double>(retry_successes) / static_cast<double>(kRetryReps);
-
     // ---- Shed resolution latency. ---------------------------------------
     // A dedicated single-slot service past its depth watermark: every rep's
     // submit breaches the watermark and sheds ITSELF synchronously, so the
@@ -474,7 +434,8 @@ int main(int argc, char** argv) {
     // two mutex grabs plus a few atomic loads; the gate holds its
     // effect on scan latency below 2%. Min-of-reps on both sides: the p50
     // of millisecond-scale pairs on a shared 1-core runner still carries
-    // one-sided scheduler spikes that would swamp a sub-1% effect.
+    // one-sided scheduler spikes that would swamp a sub-1% effect. The
+    // unmonitored pairs also give the row's `seconds`: their p50 per scan.
     constexpr int kHealthReps = 9;
     std::vector<double> unmonitored;
     std::vector<double> monitored;
@@ -495,6 +456,8 @@ int main(int argc, char** argv) {
     const double monitored_best = *std::min_element(monitored.begin(), monitored.end());
     overload_row.health_overhead =
         unmonitored_best > 0 ? monitored_best / unmonitored_best - 1.0 : 0.0;
+    std::sort(unmonitored.begin(), unmonitored.end());
+    overload_row.seconds = unmonitored[unmonitored.size() / 2] / kScansPerRep;
 
     // ---- Fleet crash re-dispatch. ---------------------------------------
     // A 2-worker process fleet scanning the small victim; each rep SIGKILLs
@@ -584,11 +547,10 @@ int main(int argc, char** argv) {
               service_row.small_before_large ? "yes" : "NO",
               service_row.identical ? "yes" : "NO", service_row.deadline_overhead * 100.0,
               service_row.model_store_hit_rate);
-  std::printf("\n%-6s %14s %19s %14s %17s\n", "method", "retry-p50-s", "retry-success-rate",
-              "shed-p50-ms", "health-overhead");
-  std::printf("%-6s %14.3f %19.2f %14.3f %16.1f%%\n", "NC", overload_row.retry_seconds,
-              overload_row.retry_success_rate, overload_row.shed_p50_latency * 1e3,
-              overload_row.health_overhead * 100.0);
+  std::printf("\n%-6s %13s %14s %17s\n", "method", "solo-p50-s", "shed-p50-ms",
+              "health-overhead");
+  std::printf("%-6s %13.3f %14.3f %16.1f%%\n", "NC", overload_row.seconds,
+              overload_row.shed_p50_latency * 1e3, overload_row.health_overhead * 100.0);
   std::printf("\n%-6s %24s %18s\n", "method", "fleet-redispatch-rate", "respawn-p50-ms");
   std::printf("%-6s %24.2f %18.1f\n", "NC", service_row.fleet_redispatch_success_rate,
               service_row.fleet_respawn_p50 * 1e3);
@@ -637,10 +599,9 @@ int main(int argc, char** argv) {
     std::snprintf(line, sizeof(line),
                   "  {\"section\": \"overload\", \"method\": \"NC\", \"threads\": 1, "
                   "\"scenario\": \"overload\", \"seconds\": %.4f, "
-                  "\"retry_success_rate\": %.3f, \"shed_p50_latency_seconds\": %.9f, "
-                  "\"health_snapshot_overhead\": %.4f}\n",
-                  overload_row.retry_seconds, overload_row.retry_success_rate,
-                  overload_row.shed_p50_latency, overload_row.health_overhead);
+                  "\"shed_p50_latency_seconds\": %.9f, \"health_snapshot_overhead\": %.4f}\n",
+                  overload_row.seconds, overload_row.shed_p50_latency,
+                  overload_row.health_overhead);
     out << line;
     out << "]\n";
     std::printf("wrote %s\n", json_path.c_str());
@@ -656,9 +617,9 @@ int main(int argc, char** argv) {
   // By-ref submission contract: the store must actually have shared (a
   // zero hit rate means every submit reloaded).
   if (service_row.model_store_hit_rate <= 0.0) return 1;
-  // Overload contract: every faulted scan must retry to success, and the
-  // shed path must actually have shed (a zero p50 means it never fired).
-  if (overload_row.retry_success_rate != 1.0 || overload_row.shed_p50_latency <= 0.0) return 1;
+  // Overload contract: the shed path must actually have shed (a zero p50
+  // means it never fired).
+  if (overload_row.shed_p50_latency <= 0.0) return 1;
   // Fleet contract: every killed-worker scan must re-dispatch to a
   // byte-identical kDone, and a respawn must actually have been timed (a
   // zero p50 means no kill ever landed or the worker binary was missing).

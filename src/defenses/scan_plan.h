@@ -294,8 +294,10 @@ class StagedScan {
 
   /// Executes one step and returns the steps it enables (possibly none).
   /// Every step faults at its entry point (scan.construct / scan.round /
-  /// scan.cutoff / scan.retire / scan.finalize) before mutating anything
-  /// shared, so a step that threw there may simply be run again.
+  /// scan.cutoff / scan.retire / scan.finalize). A step that throws fails
+  /// the whole scan: nothing resumes it, and a scan run again from the same
+  /// (model, probe, config) gives the same report (see "Determinism"
+  /// above).
   [[nodiscard]] std::vector<ScanStep> run(const ScanStep& step);
 
   /// True once every class is finalized — the graph is exhausted.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "utils/errors.h"
 #include "utils/fault_injection.h"
 #include "utils/memory_budget.h"
 #include "utils/timer.h"
@@ -39,7 +38,7 @@ struct ScanState {
   // stages (consuming + releasing) — never by handles. A model_ref and the
   // probe_key are resolved lazily by the scan's init stage (so a shed scan,
   // or one cancelled while queued, never loads or materializes anything,
-  // and a failure there is a retryable stage fault).
+  // and a failure there fails the scan like any stage fault).
   // The frozen network every class of the scan runs on: the request's own,
   // or, for a model_ref, an aliasing pointer into the ModelStore entry
   // (set by stage_init) that pins the entry while the scan holds it.
@@ -100,7 +99,7 @@ struct ScanState {
 /// steps it enables. Nothing ever blocks waiting for another item, so a
 /// single dispatcher can interleave any number of scans. This class owns
 /// only the request lifecycle: skipping items on deadline, cancel, or
-/// failure; retries; fault scoping; the terminal status.
+/// failure; fault scoping; the terminal status.
 class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
  public:
   ScanExecution(DetectionService& service, std::shared_ptr<ScanState> state)
@@ -141,12 +140,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
                 self->on_item_error(error);
               }
             });
-        outstanding_ = 1;
-        service_->scheduler_.enqueue(
-            job_,
-            // The inner stage function captures `self` BY VALUE: a retry
-            // copies it past this enqueued wrapper's lifetime.
-            [self = shared_from_this()] { self->run_stage([self] { self->stage_init(); }, 0); });
+        post_locked([this] { stage_init(); });
       }
     }
     for (const auto& exec : launches) exec->launch();
@@ -182,13 +176,11 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       if (phase_ == Phase::kLaunched) {
         const std::int64_t dropped = service_->scheduler_.drop_queued_if_unstarted(job_);
         if (dropped < 0) {
-          // A stage ran or is running: drain cooperatively. For a timeout
-          // nudge, record the expiry so the chain resolves kTimedOut even
-          // if it races a clock that has not been re-read yet. Retries
-          // parked in backoff promote immediately — an aborting scan must
-          // not wait out its own timer to observe the flag.
+          // A stage ran or is running: drain cooperatively at the next item
+          // boundary. For a timeout nudge, record the expiry so the chain
+          // resolves kTimedOut even if it races a clock that has not been
+          // re-read yet.
           if (timeout) timed_out_ = true;
-          service_->scheduler_.expedite(job_);
           return;
         }
         outstanding_ -= dropped;  // the init item, dropped unrun
@@ -208,13 +200,13 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   }
 
   /// Every scheduler item: skip the stage if the scan is past its
-  /// deadline, cancelled, or failed (the chain then drains), route
-  /// exceptions into the outcome — retrying TRANSIENT ones while budget
-  /// remains — and run the completion accounting. The whole item runs
-  /// under a FaultScope tagged with the scan id, so injected faults scoped
-  /// to one scan can never leak into a concurrent healthy one
+  /// deadline, cancelled, or failed (the chain then drains), route an
+  /// exception into the outcome — the scan fails, and its other items skip
+  /// — and run the completion accounting. The whole item runs under a
+  /// FaultScope tagged with the scan id, so injected faults scoped to one
+  /// scan can never leak into a concurrent healthy one
   /// (tests/test_fault_injection.cpp).
-  void run_stage(const std::function<void()>& stage, int attempt) {
+  void run_stage(const std::function<void()>& stage) {
     const fault::FaultScope fault_scope(state_->id);
     bool skip = false;
     if (state_->deadline_expired()) {
@@ -231,7 +223,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       try {
         stage();
       } catch (const std::exception& error) {
-        if (!maybe_retry(stage, attempt, error)) mark_failed(error.what());
+        mark_failed(error.what());
       } catch (...) {
         mark_failed("unknown scan failure");
       }
@@ -239,47 +231,9 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     complete_item();
   }
 
-  /// Transient classification: explicit (ScanError::transient, so detectors
-  /// opt stages in via TransientError) plus the two implicit families the
-  /// service trusts to be retryable — injected faults (the registry models
-  /// infrastructure hiccups) and allocation failures (retried with backoff,
-  /// since running scans may release memory in the meantime).
-  [[nodiscard]] static bool is_transient_failure(const std::exception& error) {
-    if (const auto* scan_error = dynamic_cast<const ScanError*>(&error)) {
-      return scan_error->transient;
-    }
-    return dynamic_cast<const fault::InjectedFault*>(&error) != nullptr ||
-           dynamic_cast<const std::bad_alloc*>(&error) != nullptr;
-  }
-
-  /// Re-enqueues a transiently-failed stage item with exponential backoff
-  /// (base * 2^attempt) through the scheduler's timer queue, which clamps
-  /// the delay with steady_span(). Returns false — caller records the
-  /// failure — when the error is permanent, the per-item budget is spent, or
-  /// the scan is already aborting. The replacement item is posted BEFORE
-  /// this one completes (net outstanding unchanged), so the scan cannot
-  /// transiently look finished.
-  [[nodiscard]] bool maybe_retry(const std::function<void()>& stage, int attempt,
-                                 const std::exception& error) {
-    if (!is_transient_failure(error)) return false;
-    if (attempt >= state_->options.max_retries) return false;
-    if (state_->cancel.load(std::memory_order_relaxed) || state_->deadline_expired()) return false;
-    const double backoff = state_->options.retry_backoff_seconds *
-                           static_cast<double>(std::int64_t{1} << std::min(attempt, 30));
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (phase_ == Phase::kTerminal || failed_ || timed_out_) return false;
-    ++retries_;
-    service_->items_retried_.fetch_add(1);
-    ++outstanding_;
-    service_->scheduler_.enqueue_after(
-        job_, backoff,
-        [self = shared_from_this(), stage, next = attempt + 1] { self->run_stage(stage, next); });
-    return true;
-  }
-
   /// RoundScheduler's route-to-owner handler: anything that escaped an
   /// item of this scan (run_stage catches stage exceptions, so this is the
-  /// completion path's own failure) is classified exactly like a stage
+  /// completion path's own failure) fails the scan exactly like a stage
   /// exception, then the item is completed — the throwing item never
   /// reached its own complete_item.
   void on_item_error(const std::exception_ptr& error) {
@@ -297,7 +251,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   void post_locked(std::function<void()> stage) {
     ++outstanding_;
     service_->scheduler_.enqueue(job_, [self = shared_from_this(), stage = std::move(stage)] {
-      self->run_stage(stage, 0);
+      self->run_stage(stage);
     });
   }
 
@@ -307,35 +261,19 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     failed_ = true;
   }
 
-  /// Resolves a store entry (a content-addressed probe or a ref-named
+  /// Resolves the store entries (the content-addressed probe, a ref-named
   /// model) NOW, not at submit(): a shed scan, or one cancelled while
-  /// queued, never materializes anything, and the returned shared_ptr pins
-  /// the entry until finish(). Unrecognized failures are wrapped TRANSIENT —
-  /// regenerating from a deterministic key, or re-reading after a flaky
-  /// filesystem read or an allocation failure under load, is exactly what
-  /// the retry layer exists for; a truly corrupt checkpoint exhausts the
-  /// budget and fails the scan with the loader's path-carrying message.
-  template <typename Store, typename Key>
-  static auto resolve(Store& store, const Key& key, const char* failure) {
-    try {
-      return store.get_or_create(key);
-    } catch (const ScanError&) {
-      throw;  // explicit classification wins (TransientError included)
-    } catch (const fault::InjectedFault&) {
-      throw;  // already classified transient by run_stage
-    } catch (const std::exception& error) {
-      throw TransientError(std::string(failure) + error.what());
-    }
-  }
-
+  /// queued, never materializes anything, and the returned shared_ptrs pin
+  /// the entries until finish(). A store failure fails the scan with the
+  /// store's own message (an injected fault names its point, a checkpoint
+  /// load its path).
   void stage_init() {
     if (state_->stored_probe == nullptr) {
-      state_->stored_probe = resolve(service_->probe_store_, state_->probe_key,
-                                     "probe materialization failed: ");
+      state_->stored_probe = service_->probe_store_.get_or_create(state_->probe_key);
     }
     if (state_->model == nullptr) {
       std::shared_ptr<const ModelData> entry =
-          resolve(service_->model_store_, *state_->model_ref, "model load failed: ");
+          service_->model_store_.get_or_create(*state_->model_ref);
       const Network* network = &entry->network;
       state_->model = std::shared_ptr<const Network>(std::move(entry), network);
     }
@@ -387,9 +325,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       ScanOutcome outcome;
       if (failed_) {
         outcome.status = ScanStatus::kFailed;
-        outcome.error = retries_ > 0
-                            ? error_ + " (after " + std::to_string(retries_) + " retries)"
-                            : error_;
+        outcome.error = error_;
         service_->failed_.fetch_add(1);
       } else if (staged_.has_value() && staged_->finished()) {
         try {
@@ -422,7 +358,6 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
         outcome.status = ScanStatus::kCancelled;
         service_->cancelled_.fetch_add(1);
       }
-      outcome.retries = retries_;
       // Release tasks and the borrowed model and probe-cache pointers BEFORE
       // finish() drops the model, detector and stored probe they point into.
       staged_.reset();
@@ -444,7 +379,6 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   std::int64_t outstanding_ = 0;  // items posted, not yet completed
   bool failed_ = false;
   bool timed_out_ = false;
-  std::int64_t retries_ = 0;  // stage items re-enqueued after transient failures
   std::string error_;
 };
 
@@ -572,9 +506,8 @@ ScanHandle DetectionService::submit(ScanRequest request) {
     throw std::invalid_argument("ScanRequest: set exactly one of model / model_ref");
   }
   if (request.model != nullptr) require_frozen(*request.model, "ScanRequest::model");
-  if (request.model_ref.has_value() && !request.model_ref->valid()) {
-    throw std::invalid_argument(
-        "ScanRequest: model_ref must set exactly one of checkpoint_path / zoo spec");
+  if (request.model_ref.has_value() && request.model_ref->checkpoint_path.empty()) {
+    throw std::invalid_argument("ScanRequest: model_ref must name a checkpoint_path");
   }
   if (request.detector == nullptr) throw std::invalid_argument("ScanRequest: null detector");
   if (request.probe_key.probe_size <= 0) {
@@ -673,8 +606,6 @@ ServiceHealth DetectionService::health() const {
   health.scans_failed = failed_.load();
   health.scans_timed_out = timed_out_.load();
   health.scans_shed = shed_.load();
-  health.items_retried = items_retried_.load();
-  health.items_deferred = scheduler_.items_deferred();
   const MemoryBudget& budget = MemoryBudget::process();
   health.budget_bytes = budget.bytes();
   health.budget_high_water_bytes = budget.high_water_bytes();

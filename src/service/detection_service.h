@@ -36,17 +36,14 @@
 //  - deadlines: checked at every item boundary. Expiry resolves kTimedOut
 //    with a partial report whose per_class_state says how far each class
 //    got.
-//  - fault isolation: an exception escaping any stage item is routed to
-//    the owning scan (kFailed + error); the dispatcher crew and every
-//    other scan's queue keep draining — one faulty request fails only
-//    itself.
-//  - transient-fault retries: a stage that fails TRANSIENTLY (TransientError
-//    / ScanError{transient} from a detector, a probe materialization
-//    failure, an injected fault, an ENOMEM) is re-enqueued with exponential
-//    backoff up to ScanOptions::max_retries times via the scheduler's timer
-//    queue — no dispatcher ever sleeps through a backoff. A retried scan
-//    that eventually succeeds is byte-identical to detect(); exhaustion
-//    resolves kFailed with the retry count in ScanOutcome::retries.
+//  - fault isolation: an exception escaping any stage item — a probe
+//    materialization or model load in the init stage included — resolves
+//    the owning scan kFailed at once with the thrower's message (an
+//    injected fault names its point); the dispatcher crew and every other
+//    scan's queue keep draining, so one faulty request fails only itself. The service does not retry: a scan
+//    is a deterministic function of (model, probe, detector config), so a
+//    caller that resubmits a failed scan gets byte for byte the report a
+//    retry would have given.
 //  - load shedding: a submit that would queue past the queue-depth
 //    watermark (DetectionServiceConfig::shed_queue_depth) resolves kShed
 //    before submit() returns, without ever queueing. Scans already queued
@@ -61,8 +58,8 @@
 //    every MAD population; the scan still resolves kDone and the report
 //    names the quarantined classes.
 // When no fault occurs, no deadline is hit, nothing is quarantined, and no
-// shed watermark or retry option is armed, every path above is inert and
-// reports stay bit-identical to detect().
+// shed watermark is armed, every path above is inert and reports stay
+// bit-identical to detect().
 #pragma once
 
 #include <atomic>
@@ -105,10 +102,6 @@ struct ScanOutcome {
   ScanStatus status = ScanStatus::kQueued;
   DetectionReport report;
   std::string error;
-  /// Stage items re-enqueued after a transient failure (see
-  /// ScanOptions::max_retries). Recorded for every terminal status — a
-  /// kFailed scan whose retry budget ran out reports how many were spent.
-  std::int64_t retries = 0;
 };
 
 /// Per-request execution options. None of them changes what a completed
@@ -131,21 +124,6 @@ struct ScanOptions {
   /// dispatcher. Deadlines that are set but never hit have no numeric
   /// effect (submit() stays byte-identical to detect()).
   double deadline_seconds = 0.0;
-  /// Transient-failure retries PER STAGE ITEM (probe materialization, a
-  /// class construct, one refinement round, a cutoff, a finalize): a stage
-  /// that throws TransientError / ScanError{transient} /
-  /// fault::InjectedFault / std::bad_alloc is re-enqueued with exponential backoff until its
-  /// per-item budget runs out, then the scan resolves kFailed with the
-  /// count in ScanOutcome::retries. Safe because every retryable stage
-  /// re-derives its work from pristine inputs (construct rebuilds the task
-  /// on the frozen model; rounds fault at entry, before mutation), so a
-  /// retried scan that succeeds stays byte-identical to detect().
-  /// 0 (default) = transient failures fail like permanent ones, keeping the
-  /// retry layer fully inert.
-  int max_retries = 0;
-  /// First-retry backoff; doubles per subsequent attempt of the same item,
-  /// up to kMaxSpanSeconds. Negative and NaN values count as 0.
-  double retry_backoff_seconds = 0.05;
 };
 
 /// One detection request. The model comes in one of two forms, and a scan
@@ -157,12 +135,13 @@ struct ScanOptions {
 ///    caller's own detect() — may run on it at once; the caller must not
 ///    unfreeze, train or otherwise write to it while a scan holding it is
 ///    unresolved;
-///  - a `model_ref` (zoo spec or checkpoint path), resolved through the
-///    service's ModelStore inside the scan's FIRST STAGE — like probe_key:
-///    a shed scan, or one cancelled while queued, never loads anything,
-///    load failures are retryable stage faults, and N concurrent scans
-///    naming the same ref share ONE resident instance (pinned while any of
-///    them runs). Reports are byte-identical either way.
+///  - a `model_ref` (a checkpoint path), resolved through the service's
+///    ModelStore inside the scan's FIRST STAGE — like probe_key: a shed
+///    scan, or one cancelled while queued, never loads anything, a load
+///    failure fails the scan with the loader's message (which names the
+///    path), and N concurrent scans naming the same ref share ONE resident
+///    instance (pinned while any of them runs). Reports are byte-identical
+///    either way.
 /// Exactly one of the two must be set. The service takes ownership of the
 /// detector (its config drives the scan; the plan's closures borrow it for
 /// the scan's lifetime).
@@ -255,7 +234,7 @@ struct DetectionServiceConfig {
 
 /// One consistent-enough snapshot of service liveness, assembled on demand
 /// by DetectionService::health(). Counters are monotone totals since
-/// construction; gauges are instantaneous. Cheap: two mutexes and a few
+/// construction; gauges are instantaneous. Cheap: one mutex and a few
 /// atomic loads — safe to poll from a monitoring loop.
 struct ServiceHealth {
   // Queue gauges.
@@ -268,9 +247,6 @@ struct ServiceHealth {
   std::int64_t scans_failed = 0;
   std::int64_t scans_timed_out = 0;
   std::int64_t scans_shed = 0;
-  // Retry layer.
-  std::int64_t items_retried = 0;   // stage items re-enqueued after transient failures
-  std::int64_t items_deferred = 0;  // currently parked in retry backoff
   // Memory budget (process-wide; see utils/memory_budget.h).
   std::int64_t budget_bytes = 0;
   std::int64_t budget_high_water_bytes = 0;
@@ -290,11 +266,12 @@ class DetectionService {
 
   /// Enqueues a scan and returns immediately. The scan shares the request's
   /// frozen network; the probe_key and a model_ref are resolved through the
-  /// ProbeStore/ModelStore inside the scan's FIRST STAGE — materialization
-  /// and load failures are then retryable like any stage fault, and a shed
+  /// ProbeStore/ModelStore inside the scan's FIRST STAGE — a materialization
+  /// or load failure then fails the scan like any stage fault, and a shed
   /// scan, or one cancelled while queued, never materializes anything. Throws
   /// std::invalid_argument on a malformed request (model XOR model_ref
-  /// violated, a model that is not frozen, null detector, probe_size <= 0);
+  /// violated, an empty checkpoint path, a model that is not frozen, null
+  /// detector, probe_size <= 0);
   /// a probe whose class count differs from the model's fails the scan
   /// (kFailed) at its first stage, once the model is resolved. Never
   /// blocks: under one hold of the service lock it builds the scan and
@@ -349,7 +326,6 @@ class DetectionService {
   std::atomic<std::int64_t> failed_{0};
   std::atomic<std::int64_t> timed_out_{0};
   std::atomic<std::int64_t> shed_{0};
-  std::atomic<std::int64_t> items_retried_{0};
 
   /// Declared last: destroyed first, joining the dispatchers before any
   /// state they might touch goes away. The destructor body additionally

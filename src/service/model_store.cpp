@@ -8,23 +8,16 @@
 
 namespace usb {
 
-std::string ModelRef::key() const {
-  if (zoo.has_value()) return "zoo:" + zoo->cache_key();
-  return "ckpt:" + checkpoint_path;
-}
-
 std::int64_t ModelData::bytes() const { return network_resident_bytes(network); }
 
 std::shared_ptr<const ModelData> ModelStore::get_or_create(const ModelRef& ref) {
-  if (!ref.valid()) {
-    throw std::invalid_argument(
-        "ModelRef: exactly one of checkpoint_path / zoo spec must be set");
+  if (ref.checkpoint_path.empty()) {
+    throw std::invalid_argument("ModelRef: checkpoint_path must be set");
   }
   const std::string key = ref.key();
   return KeyedStore::get_or_create(key, [&ref, &key] {
     USB_FAULT_POINT("model_store.load");
-    Network network = ref.zoo.has_value() ? std::move(train_or_load(*ref.zoo).network)
-                                          : load_checkpoint(ref.checkpoint_path);
+    Network network = load_checkpoint(ref.checkpoint_path);
     // Frozen: concurrent scans run passes on the resident, which writes
     // nothing to it only in this state (StagedScan checks).
     network.freeze();

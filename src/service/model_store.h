@@ -2,61 +2,47 @@
 // of data/probe_store.h.
 //
 // A ScanRequest names its model either as a shared frozen network the
-// caller holds or by REFERENCE (a zoo spec or a checkpoint path). The
-// fleet-triage scenario — many requests scanning the same uploaded
-// checkpoint, or a zoo population re-scanned by several methods — wants the
-// second: the store loads the model once, freezes it, and every concurrent
-// scan shares that one resident instance. Sharing is sound because a pass
-// over a frozen network writes nothing to it: every class task and the USB
-// shared prefix keep their forward caches in their own TensorArena
-// (nn/module.h). Reports stay bit-identical to detect() on the caller's own
-// network: forward is a pure function of (weights, input).
+// caller holds or by REFERENCE (a checkpoint path). The fleet-triage
+// scenario — many requests scanning the same uploaded checkpoint, or one
+// population re-scanned by several methods — wants the second: the store
+// loads the model once, freezes it, and every concurrent scan shares that
+// one resident instance. Sharing is sound because a pass over a frozen
+// network writes nothing to it: every class task and the USB shared prefix
+// keep their forward caches in their own TensorArena (nn/module.h).
+// Reports stay bit-identical to detect() on the caller's own network:
+// forward is a pure function of (weights, input).
 //
 // The sharing, pinning, LRU-by-bytes eviction and MemoryBudget accounting
 // (category kResidentModels) are KeyedStore's (utils/keyed_store.h), the
 // same implementation ProbeStore adapts; this adapter supplies the key
-// (ModelRef::key()), the value (ModelData) and the loader (load_checkpoint
-// or train_or_load).
+// (ModelRef::key()), the value (ModelData) and the loader
+// (load_checkpoint).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
-#include "exp/model_zoo.h"
 #include "nn/models.h"
 #include "utils/keyed_store.h"
 
 namespace usb {
 
-/// Names a model without holding it live. Two forms:
-///  - checkpoint: an on-disk file produced by save_checkpoint() — the
-///    "uploaded model" form; the key is the path itself.
-///  - zoo: a ModelCaseSpec resolved through exp/model_zoo's train_or_load()
-///    (cache hit or deterministic training); the key is spec.cache_key().
+/// Names a model without holding it live: an on-disk checkpoint produced by
+/// save_checkpoint() — the "uploaded model". A model a program trains
+/// (the zoo's victims included) is scanned by saving it to a checkpoint
+/// first, or by submitting the frozen network itself.
 struct ModelRef {
-  std::string checkpoint_path;        // non-empty for the checkpoint form
-  std::optional<ModelCaseSpec> zoo;   // engaged for the zoo form
+  std::string checkpoint_path;  // must be non-empty
 
   [[nodiscard]] static ModelRef from_checkpoint(std::string path) {
     ModelRef ref;
     ref.checkpoint_path = std::move(path);
     return ref;
   }
-  [[nodiscard]] static ModelRef from_zoo(ModelCaseSpec spec) {
-    ModelRef ref;
-    ref.zoo = std::move(spec);
-    return ref;
-  }
 
-  /// Exactly one form set.
-  [[nodiscard]] bool valid() const noexcept {
-    return checkpoint_path.empty() == zoo.has_value();
-  }
-
-  /// The store's map key: "ckpt:<path>" or "zoo:<cache_key>".
-  [[nodiscard]] std::string key() const;
+  /// The store's map key: "ckpt:<path>".
+  [[nodiscard]] std::string key() const { return "ckpt:" + checkpoint_path; }
 };
 
 /// One resident model: loaded once and frozen, then shared read-only by
@@ -84,10 +70,10 @@ class ModelStore : private KeyedStore<ModelData> {
   explicit ModelStore(ModelStoreOptions options = {})
       : KeyedStore(MemoryBudget::Category::kResidentModels, options.max_bytes) {}
 
-  /// Returns the shared resident model for `ref`, loading it on first use
-  /// (load_checkpoint for the checkpoint form, train_or_load for the zoo
-  /// form). Throws std::invalid_argument on an invalid ref; load failures
-  /// propagate (and reach every waiter on the key).
+  /// Returns the shared resident model for `ref`, loading it with
+  /// load_checkpoint on first use. Throws std::invalid_argument on an empty
+  /// checkpoint path; load failures propagate (and reach every waiter on
+  /// the key).
   [[nodiscard]] std::shared_ptr<const ModelData> get_or_create(const ModelRef& ref);
 
   using KeyedStore::bytes_resident;

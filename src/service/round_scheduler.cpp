@@ -32,9 +32,6 @@ RoundScheduler::~RoundScheduler() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     shutting_down_ = true;
-    // Deferred items must still run (they hold completion bookkeeping for
-    // their scans); promote them now rather than waiting out backoffs.
-    promote_all_deferred_locked();
   }
   work_available_.notify_all();
   for (std::thread& dispatcher : dispatchers_) dispatcher.join();
@@ -59,59 +56,11 @@ void RoundScheduler::enqueue(const JobPtr& job, std::function<void()> item) {
   work_available_.notify_one();
 }
 
-void RoundScheduler::enqueue_after(const JobPtr& job, double delay_seconds,
-                                   std::function<void()> item) {
-  if (!(delay_seconds > 0.0)) {
-    enqueue(job, std::move(item));
-    return;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (job->retired) return;
-    if (shutting_down_) {
-      // Drain mode: the item runs now (and observes its scan's flags)
-      // instead of parking behind a timer nobody will honor.
-      job->items.push_back(std::move(item));
-    } else {
-      const auto not_before = Clock::now() + steady_span(delay_seconds);
-      deferred_.push_back(Deferred{not_before, job, std::move(item)});
-    }
-  }
-  // Wake a sleeper either way: it recomputes the earliest not-before (or
-  // finds the drained item runnable).
-  work_available_.notify_one();
-}
-
-void RoundScheduler::expedite(const JobPtr& job) {
-  bool promoted = false;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = deferred_.begin(); it != deferred_.end();) {
-      if (it->job == job) {
-        job->items.push_back(std::move(it->item));
-        it = deferred_.erase(it);
-        promoted = true;
-      } else {
-        ++it;
-      }
-    }
-  }
-  if (promoted) work_available_.notify_all();
-}
-
 std::int64_t RoundScheduler::drop_queued_if_unstarted(const JobPtr& job) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (job->started > 0) return -1;
-  auto dropped = static_cast<std::int64_t>(job->items.size());
+  const auto dropped = static_cast<std::int64_t>(job->items.size());
   job->items.clear();
-  for (auto it = deferred_.begin(); it != deferred_.end();) {
-    if (it->job == job) {
-      ++dropped;
-      it = deferred_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   job->retired = true;
   jobs_.erase(std::remove(jobs_.begin(), jobs_.end(), job), jobs_.end());
   return dropped;
@@ -120,9 +69,6 @@ std::int64_t RoundScheduler::drop_queued_if_unstarted(const JobPtr& job) {
 void RoundScheduler::retire_job(const JobPtr& job) {
   const std::lock_guard<std::mutex> lock(mutex_);
   job->items.clear();
-  deferred_.erase(std::remove_if(deferred_.begin(), deferred_.end(),
-                                 [&](const Deferred& d) { return d.job == job; }),
-                  deferred_.end());
   job->retired = true;
   jobs_.erase(std::remove(jobs_.begin(), jobs_.end(), job), jobs_.end());
 }
@@ -130,11 +76,6 @@ void RoundScheduler::retire_job(const JobPtr& job) {
 std::int64_t RoundScheduler::items_executed() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return items_executed_;
-}
-
-std::int64_t RoundScheduler::items_deferred() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<std::int64_t>(deferred_.size());
 }
 
 RoundScheduler::JobPtr RoundScheduler::pick_locked() {
@@ -146,24 +87,6 @@ RoundScheduler::JobPtr RoundScheduler::pick_locked() {
     if (best == nullptr || job->vtime < best->vtime) best = job;
   }
   return best;
-}
-
-void RoundScheduler::promote_due_locked(Clock::time_point now) {
-  for (auto it = deferred_.begin(); it != deferred_.end();) {
-    if (it->not_before <= now) {
-      if (!it->job->retired) it->job->items.push_back(std::move(it->item));
-      it = deferred_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void RoundScheduler::promote_all_deferred_locked() {
-  for (Deferred& deferred : deferred_) {
-    if (!deferred.job->retired) deferred.job->items.push_back(std::move(deferred.item));
-  }
-  deferred_.clear();
 }
 
 void RoundScheduler::dispatcher_loop() {
@@ -180,23 +103,10 @@ void RoundScheduler::dispatcher_loop() {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       for (;;) {
-        promote_due_locked(Clock::now());
         job = pick_locked();
         if (job != nullptr) break;
-        if (shutting_down_) {
-          if (deferred_.empty()) return;
-          promote_all_deferred_locked();
-          continue;
-        }
-        if (deferred_.empty()) {
-          work_available_.wait(lock);
-        } else {
-          auto earliest = deferred_.front().not_before;
-          for (const Deferred& deferred : deferred_) {
-            earliest = std::min(earliest, deferred.not_before);
-          }
-          work_available_.wait_until(lock, earliest);
-        }
+        if (shutting_down_) return;
+        work_available_.wait(lock);
       }
       item = std::move(job->items.front());
       job->items.pop_front();

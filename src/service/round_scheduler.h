@@ -33,18 +33,10 @@
 // handler gets its errors logged and dropped (the item is still charged to
 // its vtime account).
 //
-// Timer queue: enqueue_after() parks an item with a not-before
-// steady_clock time. Deferred items live in a side list; a dispatcher with
-// no runnable work sleeps with wait_until on the earliest not-before (it
-// never busy-waits and never holds a thread hostage for a sleeping item),
-// and any dispatcher promotes every due item into its job's FIFO before
-// picking. This is what the service's retry-with-backoff rides on.
-// expedite() promotes a job's deferred items immediately (used on
-// cancel/timeout so an aborting scan never waits out its own backoff), and
-// shutdown promotes everything so the queue always drains.
+// Every item is runnable the moment it is enqueued. A dispatcher with no
+// runnable work sleeps until an enqueue or shutdown wakes it.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -87,12 +79,9 @@ class RoundScheduler {
   using JobPtr = std::shared_ptr<Job>;
 
   explicit RoundScheduler(Config config);
-  /// Joins the dispatchers after draining every pending item — deferred
-  /// items included: shutdown promotes them immediately, so an item parked
-  /// behind a long backoff still runs (and can observe its scan's cancel
-  /// flag) instead of wedging the drain. (Callers that want a fast
-  /// shutdown drop items first via drop_queued_if_unstarted or let their
-  /// items observe a cancel flag and return immediately.)
+  /// Joins the dispatchers after draining every pending item. (Callers that
+  /// want a fast shutdown drop items first via drop_queued_if_unstarted or
+  /// let their items observe a cancel flag and return immediately.)
   ~RoundScheduler();
 
   RoundScheduler(const RoundScheduler&) = delete;
@@ -115,21 +104,9 @@ class RoundScheduler {
   /// previous one).
   void enqueue(const JobPtr& job, std::function<void()> item);
 
-  /// Parks an item until `delay_seconds` from now (steady_clock, clamped by
-  /// steady_span()), then promotes it onto the job's FIFO like a normal
-  /// enqueue. Dispatchers sleeping on an empty queue wake via wait_until —
-  /// no thread ever sleep-waits holding a slot. A non-positive or NaN delay
-  /// enqueues directly.
-  void enqueue_after(const JobPtr& job, double delay_seconds, std::function<void()> item);
-
-  /// Promotes every deferred item of `job` to runnable now. Used by abort
-  /// paths so a scan never waits out its own retry backoff to observe its
-  /// cancel flag.
-  void expedite(const JobPtr& job);
-
   /// Atomically drops every queued item of `job` IF no item of it has ever
   /// been picked, retiring the job; returns the number of items dropped
-  /// (deferred items included; their closures are destroyed unrun).
+  /// (their closures are destroyed unrun).
   /// Returns -1 without touching the queue when an item already started —
   /// the caller must then let the in-flight chain drain cooperatively.
   /// This is what resolves cancel-while-queued immediately: the race
@@ -139,34 +116,19 @@ class RoundScheduler {
 
   /// Detaches a finished job from the scheduler. Pending items (there
   /// should be none — the service retires only terminal scans) are
-  /// dropped, deferred ones included.
+  /// dropped.
   void retire_job(const JobPtr& job);
 
   [[nodiscard]] std::int64_t items_executed() const;
 
-  /// Items currently parked in the timer queue (not yet runnable).
-  [[nodiscard]] std::int64_t items_deferred() const;
-
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Deferred {
-    Clock::time_point not_before;
-    JobPtr job;
-    std::function<void()> item;
-  };
-
   void dispatcher_loop();
   [[nodiscard]] JobPtr pick_locked();
-  /// Moves every due deferred item onto its job's FIFO. Lock held.
-  void promote_due_locked(Clock::time_point now);
-  void promote_all_deferred_locked();
 
   Config config_;
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
   std::vector<JobPtr> jobs_;  // live jobs, creation order
-  std::vector<Deferred> deferred_;
   double vclock_ = 0.0;  // min-vtime frontier; start point for new jobs
   std::int64_t items_executed_ = 0;
   bool shutting_down_ = false;

@@ -83,7 +83,6 @@ wire::WireScanResult outcome_to_result(std::uint64_t request_id, const ScanOutco
   result.request_id = request_id;
   result.status = outcome.status;
   result.error = outcome.error;
-  result.retries = outcome.retries;
   result.report = outcome.report;
   return result;
 }

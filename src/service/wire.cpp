@@ -75,54 +75,6 @@ void check_dataset_spec(const DatasetSpec& spec) {
   require(spec.num_classes > 0 && spec.num_classes <= 65536, "dataset num_classes out of range");
 }
 
-void write_model_ref(BinaryWriter& writer, const ModelRef& ref) {
-  if (ref.zoo.has_value()) {
-    writer.write_u32(1U);
-    const ModelCaseSpec& spec = *ref.zoo;
-    write_dataset_spec(writer, spec.dataset);
-    writer.write_string(to_string(spec.arch));
-    writer.write_u32(static_cast<std::uint32_t>(spec.attack.kind));
-    writer.write_i64(spec.attack.trigger_size);
-    writer.write_i64(spec.attack.target_class);
-    writer.write_f64(spec.attack.poison_rate);
-    writer.write_i64(static_cast<std::int64_t>(spec.attack.seed));
-    writer.write_i64(spec.model_index);
-    writer.write_i64(spec.scale.models_per_case);
-    writer.write_i64(spec.scale.epochs);
-    writer.write_i64(spec.scale.train_size);
-    writer.write_i64(spec.scale.test_size);
-    write_bool(writer, spec.scale.fast);
-    writer.write_string(spec.scale.model_cache_dir);
-  } else {
-    writer.write_u32(0U);
-    writer.write_string(ref.checkpoint_path);
-  }
-}
-
-ModelRef read_model_ref(BinaryReader& reader) {
-  const std::uint32_t form = reader.read_u32();
-  require(form <= 1U, "model_ref form tag out of range");
-  if (form == 0U) return ModelRef::from_checkpoint(reader.read_string());
-  ModelCaseSpec spec;
-  spec.dataset = read_dataset_spec(reader);
-  spec.arch = architecture_from_string(reader.read_string());
-  const std::uint32_t kind = reader.read_u32();
-  require(kind <= static_cast<std::uint32_t>(AttackKind::kIad), "attack kind out of range");
-  spec.attack.kind = static_cast<AttackKind>(kind);
-  spec.attack.trigger_size = reader.read_i64();
-  spec.attack.target_class = reader.read_i64();
-  spec.attack.poison_rate = reader.read_f64();
-  spec.attack.seed = static_cast<std::uint64_t>(reader.read_i64());
-  spec.model_index = reader.read_i64();
-  spec.scale.models_per_case = reader.read_i64();
-  spec.scale.epochs = reader.read_i64();
-  spec.scale.train_size = reader.read_i64();
-  spec.scale.test_size = reader.read_i64();
-  spec.scale.fast = read_bool(reader);
-  spec.scale.model_cache_dir = reader.read_string();
-  return ModelRef::from_zoo(std::move(spec));
-}
-
 void write_tensor(BinaryWriter& writer, const Tensor& tensor) {
   writer.write_i64s(tensor.shape().dims);
   writer.write_floats(tensor.data());
@@ -143,25 +95,6 @@ Tensor read_tensor(BinaryReader& reader) {
           "tensor payload does not match its shape");
   if (dims.empty() && values.empty()) return Tensor();
   return Tensor(Shape(std::move(dims)), std::move(values));
-}
-
-void write_options(BinaryWriter& writer, const ScanOptions& options) {
-  // `progress` is deliberately absent: callbacks cannot cross the wire.
-  writer.write_f64(options.deadline_seconds);
-  writer.write_i64(options.max_retries);
-  writer.write_f64(options.retry_backoff_seconds);
-}
-
-ScanOptions read_options(BinaryReader& reader) {
-  ScanOptions options;
-  options.deadline_seconds = reader.read_f64();
-  const std::int64_t max_retries = reader.read_i64();
-  require(max_retries >= std::numeric_limits<int>::min() &&
-              max_retries <= std::numeric_limits<int>::max(),
-          "max_retries out of range");
-  options.max_retries = static_cast<int>(max_retries);
-  options.retry_backoff_seconds = reader.read_f64();
-  return options;
 }
 
 void write_report(BinaryWriter& writer, const DetectionReport& report) {
@@ -242,31 +175,24 @@ auto decode_guard(Fn&& fn) -> decltype(fn()) {
 }  // namespace
 
 void check_request(const WireScanRequest& request) {
-  if (request.model_ref.zoo.has_value()) {
-    check_dataset_spec(request.model_ref.zoo->dataset);
-  } else {
-    require(!request.model_ref.checkpoint_path.empty(), "empty checkpoint path");
-  }
+  require(!request.model_ref.checkpoint_path.empty(), "empty checkpoint path");
   check_dataset_spec(request.probe_key.spec);
   require(request.probe_key.probe_size > 0, "probe_size out of range");
-  const ScanOptions& options = request.options;
-  require(std::isfinite(options.deadline_seconds) && options.deadline_seconds <= kMaxSpanSeconds,
-          "deadline_seconds out of range");
-  require(std::isfinite(options.retry_backoff_seconds) &&
-              options.retry_backoff_seconds <= kMaxSpanSeconds,
-          "retry_backoff_seconds out of range");
+  const double deadline = request.options.deadline_seconds;
+  require(std::isfinite(deadline) && deadline <= kMaxSpanSeconds, "deadline_seconds out of range");
 }
 
 std::vector<std::uint8_t> encode_request(const WireScanRequest& request) {
   BinaryWriter writer;
   write_header(writer, kRequestRecord);
   writer.write_i64(static_cast<std::int64_t>(request.request_id));
-  write_model_ref(writer, request.model_ref);
+  writer.write_string(request.model_ref.checkpoint_path);
   write_dataset_spec(writer, request.probe_key.spec);
   writer.write_i64(request.probe_key.probe_size);
   writer.write_i64(static_cast<std::int64_t>(request.probe_key.seed));
   writer.write_string(request.method);
-  write_options(writer, request.options);
+  // `progress` is deliberately absent: callbacks cannot cross the wire.
+  writer.write_f64(request.options.deadline_seconds);
   return writer.buffer();
 }
 
@@ -276,12 +202,12 @@ WireScanRequest decode_request(std::span<const std::uint8_t> bytes) {
     read_header(reader, kRequestRecord);
     WireScanRequest request;
     request.request_id = static_cast<std::uint64_t>(reader.read_i64());
-    request.model_ref = read_model_ref(reader);
+    request.model_ref = ModelRef::from_checkpoint(reader.read_string());
     request.probe_key.spec = read_dataset_spec(reader);
     request.probe_key.probe_size = reader.read_i64();
     request.probe_key.seed = static_cast<std::uint64_t>(reader.read_i64());
     request.method = reader.read_string();
-    request.options = read_options(reader);
+    request.options.deadline_seconds = reader.read_f64();
     require(reader.exhausted(), "trailing bytes after request");
     check_request(request);
     return request;
@@ -294,7 +220,6 @@ std::vector<std::uint8_t> encode_result(const WireScanResult& result) {
   writer.write_i64(static_cast<std::int64_t>(result.request_id));
   writer.write_u32(static_cast<std::uint32_t>(result.status));
   writer.write_string(result.error);
-  writer.write_i64(result.retries);
   write_report(writer, result.report);
   return writer.buffer();
 }
@@ -309,7 +234,6 @@ WireScanResult decode_result(std::span<const std::uint8_t> bytes) {
     require(status <= static_cast<std::uint32_t>(ScanStatus::kShed), "status tag out of range");
     result.status = static_cast<ScanStatus>(status);
     result.error = reader.read_string();
-    result.retries = reader.read_i64();
     result.report = read_report(reader);
     require(reader.exhausted(), "trailing bytes after result");
     return result;

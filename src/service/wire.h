@@ -1,8 +1,8 @@
 // Versioned binary wire format for out-of-process scan submission.
 //
 // The seam for sharding scans across worker processes: a client encodes a
-// WireScanRequest (model by REFERENCE — zoo spec or checkpoint path — plus
-// probe coordinates and scan options), ships it over any byte stream, and a
+// WireScanRequest (model by REFERENCE — a checkpoint path — plus probe
+// coordinates and scan options), ships it over any byte stream, and a
 // server running a DetectionService decodes it, submits, and ships back a
 // WireScanResult (terminal status + the full DetectionReport, per-class
 // estimates and tensors included). See examples/scan_server.cpp +
@@ -35,11 +35,14 @@
 //      exit is part of the server's detector config, like every other scan
 //      parameter. Decoding rejects every value check_request() refuses,
 //      the option values among them: a non-finite fair_weight, and a
-//      non-finite or out-of-range deadline_seconds or
-//      retry_backoff_seconds.
+//      non-finite or out-of-range deadline or retry backoff.
 //   4  Requests no longer carry priority, fair_weight or unsheddable: every
 //      scan shares a service on one equal-share policy. The options left
-//      are deadline_seconds, max_retries and retry_backoff_seconds.
+//      are deadline_seconds and the stage-retry budget and backoff.
+//   5  The service no longer retries a faulted stage: requests drop the
+//      retry budget and backoff, so deadline_seconds is the only option,
+//      and results drop the retry count. A model ref is a checkpoint path
+//      only: the form tag and the zoo spec encoding are gone.
 #pragma once
 
 #include <atomic>
@@ -57,7 +60,7 @@
 namespace usb::wire {
 
 inline constexpr std::uint32_t kMagic = 0x57425355;  // "USBW" little-endian
-inline constexpr std::uint32_t kVersion = 4;
+inline constexpr std::uint32_t kVersion = 5;
 
 /// Record tags, exposed so stream demultiplexers (the fleet supervisor, the
 /// worker loop) can peek_record() a frame and dispatch without trial
@@ -94,18 +97,16 @@ struct WireScanRequest {
   /// config: a fleet's detector configuration is the server's, versioned
   /// with its binary, so every worker scans identically.
   std::string method;
-  /// Serialized subset of ScanOptions: deadline_seconds, max_retries and
-  /// retry_backoff_seconds — everything except `progress` (a callback
-  /// cannot cross the wire).
+  /// Serialized subset of ScanOptions: deadline_seconds — everything
+  /// except `progress` (a callback cannot cross the wire).
   ScanOptions options;
 };
 
 /// Throws WireError unless every value of `request` is one a worker can
-/// serve: a positive probe_size; dataset specs (the probe's, and a zoo
-/// ref's) with 1..16 channels, image_size 1..4096 and 1..65536 classes; a
-/// non-empty checkpoint path for a checkpoint ref; and a finite
-/// deadline_seconds and retry_backoff_seconds of at most
-/// kMaxSpanSeconds (utils/timer.h). decode_request() applies it to every
+/// serve: a positive probe_size; a probe dataset spec with 1..16 channels,
+/// image_size 1..4096 and 1..65536 classes; a non-empty checkpoint path;
+/// and a finite deadline_seconds of at most kMaxSpanSeconds
+/// (utils/timer.h). decode_request() applies it to every
 /// frame, and WorkerFleet::submit() applies it before routing: a worker
 /// answers a frame it cannot decode as request 0, which no future waits
 /// for, so a request a worker would reject must fail where it was made.
@@ -114,13 +115,12 @@ struct WireScanRequest {
 void check_request(const WireScanRequest& request);
 
 /// The out-of-process form of ScanOutcome: terminal status, error text,
-/// retry count, and the full report.
+/// and the full report.
 struct WireScanResult {
   /// Echo of WireScanRequest::request_id (0 = unattributable).
   std::uint64_t request_id = 0;
   ScanStatus status = ScanStatus::kQueued;
   std::string error;
-  std::int64_t retries = 0;
   DetectionReport report;
 };
 

@@ -79,7 +79,6 @@ void resolve_state(const std::shared_ptr<FleetRequestState>& state, ScanStatus s
   state->outcome.status = status;
   state->outcome.error = std::move(error);
   if (result != nullptr) {
-    state->outcome.retries = result->retries;
     state->outcome.report = std::move(result->report);
   }
   state->outcome.dispatches = state->dispatches;

@@ -97,8 +97,6 @@ struct FleetConfig {
 struct FleetOutcome {
   ScanStatus status = ScanStatus::kQueued;
   std::string error;
-  /// Worker-side stage retries (ScanOutcome::retries, from the wire).
-  std::int64_t retries = 0;
   DetectionReport report;
   /// How many times the request was written to a worker (1 = no failure;
   /// 2+ = re-dispatched after worker deaths).

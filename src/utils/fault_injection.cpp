@@ -1,7 +1,6 @@
 #include "utils/fault_injection.h"
 
 #include <chrono>
-#include <new>
 #include <thread>
 
 namespace usb::fault {
@@ -69,8 +68,6 @@ void FaultRegistry::on_point(const char* point) {
     case FaultSpec::Kind::kDelay:
       std::this_thread::sleep_for(std::chrono::duration<double>(spec.delay_seconds));
       return;
-    case FaultSpec::Kind::kEnomem:
-      throw std::bad_alloc();
     case FaultSpec::Kind::kNan:
       return;  // value poisoning only takes effect at USB_FAULT_NAN sites
   }

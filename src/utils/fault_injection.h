@@ -27,7 +27,7 @@
 //                                 round boundary reads NaN, so the class is
 //                                 quarantined (src/defenses/scan_plan.cpp)
 //   probe_store.materialize       probe dataset generation
-//   model_store.load              checkpoint/zoo model resolution
+//   model_store.load              checkpoint model resolution
 //   fleet.spawn                   WorkerFleet: one fork/exec attempt; a
 //                                 throw is a failed spawn and backs off
 //   fleet.route                   WorkerFleet: before a request frame is
@@ -58,7 +58,6 @@ struct FaultSpec {
     kThrow,   // USB_FAULT_POINT throws InjectedFault
     kDelay,   // USB_FAULT_POINT sleeps delay_seconds
     kNan,     // USB_FAULT_NAN returns true (the site substitutes a NaN)
-    kEnomem,  // USB_FAULT_POINT throws std::bad_alloc (simulated ENOMEM)
   };
   Kind kind = Kind::kThrow;
   /// Trigger starting at hit #after_hits of the point (0-based, counted

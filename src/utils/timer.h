@@ -1,6 +1,6 @@
 // Wall-clock timing utilities used by the Table 7 time-consumption bench and
 // the experiment harness, and the seconds-to-steady_clock clamp the scan
-// service times its deadlines, waits and retries with.
+// service times its deadlines and waits with.
 #pragma once
 
 #include <chrono>
@@ -37,8 +37,7 @@ inline constexpr double kMaxSpanSeconds = 1e9;
 
 /// `seconds` as a steady_clock span, clamped to [0, kMaxSpanSeconds] (NaN
 /// reads as 0), so now() plus the result never overflows. The service's
-/// deadlines, timed waits and retry delays, all set by callers, go through
-/// here.
+/// deadlines and timed waits, both set by callers, go through here.
 [[nodiscard]] std::chrono::steady_clock::duration steady_span(double seconds) noexcept;
 
 /// Formats seconds as the paper's Table 7 "[m:s]" layout, e.g. 267.12s ->

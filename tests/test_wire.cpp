@@ -33,34 +33,18 @@
 namespace usb {
 namespace {
 
-// A request exercising every serialized field, zoo form.
-wire::WireScanRequest sample_zoo_request() {
+// A request exercising every serialized field.
+wire::WireScanRequest sample_full_request() {
   wire::WireScanRequest request;
   request.request_id = 0x1122334455667788ULL;  // v2: every bit must survive
-  ModelCaseSpec spec;
-  spec.dataset = DatasetSpec::gtsrb_like();
-  spec.arch = Architecture::kMiniEffNet;
-  spec.attack.kind = AttackKind::kIad;
-  spec.attack.trigger_size = 4;
-  spec.attack.target_class = 7;
-  spec.attack.poison_rate = 0.12345678901234567;
-  spec.attack.seed = 0xdeadbeefcafef00dULL;
-  spec.model_index = 3;
-  spec.scale.models_per_case = 5;
-  spec.scale.epochs = 2;
-  spec.scale.train_size = 1234;
-  spec.scale.test_size = 321;
-  spec.scale.fast = true;
-  spec.scale.model_cache_dir = "/tmp/zoo-cache";
-  request.model_ref = ModelRef::from_zoo(std::move(spec));
+  request.model_ref = ModelRef::from_checkpoint("/models/triage/gtsrb-effnet-iad-3.ckpt");
   request.probe_key = ProbeKey{DatasetSpec::mnist_like(), 300, 0x9e0beULL};
   request.method = "USB";
   request.options.deadline_seconds = 12.75;
-  request.options.max_retries = 4;
-  request.options.retry_backoff_seconds = 0.125;
   return request;
 }
 
+// A request with every option at its default.
 wire::WireScanRequest sample_checkpoint_request() {
   wire::WireScanRequest request;
   request.model_ref = ModelRef::from_checkpoint("/models/fleet/worker-17.ckpt");
@@ -76,7 +60,6 @@ wire::WireScanResult sample_result() {
   result.request_id = 0xFFFFFFFFFFFFFFFFULL;  // v2 echo, extreme value
   result.status = ScanStatus::kTimedOut;
   result.error = "deadline expired after 2 classes";
-  result.retries = 2;
   DetectionReport& report = result.report;
   report.method = "USB";
   report.per_class.resize(3);
@@ -122,64 +105,47 @@ void expect_exact_round_trip(Encode encode, Decode decode) {
   EXPECT_EQ(once, twice) << "decode -> encode did not reproduce the bytes";
 }
 
-TEST(Wire, RequestRoundTripIsExactZooForm) {
-  expect_exact_round_trip([] { return wire::encode_request(sample_zoo_request()); },
-                          [](const std::vector<std::uint8_t>& bytes) {
-                            return wire::decode_request(bytes);
-                          });
+TEST(Wire, RequestRoundTripIsExactCheckpointForm) {
+  const auto decode = [](const std::vector<std::uint8_t>& bytes) {
+    return wire::decode_request(bytes);
+  };
+  expect_exact_round_trip([] { return wire::encode_request(sample_full_request()); }, decode);
+  expect_exact_round_trip([] { return wire::encode_request(sample_checkpoint_request()); },
+                          decode);
   // Spot-check the semantically load-bearing fields survived too.
   const wire::WireScanRequest decoded =
-      wire::decode_request(wire::encode_request(sample_zoo_request()));
+      wire::decode_request(wire::encode_request(sample_full_request()));
   EXPECT_EQ(decoded.request_id, 0x1122334455667788ULL);
-  ASSERT_TRUE(decoded.model_ref.zoo.has_value());
-  EXPECT_EQ(decoded.model_ref.key(), sample_zoo_request().model_ref.key());
-  EXPECT_EQ(decoded.probe_key, sample_zoo_request().probe_key);
+  EXPECT_EQ(decoded.model_ref.checkpoint_path, "/models/triage/gtsrb-effnet-iad-3.ckpt");
+  EXPECT_EQ(decoded.model_ref.key(), sample_full_request().model_ref.key());
+  EXPECT_EQ(decoded.probe_key, sample_full_request().probe_key);
   EXPECT_EQ(decoded.method, "USB");
   EXPECT_EQ(decoded.options.deadline_seconds, 12.75);
-  EXPECT_EQ(decoded.options.max_retries, 4);
-  EXPECT_EQ(decoded.options.retry_backoff_seconds, 0.125);
-}
-
-TEST(Wire, RequestRoundTripIsExactCheckpointForm) {
-  expect_exact_round_trip([] { return wire::encode_request(sample_checkpoint_request()); },
-                          [](const std::vector<std::uint8_t>& bytes) {
-                            return wire::decode_request(bytes);
-                          });
-  const wire::WireScanRequest decoded =
+  // Default options survive as the defaults: no deadline.
+  const wire::WireScanRequest defaults =
       wire::decode_request(wire::encode_request(sample_checkpoint_request()));
-  EXPECT_EQ(decoded.model_ref.checkpoint_path, "/models/fleet/worker-17.ckpt");
-  // Default options survive as the defaults: no deadline, no retries.
-  EXPECT_EQ(decoded.options.deadline_seconds, 0.0);
-  EXPECT_EQ(decoded.options.max_retries, 0);
-  EXPECT_EQ(decoded.options.retry_backoff_seconds, 0.05);
+  EXPECT_EQ(defaults.model_ref.checkpoint_path, "/models/fleet/worker-17.ckpt");
+  EXPECT_EQ(defaults.options.deadline_seconds, 0.0);
 }
 
-// The option doubles a server times by must be ones a sound peer sends: a
-// non-finite deadline or backoff, or one past kMaxSpanSeconds (which the
-// service would only clamp), marks a corrupt or hostile one. Each such
-// value is a WireError; the limits themselves and negative (disabled)
-// values still decode.
+// The deadline a server times by must be one a sound peer sends: a
+// non-finite deadline, or one past kMaxSpanSeconds (which the service
+// would only clamp), marks a corrupt or hostile one. Each such value is a
+// WireError; the limits themselves and negative (disabled) values still
+// decode.
 TEST(Wire, NonFiniteOrOutOfRangeOptionValuesThrow) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto decodes = [](void (*set)(ScanOptions&, double), double value) {
+  const auto decodes = [](double deadline_seconds) {
     wire::WireScanRequest request = sample_checkpoint_request();
-    set(request.options, value);
+    request.options.deadline_seconds = deadline_seconds;
     (void)wire::decode_request(wire::encode_request(request));
   };
-  const auto set_deadline = [](ScanOptions& options, double value) {
-    options.deadline_seconds = value;
-  };
-  const auto set_backoff = [](ScanOptions& options, double value) {
-    options.retry_backoff_seconds = value;
-  };
   for (const double bad : {kNaN, kInf, -kInf, 1e300, kMaxSpanSeconds * 2}) {
-    EXPECT_THROW(decodes(set_deadline, bad), wire::WireError) << "deadline " << bad;
-    EXPECT_THROW(decodes(set_backoff, bad), wire::WireError) << "backoff " << bad;
+    EXPECT_THROW(decodes(bad), wire::WireError) << "deadline " << bad;
   }
   for (const double good : {-1.0, 0.0, kMaxSpanSeconds}) {
-    EXPECT_NO_THROW(decodes(set_deadline, good)) << "deadline " << good;
-    EXPECT_NO_THROW(decodes(set_backoff, good)) << "backoff " << good;
+    EXPECT_NO_THROW(decodes(good)) << "deadline " << good;
   }
 }
 
@@ -190,7 +156,6 @@ TEST(Wire, ResultRoundTripIsExactIncludingNaN) {
                           });
   const wire::WireScanResult decoded = wire::decode_result(wire::encode_result(sample_result()));
   EXPECT_EQ(decoded.status, ScanStatus::kTimedOut);
-  EXPECT_EQ(decoded.retries, 2);
   EXPECT_TRUE(std::isnan(decoded.report.per_class[1].mask_l1));
   EXPECT_TRUE(std::isnan(decoded.report.verdict.norms[1]));
   EXPECT_TRUE(decoded.report.per_class[0].pattern.equals(sample_result().report.per_class[0].pattern));
@@ -250,8 +215,8 @@ TEST(Wire, DecodedRequestProducesIdenticalReport) {
 
 TEST(Wire, TruncationAtEveryLengthThrows) {
   for (const std::vector<std::uint8_t>& full :
-       {wire::encode_request(sample_zoo_request()), wire::encode_result(sample_result())}) {
-    const bool is_request = full == wire::encode_request(sample_zoo_request());
+       {wire::encode_request(sample_full_request()), wire::encode_result(sample_result())}) {
+    const bool is_request = full == wire::encode_request(sample_full_request());
     for (std::size_t length = 0; length < full.size(); ++length) {
       const std::span<const std::uint8_t> cut(full.data(), length);
       if (is_request) {
@@ -268,7 +233,7 @@ TEST(Wire, SingleByteCorruptionNeverCrashes) {
   // succeed (the byte was slack in a float/string) or throw WireError —
   // anything else (crash, other exception type, UB under the sanitizer
   // jobs) fails the test.
-  const std::vector<std::uint8_t> request_bytes = wire::encode_request(sample_zoo_request());
+  const std::vector<std::uint8_t> request_bytes = wire::encode_request(sample_full_request());
   for (std::size_t i = 0; i < request_bytes.size(); ++i) {
     std::vector<std::uint8_t> corrupt = request_bytes;
     corrupt[i] ^= 0xFF;
@@ -343,7 +308,7 @@ TEST(Wire, TrailingBytesThrow) {
 }
 
 TEST(Wire, FrameRoundTripAndTruncation) {
-  const std::vector<std::uint8_t> payload = wire::encode_request(sample_zoo_request());
+  const std::vector<std::uint8_t> payload = wire::encode_request(sample_full_request());
   std::FILE* file = std::tmpfile();
   ASSERT_NE(file, nullptr);
   wire::write_frame(file, payload);
